@@ -152,39 +152,6 @@ pub fn align_anchored_with<V: SeqView>(
     }
 }
 
-/// Exact-match identity along the anchor's diagonal, over the maximal
-/// no-indel overlap the anchor admits (anchor bases count as matches).
-///
-/// A cheap O(overlap) probe used as an *optional, lossy* prefilter: a
-/// pair whose diagonal identity is far below the accept threshold will
-/// rarely be rescued by the few indels the band allows, so skipping its
-/// DP trades a small amount of sensitivity for throughput (the CD-HIT
-/// family of clusterers is built on exactly this kind of short-circuit
-/// filter). Disabled by default in the clustering engine.
-pub fn diagonal_identity<V: SeqView>(a: V, b: V, anchor: Anchor) -> f64 {
-    debug_assert!(anchor.verify_on(a, b), "anchor does not match sequences");
-    let left = anchor.a_pos.min(anchor.b_pos);
-    let a_rem = a.len() - anchor.a_pos - anchor.len;
-    let b_rem = b.len() - anchor.b_pos - anchor.len;
-    let right = a_rem.min(b_rem);
-    let total = left + anchor.len + right;
-    if total == 0 {
-        return 1.0;
-    }
-    let mut matches = anchor.len;
-    for k in 1..=left {
-        if a.at(anchor.a_pos - k) == b.at(anchor.b_pos - k) {
-            matches += 1;
-        }
-    }
-    for k in 0..right {
-        if a.at(anchor.a_pos + anchor.len + k) == b.at(anchor.b_pos + anchor.len + k) {
-            matches += 1;
-        }
-    }
-    matches as f64 / total as f64
-}
-
 /// Apply the accept criterion ([`crate::overlap::decide`]) to an anchored
 /// alignment result.
 pub fn decide_outcome(
@@ -306,23 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_identity_basics() {
-        let a = b"AAAACCCCGGGG";
-        let b = b"CCCCGGGGTTTT";
-        let anchor = anchor_of(a, b);
-        // The anchor spans the whole diagonal overlap: identity 1.
-        assert_eq!(diagonal_identity(&a[..], &b[..], anchor), 1.0);
-        // A mismatching left flank on the diagonal dilutes it: the AAAA
-        // and TTTT prefixes sit on the anchor diagonal and never match.
-        let a2 = b"AAAACCCCGGGG";
-        let b2 = b"TTTTCCCCGGGGAA";
-        let anchor2 = anchor_of(a2, b2); // CCCCGGGG at a_pos 4 / b_pos 4
-        assert_eq!(anchor2.len, 8);
-        let id = diagonal_identity(&a2[..], &b2[..], anchor2);
-        assert!((id - 8.0 / 12.0).abs() < 1e-12, "id = {id}");
-    }
-
-    #[test]
     fn max_reach_bounds_simple_cases() {
         // Dovetail: anchor at the junction, radius 0.
         let anchor = Anchor {
@@ -397,20 +347,6 @@ mod tests {
                 aln.overlap_len(),
                 bound
             );
-        }
-
-        /// Diagonal identity is a true fraction and hits 1 exactly on
-        /// identical strings.
-        #[test]
-        fn diagonal_identity_is_fraction(a in dna(5, 40), cut in 0usize..10) {
-            let anchor = anchor_of(&a, &a);
-            let id = diagonal_identity(&a[..], &a[..], anchor);
-            prop_assert_eq!(id, 1.0);
-            let b = &a[cut.min(a.len() - 1)..];
-            let anchor = anchor_of(&a, b);
-            prop_assume!(anchor.len >= 1);
-            let id = diagonal_identity(&a[..], b, anchor);
-            prop_assert!((0.0..=1.0).contains(&id));
         }
     }
 }

@@ -43,8 +43,7 @@ pub mod view;
 pub mod workspace;
 
 pub use anchored::{
-    align_anchored, align_anchored_with, decide_outcome, diagonal_identity, Anchor,
-    AnchoredAlignment,
+    align_anchored, align_anchored_with, decide_outcome, Anchor, AnchoredAlignment,
 };
 pub use banded::{banded_extension, banded_extension_with, banded_global_score};
 pub use banded::{banded_global_score_with, ExtensionResult};

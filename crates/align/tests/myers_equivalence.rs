@@ -25,10 +25,10 @@ fn dna(min: usize, max: usize) -> impl Strategy<Value = Vec<u8>> {
 /// under; every test property must hold for all of them.
 fn convertible_scorings() -> impl Strategy<Value = Scoring> {
     proptest::sample::select(vec![
-        Scoring::edit_linear(),       // c = 2
-        Scoring::linear(4, -1, -3),   // c = 5
-        Scoring::linear(6, -3, -6),   // c = 9
-        Scoring::linear(10, -2, -7),  // c = 12
+        Scoring::edit_linear(),      // c = 2
+        Scoring::linear(4, -1, -3),  // c = 5
+        Scoring::linear(6, -3, -6),  // c = 9
+        Scoring::linear(10, -2, -7), // c = 12
     ])
 }
 

@@ -11,7 +11,7 @@
 //! 4. the ψ threshold's effect on pair volume and quality.
 
 use pace_bench::{banner, dataset, paper_cfg, scaled, secs};
-use pace_cluster::{align_pair, cluster_sequential, ClusterConfig};
+use pace_cluster::{align_pair, cluster_sequential, ClusterConfig, ClusterCore};
 use pace_dsu::DisjointSets;
 use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
 use pace_quality::assess;
@@ -19,36 +19,23 @@ use pace_seq::SequenceStore;
 use std::time::Instant;
 
 /// Feed an explicit pair stream through the master's skip/align/merge
-/// logic; returns (aligned, skipped, accepted, labels, seconds).
+/// core; returns (aligned, skipped, labels, seconds).
 fn consume_pairs(
     store: &SequenceStore,
     cfg: &ClusterConfig,
     pairs: &[CandidatePair],
-) -> (u64, u64, u64, Vec<usize>, f64) {
+) -> (u64, u64, Vec<usize>, f64) {
     let started = Instant::now();
-    let mut clusters = DisjointSets::new(store.num_ests());
-    let (mut aligned, mut skipped, mut accepted) = (0u64, 0u64, 0u64);
+    let mut core = ClusterCore::new(DisjointSets::new(store.num_ests()), cfg);
     for pair in pairs {
-        let (i, j) = pair.est_indices();
-        if cfg.skip_clustered_pairs && clusters.same(i, j) {
-            skipped += 1;
-            continue;
-        }
-        aligned += 1;
-        let outcome = align_pair(store, pair, cfg);
-        if outcome.accepted {
-            accepted += 1;
-            clusters.union(i, j);
+        if !core.skip(pair) {
+            core.accept(&align_pair(store, pair, cfg));
         }
     }
-    let labels = clusters.labels();
-    (
-        aligned,
-        skipped,
-        accepted,
-        labels,
-        started.elapsed().as_secs_f64(),
-    )
+    let labels = core.sets.labels();
+    let s = core.stats;
+    let secs = started.elapsed().as_secs_f64();
+    (s.pairs_processed, s.pairs_skipped, labels, secs)
 }
 
 fn report(label: &str, aligned: u64, skipped: u64, time: f64, labels: &[usize], truth: &[usize]) {
@@ -99,25 +86,25 @@ fn main() {
         PairGenerator::new(&store, &forest, PairGenConfig::new(cfg.psi)).generate_all();
 
     // 1a. The paper's order: decreasing maximal-common-substring length.
-    let (a, s, _, labels, t) = consume_pairs(&store, &cfg, &sorted_pairs);
+    let (a, s, labels, t) = consume_pairs(&store, &cfg, &sorted_pairs);
     report("decreasing-MCS order (PaCE)", a, s, t, &labels, &ds.truth);
 
     // 1b. The same pairs, truly shuffled: the traditional arbitrary order.
     let mut shuffled = sorted_pairs.clone();
     shuffle(&mut shuffled, 0xDEAD_BEEF);
-    let (a, s, _, labels, t) = consume_pairs(&store, &cfg, &shuffled);
+    let (a, s, labels, t) = consume_pairs(&store, &cfg, &shuffled);
     report("shuffled pair order", a, s, t, &labels, &ds.truth);
 
     // 2. No cluster-aware skipping: every pair is aligned.
     let mut noskip = cfg.clone();
     noskip.skip_clustered_pairs = false;
-    let (a, s, _, labels, t) = consume_pairs(&store, &noskip, &sorted_pairs);
+    let (a, s, labels, t) = consume_pairs(&store, &noskip, &sorted_pairs);
     report("no pair skipping", a, s, t, &labels, &ds.truth);
 
     // 3. Full-width DP: band as wide as a read (quadratic extension).
     let mut fullwidth = cfg.clone();
     fullwidth.band_radius = 700;
-    let (a, s, _, labels, t) = consume_pairs(&store, &fullwidth, &sorted_pairs);
+    let (a, s, labels, t) = consume_pairs(&store, &fullwidth, &sorted_pairs);
     report("full-width DP (no banding)", a, s, t, &labels, &ds.truth);
 
     // 4. ψ sweep (via the full driver: pair volume changes with ψ).

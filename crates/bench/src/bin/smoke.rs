@@ -66,7 +66,10 @@ fn micro_kernels(store: &SequenceStore, pairs: &[pace_pairgen::CandidatePair]) -
     let set = SketchSet::from_store(store, params);
     let mut passed = 0u64;
     for p in pairs {
-        if set.jaccard(p.s1, p.s2).is_none_or(|j| j >= SKETCH_THRESHOLD) {
+        if set
+            .jaccard(p.s1, p.s2)
+            .is_none_or(|j| j >= SKETCH_THRESHOLD)
+        {
             passed += 1;
         }
     }

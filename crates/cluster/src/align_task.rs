@@ -8,8 +8,7 @@
 
 use crate::config::ClusterConfig;
 use pace_align::{
-    align_anchored_myers_with, align_anchored_with, decide_outcome, diagonal_identity,
-    AlignWorkspace, Anchor, SeqView,
+    align_anchored_myers_with, align_anchored_with, decide_outcome, AlignWorkspace, Anchor, SeqView,
 };
 use pace_pairgen::CandidatePair;
 use pace_seq::{PackedText, SequenceStore, SketchParams, SketchSet};
@@ -120,15 +119,13 @@ impl<'s> AlignContext<'s> {
     /// both directions with banded DP (Figure 5a) and applying the
     /// accept criterion against the four patterns of Figure 5b.
     ///
-    /// Before any DP runs, three cheap filters get a veto:
+    /// Before any DP runs, two cheap filters get a veto:
     /// 1. the *lossless* geometry bound ([`Anchor::max_overlap_reach`]):
     ///    if even a maximally gapped extension cannot reach
     ///    `overlap.min_overlap_len`, the pair is rejected outright;
     /// 2. the optional *lossy* MinHash sketch threshold
     ///    (`prefilter_min_sketch_jaccard > 0`, see
-    ///    [`should_align`](Self::should_align));
-    /// 3. the optional *lossy* diagonal-identity threshold
-    ///    (`prefilter_min_diag_identity > 0`).
+    ///    [`should_align`](Self::should_align)).
     ///
     /// Prefiltered pairs still produce a (rejected) [`PairOutcome`], so
     /// flow conservation over processed pairs is unchanged.
@@ -152,7 +149,7 @@ impl<'s> AlignContext<'s> {
             self.pairs_prefiltered += 1;
             return rejected(pair);
         }
-        let (outcome, prefiltered) = match self.packed {
+        match self.packed {
             Some(text) => extend_and_decide(
                 text.slice(pair.s1),
                 text.slice(pair.s2),
@@ -169,11 +166,7 @@ impl<'s> AlignContext<'s> {
                 cfg,
                 &mut self.ws,
             ),
-        };
-        if prefiltered {
-            self.pairs_prefiltered += 1;
         }
-        outcome
     }
 }
 
@@ -186,9 +179,8 @@ fn rejected(pair: &CandidatePair) -> PairOutcome {
     }
 }
 
-/// Representation-generic tail of the task: optional identity filter,
-/// anchored extension, accept decision. Returns the outcome and whether
-/// the identity filter vetoed the DP.
+/// Representation-generic tail of the task: anchored extension, then
+/// the accept decision.
 fn extend_and_decide<V: SeqView>(
     a: V,
     b: V,
@@ -196,12 +188,7 @@ fn extend_and_decide<V: SeqView>(
     pair: &CandidatePair,
     cfg: &ClusterConfig,
     ws: &mut AlignWorkspace,
-) -> (PairOutcome, bool) {
-    if cfg.prefilter_min_diag_identity > 0.0
-        && diagonal_identity(a, b, anchor) < cfg.prefilter_min_diag_identity
-    {
-        return (rejected(pair), true);
-    }
+) -> PairOutcome {
     let aln = if cfg.myers_alignment {
         // The bit-parallel kernel declines (returns None) when the
         // scoring is not edit-convertible or the radius exceeds its
@@ -214,14 +201,11 @@ fn extend_and_decide<V: SeqView>(
         align_anchored_with(a, b, anchor, &cfg.scoring, cfg.band_radius, ws)
     };
     let decision = decide_outcome(&aln, &cfg.scoring, &cfg.overlap);
-    (
-        PairOutcome {
-            pair: *pair,
-            accepted: decision.accepted,
-            score_ratio: decision.ratio,
-        },
-        false,
-    )
+    PairOutcome {
+        pair: *pair,
+        accepted: decision.accepted,
+        score_ratio: decision.ratio,
+    }
 }
 
 /// Align one pair with a throwaway context (tests, tools, baselines).
@@ -374,46 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn diag_identity_prefilter_vetoes_noisy_diagonals() {
-        // A planted 12-mer anchor between otherwise-unrelated reads:
-        // the anchor diagonal is ~25% identity outside the word.
-        let mut a = lcg_dna(71, 30);
-        a.extend_from_slice(b"GGGGCCCCGGGG");
-        a.extend(lcg_dna(72, 30));
-        let mut b = lcg_dna(73, 30);
-        b.extend_from_slice(b"GGGGCCCCGGGG");
-        b.extend(lcg_dna(74, 30));
-        let store = SequenceStore::from_ests(&[&a, &b]).unwrap();
-        let pair = CandidatePair {
-            s1: EstId(0).str_id(Strand::Forward),
-            s2: EstId(1).str_id(Strand::Forward),
-            off1: 30,
-            off2: 30,
-            mcs_len: 12,
-        };
-        let mut cfg = ClusterConfig::small();
-        cfg.prefilter_overlap = false;
-        assert_eq!(
-            ClusterConfig::default().prefilter_min_diag_identity,
-            0.0,
-            "lossy filter must be opt-in"
-        );
-
-        // Off by default: the pair goes through the full DP.
-        let mut open = AlignContext::new(&store, None);
-        open.align(&pair, &cfg);
-        assert_eq!(open.pairs_prefiltered(), 0);
-
-        // Demanding 90% identity vetoes it before any DP.
-        cfg.prefilter_min_diag_identity = 0.9;
-        let mut strict = AlignContext::new(&store, None);
-        let o = strict.align(&pair, &cfg);
-        assert!(!o.accepted);
-        assert_eq!(strict.pairs_prefiltered(), 1);
-        assert_eq!(strict.workspace_uses(), 0, "vetoed pair must skip DP");
-    }
-
-    #[test]
     fn myers_path_decides_like_scalar_path() {
         // Same pairs, same (edit-convertible) scoring: the bit-parallel
         // kernel must reproduce the scalar outcomes exactly, on both the
@@ -444,10 +388,9 @@ mod tests {
 
     #[test]
     fn sketch_prefilter_vetoes_unrelated_pairs() {
-        // A planted 12-mer anchor between otherwise-unrelated reads
-        // (same setup as the diagonal-identity test): the sketch
-        // Jaccard estimate is near zero, so a modest threshold vetoes
-        // the pair before any DP.
+        // A planted 12-mer anchor between otherwise-unrelated reads: the
+        // sketch Jaccard estimate is near zero, so a modest threshold
+        // vetoes the pair before any DP.
         let mut a = lcg_dna(71, 40);
         a.extend_from_slice(b"GGGGCCCCGGGG");
         a.extend(lcg_dna(72, 40));

@@ -1,0 +1,213 @@
+//! The single-master clustering core: the paper's work-saving rule,
+//! written once.
+//!
+//! Every clusterer that owns `CLUSTERS` runs the same bookkeeping: a
+//! promising pair whose ESTs already share a cluster is skipped, an
+//! accepted alignment merges two clusters, and each effective merge is
+//! logged in the [`MergeTrace`]. [`ClusterCore`] owns that state — the
+//! union–find, the trace and the [`ClusterStats`] pair counters, whose
+//! `timers.alignment` is the alignment clock — and exposes it as three
+//! operations:
+//!
+//! * [`ClusterCore::skip`] — the skip test;
+//! * [`ClusterCore::accept`] — fold one alignment outcome (count it,
+//!   union on acceptance, trace an effective merge);
+//! * [`ClusterCore::drain`] — run one pair generator to exhaustion
+//!   through a structural pair filter, the skip test, the caller's
+//!   [`AlignContext`] and `accept`, then report to the `Obs` registry
+//!   once.
+//!
+//! The sequential, persistent and incremental drivers are `drain` loops
+//! over a core. The parallel master ([`crate::master`]) uses `skip` and
+//! `accept` only: its slaves align, and it stays a pure state machine
+//! with no `Obs` and no clock. The core is generic over [`ClusterSets`],
+//! so the sharded sub-masters run it over a shard-local view.
+
+use crate::align_task::{AlignContext, PairOutcome};
+use crate::config::ClusterConfig;
+use crate::stats::{ClusterResult, ClusterStats};
+use crate::trace::{MergeRecord, MergeTrace};
+use pace_dsu::{DisjointSets, ShardDsu};
+use pace_obs::{metric, Event, Obs, Timer};
+use pace_pairgen::{CandidatePair, PairGenerator};
+
+/// The cluster-structure operations the core needs. The flat
+/// [`DisjointSets`] is the single-master implementation; the sharded
+/// driver plugs in a shard-local view whose `same` is a conservative
+/// under-approximation of global connectivity (never claiming two ESTs
+/// connected when they might not be), which keeps pair skipping sound.
+pub trait ClusterSets {
+    /// Merge the clusters of `a` and `b`. Returns `true` when a merge is
+    /// recorded (i.e. the caller should log it in the merge trace).
+    fn union(&mut self, a: usize, b: usize) -> bool;
+    /// Whether `a` and `b` are provably in the same cluster. `false` is
+    /// always a safe answer; `true` must be certain.
+    fn same(&mut self, a: usize, b: usize) -> bool;
+}
+
+impl ClusterSets for DisjointSets {
+    fn union(&mut self, a: usize, b: usize) -> bool {
+        DisjointSets::union(self, a, b)
+    }
+    fn same(&mut self, a: usize, b: usize) -> bool {
+        DisjointSets::same(self, a, b)
+    }
+}
+
+/// The sharded master's view: in-range unions are local, straddling
+/// ones are logged as cross edges (`union` still returns `true` the
+/// first time so the merge lands in the shard's trace), and `same` is
+/// `false` for anything out of range — the safe under-approximation.
+impl ClusterSets for ShardDsu {
+    fn union(&mut self, a: usize, b: usize) -> bool {
+        ShardDsu::union(self, a, b)
+    }
+    fn same(&mut self, a: usize, b: usize) -> bool {
+        ShardDsu::same(self, a, b)
+    }
+}
+
+/// `CLUSTERS`, the merge trace and the pair counters of one master.
+#[derive(Debug)]
+pub struct ClusterCore<S: ClusterSets = DisjointSets> {
+    /// The cluster structure.
+    pub sets: S,
+    /// Every effective merge, in the order performed.
+    pub trace: MergeTrace,
+    /// Pair counters; `timers.alignment` accumulates every drain's
+    /// alignment time.
+    pub stats: ClusterStats,
+    /// `ClusterConfig::skip_clustered_pairs`.
+    skip_clustered: bool,
+}
+
+impl<S: ClusterSets> ClusterCore<S> {
+    /// A core over `sets` with an empty trace and zero counters.
+    pub fn new(sets: S, cfg: &ClusterConfig) -> Self {
+        Self::resume(sets, MergeTrace::new(), ClusterStats::default(), cfg)
+    }
+
+    /// A core continuing from saved state: a checkpoint, or the
+    /// partition an earlier fold left behind.
+    pub fn resume(sets: S, trace: MergeTrace, stats: ClusterStats, cfg: &ClusterConfig) -> Self {
+        ClusterCore {
+            sets,
+            trace,
+            stats,
+            skip_clustered: cfg.skip_clustered_pairs,
+        }
+    }
+
+    /// The skip test: whether `pair`'s ESTs already share a cluster
+    /// (with skipping enabled). A skipped pair is booked in
+    /// `pairs_skipped`.
+    pub fn skip(&mut self, pair: &CandidatePair) -> bool {
+        let (i, j) = pair.est_indices();
+        let skip = self.skip_clustered && self.sets.same(i, j);
+        self.stats.pairs_skipped += u64::from(skip);
+        skip
+    }
+
+    /// Fold one alignment outcome: count it as processed and, when it
+    /// was accepted, union its ESTs and trace the merge if the union
+    /// joined two clusters. Returns whether it did.
+    pub fn accept(&mut self, outcome: &PairOutcome) -> bool {
+        self.stats.pairs_processed += 1;
+        if !outcome.accepted {
+            return false;
+        }
+        self.stats.pairs_accepted += 1;
+        let (i, j) = outcome.pair.est_indices();
+        let merged = self.sets.union(i, j);
+        if merged {
+            self.stats.merges += 1;
+            self.trace.record(outcome);
+        }
+        merged
+    }
+
+    /// Run `generator` to exhaustion: a pair failing the structural
+    /// filter `keep(est_i, est_j)` is booked as skipped, the rest go
+    /// through [`skip`](Self::skip), alignment in `ctx`, and
+    /// [`accept`](Self::accept). Every pair the generator emits is
+    /// counted in `pairs_generated` and either skipped or processed, so
+    /// the drain conserves pairs exactly.
+    ///
+    /// Reports to `obs` once, at the end: the drain's merge events, the
+    /// generator's MCS-length histogram, one `alignment` phase sample
+    /// and the pairs served by `ctx` as workspace reuses. The pair
+    /// counters are left to the caller, who knows what a run is.
+    pub fn drain(
+        &mut self,
+        mut generator: PairGenerator<'_>,
+        mut keep: impl FnMut(usize, usize) -> bool,
+        ctx: &mut AlignContext<'_>,
+        cfg: &ClusterConfig,
+        obs: &Obs,
+    ) {
+        let merges_before = self.trace.len();
+        let handled_before = ctx.pairs_handled();
+        let prefiltered_before = ctx.pairs_prefiltered();
+        let processed_before = self.stats.pairs_processed;
+        let mut align = Timer::new();
+        let mut batch: Vec<CandidatePair> = Vec::with_capacity(cfg.batchsize);
+        loop {
+            generator.next_batch_into(cfg.batchsize, &mut batch);
+            if batch.is_empty() {
+                break;
+            }
+            for pair in &batch {
+                let (i, j) = pair.est_indices();
+                if !keep(i, j) {
+                    self.stats.pairs_skipped += 1;
+                } else if !self.skip(pair) {
+                    let outcome = align.time(|| ctx.align(pair, cfg));
+                    self.accept(&outcome);
+                }
+            }
+        }
+        let handled = ctx.pairs_handled() - handled_before;
+        debug_assert_eq!(handled, self.stats.pairs_processed - processed_before);
+        self.stats.pairs_generated += generator.stats().emitted;
+        self.stats.pairs_prefiltered += ctx.pairs_prefiltered() - prefiltered_before;
+        self.stats.timers.alignment += align.secs();
+
+        emit_merges(obs, &self.trace.records()[merges_before..]);
+        let reg = obs.registry();
+        for (&len, &n) in generator.emitted_by_mcs_len() {
+            reg.observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
+        }
+        reg.record_phase(metric::PHASE_ALIGNMENT, 0, align.secs());
+        reg.add(metric::ALIGN_WS_REUSES, handled);
+    }
+}
+
+impl ClusterCore<DisjointSets> {
+    /// The final partition and counters, plus the merge trace.
+    pub fn into_result(mut self) -> (ClusterResult, MergeTrace) {
+        let labels = self.sets.labels();
+        let result = ClusterResult {
+            num_clusters: self.sets.num_sets(),
+            labels,
+            stats: self.stats,
+        };
+        (result, self.trace)
+    }
+}
+
+/// Emit one `merge` event per record (free when no sink is attached).
+pub(crate) fn emit_merges(obs: &Obs, records: &[MergeRecord]) {
+    if !obs.events_enabled() {
+        return;
+    }
+    let t = obs.now();
+    for r in records {
+        obs.emit(Event::Merge {
+            t,
+            est_a: r.est_a,
+            est_b: r.est_b,
+            mcs_len: r.mcs_len,
+            score_ratio: r.score_ratio,
+        });
+    }
+}

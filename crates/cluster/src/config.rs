@@ -1,7 +1,7 @@
 //! Clustering engine configuration.
 
 use pace_align::{OverlapParams, Scoring};
-use pace_pairgen::PairOrder;
+use pace_pairgen::{PairGenConfig, PairOrder};
 
 /// All knobs of the clustering pipeline, with the paper's experimental
 /// settings as defaults (window 8, batchsize 60).
@@ -38,11 +38,6 @@ pub struct ClusterConfig {
     /// upper bound on the achievable overlap, property-tested in
     /// `pace-align`).
     pub prefilter_overlap: bool,
-    /// Minimum exact-match fraction along the anchor diagonal for a pair
-    /// to be aligned at all. `0.0` disables the filter (the default);
-    /// positive values trade recall for speed (lossy) — useful on very
-    /// noisy inputs where most promising pairs fail the score ratio.
-    pub prefilter_min_diag_identity: f64,
     /// Align directly over the 2-bit packed representation instead of
     /// the ASCII store. Scores are bit-identical (equality-only scoring;
     /// property-tested); the packed text costs one extra pass at startup
@@ -98,7 +93,6 @@ impl Default for ClusterConfig {
             order: PairOrder::DecreasingMcs,
             skip_clustered_pairs: true,
             prefilter_overlap: true,
-            prefilter_min_diag_identity: 0.0,
             packed_alignment: false,
             myers_alignment: false,
             sketch_k: 11,
@@ -113,6 +107,14 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// The pair generator's settings: ψ and the pair order.
+    pub fn pair_gen(&self) -> PairGenConfig {
+        PairGenConfig {
+            psi: self.psi,
+            order: self.order,
+        }
+    }
+
     /// A configuration suited to small test inputs (short reads, short
     /// overlaps): window 4, ψ 8, relaxed minimum overlap.
     pub fn small() -> Self {
@@ -157,10 +159,6 @@ impl ClusterConfig {
                 u8::from(self.skip_clustered_pairs)
             ),
             format!("prefilter_overlap={}", u8::from(self.prefilter_overlap)),
-            format!(
-                "prefilter_min_diag_identity={}",
-                f(self.prefilter_min_diag_identity)
-            ),
             format!("packed_alignment={}", u8::from(self.packed_alignment)),
             format!("myers_alignment={}", u8::from(self.myers_alignment)),
             format!("sketch_k={}", self.sketch_k),
@@ -229,7 +227,6 @@ impl ClusterConfig {
                 }
                 "skip_clustered_pairs" => cfg.skip_clustered_pairs = flag(v)?,
                 "prefilter_overlap" => cfg.prefilter_overlap = flag(v)?,
-                "prefilter_min_diag_identity" => cfg.prefilter_min_diag_identity = float(v)?,
                 "packed_alignment" => cfg.packed_alignment = flag(v)?,
                 "myers_alignment" => cfg.myers_alignment = flag(v)?,
                 "sketch_k" => cfg.sketch_k = int(v)?,
@@ -273,12 +270,6 @@ impl ClusterConfig {
             return Err(format!(
                 "min_score_ratio {} not a ratio",
                 self.overlap.min_score_ratio
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.prefilter_min_diag_identity) {
-            return Err(format!(
-                "prefilter_min_diag_identity {} not a fraction",
-                self.prefilter_min_diag_identity
             ));
         }
         if self.myers_alignment {
@@ -431,20 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_bad_diag_identity() {
-        let c = ClusterConfig {
-            prefilter_min_diag_identity: 1.5,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ClusterConfig {
-            prefilter_min_diag_identity: -0.1,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn validation_rejects_bad_slave_timeout() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let c = ClusterConfig {
@@ -465,7 +442,6 @@ mod tests {
         odd.skip_clustered_pairs = false;
         odd.slave_timeout = 0.3;
         odd.overlap.min_score_ratio = 0.1 + 0.2; // not representable cleanly
-        odd.prefilter_min_diag_identity = 0.625;
         odd.myers_alignment = true;
         odd.scoring = pace_align::Scoring::edit_linear();
         odd.sketch_k = 9;
@@ -507,9 +483,11 @@ mod tests {
         let err = c.validate().unwrap_err();
         assert!(err.contains("edit-convertible"), "{err}");
         // A convertible scheme passes…
-        let mut c = ClusterConfig::default();
-        c.myers_alignment = true;
-        c.scoring = pace_align::Scoring::edit_linear();
+        let mut c = ClusterConfig {
+            myers_alignment: true,
+            scoring: pace_align::Scoring::edit_linear(),
+            ..ClusterConfig::default()
+        };
         c.validate().unwrap();
         // …until the radius leaves the single-word band.
         c.band_radius = 32;

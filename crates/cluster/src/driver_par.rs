@@ -15,6 +15,7 @@
 //! (its busy fraction is the paper's "< 2%" claim) and a `merge` event
 //! for every union it performs.
 
+use crate::cluster_core::emit_merges;
 use crate::config::ClusterConfig;
 use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters, record_gst_stats};
 use crate::master::FaultNote;
@@ -557,22 +558,14 @@ fn master_rank(
             }
         }
         if obs.events_enabled() {
-            for r in &master.trace.records()[merges_emitted..] {
-                obs.emit(Event::Merge {
-                    t: obs.now(),
-                    est_a: r.est_a,
-                    est_b: r.est_b,
-                    mcs_len: r.mcs_len,
-                    score_ratio: r.score_ratio,
-                });
-            }
-            merges_emitted = master.trace.len();
+            emit_merges(obs, &master.core.trace.records()[merges_emitted..]);
+            merges_emitted = master.core.trace.len();
 
             reports += u64::from(got_report);
             if got_report && reports.is_multiple_of(HEARTBEAT_EVERY) {
                 let now = obs.now();
                 let elapsed = (now - loop_t0).max(f64::EPSILON);
-                let processed = master.stats.pairs_processed;
+                let processed = master.core.stats.pairs_processed;
                 let dt = (now - hb_last_t).max(f64::EPSILON);
                 obs.emit(Event::Heartbeat {
                     rank: 0,
@@ -588,15 +581,12 @@ fn master_rank(
     }
     let loop_total = (obs.now() - loop_t0).max(f64::EPSILON);
 
-    let stats = master.stats;
-    let trace = master.trace.clone();
     let dead = (0..num_slaves).map(|s| master.is_dead(s)).collect();
-    let mut clusters = master.into_clusters();
-    let labels = clusters.labels();
+    let (result, trace) = master.core.into_result();
     RankOutput::Master {
-        num_clusters: clusters.num_sets(),
-        labels,
-        stats,
+        num_clusters: result.num_clusters,
+        labels: result.labels,
+        stats: result.stats,
         trace,
         busy_frac: busy.secs() / loop_total,
         comm: rank.stats(),

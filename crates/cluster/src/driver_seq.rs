@@ -1,22 +1,24 @@
 //! Sequential reference driver.
 //!
-//! Runs the whole pipeline in one thread with the master's bookkeeping
-//! inline: build the GST, generate pairs in decreasing-MCS order, skip
-//! pairs already clustered together, align the rest, merge on acceptance.
-//! This is the semantic reference the parallel driver is compared
-//! against, and the engine used when `p = 1`.
+//! Runs the whole pipeline in one thread: partition the suffixes into
+//! buckets, build the GST, set up the pair generator, then drain it
+//! through one [`ClusterCore`] — skip pairs already clustered together,
+//! align the rest, merge on acceptance. This is the semantic reference
+//! the parallel driver is compared against, and the engine used when
+//! `p = 1`.
 //!
 //! All phase timing goes through `pace-obs` spans; the legacy
 //! [`PhaseTimers`](crate::stats::PhaseTimers) struct is populated from
 //! the spans' return values, so the two views always agree.
 
 use crate::align_task::AlignContext;
+use crate::cluster_core::ClusterCore;
 use crate::config::ClusterConfig;
 use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::MergeTrace;
 use pace_dsu::DisjointSets;
-use pace_obs::{metric, Event, Obs, Timer};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_obs::{metric, Obs};
+use pace_pairgen::PairGenerator;
 use pace_seq::{PackedText, SequenceStore};
 
 /// Cluster `store`'s ESTs sequentially.
@@ -44,97 +46,34 @@ pub fn cluster_sequential_obs(
 ) -> (ClusterResult, MergeTrace) {
     cfg.validate().expect("invalid cluster config");
     let total_span = obs.span(metric::PHASE_TOTAL);
-    let mut stats = ClusterStats::default();
+    let mut core = ClusterCore::new(DisjointSets::new(store.num_ests()), cfg);
+    let timers = &mut core.stats.timers;
 
     // Phase 1+2: bucket partitioning and GST construction (single rank).
     let span = obs.span(metric::PHASE_PARTITIONING);
     let counts = pace_gst::count_buckets(store, cfg.window_w);
     let partition = pace_gst::assign_buckets(&counts, 1);
-    stats.timers.partitioning = span.finish();
+    timers.partitioning = span.finish();
 
     let span = obs.span(metric::PHASE_GST_CONSTRUCTION);
     let forest = pace_gst::build_forest_for_rank(store, &partition, 0);
-    stats.timers.gst_construction = span.finish();
+    timers.gst_construction = span.finish();
     record_gst_stats(obs, &partition, &forest);
 
     // Phase 3: node collection + sort (generator setup).
     let span = obs.span(metric::PHASE_NODE_SORTING);
-    let mut generator = PairGenerator::new(
-        store,
-        &forest,
-        PairGenConfig {
-            psi: cfg.psi,
-            order: cfg.order,
-        },
-    );
-    stats.timers.node_sorting = span.finish();
+    let generator = PairGenerator::new(store, &forest, cfg.pair_gen());
+    timers.node_sorting = span.finish();
 
-    // Phase 4: demand-driven clustering loop. Alignment runs in many
-    // short bursts, so it accumulates on a Timer and is recorded once.
-    // One context (and one batch buffer) serves the whole run: DP
-    // scratch and the batch vector are allocated once, never per pair.
+    // Phase 4: the clustering loop. One context serves the whole run, so
+    // DP scratch is allocated once, never per pair. Nothing is buffered,
+    // so conservation is exact: generated == processed + skipped.
     let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
     let mut ctx = AlignContext::new(store, packed.as_ref());
-    let mut clusters = DisjointSets::new(store.num_ests());
-    let mut trace = MergeTrace::new();
-    let mut align_timer = Timer::new();
-    let mut batch: Vec<CandidatePair> = Vec::new();
-    loop {
-        generator.next_batch_into(cfg.batchsize, &mut batch);
-        if batch.is_empty() {
-            break;
-        }
-        for &pair in &batch {
-            let (i, j) = pair.est_indices();
-            if cfg.skip_clustered_pairs && clusters.same(i, j) {
-                stats.pairs_skipped += 1;
-                continue;
-            }
-            let outcome = align_timer.time(|| ctx.align(&pair, cfg));
-            stats.pairs_processed += 1;
-            if outcome.accepted {
-                stats.pairs_accepted += 1;
-                if clusters.union(i, j) {
-                    stats.merges += 1;
-                    trace.record(&outcome);
-                    obs.emit_with(|| Event::Merge {
-                        t: obs.now(),
-                        est_a: i,
-                        est_b: j,
-                        mcs_len: outcome.pair.mcs_len,
-                        score_ratio: outcome.score_ratio,
-                    });
-                }
-            }
-        }
-    }
-    stats.timers.alignment = align_timer.secs();
-    obs.registry()
-        .record_phase(metric::PHASE_ALIGNMENT, 0, stats.timers.alignment);
-    stats.pairs_generated = generator.stats().emitted;
-    stats.pairs_prefiltered = ctx.pairs_prefiltered();
-    debug_assert_eq!(ctx.pairs_handled(), stats.pairs_processed);
-    obs.registry()
-        .add(metric::ALIGN_WS_REUSES, ctx.pairs_handled());
-    // Sequential conservation is exact with nothing buffered:
-    // generated == processed + skipped.
-    stats.pairs_unconsumed = 0;
-    for (&len, &n) in generator.emitted_by_mcs_len() {
-        obs.registry()
-            .observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
-    }
-    stats.timers.total = total_span.finish();
-    record_cluster_counters(obs, &stats);
-
-    let labels = clusters.labels();
-    (
-        ClusterResult {
-            num_clusters: clusters.num_sets(),
-            labels,
-            stats,
-        },
-        trace,
-    )
+    core.drain(generator, |_, _| true, &mut ctx, cfg, obs);
+    core.stats.timers.total = total_span.finish();
+    record_cluster_counters(obs, &core.stats);
+    core.into_result()
 }
 
 /// Record a built forest's shape into the registry.
@@ -157,17 +96,11 @@ pub fn record_gst_stats(
         .set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth() as f64);
 }
 
-/// Fold the final [`ClusterStats`] into the registry, so both drivers
-/// report through the same counter names.
+/// Fold the final [`ClusterStats`] into the registry, so every driver
+/// reports through the same counter names.
 pub fn record_cluster_counters(obs: &Obs, stats: &ClusterStats) {
+    record_pair_counters(obs, stats, &ClusterStats::default());
     let reg = obs.registry();
-    reg.add(metric::PAIRS_GENERATED, stats.pairs_generated);
-    reg.add(metric::PAIRS_PROCESSED, stats.pairs_processed);
-    reg.add(metric::PAIRS_ACCEPTED, stats.pairs_accepted);
-    reg.add(metric::PAIRS_SKIPPED, stats.pairs_skipped);
-    reg.add(metric::PAIRS_UNCONSUMED, stats.pairs_unconsumed);
-    reg.add(metric::PAIRS_PREFILTERED, stats.pairs_prefiltered);
-    reg.add(metric::MERGES, stats.merges);
     reg.add(metric::FAULTS_RETRIES, stats.faults.retries);
     reg.add(
         metric::FAULTS_DUPLICATE_REPORTS,
@@ -183,6 +116,20 @@ pub fn record_cluster_counters(obs: &Obs, stats: &ClusterStats) {
     reg.set_gauge(metric::MASTER_BUSY_FRAC, stats.master_busy_frac);
 }
 
+/// Add the pair counters and `merges` gained from `since` to `now` to
+/// the registry (an incremental fold reports each fold's share).
+pub fn record_pair_counters(obs: &Obs, now: &ClusterStats, since: &ClusterStats) {
+    let reg = obs.registry();
+    let gained = |field: fn(&ClusterStats) -> u64| field(now) - field(since);
+    reg.add(metric::PAIRS_GENERATED, gained(|s| s.pairs_generated));
+    reg.add(metric::PAIRS_PROCESSED, gained(|s| s.pairs_processed));
+    reg.add(metric::PAIRS_ACCEPTED, gained(|s| s.pairs_accepted));
+    reg.add(metric::PAIRS_SKIPPED, gained(|s| s.pairs_skipped));
+    reg.add(metric::PAIRS_UNCONSUMED, gained(|s| s.pairs_unconsumed));
+    reg.add(metric::PAIRS_PREFILTERED, gained(|s| s.pairs_prefiltered));
+    reg.add(metric::MERGES, gained(|s| s.merges));
+}
+
 /// Convenience used by tests and examples: cluster raw EST byte vectors.
 pub fn cluster_ests<S: AsRef<[u8]>>(ests: &[S], cfg: &ClusterConfig) -> ClusterResult {
     let store = SequenceStore::from_ests(ests).expect("invalid ESTs");
@@ -192,6 +139,7 @@ pub fn cluster_ests<S: AsRef<[u8]>>(ests: &[S], cfg: &ClusterConfig) -> ClusterR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pace_obs::Event;
     use pace_simulate::{generate, SimConfig};
 
     fn small_cfg() -> ClusterConfig {

@@ -33,6 +33,7 @@
 //! differential harness (`tests/sharded_identity.rs`) pins this down
 //! against the single-master driver seed by seed.
 
+use crate::cluster_core::emit_merges;
 use crate::config::{ClusterConfig, ShardRole, ShardTopology};
 use crate::driver_par::worker_summary;
 use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters, record_gst_stats};
@@ -524,7 +525,7 @@ fn submaster_rank(
             reports += 1;
             if reports.is_multiple_of(cfg.shard_epoch as u64) {
                 epoch += 1;
-                let edges = master.sets_mut().drain_cross_edges();
+                let edges = master.core.sets.drain_cross_edges();
                 rank.send(
                     0,
                     Msg::CrossMerge {
@@ -575,7 +576,7 @@ fn submaster_rank(
         if obs.events_enabled() && got_report && reports.is_multiple_of(HEARTBEAT_EVERY) {
             let now = obs.now();
             let elapsed = (now - loop_t0).max(f64::EPSILON);
-            let processed = master.stats.pairs_processed;
+            let processed = master.core.stats.pairs_processed;
             let dt = (now - hb_last_t).max(f64::EPSILON);
             obs.emit(Event::Heartbeat {
                 rank: me,
@@ -592,7 +593,7 @@ fn submaster_rank(
 
     // Final flush + the authoritative shard report.
     epoch += 1;
-    let edges = master.sets_mut().drain_cross_edges();
+    let edges = master.core.sets.drain_cross_edges();
     rank.send(
         0,
         Msg::CrossMerge {
@@ -601,9 +602,9 @@ fn submaster_rank(
             edges,
         },
     );
-    let stats = master.stats;
-    let records = master.trace.records().to_vec();
-    let cross_edges = master.sets_mut().cross_edges().total_unique() as u64;
+    let stats = master.core.stats;
+    let records = master.core.trace.records().to_vec();
+    let cross_edges = master.core.sets.cross_edges().total_unique() as u64;
     let report = ShardReport {
         records,
         pairs_received: stats.pairs_generated,
@@ -691,16 +692,10 @@ fn fold_sharded(
         for r in &rep.records {
             if dsu.union(r.est_a, r.est_b) {
                 kept.push(*r);
-                obs.emit_with(|| Event::Merge {
-                    t: obs.now(),
-                    est_a: r.est_a,
-                    est_b: r.est_b,
-                    mcs_len: r.mcs_len,
-                    score_ratio: r.score_ratio,
-                });
             }
         }
     }
+    emit_merges(obs, &kept);
     let reconcile_secs = recon.reconcile_secs + replay_timer.stop();
 
     let mut stats = ClusterStats::default();

@@ -9,7 +9,9 @@
 //!   share a cluster — the single most important work-saving rule, which
 //!   the decreasing-MCS pair order makes effective — merges clusters on
 //!   accepted alignments, and regulates pair flow with the paper's
-//!   `E = min(α·δ·batchsize, nfree/p)` demand formula;
+//!   `E = min(α·δ·batchsize, nfree/p)` demand formula. The skip and merge
+//!   bookkeeping lives in one [`cluster_core::ClusterCore`], shared with
+//!   the sequential, persistent and incremental drivers;
 //! * **slaves** ([`slave`]) generate promising pairs from their local
 //!   portion of the suffix-tree forest and run anchored banded alignments,
 //!   overlapping communication with computation (three-portion startup,
@@ -25,6 +27,7 @@
 //! [`wire_msg`] providing the `Msg` wire codec.
 
 pub mod align_task;
+pub mod cluster_core;
 pub mod config;
 pub mod driver_par;
 pub mod driver_seq;
@@ -38,6 +41,7 @@ pub mod trace;
 pub mod wire_msg;
 
 pub use align_task::{align_pair, AlignContext, PairOutcome};
+pub use cluster_core::{ClusterCore, ClusterSets};
 pub use config::{ClusterConfig, ShardRole, ShardTopology};
 pub use driver_par::{
     cluster_master_transport, cluster_parallel, cluster_parallel_faults, cluster_parallel_obs,
@@ -45,13 +49,13 @@ pub use driver_par::{
 };
 pub use driver_seq::{
     cluster_sequential, cluster_sequential_obs, cluster_sequential_traced, record_cluster_counters,
-    record_gst_stats,
+    record_gst_stats, record_pair_counters,
 };
 pub use driver_sharded::{
     cluster_sharded_faults, cluster_sharded_master_transport, cluster_sharded_obs,
     cluster_sharded_worker_transport,
 };
-pub use master::{ClusterSets, FaultNote};
+pub use master::FaultNote;
 pub use messages::{Msg, ShardReport, WorkerSummary};
 pub use stats::{ClusterResult, ClusterStats, FaultStats, PhaseTimers};
 pub use trace::{MergeRecord, MergeTrace};

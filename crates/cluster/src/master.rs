@@ -1,10 +1,13 @@
 //! The master processor's state machine.
 //!
-//! The master owns the cluster structure and the work buffer, and reacts
-//! to slave reports; it is written as a pure state machine (no I/O, no
-//! clock — the caller passes timestamps) so the protocol logic is
-//! unit-testable without threads. The parallel driver feeds it received
-//! messages plus periodic `tick`s and sends whatever it returns.
+//! The master owns the work buffer and a [`ClusterCore`] (`CLUSTERS`,
+//! the merge trace and the pair counters), and reacts to slave reports.
+//! It uses the core's skip test and accept step but never its `drain`:
+//! slaves do the aligning. It is written as a pure state machine (no
+//! I/O, no `Obs`, no clock — the caller passes timestamps) so the
+//! protocol logic is unit-testable without threads. The parallel driver
+//! feeds it received messages plus periodic `tick`s and sends whatever
+//! it returns.
 //!
 //! Protocol invariant: a slave piggybacks the results of work batch `k`
 //! on the report it sends when work batch `k+1` arrives. The master
@@ -27,10 +30,9 @@
 //! state (or, as an earlier version did, tripping an assertion).
 
 use crate::align_task::PairOutcome;
+use crate::cluster_core::{ClusterCore, ClusterSets};
 use crate::config::ClusterConfig;
 use crate::messages::Msg;
-use crate::stats::ClusterStats;
-use crate::trace::MergeTrace;
 use pace_dsu::DisjointSets;
 use pace_pairgen::CandidatePair;
 use std::collections::VecDeque;
@@ -38,42 +40,6 @@ use std::collections::VecDeque;
 /// Cap applied to the demand amplification factor α = P/P′ when a report
 /// contributes no useful pairs (P′ = 0).
 const ALPHA_CAP: f64 = 4.0;
-
-/// The cluster-structure operations the master needs. The flat
-/// [`DisjointSets`] is the single-master implementation; the sharded
-/// driver plugs in a shard-local view whose `same` is a conservative
-/// under-approximation of global connectivity (never claiming two ESTs
-/// connected when they might not be), which keeps pair skipping sound.
-pub trait ClusterSets {
-    /// Merge the clusters of `a` and `b`. Returns `true` when a merge is
-    /// recorded (i.e. the caller should log it in the merge trace).
-    fn union(&mut self, a: usize, b: usize) -> bool;
-    /// Whether `a` and `b` are provably in the same cluster. `false` is
-    /// always a safe answer; `true` must be certain.
-    fn same(&mut self, a: usize, b: usize) -> bool;
-}
-
-impl ClusterSets for DisjointSets {
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        DisjointSets::union(self, a, b)
-    }
-    fn same(&mut self, a: usize, b: usize) -> bool {
-        DisjointSets::same(self, a, b)
-    }
-}
-
-/// The sharded master's view: in-range unions are local, straddling
-/// ones are logged as cross edges (`union` still returns `true` the
-/// first time so the merge lands in the shard's trace), and `same` is
-/// `false` for anything out of range — the safe under-approximation.
-impl ClusterSets for pace_dsu::ShardDsu {
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        pace_dsu::ShardDsu::union(self, a, b)
-    }
-    fn same(&mut self, a: usize, b: usize) -> bool {
-        pace_dsu::ShardDsu::same(self, a, b)
-    }
-}
 
 /// A recovery action the master took, for the driver to surface as a
 /// fault event. Purely observational — counters live in
@@ -122,19 +88,16 @@ struct SlaveLink {
 /// both as the flat single master (`Master<DisjointSets>`, the default)
 /// and as a sharded sub-master over an id-range view.
 pub struct Master<S: ClusterSets = DisjointSets> {
-    clusters: S,
+    /// `CLUSTERS`, the merge trace and the counters. `pairs_generated`
+    /// counts the pairs *received* in reports — under message loss this
+    /// is less than what the generators emitted; the driver reconciles.
+    pub core: ClusterCore<S>,
     workbuf: VecDeque<CandidatePair>,
     cfg: ClusterConfig,
     num_slaves: usize,
     links: Vec<SlaveLink>,
     /// Slaves parked without work (all of them exhausted and flushed).
     waiting: VecDeque<usize>,
-    /// Statistics accumulated master-side. `pairs_generated` counts the
-    /// pairs *received* in reports — under message loss this is less
-    /// than what the generators emitted; the driver reconciles.
-    pub stats: ClusterStats,
-    /// Audit log of every merge, in the order it was performed.
-    pub trace: MergeTrace,
     /// Recovery actions since the last [`Master::drain_fault_notes`].
     notes: Vec<FaultNote>,
     done: bool,
@@ -159,7 +122,7 @@ impl<S: ClusterSets> Master<S> {
     pub fn with_sets(sets: S, num_slaves: usize, cfg: ClusterConfig) -> Self {
         assert!(num_slaves > 0, "need at least one slave");
         Master {
-            clusters: sets,
+            core: ClusterCore::new(sets, &cfg),
             workbuf: VecDeque::new(),
             cfg,
             num_slaves,
@@ -176,8 +139,6 @@ impl<S: ClusterSets> Master<S> {
                 })
                 .collect(),
             waiting: VecDeque::new(),
-            stats: ClusterStats::default(),
-            trace: MergeTrace::new(),
             notes: Vec::new(),
             done: false,
         }
@@ -224,17 +185,6 @@ impl<S: ClusterSets> Master<S> {
         std::mem::take(&mut self.notes)
     }
 
-    /// Consume the master, yielding the final cluster structure.
-    pub fn into_clusters(self) -> S {
-        self.clusters
-    }
-
-    /// Mutable access to the cluster structure (the sharded sub-master
-    /// drains its pending cross edges through this at epoch barriers).
-    pub fn sets_mut(&mut self) -> &mut S {
-        &mut self.clusters
-    }
-
     /// Handle one slave report (slave ids are `0..num_slaves`). Returns
     /// the messages to send, as `(slave, message)` pairs — the reply to
     /// the reporting slave, possibly wake-ups for parked slaves, and
@@ -256,7 +206,7 @@ impl<S: ClusterSets> Master<S> {
         debug_assert!(slave < self.num_slaves);
         let link = &mut self.links[slave];
         if link.dead || link.expecting != Some(seq) {
-            self.stats.faults.duplicate_reports += 1;
+            self.core.stats.faults.duplicate_reports += 1;
             self.notes.push(FaultNote::DuplicateReport { slave, seq });
             return Vec::new();
         }
@@ -268,32 +218,21 @@ impl<S: ClusterSets> Master<S> {
 
         // 1. Fold the alignment results into CLUSTERS.
         for r in &results {
-            self.stats.pairs_processed += 1;
-            if r.accepted {
-                self.stats.pairs_accepted += 1;
-                let (i, j) = r.pair.est_indices();
-                if self.clusters.union(i, j) {
-                    self.stats.merges += 1;
-                    self.trace.record(r);
-                }
-            }
+            self.core.accept(r);
         }
 
         // 2. Admit the useful subset of the reported pairs (P′ of P):
         //    a pair earns a WORKBUF slot only if its ESTs are still in
         //    different clusters.
         let p = pairs.len();
-        let mut p_useful = 0usize;
+        self.core.stats.pairs_generated += p as u64;
+        let before = self.workbuf.len();
         for pair in pairs {
-            self.stats.pairs_generated += 1;
-            let (i, j) = pair.est_indices();
-            if self.cfg.skip_clustered_pairs && self.clusters.same(i, j) {
-                self.stats.pairs_skipped += 1;
-            } else {
+            if !self.core.skip(&pair) {
                 self.workbuf.push_back(pair);
-                p_useful += 1;
             }
         }
+        let p_useful = self.workbuf.len() - before;
 
         let mut out = Vec::new();
 
@@ -344,7 +283,7 @@ impl<S: ClusterSets> Master<S> {
                         request: 0,
                     },
                 };
-                self.stats.faults.retries += 1;
+                self.core.stats.faults.retries += 1;
                 self.notes.push(FaultNote::Resend {
                     slave: s,
                     seq,
@@ -494,8 +433,9 @@ impl<S: ClusterSets> Master<S> {
             }
         }
         self.waiting.retain(|&w| w != slave);
-        self.stats.faults.dead_slaves += 1;
-        self.stats.faults.reassigned_pairs += reassigned as u64;
+        let faults = &mut self.core.stats.faults;
+        faults.dead_slaves += 1;
+        faults.reassigned_pairs += reassigned as u64;
         self.notes.push(FaultNote::DeadSlave { slave, reassigned });
     }
 
@@ -507,8 +447,8 @@ impl<S: ClusterSets> Master<S> {
             return;
         }
         self.workbuf.clear();
-        self.stats.pairs_skipped += n;
-        self.stats.faults.abandoned_pairs += n;
+        self.core.stats.pairs_skipped += n;
+        self.core.stats.faults.abandoned_pairs += n;
         self.notes.push(FaultNote::Abandoned { pairs: n });
     }
 
@@ -521,10 +461,7 @@ impl<S: ClusterSets> Master<S> {
             let Some(pair) = self.workbuf.pop_front() else {
                 break;
             };
-            let (i, j) = pair.est_indices();
-            if self.cfg.skip_clustered_pairs && self.clusters.same(i, j) {
-                self.stats.pairs_skipped += 1;
-            } else {
+            if !self.core.skip(&pair) {
                 work.push(pair);
             }
         }
@@ -604,9 +541,9 @@ mod tests {
             vec![],
             false,
         );
-        assert_eq!(m.stats.pairs_processed, 2);
-        assert_eq!(m.stats.pairs_accepted, 1);
-        assert_eq!(m.stats.merges, 1);
+        assert_eq!(m.core.stats.pairs_processed, 2);
+        assert_eq!(m.core.stats.pairs_accepted, 1);
+        assert_eq!(m.core.stats.merges, 1);
         // Active slave always gets a reply with positive demand.
         assert_eq!(replies.len(), 1);
         match &replies[0].1 {
@@ -616,9 +553,8 @@ mod tests {
             }
             other => panic!("expected Work, got {}", other.kind()),
         }
-        let mut clusters = m.into_clusters();
-        assert!(clusters.same(1, 2));
-        assert!(!clusters.same(3, 4));
+        assert!(m.core.sets.same(1, 2));
+        assert!(!m.core.sets.same(3, 4));
     }
 
     #[test]
@@ -626,8 +562,8 @@ mod tests {
         let mut m = Master::new(10, 1, cfg());
         report(&mut m, 0, vec![outcome(1, 2, true)], vec![], false);
         report(&mut m, 0, vec![], vec![pair(1, 2), pair(5, 6)], false);
-        assert_eq!(m.stats.pairs_generated, 2);
-        assert_eq!(m.stats.pairs_skipped, 1);
+        assert_eq!(m.core.stats.pairs_generated, 2);
+        assert_eq!(m.core.stats.pairs_skipped, 1);
     }
 
     #[test]
@@ -647,7 +583,7 @@ mod tests {
             Msg::Work { pairs, .. } => assert!(pairs.is_empty(), "stale pair dispatched"),
             other => panic!("unexpected {}", other.kind()),
         }
-        assert_eq!(m.stats.pairs_skipped, 1);
+        assert_eq!(m.core.stats.pairs_skipped, 1);
     }
 
     #[test]
@@ -721,7 +657,7 @@ mod tests {
         let replies = report(&mut m, 0, vec![], vec![], true);
         assert!(m.is_done());
         assert!(replies.iter().any(|(_, msg)| matches!(msg, Msg::Shutdown)));
-        assert_eq!(m.stats.merges, 1);
+        assert_eq!(m.core.stats.merges, 1);
     }
 
     #[test]
@@ -752,8 +688,8 @@ mod tests {
             vec![pair(0, 1), pair(2, 3)],
             false,
         );
-        assert_eq!(m.stats.pairs_generated, 2);
-        assert_eq!(m.stats.pairs_skipped, 1);
+        assert_eq!(m.core.stats.pairs_generated, 2);
+        assert_eq!(m.core.stats.pairs_skipped, 1);
     }
 
     // ---- recovery machinery ------------------------------------------
@@ -792,9 +728,9 @@ mod tests {
             0.0,
         );
         assert!(replies.is_empty(), "stale report must produce no sends");
-        assert_eq!(m.stats.faults.duplicate_reports, 1);
-        assert_eq!(m.stats.pairs_processed, 0, "stale results folded");
-        assert_eq!(m.stats.pairs_generated, 0, "stale pairs admitted");
+        assert_eq!(m.core.stats.faults.duplicate_reports, 1);
+        assert_eq!(m.core.stats.pairs_processed, 0, "stale results folded");
+        assert_eq!(m.core.stats.pairs_generated, 0, "stale pairs admitted");
         assert!(!m.is_done());
         assert_eq!(
             m.drain_fault_notes(),
@@ -839,11 +775,11 @@ mod tests {
         assert_eq!(*seq, orig_seq, "resend must reuse the sequence number");
         assert_eq!(pairs.len(), orig_pairs.len());
         assert_eq!(*request, orig_request);
-        assert_eq!(m.stats.faults.retries, 1);
+        assert_eq!(m.core.stats.faults.retries, 1);
         // The resent batch is answered normally.
         let r = m.handle_report(0, orig_seq, vec![], vec![], true, 2.0);
         assert!(!r.is_empty());
-        assert_eq!(m.stats.faults.dead_slaves, 0);
+        assert_eq!(m.core.stats.faults.dead_slaves, 0);
     }
 
     #[test]
@@ -866,8 +802,8 @@ mod tests {
         assert!(m.is_dead(0));
         assert!(m.is_done(), "all slaves dead must terminate the run");
         assert!(r.iter().any(|(_, msg)| matches!(msg, Msg::Shutdown)));
-        assert_eq!(m.stats.faults.dead_slaves, 1);
-        assert_eq!(m.stats.faults.retries, 2);
+        assert_eq!(m.core.stats.faults.dead_slaves, 1);
+        assert_eq!(m.core.stats.faults.retries, 2);
     }
 
     #[test]
@@ -891,7 +827,7 @@ mod tests {
         let before = m.workbuf_len();
         m.tick(2.0);
         assert!(m.is_dead(0));
-        assert_eq!(m.stats.faults.reassigned_pairs, 4);
+        assert_eq!(m.core.stats.faults.reassigned_pairs, 4);
         assert_eq!(m.workbuf_len(), before + 4, "pending batch reclaimed");
         assert!(!m.is_done(), "slave 1 still owes its startup report");
         // Slave 1 arrives and inherits the reassigned work.
@@ -931,11 +867,11 @@ mod tests {
         assert!(m.is_dead(0) && m.is_done());
         // 2 reassigned + 3 queued = 5 abandoned; conservation holds:
         // received == processed + skipped.
-        assert_eq!(m.stats.faults.reassigned_pairs, 2);
-        assert_eq!(m.stats.faults.abandoned_pairs, 5);
+        assert_eq!(m.core.stats.faults.reassigned_pairs, 2);
+        assert_eq!(m.core.stats.faults.abandoned_pairs, 5);
         assert_eq!(
-            m.stats.pairs_generated,
-            m.stats.pairs_processed + m.stats.pairs_skipped
+            m.core.stats.pairs_generated,
+            m.core.stats.pairs_processed + m.core.stats.pairs_skipped
         );
         assert_eq!(m.workbuf_len(), 0);
     }
@@ -956,16 +892,16 @@ mod tests {
         assert!(m.expected_seq(0).is_some(), "slave 0 owes a report");
         m.handle_world_down();
         assert!(m.is_done());
-        assert_eq!(m.stats.faults.dead_slaves, 2);
+        assert_eq!(m.core.stats.faults.dead_slaves, 2);
         assert_eq!(m.workbuf_len(), 0);
         assert_eq!(
-            m.stats.pairs_generated,
-            m.stats.pairs_processed + m.stats.pairs_skipped
+            m.core.stats.pairs_generated,
+            m.core.stats.pairs_processed + m.core.stats.pairs_skipped
         );
         // Idempotent: a second notification changes nothing.
-        let dup = m.stats;
+        let dup = m.core.stats;
         m.handle_world_down();
-        assert_eq!(m.stats, dup);
+        assert_eq!(m.core.stats, dup);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use pace_gst::LocalForest;
 use pace_mpisim::Rank;
 use pace_obs::trace::{flow_id, T_REPORT_SEND};
 use pace_obs::{metric, Obs, Timer, TraceKind};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_pairgen::{CandidatePair, PairGenerator};
 use pace_seq::{PackedText, SequenceStore};
 use std::collections::VecDeque;
 
@@ -61,14 +61,7 @@ pub fn run_slave_sharded_obs(
 
     let mut sort_timer = Timer::new();
     sort_timer.start();
-    let mut generator = PairGenerator::new(
-        store,
-        forest,
-        PairGenConfig {
-            psi: cfg.psi,
-            order: cfg.order,
-        },
-    );
+    let mut generator = PairGenerator::new(store, forest, cfg.pair_gen());
     timers.node_sorting = sort_timer.stop();
 
     let mut ctx = AlignContext::new(store, packed);

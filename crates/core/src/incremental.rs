@@ -10,16 +10,22 @@
 //!   memory-budgeted bucket batches ([`pace_store::plan_batches`]) so a
 //!   fold's peak subtree footprint is bounded no matter how large the
 //!   accumulated collection grows;
-//! * the cluster structure is **seeded with the existing partition**, so
-//!   every pair already co-clustered is skipped by the standard rule;
-//! * pairs between two *old* ESTs are skipped outright — their promising
-//!   pairs were already enumerated and judged in earlier rounds, and
-//!   re-aligning them cannot change the partition (alignment acceptance
-//!   is deterministic);
+//! * each build batch's pairs are drained through a [`ClusterCore`] —
+//!   the batch drivers' skip→align→union loop — **seeded with the
+//!   existing partition**, so every pair already co-clustered is skipped
+//!   by the standard rule;
+//! * the core's structural filter skips pairs between two *old* ESTs
+//!   outright — their promising pairs were already enumerated and judged
+//!   in earlier rounds, and re-aligning them cannot change the partition
+//!   (alignment acceptance is deterministic);
 //! * only old–new and new–new pairs reach the aligner;
 //! * every accepted merge is recorded into a rolling [`MergeTrace`], so
 //!   the accumulated state can be checkpointed and cross-checked by
-//!   replay exactly like a batch run's.
+//!   replay exactly like a batch run's;
+//! * a fold reports like a batch run: the drains publish merge events,
+//!   the MCS histogram, `alignment` phase samples and workspace reuses
+//!   to the clusterer's [`Obs`] handle, and the fold adds its share of
+//!   the `pairs.*` and `merges` counters.
 //!
 //! The result is identical to what from-scratch clustering would produce
 //! on the union (for deterministic acceptance), at a fraction of the
@@ -32,10 +38,13 @@
 //! pairs are booked into `pairs.skipped` alongside the already-clustered
 //! rule's skips.
 
-use pace_cluster::{AlignContext, ClusterConfig, ClusterStats, MergeTrace};
+use pace_cluster::{
+    record_pair_counters, AlignContext, ClusterConfig, ClusterCore, ClusterStats, MergeTrace,
+};
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, LocalForest};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_obs::Obs;
+use pace_pairgen::PairGenerator;
 use pace_seq::{PackedText, SeqError, SequenceStore};
 use pace_store::{plan_batches, DEFAULT_BYTES_PER_SUFFIX};
 
@@ -67,10 +76,10 @@ pub struct IncrementalClusterer {
     ids: Vec<String>,
     clusters: DisjointSets,
     trace: MergeTrace,
-    /// ESTs below this index have been through at least one round.
-    old_count: usize,
     /// Cumulative statistics over all rounds.
     pub stats: ClusterStats,
+    /// Where folds report; a private [`Obs::noop`] handle unless set.
+    obs: Obs,
 }
 
 impl IncrementalClusterer {
@@ -84,8 +93,8 @@ impl IncrementalClusterer {
             ids: Vec::new(),
             clusters: DisjointSets::new(0),
             trace: MergeTrace::new(),
-            old_count: 0,
             stats: ClusterStats::default(),
+            obs: Obs::noop(),
         }
     }
 
@@ -97,8 +106,8 @@ impl IncrementalClusterer {
         c
     }
 
-    /// Reassemble a clusterer from checkpointed state. `old_count` is
-    /// the full collection: everything persisted has been folded.
+    /// Reassemble a clusterer from checkpointed state: everything
+    /// persisted has been folded.
     pub fn from_parts(
         cfg: ClusterConfig,
         memory_budget: u64,
@@ -123,7 +132,6 @@ impl IncrementalClusterer {
                 ests.len()
             ));
         }
-        let old_count = ests.len();
         Ok(IncrementalClusterer {
             cfg,
             memory_budget,
@@ -131,9 +139,14 @@ impl IncrementalClusterer {
             ids,
             clusters,
             trace,
-            old_count,
             stats,
+            obs: Obs::noop(),
         })
+    }
+
+    /// Report every later fold to `obs` (the daemon passes its own).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// The clustering configuration this state was built under.
@@ -202,8 +215,9 @@ impl IncrementalClusterer {
 
     /// Fold one ingest batch into the live clustering: validate, grow
     /// the store and union–find, rebuild the forest in memory-budgeted
-    /// bucket batches, and run the skip/align/union loop over old–new
-    /// and new–new pairs, recording accepted merges into the trace.
+    /// bucket batches, and drain each batch's old–new and new–new pairs
+    /// through a core seeded with the grown partition, recording
+    /// accepted merges into the trace.
     ///
     /// A bad batch (length mismatch, empty or non-DNA sequence) leaves
     /// the clusterer untouched.
@@ -248,11 +262,12 @@ impl IncrementalClusterer {
             let root = self.clusters.find(i);
             grown.union(i, root);
         }
-        self.clusters = grown;
+        let before = self.stats;
+        let trace = std::mem::take(&mut self.trace);
+        let mut core = ClusterCore::resume(grown, trace, before, &self.cfg);
 
         // Rebuild the forest over everything (linear work) in batches
-        // sized to the memory budget, then run the demand loop with the
-        // old–old skip rule per batch.
+        // sized to the memory budget, draining each batch's pairs.
         let counts = count_buckets(&store, self.cfg.window_w);
         let partition = assign_buckets(&counts, 1);
         let plan = plan_batches(&partition, 0, self.memory_budget, DEFAULT_BYTES_PER_SUFFIX);
@@ -262,64 +277,25 @@ impl IncrementalClusterer {
             .packed_alignment
             .then(|| PackedText::from_store(&store));
         let mut ctx = AlignContext::new(&store, packed.as_ref());
-        let prefiltered_base = self.stats.pairs_prefiltered;
-        let mut aligned_this_round = 0u64;
-        let mut merges_this_round = 0u64;
-        let mut pairbuf: Vec<CandidatePair> = Vec::new();
-
         for bucket_batch in &plan.batches {
             let forest = LocalForest {
                 rank: 0,
                 w: self.cfg.window_w,
                 subtrees: build_bucket_batch(&store, self.cfg.window_w, bucket_batch),
             };
-            let mut generator = PairGenerator::new(
-                &store,
-                &forest,
-                PairGenConfig {
-                    psi: self.cfg.psi,
-                    order: self.cfg.order,
-                },
-            );
-            loop {
-                generator.next_batch_into(self.cfg.batchsize, &mut pairbuf);
-                if pairbuf.is_empty() {
-                    break;
-                }
-                for &pair in &pairbuf {
-                    let (i, j) = pair.est_indices();
-                    if i < first_new && j < first_new {
-                        // Both old: judged in a previous round. Booked
-                        // as skipped so flow conservation stays exact.
-                        self.stats.pairs_skipped += 1;
-                        continue;
-                    }
-                    if self.cfg.skip_clustered_pairs && self.clusters.same(i, j) {
-                        self.stats.pairs_skipped += 1;
-                        continue;
-                    }
-                    let outcome = ctx.align(&pair, &self.cfg);
-                    aligned_this_round += 1;
-                    self.stats.pairs_processed += 1;
-                    if outcome.accepted {
-                        self.stats.pairs_accepted += 1;
-                        if self.clusters.union(i, j) {
-                            self.stats.merges += 1;
-                            merges_this_round += 1;
-                            self.trace.record(&outcome);
-                        }
-                    }
-                }
-            }
-            self.stats.pairs_generated += generator.stats().emitted;
+            let generator = PairGenerator::new(&store, &forest, self.cfg.pair_gen());
+            // Old–old pairs were judged in a previous round; the core
+            // books them as skipped so flow conservation stays exact.
+            let keep = |i: usize, j: usize| i >= first_new || j >= first_new;
+            core.drain(generator, keep, &mut ctx, &self.cfg, &self.obs);
         }
-        self.stats.pairs_prefiltered = prefiltered_base + ctx.pairs_prefiltered();
-        self.old_count = self.ests.len();
+        record_pair_counters(&self.obs, &core.stats, &before);
+        (self.clusters, self.trace, self.stats) = (core.sets, core.trace, core.stats);
         Ok(FoldSummary {
             new_ests: batch.len(),
             total_ests: self.ests.len(),
-            aligned: aligned_this_round,
-            merges: merges_this_round,
+            aligned: self.stats.pairs_processed - before.pairs_processed,
+            merges: self.stats.merges - before.merges,
             num_clusters: self.num_clusters(),
             build_batches: plan.len() as u64,
         })
@@ -329,7 +305,7 @@ impl IncrementalClusterer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pace_cluster::cluster_sequential;
+    use pace_cluster::{cluster_sequential, cluster_sequential_traced};
     use pace_simulate::{generate, SimConfig};
 
     fn cfg() -> ClusterConfig {
@@ -505,7 +481,7 @@ mod tests {
     fn single_batch_equals_sequential_driver() {
         let ds = dataset(60, 63);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let seq = cluster_sequential(&store, &cfg());
+        let (seq, seq_trace) = cluster_sequential_traced(&store, &cfg());
         let mut inc = IncrementalClusterer::new(cfg());
         inc.add_batch(&ds.ests).unwrap();
         let agreement = pace_quality::assess(&inc.labels(), &seq.labels);
@@ -514,6 +490,19 @@ mod tests {
             0,
             "single-batch incremental differs from the sequential driver"
         );
+        // Same core, same bookkeeping: merge for merge, pair for pair.
+        assert_eq!(inc.trace(), &seq_trace);
+        let counters = |s: &ClusterStats| {
+            (
+                s.pairs_generated,
+                s.pairs_processed,
+                s.pairs_skipped,
+                s.pairs_accepted,
+                s.pairs_prefiltered,
+                s.merges,
+            )
+        };
+        assert_eq!(counters(&inc.stats), counters(&seq.stats));
     }
 
     #[test]

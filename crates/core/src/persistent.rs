@@ -12,33 +12,34 @@
 //!   footprint fits the budget ([`pace_store::plan_batches`]), builds
 //!   each batch with one extra O(N) scan, and spills it to the spill
 //!   directory — only one batch of subtrees is ever resident.
-//! * **Cluster** streams the batches back, generates promising pairs per
-//!   batch, and runs the master's skip/align/union loop. The union–find,
-//!   merge trace and counters are checkpointed to `cluster.snap` every
-//!   `checkpoint_every` batches; the manifest records per-batch progress.
+//! * **Cluster** streams the batches back and drains each batch's pair
+//!   generator through one [`ClusterCore`] — the same skip→align→union
+//!   loop as the in-memory driver. The core's union–find, merge trace and
+//!   counters are checkpointed to `cluster.snap` every `checkpoint_every`
+//!   batches; the manifest records per-batch progress.
 //!
 //! After every phase boundary and every clustered batch the manifest is
 //! rewritten atomically, so the checkpoint directory always describes a
-//! consistent state. Resume restores the last heavy checkpoint, replays
-//! the merge trace as a cross-check on the decoded union–find, and
-//! re-processes any batches clustered after it. Because the pair
-//! sequence and union order are deterministic, the restored union–find
-//! is bit-identical to the uninterrupted run's state at that batch — so
-//! the final partition is too. Pairs generated after the last heavy
-//! checkpoint but before the crash were work the crash destroyed; the
-//! resuming driver books them into `faults.lost_pairs` (and
-//! `pairs.unconsumed`) instead of silently re-counting, keeping the
+//! consistent state. Resume seeds the core from the last heavy
+//! checkpoint, replays the merge trace as a cross-check on the decoded
+//! union–find, and re-processes any batches clustered after it. Because
+//! the pair sequence and union order are deterministic, the restored
+//! union–find is bit-identical to the uninterrupted run's state at that
+//! batch — so the final partition is too. Pairs generated after the
+//! last heavy checkpoint but before the crash were work the crash
+//! destroyed; the resuming driver books them into `faults.lost_pairs`
+//! (and `pairs.unconsumed`) instead of silently re-counting, keeping the
 //! conservation invariant `generated == processed + skipped + unconsumed`
 //! exact across the crash-and-resume cycle.
 
 use crate::pipeline::{Pace, PaceConfig, PaceError, PaceOutcome};
 use pace_cluster::{
-    record_cluster_counters, AlignContext, ClusterConfig, ClusterResult, ClusterStats, MergeTrace,
+    record_cluster_counters, AlignContext, ClusterConfig, ClusterCore, ClusterStats, MergeTrace,
 };
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, BucketPartition, LocalForest};
-use pace_obs::{metric, Event, Obs, Timer};
-use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
+use pace_obs::{metric, Obs};
+use pace_pairgen::PairGenerator;
 use pace_seq::{read_fasta_into_store, PackedText, SequenceStore};
 use pace_store::codec;
 use pace_store::{
@@ -351,12 +352,11 @@ impl<'a> Runner<'a> {
         self.phase_build(&store, &plan, &mut spill, &mut manifest, &mut stats)?;
 
         // ---------------- Phase 4: cluster ----------------
-        let (mut clusters, trace) =
-            self.phase_cluster(&store, &plan, &mut spill, &mut manifest, &mut stats)?;
+        let mut core = self.phase_cluster(&store, &plan, &mut spill, &mut manifest, stats)?;
 
         // ---------------- Done: publish metrics + outcome ----------------
-        stats.timers.total += total_span.finish();
-        record_cluster_counters(self.obs, &stats);
+        core.stats.timers.total += total_span.finish();
+        record_cluster_counters(self.obs, &core.stats);
         let reg = self.obs.registry();
         let io = spill.stats();
         reg.add(metric::IO_SPILL_BYTES, io.spill_bytes);
@@ -370,20 +370,16 @@ impl<'a> Runner<'a> {
         reg.add(metric::CKPT_PHASES_RESUMED, self.phases_resumed);
         reg.add(metric::CKPT_REPLAYED_MERGES, self.replayed_merges);
 
-        let labels = clusters.labels();
         manifest.phase = Phase::Done;
         self.save_manifest(&manifest)?;
 
+        let (result, trace) = core.into_result();
         Ok(PersistentOutcome {
             outcome: PaceOutcome {
                 num_ests: store.num_ests(),
                 total_bases: store.total_input_chars(),
                 num_processors: 1,
-                result: ClusterResult {
-                    num_clusters: clusters.num_sets(),
-                    labels,
-                    stats,
-                },
+                result,
                 trace,
             },
             ids,
@@ -525,40 +521,33 @@ impl<'a> Runner<'a> {
         Ok(())
     }
 
-    /// Write the heavy checkpoint (union–find + trace + counters). The
-    /// in-flight alignment seconds are folded into the stored stats so
-    /// a resumed run's timers don't silently lose kernel time.
-    fn write_heavy(
-        &mut self,
-        clusters: &DisjointSets,
-        trace: &MergeTrace,
-        stats: &ClusterStats,
-        align_secs: f64,
-    ) -> Result<(), PaceError> {
+    /// Write the heavy checkpoint: the core's union–find, merge trace
+    /// and counters (alignment time included).
+    fn write_heavy(&mut self, core: &ClusterCore) -> Result<(), PaceError> {
         let span = self.obs.span(metric::PHASE_CHECKPOINT);
-        let mut at_ckpt = *stats;
-        at_ckpt.timers.alignment += align_secs;
         let mut w = SnapshotWriter::create(&self.cluster_path)?;
-        w.add_section(SEC_DSU, &codec::encode_dsu(clusters))?;
-        w.add_section(SEC_TRACE, &codec::encode_merge_trace(trace))?;
-        w.add_section(SEC_STATS, &codec::encode_cluster_stats(&at_ckpt))?;
+        w.add_section(SEC_DSU, &codec::encode_dsu(&core.sets))?;
+        w.add_section(SEC_TRACE, &codec::encode_merge_trace(&core.trace))?;
+        w.add_section(SEC_STATS, &codec::encode_cluster_stats(&core.stats))?;
         let bytes = w.finish()?;
         self.wrote_snapshot(bytes);
         span.finish();
         Ok(())
     }
 
-    /// Restore the heavy checkpoint and cross-check it: replaying the
+    /// Seed a core from the heavy checkpoint, adding this run's
+    /// pre-cluster phase times (`pre`), and cross-check it: replaying the
     /// merge trace from scratch must reproduce the decoded union–find's
     /// partition, or the snapshot pair is internally inconsistent.
     fn read_heavy(
         &mut self,
         num_ests: usize,
-    ) -> Result<(DisjointSets, MergeTrace, ClusterStats), PaceError> {
+        pre: &ClusterStats,
+    ) -> Result<ClusterCore, PaceError> {
         let snap = Snapshot::read_file(&self.cluster_path)?;
         let mut clusters = codec::decode_dsu(snap.section(SEC_DSU)?)?;
         let trace = codec::decode_merge_trace(snap.section(SEC_TRACE)?)?;
-        let stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
+        let mut stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
         if clusters.as_raw_parts().0.len() != num_ests {
             return Err(PaceError::Persist(format!(
                 "cluster checkpoint covers {} ESTs, run has {num_ests}",
@@ -575,50 +564,46 @@ impl<'a> Runner<'a> {
             ));
         }
         self.replayed_merges += trace.len() as u64;
-        Ok((clusters, trace, stats))
+        stats.timers.partitioning += pre.timers.partitioning;
+        stats.timers.gst_construction += pre.timers.gst_construction;
+        Ok(ClusterCore::resume(clusters, trace, stats, self.cfg))
     }
 
+    /// Drain every batch's pairs through one core, checkpointing as
+    /// configured. `pre` carries the phase times measured before this
+    /// phase.
     fn phase_cluster(
         &mut self,
         store: &SequenceStore,
         plan: &BatchPlan,
         spill: &mut SpillManager,
         manifest: &mut Manifest,
-        stats: &mut ClusterStats,
-    ) -> Result<(DisjointSets, MergeTrace), PaceError> {
+        pre: ClusterStats,
+    ) -> Result<ClusterCore, PaceError> {
         let total = plan.len() as u64;
         let n = store.num_ests();
 
         // Clustering already finished in a previous run: the final heavy
         // checkpoint *is* the result.
         if self.persist.resume && manifest.phase >= Phase::Cluster {
-            let (clusters, trace, ckpt_stats) = self.read_heavy(n)?;
-            let pre = stats.timers;
-            *stats = ckpt_stats;
-            stats.timers.partitioning += pre.partitioning;
-            stats.timers.gst_construction += pre.gst_construction;
             self.phases_resumed += 1;
-            return Ok((clusters, trace));
+            return self.read_heavy(n, &pre);
         }
 
-        let (mut clusters, mut trace, start) = if self.persist.resume {
-            let (clusters, trace, start) = match manifest.heavy_ckpt {
-                Some(c) => {
-                    let (clusters, trace, ckpt_stats) = self.read_heavy(n)?;
-                    let pre = stats.timers;
-                    *stats = ckpt_stats;
-                    stats.timers.partitioning += pre.partitioning;
-                    stats.timers.gst_construction += pre.gst_construction;
-                    (clusters, trace, c)
-                }
-                // Crashed before the first heavy checkpoint: cluster from
-                // scratch (the phase inputs are all on disk already).
-                None => (DisjointSets::new(n), MergeTrace::new(), 0),
-            };
+        let mut core = ClusterCore::resume(DisjointSets::new(n), MergeTrace::new(), pre, self.cfg);
+        let mut start = 0;
+        if self.persist.resume {
+            // Without a heavy checkpoint the run crashed before the first
+            // one: cluster from scratch (the phase inputs are all on disk).
+            if let Some(c) = manifest.heavy_ckpt {
+                core = self.read_heavy(n, &pre)?;
+                start = c;
+            }
             // Reconcile the crash gap: pairs generated after the heavy
             // checkpoint (per the light manifest counter) had their
             // outcomes destroyed. Book them as lost + unconsumed — never
             // silently re-count them — then re-process those batches.
+            let stats = &mut core.stats;
             let lost = manifest
                 .pairs_generated
                 .saturating_sub(stats.pairs_generated);
@@ -632,20 +617,13 @@ impl<'a> Runner<'a> {
             manifest.batches_clustered = start;
             manifest.pairs_generated = stats.pairs_generated;
             self.phases_resumed += 1;
-            (clusters, trace, start)
-        } else {
-            (DisjointSets::new(n), MergeTrace::new(), 0)
-        };
+        }
 
         let packed = self
             .cfg
             .packed_alignment
             .then(|| PackedText::from_store(store));
         let mut ctx = AlignContext::new(store, packed.as_ref());
-        let prefiltered_base = stats.pairs_prefiltered;
-        let mut align_timer = Timer::new();
-        let mut batch: Vec<CandidatePair> = Vec::new();
-
         for k in start..total {
             let span = self.obs.span(metric::PHASE_SPILL_READ);
             let forest = LocalForest {
@@ -656,62 +634,19 @@ impl<'a> Runner<'a> {
             span.finish();
 
             let span = self.obs.span(metric::PHASE_NODE_SORTING);
-            let mut generator = PairGenerator::new(
-                store,
-                &forest,
-                PairGenConfig {
-                    psi: self.cfg.psi,
-                    order: self.cfg.order,
-                },
-            );
-            stats.timers.node_sorting += span.finish();
-
-            loop {
-                generator.next_batch_into(self.cfg.batchsize, &mut batch);
-                if batch.is_empty() {
-                    break;
-                }
-                for &pair in &batch {
-                    let (i, j) = pair.est_indices();
-                    if self.cfg.skip_clustered_pairs && clusters.same(i, j) {
-                        stats.pairs_skipped += 1;
-                        continue;
-                    }
-                    let outcome = align_timer.time(|| ctx.align(&pair, self.cfg));
-                    stats.pairs_processed += 1;
-                    if outcome.accepted {
-                        stats.pairs_accepted += 1;
-                        if clusters.union(i, j) {
-                            stats.merges += 1;
-                            trace.record(&outcome);
-                            self.obs.emit_with(|| Event::Merge {
-                                t: self.obs.now(),
-                                est_a: i,
-                                est_b: j,
-                                mcs_len: outcome.pair.mcs_len,
-                                score_ratio: outcome.score_ratio,
-                            });
-                        }
-                    }
-                }
-            }
-            stats.pairs_generated += generator.stats().emitted;
-            stats.pairs_prefiltered = prefiltered_base + ctx.pairs_prefiltered();
-            for (&len, &cnt) in generator.emitted_by_mcs_len() {
-                self.obs
-                    .registry()
-                    .observe_n(metric::PAIRS_MCS_LEN, len as u64, cnt);
-            }
+            let generator = PairGenerator::new(store, &forest, self.cfg.pair_gen());
+            core.stats.timers.node_sorting += span.finish();
+            core.drain(generator, |_, _| true, &mut ctx, self.cfg, self.obs);
 
             // Heavy checkpoint first, then the manifest that refers to
             // it — the manifest on disk never points past real state.
             let done = k + 1;
             if done % self.persist.checkpoint_every == 0 || done == total {
-                self.write_heavy(&clusters, &trace, stats, align_timer.secs())?;
+                self.write_heavy(&core)?;
                 manifest.heavy_ckpt = Some(done);
             }
             manifest.batches_clustered = done;
-            manifest.pairs_generated = stats.pairs_generated;
+            manifest.pairs_generated = core.stats.pairs_generated;
             self.save_manifest(manifest)?;
             self.crash_if(CrashPoint::AfterClusterBatch(done))?;
         }
@@ -719,27 +654,20 @@ impl<'a> Runner<'a> {
         // Empty plans (tiny inputs) still need the final heavy state on
         // disk for the Cluster phase to be restorable.
         if manifest.heavy_ckpt != Some(total) {
-            self.write_heavy(&clusters, &trace, stats, align_timer.secs())?;
+            self.write_heavy(&core)?;
             manifest.heavy_ckpt = Some(total);
         }
 
-        stats.timers.alignment += align_timer.secs();
-        self.obs
-            .registry()
-            .record_phase(metric::PHASE_ALIGNMENT, 0, align_timer.secs());
-        self.obs
-            .registry()
-            .add(metric::ALIGN_WS_REUSES, ctx.pairs_handled());
-
         manifest.phase = Phase::Cluster;
         self.save_manifest(manifest)?;
-        Ok((clusters, trace))
+        Ok(core)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pace_cluster::cluster_sequential_traced;
     use pace_simulate::{generate, SimConfig};
 
     fn test_config() -> PaceConfig {
@@ -779,7 +707,8 @@ mod tests {
         let ds = dataset(90, 71);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
         let pace = Pace::new(test_config());
-        let reference = pace.cluster_store(&store).unwrap();
+        let (reference, reference_trace) =
+            cluster_sequential_traced(&store, &test_config().cluster);
 
         let dir = tmpdir("plain");
         let outcome = pace
@@ -787,7 +716,23 @@ mod tests {
             .unwrap();
         assert!(!outcome.resumed);
         assert_eq!(outcome.ids.len(), 90);
-        assert!(same_partition(outcome.outcome.labels(), reference.labels()));
+        assert!(same_partition(outcome.outcome.labels(), &reference.labels));
+        // Same core, same bookkeeping: merge for merge, pair for pair.
+        assert_eq!(outcome.outcome.trace, reference_trace);
+        let counters = |s: &ClusterStats| {
+            (
+                s.pairs_generated,
+                s.pairs_processed,
+                s.pairs_skipped,
+                s.pairs_accepted,
+                s.pairs_prefiltered,
+                s.merges,
+            )
+        };
+        assert_eq!(
+            counters(&outcome.outcome.result.stats),
+            counters(&reference.stats)
+        );
         // Flow conservation holds without any faults.
         let s = &outcome.outcome.result.stats;
         assert_eq!(

@@ -4,9 +4,8 @@
 //! \[Tarjan 1975\]: `find` locates the cluster of an EST and `union` merges
 //! two clusters, with amortized cost given by the inverse Ackermann
 //! function — effectively constant. [`DisjointSets`] is the single-owner
-//! implementation used by the master processor; [`SharedDisjointSets`]
-//! wraps it in a mutex for callers that share cluster state across threads
-//! (e.g. the baseline's rayon merge phase).
+//! implementation used by the master processor; [`ShardDsu`] is the
+//! id-range view a sharded sub-master owns.
 
 //! ```
 //! use pace_dsu::DisjointSets;
@@ -18,10 +17,8 @@
 //! assert_eq!(clusters.num_sets(), 3);
 //! ```
 
-mod concurrent;
 mod dsu;
 mod shard;
 
-pub use concurrent::SharedDisjointSets;
 pub use dsu::DisjointSets;
 pub use shard::{CrossEdges, ShardDsu, ShardSpec};

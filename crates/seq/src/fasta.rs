@@ -395,8 +395,7 @@ mod tests {
 
     #[test]
     fn normalize_policy_maps_ambiguity_to_a() {
-        let recs =
-            parse_fasta_with(">a\nACNRGT\n", AmbiguityPolicy::Normalize).unwrap();
+        let recs = parse_fasta_with(">a\nACNRGT\n", AmbiguityPolicy::Normalize).unwrap();
         assert_eq!(recs[0].sequence, b"ACAAGT");
 
         // The streaming API honours the same policy.
@@ -415,8 +414,8 @@ mod tests {
 
     #[test]
     fn streaming_reject_names_the_record() {
-        let err = for_each_fasta_record(">ok\nACGT\n>bad\nANA\n".as_bytes(), |_| Ok(()))
-            .unwrap_err();
+        let err =
+            for_each_fasta_record(">ok\nACGT\n>bad\nANA\n".as_bytes(), |_| Ok(())).unwrap_err();
         assert!(matches!(err, SeqError::AmbiguousBase { ref id, .. } if id == "bad"));
     }
 

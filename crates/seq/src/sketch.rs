@@ -79,7 +79,11 @@ pub fn sketch_of(seq: &[u8], params: SketchParams) -> Vec<u64> {
     if seq.len() < k {
         return Vec::new();
     }
-    let mask = if k == 32 { u64::MAX } else { (1u64 << (2 * k)) - 1 };
+    let mask = if k == 32 {
+        u64::MAX
+    } else {
+        (1u64 << (2 * k)) - 1
+    };
     let mut hashes = Vec::with_capacity(seq.len() - k + 1);
     let mut v = 0u64;
     for (i, &b) in seq.iter().enumerate() {

@@ -197,13 +197,15 @@ impl Server {
                 .map_err(|e| io::Error::other(format!("restoring checkpoint: {e}")))?,
             None => None,
         };
-        let (clusterer, ingest_batches) = match restored {
+        let (mut clusterer, ingest_batches) = match restored {
             Some((c, batches)) => (c, batches),
             None => (
                 IncrementalClusterer::with_budget(cfg.cluster.clone(), cfg.memory_budget),
                 0,
             ),
         };
+        // Folds report into the daemon's registry like a batch run.
+        clusterer.set_obs(obs.clone());
         let mut core = CoreState {
             clusterer,
             ingest_batches,
@@ -567,7 +569,8 @@ mod tests {
     use crate::client::Client;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pace-serve-poison-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("pace-serve-poison-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -659,6 +662,49 @@ mod tests {
             manifest_before, manifest_after,
             "tainted shutdown must not rewrite the checkpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fold reports like a batch run: after three folds on a fresh
+    /// daemon, the registry's pair counters equal the clusterer's
+    /// cumulative statistics.
+    #[test]
+    fn folds_publish_pair_counters_to_the_registry() {
+        let dir = scratch("folds");
+        let sock = dir.join("paced.sock");
+        let obs = Obs::noop();
+        let handle = Server::start(ServerConfig::new(&sock, small_cluster_cfg()), obs.clone())
+            .expect("start daemon");
+        let mut client =
+            Client::connect_with_retry(&sock, Duration::from_secs(5)).expect("connect");
+        // Nine 120-base reads tiling one template at a 30-base stride.
+        let template = lcg_dna(11, 400);
+        for fold in 0..3 {
+            let ids = (0..3).map(|k| format!("f{fold}_{k}")).collect();
+            let seqs = (0..3)
+                .map(|k| template[(3 * fold + k) * 30..][..120].to_vec())
+                .collect();
+            client.ingest(ids, seqs).expect("ingest");
+        }
+        let stats = handle.shared.lock_core().clusterer.stats;
+        let snap = obs.registry().snapshot();
+        assert!(stats.merges > 0, "tiled reads must merge");
+        assert_eq!(
+            snap.counters[metric::PAIRS_GENERATED],
+            stats.pairs_generated
+        );
+        assert_eq!(
+            snap.counters[metric::PAIRS_PROCESSED],
+            stats.pairs_processed
+        );
+        assert_eq!(snap.counters[metric::PAIRS_SKIPPED], stats.pairs_skipped);
+        assert_eq!(snap.counters[metric::MERGES], stats.merges);
+        assert_eq!(
+            snap.histograms[metric::PAIRS_MCS_LEN].count(),
+            stats.pairs_generated
+        );
+        assert_eq!(snap.phases[metric::PHASE_ALIGNMENT].count, 3);
+        handle.stop().expect("clean stop");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

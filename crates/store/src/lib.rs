@@ -5,8 +5,9 @@
 //! that ceiling and adds whole-run durability, in three layers:
 //!
 //! * [`snapshot`] — a versioned, checksummed binary container (magic +
-//!   schema version + named sections + per-section CRC-32) with
-//!   streaming writer and verifying reader, published atomically via
+//!   schema version + named sections + per-section CRC-32, the
+//!   `pace_wire::crc32` the frame codec uses) with streaming writer and
+//!   verifying reader, published atomically via
 //!   write-to-temp + fsync + rename. [`codec`] provides the typed
 //!   encodings of every pipeline structure (sequence store, packed
 //!   text, bucket partition, subtrees, union–find, merge trace, run
@@ -28,13 +29,11 @@
 //! [`SnapshotError`], never a panic.
 
 pub mod codec;
-pub mod crc;
 pub mod error;
 pub mod manifest;
 pub mod snapshot;
 pub mod spill;
 
-pub use crc::{crc32, Crc32};
 pub use error::SnapshotError;
 pub use manifest::{fingerprint, Manifest, Phase, MANIFEST_VERSION};
 pub use snapshot::{atomic_write, Snapshot, SnapshotWriter, MAGIC, SCHEMA_VERSION};

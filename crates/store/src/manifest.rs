@@ -198,7 +198,7 @@ impl Manifest {
 /// are astronomically unlikely to matter here — the fingerprint guards
 /// against *accidental* resume-with-different-flags, not adversaries.
 pub fn fingerprint(canonical: &str) -> String {
-    format!("{:08x}", crate::crc::crc32(canonical.as_bytes()))
+    format!("{:08x}", pace_wire::crc32(canonical.as_bytes()))
 }
 
 #[cfg(test)]

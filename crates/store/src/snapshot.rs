@@ -29,8 +29,8 @@
 //! must be added as new sections (readers ignore unknown sections) so
 //! old files stay readable within a version.
 
-use crate::crc::{crc32, Crc32};
 use crate::error::SnapshotError;
+use pace_wire::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -118,37 +118,6 @@ impl SnapshotWriter {
         self.file.write_all(payload)?;
         self.file.write_all(&crc32(payload).to_le_bytes())?;
         self.bytes_written += payload.len() as u64 + 4;
-        Ok(())
-    }
-
-    /// Append one section of known length, streaming the payload
-    /// through `fill` in chunks (no whole-payload buffer). `fill` must
-    /// produce exactly `len` bytes.
-    pub fn add_section_streamed(
-        &mut self,
-        name: &str,
-        len: u64,
-        mut fill: impl FnMut(
-            &mut dyn FnMut(&[u8]) -> Result<(), SnapshotError>,
-        ) -> Result<(), SnapshotError>,
-    ) -> Result<(), SnapshotError> {
-        self.begin_section(name, len)?;
-        let mut crc = Crc32::new();
-        let mut written = 0u64;
-        let file = &mut self.file;
-        fill(&mut |chunk: &[u8]| {
-            crc.update(chunk);
-            written += chunk.len() as u64;
-            file.write_all(chunk)?;
-            Ok(())
-        })?;
-        if written != len {
-            return Err(SnapshotError::Io(format!(
-                "section {name:?}: declared {len} bytes, streamed {written}"
-            )));
-        }
-        self.file.write_all(&crc.finish().to_le_bytes())?;
-        self.bytes_written += len + 4;
         Ok(())
     }
 
@@ -313,42 +282,6 @@ mod tests {
         );
         assert_eq!(snap.section_names().collect::<Vec<_>>(), ["alpha", "beta"]);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn streamed_section_matches_buffered() {
-        let dir = roundtrip_dir();
-        let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-
-        let a = dir.join("buffered.snap");
-        let mut w = SnapshotWriter::create(&a).unwrap();
-        w.add_section("data", &payload).unwrap();
-        w.finish().unwrap();
-
-        let b = dir.join("streamed.snap");
-        let mut w = SnapshotWriter::create(&b).unwrap();
-        w.add_section_streamed("data", payload.len() as u64, |put| {
-            for chunk in payload.chunks(777) {
-                put(chunk)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        w.finish().unwrap();
-
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-        std::fs::remove_file(&a).unwrap();
-        std::fs::remove_file(&b).unwrap();
-    }
-
-    #[test]
-    fn streamed_length_mismatch_is_an_error() {
-        let path = roundtrip_dir().join("short.snap");
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        let err = w
-            .add_section_streamed("data", 10, |put| put(b"abc"))
-            .unwrap_err();
-        assert!(matches!(err, SnapshotError::Io(_)));
     }
 
     #[test]

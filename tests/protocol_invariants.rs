@@ -145,8 +145,8 @@ proptest! {
         // flush handshake completes and the run shuts down.
         let t = retries as f64 * 1.5 + 1.0;
         m.handle_report(0, seq, vec![], vec![], true, t);
-        prop_assert_eq!(m.stats.faults.retries as u32, retries);
-        prop_assert_eq!(m.stats.faults.dead_slaves, 0);
+        prop_assert_eq!(m.core.stats.faults.retries as u32, retries);
+        prop_assert_eq!(m.core.stats.faults.dead_slaves, 0);
         let mut rounds = 0;
         while let Some(next_seq) = m.expected_seq(0) {
             m.handle_report(0, next_seq, vec![], vec![], true, t + 0.1);
