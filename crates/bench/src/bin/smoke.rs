@@ -41,6 +41,20 @@ const GATE_PHASES: [&str; 5] = [
 /// EXPERIMENTS.md and the pace-quality recall harness).
 const SKETCH_THRESHOLD: f64 = 0.03;
 
+/// Deterministic micro-bench for pair generation: one `generate_all`
+/// over the smoke workload's forest. Generator setup is left out — that
+/// is the `node_sorting` phase.
+fn micro_pairgen(
+    store: &SequenceStore,
+    forest: &pace_gst::LocalForest,
+    cfg: pace_pairgen::PairGenConfig,
+) -> f64 {
+    let mut g = pace_pairgen::PairGenerator::new(store, forest, cfg);
+    let t0 = Instant::now();
+    std::hint::black_box(g.generate_all());
+    t0.elapsed().as_secs_f64()
+}
+
 /// Deterministic micro-benches for the two opt-in kernels, run over the
 /// smoke workload's own candidate pairs: the Myers bit-parallel
 /// alignment path (edit-convertible scoring) and the MinHash sketch
@@ -129,18 +143,11 @@ fn main() {
         ds.total_bases()
     );
 
-    // Candidate pairs for the kernel micro-benches, generated once —
-    // the same fixed-seed workload the driver reps cluster.
-    let micro_pairs = {
-        let cfg = paper_cfg();
-        let forest = pace_gst::build_sequential(&store, cfg.window_w);
-        let mut g = pace_pairgen::PairGenerator::new(
-            &store,
-            &forest,
-            pace_pairgen::PairGenConfig::new(cfg.psi),
-        );
-        g.generate_all()
-    };
+    // The forest and candidate pairs for the kernel micro-benches, built
+    // once — the same fixed-seed workload the driver reps cluster.
+    let pair_gen = paper_cfg().pair_gen();
+    let forest = pace_gst::build_sequential(&store, paper_cfg().window_w);
+    let micro_pairs = pace_pairgen::PairGenerator::new(&store, &forest, pair_gen).generate_all();
 
     let mut phase_min: BTreeMap<String, f64> = BTreeMap::new();
     let mut last: Option<(Obs, pace_cluster::ClusterResult)> = None;
@@ -149,22 +156,23 @@ fn main() {
         let (r, _) = cluster_parallel_obs(&store, &paper_cfg(), SMOKE_RANKS, &obs);
         let snap = obs.registry().snapshot();
         let crit = |name: &str| snap.phases.get(name).map_or(0.0, |a| a.max);
+        let pairgen_s = micro_pairgen(&store, &forest, pair_gen);
         let (myers_s, sketch_s) = micro_kernels(&store, &micro_pairs);
         println!(
             "rep {rep}: partitioning {:.4}s, gst {:.4}s, node_sorting {:.4}s, \
-             alignment {:.4}s, total {:.4}s, myers_kernel {myers_s:.4}s, \
-             sketch_prefilter {sketch_s:.4}s",
+             alignment {:.4}s, total {:.4}s, pairgen_kernel {pairgen_s:.4}s, \
+             myers_kernel {myers_s:.4}s, sketch_prefilter {sketch_s:.4}s",
             crit(metric::PHASE_PARTITIONING),
             crit(metric::PHASE_GST_CONSTRUCTION),
             crit(metric::PHASE_NODE_SORTING),
             crit(metric::PHASE_ALIGNMENT),
             crit(metric::PHASE_TOTAL),
         );
-        for (phase, t) in GATE_PHASES
-            .iter()
-            .map(|&p| (p, crit(p)))
-            .chain([("myers_kernel", myers_s), ("sketch_prefilter", sketch_s)])
-        {
+        for (phase, t) in GATE_PHASES.iter().map(|&p| (p, crit(p))).chain([
+            ("pairgen_kernel", pairgen_s),
+            ("myers_kernel", myers_s),
+            ("sketch_prefilter", sketch_s),
+        ]) {
             phase_min
                 .entry(phase.to_string())
                 .and_modify(|m| *m = m.min(t))

@@ -134,9 +134,10 @@ impl<S: ClusterSets> ClusterCore<S> {
     /// the drain conserves pairs exactly.
     ///
     /// Reports to `obs` once, at the end: the drain's merge events, the
-    /// generator's MCS-length histogram, one `alignment` phase sample
-    /// and the pairs served by `ctx` as workspace reuses. The pair
-    /// counters are left to the caller, who knows what a run is.
+    /// generator's MCS-length histogram, one `pair_generation` and one
+    /// `alignment` phase sample, and the pairs served by `ctx` as
+    /// workspace reuses. The pair counters are left to the caller, who
+    /// knows what a run is.
     pub fn drain(
         &mut self,
         mut generator: PairGenerator<'_>,
@@ -150,9 +151,10 @@ impl<S: ClusterSets> ClusterCore<S> {
         let prefiltered_before = ctx.pairs_prefiltered();
         let processed_before = self.stats.pairs_processed;
         let mut align = Timer::new();
+        let mut pairgen = Timer::new();
         let mut batch: Vec<CandidatePair> = Vec::with_capacity(cfg.batchsize);
         loop {
-            generator.next_batch_into(cfg.batchsize, &mut batch);
+            pairgen.time(|| generator.next_batch_into(cfg.batchsize, &mut batch));
             if batch.is_empty() {
                 break;
             }
@@ -177,6 +179,7 @@ impl<S: ClusterSets> ClusterCore<S> {
         for (&len, &n) in generator.emitted_by_mcs_len() {
             reg.observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
         }
+        reg.record_phase(metric::PHASE_PAIR_GENERATION, 0, pairgen.secs());
         reg.record_phase(metric::PHASE_ALIGNMENT, 0, align.secs());
         reg.add(metric::ALIGN_WS_REUSES, handled);
     }

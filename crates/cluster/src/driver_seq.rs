@@ -342,6 +342,33 @@ mod tests {
     }
 
     #[test]
+    fn named_phases_cover_the_run() {
+        let ds = generate(&SimConfig::sized(400, 19));
+        let store = SequenceStore::from_ests(&ds.ests).unwrap();
+        let obs = Obs::noop();
+        cluster_sequential_obs(&store, &ClusterConfig::default(), &obs);
+        let phases = obs.registry().snapshot().phases;
+        assert_eq!(phases[metric::PHASE_PAIR_GENERATION].count, 1);
+        let named: f64 = [
+            metric::PHASE_PARTITIONING,
+            metric::PHASE_GST_CONSTRUCTION,
+            metric::PHASE_NODE_SORTING,
+            metric::PHASE_PAIR_GENERATION,
+            metric::PHASE_ALIGNMENT,
+        ]
+        .iter()
+        .map(|p| phases[*p].sum)
+        .sum();
+        let total = phases[metric::PHASE_TOTAL].sum;
+        // The loop's skip tests and unions are the only unnamed work; the
+        // margin below 1 absorbs host noise.
+        assert!(
+            named >= 0.90 * total,
+            "named phases cover {named:.4} s of {total:.4} s"
+        );
+    }
+
+    #[test]
     fn merge_events_match_trace() {
         let sim = SimConfig {
             num_genes: 4,

@@ -142,11 +142,8 @@ fn launch_world(
         if let Some(base) = &opts.trace_out {
             cmd.arg("--trace-out").arg(worker_trace_path(base, rank));
         }
-        match cmd.spawn() {
-            Ok(child) => {
-                crate::signals::register_child(child.id());
-                children.push((rank, child));
-            }
+        match crate::signals::spawn_registered(&mut cmd) {
+            Ok(child) => children.push((rank, child)),
             Err(e) => {
                 kill_all(&mut children);
                 return Err(launch_err(

@@ -14,12 +14,16 @@
 //!   normal thread that polls [`pending`].
 //! * Child pids live in a global registry guarded by a `Mutex`; the
 //!   watchdog SIGKILLs and reaps whatever is registered at the moment
-//!   the signal lands, so an inopportune signal cannot leak workers.
+//!   the signal lands, so an inopportune signal cannot leak workers. A
+//!   child is spawned and registered under that lock
+//!   ([`spawn_registered`]), and the watchdog holds it from its sweep to
+//!   the exit, so no child is forked unseen by the sweep.
 //! * Handlers are installed once per process ([`install`] is
 //!   idempotent); repeated launches reuse them.
 
+use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// SIGINT (Ctrl-C).
@@ -79,6 +83,18 @@ pub fn register_child(pid: u32) {
     CHILDREN.lock().unwrap().push(pid as i32);
 }
 
+/// Spawn `cmd` and register the child while holding the registry lock,
+/// so a fatal signal's sweep either waits for the registration or runs
+/// before the child exists.
+pub fn spawn_registered(cmd: &mut Command) -> std::io::Result<Child> {
+    // Every update leaves the pid list valid, so a poisoned lock is safe
+    // to recover.
+    let mut children = CHILDREN.lock().unwrap_or_else(PoisonError::into_inner);
+    let child = cmd.spawn()?;
+    children.push(child.id() as i32);
+    Ok(child)
+}
+
 /// Stop tracking a child that was reaped normally.
 pub fn unregister_child(pid: u32) {
     CHILDREN.lock().unwrap().retain(|&p| p != pid as i32);
@@ -88,8 +104,11 @@ pub fn unregister_child(pid: u32) {
 /// fatal signal; harmless if children already exited (kill/waitpid on a
 /// reaped pid just returns an error we ignore).
 pub fn kill_registered_children() {
-    let pids: Vec<i32> = std::mem::take(&mut *CHILDREN.lock().unwrap());
-    for pid in pids {
+    kill_and_reap(&mut CHILDREN.lock().unwrap());
+}
+
+fn kill_and_reap(children: &mut Vec<i32>) {
+    for pid in std::mem::take(children) {
         unsafe {
             kill(pid, SIGKILL);
             waitpid(pid, std::ptr::null_mut(), 0);
@@ -113,7 +132,10 @@ pub fn spawn_watchdog() {
         .name("pace-signal-watchdog".into())
         .spawn(|| loop {
             if let Some(signum) = pending() {
-                kill_registered_children();
+                // Sweep and exit under the registry lock, so no child is
+                // spawned after the sweep.
+                let mut children = CHILDREN.lock().unwrap_or_else(PoisonError::into_inner);
+                kill_and_reap(&mut children);
                 std::process::exit(exit_status_for(signum));
             }
             std::thread::sleep(Duration::from_millis(10));

@@ -144,6 +144,9 @@ pub const PHASE_PARTITIONING: &str = "partitioning";
 pub const PHASE_GST_CONSTRUCTION: &str = "gst_construction";
 /// Phase: node collection + string-depth sorting (generator setup).
 pub const PHASE_NODE_SORTING: &str = "node_sorting";
+/// Phase: on-demand promising-pair generation (the generator's
+/// `next_batch` calls in a clustering loop).
+pub const PHASE_PAIR_GENERATION: &str = "pair_generation";
 /// Phase: pairwise (anchored banded) alignment.
 pub const PHASE_ALIGNMENT: &str = "alignment";
 /// Phase: one slave work batch through the alignment kernel. Finer

@@ -8,12 +8,34 @@
 //! and then splice the children's lsets into their own. The generator is
 //! resumable: [`PairGenerator::next_batch`] advances just far enough to
 //! satisfy the request and remembers everything else for the next call.
+//!
+//! The bookkeeping follows the nodes that can emit pairs:
+//!
+//! * **Leaves are read in place.** A leaf holding one suffix emits
+//!   nothing, so it is never scheduled and holds no lsets; its parent
+//!   reads it straight from the DFS array. A multi-suffix leaf is
+//!   scheduled for its own products only, and its parent reads it in
+//!   place too.
+//! * **Dense slots.** An internal node's lsets wait for its parent in a
+//!   slab entry (reused through a free list) that the node's slot — one
+//!   `u32` per forest node, indexed by subtree base plus DFS index —
+//!   points to. Children are gathered into a fixed array of five (at
+//!   most one child per `$ACGT`), and class products with an empty side
+//!   are skipped.
+//! * **Signature-gated dedup.** The cross-child duplicate-elimination
+//!   walk starts only at the first child whose string signature meets
+//!   an earlier sibling's; disjoint signatures prove there is nothing to
+//!   strip.
 
-use crate::lset::{class_of, Arena, Lsets, NUM_CLASSES};
+use crate::lset::{class_of, Arena, LsetIter, Lsets, NIL, NUM_CLASSES};
 use crate::pair::CandidatePair;
-use pace_gst::{LocalForest, NodeIdx};
+use pace_gst::{LocalForest, Node, NodeIdx, Subtree};
 use pace_seq::{SequenceStore, StrId, Strand};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+
+/// How many schedule entries ahead [`PairGenerator::next_batch_into`]
+/// touches the forest.
+const LOOKAHEAD: usize = 16;
 
 /// In which order promising pairs are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +74,8 @@ impl PairGenConfig {
 /// Counters describing a generator's work so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GenStats {
-    /// Forest nodes of depth ≥ ψ processed.
+    /// Forest nodes of depth ≥ ψ processed. Single-suffix leaves, which
+    /// emit nothing, are counted up front.
     pub nodes_processed: u64,
     /// Raw pairs produced by the Cartesian products, before any filtering.
     pub raw_pairs: u64,
@@ -70,22 +93,25 @@ pub struct PairGenerator<'s> {
     store: &'s SequenceStore,
     forest: &'s LocalForest,
     psi: u32,
-    /// `(subtree index, node index)` in processing order.
+    /// `(subtree index, node index)` in processing order: the internal
+    /// nodes and multi-suffix leaves of depth ≥ ψ.
     schedule: Vec<(u32, NodeIdx)>,
     /// Next schedule position to process.
     pos: usize,
-    /// Pending lsets per subtree, keyed by node index. Entries are
-    /// inserted when a node is processed and removed when its parent
-    /// consumes them, so the map tracks only the active frontier.
-    pending: Vec<HashMap<NodeIdx, Lsets>>,
+    /// Node `v` of subtree `t` owns `slot[base[t] + v]`.
+    base: Vec<usize>,
+    /// Per forest node, the `held` entry with its lsets, `NIL`, or
+    /// [`UNREAD`]. An internal node fills its slot when processed and its
+    /// parent empties it, so `held` tracks only the active frontier.
+    slot: Vec<u32>,
+    held: Vec<Lsets>,
+    /// Vacated `held` entries, reused before the slab grows.
+    free: Vec<u32>,
     arena: Arena,
     /// `marker[sid] == mark` ⇔ string seen at the node with id `mark`.
     marker: Vec<u64>,
     mark_ctr: u64,
-    buffer: VecDeque<CandidatePair>,
-    stats: GenStats,
-    /// Emission counts keyed by MCS length (ψ-tuning diagnostics).
-    emitted_by_len: std::collections::BTreeMap<u32, u64>,
+    out: Emissions,
 }
 
 impl<'s> PairGenerator<'s> {
@@ -98,22 +124,32 @@ impl<'s> PairGenerator<'s> {
             config.psi,
             forest.w
         );
-        let schedule = make_schedule(forest, config.psi, config.order);
-        let pending = forest.subtrees.iter().map(|_| HashMap::new()).collect();
-        let total_suffixes = forest.num_suffixes();
+        let Plan {
+            schedule,
+            lone_leaves,
+            base,
+            slot,
+        } = plan(forest, config.psi, config.order);
         PairGenerator {
             store,
             forest,
             psi: config.psi,
             schedule,
             pos: 0,
-            pending,
-            arena: Arena::with_capacity(total_suffixes),
+            base,
+            slot,
+            held: Vec::new(),
+            free: Vec::new(),
+            arena: Arena::with_capacity(forest.num_suffixes()),
             marker: vec![0; store.num_strings()],
             mark_ctr: 0,
-            buffer: VecDeque::new(),
-            stats: GenStats::default(),
-            emitted_by_len: std::collections::BTreeMap::new(),
+            out: Emissions {
+                stats: GenStats {
+                    nodes_processed: lone_leaves,
+                    ..GenStats::default()
+                },
+                ..Emissions::default()
+            },
         }
     }
 
@@ -124,27 +160,34 @@ impl<'s> PairGenerator<'s> {
 
     /// Whether every node has been processed and every pair delivered.
     pub fn is_exhausted(&self) -> bool {
-        self.pos == self.schedule.len() && self.buffer.is_empty()
+        self.pos == self.schedule.len() && self.out.buffer.is_empty()
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> GenStats {
-        self.stats
+        self.out.stats
     }
 
     /// How many pairs have been emitted per maximal-common-substring
     /// length so far — the distribution that informs the choice of ψ
     /// (pairs just above the threshold are the marginal candidates).
-    pub fn emitted_by_mcs_len(&self) -> &std::collections::BTreeMap<u32, u64> {
-        &self.emitted_by_len
+    pub fn emitted_by_mcs_len(&self) -> &BTreeMap<u32, u64> {
+        &self.out.by_len
     }
 
-    /// Approximate heap footprint of the generator's own state.
+    /// Approximate heap footprint of the generator's own state: the lset
+    /// arena, the marker array, the schedule, the slots with their slab
+    /// and free list, and the pair buffer.
     pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.arena.memory_bytes()
-            + self.marker.capacity() * 8
-            + self.schedule.capacity() * 8
-            + self.buffer.capacity() * std::mem::size_of::<CandidatePair>()
+            + self.marker.capacity() * size_of::<u64>()
+            + self.schedule.capacity() * size_of::<(u32, NodeIdx)>()
+            + self.base.capacity() * size_of::<usize>()
+            + self.slot.capacity() * size_of::<u32>()
+            + self.held.capacity() * size_of::<Lsets>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.out.buffer.capacity() * size_of::<CandidatePair>()
     }
 
     /// Produce up to `max` promising pairs, advancing the traversal only
@@ -161,13 +204,19 @@ impl<'s> PairGenerator<'s> {
     /// one allocation for the whole run.
     pub fn next_batch_into(&mut self, max: usize, out: &mut Vec<CandidatePair>) {
         out.clear();
-        while self.buffer.len() < max && self.pos < self.schedule.len() {
+        while self.out.buffer.len() < max && self.pos < self.schedule.len() {
+            // Touch a node a few steps ahead so its cache miss overlaps
+            // this node's work: the depth order visits the forest out of
+            // memory order.
+            if let Some(&(t, v)) = self.schedule.get(self.pos + LOOKAHEAD) {
+                std::hint::black_box(self.forest.subtrees[t as usize].depth(v));
+            }
             let (t, v) = self.schedule[self.pos];
             self.pos += 1;
             self.process_node(t as usize, v);
         }
-        let take = max.min(self.buffer.len());
-        out.extend(self.buffer.drain(..take));
+        let take = max.min(self.out.buffer.len());
+        out.extend(self.out.buffer.drain(..take));
     }
 
     /// Drain every remaining pair (convenience for tests and the baseline).
@@ -184,23 +233,20 @@ impl<'s> PairGenerator<'s> {
     }
 
     fn process_node(&mut self, t: usize, v: NodeIdx) {
-        self.stats.nodes_processed += 1;
-        if self.forest.subtrees[t].is_leaf(v) {
-            self.process_leaf(t, v);
+        self.out.stats.nodes_processed += 1;
+        let tree = &self.forest.subtrees[t];
+        if tree.is_leaf(v) {
+            self.process_leaf(tree, v);
         } else {
             self.process_internal(t, v);
         }
     }
 
-    /// `ProcessLeaf`: build the lsets from the leaf labels, keeping one
-    /// occurrence per string, then emit the products of different-class
-    /// lsets plus the unordered pairs within `l_λ`.
-    fn process_leaf(&mut self, t: usize, v: NodeIdx) {
-        let tree = &self.forest.subtrees[t];
-        let depth = tree.depth(v);
+    /// The lsets of leaf `v`, read in place from the DFS array: one entry
+    /// per string, classed by the left character of its suffix.
+    fn read_leaf(&mut self, tree: &Subtree, v: NodeIdx) -> Lsets {
         self.mark_ctr += 1;
         let mark = self.mark_ctr;
-
         let mut lsets = Lsets::new();
         for suf in tree.leaf_suffixes(v) {
             if self.marker[suf.sid as usize] == mark {
@@ -211,33 +257,34 @@ impl<'s> PairGenerator<'s> {
             let e = self.arena.alloc(suf.sid, suf.off);
             lsets.push(&mut self.arena, class, e);
         }
+        lsets
+    }
 
+    /// `ProcessLeaf` for a multi-suffix leaf: emit the products of
+    /// different-class lsets plus the unordered pairs within `l_λ`. The
+    /// lsets live at the arena's tail only for the emission — the parent
+    /// reads the leaf again in place — so the arena never outgrows the
+    /// forest's suffix count.
+    fn process_leaf(&mut self, tree: &Subtree, v: NodeIdx) {
+        let top = self.arena.len();
+        let lsets = self.read_leaf(tree, v);
+        let depth = tree.depth(v);
+        let (arena, out) = (&self.arena, &mut self.out);
         // P_v = ⋃ l_ci × l_cj for ci < cj, plus l_λ × l_λ (unordered).
-        let arena = &self.arena;
-        let buffer = &mut self.buffer;
-        let stats = &mut self.stats;
-        let hist = &mut self.emitted_by_len;
         for ci in 0..NUM_CLASSES {
             for cj in (ci + 1)..NUM_CLASSES {
-                for (sid1, off1) in lsets.iter(arena, ci) {
-                    for (sid2, off2) in lsets.iter(arena, cj) {
-                        emit(buffer, stats, hist, sid1, off1, sid2, off2, depth);
-                    }
-                }
+                out.product(lsets.iter(arena, ci), lsets.iter(arena, cj), depth);
             }
         }
         // λ × λ: both suffixes are whole strings; the shared prefix is
         // trivially left-maximal at the string boundary.
-        let lambda: Vec<(u32, u32)> = lsets.iter(arena, 0).collect();
-        for i in 0..lambda.len() {
-            for j in (i + 1)..lambda.len() {
-                let (s1, o1) = lambda[i];
-                let (s2, o2) = lambda[j];
-                emit(buffer, stats, hist, s1, o1, s2, o2, depth);
+        let mut rest = lsets.iter(arena, 0);
+        while let Some(a) = rest.next() {
+            for b in rest.clone() {
+                out.emit(a, b, depth);
             }
         }
-
-        self.pending[t].insert(v, lsets);
+        self.arena.truncate(top);
     }
 
     /// `ProcessInternalNode`: eliminate duplicate strings across the
@@ -245,162 +292,253 @@ impl<'s> PairGenerator<'s> {
     /// different characters (or both λ), then union the lsets upward.
     fn process_internal(&mut self, t: usize, v: NodeIdx) {
         let tree = &self.forest.subtrees[t];
-        let depth = tree.depth(v);
-        let children: Vec<NodeIdx> = tree.children(v).collect();
+        let base = self.base[t];
+        // At most one child per `$ACGT`.
+        let mut kids = [Lsets::new(); 5];
+        let mut n = 0;
+        for u in tree.children(v) {
+            kids[n] = if tree.is_leaf(u) {
+                self.read_leaf(tree, u)
+            } else {
+                self.take(base + u as usize)
+            };
+            n += 1;
+        }
+        let kids = &mut kids[..n];
         self.mark_ctr += 1;
         let mark = self.mark_ctr;
 
-        // Step 1: take ownership of each child's lsets and strip strings
-        // already seen at this node (shared mark ⇒ cross-child dedup).
-        let mut child_lsets: Vec<Lsets> = Vec::with_capacity(children.len());
-        for &u in &children {
-            let mut ls = self.pending[t]
-                .remove(&u)
-                .expect("child must be processed before its parent");
-            ls.dedup_against(&mut self.arena, &mut self.marker, mark);
-            child_lsets.push(ls);
+        // Step 1: strip strings already seen in an earlier child (shared
+        // mark ⇒ cross-child dedup). A child whose signature misses all
+        // of its elders' has nothing to strip; the walk starts at the
+        // first child that meets them, marking the skipped elders first.
+        let mut seen = 0u64;
+        let mut walked = 0;
+        for k in 0..n {
+            if kids[k].sig() & seen != 0 {
+                for ls in &mut kids[walked..=k] {
+                    ls.dedup_against(&mut self.arena, &mut self.marker, mark);
+                }
+                walked = k + 1;
+            }
+            seen |= kids[k].sig();
         }
 
         // Step 2: P_v = ⋃ l_ci(u_k) × l_cj(u_l), k < l, ci ≠ cj or both λ.
-        let arena = &self.arena;
-        let buffer = &mut self.buffer;
-        let stats = &mut self.stats;
-        let hist = &mut self.emitted_by_len;
-        for k in 0..child_lsets.len() {
-            for l in (k + 1)..child_lsets.len() {
+        let depth = tree.depth(v);
+        let (arena, out) = (&self.arena, &mut self.out);
+        for k in 0..n {
+            for l in (k + 1)..n {
                 for ci in 0..NUM_CLASSES {
+                    if kids[k].head(ci) == NIL {
+                        continue;
+                    }
                     for cj in 0..NUM_CLASSES {
-                        if ci == cj && ci != 0 {
+                        if (ci == cj && ci != 0) || kids[l].head(cj) == NIL {
                             continue;
                         }
-                        for (sid1, off1) in child_lsets[k].iter(arena, ci) {
-                            for (sid2, off2) in child_lsets[l].iter(arena, cj) {
-                                emit(buffer, stats, hist, sid1, off1, sid2, off2, depth);
-                            }
-                        }
+                        out.product(kids[k].iter(arena, ci), kids[l].iter(arena, cj), depth);
                     }
                 }
             }
         }
 
-        // Step 3: l_c(v) = ⋃_k l_c(u_k) — O(|Σ|²) splices, children freed.
-        let mut merged = Lsets::new();
-        for ls in child_lsets {
-            merged.append(&mut self.arena, ls);
+        // Step 3: l_c(v) = ⋃_k l_c(u_k) — O(|Σ|²) splices — for the
+        // parent to take, if it is in scope.
+        let s = base + v as usize;
+        if self.slot[s] != UNREAD {
+            let mut merged = kids[0];
+            for &ls in &kids[1..] {
+                merged.append(&mut self.arena, ls);
+            }
+            self.hold(s, merged);
         }
-        self.pending[t].insert(v, merged);
+    }
+
+    /// Park `lsets` in slot `s` until the parent takes them.
+    fn hold(&mut self, s: usize, lsets: Lsets) {
+        self.slot[s] = match self.free.pop() {
+            Some(h) => {
+                self.held[h as usize] = lsets;
+                h
+            }
+            None => {
+                self.held.push(lsets);
+                (self.held.len() - 1) as u32
+            }
+        };
+    }
+
+    /// Take the lsets parked in slot `s`, freeing its slab entry.
+    fn take(&mut self, s: usize) -> Lsets {
+        let h = std::mem::replace(&mut self.slot[s], NIL);
+        assert!(h != NIL, "child must be processed before its parent");
+        self.free.push(h);
+        self.held[h as usize]
     }
 }
 
-/// Build the node-processing schedule without a comparison sort.
+/// Whether node `v` (at `node`) is a leaf holding a single suffix: it
+/// emits nothing, so its parent reads it in place instead of it being
+/// scheduled.
+#[inline]
+fn is_lone_leaf(node: &Node, v: NodeIdx) -> bool {
+    node.rightmost == v && node.suf_end - node.suf_start == 1
+}
+
+/// What the generator works out from its forest before the first node.
+struct Plan {
+    /// `(subtree index, node index)` in processing order.
+    schedule: Vec<(u32, NodeIdx)>,
+    /// In-scope single-suffix leaves, left out of the schedule.
+    lone_leaves: u64,
+    /// Each subtree's first slot.
+    base: Vec<usize>,
+    /// One slot per forest node: `NIL`, or [`UNREAD`] for an in-scope
+    /// internal node whose parent is out of scope.
+    slot: Vec<u32>,
+}
+
+/// Slot value of an internal node whose parent is out of scope: nobody
+/// will read its lsets, so it holds none.
+const UNREAD: u32 = NIL - 1;
+
+/// Plan a generator over `forest`: build the node-processing schedule
+/// without a comparison sort, and mark the [`UNREAD`] slots.
 ///
 /// String-depths are bounded by the longest stored string, so the
-/// decreasing-MCS order is a bucket sort over `max_depth − ψ + 1` depth
-/// buckets — O(nodes + depth range) instead of O(nodes · log nodes).
-/// The fill order reproduces the old comparator's
-/// `(Reverse(depth), t, Reverse(v))` key byte-for-byte: buckets are
-/// scanned deepest first, and within a bucket entries arrive in
-/// ascending subtree order with descending node index (the tie-break
-/// that puts equal-depth terminator leaves before their parents, keeping
-/// children ahead of parents everywhere).
-fn make_schedule(forest: &LocalForest, psi: u32, order: PairOrder) -> Vec<(u32, NodeIdx)> {
-    // Pass 1: per-depth histogram of in-scope nodes.
-    let mut max_depth = 0u32;
-    let mut total = 0usize;
+/// decreasing-MCS order is a bucket sort over the depth range —
+/// O(nodes + depth range) instead of O(nodes · log nodes). The fill
+/// order reproduces the old comparator's `(Reverse(depth), t, Reverse(v))`
+/// key byte-for-byte: buckets are scanned deepest first, and within a
+/// bucket entries arrive in ascending subtree order with descending node
+/// index (the tie-break that puts equal-depth terminator leaves before
+/// their parents, keeping children ahead of parents everywhere).
+fn plan(forest: &LocalForest, psi: u32, order: PairOrder) -> Plan {
+    let mut base = Vec::with_capacity(forest.subtrees.len());
+    let mut nodes = 0;
     for tree in &forest.subtrees {
-        for (_, depth) in tree.node_depths() {
-            if depth >= psi {
-                total += 1;
-                max_depth = max_depth.max(depth);
+        base.push(nodes);
+        nodes += tree.len();
+    }
+    let mut slot = vec![NIL; nodes];
+    // Pass 1: per-depth histogram of the scheduled nodes. In-scope nodes
+    // form whole DFS ranges (a child is at least as deep as its parent),
+    // so a node past the end of the last range is the top of a new one.
+    let mut by_depth: Vec<usize> = Vec::new();
+    let mut lone_leaves = 0u64;
+    for (tree, &b) in forest.subtrees.iter().zip(&base) {
+        let mut range_end = None;
+        for (v, node) in tree.nodes().iter().enumerate() {
+            let v = v as NodeIdx;
+            if node.depth < psi {
+                continue;
             }
+            if range_end.is_none_or(|end| v > end) {
+                range_end = Some(node.rightmost);
+                if node.rightmost != v {
+                    slot[b + v as usize] = UNREAD;
+                }
+            }
+            if is_lone_leaf(node, v) {
+                lone_leaves += 1;
+                continue;
+            }
+            let d = node.depth as usize;
+            if d >= by_depth.len() {
+                by_depth.resize(d + 1, 0);
+            }
+            by_depth[d] += 1;
         }
     }
-    if total == 0 {
-        return Vec::new();
-    }
+    let total: usize = by_depth.iter().sum();
     let mut schedule = vec![(0u32, 0 as NodeIdx); total];
-    match order {
-        PairOrder::DecreasingMcs => {
-            // Bucket b holds depth `max_depth − b`, so bucket order is
-            // decreasing depth.
-            let mut offsets = vec![0usize; (max_depth - psi + 2) as usize];
-            for tree in &forest.subtrees {
-                for (_, depth) in tree.node_depths() {
-                    if depth >= psi {
-                        offsets[(max_depth - depth + 1) as usize] += 1;
-                    }
-                }
-            }
-            for b in 1..offsets.len() {
-                offsets[b] += offsets[b - 1];
-            }
-            for (t, tree) in forest.subtrees.iter().enumerate() {
-                for v in (0..tree.len() as NodeIdx).rev() {
-                    let depth = tree.depth(v);
-                    if depth >= psi {
-                        let b = (max_depth - depth) as usize;
-                        schedule[offsets[b]] = (t as u32, v);
-                        offsets[b] += 1;
-                    }
-                }
-            }
-        }
-        PairOrder::Arbitrary => {
-            // Reverse DFS order per subtree still guarantees children
-            // before parents, but imposes no cross-depth order.
-            let mut next = 0usize;
-            for (t, tree) in forest.subtrees.iter().enumerate() {
-                for v in (0..tree.len() as NodeIdx).rev() {
-                    if tree.depth(v) >= psi {
-                        schedule[next] = (t as u32, v);
-                        next += 1;
-                    }
-                }
-            }
-            debug_assert_eq!(next, total);
+    // Pass 2: fill in reverse DFS order per subtree, which keeps children
+    // ahead of parents. `next[d]` is where the next depth-`d` node goes:
+    // deeper buckets first for the paper's order, one shared cursor for
+    // tree order.
+    let mut next = vec![0usize; by_depth.len()];
+    if order == PairOrder::DecreasingMcs {
+        let mut at = 0;
+        for d in (0..by_depth.len()).rev() {
+            next[d] = at;
+            at += by_depth[d];
         }
     }
-    schedule
+    let mut cursor = 0usize;
+    for (t, tree) in forest.subtrees.iter().enumerate() {
+        for (v, node) in tree.nodes().iter().enumerate().rev() {
+            let v = v as NodeIdx;
+            if node.depth < psi || is_lone_leaf(node, v) {
+                continue;
+            }
+            let at = match order {
+                PairOrder::DecreasingMcs => &mut next[node.depth as usize],
+                PairOrder::Arbitrary => &mut cursor,
+            };
+            schedule[*at] = (t as u32, v);
+            *at += 1;
+        }
+    }
+    Plan {
+        schedule,
+        lone_leaves,
+        base,
+        slot,
+    }
 }
 
-/// Filter and normalize one raw pair, pushing it to the buffer if it
-/// survives (see [`CandidatePair`] for the normalization rules).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    buffer: &mut VecDeque<CandidatePair>,
-    stats: &mut GenStats,
-    hist: &mut std::collections::BTreeMap<u32, u64>,
-    sid1: u32,
-    off1: u32,
-    sid2: u32,
-    off2: u32,
-    depth: u32,
-) {
-    stats.raw_pairs += 1;
-    let (x, y) = (StrId(sid1), StrId(sid2));
-    if x.est() == y.est() {
-        stats.discarded_self += 1;
-        return;
+/// Where surviving pairs go: the batch buffer, the counters and the
+/// MCS-length histogram.
+#[derive(Default)]
+struct Emissions {
+    buffer: VecDeque<CandidatePair>,
+    stats: GenStats,
+    /// Emission counts keyed by MCS length (ψ-tuning diagnostics).
+    by_len: BTreeMap<u32, u64>,
+}
+
+impl Emissions {
+    /// Emit every pair of `a × b`, `a` in the outer loop.
+    #[inline]
+    fn product(&mut self, a: LsetIter<'_>, b: LsetIter<'_>, depth: u32) {
+        for x in a {
+            for y in b.clone() {
+                self.emit(x, y, depth);
+            }
+        }
     }
-    let ((s1, o1), (s2, o2)) = if x.est() < y.est() {
-        ((x, off1), (y, off2))
-    } else {
-        ((y, off2), (x, off1))
-    };
-    if s1.strand() == Strand::Reverse {
-        stats.discarded_mirror += 1;
-        return;
+
+    /// Filter and normalize one raw pair of `(sid, off)` occurrences,
+    /// buffering it if it survives (see [`CandidatePair`] for the
+    /// normalization rules).
+    #[inline]
+    fn emit(&mut self, (sid1, off1): (u32, u32), (sid2, off2): (u32, u32), depth: u32) {
+        self.stats.raw_pairs += 1;
+        let (x, y) = (StrId(sid1), StrId(sid2));
+        if x.est() == y.est() {
+            self.stats.discarded_self += 1;
+            return;
+        }
+        let ((s1, o1), (s2, o2)) = if x.est() < y.est() {
+            ((x, off1), (y, off2))
+        } else {
+            ((y, off2), (x, off1))
+        };
+        if s1.strand() == Strand::Reverse {
+            self.stats.discarded_mirror += 1;
+            return;
+        }
+        self.stats.emitted += 1;
+        *self.by_len.entry(depth).or_insert(0) += 1;
+        self.buffer.push_back(CandidatePair {
+            s1,
+            s2,
+            off1: o1,
+            off2: o2,
+            mcs_len: depth,
+        });
     }
-    stats.emitted += 1;
-    *hist.entry(depth).or_insert(0) += 1;
-    buffer.push_back(CandidatePair {
-        s1,
-        s2,
-        off1: o1,
-        off2: o2,
-        mcs_len: depth,
-    });
 }
 
 #[cfg(test)]
@@ -634,6 +772,44 @@ mod tests {
         assert_eq!(canon(&sorted), canon(&arbitrary));
     }
 
+    #[test]
+    fn exhausted_run_counts_every_in_scope_node() {
+        let s = store(&[
+            b"TTTTACGGTTCAGGATGGCTTA",
+            b"ACGGTTCAGGATGGCTTAGGCC",
+            b"CATCATGGCTTAGGCCAATT",
+        ]);
+        let forest = build_sequential(&s, 2);
+        let in_scope = forest
+            .subtrees
+            .iter()
+            .flat_map(|t| t.node_depths())
+            .filter(|&(_, d)| d >= 6)
+            .count() as u64;
+        let mut g = PairGenerator::new(&s, &forest, PairGenConfig::new(6));
+        g.generate_all();
+        assert_eq!(g.stats().nodes_processed, in_scope);
+        // Leaves are read in place once each, so the arena never outgrows
+        // its preallocation.
+        assert!(g.arena.len() <= forest.num_suffixes());
+        assert!(g.memory_bytes() >= g.slot.len() * 4 + g.held.len() * std::mem::size_of::<Lsets>());
+    }
+
+    #[test]
+    fn shared_multi_suffix_leaf_emits_its_products() {
+        // Two ESTs ending in the same 10-base suffix share a leaf whose
+        // products are the only pairs at that depth.
+        let s = store(&[b"CCCCACGGTTCAGG", b"TTTTTACGGTTCAGG"]);
+        let (pairs, stats) = generate(&s, 2, 10);
+        assert!(pairs
+            .iter()
+            .any(|p| p.est_indices() == (0, 1) && p.mcs_len == 10));
+        assert_eq!(
+            stats.raw_pairs,
+            stats.discarded_self + stats.discarded_mirror + stats.emitted
+        );
+    }
+
     /// Pair-id multiset of the emissions, for quantitative checks.
     fn emission_counts(pairs: &[CandidatePair]) -> BTreeMap<(u32, u32), usize> {
         let mut m = BTreeMap::new();
@@ -653,7 +829,9 @@ mod tests {
         )
     }
 
-    /// The pre-rewrite schedule: comparator sort over the collected nodes.
+    /// The pre-rewrite schedule: comparator sort over the collected
+    /// nodes, with the same filter for scheduled nodes (single-suffix
+    /// leaves are read in place).
     fn comparator_schedule(
         forest: &pace_gst::LocalForest,
         psi: u32,
@@ -662,7 +840,7 @@ mod tests {
         let mut schedule = Vec::new();
         for (t, tree) in forest.subtrees.iter().enumerate() {
             for (v, depth) in tree.node_depths() {
-                if depth >= psi {
+                if depth >= psi && tree.leaf_suffixes(v).len() != 1 {
                     schedule.push((t as u32, v));
                 }
             }
@@ -693,33 +871,66 @@ mod tests {
             let forest = build_sequential(&s, w);
             let psi = w as u32 + psi_extra;
             for order in [PairOrder::DecreasingMcs, PairOrder::Arbitrary] {
-                let fast = super::make_schedule(&forest, psi, order);
+                let fast = super::plan(&forest, psi, order).schedule;
                 let reference = comparator_schedule(&forest, psi, order);
                 prop_assert_eq!(&fast, &reference, "order {:?} psi {}", order, psi);
             }
         }
 
-        /// `DecreasingMcs` still processes every child before its parent
-        /// (the invariant `process_internal` relies on when it pops the
-        /// children's pending lsets).
+        /// `DecreasingMcs` still processes every scheduled child before
+        /// its parent (the invariant `process_internal` relies on when it
+        /// takes the children's held lsets), and leaves out exactly the
+        /// in-scope single-suffix leaves, which it counts. The slots mark
+        /// exactly the in-scope internal nodes without an in-scope parent.
         #[test]
-        fn decreasing_mcs_yields_children_before_parents(ests in dna_ests(), w in 1usize..3) {
+        fn decreasing_mcs_yields_children_before_parents(
+            ests in dna_ests(),
+            w in 1usize..3,
+            psi_extra in 0u32..6,
+        ) {
             let s = SequenceStore::from_ests(&ests).unwrap();
             let forest = build_sequential(&s, w);
-            let schedule = super::make_schedule(&forest, w as u32, PairOrder::DecreasingMcs);
+            let psi = w as u32 + psi_extra;
+            let plan = super::plan(&forest, psi, PairOrder::DecreasingMcs);
             let mut position = std::collections::HashMap::new();
-            for (i, &(t, v)) in schedule.iter().enumerate() {
+            for (i, &(t, v)) in plan.schedule.iter().enumerate() {
                 position.insert((t, v), i);
             }
+            let mut unscheduled = 0u64;
             for (t, tree) in forest.subtrees.iter().enumerate() {
+                let mut in_scope_parent = vec![false; tree.len()];
+                for v in 0..tree.len() as u32 {
+                    let in_scope = tree.depth(v) >= psi;
+                    for c in tree.children(v) {
+                        in_scope_parent[c as usize] = in_scope;
+                    }
+                    let top = in_scope && !tree.is_leaf(v) && !in_scope_parent[v as usize];
+                    prop_assert_eq!(
+                        plan.slot[plan.base[t] + v as usize] == super::UNREAD,
+                        top,
+                        "node {} slot mark",
+                        v
+                    );
+                }
                 for v in 0..tree.len() as u32 {
                     let Some(&pv) = position.get(&(t as u32, v)) else {
+                        if tree.depth(v) >= psi {
+                            prop_assert!(
+                                tree.is_leaf(v) && tree.leaf_suffixes(v).len() == 1,
+                                "in-scope node {} is neither scheduled nor a single-suffix leaf",
+                                v
+                            );
+                            unscheduled += 1;
+                        }
                         continue;
                     };
                     for c in tree.children(v) {
                         // In-scope parents have in-scope children (child
-                        // depth ≥ parent depth ≥ ψ).
-                        let pc = position[&(t as u32, c)];
+                        // depth ≥ parent depth ≥ ψ); only single-suffix
+                        // leaves among them go unscheduled.
+                        let Some(&pc) = position.get(&(t as u32, c)) else {
+                            continue;
+                        };
                         prop_assert!(
                             pc < pv,
                             "child {} (pos {}) scheduled after parent {} (pos {})",
@@ -728,6 +939,7 @@ mod tests {
                     }
                 }
             }
+            prop_assert_eq!(unscheduled, plan.lone_leaves);
         }
 
         /// The three paper lemmas, verified against brute force on the

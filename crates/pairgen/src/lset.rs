@@ -10,7 +10,10 @@
 //! Representation: one shared arena of singly-linked entries per
 //! generator, so the Step-3 union of child lsets is O(|Σ|²) pointer
 //! splices and the total lset storage stays O(N). Entries carry the suffix
-//! offset so the witnessing occurrence survives to the aligner.
+//! offset so the witnessing occurrence survives to the aligner. Each
+//! [`Lsets`] also carries a 64-bit string signature (bit `sid % 64` per
+//! string it ever held): two lsets with disjoint signatures share no
+//! string, which lets the generator skip the duplicate-elimination walk.
 
 /// Sentinel "null" index in the arena.
 pub const NIL: u32 = u32::MAX;
@@ -87,10 +90,18 @@ impl Arena {
         self.next[e as usize] = n;
     }
 
-    /// Number of entries ever allocated (entries are recycled by list
+    /// Number of entries allocated (entries are recycled by list
     /// splicing, never freed individually — total is O(suffixes)).
     pub fn len(&self) -> usize {
         self.sid.len()
+    }
+
+    /// Drop every entry allocated at or after `len`, so a short-lived
+    /// list built at the arena's tail gives its room back.
+    pub fn truncate(&mut self, len: usize) {
+        self.sid.truncate(len);
+        self.off.truncate(len);
+        self.next.truncate(len);
     }
 
     /// Whether the arena has no entries.
@@ -104,11 +115,13 @@ impl Arena {
     }
 }
 
-/// The five lset lists of one node: head/tail per class.
+/// The five lset lists of one node: head/tail per class, plus the
+/// string signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lsets {
     head: [u32; NUM_CLASSES],
     tail: [u32; NUM_CLASSES],
+    sig: u64,
 }
 
 impl Default for Lsets {
@@ -116,6 +129,7 @@ impl Default for Lsets {
         Lsets {
             head: [NIL; NUM_CLASSES],
             tail: [NIL; NUM_CLASSES],
+            sig: 0,
         }
     }
 }
@@ -132,8 +146,18 @@ impl Lsets {
         self.head[c]
     }
 
+    /// The string signature: bit `sid % 64` is set for every string
+    /// pushed or appended. A superset after
+    /// [`dedup_against`](Self::dedup_against) strips strings, which keeps
+    /// "disjoint signatures ⇒ no shared string" sound.
+    #[inline]
+    pub fn sig(&self) -> u64 {
+        self.sig
+    }
+
     /// Append entry `e` (must be detached) to class `c`.
     pub fn push(&mut self, arena: &mut Arena, c: usize, e: u32) {
+        self.sig |= 1 << (arena.sid(e) % 64);
         arena.set_next(e, NIL);
         if self.head[c] == NIL {
             self.head[c] = e;
@@ -147,6 +171,7 @@ impl Lsets {
     /// class — the O(|Σ|²)-concatenations union of Step 3. `other` is
     /// consumed.
     pub fn append(&mut self, arena: &mut Arena, other: Lsets) {
+        self.sig |= other.sig;
         for c in 0..NUM_CLASSES {
             if other.head[c] == NIL {
                 continue;
@@ -203,7 +228,9 @@ impl Lsets {
     }
 }
 
-/// Iterator over one lset list, yielding `(sid, off)` pairs.
+/// Iterator over one lset list, yielding `(sid, off)` pairs. Cloning it
+/// restarts nothing: the clone continues from the current position.
+#[derive(Clone)]
 pub struct LsetIter<'a> {
     arena: &'a Arena,
     cur: u32,
@@ -339,6 +366,45 @@ mod tests {
         let mut marker = vec![0u64; 4];
         ls.dedup_against(&mut arena, &mut marker, 9);
         assert_eq!(ls.total_len(&arena), 0);
+    }
+
+    #[test]
+    fn signature_covers_pushed_and_appended_strings() {
+        let mut arena = Arena::default();
+        let mut a = Lsets::new();
+        let mut b = Lsets::new();
+        assert_eq!(a.sig(), 0);
+        let e = arena.alloc(3, 0);
+        a.push(&mut arena, 1, e);
+        let e = arena.alloc(64 + 5, 0);
+        b.push(&mut arena, 0, e);
+        assert_eq!(a.sig(), 1 << 3);
+        assert_eq!(b.sig(), 1 << 5);
+        assert!(a.head(0) == NIL && a.head(1) != NIL);
+        a.append(&mut arena, b);
+        assert_eq!(a.sig(), (1 << 3) | (1 << 5));
+        // Stripping a string leaves the signature a superset.
+        let mut marker = vec![0u64; 80];
+        marker[3] = 7;
+        a.dedup_against(&mut arena, &mut marker, 7);
+        assert_eq!(a.head(1), NIL);
+        assert_eq!(a.sig(), (1 << 3) | (1 << 5));
+    }
+
+    #[test]
+    fn truncate_releases_the_tail() {
+        let mut arena = Arena::with_capacity(4);
+        arena.alloc(1, 2);
+        let top = arena.len();
+        let mut ls = Lsets::new();
+        for i in 0..3u32 {
+            let e = arena.alloc(i, 0);
+            ls.push(&mut arena, 2, e);
+        }
+        assert_eq!(ls.total_len(&arena), 3);
+        arena.truncate(top);
+        assert_eq!(arena.len(), 1);
+        assert_eq!((arena.sid(0), arena.off(0)), (1, 2));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 # Compares the smoke bench's cross-rep phase minima (bench_out/smoke.json,
 # written by `target/release/smoke` with PACE_METRICS_DIR set) against the
 # committed reference in bench/baseline.json. Fails when a *gated* phase —
-# alignment, gst_construction, node_sorting, myers_kernel or
-# sketch_prefilter, the phases and kernels this code path owns —
-# regresses by more than the tolerance (default 25%). The other
+# alignment, gst_construction, node_sorting, pairgen_kernel,
+# myers_kernel or sketch_prefilter, the phases and kernels this code path
+# owns — regresses by more than the tolerance (default 25%). The other
 # phases and the total
 # are reported for context but never fail the gate: on shared CI runners
 # their noise swamps any signal.
@@ -93,6 +93,7 @@ GATED = (
     "alignment",
     "gst_construction",
     "node_sorting",
+    "pairgen_kernel",
     "myers_kernel",
     "sketch_prefilter",
 )

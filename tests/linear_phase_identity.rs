@@ -1,7 +1,8 @@
 //! Byte-identity pins for the linear-time phase rewrite.
 //!
 //! The counting-sort subtree builder, the depth-bucketed node schedule,
-//! and the dynamic rayon-shim scheduler must all be *pure speedups*:
+//! the dense-slot pair generator, and the dynamic rayon-shim scheduler
+//! must all be *pure speedups*:
 //! the trees, the emitted pair stream (order included), and the final
 //! partitions have to be bit-for-bit what the comparison-sort code
 //! produced. The fingerprints below were captured from the pre-rewrite
@@ -10,7 +11,7 @@
 
 use pace::cluster::{cluster_parallel, cluster_sequential, ClusterConfig};
 use pace::gst::build_sequential;
-use pace::pairgen::{PairGenConfig, PairGenerator};
+use pace::pairgen::{GenStats, PairGenConfig, PairGenerator, PairOrder};
 use pace::{SequenceStore, SimConfig};
 
 /// Pinned seeds; chosen to overlap the CI fault-matrix seeds.
@@ -43,13 +44,13 @@ impl Fnv {
     }
 }
 
-/// Fingerprint of the full promising-pair stream, order included: pins
-/// both the subtree construction (leaf/arena layout) and the node
-/// schedule (emission order).
-fn pair_stream_fingerprint(store: &SequenceStore, psi: u32) -> u64 {
-    let forest = build_sequential(store, 8);
-    let mut g = PairGenerator::new(store, &forest, PairGenConfig::new(psi));
-    let mut h = Fnv::new();
+/// Hash the full promising-pair stream into `h`, order included, and
+/// return the exhausted generator's counters. The stream pins both the
+/// subtree construction (leaf/arena layout) and the node schedule
+/// (emission order).
+fn hash_pair_stream(h: &mut Fnv, store: &SequenceStore, w: usize, cfg: PairGenConfig) -> GenStats {
+    let forest = build_sequential(store, w);
+    let mut g = PairGenerator::new(store, &forest, cfg);
     loop {
         let batch = g.next_batch(512);
         if batch.is_empty() {
@@ -63,7 +64,43 @@ fn pair_stream_fingerprint(store: &SequenceStore, psi: u32) -> u64 {
             h.push(p.mcs_len as u64);
         }
     }
+    g.stats()
+}
+
+/// Fingerprint of the pair stream at w 8.
+fn pair_stream_fingerprint(store: &SequenceStore, psi: u32) -> u64 {
+    let mut h = Fnv::new();
+    hash_pair_stream(&mut h, store, 8, PairGenConfig::new(psi));
     h.finish()
+}
+
+/// Fingerprint of the pair stream followed by all five exhausted
+/// [`GenStats`] counters.
+fn pair_stream_and_stats_fingerprint(store: &SequenceStore, w: usize, cfg: PairGenConfig) -> u64 {
+    let mut h = Fnv::new();
+    let st = hash_pair_stream(&mut h, store, w, cfg);
+    for counter in [
+        st.nodes_processed,
+        st.raw_pairs,
+        st.discarded_self,
+        st.discarded_mirror,
+        st.emitted,
+    ] {
+        h.push(counter);
+    }
+    h.finish()
+}
+
+/// A repeat-heavy library: two 200 bp motifs carried by 90% of the
+/// genes, so many lsets share strings across children.
+fn repeat_heavy_dataset(seed: u64) -> SequenceStore {
+    let ds = pace::simulate::generate(&SimConfig {
+        repeat_motifs: 2,
+        repeat_len: 200,
+        repeat_gene_prob: 0.9,
+        ..SimConfig::sized(200, seed)
+    });
+    SequenceStore::from_ests(&ds.ests).unwrap()
 }
 
 /// Fingerprint of the DFS node arrays of every subtree, order included.
@@ -124,6 +161,38 @@ fn pair_stream_matches_pre_rewrite_fingerprints() {
             "pair stream diverged from pre-rewrite order (seed {seed}): got {got:#018x}"
         );
     }
+}
+
+#[test]
+fn pair_stream_and_stats_match_pinned_fingerprints() {
+    // Captured at the parent of the dense-slot generator rewrite. Per
+    // seed: a repeat-heavy library (w 8, ψ 20), a short window (w 4,
+    // ψ 8), and tree order (w 8, ψ 20, `PairOrder::Arbitrary`).
+    const PINNED: [[u64; 3]; 3] = [
+        [0x82cfb79c247b985d, 0x6adf8047572f9f4e, 0x9b43ec0783e43bec],
+        [0xa99ac05d9e2a7756, 0x1fd4159fde47a7f9, 0xa57672756442764c],
+        [0xbbf2bb7cf2f5a616, 0x308ce9e2ee42dd47, 0x8aa5ffae6b429ca8],
+    ];
+    let arbitrary = PairGenConfig {
+        order: PairOrder::Arbitrary,
+        ..PairGenConfig::new(20)
+    };
+    let got = SEEDS.map(|seed| {
+        let store = dataset(160, seed);
+        [
+            pair_stream_and_stats_fingerprint(
+                &repeat_heavy_dataset(seed),
+                8,
+                PairGenConfig::new(20),
+            ),
+            pair_stream_and_stats_fingerprint(&store, 4, PairGenConfig::new(8)),
+            pair_stream_and_stats_fingerprint(&store, 8, arbitrary),
+        ]
+    });
+    assert_eq!(
+        got, PINNED,
+        "pair stream or GenStats diverged (rows: seeds {SEEDS:?}; columns: repeat-heavy, w 4 psi 8, arbitrary order)"
+    );
 }
 
 #[test]
