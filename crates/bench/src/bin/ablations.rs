@@ -10,9 +10,10 @@
 //! 3. anchored banded extension vs full-width DP;
 //! 4. the ψ threshold's effect on pair volume and quality.
 
-use pace_bench::{banner, dataset, paper_cfg, scaled, secs};
-use pace_cluster::{align_pair, cluster_sequential, ClusterConfig, ClusterCore};
+use pace_bench::{banner, dataset, paper_cfg, scaled, secs, timed_run};
+use pace_cluster::{align_pair, ClusterConfig, ClusterCore};
 use pace_dsu::DisjointSets;
+use pace_obs::metric;
 use pace_pairgen::{CandidatePair, PairGenConfig, PairGenerator};
 use pace_quality::assess;
 use pace_seq::SequenceStore;
@@ -112,12 +113,12 @@ fn main() {
     for psi in [12u32, 20, 35, 60] {
         let mut c = paper_cfg();
         c.psi = psi;
-        let r = cluster_sequential(&store, &c);
+        let (r, t) = timed_run(&store, &c, 1);
         report(
             &format!("psi = {psi}"),
             r.stats.pairs_processed,
             r.stats.pairs_skipped,
-            r.stats.timers.total,
+            t[metric::PHASE_TOTAL],
             &r.labels,
             &ds.truth,
         );

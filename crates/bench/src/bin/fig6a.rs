@@ -13,8 +13,8 @@
 //! measured wall clock is appended.
 
 use pace_bench::model::ScalingModel;
-use pace_bench::{banner, dataset, max_ranks, paper_cfg, scaled, secs};
-use pace_cluster::cluster_parallel;
+use pace_bench::{banner, dataset, max_ranks, paper_cfg, scaled, secs, timed_run};
+use pace_obs::metric;
 use pace_seq::SequenceStore;
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
         let (model, _) = ScalingModel::fit(&store, &paper_cfg());
         print!("{:>18}", format!("{n} (~{n_paper})"));
         for &p in &ps {
-            print!("{:>10}", secs(model.predict(p).total));
+            print!("{:>10}", secs(model.predict(p)[metric::PHASE_TOTAL]));
         }
         println!();
     }
@@ -65,8 +65,8 @@ fn main() {
             let store = SequenceStore::from_ests(&ds.ests).unwrap();
             print!("{:>18}", format!("{n} (~{n_paper})"));
             for &p in &host_ps {
-                let r = cluster_parallel(&store, &paper_cfg(), p);
-                print!("{:>10}", secs(r.stats.timers.total));
+                let (_, t) = timed_run(&store, &paper_cfg(), p);
+                print!("{:>10}", secs(t[metric::PHASE_TOTAL]));
             }
             println!();
         }

@@ -10,6 +10,7 @@
 
 use pace_bench::model::ScalingModel;
 use pace_bench::{banner, dataset, paper_cfg, scaled, secs};
+use pace_obs::metric;
 use pace_seq::SequenceStore;
 
 fn main() {
@@ -28,12 +29,12 @@ fn main() {
         // One seed for every size: the curve reflects n, not seed luck.
         let ds = dataset(n, 5252);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let (model, seq) = ScalingModel::fit(&store, &paper_cfg());
-        let t64 = model.predict(64).total;
+        let (model, _) = ScalingModel::fit(&store, &paper_cfg());
+        let t64 = model.predict(64)[metric::PHASE_TOTAL];
         println!(
             "{:>18} {:>12} {:>14} {:>16}",
             format!("{n} (~{n_paper})"),
-            secs(seq.stats.timers.total),
+            secs(model.serial[metric::PHASE_TOTAL]),
             secs(t64),
             secs(t64 * 1000.0 / n as f64)
         );

@@ -13,8 +13,8 @@
 //! (DESIGN.md §3) on top of the measured alignment time — that column is
 //! where the U re-emerges.
 
-use pace_bench::{banner, dataset, max_ranks, paper_cfg, scaled, secs};
-use pace_cluster::cluster_parallel;
+use pace_bench::{banner, dataset, max_ranks, paper_cfg, scaled, secs, timed_run};
+use pace_obs::metric;
 use pace_seq::SequenceStore;
 
 /// Modeled per-message latency of the paper's interconnect.
@@ -39,12 +39,12 @@ fn main() {
     for batchsize in [5usize, 10, 20, 40, 60, 80] {
         let mut cfg = paper_cfg();
         cfg.batchsize = batchsize;
-        let r = cluster_parallel(&store, &cfg, p);
-        let modeled = r.stats.timers.alignment + r.stats.messages as f64 * MSG_LATENCY_SECS;
+        let (r, t) = timed_run(&store, &cfg, p);
+        let modeled = t[metric::PHASE_ALIGNMENT] + r.stats.messages as f64 * MSG_LATENCY_SECS;
         println!(
             "{:>10} {:>10} {:>10} {:>13} {:>11.2}% {:>10}",
             batchsize,
-            secs(r.stats.timers.total),
+            secs(t[metric::PHASE_TOTAL]),
             r.stats.messages,
             r.stats.pairs_processed,
             100.0 * r.stats.master_busy_frac,

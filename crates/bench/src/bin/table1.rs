@@ -24,8 +24,8 @@
 use pace_baseline::{
     cluster_baseline, enumerate_footprint, BaselineConfig, BaselineError, MemoryModel,
 };
-use pace_bench::{banner, dataset, megabytes, paper_cfg, scaled, secs};
-use pace_cluster::cluster_sequential;
+use pace_bench::{banner, dataset, megabytes, paper_cfg, scaled, secs, timed_run};
+use pace_obs::metric;
 use pace_seq::SequenceStore;
 
 fn main() {
@@ -79,14 +79,14 @@ fn main() {
                 "X".to_string(),
             ),
         };
-        let pace = cluster_sequential(store, &paper_cfg());
+        let (_, pace) = timed_run(store, &paper_cfg(), 1);
         println!(
             "{:>16} {:>12} {:>14} {:>12} {:>12}",
             format!("{n} (~{n_paper})"),
             baseline_cells.0,
             baseline_cells.1,
             baseline_cells.2,
-            secs(pace.stats.timers.total),
+            secs(pace[metric::PHASE_TOTAL]),
         );
     }
 

@@ -20,7 +20,9 @@
 //! wall-clock of the threaded run is printed alongside.
 
 use pace_bench::model::ScalingModel;
-use pace_bench::{banner, dataset, max_ranks, maybe_write_metrics, paper_cfg, scaled};
+use pace_bench::{
+    banner, critical_path, dataset, max_ranks, maybe_write_metrics, paper_cfg, scaled,
+};
 use pace_cluster::cluster_parallel_obs;
 use pace_obs::{metric, Json, Obs};
 use pace_seq::SequenceStore;
@@ -36,13 +38,16 @@ fn main() {
     let store = SequenceStore::from_ests(&ds.ests).unwrap();
     println!("n = {n} ESTs, {} bases", ds.total_bases());
 
-    let (model, seq) = ScalingModel::fit(&store, &paper_cfg());
+    let (model, _) = ScalingModel::fit(&store, &paper_cfg());
+    let t = &model.serial;
     println!(
-        "measured serial phase work: partition {:.3}s, GST {:.3}s, sort {:.3}s, align {:.3}s\n",
-        seq.stats.timers.partitioning,
-        seq.stats.timers.gst_construction,
-        seq.stats.timers.node_sorting,
-        seq.stats.timers.alignment
+        "measured serial phase work: partition {:.3}s, GST {:.3}s, sort {:.3}s, \
+         pair generation {:.3}s, align {:.3}s\n",
+        t[metric::PHASE_PARTITIONING],
+        t[metric::PHASE_GST_CONSTRUCTION],
+        t[metric::PHASE_NODE_SORTING],
+        t[metric::PHASE_PAIR_GENERATION],
+        t[metric::PHASE_ALIGNMENT]
     );
 
     println!("modeled critical path (measured work + real bucket partition):");
@@ -54,7 +59,12 @@ fn main() {
         let t = model.predict(p);
         println!(
             "{:>4} {:>13.3} {:>10.3} {:>10.3} {:>10.3} {:>8.3}",
-            p, t.partitioning, t.gst_construction, t.node_sorting, t.alignment, t.total
+            p,
+            t[metric::PHASE_PARTITIONING],
+            t[metric::PHASE_GST_CONSTRUCTION],
+            t[metric::PHASE_NODE_SORTING],
+            t[metric::PHASE_ALIGNMENT],
+            t[metric::PHASE_TOTAL]
         );
     }
 
@@ -70,17 +80,16 @@ fn main() {
             // registry: the per-phase max over ranks is the critical
             // path, which is what Table 3 reports.
             let obs = Obs::noop();
-            let (r, _) = cluster_parallel_obs(&store, &paper_cfg(), p, &obs);
-            let snap = obs.registry().snapshot();
-            let crit = |name: &str| snap.phases.get(name).map_or(0.0, |a| a.max);
+            cluster_parallel_obs(&store, &paper_cfg(), p, &obs);
+            let t = critical_path(&obs.registry().snapshot());
             println!(
                 "{:>4} {:>13.3} {:>10.3} {:>10.3} {:>10.3} {:>8.3}",
                 p,
-                crit(metric::PHASE_PARTITIONING),
-                crit(metric::PHASE_GST_CONSTRUCTION),
-                crit(metric::PHASE_NODE_SORTING),
-                crit(metric::PHASE_ALIGNMENT),
-                r.stats.timers.total
+                t[metric::PHASE_PARTITIONING],
+                t[metric::PHASE_GST_CONSTRUCTION],
+                t[metric::PHASE_NODE_SORTING],
+                t[metric::PHASE_ALIGNMENT],
+                t[metric::PHASE_TOTAL]
             );
             maybe_write_metrics(
                 &format!("table3_p{p}"),

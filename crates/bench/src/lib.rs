@@ -15,9 +15,11 @@
 
 pub mod model;
 
-use pace_cluster::ClusterConfig;
-use pace_obs::{Json, Obs};
+use pace_cluster::{cluster_parallel_obs, ClusterConfig, ClusterResult};
+use pace_obs::{Json, Obs, RegistrySnapshot};
+use pace_seq::SequenceStore;
 use pace_simulate::{EstDataset, SimConfig};
+use std::collections::BTreeMap;
 
 /// The paper's benchmark data set sizes (Arabidopsis subsets).
 pub const PAPER_SIZES: [usize; 4] = [10_051, 30_000, 60_018, 81_414];
@@ -65,6 +67,31 @@ pub fn dataset(n: usize, seed: u64) -> EstDataset {
 /// settings (window 8, ψ 20, batchsize 60).
 pub fn paper_cfg() -> ClusterConfig {
     ClusterConfig::default()
+}
+
+/// Seconds per phase name, as read off a registry snapshot.
+pub type PhaseTimes = BTreeMap<String, f64>;
+
+/// Each recorded phase's critical path in `snap`: its max over ranks,
+/// the figure Table 3 reports.
+pub fn critical_path(snap: &RegistrySnapshot) -> PhaseTimes {
+    snap.phases
+        .iter()
+        .map(|(phase, agg)| (phase.clone(), agg.max))
+        .collect()
+}
+
+/// Cluster `store` on `p` ranks (the sequential driver at `p ≤ 1`) and
+/// return the result with the run's phase times; `total` is the wall
+/// clock.
+pub fn timed_run(
+    store: &SequenceStore,
+    cfg: &ClusterConfig,
+    p: usize,
+) -> (ClusterResult, PhaseTimes) {
+    let obs = Obs::noop();
+    let (result, _) = cluster_parallel_obs(store, cfg, p, &obs);
+    (result, critical_path(&obs.registry().snapshot()))
 }
 
 /// If `PACE_METRICS_DIR` is set, write the schema-versioned metrics

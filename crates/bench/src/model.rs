@@ -8,7 +8,7 @@
 //! *modeled critical path* built from measured quantities only:
 //!
 //! * the per-phase serial work is **measured** by running the sequential
-//!   driver on the actual workload;
+//!   driver on the actual workload and reading its registry snapshot;
 //! * the per-rank share of suffix-tree work is **computed exactly** from
 //!   the real bucket partition (`max load / total load` over the LPT
 //!   assignment for `p − 1` slaves) — this is where load imbalance, the
@@ -21,14 +21,16 @@
 //! no fitted constants. On a multi-core host the harness prints measured
 //! wall clock next to the model.
 
-use pace_cluster::{cluster_sequential, ClusterConfig, ClusterResult, PhaseTimers};
+use crate::{timed_run, PhaseTimes};
+use pace_cluster::{ClusterConfig, ClusterResult};
 use pace_gst::{assign_buckets, count_buckets};
+use pace_obs::metric;
 use pace_seq::SequenceStore;
 
 /// Serial phase measurements plus the data needed to re-partition.
 pub struct ScalingModel {
-    /// Measured sequential phase times.
-    pub serial: PhaseTimers,
+    /// Measured sequential phase times, `total` included.
+    pub serial: PhaseTimes,
     /// Global per-bucket suffix counts (for the per-p LPT partition).
     counts: Vec<u64>,
 }
@@ -38,15 +40,9 @@ impl ScalingModel {
     /// the model needs. Returns the model and the sequential result (so
     /// callers don't pay for the run twice).
     pub fn fit(store: &SequenceStore, cfg: &ClusterConfig) -> (Self, ClusterResult) {
-        let result = cluster_sequential(store, cfg);
+        let (result, serial) = timed_run(store, cfg, 1);
         let counts = count_buckets(store, cfg.window_w);
-        (
-            ScalingModel {
-                serial: result.stats.timers,
-                counts,
-            },
-            result,
-        )
+        (ScalingModel { serial, counts }, result)
     }
 
     /// The maximum-to-total load share of the busiest slave when the
@@ -65,29 +61,34 @@ impl ScalingModel {
 
     /// Modeled critical-path phase times for `p` ranks (1 master +
     /// `p − 1` slaves). `p == 1` returns the measured serial times.
-    pub fn predict(&self, p: usize) -> PhaseTimers {
+    pub fn predict(&self, p: usize) -> PhaseTimes {
         if p <= 1 {
-            return self.serial;
+            return self.serial.clone();
         }
-        let slaves = p - 1;
-        let share = self.load_share(slaves);
-        let t = &self.serial;
-        let partitioning = t.partitioning / slaves as f64;
-        let gst_construction = t.gst_construction * share;
-        let node_sorting = t.node_sorting * share;
-        let alignment = t.alignment / slaves as f64;
-        let accounted = t.partitioning + t.gst_construction + t.node_sorting + t.alignment;
-        // Whatever the sequential driver spent outside the four phases
-        // (pair generation, cluster bookkeeping) is suffix-tree-shaped
-        // work on the slaves: scale it by the load share too.
-        let residue = (t.total - accounted).max(0.0) * share;
-        PhaseTimers {
-            partitioning,
-            gst_construction,
-            node_sorting,
-            alignment,
-            total: partitioning + gst_construction + node_sorting + alignment + residue,
-        }
+        let per_slave = 1.0 / (p - 1) as f64;
+        let share = self.load_share(p - 1);
+        let t = |phase: &str| self.serial.get(phase).copied().unwrap_or(0.0);
+        // Bucket counting and alignment divide over the slaves; the
+        // suffix-tree phases follow the busiest slave's bucket share.
+        let factors = [
+            (metric::PHASE_PARTITIONING, per_slave),
+            (metric::PHASE_GST_CONSTRUCTION, share),
+            (metric::PHASE_NODE_SORTING, share),
+            (metric::PHASE_PAIR_GENERATION, share),
+            (metric::PHASE_ALIGNMENT, per_slave),
+        ];
+        let mut modeled: PhaseTimes = factors
+            .iter()
+            .map(|&(phase, factor)| (phase.to_string(), t(phase) * factor))
+            .collect();
+        // Whatever the sequential driver spent outside the named phases
+        // (cluster bookkeeping) is suffix-tree-shaped work on the
+        // slaves: scale it by the load share too.
+        let accounted: f64 = factors.iter().map(|&(phase, _)| t(phase)).sum();
+        let residue = (t(metric::PHASE_TOTAL) - accounted).max(0.0) * share;
+        let total = modeled.values().sum::<f64>() + residue;
+        modeled.insert(metric::PHASE_TOTAL.to_string(), total);
+        modeled
     }
 }
 
@@ -99,8 +100,8 @@ mod tests {
     fn model() -> ScalingModel {
         let ds = dataset(150, 9901);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let (model, result) = ScalingModel::fit(&store, &crate::paper_cfg());
-        assert!(result.stats.timers.total > 0.0);
+        let (model, _) = ScalingModel::fit(&store, &crate::paper_cfg());
+        assert!(model.serial[metric::PHASE_TOTAL] > 0.0);
         model
     }
 
@@ -109,7 +110,7 @@ mod tests {
         let m = model();
         let mut last = f64::INFINITY;
         for p in [1usize, 2, 3, 5, 9, 17] {
-            let t = m.predict(p).total;
+            let t = m.predict(p)[metric::PHASE_TOTAL];
             assert!(t > 0.0);
             assert!(
                 t <= last * 1.0001,
@@ -141,7 +142,8 @@ mod tests {
         let m = model();
         let t2 = m.predict(2);
         let t8 = m.predict(8);
-        assert!(t8.alignment < t2.alignment + 1e-12);
-        assert!(t8.gst_construction <= t2.gst_construction + 1e-12);
+        for phase in [metric::PHASE_ALIGNMENT, metric::PHASE_GST_CONSTRUCTION] {
+            assert!(t8[phase] <= t2[phase] + 1e-12, "{phase}");
+        }
     }
 }

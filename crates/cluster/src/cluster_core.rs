@@ -5,9 +5,8 @@
 //! promising pair whose ESTs already share a cluster is skipped, an
 //! accepted alignment merges two clusters, and each effective merge is
 //! logged in the [`MergeTrace`]. [`ClusterCore`] owns that state — the
-//! union–find, the trace and the [`ClusterStats`] pair counters, whose
-//! `timers.alignment` is the alignment clock — and exposes it as three
-//! operations:
+//! union–find, the trace and the [`ClusterStats`] pair counters — and
+//! exposes it as three operations:
 //!
 //! * [`ClusterCore::skip`] — the skip test;
 //! * [`ClusterCore::accept`] — fold one alignment outcome (count it,
@@ -74,8 +73,7 @@ pub struct ClusterCore<S: ClusterSets = DisjointSets> {
     pub sets: S,
     /// Every effective merge, in the order performed.
     pub trace: MergeTrace,
-    /// Pair counters; `timers.alignment` accumulates every drain's
-    /// alignment time.
+    /// Pair counters.
     pub stats: ClusterStats,
     /// `ClusterConfig::skip_clustered_pairs`.
     skip_clustered: bool,
@@ -172,7 +170,6 @@ impl<S: ClusterSets> ClusterCore<S> {
         debug_assert_eq!(handled, self.stats.pairs_processed - processed_before);
         self.stats.pairs_generated += generator.stats().emitted;
         self.stats.pairs_prefiltered += ctx.pairs_prefiltered() - prefiltered_before;
-        self.stats.timers.alignment += align.secs();
 
         emit_merges(obs, &self.trace.records()[merges_before..]);
         let reg = obs.registry();

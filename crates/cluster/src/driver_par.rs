@@ -5,15 +5,16 @@
 //! bucket and the counts are combined with the parallel-summation
 //! collective; (2) buckets are assigned deterministically and each slave
 //! builds the subtrees it owns; (3) the clustering protocol runs until
-//! the master issues shutdowns. Phase timers are per-rank and reported as
-//! the cross-rank maxima (critical-path times, as in Table 3).
+//! the master issues shutdowns. Phase times are per-rank registry
+//! samples; each phase's max over ranks is its critical-path time, as in
+//! Table 3.
 //!
-//! Instrumentation mirrors the sequential driver: every phase is timed
-//! with a `pace-obs` span (per-rank series in the registry, critical
-//! path in the legacy `PhaseTimers`), communication counters are
-//! absorbed from `pace-mpisim`, the master emits periodic heartbeats
-//! (its busy fraction is the paper's "< 2%" claim) and a `merge` event
-//! for every union it performs.
+//! Instrumentation mirrors the sequential driver: every rank records its
+//! phases into the shared `pace-obs` registry (over the socket transport
+//! the master records them from each worker's summary), communication
+//! counters are absorbed from `pace-mpisim`, the master emits periodic
+//! heartbeats (its busy fraction is the paper's "< 2%" claim) and a
+//! `merge` event for every union it performs.
 
 use crate::cluster_core::emit_merges;
 use crate::config::ClusterConfig;
@@ -21,8 +22,8 @@ use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters, record_
 use crate::master::FaultNote;
 use crate::master::Master;
 use crate::messages::{Msg, WorkerSummary};
-use crate::slave::{run_slave_obs, SlaveReportSummary};
-use crate::stats::{ClusterResult, ClusterStats, PhaseTimers};
+use crate::slave::run_slave_obs;
+use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::MergeTrace;
 use pace_gst::{assign_buckets, build_forest_for_rank, count_buckets_stride, num_buckets};
 use pace_mpisim::{run_world_obs, FaultPlan, FaultSnapshot, Rank, WorldStats};
@@ -55,7 +56,6 @@ enum RankOutput {
         busy_frac: f64,
         comm: WorldStats,
         injected: FaultSnapshot,
-        partitioning: f64,
         /// Which slaves the master declared dead — the fold and the
         /// summary-collection window must not wait on these.
         dead: Vec<bool>,
@@ -68,33 +68,20 @@ enum RankOutput {
     },
 }
 
-/// Lift a slave's join-time report into the wire-shape summary so the
-/// fold has one input shape for both backends. Injected-fault counters
-/// stay zero here: in the thread world they are world-shared and the
-/// master's snapshot already covers every rank.
-pub(crate) fn worker_summary(
-    s: &SlaveReportSummary,
-    partitioning: f64,
-    gst_construction: f64,
-) -> WorkerSummary {
-    WorkerSummary {
-        gen_nodes_processed: s.gen.nodes_processed,
-        gen_raw_pairs: s.gen.raw_pairs,
-        gen_discarded_self: s.gen.discarded_self,
-        gen_discarded_mirror: s.gen.discarded_mirror,
-        gen_emitted: s.gen.emitted,
-        node_sorting: s.timers.node_sorting,
-        alignment: s.timers.alignment,
-        partitioning,
-        gst_construction,
-        unconsumed: s.unconsumed,
-        prefiltered: s.prefiltered,
-        ws_reuses: s.ws_reuses,
-        injected_drops: 0,
-        injected_delays: 0,
-        injected_stalls: 0,
-        gen_by_owner: s.gen_by_owner.clone(),
-        unconsumed_by_owner: s.unconsumed_by_owner.clone(),
+/// Record a worker's phase seconds, as its summary carries them, into
+/// `obs` on the worker's rank. Only a master in another process does
+/// this: over the channel backend the slaves already wrote the shared
+/// registry themselves.
+pub(crate) fn record_worker_phases(obs: &Obs, rank: usize, s: &WorkerSummary) {
+    let reg = obs.registry();
+    for (phase, secs) in [
+        (metric::PHASE_PARTITIONING, s.partitioning),
+        (metric::PHASE_GST_CONSTRUCTION, s.gst_construction),
+        (metric::PHASE_NODE_SORTING, s.node_sorting),
+        (metric::PHASE_PAIR_GENERATION, s.pair_generation),
+        (metric::PHASE_ALIGNMENT, s.alignment),
+    ] {
+        reg.record_phase(phase, rank, secs);
     }
 }
 
@@ -158,18 +145,18 @@ pub fn cluster_parallel_faults(
         }
     });
 
-    fold_outputs(outputs, obs, total_span.finish())
+    total_span.finish();
+    fold_outputs(outputs, obs)
 }
 
 /// Fold per-rank outputs into one result. Shared by the thread backend
 /// (outputs from the world join) and the socket backend (the master's
 /// own output plus received [`Msg::Summary`] messages).
-fn fold_outputs(outputs: Vec<RankOutput>, obs: &Obs, total: f64) -> (ClusterResult, MergeTrace) {
+fn fold_outputs(outputs: Vec<RankOutput>, obs: &Obs) -> (ClusterResult, MergeTrace) {
     let mut labels = Vec::new();
     let mut num_clusters = 0;
     let mut stats = ClusterStats::default();
     let mut trace = MergeTrace::new();
-    let mut timers = PhaseTimers::default();
     let mut generated_total = 0u64;
     let mut unconsumed_total = 0u64;
     let mut prefiltered_total = 0u64;
@@ -185,7 +172,6 @@ fn fold_outputs(outputs: Vec<RankOutput>, obs: &Obs, total: f64) -> (ClusterResu
                 busy_frac,
                 comm,
                 injected,
-                partitioning,
                 dead: _,
                 early_summaries,
             } => {
@@ -211,10 +197,6 @@ fn fold_outputs(outputs: Vec<RankOutput>, obs: &Obs, total: f64) -> (ClusterResu
                 reg.add(metric::FAULTS_INJECTED_DELAYS, injected.delayed);
                 reg.add(metric::FAULTS_INJECTED_CRASHES, injected.crashes);
                 reg.add(metric::FAULTS_INJECTED_STALLS, injected.stalls);
-                timers.max_with(&PhaseTimers {
-                    partitioning,
-                    ..PhaseTimers::default()
-                });
                 debug_assert!(
                     early_summaries.is_empty(),
                     "early summaries must be folded into RankOutput::Slave by the caller"
@@ -228,13 +210,6 @@ fn fold_outputs(outputs: Vec<RankOutput>, obs: &Obs, total: f64) -> (ClusterResu
                 worker_injected.dropped += summary.injected_drops;
                 worker_injected.delayed += summary.injected_delays;
                 worker_injected.stalls += summary.injected_stalls;
-                timers.max_with(&PhaseTimers {
-                    partitioning: summary.partitioning,
-                    gst_construction: summary.gst_construction,
-                    node_sorting: summary.node_sorting,
-                    alignment: summary.alignment,
-                    ..PhaseTimers::default()
-                });
             }
         }
     }
@@ -259,8 +234,6 @@ fn fold_outputs(outputs: Vec<RankOutput>, obs: &Obs, total: f64) -> (ClusterResu
     stats.pairs_generated = generated_total;
     stats.pairs_unconsumed = unconsumed_total + lost;
     stats.pairs_prefiltered = prefiltered_total;
-    timers.total = total;
-    stats.timers = timers;
     // Per-process injector counters shipped in worker summaries (zero on
     // the thread backend, whose counters are world-shared).
     let reg = obs.registry();
@@ -356,13 +329,14 @@ pub fn cluster_master_transport(
     }
 
     let mut outputs = vec![out];
-    outputs.extend(
-        summaries
-            .into_iter()
-            .flatten()
-            .map(|summary| RankOutput::Slave { summary }),
-    );
-    fold_outputs(outputs, obs, total_span.finish())
+    for (slave, summary) in summaries.into_iter().enumerate() {
+        if let Some(summary) = summary {
+            record_worker_phases(obs, slave + 1, &summary);
+            outputs.push(RankOutput::Slave { summary });
+        }
+    }
+    total_span.finish();
+    fold_outputs(outputs, obs)
 }
 
 /// Run one worker rank of the protocol over a caller-supplied
@@ -413,7 +387,7 @@ fn master_rank(
     let span = obs.span_on(metric::PHASE_PARTITIONING, 0);
     let zeros = vec![0u64; num_buckets(cfg.window_w)];
     let _global_counts = rank.allreduce_sum(&zeros);
-    let partitioning = span.finish();
+    span.finish();
     rank.barrier(); // slaves finish building their forests
 
     let mut master = Master::new(store.num_ests(), num_slaves, cfg.clone());
@@ -591,7 +565,6 @@ fn master_rank(
         busy_frac: busy.secs() / loop_total,
         comm: rank.stats(),
         injected: rank.fault_stats(),
-        partitioning,
         dead,
         early_summaries,
     }
@@ -624,7 +597,11 @@ fn slave_rank(
     // Phases 3–4: the slave protocol (node sorting happens inside).
     let summary = run_slave_obs(rank, 0, store, packed, &forest, cfg, obs);
     RankOutput::Slave {
-        summary: worker_summary(&summary, partitioning, gst_construction),
+        summary: WorkerSummary {
+            partitioning,
+            gst_construction,
+            ..summary
+        },
     }
 }
 
@@ -739,8 +716,6 @@ mod tests {
         );
         assert!(s.pairs_accepted <= s.pairs_processed);
         assert!(s.merges <= s.pairs_accepted);
-        assert!(s.timers.total > 0.0);
-        assert!(s.timers.gst_construction > 0.0);
     }
 
     #[test]
@@ -773,17 +748,16 @@ mod tests {
             r.stats.pairs_generated
         );
         // Every rank recorded a partitioning span; the 3 slaves recorded
-        // gst/sort/align spans.
+        // their gst, sort, pair-generation and align totals.
         assert_eq!(snap.phases[metric::PHASE_PARTITIONING].count, 4);
-        assert_eq!(snap.phases[metric::PHASE_GST_CONSTRUCTION].count, 3);
-        assert_eq!(snap.phases[metric::PHASE_ALIGNMENT].count, 3);
-        // The legacy critical-path timers equal the cross-rank maxima.
-        assert!(
-            (snap.phases[metric::PHASE_GST_CONSTRUCTION].max - r.stats.timers.gst_construction)
-                .abs()
-                < 1e-9
-        );
-        assert!((snap.phases[metric::PHASE_ALIGNMENT].max - r.stats.timers.alignment).abs() < 1e-9);
+        for phase in [
+            metric::PHASE_GST_CONSTRUCTION,
+            metric::PHASE_NODE_SORTING,
+            metric::PHASE_PAIR_GENERATION,
+            metric::PHASE_ALIGNMENT,
+        ] {
+            assert_eq!(snap.phases[phase].count, 3, "{phase}");
+        }
         assert_eq!(
             snap.gauges[metric::MASTER_BUSY_FRAC],
             r.stats.master_busy_frac

@@ -7,9 +7,8 @@
 //! the parallel driver is compared against, and the engine used when
 //! `p = 1`.
 //!
-//! All phase timing goes through `pace-obs` spans; the legacy
-//! [`PhaseTimers`](crate::stats::PhaseTimers) struct is populated from
-//! the spans' return values, so the two views always agree.
+//! All phase timing goes through `pace-obs` spans, so the registry holds
+//! the run's only record of where its time went.
 
 use crate::align_task::AlignContext;
 use crate::cluster_core::ClusterCore;
@@ -47,23 +46,22 @@ pub fn cluster_sequential_obs(
     cfg.validate().expect("invalid cluster config");
     let total_span = obs.span(metric::PHASE_TOTAL);
     let mut core = ClusterCore::new(DisjointSets::new(store.num_ests()), cfg);
-    let timers = &mut core.stats.timers;
 
     // Phase 1+2: bucket partitioning and GST construction (single rank).
     let span = obs.span(metric::PHASE_PARTITIONING);
     let counts = pace_gst::count_buckets(store, cfg.window_w);
     let partition = pace_gst::assign_buckets(&counts, 1);
-    timers.partitioning = span.finish();
+    span.finish();
 
     let span = obs.span(metric::PHASE_GST_CONSTRUCTION);
     let forest = pace_gst::build_forest_for_rank(store, &partition, 0);
-    timers.gst_construction = span.finish();
+    span.finish();
     record_gst_stats(obs, &partition, &forest);
 
     // Phase 3: node collection + sort (generator setup).
     let span = obs.span(metric::PHASE_NODE_SORTING);
     let generator = PairGenerator::new(store, &forest, cfg.pair_gen());
-    timers.node_sorting = span.finish();
+    span.finish();
 
     // Phase 4: the clustering loop. One context serves the whole run, so
     // DP scratch is allocated once, never per pair. Nothing is buffered,
@@ -71,7 +69,7 @@ pub fn cluster_sequential_obs(
     let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
     let mut ctx = AlignContext::new(store, packed.as_ref());
     core.drain(generator, |_, _| true, &mut ctx, cfg, obs);
-    core.stats.timers.total = total_span.finish();
+    total_span.finish();
     record_cluster_counters(obs, &core.stats);
     core.into_result()
 }
@@ -332,10 +330,7 @@ mod tests {
             snap.histograms[metric::PAIRS_MCS_LEN].count(),
             s.pairs_generated
         );
-        // Spans and the legacy timers are two views of the same clocks.
-        let total = &snap.phases[metric::PHASE_TOTAL];
-        assert_eq!(total.count, 1);
-        assert!((total.max - s.timers.total).abs() < 1e-9);
+        assert_eq!(snap.phases[metric::PHASE_TOTAL].count, 1);
         assert!(snap.counters[metric::GST_NODES] > 0);
         assert!(snap.counters[metric::GST_BUCKETS] > 0);
         assert!(snap.gauges[metric::GST_MAX_DEPTH] >= small_cfg().psi as f64);

@@ -35,12 +35,12 @@
 
 use crate::cluster_core::emit_merges;
 use crate::config::{ClusterConfig, ShardRole, ShardTopology};
-use crate::driver_par::worker_summary;
+use crate::driver_par::record_worker_phases;
 use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters, record_gst_stats};
 use crate::master::{FaultNote, Master};
 use crate::messages::{Msg, ShardReport, WorkerSummary};
 use crate::slave_sharded::run_slave_sharded_obs;
-use crate::stats::{ClusterResult, ClusterStats, PhaseTimers};
+use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::{MergeRecord, MergeTrace};
 use pace_dsu::{DisjointSets, ShardDsu, ShardSpec};
 use pace_gst::{assign_buckets, build_forest_for_rank, count_buckets_stride, num_buckets};
@@ -72,7 +72,6 @@ struct ReconcilerOut {
     reconcile_secs: f64,
     comm: WorldStats,
     injected: FaultSnapshot,
-    partitioning: f64,
     /// Worker summaries that arrived during the protocol (socket
     /// backend; empty on the thread backend).
     early_summaries: Vec<(usize, WorkerSummary)>,
@@ -151,14 +150,8 @@ pub fn cluster_sharded_faults(
         }
     }
     let recon = recon.expect("rank 0 always yields the reconciler output");
-    fold_sharded(
-        store.num_ests(),
-        topo,
-        recon,
-        summaries,
-        obs,
-        total_span.finish(),
-    )
+    total_span.finish();
+    fold_sharded(store.num_ests(), topo, recon, summaries, obs)
 }
 
 /// Run rank 0 (the reconciler) over a transport-backed rank — the
@@ -216,14 +209,15 @@ pub fn cluster_sharded_master_transport(
         }
     }
 
-    fold_sharded(
-        store.num_ests(),
-        topo,
-        recon,
-        summaries.into_iter().flatten().collect(),
-        obs,
-        total_span.finish(),
-    )
+    let mut arrived = Vec::with_capacity(num_slaves);
+    for (idx, summary) in summaries.into_iter().enumerate() {
+        if let Some(summary) = summary {
+            record_worker_phases(obs, topo.slave_rank(idx), &summary);
+            arrived.push(summary);
+        }
+    }
+    total_span.finish();
+    fold_sharded(store.num_ests(), topo, recon, arrived, obs)
 }
 
 fn slave_slot(
@@ -295,7 +289,7 @@ fn reconciler_rank(
     let span = obs.span_on(metric::PHASE_PARTITIONING, 0);
     let zeros = vec![0u64; num_buckets(cfg.window_w)];
     let _ = rank.allreduce_sum(&zeros);
-    let partitioning = span.finish();
+    span.finish();
     rank.barrier();
 
     let k = topo.shards;
@@ -377,7 +371,6 @@ fn reconciler_rank(
         reconcile_secs: reconcile.secs(),
         comm: rank.stats(),
         injected: rank.fault_stats(),
-        partitioning,
         early_summaries,
     }
 }
@@ -436,7 +429,7 @@ fn submaster_rank(
     let span = obs.span_on(metric::PHASE_PARTITIONING, me);
     let zeros = vec![0u64; num_buckets(cfg.window_w)];
     let _ = rank.allreduce_sum(&zeros);
-    let _partitioning = span.finish();
+    span.finish();
     rank.barrier();
 
     let num_slaves = topo.num_slaves();
@@ -666,7 +659,11 @@ fn slave_rank(
 
     let summary = run_slave_sharded_obs(rank, topo, spec, store, packed, &forest, cfg, obs);
     ShardOut::Slave {
-        summary: worker_summary(&summary, partitioning, gst_construction),
+        summary: WorkerSummary {
+            partitioning,
+            gst_construction,
+            ..summary
+        },
     }
 }
 
@@ -681,7 +678,6 @@ fn fold_sharded(
     recon: ReconcilerOut,
     summaries: Vec<WorkerSummary>,
     obs: &Obs,
-    total: f64,
 ) -> (ClusterResult, MergeTrace) {
     let reg = obs.registry();
     let mut replay_timer = Timer::new();
@@ -754,10 +750,6 @@ fn fold_sharded(
     reg.add(metric::FAULTS_INJECTED_CRASHES, recon.injected.crashes);
     reg.add(metric::FAULTS_INJECTED_STALLS, recon.injected.stalls);
 
-    let mut timers = PhaseTimers {
-        partitioning: recon.partitioning,
-        ..PhaseTimers::default()
-    };
     let mut generated_total = 0u64;
     let mut unconsumed_total = 0u64;
     let mut prefiltered_total = 0u64;
@@ -783,13 +775,6 @@ fn fold_sharded(
         worker_injected.dropped += summary.injected_drops;
         worker_injected.delayed += summary.injected_delays;
         worker_injected.stalls += summary.injected_stalls;
-        timers.max_with(&PhaseTimers {
-            partitioning: summary.partitioning,
-            gst_construction: summary.gst_construction,
-            node_sorting: summary.node_sorting,
-            alignment: summary.alignment,
-            ..PhaseTimers::default()
-        });
     }
     // Same conservation law as the single-master fold: anything the
     // generators emitted that no shard resolved and no slave still
@@ -804,8 +789,6 @@ fn fold_sharded(
     stats.pairs_generated = generated_total;
     stats.pairs_unconsumed = unconsumed_total + lost;
     stats.pairs_prefiltered = prefiltered_total;
-    timers.total = total;
-    stats.timers = timers;
 
     for m in 0..topo.shards {
         reg.set_gauge(

@@ -57,5 +57,5 @@ pub use driver_sharded::{
 };
 pub use master::FaultNote;
 pub use messages::{Msg, ShardReport, WorkerSummary};
-pub use stats::{ClusterResult, ClusterStats, FaultStats, PhaseTimers};
+pub use stats::{ClusterResult, ClusterStats, FaultStats};
 pub use trace::{MergeRecord, MergeTrace};

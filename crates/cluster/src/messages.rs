@@ -7,7 +7,9 @@ use pace_pairgen::CandidatePair;
 /// A worker's end-of-run accounting, shipped to the master as a
 /// [`Msg::Summary`] in multi-process runs. The channel backend returns
 /// the same numbers through the thread join instead, so this message
-/// only appears on the socket transport.
+/// only appears on the socket transport. Its phase seconds are what a
+/// master in another process records into its registry on the
+/// worker's behalf.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerSummary {
     /// Generator: forest nodes of depth ≥ ψ processed.
@@ -22,6 +24,8 @@ pub struct WorkerSummary {
     pub gen_emitted: u64,
     /// Seconds in generator setup (node collection + sort).
     pub node_sorting: f64,
+    /// Seconds inside the generator's `next_batch` calls.
+    pub pair_generation: f64,
     /// Seconds inside the alignment kernel.
     pub alignment: f64,
     /// Seconds in the partitioning phase.

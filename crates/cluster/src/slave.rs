@@ -17,51 +17,18 @@
 
 use crate::align_task::{AlignContext, PairOutcome};
 use crate::config::ClusterConfig;
-use crate::messages::Msg;
+use crate::messages::{Msg, WorkerSummary};
 use pace_gst::LocalForest;
 use pace_mpisim::Rank;
 use pace_obs::trace::{flow_id, T_REPORT_SEND};
 use pace_obs::{metric, Obs, Timer, TraceKind};
-use pace_pairgen::{CandidatePair, GenStats, PairGenerator};
+use pace_pairgen::{CandidatePair, PairGenerator};
 use pace_seq::{PackedText, SequenceStore};
 use std::collections::VecDeque;
 
 /// How many pairs to generate per idle poll while waiting for the master
 /// (small, so the slave stays responsive).
 pub(crate) const IDLE_GEN_CHUNK: usize = 16;
-
-/// Timers a slave reports back to the driver (seconds).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SlaveTimers {
-    /// Generator construction: node collection + string-depth sort.
-    pub node_sorting: f64,
-    /// Time spent inside the pairwise alignment kernel.
-    pub alignment: f64,
-}
-
-/// What a slave hands back when the world shuts down.
-#[derive(Debug, Clone, Default)]
-pub struct SlaveReportSummary {
-    /// Generator counters.
-    pub gen: GenStats,
-    /// Phase timers.
-    pub timers: SlaveTimers,
-    /// Pairs still sitting in `PAIRBUF` at shutdown: generated, counted
-    /// by the generator, but never shipped to the master. Closes the
-    /// flow-conservation balance
-    /// `emitted == processed + skipped + unconsumed`.
-    pub unconsumed: u64,
-    /// Pairs this slave rejected via the cheap pre-alignment filters
-    /// (no DP cell filled).
-    pub prefiltered: u64,
-    /// Pairs this slave served through its reused alignment workspace —
-    /// every pair it aligned, since the context lives for the whole rank.
-    pub ws_reuses: u64,
-    /// Sharded runs only: emitted pairs by owning shard (empty here).
-    pub gen_by_owner: Vec<u64>,
-    /// Sharded runs only: buffered pairs by owning shard (empty here).
-    pub unconsumed_by_owner: Vec<u64>,
-}
 
 /// Run the slave protocol to completion with no instrumentation.
 pub fn run_slave(
@@ -70,15 +37,18 @@ pub fn run_slave(
     store: &SequenceStore,
     forest: &LocalForest,
     cfg: &ClusterConfig,
-) -> SlaveReportSummary {
+) -> WorkerSummary {
     run_slave_obs(rank, master, store, None, forest, cfg, &Obs::noop())
 }
 
 /// Run the slave protocol to completion, instrumented. `master` is the
 /// master's rank id; `packed` is the shared 2-bit view the alignment
-/// kernel reads when `cfg.packed_alignment` built one. Phase timings
-/// land in `obs`'s per-rank series and the generator's MCS-length
-/// distribution in the [`metric::PAIRS_MCS_LEN`] histogram.
+/// kernel reads when `cfg.packed_alignment` built one. The rank's
+/// `node_sorting`, `pair_generation` and `alignment` totals land in
+/// `obs`'s registry and the generator's MCS-length distribution in the
+/// [`metric::PAIRS_MCS_LEN`] histogram. The returned summary carries the
+/// same totals, for a master in another process; its `partitioning` and
+/// `gst_construction` are left to the caller, who ran those phases.
 pub fn run_slave_obs(
     rank: &Rank<Msg>,
     master: usize,
@@ -87,43 +57,15 @@ pub fn run_slave_obs(
     forest: &LocalForest,
     cfg: &ClusterConfig,
     obs: &Obs,
-) -> SlaveReportSummary {
-    let mut timers = SlaveTimers::default();
-
+) -> WorkerSummary {
     let mut sort_timer = Timer::new();
-    sort_timer.start();
-    let mut generator = PairGenerator::new(store, forest, cfg.pair_gen());
-    timers.node_sorting = sort_timer.stop();
+    let mut generator = sort_timer.time(|| PairGenerator::new(store, forest, cfg.pair_gen()));
+    let mut pairgen = Timer::new();
+    let mut alignment = 0.0;
 
     // One alignment context for the whole rank: DP scratch is allocated
     // once here and only grows to the largest pair this slave ever sees.
     let mut ctx = AlignContext::new(store, packed);
-
-    // One closure owns the shutdown bookkeeping so every exit path
-    // reports identically (including the abnormal world-teardown ones).
-    let finish = |generator: &PairGenerator,
-                  timers: SlaveTimers,
-                  pairbuf: &VecDeque<CandidatePair>,
-                  ctx: &AlignContext|
-     -> SlaveReportSummary {
-        for (&len, &n) in generator.emitted_by_mcs_len() {
-            obs.registry()
-                .observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
-        }
-        obs.registry()
-            .record_phase(metric::PHASE_NODE_SORTING, rank.rank(), timers.node_sorting);
-        obs.registry()
-            .record_phase(metric::PHASE_ALIGNMENT, rank.rank(), timers.alignment);
-        SlaveReportSummary {
-            gen: generator.stats(),
-            timers,
-            unconsumed: pairbuf.len() as u64,
-            prefiltered: ctx.pairs_prefiltered(),
-            ws_reuses: ctx.pairs_handled(),
-            gen_by_owner: Vec::new(),
-            unconsumed_by_owner: Vec::new(),
-        }
-    };
 
     let mut pairbuf: VecDeque<CandidatePair> = VecDeque::new();
 
@@ -131,10 +73,10 @@ pub fn run_slave_obs(
     // startup report is sequence 0; the cached copy answers duplicate
     // `Work` messages (the master re-sends a batch when our report goes
     // missing) without ever re-aligning anything.
-    let portion1 = generator.next_batch(cfg.batchsize);
-    let portion2 = generator.next_batch(cfg.batchsize);
-    let portion3 = generator.next_batch(cfg.batchsize);
-    let first_results = align_batch(&mut ctx, &portion1, cfg, &mut timers, obs, rank.rank());
+    let portion1 = pairgen.time(|| generator.next_batch(cfg.batchsize));
+    let portion2 = pairgen.time(|| generator.next_batch(cfg.batchsize));
+    let portion3 = pairgen.time(|| generator.next_batch(cfg.batchsize));
+    let first_results = align_batch(&mut ctx, &portion1, cfg, &mut alignment, obs, rank.rank());
     let startup = Msg::Report {
         seq: 0,
         results: first_results,
@@ -146,10 +88,12 @@ pub fn run_slave_obs(
     let mut last_seq: u64 = 0;
     let mut nextwork = portion2;
 
-    loop {
+    // Every exit, the abnormal world-teardown ones included, breaks out
+    // of 'run to the one shutdown report below.
+    'run: loop {
         // Compute alignments on NEXTWORK; the master's reply to our last
         // report travels concurrently.
-        let results = align_batch(&mut ctx, &nextwork, cfg, &mut timers, obs, rank.rank());
+        let results = align_batch(&mut ctx, &nextwork, cfg, &mut alignment, obs, rank.rank());
 
         // Wait for the master, generating pairs in the meantime. A
         // duplicate `Work` (sequence we already handled) means the
@@ -158,21 +102,21 @@ pub fn run_slave_obs(
         let msg = 'wait: loop {
             let incoming = match rank.try_recv() {
                 Ok(Some((_, msg))) => Some(msg),
-                Err(_) => {
-                    // World torn down without a Shutdown (should not
-                    // happen in normal operation).
-                    return finish(&generator, timers, &pairbuf, &ctx);
-                }
+                // World torn down without a Shutdown (should not happen
+                // in normal operation).
+                Err(_) => break 'run,
                 Ok(None) => {
                     if !generator.is_exhausted() && pairbuf.len() < cfg.pairbuf_cap {
                         let room = cfg.pairbuf_cap - pairbuf.len();
-                        pairbuf.extend(generator.next_batch(IDLE_GEN_CHUNK.min(room)));
+                        pairbuf.extend(
+                            pairgen.time(|| generator.next_batch(IDLE_GEN_CHUNK.min(room))),
+                        );
                         None
                     } else {
                         // Nothing useful to do: block.
                         match rank.recv() {
                             Ok((_, msg)) => Some(msg),
-                            Err(_) => return finish(&generator, timers, &pairbuf, &ctx),
+                            Err(_) => break 'run,
                         }
                     }
                 }
@@ -187,9 +131,7 @@ pub fn run_slave_obs(
         };
 
         match msg {
-            Msg::Shutdown => {
-                return finish(&generator, timers, &pairbuf, &ctx);
-            }
+            Msg::Shutdown => break 'run,
             Msg::Work {
                 seq,
                 pairs,
@@ -199,7 +141,7 @@ pub fn run_slave_obs(
                 // Top PAIRBUF up to the requested E.
                 while pairbuf.len() < request && !generator.is_exhausted() {
                     let want = (request - pairbuf.len()).max(IDLE_GEN_CHUNK);
-                    pairbuf.extend(generator.next_batch(want));
+                    pairbuf.extend(pairgen.time(|| generator.next_batch(want)));
                 }
                 let take = request.min(pairbuf.len());
                 let outgoing: Vec<CandidatePair> = pairbuf.drain(..take).collect();
@@ -221,6 +163,18 @@ pub fn run_slave_obs(
                 unreachable!("slaves never receive {}", msg.kind())
             }
         }
+    }
+    WorkerSummary {
+        unconsumed: pairbuf.len() as u64,
+        ..summarize(
+            obs,
+            rank.rank(),
+            &generator,
+            &ctx,
+            sort_timer.secs(),
+            pairgen.secs(),
+            alignment,
+        )
     }
 }
 
@@ -260,12 +214,12 @@ fn send_report(rank: &Rank<Msg>, master: usize, obs: &Obs, report: &Msg) {
 /// Align one work batch through the rank's shared context. Each
 /// non-empty batch is its own [`metric::PHASE_ALIGN_BATCH`] span (the
 /// per-batch series behind batch-size tuning); the elapsed time also
-/// accumulates into the rank's legacy alignment total.
+/// accumulates into the rank's `alignment` total.
 pub(crate) fn align_batch(
     ctx: &mut AlignContext,
     batch: &[CandidatePair],
     cfg: &ClusterConfig,
-    timers: &mut SlaveTimers,
+    alignment: &mut f64,
     obs: &Obs,
     rank_id: usize,
 ) -> Vec<PairOutcome> {
@@ -274,8 +228,45 @@ pub(crate) fn align_batch(
     }
     let span = obs.span_on(metric::PHASE_ALIGN_BATCH, rank_id);
     let out = batch.iter().map(|p| ctx.align(p, cfg)).collect();
-    timers.alignment += span.finish();
+    *alignment += span.finish();
     out
+}
+
+/// A finished slave's report, shared by both slave loops: record the
+/// generator's MCS-length histogram and the rank's `node_sorting`,
+/// `pair_generation` and `alignment` totals into `obs`, and return them
+/// in a summary with the generator and workspace counters. The caller
+/// adds what is still buffered.
+pub(crate) fn summarize(
+    obs: &Obs,
+    rank_id: usize,
+    generator: &PairGenerator,
+    ctx: &AlignContext,
+    node_sorting: f64,
+    pair_generation: f64,
+    alignment: f64,
+) -> WorkerSummary {
+    let reg = obs.registry();
+    for (&len, &n) in generator.emitted_by_mcs_len() {
+        reg.observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
+    }
+    reg.record_phase(metric::PHASE_NODE_SORTING, rank_id, node_sorting);
+    reg.record_phase(metric::PHASE_PAIR_GENERATION, rank_id, pair_generation);
+    reg.record_phase(metric::PHASE_ALIGNMENT, rank_id, alignment);
+    let gen = generator.stats();
+    WorkerSummary {
+        gen_nodes_processed: gen.nodes_processed,
+        gen_raw_pairs: gen.raw_pairs,
+        gen_discarded_self: gen.discarded_self,
+        gen_discarded_mirror: gen.discarded_mirror,
+        gen_emitted: gen.emitted,
+        node_sorting,
+        pair_generation,
+        alignment,
+        prefiltered: ctx.pairs_prefiltered(),
+        ws_reuses: ctx.pairs_handled(),
+        ..WorkerSummary::default()
+    }
 }
 
 // Integration coverage for this loop lives in `driver_par` tests, which

@@ -21,13 +21,13 @@
 
 use crate::align_task::{AlignContext, PairOutcome};
 use crate::config::{ClusterConfig, ShardTopology};
-use crate::messages::Msg;
-use crate::slave::{align_batch, SlaveReportSummary, SlaveTimers, IDLE_GEN_CHUNK};
+use crate::messages::{Msg, WorkerSummary};
+use crate::slave::{align_batch, summarize, IDLE_GEN_CHUNK};
 use pace_dsu::ShardSpec;
 use pace_gst::LocalForest;
 use pace_mpisim::Rank;
 use pace_obs::trace::{flow_id, T_REPORT_SEND};
-use pace_obs::{metric, Obs, Timer, TraceKind};
+use pace_obs::{Obs, Timer, TraceKind};
 use pace_pairgen::{CandidatePair, PairGenerator};
 use pace_seq::{PackedText, SequenceStore};
 use std::collections::VecDeque;
@@ -53,43 +53,16 @@ pub fn run_slave_sharded_obs(
     forest: &LocalForest,
     cfg: &ClusterConfig,
     obs: &Obs,
-) -> SlaveReportSummary {
+) -> WorkerSummary {
     let k = topo.shards;
     let num_slaves = topo.num_slaves();
     let slave_idx = rank.rank() - topo.shards - 1;
-    let mut timers = SlaveTimers::default();
-
     let mut sort_timer = Timer::new();
-    sort_timer.start();
-    let mut generator = PairGenerator::new(store, forest, cfg.pair_gen());
-    timers.node_sorting = sort_timer.stop();
+    let mut generator = sort_timer.time(|| PairGenerator::new(store, forest, cfg.pair_gen()));
+    let mut pairgen = Timer::new();
+    let mut alignment = 0.0;
 
     let mut ctx = AlignContext::new(store, packed);
-
-    let finish = |generator: &PairGenerator,
-                  timers: SlaveTimers,
-                  pairbufs: &[VecDeque<CandidatePair>],
-                  ctx: &AlignContext,
-                  gen_by_owner: &[u64]|
-     -> SlaveReportSummary {
-        for (&len, &n) in generator.emitted_by_mcs_len() {
-            obs.registry()
-                .observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
-        }
-        obs.registry()
-            .record_phase(metric::PHASE_NODE_SORTING, rank.rank(), timers.node_sorting);
-        obs.registry()
-            .record_phase(metric::PHASE_ALIGNMENT, rank.rank(), timers.alignment);
-        SlaveReportSummary {
-            gen: generator.stats(),
-            timers,
-            unconsumed: pairbufs.iter().map(|b| b.len() as u64).sum(),
-            prefiltered: ctx.pairs_prefiltered(),
-            ws_reuses: ctx.pairs_handled(),
-            gen_by_owner: gen_by_owner.to_vec(),
-            unconsumed_by_owner: pairbufs.iter().map(|b| b.len() as u64).collect(),
-        }
-    };
 
     // One PAIRBUF per shard; generated pairs route to their owner.
     let mut pairbufs: Vec<VecDeque<CandidatePair>> = (0..k).map(|_| VecDeque::new()).collect();
@@ -106,9 +79,9 @@ pub fn run_slave_sharded_obs(
     // ships as pairs in the per-shard startup reports; portion 2 is
     // aligned right after the reports go out — its results are flushed
     // by each sub-master's first Work (they start owing us a flush).
-    let portion1 = generator.next_batch(cfg.batchsize);
-    let portion2 = generator.next_batch(cfg.batchsize);
-    let portion3 = generator.next_batch(cfg.batchsize);
+    let portion1 = pairgen.time(|| generator.next_batch(cfg.batchsize));
+    let portion2 = pairgen.time(|| generator.next_batch(cfg.batchsize));
+    let portion3 = pairgen.time(|| generator.next_batch(cfg.batchsize));
     let exhausted_now = generator.is_exhausted();
     for p in portion1.iter().chain(&portion2) {
         let (i, j) = p.est_indices();
@@ -121,7 +94,7 @@ pub fn run_slave_sharded_obs(
             pending[spec.owner_of_pair(i, j)].push(r);
         }
     };
-    let first_results = align_batch(&mut ctx, &portion1, cfg, &mut timers, obs, rank.rank());
+    let first_results = align_batch(&mut ctx, &portion1, cfg, &mut alignment, obs, rank.rank());
     route_results(first_results, &mut pending);
     let mut portion3_by_owner: Vec<Vec<CandidatePair>> = (0..k).map(|_| Vec::new()).collect();
     for p in portion3 {
@@ -146,23 +119,26 @@ pub fn run_slave_sharded_obs(
             done: false,
         });
     }
-    let results2 = align_batch(&mut ctx, &portion2, cfg, &mut timers, obs, rank.rank());
+    let results2 = align_batch(&mut ctx, &portion2, cfg, &mut alignment, obs, rank.rank());
     route_results(results2, &mut pending);
 
+    // Every exit, the abnormal world-teardown ones included, breaks out
+    // of 'run to the one shutdown report below.
     let mut done_count = 0usize;
-    while done_count < k {
+    'run: while done_count < k {
         // Wait for any sub-master, generating pairs in the meantime.
         // Duplicate Work (a session's sequence we already answered) is
         // served from that session's cached report.
         let (from, msg) = 'wait: loop {
             let incoming = match rank.try_recv() {
                 Ok(Some(fm)) => Some(fm),
-                Err(_) => return finish(&generator, timers, &pairbufs, &ctx, &gen_by_owner),
+                Err(_) => break 'run,
                 Ok(None) => {
                     let buffered: usize = pairbufs.iter().map(|b| b.len()).sum();
                     if !generator.is_exhausted() && buffered < cfg.pairbuf_cap {
                         let room = cfg.pairbuf_cap - buffered;
-                        for p in generator.next_batch(IDLE_GEN_CHUNK.min(room)) {
+                        let chunk = pairgen.time(|| generator.next_batch(IDLE_GEN_CHUNK.min(room)));
+                        for p in chunk {
                             let (i, j) = p.est_indices();
                             let owner = spec.owner_of_pair(i, j);
                             gen_by_owner[owner] += 1;
@@ -172,9 +148,7 @@ pub fn run_slave_sharded_obs(
                     } else {
                         match rank.recv() {
                             Ok(fm) => Some(fm),
-                            Err(_) => {
-                                return finish(&generator, timers, &pairbufs, &ctx, &gen_by_owner)
-                            }
+                            Err(_) => break 'run,
                         }
                     }
                 }
@@ -197,9 +171,7 @@ pub fn run_slave_sharded_obs(
         match msg {
             // Reconciler abort: a sub-master died; every session that
             // cannot be closed by its owner is closed here.
-            Msg::Shutdown if from == 0 => {
-                return finish(&generator, timers, &pairbufs, &ctx, &gen_by_owner);
-            }
+            Msg::Shutdown if from == 0 => break 'run,
             Msg::Shutdown => {
                 debug_assert!(
                     from >= 1 && from <= k,
@@ -229,7 +201,7 @@ pub fn run_slave_sharded_obs(
                 // lost, just waiting for their owner's next request.
                 while pairbufs[m].len() < request && !generator.is_exhausted() {
                     let want = (request - pairbufs[m].len()).max(IDLE_GEN_CHUNK);
-                    for p in generator.next_batch(want) {
+                    for p in pairgen.time(|| generator.next_batch(want)) {
                         let (i, j) = p.est_indices();
                         let owner = spec.owner_of_pair(i, j);
                         gen_by_owner[owner] += 1;
@@ -251,7 +223,7 @@ pub fn run_slave_sharded_obs(
                 // the dispatching shard (it only dispatches pairs it
                 // owns), so the routing is a no-op in disguise — kept
                 // explicit so the invariant is checked, not assumed.
-                let results = align_batch(&mut ctx, &pairs, cfg, &mut timers, obs, rank.rank());
+                let results = align_batch(&mut ctx, &pairs, cfg, &mut alignment, obs, rank.rank());
                 route_results(results, &mut pending);
             }
             Msg::Report { .. }
@@ -262,7 +234,20 @@ pub fn run_slave_sharded_obs(
             }
         }
     }
-    finish(&generator, timers, &pairbufs, &ctx, &gen_by_owner)
+    WorkerSummary {
+        unconsumed: pairbufs.iter().map(|b| b.len() as u64).sum(),
+        gen_by_owner,
+        unconsumed_by_owner: pairbufs.iter().map(|b| b.len() as u64).collect(),
+        ..summarize(
+            obs,
+            rank.rank(),
+            &generator,
+            &ctx,
+            sort_timer.secs(),
+            pairgen.secs(),
+            alignment,
+        )
+    }
 }
 
 /// Send one report to sub-master `m`, with the same trace footprint as

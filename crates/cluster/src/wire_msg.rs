@@ -218,6 +218,7 @@ impl Wire for WorkerSummary {
         self.injected_stalls.encode(out);
         encode_u64s(&self.gen_by_owner, out);
         encode_u64s(&self.unconsumed_by_owner, out);
+        self.pair_generation.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -239,6 +240,7 @@ impl Wire for WorkerSummary {
             injected_stalls: u64::decode(r)?,
             gen_by_owner: decode_u64s(r)?,
             unconsumed_by_owner: decode_u64s(r)?,
+            pair_generation: f64::decode(r)?,
         })
     }
 }
@@ -383,6 +385,7 @@ mod tests {
                 injected_stalls: 11,
                 gen_by_owner: vec![12, 0, 13],
                 unconsumed_by_owner: vec![1, 0, 2],
+                pair_generation: 0.75,
             }),
             Msg::CrossMerge {
                 shard: 2,

@@ -22,10 +22,12 @@
 //! * every accepted merge is recorded into a rolling [`MergeTrace`], so
 //!   the accumulated state can be checkpointed and cross-checked by
 //!   replay exactly like a batch run's;
-//! * a fold reports like a batch run: the drains publish merge events,
-//!   the MCS histogram, `alignment` phase samples and workspace reuses
-//!   to the clusterer's [`Obs`] handle, and the fold adds its share of
-//!   the `pairs.*` and `merges` counters.
+//! * a fold reports like a batch run: it records `partitioning`,
+//!   `gst_construction` and `node_sorting` spans, the drains publish
+//!   merge events, the MCS histogram, `pair_generation` and `alignment`
+//!   phase samples and workspace reuses to the clusterer's [`Obs`]
+//!   handle, and the fold adds its share of the `pairs.*` and `merges`
+//!   counters.
 //!
 //! The result is identical to what from-scratch clustering would produce
 //! on the union (for deterministic acceptance), at a fraction of the
@@ -43,7 +45,7 @@ use pace_cluster::{
 };
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, LocalForest};
-use pace_obs::Obs;
+use pace_obs::{metric, Obs};
 use pace_pairgen::PairGenerator;
 use pace_seq::{PackedText, SeqError, SequenceStore};
 use pace_store::{plan_batches, DEFAULT_BYTES_PER_SUFFIX};
@@ -268,8 +270,10 @@ impl IncrementalClusterer {
 
         // Rebuild the forest over everything (linear work) in batches
         // sized to the memory budget, draining each batch's pairs.
+        let span = self.obs.span(metric::PHASE_PARTITIONING);
         let counts = count_buckets(&store, self.cfg.window_w);
         let partition = assign_buckets(&counts, 1);
+        span.finish();
         let plan = plan_batches(&partition, 0, self.memory_budget, DEFAULT_BYTES_PER_SUFFIX);
 
         let packed = self
@@ -278,12 +282,16 @@ impl IncrementalClusterer {
             .then(|| PackedText::from_store(&store));
         let mut ctx = AlignContext::new(&store, packed.as_ref());
         for bucket_batch in &plan.batches {
+            let span = self.obs.span(metric::PHASE_GST_CONSTRUCTION);
             let forest = LocalForest {
                 rank: 0,
                 w: self.cfg.window_w,
                 subtrees: build_bucket_batch(&store, self.cfg.window_w, bucket_batch),
             };
+            span.finish();
+            let span = self.obs.span(metric::PHASE_NODE_SORTING);
             let generator = PairGenerator::new(&store, &forest, self.cfg.pair_gen());
+            span.finish();
             // Old–old pairs were judged in a previous round; the core
             // books them as skipped so flow conservation stays exact.
             let keep = |i: usize, j: usize| i >= first_new || j >= first_new;

@@ -33,9 +33,7 @@
 //! exact across the crash-and-resume cycle.
 
 use crate::pipeline::{Pace, PaceConfig, PaceError, PaceOutcome};
-use pace_cluster::{
-    record_cluster_counters, AlignContext, ClusterConfig, ClusterCore, ClusterStats, MergeTrace,
-};
+use pace_cluster::{record_cluster_counters, AlignContext, ClusterConfig, ClusterCore};
 use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, BucketPartition, LocalForest};
 use pace_obs::{metric, Obs};
@@ -288,7 +286,6 @@ impl<'a> Runner<'a> {
     fn run(&mut self, input: PersistInput<'_>) -> Result<PersistentOutcome, PaceError> {
         let fp = fingerprint(&canonical_description(self.config, self.persist, &input));
         let total_span = self.obs.span(metric::PHASE_TOTAL);
-        let mut stats = ClusterStats::default();
 
         let mut manifest = if self.persist.resume {
             let m = Manifest::load(&self.manifest_path).map_err(|e| {
@@ -331,7 +328,7 @@ impl<'a> Runner<'a> {
         }
 
         // ---------------- Phase 2: partition ----------------
-        let partition = self.phase_partition(&store, &mut manifest, &mut stats)?;
+        let partition = self.phase_partition(&store, &mut manifest)?;
 
         // ---------------- Phase 3: build + spill ----------------
         let plan = plan_batches(
@@ -349,13 +346,13 @@ impl<'a> Runner<'a> {
         }
         manifest.batches_total = plan.len() as u64;
         let mut spill = SpillManager::new(self.persist.spill_dir())?;
-        self.phase_build(&store, &plan, &mut spill, &mut manifest, &mut stats)?;
+        self.phase_build(&store, &plan, &mut spill, &mut manifest)?;
 
         // ---------------- Phase 4: cluster ----------------
-        let mut core = self.phase_cluster(&store, &plan, &mut spill, &mut manifest, stats)?;
+        let core = self.phase_cluster(&store, &plan, &mut spill, &mut manifest)?;
 
         // ---------------- Done: publish metrics + outcome ----------------
-        core.stats.timers.total += total_span.finish();
+        total_span.finish();
         record_cluster_counters(self.obs, &core.stats);
         let reg = self.obs.registry();
         let io = spill.stats();
@@ -443,7 +440,6 @@ impl<'a> Runner<'a> {
         &mut self,
         store: &SequenceStore,
         manifest: &mut Manifest,
-        stats: &mut ClusterStats,
     ) -> Result<BucketPartition, PaceError> {
         if self.persist.resume && manifest.phase >= Phase::Partition {
             let snap = Snapshot::read_file(&self.partition_path)?;
@@ -461,7 +457,7 @@ impl<'a> Runner<'a> {
         let span = self.obs.span(metric::PHASE_PARTITIONING);
         let counts = count_buckets(store, self.cfg.window_w);
         let partition = assign_buckets(&counts, 1);
-        stats.timers.partitioning = span.finish();
+        span.finish();
 
         let mut w = SnapshotWriter::create(&self.partition_path)?;
         w.add_section(SEC_PARTITION, &codec::encode_bucket_partition(&partition))?;
@@ -480,7 +476,6 @@ impl<'a> Runner<'a> {
         plan: &BatchPlan,
         spill: &mut SpillManager,
         manifest: &mut Manifest,
-        stats: &mut ClusterStats,
     ) -> Result<(), PaceError> {
         let reg = self.obs.registry();
         if self.persist.resume && manifest.phase >= Phase::Build {
@@ -498,7 +493,7 @@ impl<'a> Runner<'a> {
                 w: self.cfg.window_w,
                 subtrees: build_bucket_batch(store, self.cfg.window_w, &plan.batches[k]),
             };
-            stats.timers.gst_construction += span.finish();
+            span.finish();
             reg.add(metric::GST_SUBTREES, forest.subtrees.len() as u64);
             reg.add(metric::GST_NODES, forest.num_nodes() as u64);
             reg.set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth() as f64);
@@ -522,7 +517,7 @@ impl<'a> Runner<'a> {
     }
 
     /// Write the heavy checkpoint: the core's union–find, merge trace
-    /// and counters (alignment time included).
+    /// and counters.
     fn write_heavy(&mut self, core: &ClusterCore) -> Result<(), PaceError> {
         let span = self.obs.span(metric::PHASE_CHECKPOINT);
         let mut w = SnapshotWriter::create(&self.cluster_path)?;
@@ -535,19 +530,15 @@ impl<'a> Runner<'a> {
         Ok(())
     }
 
-    /// Seed a core from the heavy checkpoint, adding this run's
-    /// pre-cluster phase times (`pre`), and cross-check it: replaying the
-    /// merge trace from scratch must reproduce the decoded union–find's
-    /// partition, or the snapshot pair is internally inconsistent.
-    fn read_heavy(
-        &mut self,
-        num_ests: usize,
-        pre: &ClusterStats,
-    ) -> Result<ClusterCore, PaceError> {
+    /// Seed a core from the heavy checkpoint and cross-check it:
+    /// replaying the merge trace from scratch must reproduce the decoded
+    /// union–find's partition, or the snapshot pair is internally
+    /// inconsistent.
+    fn read_heavy(&mut self, num_ests: usize) -> Result<ClusterCore, PaceError> {
         let snap = Snapshot::read_file(&self.cluster_path)?;
         let mut clusters = codec::decode_dsu(snap.section(SEC_DSU)?)?;
         let trace = codec::decode_merge_trace(snap.section(SEC_TRACE)?)?;
-        let mut stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
+        let stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
         if clusters.as_raw_parts().0.len() != num_ests {
             return Err(PaceError::Persist(format!(
                 "cluster checkpoint covers {} ESTs, run has {num_ests}",
@@ -564,21 +555,17 @@ impl<'a> Runner<'a> {
             ));
         }
         self.replayed_merges += trace.len() as u64;
-        stats.timers.partitioning += pre.timers.partitioning;
-        stats.timers.gst_construction += pre.timers.gst_construction;
         Ok(ClusterCore::resume(clusters, trace, stats, self.cfg))
     }
 
     /// Drain every batch's pairs through one core, checkpointing as
-    /// configured. `pre` carries the phase times measured before this
-    /// phase.
+    /// configured.
     fn phase_cluster(
         &mut self,
         store: &SequenceStore,
         plan: &BatchPlan,
         spill: &mut SpillManager,
         manifest: &mut Manifest,
-        pre: ClusterStats,
     ) -> Result<ClusterCore, PaceError> {
         let total = plan.len() as u64;
         let n = store.num_ests();
@@ -587,16 +574,16 @@ impl<'a> Runner<'a> {
         // checkpoint *is* the result.
         if self.persist.resume && manifest.phase >= Phase::Cluster {
             self.phases_resumed += 1;
-            return self.read_heavy(n, &pre);
+            return self.read_heavy(n);
         }
 
-        let mut core = ClusterCore::resume(DisjointSets::new(n), MergeTrace::new(), pre, self.cfg);
+        let mut core = ClusterCore::new(DisjointSets::new(n), self.cfg);
         let mut start = 0;
         if self.persist.resume {
             // Without a heavy checkpoint the run crashed before the first
             // one: cluster from scratch (the phase inputs are all on disk).
             if let Some(c) = manifest.heavy_ckpt {
-                core = self.read_heavy(n, &pre)?;
+                core = self.read_heavy(n)?;
                 start = c;
             }
             // Reconcile the crash gap: pairs generated after the heavy
@@ -635,7 +622,7 @@ impl<'a> Runner<'a> {
 
             let span = self.obs.span(metric::PHASE_NODE_SORTING);
             let generator = PairGenerator::new(store, &forest, self.cfg.pair_gen());
-            core.stats.timers.node_sorting += span.finish();
+            span.finish();
             core.drain(generator, |_, _| true, &mut ctx, self.cfg, self.obs);
 
             // Heavy checkpoint first, then the manifest that refers to
@@ -667,7 +654,7 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pace_cluster::cluster_sequential_traced;
+    use pace_cluster::{cluster_sequential_traced, ClusterStats};
     use pace_simulate::{generate, SimConfig};
 
     fn test_config() -> PaceConfig {

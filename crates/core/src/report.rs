@@ -1,215 +1,94 @@
-//! Run reports: the machine- and human-readable records behind
-//! EXPERIMENTS.md.
+//! The human-readable run summary the CLI prints to stderr. The machine
+//! report is `pace_obs::report`, which `--metrics-out` writes from the
+//! same registry snapshot, so the two always agree.
 
 use crate::pipeline::PaceOutcome;
-use pace_obs::Json;
+use pace_obs::{metric, RegistrySnapshot};
 use pace_quality::QualityMetrics;
 
-/// A flat, serializable record of one clustering run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// Number of input ESTs.
-    pub num_ests: usize,
-    /// Total input bases.
-    pub total_bases: usize,
-    /// Ranks used (1 = sequential driver).
-    pub num_processors: usize,
-    /// Clusters produced.
-    pub num_clusters: usize,
-    /// Promising pairs generated.
-    pub pairs_generated: u64,
-    /// Pairs actually aligned.
-    pub pairs_processed: u64,
-    /// Alignments accepted.
-    pub pairs_accepted: u64,
-    /// Pairs skipped thanks to up-to-date cluster information.
-    pub pairs_skipped: u64,
-    /// Seconds in partitioning.
-    pub partitioning_secs: f64,
-    /// Seconds constructing the GST.
-    pub gst_secs: f64,
-    /// Seconds sorting nodes.
-    pub sort_secs: f64,
-    /// Seconds aligning.
-    pub align_secs: f64,
-    /// End-to-end seconds.
-    pub total_secs: f64,
-    /// Fraction of time the master was busy (parallel runs).
-    pub master_busy_frac: f64,
-    /// Quality versus ground truth, when available: `(OQ, OV, UN, CC)`
-    /// as percentages.
-    pub quality: Option<(f64, f64, f64, f64)>,
-    /// Seconds on the trace's critical path (longest causal chain of
-    /// work spans). `0.0` when the run was not traced.
-    pub critical_path_secs: f64,
-    /// Per-rank busy fraction from the trace, indexed by rank. Empty
-    /// when the run was not traced.
-    pub rank_utilization: Vec<f64>,
+/// Phases in pipeline order. The summary prints recorded phases in this
+/// order, any phase not listed after them, and `total` last.
+const PIPELINE_ORDER: [&str; 10] = [
+    metric::PHASE_INGEST,
+    metric::PHASE_PARTITIONING,
+    metric::PHASE_GST_CONSTRUCTION,
+    metric::PHASE_SPILL_WRITE,
+    metric::PHASE_SPILL_READ,
+    metric::PHASE_NODE_SORTING,
+    metric::PHASE_PAIR_GENERATION,
+    metric::PHASE_ALIGNMENT,
+    metric::PHASE_ALIGN_BATCH,
+    metric::PHASE_CHECKPOINT,
+];
+
+fn pipeline_rank(phase: &str) -> usize {
+    match PIPELINE_ORDER.iter().position(|p| *p == phase) {
+        Some(i) => i,
+        None if phase == metric::PHASE_TOTAL => usize::MAX,
+        None => PIPELINE_ORDER.len(),
+    }
 }
 
-impl RunReport {
-    /// Build a report from an outcome, optionally with quality metrics.
-    pub fn from_outcome(outcome: &PaceOutcome, quality: Option<QualityMetrics>) -> Self {
-        let s = &outcome.result.stats;
+/// One run's summary: sizes and pair counters from the outcome; from the
+/// registry snapshot, each recorded phase's max and sample count (the
+/// max over ranks is Table 3's critical path) and the traced critical
+/// path; and quality when the run was assessed.
+pub struct RunReport<'a> {
+    outcome: &'a PaceOutcome,
+    snap: &'a RegistrySnapshot,
+    quality: Option<QualityMetrics>,
+}
+
+impl<'a> RunReport<'a> {
+    /// Summarize `outcome`, whose phases and gauges are in `snap`.
+    pub fn new(
+        outcome: &'a PaceOutcome,
+        snap: &'a RegistrySnapshot,
+        quality: Option<QualityMetrics>,
+    ) -> Self {
         RunReport {
-            num_ests: outcome.num_ests,
-            total_bases: outcome.total_bases,
-            num_processors: outcome.num_processors,
-            num_clusters: outcome.result.num_clusters,
-            pairs_generated: s.pairs_generated,
-            pairs_processed: s.pairs_processed,
-            pairs_accepted: s.pairs_accepted,
-            pairs_skipped: s.pairs_skipped,
-            partitioning_secs: s.timers.partitioning,
-            gst_secs: s.timers.gst_construction,
-            sort_secs: s.timers.node_sorting,
-            align_secs: s.timers.alignment,
-            total_secs: s.timers.total,
-            master_busy_frac: s.master_busy_frac,
-            quality: quality.map(|q| q.as_percentages()),
-            critical_path_secs: 0.0,
-            rank_utilization: Vec::new(),
+            outcome,
+            snap,
+            quality,
         }
     }
-
-    /// Attach trace-derived figures (critical path, per-rank busy
-    /// fractions) from a [`pace_obs::trace::Analysis`] of the run.
-    pub fn with_trace_analysis(mut self, analysis: &pace_obs::trace::Analysis) -> Self {
-        self.critical_path_secs = analysis.critical_path_secs;
-        self.rank_utilization = analysis.ranks.iter().map(|r| r.utilization).collect();
-        self
-    }
-
-    /// Render a Table 3–style component-time row:
-    /// `p | partitioning | GST | sorting | alignment | total`.
-    pub fn table3_row(&self) -> String {
-        format!(
-            "{:>4} {:>12.2} {:>12.2} {:>10.2} {:>12.2} {:>10.2}",
-            self.num_processors,
-            self.partitioning_secs,
-            self.gst_secs,
-            self.sort_secs,
-            self.align_secs,
-            self.total_secs
-        )
-    }
-
-    /// Render a Table 2–style quality row (`OQ OV UN CC`), if assessed.
-    pub fn table2_row(&self) -> Option<String> {
-        self.quality
-            .map(|(oq, ov, un, cc)| format!("OQ {oq:6.2}  OV {ov:5.2}  UN {un:5.2}  CC {cc:6.2}"))
-    }
-
-    /// Serialize as a JSON object (via `pace-obs`; the workspace has no
-    /// serde).
-    pub fn to_json(&self) -> Json {
-        let quality = match self.quality {
-            Some((oq, ov, un, cc)) => Json::obj([
-                ("oq", Json::Num(oq)),
-                ("ov", Json::Num(ov)),
-                ("un", Json::Num(un)),
-                ("cc", Json::Num(cc)),
-            ]),
-            None => Json::Null,
-        };
-        Json::obj([
-            ("num_ests", Json::Num(self.num_ests as f64)),
-            ("total_bases", Json::Num(self.total_bases as f64)),
-            ("num_processors", Json::Num(self.num_processors as f64)),
-            ("num_clusters", Json::Num(self.num_clusters as f64)),
-            ("pairs_generated", Json::Num(self.pairs_generated as f64)),
-            ("pairs_processed", Json::Num(self.pairs_processed as f64)),
-            ("pairs_accepted", Json::Num(self.pairs_accepted as f64)),
-            ("pairs_skipped", Json::Num(self.pairs_skipped as f64)),
-            ("partitioning_secs", Json::Num(self.partitioning_secs)),
-            ("gst_secs", Json::Num(self.gst_secs)),
-            ("sort_secs", Json::Num(self.sort_secs)),
-            ("align_secs", Json::Num(self.align_secs)),
-            ("total_secs", Json::Num(self.total_secs)),
-            ("master_busy_frac", Json::Num(self.master_busy_frac)),
-            ("quality", quality),
-            ("critical_path_secs", Json::Num(self.critical_path_secs)),
-            (
-                "rank_utilization",
-                Json::Arr(
-                    self.rank_utilization
-                        .iter()
-                        .map(|&u| Json::Num(u))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parse a report previously produced by [`RunReport::to_json`].
-    pub fn from_json(doc: &Json) -> Option<Self> {
-        let u = |k: &str| doc.get(k)?.as_u64();
-        let f = |k: &str| doc.get(k)?.as_f64();
-        let quality = match doc.get("quality")? {
-            Json::Null => None,
-            q => Some((
-                q.get("oq")?.as_f64()?,
-                q.get("ov")?.as_f64()?,
-                q.get("un")?.as_f64()?,
-                q.get("cc")?.as_f64()?,
-            )),
-        };
-        Some(RunReport {
-            num_ests: u("num_ests")? as usize,
-            total_bases: u("total_bases")? as usize,
-            num_processors: u("num_processors")? as usize,
-            num_clusters: u("num_clusters")? as usize,
-            pairs_generated: u("pairs_generated")?,
-            pairs_processed: u("pairs_processed")?,
-            pairs_accepted: u("pairs_accepted")?,
-            pairs_skipped: u("pairs_skipped")?,
-            partitioning_secs: f("partitioning_secs")?,
-            gst_secs: f("gst_secs")?,
-            sort_secs: f("sort_secs")?,
-            align_secs: f("align_secs")?,
-            total_secs: f("total_secs")?,
-            master_busy_frac: f("master_busy_frac")?,
-            quality,
-            // Tolerant defaults: reports written before tracing existed
-            // simply have no trace figures.
-            critical_path_secs: f("critical_path_secs").unwrap_or(0.0),
-            rank_utilization: doc
-                .get("rank_utilization")
-                .and_then(|v| v.as_arr())
-                .map(|a| a.iter().filter_map(|x| x.as_f64()).collect())
-                .unwrap_or_default(),
-        })
-    }
 }
 
-impl std::fmt::Display for RunReport {
+impl std::fmt::Display for RunReport<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let o = self.outcome;
+        let s = &o.result.stats;
         writeln!(
             f,
             "PaCE run: {} ESTs ({} bases) on {} processor(s)",
-            self.num_ests, self.total_bases, self.num_processors
+            o.num_ests, o.total_bases, o.num_processors
         )?;
-        writeln!(f, "  clusters      : {}", self.num_clusters)?;
+        writeln!(f, "  clusters      : {}", o.result.num_clusters)?;
         writeln!(
             f,
             "  pairs         : {} generated, {} aligned, {} accepted, {} skipped",
-            self.pairs_generated, self.pairs_processed, self.pairs_accepted, self.pairs_skipped
+            s.pairs_generated, s.pairs_processed, s.pairs_accepted, s.pairs_skipped
         )?;
-        writeln!(
-            f,
-            "  time (s)      : partition {:.3}, gst {:.3}, sort {:.3}, align {:.3}, total {:.3}",
-            self.partitioning_secs, self.gst_secs, self.sort_secs, self.align_secs, self.total_secs
-        )?;
-        if self.critical_path_secs > 0.0 {
+        // A phase's max is its critical path when each rank records it
+        // once; the sample count says when it is the slowest of several
+        // batches instead (the persistent driver, `align_batch`).
+        let mut phases: Vec<_> = self.snap.phases.iter().collect();
+        phases.sort_by_key(|(name, _)| pipeline_rank(name));
+        if !phases.is_empty() {
+            writeln!(f, "  {:<18}{:>9}{:>9}", "phase", "max (s)", "samples")?;
+        }
+        for (name, agg) in phases {
+            writeln!(f, "  {name:<18}{:>9.3}{:>9}", agg.max, agg.count)?;
+        }
+        if let Some(secs) = self.snap.gauges.get(metric::TRACE_CRITICAL_PATH_SECS) {
+            writeln!(f, "  critical path : {secs:.3}s")?;
+        }
+        if let Some(q) = self.quality {
+            let (oq, ov, un, cc) = q.as_percentages();
             writeln!(
                 f,
-                "  critical path : {:.3}s across {} traced rank(s)",
-                self.critical_path_secs,
-                self.rank_utilization.len()
+                "  quality       : OQ {oq:6.2}  OV {ov:5.2}  UN {un:5.2}  CC {cc:6.2}"
             )?;
-        }
-        if let Some(row) = self.table2_row() {
-            writeln!(f, "  quality       : {row}")?;
         }
         Ok(())
     }
@@ -219,9 +98,10 @@ impl std::fmt::Display for RunReport {
 mod tests {
     use super::*;
     use crate::pipeline::{Pace, PaceConfig};
+    use pace_obs::Obs;
     use pace_simulate::{generate, SimConfig};
 
-    fn outcome() -> (PaceOutcome, Vec<usize>) {
+    fn outcome(obs: &Obs) -> (PaceOutcome, Vec<usize>) {
         let ds = generate(&SimConfig {
             num_genes: 5,
             num_ests: 50,
@@ -233,61 +113,45 @@ mod tests {
         });
         let mut cfg = PaceConfig::small_inputs();
         cfg.cluster.psi = 16;
-        (Pace::new(cfg).cluster(&ds.ests).unwrap(), ds.truth)
+        let store = pace_seq::SequenceStore::from_ests(&ds.ests).unwrap();
+        let out = Pace::new(cfg).cluster_store_obs(&store, obs).unwrap();
+        (out, ds.truth)
     }
 
     #[test]
-    fn report_reflects_outcome() {
-        let (out, truth) = outcome();
-        let q = out.quality(&truth);
-        let report = RunReport::from_outcome(&out, Some(q));
-        assert_eq!(report.num_ests, 50);
-        assert_eq!(report.num_clusters, out.num_clusters());
-        assert!(report.quality.is_some());
-        let text = report.to_string();
-        assert!(text.contains("50 ESTs"));
-        assert!(text.contains("quality"));
-        assert!(report.table2_row().is_some());
-        assert!(!report.table3_row().is_empty());
+    fn report_reflects_outcome_and_registry() {
+        let obs = Obs::noop();
+        let (out, truth) = outcome(&obs);
+        let snap = obs.registry().snapshot();
+        let text = RunReport::new(&out, &snap, Some(out.quality(&truth))).to_string();
+        assert!(text.contains("50 ESTs"), "{text}");
+        assert!(text.contains("quality"), "{text}");
+        assert!(!text.contains("critical path"), "untraced run: {text}");
+        // Every recorded phase prints, in pipeline order, total last.
+        let at = |phase: &str| {
+            text.find(&format!("\n  {phase} "))
+                .unwrap_or_else(|| panic!("{phase} missing: {text}"))
+        };
+        let order = [
+            metric::PHASE_PARTITIONING,
+            metric::PHASE_GST_CONSTRUCTION,
+            metric::PHASE_NODE_SORTING,
+            metric::PHASE_PAIR_GENERATION,
+            metric::PHASE_ALIGNMENT,
+            metric::PHASE_TOTAL,
+        ];
+        assert!(order.windows(2).all(|w| at(w[0]) < at(w[1])), "{text}");
     }
 
     #[test]
-    fn json_roundtrip() {
-        let (out, truth) = outcome();
-        let q = out.quality(&truth);
-        let report = RunReport::from_outcome(&out, Some(q));
-        let text = report.to_json().to_string();
-        let back = RunReport::from_json(&pace_obs::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn trace_fields_default_when_absent_and_roundtrip_when_set() {
-        let (out, _) = outcome();
-        let mut report = RunReport::from_outcome(&out, None);
-        // Pre-trace reports (no such keys) parse with neutral defaults.
-        let mut old = report.to_json();
-        if let Json::Obj(entries) = &mut old {
-            entries.retain(|(k, _)| k != "critical_path_secs" && k != "rank_utilization");
-        }
-        let back = RunReport::from_json(&pace_obs::json::parse(&old.to_string()).unwrap()).unwrap();
-        assert_eq!(back.critical_path_secs, 0.0);
-        assert!(back.rank_utilization.is_empty());
-        // Populated figures survive the round trip.
-        report.critical_path_secs = 1.25;
-        report.rank_utilization = vec![0.5, 0.9, 0.75];
-        let back =
-            RunReport::from_json(&pace_obs::json::parse(&report.to_json().to_string()).unwrap())
-                .unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn report_without_quality() {
-        let (out, _) = outcome();
-        let report = RunReport::from_outcome(&out, None);
-        assert!(report.quality.is_none());
-        assert!(report.table2_row().is_none());
-        assert!(!report.to_string().contains("quality"));
+    fn critical_path_comes_from_the_trace_gauge() {
+        let obs = Obs::noop();
+        let (out, _) = outcome(&obs);
+        obs.registry()
+            .set_gauge(metric::TRACE_CRITICAL_PATH_SECS, 1.25);
+        let snap = obs.registry().snapshot();
+        let text = RunReport::new(&out, &snap, None).to_string();
+        assert!(text.contains("critical path : 1.250s"), "{text}");
+        assert!(!text.contains("quality"), "{text}");
     }
 }

@@ -8,12 +8,11 @@
 //! master is busy < 2% of the time". This crate gives every layer of
 //! the pipeline one substrate to record those numbers through:
 //!
-//! - [`Span`] / [`Timer`] — RAII phase timing that feeds the registry
-//!   (and still backs the legacy `PhaseTimers` struct in
-//!   `pace-cluster`).
+//! - [`Span`] / [`Timer`] — RAII phase timing that feeds the registry,
+//!   the one record of every phase's duration.
 //! - [`Registry`] — thread-safe named counters, gauges, log-bucketed
-//!   histograms, and per-rank phase series with min/mean/max
-//!   aggregates.
+//!   histograms, and per-phase duration aggregates (count, sum, min,
+//!   mean, max and quantiles).
 //! - [`EventSink`] — pluggable structured-event stream:
 //!   [`NullSink`] (zero-overhead default), [`VecSink`] (test capture),
 //!   [`JsonlSink`] (line-delimited JSON file).
@@ -37,7 +36,7 @@
 //! | `gst.max_depth` | gauge | deepest GST node (string depth) |
 //! | `master.busy_frac` | gauge | fraction of wall time the master worked |
 //! | `pairs.mcs_len` | histogram | generated pairs by maximal-common-substring length |
-//! | `partitioning`, `gst_construction`, `node_sorting`, `alignment`, `total` | phase | per-rank phase timings |
+//! | `partitioning`, `gst_construction`, `node_sorting`, `pair_generation`, `alignment`, `total` | phase | per-rank phase timings |
 
 pub mod json;
 pub mod metric;
@@ -186,7 +185,7 @@ impl Obs {
 
     /// Open an RAII span for `phase` on the given rank. Emits
     /// `PhaseStart` now and, at [`Span::finish`] (or drop),
-    /// records the duration into the registry's phase series and emits
+    /// records the duration into the registry's phase aggregate and emits
     /// `PhaseEnd`.
     pub fn span_on<'a>(&'a self, phase: &'a str, rank: usize) -> Span<'a> {
         Span::begin(self, phase, rank)

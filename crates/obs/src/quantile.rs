@@ -4,10 +4,10 @@
 //! [`SUBBUCKETS_PER_OCTAVE`] buckets per power of two, so any quantile
 //! it reports is within a fixed *relative* error of the exact order
 //! statistic regardless of the value range — the right trade for
-//! latencies, which span microseconds to minutes in one run. This is
-//! what upgrades the registry's min/mean/max-only phase aggregates to
-//! p50/p90/p99 (see [`crate::registry::PhaseAgg`]) and what `pace-trace`
-//! uses for per-span-name summaries.
+//! latencies, which span microseconds to minutes in one run. Each of the
+//! registry's phases is one running estimator (see
+//! [`crate::registry::PhaseAgg`]), and `pace-trace` uses it for
+//! per-span-name summaries.
 //!
 //! Memory is O(occupied buckets) — a `BTreeMap` keyed by bucket index —
 //! and the full `f64` range down to ~2⁻⁶⁴ is representable, so there is
@@ -94,6 +94,16 @@ impl LogQuantile {
     /// Sum of observed values.
     pub fn sum(&self) -> f64 {
         self.sum
+    }
+
+    /// Smallest observed value (0 when nothing was observed).
+    pub fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Largest observed value (0 when nothing was observed).
+    pub fn max(&self) -> f64 {
+        self.max
     }
 
     /// Estimate the `q`-quantile (`0.0 ≤ q ≤ 1.0`). Returns the

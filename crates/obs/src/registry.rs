@@ -1,10 +1,15 @@
 //! Thread-safe metric registry: named counters, gauges, log-bucketed
-//! histograms, and per-rank phase series.
+//! histograms, and per-phase duration aggregates.
 //!
 //! Counters are lock-free after first lookup (callers hold a
 //! [`Counter`] handle wrapping an `Arc<AtomicU64>`); gauges, histograms
-//! and phase series take a short mutex. All maps are `BTreeMap` so
-//! snapshots and reports iterate in stable, diff-friendly order.
+//! and phases take a short mutex. Each phase is one running
+//! [`LogQuantile`], so a phase recorded on every daemon fold for the
+//! life of the process stays a fixed-size aggregate. All maps are
+//! `BTreeMap` so snapshots and reports iterate in stable, diff-friendly
+//! order.
+
+use crate::quantile::LogQuantile;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -93,7 +98,8 @@ impl Histogram {
     }
 }
 
-/// Aggregate of one phase's per-rank durations.
+/// Aggregate of one phase's recorded durations. Count, sum, min and
+/// max are exact; the quantiles are log-bucket estimates.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseAgg {
     /// Number of recorded durations (usually = participating ranks).
@@ -123,15 +129,13 @@ pub struct RegistrySnapshot {
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, Histogram>,
     pub phases: BTreeMap<String, PhaseAgg>,
-    /// Raw `(rank, secs)` series behind each phase aggregate.
-    pub phase_series: BTreeMap<String, Vec<(usize, f64)>>,
 }
 
 #[derive(Default)]
 struct Tables {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    phases: BTreeMap<String, Vec<(usize, f64)>>,
+    phases: BTreeMap<String, LogQuantile>,
 }
 
 /// The thread-safe metric registry. One per [`crate::Obs`].
@@ -195,14 +199,16 @@ impl Registry {
             .observe_n(value, n);
     }
 
-    /// Append one duration to a phase's per-rank series.
-    pub fn record_phase(&self, phase: &str, rank: usize, secs: f64) {
+    /// Fold one duration into a phase's aggregate. `_rank` names the
+    /// rank the duration belongs to, as a span's does; the aggregate
+    /// keeps no per-rank state.
+    pub fn record_phase(&self, phase: &str, _rank: usize, secs: f64) {
         self.tables
             .lock()
             .phases
             .entry(phase.to_string())
             .or_default()
-            .push((rank, secs));
+            .observe(secs);
     }
 
     /// Take a consistent copy of everything for reporting.
@@ -217,42 +223,29 @@ impl Registry {
         let phases = tables
             .phases
             .iter()
-            .map(|(k, series)| (k.clone(), aggregate(series)))
+            .map(|(k, lq)| (k.clone(), aggregate(lq)))
             .collect();
         RegistrySnapshot {
             counters,
             gauges: tables.gauges.clone(),
             histograms: tables.histograms.clone(),
             phases,
-            phase_series: tables.phases.clone(),
         }
     }
 }
 
-fn aggregate(series: &[(usize, f64)]) -> PhaseAgg {
-    if series.is_empty() {
-        return PhaseAgg::default();
+fn aggregate(lq: &LogQuantile) -> PhaseAgg {
+    let (p50, p90, p99) = lq.p50_p90_p99();
+    PhaseAgg {
+        count: lq.count(),
+        min: lq.min(),
+        mean: lq.sum() / lq.count() as f64,
+        max: lq.max(),
+        sum: lq.sum(),
+        p50,
+        p90,
+        p99,
     }
-    let mut agg = PhaseAgg {
-        count: series.len() as u64,
-        min: f64::INFINITY,
-        mean: 0.0,
-        max: f64::NEG_INFINITY,
-        sum: 0.0,
-        p50: 0.0,
-        p90: 0.0,
-        p99: 0.0,
-    };
-    let mut lq = crate::quantile::LogQuantile::new();
-    for &(_, secs) in series {
-        agg.min = agg.min.min(secs);
-        agg.max = agg.max.max(secs);
-        agg.sum += secs;
-        lq.observe(secs);
-    }
-    agg.mean = agg.sum / series.len() as f64;
-    (agg.p50, agg.p90, agg.p99) = lq.p50_p90_p99();
-    agg
 }
 
 #[cfg(test)]
@@ -316,6 +309,24 @@ mod tests {
             "{}",
             agg.p99
         );
+    }
+
+    #[test]
+    fn phase_aggregates_stay_exact_over_many_samples() {
+        // Dyadic durations keep every partial sum exact in f64, so the
+        // expected sum is exact too.
+        let reg = Registry::new();
+        let mut sum = 0.0;
+        for i in 0..100_000u64 {
+            let secs = ((i * 7919) % 1000 + 1) as f64 / 1024.0;
+            sum += secs;
+            reg.record_phase("align_batch", (i % 4) as usize, secs);
+        }
+        let agg = reg.snapshot().phases["align_batch"];
+        assert_eq!(agg.count, 100_000);
+        assert_eq!(agg.sum, sum);
+        assert_eq!(agg.min, 1.0 / 1024.0);
+        assert_eq!(agg.max, 1000.0 / 1024.0);
     }
 
     #[test]

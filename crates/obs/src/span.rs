@@ -2,9 +2,9 @@
 //!
 //! [`Span`] times one phase on one rank: it emits a `PhaseStart` event
 //! when opened and, on [`Span::finish`] (or drop), records the elapsed
-//! seconds into the registry's per-rank phase series and emits
-//! `PhaseEnd`. `finish()` also *returns* the seconds so call sites can
-//! keep populating the legacy `PhaseTimers` struct.
+//! seconds into the registry's phase aggregate and emits `PhaseEnd`.
+//! `finish()` also *returns* the seconds, for call sites that ship them
+//! elsewhere (a worker's summary to the master).
 //!
 //! [`Timer`] is a stopwatch for inner loops that run many short bursts
 //! of the same phase (e.g. per-batch alignment in a slave): start/stop
@@ -88,8 +88,7 @@ impl Drop for Span<'_> {
 
 /// An accumulating stopwatch. Unlike [`Span`] it is detached from any
 /// `Obs`: it only measures, and the caller records the total (via
-/// [`crate::Registry::record_phase`] or a legacy timer field) when the
-/// loop is done.
+/// [`crate::Registry::record_phase`]) when the loop is done.
 #[derive(Debug, Default)]
 pub struct Timer {
     acc: Duration,

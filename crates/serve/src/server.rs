@@ -704,6 +704,15 @@ mod tests {
             stats.pairs_generated
         );
         assert_eq!(snap.phases[metric::PHASE_ALIGNMENT].count, 3);
+        // Each fold partitions once, then builds and sorts its one build
+        // batch, like a batch run.
+        for phase in [
+            metric::PHASE_PARTITIONING,
+            metric::PHASE_GST_CONSTRUCTION,
+            metric::PHASE_NODE_SORTING,
+        ] {
+            assert_eq!(snap.phases[phase].count, 3, "{phase}");
+        }
         handle.stop().expect("clean stop");
         let _ = std::fs::remove_dir_all(&dir);
     }

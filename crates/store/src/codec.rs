@@ -13,7 +13,7 @@
 //! `from_raw_parts` constructors in the owning crates).
 
 use crate::error::SnapshotError;
-use pace_cluster::stats::{ClusterStats, FaultStats, PhaseTimers};
+use pace_cluster::stats::{ClusterStats, FaultStats};
 use pace_cluster::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
 use pace_gst::tree::Node;
@@ -408,9 +408,9 @@ pub fn decode_dsu(bytes: &[u8]) -> Result<DisjointSets, SnapshotError> {
 // ClusterStats
 // ---------------------------------------------------------------------
 
-/// Encode the full counter/timer block of a run.
+/// Encode the full counter block of a run.
 pub fn encode_cluster_stats(stats: &ClusterStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(168);
+    let mut out = Vec::with_capacity(120);
     for v in [
         stats.pairs_generated,
         stats.pairs_processed,
@@ -433,15 +433,6 @@ pub fn encode_cluster_stats(stats: &ClusterStats) -> Vec<u8> {
         stats.faults.lost_pairs,
     ] {
         put_u64(&mut out, v);
-    }
-    for v in [
-        stats.timers.partitioning,
-        stats.timers.gst_construction,
-        stats.timers.node_sorting,
-        stats.timers.alignment,
-        stats.timers.total,
-    ] {
-        put_f64(&mut out, v);
     }
     out
 }
@@ -466,13 +457,6 @@ pub fn decode_cluster_stats(bytes: &[u8]) -> Result<ClusterStats, SnapshotError>
             reassigned_pairs: d.u64()?,
             abandoned_pairs: d.u64()?,
             lost_pairs: d.u64()?,
-        },
-        timers: PhaseTimers {
-            partitioning: d.f64()?,
-            gst_construction: d.f64()?,
-            node_sorting: d.f64()?,
-            alignment: d.f64()?,
-            total: d.f64()?,
         },
     };
     d.finish()?;

@@ -14,7 +14,7 @@ pub enum SnapshotError {
     Io(String),
     /// The file does not start with the snapshot magic.
     BadMagic,
-    /// The file's schema version is newer than this build understands.
+    /// The file's schema version is not the one this build writes.
     UnsupportedVersion(u32),
     /// The file ended before the declared layout was complete.
     Truncated {

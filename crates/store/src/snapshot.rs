@@ -24,8 +24,8 @@
 //! mid-write can never leave a half-written file under the final name.
 //!
 //! Schema evolution rules are documented in DESIGN.md: the version is
-//! bumped on any layout change, readers reject newer versions
-//! ([`SnapshotError::UnsupportedVersion`]), and new *optional* state
+//! bumped on any layout change, readers reject every version but their
+//! own ([`SnapshotError::UnsupportedVersion`]), and new *optional* state
 //! must be added as new sections (readers ignore unknown sections) so
 //! old files stay readable within a version.
 
@@ -39,8 +39,9 @@ use std::path::{Path, PathBuf};
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"PACESNAP";
 
-/// Current snapshot schema version.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Current snapshot schema version (DESIGN.md §9 lists what each
+/// version changed).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Suffix of the temporary file the writer streams to before the
 /// atomic rename (matched by the `*.tmp` gitignore rule).
@@ -179,7 +180,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version > SCHEMA_VERSION {
+        if version != SCHEMA_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let count = u32::from_le_bytes(header[12..16].try_into().unwrap());
@@ -309,6 +310,16 @@ mod tests {
         assert_eq!(
             Snapshot::parse(img).unwrap_err(),
             SnapshotError::UnsupportedVersion(99)
+        );
+        // An older version is refused too: v1's `cluster_stats` layout
+        // no longer decodes.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::parse(v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
         );
     }
 

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pace::{Pace, PaceConfig, RunReport, SimConfig};
+use pace::obs::Obs;
+use pace::{Pace, PaceConfig, RunReport, SequenceStore, SimConfig};
 
 fn main() {
     // 1. Data. The paper uses 81,414 Arabidopsis ESTs; we synthesize a
@@ -22,17 +23,19 @@ fn main() {
     );
 
     // 2. Cluster with the paper's settings: window 8, ψ 20, batchsize 60,
-    //    one master plus three slaves.
+    //    one master plus three slaves. Phase times land in `obs`.
     let mut config = PaceConfig::paper();
     config.num_processors = 4;
+    let store = SequenceStore::from_ests(&data.ests).expect("simulated data is always valid DNA");
+    let obs = Obs::noop();
     let outcome = Pace::new(config)
-        .cluster(&data.ests)
-        .expect("simulated data is always valid DNA");
+        .cluster_store_obs(&store, &obs)
+        .expect("the paper's configuration is valid");
 
     // 3. Report. OQ/OV/UN/CC are the paper's Table 2 metrics.
     let quality = outcome.quality(&data.truth);
-    let report = RunReport::from_outcome(&outcome, Some(quality));
-    println!("{report}");
+    let snap = obs.registry().snapshot();
+    println!("{}", RunReport::new(&outcome, &snap, Some(quality)));
     println!(
         "true gene count (clusters a perfect run would find): {}",
         data.true_cluster_count()

@@ -222,7 +222,10 @@ fn read_labels(path: &str) -> Result<(Vec<String>, Vec<usize>), String> {
 }
 
 /// Assemble the schema-versioned metrics document for one run.
-fn run_report_json(obs: &pace::obs::Obs, outcome: &pace::PaceOutcome) -> pace::obs::Json {
+fn run_report_json(
+    snap: &pace::obs::RegistrySnapshot,
+    outcome: &pace::PaceOutcome,
+) -> pace::obs::Json {
     use pace::obs::Json;
     let meta = vec![
         ("num_ests".to_string(), Json::Num(outcome.num_ests as f64)),
@@ -239,7 +242,7 @@ fn run_report_json(obs: &pace::obs::Obs, outcome: &pace::PaceOutcome) -> pace::o
             Json::Num(outcome.num_clusters() as f64),
         ),
     ];
-    pace::obs::report::to_json(&obs.registry().snapshot(), meta)
+    pace::obs::report::to_json(snap, meta)
 }
 
 /// Parse a byte size with an optional K/M/G (binary) suffix.
@@ -291,52 +294,47 @@ fn finish_cluster_output(
     std::fs::write(out, tsv).map_err(|e| format!("writing {out}: {e}"))?;
 
     // Trace export + analysis first, so the derived gauges are in the
-    // registry before the metrics document is assembled.
-    let analysis = match (flags.get("trace-out"), obs.tracer()) {
-        (Some(path), Some(tracer)) => {
-            tracer
-                .write_chrome_file(std::path::Path::new(path))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            let doc = pace::obs::TraceDoc::from_tracer(tracer);
-            let analysis = pace::obs::trace::analyze(&doc);
-            let reg = obs.registry();
-            reg.set_gauge(
-                pace::obs::metric::TRACE_CRITICAL_PATH_SECS,
+    // registry before the summary and the metrics document read it.
+    if let (Some(path), Some(tracer)) = (flags.get("trace-out"), obs.tracer()) {
+        tracer
+            .write_chrome_file(std::path::Path::new(path))
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        let doc = pace::obs::TraceDoc::from_tracer(tracer);
+        let analysis = pace::obs::trace::analyze(&doc);
+        let reg = obs.registry();
+        reg.set_gauge(
+            pace::obs::metric::TRACE_CRITICAL_PATH_SECS,
+            analysis.critical_path_secs,
+        );
+        if !analysis.ranks.is_empty() {
+            let utils: Vec<f64> = analysis.ranks.iter().map(|r| r.utilization).collect();
+            let min = utils.iter().copied().fold(f64::INFINITY, f64::min);
+            let mean = utils.iter().sum::<f64>() / utils.len() as f64;
+            reg.set_gauge(pace::obs::metric::TRACE_UTILIZATION_MIN, min);
+            reg.set_gauge(pace::obs::metric::TRACE_UTILIZATION_MEAN, mean);
+        }
+        if !quiet {
+            eprintln!(
+                "wrote trace timeline to {path} ({} events); \
+                 critical path {:.3}s of {:.3}s wall — inspect with \
+                 `pace-trace {path}` or load into ui.perfetto.dev",
+                tracer.recorded(),
                 analysis.critical_path_secs,
+                analysis.wall_secs
             );
-            if !analysis.ranks.is_empty() {
-                let utils: Vec<f64> = analysis.ranks.iter().map(|r| r.utilization).collect();
-                let min = utils.iter().copied().fold(f64::INFINITY, f64::min);
-                let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-                reg.set_gauge(pace::obs::metric::TRACE_UTILIZATION_MIN, min);
-                reg.set_gauge(pace::obs::metric::TRACE_UTILIZATION_MEAN, mean);
-            }
-            if !quiet {
-                eprintln!(
-                    "wrote trace timeline to {path} ({} events); \
-                     critical path {:.3}s of {:.3}s wall — inspect with \
-                     `pace-trace {path}` or load into ui.perfetto.dev",
-                    tracer.recorded(),
-                    analysis.critical_path_secs,
-                    analysis.wall_secs
-                );
-            }
-            Some(analysis)
         }
-        _ => None,
-    };
+    }
 
+    // One snapshot feeds both reports, so the summary's phase times are
+    // the metrics document's `timers.<phase>.max`.
+    let snap = obs.registry().snapshot();
     if !quiet {
-        let mut report = pace::RunReport::from_outcome(outcome, None);
-        if let Some(a) = &analysis {
-            report = report.with_trace_analysis(a);
-        }
-        eprint!("{report}");
+        eprint!("{}", pace::RunReport::new(outcome, &snap, None));
         eprintln!("wrote {} cluster labels to {out}", outcome.num_ests);
     }
 
     if flags.contains_key("metrics-out") || verbose {
-        let doc = run_report_json(obs, outcome);
+        let doc = run_report_json(&snap, outcome);
         if let Some(path) = flags.get("metrics-out") {
             std::fs::write(path, pace::obs::report::to_pretty_string(&doc))
                 .map_err(|e| format!("writing {path}: {e}"))?;

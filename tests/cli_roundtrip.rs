@@ -87,6 +87,74 @@ fn simulate_cluster_assess_roundtrip() {
     }
 }
 
+/// The sequential run's stderr summary prints every phase of the
+/// metrics report, `pair_generation` included, and each printed time is
+/// that phase's `timers.<phase>.max` to the printed precision.
+#[test]
+fn sequential_summary_matches_the_metrics_report() {
+    let reads = tmp("summary_reads.fa");
+    let clusters = tmp("summary_clusters.tsv");
+    let metrics = tmp("summary_metrics.json");
+    let out = pace_bin()
+        .args(["simulate", "--ests", "150", "--seed", "5"])
+        .arg("--out")
+        .arg(&reads)
+        .output()
+        .expect("spawn pace simulate");
+    assert!(out.status.success());
+
+    let out = pace_bin()
+        .arg("cluster")
+        .arg("--in")
+        .arg(&reads)
+        .arg("--out")
+        .arg(&clusters)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .expect("spawn pace cluster");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    // The phase table: a `phase max (s) samples` header, then one
+    // `name max count` row per phase.
+    let printed: Vec<(&str, f64)> = stderr
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("phase "))
+        .skip(1)
+        .map_while(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            [phase, secs, count] if count.parse::<u64>().is_ok() => {
+                Some((phase, secs.parse().expect("seconds")))
+            }
+            _ => None,
+        })
+        .collect();
+
+    let doc = pace::obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let Some(pace::obs::Json::Obj(timers)) = doc.get("timers") else {
+        panic!("metrics report has no timers object");
+    };
+    let reported: Vec<&str> = timers.iter().map(|(phase, _)| phase.as_str()).collect();
+    let mut names: Vec<&str> = printed.iter().map(|&(phase, _)| phase).collect();
+    assert!(names.contains(&"pair_generation"), "{stderr}");
+    names.sort_unstable();
+    assert_eq!(names, reported, "summary and report list different phases");
+    for (phase, secs) in printed {
+        let max = doc
+            .get("timers")
+            .and_then(|t| t.get(phase))
+            .and_then(|t| t.get("max"))
+            .and_then(pace::obs::Json::as_f64)
+            .unwrap();
+        assert!(
+            (secs - max).abs() <= 0.0005 + 1e-9,
+            "{phase}: summary prints {secs}, report max is {max}"
+        );
+    }
+    for f in [reads, clusters, metrics] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let out = pace_bin().arg("frobnicate").output().unwrap();

@@ -340,6 +340,36 @@ fn lossless_seed_3() {
     check_lossless(MATRIX_SEEDS[3]);
 }
 
+/// Both transports report the same phases: a socket-run master records
+/// each worker's summary phases into its own registry, as the channel
+/// run's slaves record theirs into the shared one. Runs both backends
+/// regardless of `PACE_TRANSPORT`.
+#[test]
+fn channel_and_uds_report_the_same_phases() {
+    let store = dataset(72, 4000);
+    let channel = Obs::noop();
+    Pace::new(cfg(4))
+        .cluster_store_obs(&store, &channel)
+        .expect("channel run");
+    let uds = Obs::noop();
+    let opts = pace::UdsLaunchOpts::new(env!("CARGO_BIN_EXE_pace"));
+    pace::cluster_store_uds(&store, &cfg(4), &opts, &uds).expect("uds run");
+    for (transport, obs) in [("channel", &channel), ("uds", &uds)] {
+        let phases = obs.registry().snapshot().phases;
+        let count = |phase: &str| phases.get(phase).map_or(0, |agg| agg.count);
+        assert_eq!(count(metric::PHASE_PARTITIONING), 4, "{transport}");
+        assert_eq!(count(metric::PHASE_TOTAL), 1, "{transport}");
+        for phase in [
+            metric::PHASE_GST_CONSTRUCTION,
+            metric::PHASE_NODE_SORTING,
+            metric::PHASE_PAIR_GENERATION,
+            metric::PHASE_ALIGNMENT,
+        ] {
+            assert_eq!(count(phase), 3, "{transport}: {phase}");
+        }
+    }
+}
+
 #[test]
 fn drop_seed_0() {
     check_recoverable(FaultProfile::Drop, MATRIX_SEEDS[0]);
