@@ -20,7 +20,7 @@
 //! (reps per configuration, default 3; best rate across reps wins).
 
 use pace_bench::{banner, dataset, paper_cfg, rule, scaled};
-use pace_cluster::{cluster_parallel_obs, cluster_sharded_obs, ClusterConfig};
+use pace_cluster::{cluster_parallel_obs, ClusterConfig};
 use pace_obs::{metric, Json, Obs};
 use pace_seq::SequenceStore;
 
@@ -42,17 +42,11 @@ struct Measured {
 }
 
 /// Best (highest-throughput) rep of `reps` runs of one configuration.
-fn measure(
-    store: &SequenceStore,
-    cfg: &ClusterConfig,
-    p: usize,
-    reps: usize,
-    run: impl Fn(&SequenceStore, &ClusterConfig, usize, &Obs) -> pace_cluster::ClusterResult,
-) -> Measured {
+fn measure(store: &SequenceStore, cfg: &ClusterConfig, p: usize, reps: usize) -> Measured {
     let mut best: Option<Measured> = None;
     for _ in 0..reps {
         let obs = Obs::noop();
-        let r = run(store, cfg, p, &obs);
+        let (r, _) = cluster_parallel_obs(store, cfg, p, &obs);
         let snap = obs.registry().snapshot();
         let secs = snap
             .phases
@@ -92,9 +86,7 @@ fn main() {
     );
     println!("{}", rule(72));
 
-    let single = measure(&store, &cfg, p, reps, |s, c, p, o| {
-        cluster_parallel_obs(s, c, p, o).0
-    });
+    let single = measure(&store, &cfg, p, reps);
     println!(
         "single master : {:>8.3}s  {:>12.0} pairs/s  ({} pairs, {} clusters)",
         single.secs, single.rate, single.pairs_processed, single.clusters
@@ -102,9 +94,7 @@ fn main() {
 
     let mut sharded_cfg = cfg.clone();
     sharded_cfg.shards = k;
-    let sharded = measure(&store, &sharded_cfg, p, reps, |s, c, p, o| {
-        cluster_sharded_obs(s, c, p, o).0
-    });
+    let sharded = measure(&store, &sharded_cfg, p, reps);
     println!(
         "K = {k} sharded : {:>8.3}s  {:>12.0} pairs/s  ({} pairs, {} clusters)",
         sharded.secs, sharded.rate, sharded.pairs_processed, sharded.clusters

@@ -1,6 +1,7 @@
 //! Clustering engine configuration.
 
 use pace_align::{OverlapParams, Scoring};
+use pace_obs::trace::flow_id;
 use pace_pairgen::{PairGenConfig, PairOrder};
 
 /// All knobs of the clustering pipeline, with the paper's experimental
@@ -70,8 +71,8 @@ pub struct ClusterConfig {
     /// Number of clustering-master shards. `0` (the default) runs the
     /// classic single master; `K ≥ 1` runs K sub-masters (ranks
     /// `1..=K`, each owning an EST id-range) under a reconciler at rank
-    /// 0, leaving ranks `K+1..p` as slaves — so a sharded world needs
-    /// `p ≥ K + 2`.
+    /// 0, leaving ranks `K+1..p` as slaves. [`Topology`] holds both
+    /// layouts and the world size each needs.
     pub shards: usize,
     /// Reports a sub-master handles between cross-edge flushes to the
     /// reconciler (the epoch barrier length). Only meaningful when
@@ -317,42 +318,52 @@ impl ClusterConfig {
     }
 }
 
-/// The role a simulated rank plays in a sharded world.
+/// The role a rank plays in a clustering world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardRole {
-    /// Rank 0: folds cross-shard merges and replays shard traces.
+pub enum Role {
+    /// Rank 0 of a sharded world: folds cross-shard merges and replays
+    /// shard traces.
     Reconciler,
-    /// Ranks `1..=K`: sub-master owning shard `.0`.
-    SubMaster(usize),
-    /// Ranks `K+1..p`: slave with local index `.0` (0-based).
+    /// The master of protocol session `.0`: the single master at rank 0,
+    /// or sub-master `.0` at rank `1 + .0`.
+    Master(usize),
+    /// Slave with local index `.0` (0-based).
     Slave(usize),
 }
 
-/// Rank layout of a sharded world: rank 0 is the reconciler, ranks
-/// `1..=K` are sub-masters (shard `s` lives at rank `1 + s`), and the
-/// remaining ranks are slaves.
+/// Rank layout of a clustering world. `shards == 0` is the paper's
+/// layout: the master at rank 0, slaves at ranks `1..p`. `shards = K`
+/// puts the reconciler at rank 0 and sub-master `s` at rank `1 + s`,
+/// with the slaves after them. Either way every slave speaks
+/// [`Topology::sessions`] master–slave sessions, and the slaves start
+/// at rank `shards + 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardTopology {
-    /// World size.
-    pub world: usize,
-    /// Sub-master count K.
-    pub shards: usize,
+pub struct Topology {
+    world: usize,
+    /// Sub-master count K (`0` = the single master).
+    shards: usize,
 }
 
-impl ShardTopology {
-    /// Validate `world` against `shards`: a sharded world needs the
-    /// reconciler, every sub-master, and at least one slave.
+impl Topology {
+    /// Validate `world` against `shards`: every master rank (and the
+    /// reconciler of a sharded world) plus at least one slave, so
+    /// `world ≥ shards + 2`.
     pub fn new(world: usize, shards: usize) -> Result<Self, String> {
-        if shards == 0 {
-            return Err("sharded topology needs at least one shard".into());
+        // `shards` can come straight from the command line.
+        let need = shards.saturating_add(2);
+        if world < need {
+            return Err(if shards == 0 {
+                format!("world size {world} too small for a master and a slave (need >= 2)")
+            } else {
+                format!("world size {world} too small for {shards} shards (need >= {need})")
+            });
         }
-        if world < shards + 2 {
-            return Err(format!(
-                "world size {world} too small for {shards} shards (need >= {})",
-                shards + 2
-            ));
-        }
-        Ok(ShardTopology { world, shards })
+        Ok(Topology { world, shards })
+    }
+
+    /// Number of protocol sessions, one per master.
+    pub fn sessions(&self) -> usize {
+        self.shards.max(1)
     }
 
     /// Number of slave ranks.
@@ -361,27 +372,37 @@ impl ShardTopology {
     }
 
     /// The role of `rank`.
-    pub fn role_of(&self, rank: usize) -> ShardRole {
+    pub fn role_of(&self, rank: usize) -> Role {
         debug_assert!(rank < self.world);
-        if rank == 0 {
-            ShardRole::Reconciler
-        } else if rank <= self.shards {
-            ShardRole::SubMaster(rank - 1)
+        if rank > self.shards {
+            Role::Slave(rank - self.shards - 1)
+        } else if self.shards == 0 {
+            Role::Master(0)
+        } else if rank == 0 {
+            Role::Reconciler
         } else {
-            ShardRole::Slave(rank - self.shards - 1)
+            Role::Master(rank - 1)
         }
     }
 
-    /// The rank hosting sub-master `shard`.
-    pub fn submaster_rank(&self, shard: usize) -> usize {
-        debug_assert!(shard < self.shards);
-        1 + shard
+    /// The rank hosting the master of `session`.
+    pub fn master_rank(&self, session: usize) -> usize {
+        debug_assert!(session < self.sessions());
+        session + usize::from(self.shards > 0)
     }
 
     /// The rank hosting slave `idx`.
     pub fn slave_rank(&self, idx: usize) -> usize {
         debug_assert!(idx < self.num_slaves());
         self.shards + 1 + idx
+    }
+
+    /// The trace flow id of batch `seq` between `slave` and the master
+    /// of `session`. One namespace for every session, so concurrent
+    /// per-session sequence spaces never collide; with one session it
+    /// is `flow_id(slave, seq)`.
+    pub fn flow_id(&self, session: usize, slave: usize, seq: u64) -> u64 {
+        flow_id(session * self.num_slaves() + slave, seq)
     }
 }
 
@@ -539,22 +560,37 @@ mod tests {
 
     #[test]
     fn shard_topology_assigns_roles() {
-        let t = ShardTopology::new(7, 2).unwrap();
+        let t = Topology::new(7, 2).unwrap();
         assert_eq!(t.num_slaves(), 4);
-        assert_eq!(t.role_of(0), ShardRole::Reconciler);
-        assert_eq!(t.role_of(1), ShardRole::SubMaster(0));
-        assert_eq!(t.role_of(2), ShardRole::SubMaster(1));
-        assert_eq!(t.role_of(3), ShardRole::Slave(0));
-        assert_eq!(t.role_of(6), ShardRole::Slave(3));
-        assert_eq!(t.submaster_rank(1), 2);
+        assert_eq!(t.role_of(0), Role::Reconciler);
+        assert_eq!(t.role_of(1), Role::Master(0));
+        assert_eq!(t.role_of(2), Role::Master(1));
+        assert_eq!(t.role_of(3), Role::Slave(0));
+        assert_eq!(t.role_of(6), Role::Slave(3));
+        assert_eq!(t.master_rank(1), 2);
         assert_eq!(t.slave_rank(3), 6);
     }
 
     #[test]
     fn shard_topology_rejects_small_worlds() {
-        assert!(ShardTopology::new(3, 2).is_err());
-        assert!(ShardTopology::new(2, 0).is_err());
-        assert!(ShardTopology::new(3, 1).is_ok());
+        assert!(Topology::new(3, 2).is_err());
+        assert!(Topology::new(1, 4).is_err());
+        assert!(Topology::new(3, 1).is_ok());
+        // A shard count from the command line must not overflow the rule.
+        assert!(Topology::new(4, usize::MAX).is_err());
+    }
+
+    #[test]
+    fn single_master_topology_is_one_session_from_rank_0() {
+        let t = Topology::new(4, 0).unwrap();
+        assert_eq!((t.sessions(), t.num_slaves()), (1, 3));
+        assert_eq!(t.role_of(0), Role::Master(0));
+        assert_eq!(t.role_of(1), Role::Slave(0));
+        assert_eq!(t.master_rank(0), 0);
+        assert_eq!(t.slave_rank(2), 3);
+        assert_eq!(t.flow_id(0, 2, 5), flow_id(2, 5));
+        assert!(Topology::new(1, 0).is_err());
+        assert!(Topology::new(2, 0).is_ok());
     }
 
     #[test]

@@ -20,9 +20,14 @@
 //! Two drivers expose the engine: [`driver_seq`] runs master logic inline
 //! with one in-process generator (the reference implementation), and
 //! [`driver_par`] runs the full message protocol over `p` ranks of the
-//! thread-backed MPI substitute. The same protocol also runs over any
-//! [`pace_mpisim::Transport`]: [`driver_par::cluster_master_transport`] /
-//! [`driver_par::cluster_worker_transport`] drive one rank each over a
+//! thread-backed MPI substitute, in the rank layout `cfg.shards` selects
+//! ([`Topology`]): the paper's single master at rank 0, or `K`
+//! id-range sub-masters under a reconciler ([`driver_sharded`]). Either
+//! way every master runs one protocol loop and every slave one slave
+//! loop; a single-master slave is the one-session case of the loop that
+//! serves `K` sub-masters. The same protocol also runs over any
+//! [`pace_mpisim::Transport`]: [`cluster_master_transport`] and
+//! [`cluster_worker_transport`] drive one rank each over a
 //! caller-supplied `Rank<Msg>` (the multi-process socket path), with
 //! [`wire_msg`] providing the `Msg` wire codec.
 
@@ -35,14 +40,13 @@ pub mod driver_sharded;
 pub mod master;
 pub mod messages;
 pub mod slave;
-pub mod slave_sharded;
 pub mod stats;
 pub mod trace;
 pub mod wire_msg;
 
 pub use align_task::{align_pair, AlignContext, PairOutcome};
 pub use cluster_core::{ClusterCore, ClusterSets};
-pub use config::{ClusterConfig, ShardRole, ShardTopology};
+pub use config::{ClusterConfig, Role, Topology};
 pub use driver_par::{
     cluster_master_transport, cluster_parallel, cluster_parallel_faults, cluster_parallel_obs,
     cluster_parallel_traced, cluster_worker_transport,
@@ -50,10 +54,6 @@ pub use driver_par::{
 pub use driver_seq::{
     cluster_sequential, cluster_sequential_obs, cluster_sequential_traced, record_cluster_counters,
     record_gst_stats, record_pair_counters,
-};
-pub use driver_sharded::{
-    cluster_sharded_faults, cluster_sharded_master_transport, cluster_sharded_obs,
-    cluster_sharded_worker_transport,
 };
 pub use master::FaultNote;
 pub use messages::{Msg, ShardReport, WorkerSummary};

@@ -46,14 +46,14 @@ pub struct WorkerSummary {
     pub injected_delays: u64,
     /// See `injected_drops`.
     pub injected_stalls: u64,
-    /// Sharded runs: pairs this worker's generator emitted, indexed by
-    /// owning shard. Empty on single-master runs. Summed across workers
-    /// this is each shard's `generated` side of the per-shard flow
-    /// conservation law.
+    /// Pairs this worker's generator emitted, indexed by owning session
+    /// (one entry, equal to `gen_emitted`, on single-master runs).
+    /// Summed across workers this is each shard's `generated` side of
+    /// the per-shard flow conservation law.
     pub gen_by_owner: Vec<u64>,
-    /// Sharded runs: pairs still buffered for each shard at shutdown
-    /// (the per-shard split of `unconsumed`). Empty on single-master
-    /// runs.
+    /// Pairs still buffered for each session at shutdown (the
+    /// per-session split of `unconsumed`; one entry on single-master
+    /// runs).
     pub unconsumed_by_owner: Vec<u64>,
 }
 

@@ -19,10 +19,7 @@
 //! launch failure and carries the worker's captured stderr.
 
 use crate::pipeline::{PaceConfig, PaceError, PaceOutcome};
-use pace_cluster::{
-    cluster_master_transport, cluster_sharded_master_transport, cluster_sharded_worker_transport,
-    cluster_worker_transport, ClusterConfig, Msg,
-};
+use pace_cluster::{cluster_master_transport, cluster_worker_transport, ClusterConfig, Msg};
 use pace_mpisim::{FaultPlan, Rank, UdsEndpoint, UdsHub, INJECTED_CRASH_EXIT};
 use pace_obs::{metric, Obs};
 use pace_seq::{read_fasta_into_store, write_fasta_file, FastaRecord, SequenceStore};
@@ -74,19 +71,11 @@ pub fn cluster_store_uds(
     opts: &UdsLaunchOpts,
     obs: &Obs,
 ) -> Result<PaceOutcome, PaceError> {
-    config.cluster.validate().map_err(PaceError::BadConfig)?;
-    let p = config.num_processors;
-    if p < 2 {
+    config.validate()?;
+    if config.num_processors < 2 {
         return Err(PaceError::BadConfig(
             "the socket transport needs num_processors ≥ 2 (one master + workers)".into(),
         ));
-    }
-    if config.cluster.shards > 0 && p < config.cluster.shards + 2 {
-        return Err(PaceError::BadConfig(format!(
-            "a sharded run needs p ≥ shards + 2 (reconciler + {} sub-masters + ≥1 slave), \
-             got p = {p}",
-            config.cluster.shards
-        )));
     }
 
     // Scratch directory: the rendezvous socket plus the input FASTA
@@ -170,11 +159,8 @@ fn launch_world(
         }
     };
     let rank = Rank::over(Box::new(hub), &config.faults, obs.clone());
-    let (result, trace) = if config.cluster.shards > 0 {
-        cluster_sharded_master_transport(store, &config.cluster, &rank, under_faults, obs)
-    } else {
-        cluster_master_transport(store, &config.cluster, &rank, under_faults, obs)
-    };
+    let (result, trace) =
+        cluster_master_transport(store, &config.cluster, &rank, under_faults, obs);
     // Dropping the master's rank drops the hub: any worker still blocked
     // on the socket sees EOF instead of hanging the reaper.
     drop(rank);
@@ -314,11 +300,7 @@ pub fn worker_main(args: &[String]) -> Result<i32, String> {
     // timestamps on the hub's timeline when we export below.
     let clock_offset_us = ep.clock_offset_us();
     let world = Rank::over(Box::new(ep), &plan, obs.clone());
-    let crashed = if cfg.shards > 0 {
-        cluster_sharded_worker_transport(&store, &cfg, &world, under_faults, &obs)
-    } else {
-        cluster_worker_transport(&store, &cfg, &world, under_faults, &obs)
-    };
+    let crashed = cluster_worker_transport(&store, &cfg, &world, under_faults, &obs);
     drop(world);
 
     if let (Some(path), Some(tracer)) = (&trace_out, obs.tracer()) {

@@ -207,7 +207,7 @@ pub fn run_persistent(
     input: PersistInput<'_>,
     obs: &Obs,
 ) -> Result<PersistentOutcome, PaceError> {
-    config.cluster.validate().map_err(PaceError::BadConfig)?;
+    config.validate()?;
     if config.num_processors > 1 {
         return Err(PaceError::BadConfig(
             "the persistent driver is sequential; run with num_processors = 1".into(),

@@ -1,9 +1,6 @@
 //! The one-call clustering pipeline.
 
-use pace_cluster::{
-    cluster_parallel_faults, cluster_sequential_obs, cluster_sharded_faults, ClusterConfig,
-    ClusterResult, MergeTrace,
-};
+use pace_cluster::{cluster_parallel_faults, ClusterConfig, ClusterResult, MergeTrace, Topology};
 use pace_mpisim::FaultPlan;
 use pace_obs::Obs;
 use pace_quality::QualityMetrics;
@@ -15,8 +12,9 @@ use pace_seq::{SeqError, SequenceStore};
 pub struct PaceConfig {
     /// Clustering engine configuration (window, ψ, batchsize, scoring…).
     pub cluster: ClusterConfig,
-    /// Ranks to run: 1 = sequential; `p ≥ 2` = one master + `p − 1`
-    /// slaves on the thread-backed message-passing runtime.
+    /// Ranks to run: 1 = sequential; `p ≥ 2` = the parallel driver on
+    /// the thread-backed message-passing runtime, in the rank layout
+    /// `cluster.shards` selects (one master + `p − 1` slaves by default).
     pub num_processors: usize,
     /// Deterministic fault-injection plan for the message-passing
     /// runtime (drops, delays, crashes, stalls). The default empty plan
@@ -51,6 +49,22 @@ impl PaceConfig {
             num_processors: 1,
             faults: FaultPlan::none(),
         }
+    }
+
+    /// Check the engine settings and the world: at least one rank, and
+    /// a sharded world large enough for its layout ([`Topology::new`]
+    /// holds the rule). A single-master run with one rank is the
+    /// sequential driver.
+    pub fn validate(&self) -> Result<(), PaceError> {
+        self.cluster.validate().map_err(PaceError::BadConfig)?;
+        if self.num_processors == 0 {
+            return Err(PaceError::BadConfig("num_processors must be ≥ 1".into()));
+        }
+        if self.cluster.shards > 0 {
+            Topology::new(self.num_processors, self.cluster.shards)
+                .map_err(PaceError::BadConfig)?;
+        }
+        Ok(())
     }
 }
 
@@ -140,40 +154,14 @@ impl Pace {
         store: &SequenceStore,
         obs: &Obs,
     ) -> Result<PaceOutcome, PaceError> {
-        self.config
-            .cluster
-            .validate()
-            .map_err(PaceError::BadConfig)?;
-        if self.config.num_processors == 0 {
-            return Err(PaceError::BadConfig("num_processors must be ≥ 1".into()));
-        }
-        let (result, trace) = if self.config.num_processors <= 1 {
-            cluster_sequential_obs(store, &self.config.cluster, obs)
-        } else if self.config.cluster.shards > 0 {
-            let k = self.config.cluster.shards;
-            if self.config.num_processors < k + 2 {
-                return Err(PaceError::BadConfig(format!(
-                    "a sharded run needs p ≥ shards + 2 (reconciler + {k} sub-masters + ≥1 \
-                     slave), got p = {}",
-                    self.config.num_processors
-                )));
-            }
-            cluster_sharded_faults(
-                store,
-                &self.config.cluster,
-                self.config.num_processors,
-                &self.config.faults,
-                obs,
-            )
-        } else {
-            cluster_parallel_faults(
-                store,
-                &self.config.cluster,
-                self.config.num_processors,
-                &self.config.faults,
-                obs,
-            )
-        };
+        self.config.validate()?;
+        let (result, trace) = cluster_parallel_faults(
+            store,
+            &self.config.cluster,
+            self.config.num_processors,
+            &self.config.faults,
+            obs,
+        );
         Ok(PaceOutcome {
             num_ests: store.num_ests(),
             total_bases: store.total_input_chars(),

@@ -169,7 +169,7 @@ impl FaultPlan {
     /// yields an identical plan. Worlds smaller than 2 get an empty plan.
     ///
     /// Drops and delays target every ordered channel with at most
-    /// [`MAX_SEEDED_DROPS_PER_CHANNEL`] rules each, sampled from the
+    /// `MAX_SEEDED_DROPS_PER_CHANNEL` rules each, sampled from the
     /// first dozen transport sequence numbers (where the clustering
     /// protocol's startup and early batches live). Crashes always pick a
     /// non-zero rank — rank 0 hosts the master in the clustering engine,

@@ -24,7 +24,7 @@ pub const PAIRS_PREFILTERED: &str = "pairs.prefiltered";
 
 /// Counter: pairs served by a reused per-rank alignment workspace — the
 /// allocation-free hot path. Equal to `pairs.processed` when every
-/// alignment went through a long-lived [`AlignContext`]-style context
+/// alignment went through a long-lived `AlignContext`-style context
 /// rather than allocating fresh DP scratch per pair.
 pub const ALIGN_WS_REUSES: &str = "align.ws_reuses";
 

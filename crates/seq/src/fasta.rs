@@ -168,16 +168,18 @@ fn for_each_raw<R: BufRead>(
     Ok(())
 }
 
-/// Stream a FASTA file straight into a [`SequenceStore`], sanitizing
-/// ambiguity codes as records arrive ([`AmbiguityPolicy::Normalize`],
-/// deliberately — the out-of-core path is for bulk real-world data and
-/// reports how much it rewrote instead of refusing).
+/// Stream a FASTA file straight into a
+/// [`SequenceStore`](crate::SequenceStore), sanitizing ambiguity codes
+/// as records arrive ([`AmbiguityPolicy::Normalize`], deliberately — the
+/// out-of-core path is for bulk real-world data and reports how much it
+/// rewrote instead of refusing).
 ///
 /// Returns the store, the record ids in input order, and how many bytes
 /// were replaced by sanitization. Peak memory is one record plus the
 /// store itself — the out-of-core ingest path uses this instead of
-/// [`read_fasta_file`] + [`SequenceStore::from_ests`], which holds the
-/// input twice.
+/// [`read_fasta_file`] +
+/// [`SequenceStore::from_ests`](crate::SequenceStore::from_ests), which
+/// holds the input twice.
 pub fn read_fasta_into_store(
     path: impl AsRef<std::path::Path>,
 ) -> Result<(crate::store::SequenceStore, Vec<String>, usize), SeqError> {

@@ -11,7 +11,8 @@
 //! Cluster output is one `est_id<TAB>cluster_label` line per EST, in
 //! input order — trivially diffable and joinable. Argument parsing is
 //! hand-rolled (no CLI dependency): `--flag value` pairs plus a few
-//! boolean switches (`-v`/`--verbose`, `--quiet`).
+//! boolean switches (`-v`/`--verbose`, `--quiet`). Each subcommand
+//! accepts a fixed set of flags; an unknown or repeated flag is an error.
 //!
 //! Observability (cluster subcommand):
 //! `--metrics-out FILE` writes the schema-versioned JSON run report,
@@ -97,8 +98,61 @@ USAGE:
 /// Switches that take no value; stored with the value `"true"`.
 const BOOL_FLAGS: &[&str] = &["verbose", "quiet", "resume", "stats", "ping", "shutdown"];
 
-/// Parse `--key value` pairs and boolean switches.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand accepts (see USAGE).
+const SIMULATE_FLAGS: &[&str] = &["ests", "genes", "seed", "out", "truth"];
+const CLUSTER_FLAGS: &[&str] = &[
+    "in",
+    "out",
+    "procs",
+    "transport",
+    "shards",
+    "shard-epoch",
+    "psi",
+    "window",
+    "batchsize",
+    "min-overlap",
+    "min-ratio",
+    "truth",
+    "fault-profile",
+    "fault-seed",
+    "slave-timeout",
+    "max-retries",
+    "checkpoint-dir",
+    "resume",
+    "memory-budget",
+    "spill-dir",
+    "checkpoint-every",
+    "crash-after",
+    "metrics-out",
+    "events-out",
+    "trace-out",
+    "verbose",
+    "quiet",
+];
+const ASSESS_FLAGS: &[&str] = &["pred", "truth"];
+const SPLICE_FLAGS: &[&str] = &["in", "clusters", "min-event"];
+const STATS_FLAGS: &[&str] = &["in"];
+const SERVE_FLAGS: &[&str] = &[
+    "listen",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "memory-budget",
+    "psi",
+    "window",
+    "batchsize",
+    "min-overlap",
+    "min-ratio",
+    "metrics-out",
+    "quiet",
+];
+const INGEST_FLAGS: &[&str] = &["socket", "in", "batch", "ambiguous"];
+const QUERY_FLAGS: &[&str] = &[
+    "socket", "member", "cluster", "rep", "stats", "ping", "shutdown",
+];
+
+/// Parse `--key value` pairs and boolean switches. A flag outside
+/// `accepted`, or one given twice, is an error naming it.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
@@ -108,14 +162,20 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {key:?}"))?,
         };
-        if BOOL_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
+        if !accepted.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
         }
-        let Some(value) = it.next() else {
-            return Err(format!("--{name} requires a value"));
+        if flags.contains_key(name) {
+            return Err(format!("--{name} given more than once"));
+        }
+        let value = if BOOL_FLAGS.contains(&name) {
+            "true".to_string()
+        } else {
+            it.next()
+                .ok_or_else(|| format!("--{name} requires a value"))?
+                .clone()
         };
-        flags.insert(name.to_string(), value.clone());
+        flags.insert(name.to_string(), value);
     }
     Ok(flags)
 }
@@ -141,7 +201,7 @@ fn require<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, SIMULATE_FLAGS)?;
     let ests: usize = get(&flags, "ests", 1000)?;
     let genes: usize = get(&flags, "genes", (ests / 12).max(1))?;
     let seed: u64 = get(&flags, "seed", 42)?;
@@ -372,7 +432,7 @@ const PERSIST_FLAGS: &[&str] = &[
 ];
 
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, CLUSTER_FLAGS)?;
     let input = require(&flags, "in")?;
     let out = require(&flags, "out")?;
     let verbose = flags.contains_key("verbose");
@@ -395,17 +455,10 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         get(&flags, "min-ratio", config.cluster.overlap.min_score_ratio)?;
     config.cluster.slave_timeout = get(&flags, "slave-timeout", config.cluster.slave_timeout)?;
     config.cluster.max_retries = get(&flags, "max-retries", config.cluster.max_retries)?;
-    // Sharded masters: K sub-masters under a reconciler. Needs
-    // p ≥ K + 2 so at least one rank remains a slave.
+    // Sharded masters: K sub-masters under a reconciler. The pipeline
+    // rejects a world too small for them.
     config.cluster.shards = get(&flags, "shards", config.cluster.shards)?;
     config.cluster.shard_epoch = get(&flags, "shard-epoch", config.cluster.shard_epoch)?;
-    if config.cluster.shards > 0 && config.num_processors < config.cluster.shards + 2 {
-        return Err(format!(
-            "--shards {} needs --procs ≥ {} (reconciler + sub-masters + ≥1 slave)",
-            config.cluster.shards,
-            config.cluster.shards + 2
-        ));
-    }
 
     // Fault injection (testing/demo): a seeded deterministic plan for
     // the thread-backed message runtime. Only meaningful with --procs ≥ 2.
@@ -545,7 +598,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 /// rolls a checkpoint as it ingests, so a kill + restart resumes
 /// transparently.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, SERVE_FLAGS)?;
     let listen = require(&flags, "listen")?;
     let quiet = flags.contains_key("quiet");
 
@@ -612,7 +665,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// `pace ingest`: stream a FASTA file into a running daemon in batches.
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, INGEST_FLAGS)?;
     let socket = require(&flags, "socket")?;
     let input = require(&flags, "in")?;
     let batch: usize = get(&flags, "batch", usize::MAX)?;
@@ -650,7 +703,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
 
 /// `pace query`: one request against a running daemon.
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, QUERY_FLAGS)?;
     let socket = require(&flags, "socket")?;
     let mut client =
         pace::serve::Client::connect(socket).map_err(|e| format!("connecting to {socket}: {e}"))?;
@@ -700,7 +753,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_assess(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, ASSESS_FLAGS)?;
     let (pred_ids, pred) = read_labels(require(&flags, "pred")?)?;
     let (truth_ids, truth) = read_labels(require(&flags, "truth")?)?;
     if pred_ids != truth_ids {
@@ -716,7 +769,7 @@ fn cmd_assess(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, STATS_FLAGS)?;
     let records = read_fasta_file(require(&flags, "in")?)?;
     let seqs: Vec<&[u8]> = records.iter().map(|r| r.sequence.as_slice()).collect();
     match pace::seq::length_stats(&seqs) {
@@ -734,7 +787,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_splice(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, SPLICE_FLAGS)?;
     let records = read_fasta_file(require(&flags, "in")?)?;
     let (label_ids, labels) = read_labels(require(&flags, "clusters")?)?;
     let ids: Vec<String> = records.iter().map(|r| r.id.clone()).collect();

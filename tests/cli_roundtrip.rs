@@ -174,6 +174,57 @@ fn missing_required_flag_is_reported() {
     assert!(stderr.contains("--in"), "{stderr}");
 }
 
+/// Bad flags and bad worlds fail loudly with exit status 1 and an error
+/// naming the culprit — never a silent default.
+#[test]
+fn cluster_rejects_bad_flags_and_too_small_worlds() {
+    let reads = tmp("flags.fa");
+    let clusters = tmp("flags.tsv");
+    let ckpt = tmp("flags-ckpt");
+    let out = pace_bin()
+        .args(["simulate", "--ests", "40", "--seed", "3"])
+        .arg("--out")
+        .arg(&reads)
+        .output()
+        .expect("spawn pace simulate");
+    assert!(out.status.success());
+
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
+        (&["--bogus-flag", "7"], "--bogus-flag"),
+        (&["--psi", "20", "--psi", "22"], "--psi"),
+        (&["--procs", "1", "--shards", "2"], "shards"),
+        (
+            &[
+                "--procs",
+                "1",
+                "--shards",
+                "2",
+                "--checkpoint-dir",
+                ckpt_arg,
+            ],
+            "shards",
+        ),
+    ];
+    for (extra, culprit) in cases {
+        let out = pace_bin()
+            .arg("cluster")
+            .arg("--in")
+            .arg(&reads)
+            .arg("--out")
+            .arg(&clusters)
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?} accepted: {stderr}");
+        assert!(stderr.contains(culprit), "{extra:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(reads);
+    let _ = std::fs::remove_file(clusters);
+    let _ = std::fs::remove_dir_all(ckpt);
+}
+
 #[test]
 fn cluster_rejects_missing_file() {
     let out = pace_bin()

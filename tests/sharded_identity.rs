@@ -388,13 +388,15 @@ fn k8_seed_1() {
 #[test]
 fn rejects_too_few_procs() {
     let store = dataset(24, 9);
-    let err = Pace::new(cfg(3, 4))
-        .cluster_store_obs(&store, &Obs::noop())
-        .unwrap_err();
-    match err {
-        pace::PaceError::BadConfig(msg) => {
-            assert!(msg.contains("shards"), "unhelpful error: {msg}")
+    for (p, k) in [(3, 4), (1, 4)] {
+        let err = Pace::new(cfg(p, k))
+            .cluster_store_obs(&store, &Obs::noop())
+            .unwrap_err();
+        match err {
+            pace::PaceError::BadConfig(msg) => {
+                assert!(msg.contains("shards"), "unhelpful error: {msg}")
+            }
+            other => panic!("expected BadConfig, got {other:?}"),
         }
-        other => panic!("expected BadConfig, got {other:?}"),
     }
 }

@@ -108,15 +108,20 @@ fn assert_structure(r: &TracedRun, what: &str) {
     );
 }
 
-fn check_lossless(profile: FaultProfile, seed: u64) {
-    let p = 4;
+/// A lossless schedule closes every flow. `shards == 0` traces the
+/// single master over 3 slaves; `shards = K` traces K sub-masters over
+/// the same 3 slaves, whose per-session flows share one id namespace.
+fn check_lossless(profile: FaultProfile, seed: u64, shards: usize) {
+    let p = 4 + shards;
     let store = dataset(72, 1000 + seed);
     let mut config = cfg(p);
     config.faults = FaultPlan::seeded(profile, seed, p);
     config.cluster.slave_timeout = 0.05;
     config.cluster.max_retries = 200;
+    config.cluster.shards = shards;
+    config.cluster.shard_epoch = 4;
     let r = run_traced(&store, config);
-    let what = format!("{profile} seed {seed}");
+    let what = format!("{profile} seed {seed} shards {shards}");
 
     assert_structure(&r, &what);
     // The protocol books say nothing was lost...
@@ -149,14 +154,18 @@ fn check_lossless(profile: FaultProfile, seed: u64) {
 #[test]
 fn drop_seed_trace_closes_every_flow() {
     for seed in SEEDS {
-        check_lossless(FaultProfile::Drop, seed);
+        for shards in [0, 2] {
+            check_lossless(FaultProfile::Drop, seed, shards);
+        }
     }
 }
 
 #[test]
 fn delay_seed_trace_closes_every_flow() {
     for seed in SEEDS {
-        check_lossless(FaultProfile::Delay, seed);
+        for shards in [0, 2] {
+            check_lossless(FaultProfile::Delay, seed, shards);
+        }
     }
 }
 
