@@ -3,6 +3,8 @@
 //! * `gst_build`    — Table 3's "construction of GST" column;
 //! * `gst_subdivision` — the subdivision kernel alone: comparison-sort
 //!   reference vs the counting-sort + multi-character-skip hot path;
+//! * `gst_in_scope` — one rank's forest: the full builder vs the in-scope
+//!   builder the drivers run at ψ 20;
 //! * `node_sort`    — Table 3's "sorting nodes" column (generator setup);
 //! * `pair_generation` — the engine behind Figure 7's generated curve;
 //! * `alignment`    — Table 3's "pairwise alignment" column: anchored
@@ -19,8 +21,8 @@ use pace_bench::{dataset, paper_cfg};
 use pace_cluster::{align_pair, cluster_sequential, AlignContext};
 use pace_dsu::DisjointSets;
 use pace_gst::{
-    assign_buckets, build_forest_for_rank, build_subtree_comparison_sort, build_subtree_with,
-    count_buckets, enumerate_bucket_suffixes, num_buckets, BuildScratch,
+    assign_buckets, build_forest_for_rank, build_in_scope_forest, build_subtree_comparison_sort,
+    build_subtree_with, count_buckets, scatter, BuildScratch, SuffixRef,
 };
 use pace_pairgen::{PairGenConfig, PairGenerator};
 use pace_seq::{PackedText, SequenceStore};
@@ -48,12 +50,17 @@ fn bench_gst_subdivision(c: &mut Criterion) {
     let counts = count_buckets(&store, w);
     let partition = assign_buckets(&counts, 1);
     let buckets = partition.buckets_of(0);
-    let mut wanted = vec![None; num_buckets(w)];
-    for (slot, &b) in buckets.iter().enumerate() {
-        wanted[b as usize] = Some(slot as u32);
-    }
-    let per_bucket = enumerate_bucket_suffixes(&store, w, &wanted, buckets.len());
-    let work: Vec<_> = buckets.iter().copied().zip(per_bucket).collect();
+    let scattered = scatter(&store, w, &counts, &buckets, w);
+    let work: Vec<(u32, Vec<SuffixRef>)> = buckets
+        .iter()
+        .zip(&scattered.ranges)
+        .map(|(&b, r)| {
+            (
+                b,
+                scattered.entries[r.clone()].iter().map(|e| e.suf).collect(),
+            )
+        })
+        .collect();
 
     let mut group = c.benchmark_group("gst_subdivision");
     group.bench_function("comparison_sort", |b| {
@@ -73,19 +80,33 @@ fn bench_gst_subdivision(c: &mut Criterion) {
     });
     group.bench_function("counting_sort_skip", |b| {
         let mut scratch = BuildScratch::new();
-        b.iter_batched(
-            || work.clone(),
-            |work| {
-                let nodes: usize = work
-                    .into_iter()
-                    .map(|(bucket, sufs)| {
-                        build_subtree_with(&store, bucket, sufs, w, &mut scratch).len()
-                    })
-                    .sum();
-                black_box(nodes)
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            let nodes: usize = work
+                .iter()
+                .map(|(bucket, sufs)| {
+                    build_subtree_with(&store, *bucket, sufs, w, &mut scratch).len()
+                })
+                .sum();
+            black_box(nodes)
+        })
+    });
+    group.finish();
+}
+
+fn bench_gst_in_scope(c: &mut Criterion) {
+    // One rank's forest from the store, scatter included: the full tree
+    // against the part pair generation at ψ 20 reads. Both run the same
+    // subdivision kernel; the in-scope builder drops the suffixes whose
+    // ψ-prefix occurs once before subdividing.
+    let ds = dataset(400, 9101);
+    let store = SequenceStore::from_ests(&ds.ests).unwrap();
+    let partition = assign_buckets(&count_buckets(&store, 8), 1);
+    let mut group = c.benchmark_group("gst_in_scope");
+    group.bench_function("full", |b| {
+        b.iter(|| black_box(build_forest_for_rank(&store, &partition, 0).num_nodes()))
+    });
+    group.bench_function("psi20", |b| {
+        b.iter(|| black_box(build_in_scope_forest(&store, &partition, 0, 20).num_nodes()))
     });
     group.finish();
 }
@@ -241,6 +262,7 @@ criterion_group!(
     benches,
     bench_gst_build,
     bench_gst_subdivision,
+    bench_gst_in_scope,
     bench_node_sort_and_pairgen,
     bench_alignment,
     bench_workspace_reuse,

@@ -42,8 +42,8 @@ const GATE_PHASES: [&str; 5] = [
 const SKETCH_THRESHOLD: f64 = 0.03;
 
 /// Deterministic micro-bench for pair generation: one `generate_all`
-/// over the smoke workload's forest. Generator setup is left out — that
-/// is the `node_sorting` phase.
+/// over the smoke workload's in-scope forest, the one the drivers walk.
+/// Generator setup is left out — that is the `node_sorting` phase.
 fn micro_pairgen(
     store: &SequenceStore,
     forest: &pace_gst::LocalForest,
@@ -144,9 +144,12 @@ fn main() {
     );
 
     // The forest and candidate pairs for the kernel micro-benches, built
-    // once — the same fixed-seed workload the driver reps cluster.
+    // once — the same fixed-seed workload the driver reps cluster, and
+    // the same in-scope forest their slaves build.
     let pair_gen = paper_cfg().pair_gen();
-    let forest = pace_gst::build_sequential(&store, paper_cfg().window_w);
+    let counts = pace_gst::count_buckets(&store, paper_cfg().window_w);
+    let partition = pace_gst::assign_buckets(&counts, 1);
+    let forest = pace_gst::build_in_scope_forest(&store, &partition, 0, pair_gen.psi);
     let micro_pairs = pace_pairgen::PairGenerator::new(&store, &forest, pair_gen).generate_all();
 
     let mut phase_min: BTreeMap<String, f64> = BTreeMap::new();

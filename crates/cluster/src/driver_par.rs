@@ -35,7 +35,7 @@ use crate::messages::{Msg, WorkerSummary};
 use crate::slave::run_slave_obs;
 use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::MergeTrace;
-use pace_gst::{assign_buckets, build_forest_for_rank, count_buckets_stride, num_buckets};
+use pace_gst::{assign_buckets, build_in_scope_forest, count_buckets_stride, num_buckets};
 use pace_mpisim::{run_world_obs, FaultPlan, FaultSnapshot, Rank, WorldStats};
 use pace_obs::trace::{T_DISPATCH, T_HANDLE_REPORT};
 use pace_obs::{metric, Event, Obs, Timer, TraceKind};
@@ -610,7 +610,7 @@ fn slave_rank(
 
     // Phase 2: build my buckets' subtrees.
     let span = obs.span_on(metric::PHASE_GST_CONSTRUCTION, rank.rank());
-    let forest = build_forest_for_rank(store, &partition, slave_id);
+    let forest = build_in_scope_forest(store, &partition, slave_id, cfg.psi);
     let gst_construction = span.finish();
     record_gst_stats(obs, &partition, &forest);
     rank.barrier();

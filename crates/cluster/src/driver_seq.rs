@@ -54,7 +54,7 @@ pub fn cluster_sequential_obs(
     span.finish();
 
     let span = obs.span(metric::PHASE_GST_CONSTRUCTION);
-    let forest = pace_gst::build_forest_for_rank(store, &partition, 0);
+    let forest = pace_gst::build_in_scope_forest(store, &partition, 0, cfg.psi);
     span.finish();
     record_gst_stats(obs, &partition, &forest);
 
@@ -74,7 +74,8 @@ pub fn cluster_sequential_obs(
     core.into_result()
 }
 
-/// Record a built forest's shape into the registry.
+/// Record a built forest's shape and the partition's bucket count into
+/// the registry.
 pub fn record_gst_stats(
     obs: &Obs,
     partition: &pace_gst::BucketPartition,
@@ -86,12 +87,16 @@ pub fn record_gst_stats(
     if forest.rank == 0 {
         obs.registry().add(metric::GST_BUCKETS, nonempty);
     }
-    obs.registry()
-        .add(metric::GST_SUBTREES, forest.subtrees.len() as u64);
-    obs.registry()
-        .add(metric::GST_NODES, forest.num_nodes() as u64);
-    obs.registry()
-        .set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth() as f64);
+    record_forest_shape(obs, forest);
+}
+
+/// Add a built forest (or one build batch of it) to the registry's
+/// `gst.subtrees`, `gst.nodes` and `gst.max_depth`.
+pub fn record_forest_shape(obs: &Obs, forest: &pace_gst::LocalForest) {
+    let reg = obs.registry();
+    reg.add(metric::GST_SUBTREES, forest.subtrees.len() as u64);
+    reg.add(metric::GST_NODES, forest.num_nodes() as u64);
+    reg.set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth() as f64);
 }
 
 /// Fold the final [`ClusterStats`] into the registry, so every driver

@@ -12,7 +12,9 @@ use pace_pairgen::CandidatePair;
 /// worker's behalf.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerSummary {
-    /// Generator: forest nodes of depth ≥ ψ processed.
+    /// Generator: forest nodes of depth ≥ ψ processed. Workers build the
+    /// in-scope forest, which has no single-suffix leaf under a parent
+    /// shallower than ψ (see `GenStats::nodes_processed`).
     pub gen_nodes_processed: u64,
     /// Generator: raw pairs before filtering.
     pub gen_raw_pairs: u64,

@@ -41,10 +41,11 @@
 //! rule's skips.
 
 use pace_cluster::{
-    record_pair_counters, AlignContext, ClusterConfig, ClusterCore, ClusterStats, MergeTrace,
+    record_forest_shape, record_pair_counters, AlignContext, ClusterConfig, ClusterCore,
+    ClusterStats, MergeTrace,
 };
 use pace_dsu::DisjointSets;
-use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, LocalForest};
+use pace_gst::{assign_buckets, build_in_scope_batch, count_buckets, LocalForest};
 use pace_obs::{metric, Obs};
 use pace_pairgen::PairGenerator;
 use pace_seq::{PackedText, SeqError, SequenceStore};
@@ -286,9 +287,11 @@ impl IncrementalClusterer {
             let forest = LocalForest {
                 rank: 0,
                 w: self.cfg.window_w,
-                subtrees: build_bucket_batch(&store, self.cfg.window_w, bucket_batch),
+                psi: self.cfg.psi,
+                subtrees: build_in_scope_batch(&store, &partition, bucket_batch, self.cfg.psi),
             };
             span.finish();
+            record_forest_shape(&self.obs, &forest);
             let span = self.obs.span(metric::PHASE_NODE_SORTING);
             let generator = PairGenerator::new(&store, &forest, self.cfg.pair_gen());
             span.finish();

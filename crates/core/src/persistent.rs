@@ -33,9 +33,11 @@
 //! exact across the crash-and-resume cycle.
 
 use crate::pipeline::{Pace, PaceConfig, PaceError, PaceOutcome};
-use pace_cluster::{record_cluster_counters, AlignContext, ClusterConfig, ClusterCore};
+use pace_cluster::{
+    record_cluster_counters, record_forest_shape, AlignContext, ClusterConfig, ClusterCore,
+};
 use pace_dsu::DisjointSets;
-use pace_gst::{assign_buckets, build_bucket_batch, count_buckets, BucketPartition, LocalForest};
+use pace_gst::{assign_buckets, build_in_scope_batch, count_buckets, BucketPartition, LocalForest};
 use pace_obs::{metric, Obs};
 use pace_pairgen::PairGenerator;
 use pace_seq::{read_fasta_into_store, PackedText, SequenceStore};
@@ -346,7 +348,7 @@ impl<'a> Runner<'a> {
         }
         manifest.batches_total = plan.len() as u64;
         let mut spill = SpillManager::new(self.persist.spill_dir())?;
-        self.phase_build(&store, &plan, &mut spill, &mut manifest)?;
+        self.phase_build(&store, &partition, &plan, &mut spill, &mut manifest)?;
 
         // ---------------- Phase 4: cluster ----------------
         let core = self.phase_cluster(&store, &plan, &mut spill, &mut manifest)?;
@@ -473,11 +475,11 @@ impl<'a> Runner<'a> {
     fn phase_build(
         &mut self,
         store: &SequenceStore,
+        partition: &BucketPartition,
         plan: &BatchPlan,
         spill: &mut SpillManager,
         manifest: &mut Manifest,
     ) -> Result<(), PaceError> {
-        let reg = self.obs.registry();
         if self.persist.resume && manifest.phase >= Phase::Build {
             self.phases_resumed += 1;
             return Ok(());
@@ -491,12 +493,11 @@ impl<'a> Runner<'a> {
             let forest = LocalForest {
                 rank: 0,
                 w: self.cfg.window_w,
-                subtrees: build_bucket_batch(store, self.cfg.window_w, &plan.batches[k]),
+                psi: self.cfg.psi,
+                subtrees: build_in_scope_batch(store, partition, &plan.batches[k], self.cfg.psi),
             };
             span.finish();
-            reg.add(metric::GST_SUBTREES, forest.subtrees.len() as u64);
-            reg.add(metric::GST_NODES, forest.num_nodes() as u64);
-            reg.set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth() as f64);
+            record_forest_shape(self.obs, &forest);
 
             let span = self.obs.span(metric::PHASE_SPILL_WRITE);
             spill.spill_batch(k, &forest.subtrees)?;
@@ -505,7 +506,7 @@ impl<'a> Runner<'a> {
             manifest.batches_built = (k + 1) as u64;
             self.save_manifest(manifest)?;
         }
-        reg.add(
+        self.obs.registry().add(
             metric::GST_BUCKETS,
             plan.batches.iter().map(Vec::len).sum::<usize>() as u64,
         );
@@ -613,9 +614,12 @@ impl<'a> Runner<'a> {
         let mut ctx = AlignContext::new(store, packed.as_ref());
         for k in start..total {
             let span = self.obs.span(metric::PHASE_SPILL_READ);
+            // The spilled batch was gated at the config's ψ; the run
+            // fingerprint covers ψ, so a resume cannot change it.
             let forest = LocalForest {
                 rank: 0,
                 w: self.cfg.window_w,
+                psi: self.cfg.psi,
                 subtrees: spill.read_batch(k as usize)?,
             };
             span.finish();

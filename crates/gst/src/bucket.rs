@@ -8,9 +8,10 @@
 //! reported maximal common substring anyway.
 
 use pace_seq::{Base, SequenceStore, StrId};
+use std::ops::Range;
 
 /// A reference to one suffix: string id and start offset within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SuffixRef {
     /// The string the suffix belongs to.
     pub sid: u32,
@@ -61,51 +62,115 @@ pub fn bucket_key(seq: &[u8], w: usize) -> Option<u32> {
 }
 
 /// Enumerate every in-scope suffix of every string in `store`, calling
-/// `f(bucket, suffix)` for each. This is the single scan both the counting
-/// pass and the collection pass share.
+/// `f(bucket, suffix)` for each: the counting pass.
 pub fn for_each_suffix(store: &SequenceStore, w: usize, mut f: impl FnMut(u32, SuffixRef)) {
+    for_each_tagged_suffix(store, w, |tag, suf| f(tag as u32, suf));
+}
+
+/// Most bases a [`Tagged::tag`] holds: 32 two-bit codes fill a `u64`.
+pub(crate) const TAG_BASES: usize = 32;
+
+/// Enumerate every suffix at least `gate` bases long of every string in
+/// `store`, calling `f(tag, suffix)` with the 2-bit codes of its first
+/// `min(gate, TAG_BASES)` bases, most significant first. This is the
+/// single scan the counting pass and the scatter share.
+fn for_each_tagged_suffix(store: &SequenceStore, gate: usize, mut f: impl FnMut(u64, SuffixRef)) {
+    let code = |b: u8| -> u64 {
+        Base::from_ascii(b)
+            .expect("store contains only ACGT")
+            .code() as u64
+    };
+    let tag_len = gate.min(TAG_BASES);
+    let mask = u64::MAX >> (64 - 2 * tag_len);
     for sid in store.str_ids() {
         let seq = store.seq(sid);
-        if seq.len() < w {
+        if seq.len() < gate {
             continue;
         }
-        // Rolling key: strip the leading character, append the next one.
-        let mask = (1u32 << (2 * w)) - 1;
-        let mut key = bucket_key(seq, w).expect("length checked");
-        let last = seq.len() - w;
-        for off in 0..=last {
+        // Rolling tag: shift out the leading base, shift in the next.
+        let mut tag = seq[..tag_len].iter().fold(0, |t, &b| (t << 2) | code(b));
+        for off in 0..=seq.len() - gate {
             if off > 0 {
-                let incoming = Base::from_ascii(seq[off + w - 1])
-                    .expect("store contains only ACGT")
-                    .code();
-                key = ((key << 2) | incoming as u32) & mask;
+                tag = ((tag << 2) | code(seq[off + tag_len - 1])) & mask;
             }
-            f(key, SuffixRef::new(sid.0, off as u32));
+            f(tag, SuffixRef::new(sid.0, off as u32));
         }
     }
 }
 
-/// Collect the suffixes of a chosen set of buckets, grouped per bucket.
+/// One scattered suffix: the 2-bit codes of its first bases, most
+/// significant first, and where it starts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tagged {
+    /// The suffix's first `min(gate, TAG_BASES)` bases as 2-bit codes.
+    /// Its top `2w` bits are the bucket key.
+    pub tag: u64,
+    /// The suffix.
+    pub suf: SuffixRef,
+}
+
+/// The suffixes of a list of buckets, scattered bucket by bucket into one
+/// flat array.
+#[derive(Debug)]
+pub struct Scattered {
+    /// Every kept suffix, bucket by bucket in the order the buckets were
+    /// listed, each bucket's suffixes in `(sid, off)` order.
+    pub entries: Vec<Tagged>,
+    /// Each listed bucket's slice of `entries`.
+    pub ranges: Vec<Range<usize>>,
+}
+
+/// Scatter every suffix at least `gate` bases long that falls in one of
+/// `buckets` into one flat array, tagged with its first
+/// `min(gate, TAG_BASES)` bases.
 ///
-/// `wanted[b]` maps bucket key `b` to `Some(slot)` when this rank owns the
-/// bucket; the result has one `Vec<SuffixRef>` per slot. In the paper this
-/// is the redistribution step after the parallel summation; here every
-/// rank reads the shared store directly, which preserves the work and the
-/// resulting data layout.
-pub fn enumerate_bucket_suffixes(
+/// `counts[b]` must be bucket `b`'s suffix count at window `w` (see
+/// [`crate::count_buckets`]); it sizes the array, so nothing grows or
+/// moves during the pass. `gate = w` keeps every suffix the bucket holds;
+/// a larger gate drops the suffixes too short to reach string depth
+/// `gate`. In the paper this is the redistribution step after the
+/// parallel summation; here every rank reads the shared store directly,
+/// which preserves the work and the resulting data layout.
+pub fn scatter(
     store: &SequenceStore,
     w: usize,
-    wanted: &[Option<u32>],
-    num_slots: usize,
-) -> Vec<Vec<SuffixRef>> {
-    assert_eq!(wanted.len(), num_buckets(w), "wanted table size mismatch");
-    let mut out: Vec<Vec<SuffixRef>> = vec![Vec::new(); num_slots];
-    for_each_suffix(store, w, |bucket, suf| {
-        if let Some(slot) = wanted[bucket as usize] {
-            out[slot as usize].push(suf);
+    counts: &[u64],
+    buckets: &[u32],
+    gate: usize,
+) -> Scattered {
+    assert_eq!(counts.len(), num_buckets(w), "counts table size mismatch");
+    assert!(
+        gate >= w,
+        "gate ({gate}) must be at least the window w ({w})"
+    );
+    // Each bucket's range starts empty at its offset; `limits` is where
+    // its count says it must end.
+    let mut slot_of = vec![u32::MAX; counts.len()];
+    let mut ranges = Vec::with_capacity(buckets.len());
+    let mut limits = Vec::with_capacity(buckets.len());
+    let mut total = 0usize;
+    for (slot, &b) in buckets.iter().enumerate() {
+        assert!(slot_of[b as usize] == u32::MAX, "bucket {b} listed twice");
+        slot_of[b as usize] = slot as u32;
+        ranges.push(total..total);
+        total += counts[b as usize] as usize;
+        limits.push(total);
+    }
+    let mut entries = vec![Tagged::default(); total];
+    let overflow = "bucket counts do not match the store";
+    let bucket_shift = 2 * (gate.min(TAG_BASES) - w);
+    for_each_tagged_suffix(store, gate, |tag, suf| {
+        let slot = slot_of[(tag >> bucket_shift) as usize];
+        if slot != u32::MAX {
+            let range = &mut ranges[slot as usize];
+            *entries.get_mut(range.end).expect(overflow) = Tagged { tag, suf };
+            range.end += 1;
         }
     });
-    out
+    for (range, &limit) in ranges.iter().zip(&limits) {
+        assert!(range.end <= limit, "{overflow}");
+    }
+    Scattered { entries, ranges }
 }
 
 #[cfg(test)]
@@ -171,18 +236,62 @@ mod tests {
     fn collection_respects_ownership() {
         let s = store(&[b"ACGTACGT"]);
         let w = 2;
-        let nb = num_buckets(w);
+        let counts = crate::count_buckets(&s, w);
         // Own only the bucket of "AC" (key 0b0001 = 1).
-        let mut wanted = vec![None; nb];
-        wanted[1] = Some(0);
-        let got = enumerate_bucket_suffixes(&s, w, &wanted, 1);
-        assert_eq!(got.len(), 1);
-        for suf in &got[0] {
-            assert_eq!(&suf.bytes(&s)[..2], b"AC");
+        let got = scatter(&s, w, &counts, &[1], w);
+        assert_eq!(got.ranges, vec![0..4]);
+        for e in &got.entries {
+            assert_eq!(&e.suf.bytes(&s)[..2], b"AC");
+            assert_eq!(e.tag, 1);
         }
         // "AC" occurs at offsets 0 and 4 of the forward strand; the reverse
         // complement ACGTACGT is its own revcomp, so 2 + 2 occurrences.
-        assert_eq!(got[0].len(), 4);
+        assert_eq!(got.entries.len(), 4);
+    }
+
+    #[test]
+    fn scatter_tags_each_suffix_with_its_gate_prefix() {
+        let long: Vec<u8> = (0..50).map(|i| b"ACGT"[(i * 7 + i / 3) % 4]).collect();
+        let s = SequenceStore::from_ests(&[&b"ACGTGGTACCAGT"[..], b"TTACGGA", &long]).unwrap();
+        let w = 2;
+        let counts = crate::count_buckets(&s, w);
+        let all: Vec<u32> = (0..num_buckets(w) as u32)
+            .rev()
+            .filter(|&b| counts[b as usize] > 0)
+            .collect();
+        // Gates past 32 tag only the first 32 bases.
+        for gate in [2, 3, 5, 9, 40] {
+            let got = scatter(&s, w, &counts, &all, gate);
+            let mut kept = 0;
+            for (&b, range) in all.iter().zip(&got.ranges) {
+                let slice = &got.entries[range.clone()];
+                assert!(slice.len() as u64 <= counts[b as usize]);
+                assert!(slice.windows(2).all(|p| p[0].suf < p[1].suf));
+                for e in slice {
+                    let bytes = e.suf.bytes(&s);
+                    assert!(bytes.len() >= gate, "{:?} shorter than {gate}", e.suf);
+                    assert_eq!(bucket_key(bytes, w), Some(b));
+                    let tag = bytes[..gate.min(TAG_BASES)].iter().fold(0u64, |t, &c| {
+                        (t << 2) | Base::from_ascii(c).unwrap().code() as u64
+                    });
+                    assert_eq!(e.tag, tag, "{:?} at gate {gate}", e.suf);
+                }
+                kept += slice.len();
+            }
+            let expect: usize = s
+                .str_ids()
+                .map(|sid| (s.len_of(sid) + 1).saturating_sub(gate))
+                .sum();
+            assert_eq!(kept, expect, "gate {gate}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket counts do not match the store")]
+    fn scatter_rejects_counts_from_another_store() {
+        let s = store(&[b"ACGTACGT"]);
+        let counts = crate::count_buckets(&store(&[b"ACGA"]), 2);
+        scatter(&s, 2, &counts, &[1], 2);
     }
 
     #[test]

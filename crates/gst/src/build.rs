@@ -7,35 +7,119 @@
 //! identical suffixes has its own leaf — `O(bucket size · l)` work, which
 //! is fine because the average EST length `l` does not grow with `n`.
 //!
-//! Two engineering refinements keep the constant small on the 5-letter
+//! Engineering refinements keep the constant small on the 5-letter
 //! alphabet (in the spirit of the cache-conscious suffix-structure work
 //! surveyed in PAPERS.md):
 //!
 //! * **Counting-sort subdivision.** Each branching node partitions its
 //!   group with a stable 5-way counting sort (end-of-string + A/C/G/T)
-//!   through a reusable scratch buffer — one classification pass and one
-//!   scatter pass instead of an `O(g log g)` comparison sort that
-//!   re-derives the branch character on every comparison.
+//!   through a reusable scratch buffer. The counting pass keeps each
+//!   suffix's class, so the scatter pass does not read the text again.
 //! * **Multi-character skip.** A group sharing a k-character common
 //!   prefix advances its depth by k in one longest-common-extension scan
-//!   instead of recursing (and re-classifying) once per character.
+//!   instead of recursing (and re-classifying) once per character. The
+//!   scan compares 8 bytes at a time.
+//! * **Exact-size output.** A subtree is built in reused scratch and
+//!   copied out at its final size.
+//!
+//! The same recursion builds the full subtree of a bucket and the
+//! in-scope part of it ([`crate::forest::build_in_scope_batch`]): given a
+//! floor ψ, it emits no node shallower than ψ and no single-suffix leaf
+//! whose parent is shallower than ψ.
 
-use crate::bucket::SuffixRef;
+use crate::bucket::{SuffixRef, Tagged};
 use crate::tree::{Node, Subtree};
 use pace_seq::{SequenceStore, StrId};
 
-/// Reusable subdivision scratch: one buffer, grown once per thread/rank
-/// to the largest bucket it ever builds, shared across every
-/// [`build_subtree_with`] call so the hot path allocates nothing.
+/// Reusable build scratch, grown once per thread/rank to the largest
+/// bucket it ever builds and shared across every build call, so the hot
+/// path allocates only the finished subtrees.
 #[derive(Debug, Default)]
 pub struct BuildScratch {
+    /// The group being subdivided.
+    group: Vec<SuffixRef>,
+    sort: SortScratch,
+    /// The subtree under construction, copied out at its final size.
+    tree: Subtree,
+}
+
+/// The counting sort's scatter buffer and cached classes.
+#[derive(Debug, Default)]
+struct SortScratch {
     buf: Vec<SuffixRef>,
+    class: Vec<u8>,
 }
 
 impl BuildScratch {
     /// Empty scratch; the first build grows it to its bucket's size.
     pub fn new() -> Self {
         BuildScratch::default()
+    }
+
+    /// The full subtree of one bucket's suffixes, which share their
+    /// first `w` characters.
+    pub(crate) fn build_full(
+        &mut self,
+        store: &SequenceStore,
+        bucket: u32,
+        suffixes: impl Iterator<Item = SuffixRef>,
+        w: usize,
+    ) -> Subtree {
+        self.group.clear();
+        self.group.extend(suffixes);
+        if !self.group.is_empty() {
+            build_group(store, &mut self.tree, &mut self.group, w, 0, &mut self.sort);
+        }
+        self.take(bucket)
+    }
+
+    /// The in-scope part of one bucket's subtree: `entries` are the
+    /// bucket's suffixes at least ψ long, tagged with their first
+    /// `tag_len = min(ψ, 32)` bases. Returns `None` when no ψ-prefix of
+    /// the bucket occurs twice.
+    ///
+    /// A stable sort by tag groups the suffixes by their `tag_len`-prefix,
+    /// in the order the full tree would list them, and keeps each group in
+    /// scatter order. A tag that occurs once is a lone leaf under a parent
+    /// shallower than ψ and is dropped; every other group becomes one DFS
+    /// range built from depth `tag_len`.
+    pub(crate) fn build_in_scope(
+        &mut self,
+        store: &SequenceStore,
+        bucket: u32,
+        entries: &mut [Tagged],
+        tag_len: usize,
+        psi: usize,
+    ) -> Option<Subtree> {
+        entries.sort_by_key(|e| e.tag);
+        for run in entries.chunk_by(|a, b| a.tag == b.tag) {
+            if run.len() < 2 {
+                continue;
+            }
+            self.group.clear();
+            self.group.extend(run.iter().map(|e| e.suf));
+            build_group(
+                store,
+                &mut self.tree,
+                &mut self.group,
+                tag_len,
+                psi,
+                &mut self.sort,
+            );
+        }
+        (!self.tree.is_empty()).then(|| self.take(bucket))
+    }
+
+    /// Copy the finished subtree out at its exact size and reset.
+    fn take(&mut self, bucket: u32) -> Subtree {
+        let tree = Subtree::from_parts(
+            bucket,
+            self.tree.nodes.to_vec(),
+            self.tree.suffixes.to_vec(),
+        );
+        self.tree.nodes.clear();
+        self.tree.suffixes.clear();
+        tree
     }
 }
 
@@ -54,35 +138,26 @@ pub fn build_subtree(
     suffixes: Vec<SuffixRef>,
     w: usize,
 ) -> Subtree {
-    build_subtree_with(store, bucket, suffixes, w, &mut BuildScratch::new())
+    build_subtree_with(store, bucket, &suffixes, w, &mut BuildScratch::new())
 }
 
-/// [`build_subtree`] through a caller-owned scratch buffer, so a rank
-/// building its whole bucket set reuses one allocation throughout.
+/// [`build_subtree`] through a caller-owned scratch, so a rank building
+/// its whole bucket set reuses one allocation throughout.
 pub fn build_subtree_with(
     store: &SequenceStore,
     bucket: u32,
-    mut suffixes: Vec<SuffixRef>,
+    suffixes: &[SuffixRef],
     w: usize,
     scratch: &mut BuildScratch,
 ) -> Subtree {
-    let mut tree = Subtree {
-        bucket,
-        nodes: Vec::with_capacity(suffixes.len() * 2),
-        suffixes: Vec::with_capacity(suffixes.len()),
-    };
-    if suffixes.is_empty() {
-        return tree;
-    }
     debug_assert!(
-        {
-            let first = &suffixes[0].bytes(store)[..w];
+        suffixes.first().is_none_or(|s0| {
+            let first = &s0.bytes(store)[..w];
             suffixes.iter().all(|s| &s.bytes(store)[..w] == first)
-        },
+        }),
         "bucket invariant violated: differing {w}-prefixes"
     );
-    build_group(store, &mut tree, &mut suffixes, w, scratch);
-    tree
+    scratch.build_full(store, bucket, suffixes.iter().copied(), w)
 }
 
 /// The character of `suf` at string-depth `d`, or `None` past its end.
@@ -94,20 +169,51 @@ fn char_at(store: &SequenceStore, suf: SuffixRef, d: usize) -> Option<u8> {
         .copied()
 }
 
+/// Length of the longest common prefix of `a` and `b`, 8 bytes at a time.
+#[inline]
+fn lce(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n {
+        let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        if x != y {
+            // Little-endian: the lowest differing byte is the first.
+            return i + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
 /// Recursively build the subtree of a group of suffixes sharing a prefix
 /// of length `d`, appending nodes in DFS order.
+///
+/// Nodes shallower than `psi` are not emitted: a branch shallower than
+/// `psi` hands each child group of two or more suffixes on as a DFS range of
+/// its own and drops its single-suffix children, which are lone leaves
+/// that can never emit a pair. Every suffix of the group must then be at
+/// least `psi` long. `psi = 0` builds the full subtree.
 fn build_group(
     store: &SequenceStore,
     tree: &mut Subtree,
     group: &mut [SuffixRef],
     mut d: usize,
-    scratch: &mut BuildScratch,
+    psi: usize,
+    sort: &mut SortScratch,
 ) {
     debug_assert!(!group.is_empty());
 
     // Singleton group: a leaf at the suffix's full length.
     if group.len() == 1 {
         push_leaf(tree, store, group, d);
+        return;
+    }
+    if group.len() == 2 {
+        build_pair(store, tree, group, d, psi);
         return;
     }
 
@@ -118,92 +224,126 @@ fn build_group(
     let first = &group[0].bytes(store)[d..];
     let mut k = first.len();
     for suf in &group[1..] {
-        let bytes = &suf.bytes(store)[d..];
-        let lim = k.min(bytes.len());
-        let mut i = 0;
-        while i < lim && bytes[i] == first[i] {
-            i += 1;
-        }
-        k = i;
+        k = lce(&first[..k], &suf.bytes(store)[d..]);
         if k == 0 {
             break;
         }
     }
     d += k;
 
-    // Partition the group by the character at depth d. The store's
-    // alphabet is {A,C,G,T}; `None` (end-of-string, the implicit
-    // terminator) sorts first. The skip was maximal, so either every
-    // suffix ends here or at least two classes are non-empty.
-    let mut ends = 0usize;
-    let mut counts = [0usize; 4];
+    // Classify the group by the character at depth d: end-of-string (the
+    // implicit terminator) is class 0 and sorts first, then A, C, G, T.
+    // The classes are kept for the scatter below. The skip was maximal,
+    // so either every suffix ends here or at least two classes are
+    // non-empty.
+    let mut counts = [0usize; 5];
+    sort.class.clear();
     for &suf in group.iter() {
-        match char_at(store, suf, d) {
-            None => ends += 1,
-            Some(c) => counts[code_of(c)] += 1,
-        }
+        let class = char_at(store, suf, d).map_or(0, |c| code_of(c) as u8 + 1);
+        counts[class as usize] += 1;
+        sort.class.push(class);
     }
+    let ends = counts[0];
+    debug_assert!(
+        d >= psi || ends == 0,
+        "a suffix shorter than psi reached the builder"
+    );
     if ends == group.len() {
         // Every suffix ends here: one leaf of identical suffixes.
         push_leaf(tree, store, group, d);
         return;
     }
     debug_assert!(
-        usize::from(ends > 0) + counts.iter().filter(|&&c| c > 0).count() >= 2,
+        counts.iter().filter(|&&c| c > 0).count() >= 2,
         "skip stopped short of the branch point"
     );
 
     // A real branch: emit the internal node now (DFS order: parent
-    // first), then its children, then patch the rightmost pointer.
+    // first), then its children, then patch the rightmost pointer. A
+    // branch shallower than ψ is not emitted; its children become ranges
+    // of their own.
+    let emit = d >= psi;
     let node_idx = tree.nodes.len();
-    tree.nodes.push(Node {
-        rightmost: 0, // patched below
-        depth: d as u32,
-        suf_start: 0,
-        suf_end: 0,
-    });
+    if emit {
+        tree.nodes.push(Node {
+            rightmost: 0, // patched below
+            depth: d as u32,
+            suf_start: 0,
+            suf_end: 0,
+        });
+    }
 
     // Stable 5-way counting sort of the group: ends first, then A, C, G,
     // T — this is the child order, matching the representation's
-    // "children sorted by branching character" invariant. The class
-    // counts are already in hand, so this is one scatter through the
-    // reusable scratch buffer and a copy back.
-    let buf = &mut scratch.buf;
-    buf.clear();
-    buf.extend_from_slice(group);
+    // "children sorted by branching character" invariant. One scatter
+    // through the reusable buffer, by the cached classes.
+    sort.buf.clear();
+    sort.buf.extend_from_slice(group);
     let mut pos = [0usize; 5];
-    pos[1] = ends;
-    for c in 0..3 {
-        pos[c + 2] = pos[c + 1] + counts[c];
+    for c in 1..5 {
+        pos[c] = pos[c - 1] + counts[c - 1];
     }
-    for &suf in buf.iter() {
-        let class = match char_at(store, suf, d) {
-            None => 0,
-            Some(c) => code_of(c) + 1,
-        };
-        group[pos[class]] = suf;
-        pos[class] += 1;
+    for (&suf, &class) in sort.buf.iter().zip(&sort.class) {
+        group[pos[class as usize]] = suf;
+        pos[class as usize] += 1;
     }
     debug_assert_eq!(pos[4], group.len());
 
     let mut start = 0usize;
-    if ends > 0 {
-        let (end_group, _) = group.split_at_mut(ends);
-        push_leaf(tree, store, end_group, d);
-        start = ends;
-    }
-    for &len in counts.iter() {
-        if len == 0 {
-            continue;
-        }
-        let sub_range = start..start + len;
-        build_group(store, tree, &mut group[sub_range], d + 1, scratch);
+    for (class, &len) in counts.iter().enumerate() {
+        let sub = &mut group[start..start + len];
         start += len;
+        if len == 0 || (!emit && len == 1) {
+            continue; // no child, or a lone leaf under a parent shallower than ψ
+        }
+        if class == 0 {
+            push_leaf(tree, store, sub, d); // the end-of-string child
+        } else {
+            build_group(store, tree, sub, d + 1, psi, sort);
+        }
     }
     debug_assert_eq!(start, group.len());
 
-    let last = (tree.nodes.len() - 1) as u32;
-    tree.nodes[node_idx].rightmost = last;
+    if emit {
+        let last = (tree.nodes.len() - 1) as u32;
+        tree.nodes[node_idx].rightmost = last;
+    }
+}
+
+/// [`build_group`] for a group of two: one scan finds the branch point,
+/// and no counting sort is needed.
+fn build_pair(
+    store: &SequenceStore,
+    tree: &mut Subtree,
+    group: &mut [SuffixRef],
+    d: usize,
+    psi: usize,
+) {
+    let (a, b) = (&group[0].bytes(store)[d..], &group[1].bytes(store)[d..]);
+    let k = lce(a, b);
+    let class = |s: &[u8]| s.get(k).map_or(0, |&c| code_of(c) + 1);
+    let (ca, cb) = (class(a), class(b));
+    let d = d + k;
+    if ca == cb {
+        // The scan was maximal, so both suffixes end here.
+        push_leaf(tree, store, group, d);
+        return;
+    }
+    if d < psi {
+        return; // two lone leaves under a parent shallower than ψ
+    }
+    let idx = tree.nodes.len() as u32;
+    tree.nodes.push(Node {
+        rightmost: idx + 2,
+        depth: d as u32,
+        suf_start: 0,
+        suf_end: 0,
+    });
+    if ca > cb {
+        group.swap(0, 1);
+    }
+    push_leaf(tree, store, &group[..1], d);
+    push_leaf(tree, store, &group[1..], d);
 }
 
 /// 2-bit class of a stored base. Non-ACGT bytes cannot occur in a store
@@ -333,7 +473,8 @@ fn push_leaf(tree: &mut Subtree, store: &SequenceStore, group: &[SuffixRef], d: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::{enumerate_bucket_suffixes, num_buckets};
+    use crate::bucket::scatter;
+    use crate::partition::count_buckets;
     use pace_seq::SequenceStore;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -342,16 +483,25 @@ mod tests {
         SequenceStore::from_ests(ests).unwrap()
     }
 
+    /// Every non-empty bucket's key and suffixes for window `w`.
+    fn per_bucket(store: &SequenceStore, w: usize) -> Vec<(u32, Vec<SuffixRef>)> {
+        let counts = count_buckets(store, w);
+        let buckets: Vec<u32> = (0..counts.len() as u32)
+            .filter(|&b| counts[b as usize] > 0)
+            .collect();
+        let scattered = scatter(store, w, &counts, &buckets, w);
+        buckets
+            .into_iter()
+            .zip(scattered.ranges)
+            .map(|(b, r)| (b, scattered.entries[r].iter().map(|e| e.suf).collect()))
+            .collect()
+    }
+
     /// Build every bucket's subtree for window `w`.
     fn build_all(store: &SequenceStore, w: usize) -> Vec<Subtree> {
-        let nb = num_buckets(w);
-        let wanted: Vec<Option<u32>> = (0..nb).map(|b| Some(b as u32)).collect();
-        let per_bucket = enumerate_bucket_suffixes(store, w, &wanted, nb);
-        per_bucket
+        per_bucket(store, w)
             .into_iter()
-            .enumerate()
-            .filter(|(_, sufs)| !sufs.is_empty())
-            .map(|(b, sufs)| build_subtree(store, b as u32, sufs, w))
+            .map(|(b, sufs)| build_subtree(store, b, sufs, w))
             .collect()
     }
 
@@ -536,18 +686,23 @@ mod tests {
         #[test]
         fn counting_sort_matches_comparison_sort(ests in dna_ests(), w in 1usize..4) {
             let s = SequenceStore::from_ests(&ests).unwrap();
-            let nb = num_buckets(w);
-            let wanted: Vec<Option<u32>> = (0..nb).map(|b| Some(b as u32)).collect();
-            let per_bucket = enumerate_bucket_suffixes(&s, w, &wanted, nb);
             let mut scratch = BuildScratch::new();
-            for (b, sufs) in per_bucket.into_iter().enumerate() {
-                if sufs.is_empty() {
-                    continue;
-                }
-                let reference = build_subtree_comparison_sort(&s, b as u32, sufs.clone(), w);
-                let fast = build_subtree_with(&s, b as u32, sufs, w, &mut scratch);
+            for (b, sufs) in per_bucket(&s, w) {
+                let reference = build_subtree_comparison_sort(&s, b, sufs.clone(), w);
+                let fast = build_subtree_with(&s, b, &sufs, w, &mut scratch);
                 prop_assert_eq!(&fast, &reference, "bucket {} diverged", b);
             }
+        }
+
+        /// The word-at-a-time scan agrees with a byte-by-byte one,
+        /// whatever the offsets of the two slices.
+        #[test]
+        fn lce_matches_bytewise_scan(
+            a in proptest::collection::vec(proptest::sample::select(vec![b'A', b'C']), 0..40),
+            b in proptest::collection::vec(proptest::sample::select(vec![b'A', b'C']), 0..40),
+        ) {
+            let slow = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+            prop_assert_eq!(lce(&a, &b), slow);
         }
 
         /// Node count is linear: a compacted trie over m suffix

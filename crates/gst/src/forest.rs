@@ -2,11 +2,21 @@
 //!
 //! Each rank owns a set of buckets and holds their subtrees; together the
 //! per-rank [`LocalForest`]s form the distributed representation of the
-//! generalized suffix tree (minus the top `< w` levels, which pair
-//! generation never visits).
+//! generalized suffix tree. Two builders share one scatter and one
+//! subdivision recursion:
+//!
+//! * the **in-scope** builder ([`build_in_scope_forest`],
+//!   [`build_in_scope_batch`]) keeps only what pair generation at a
+//!   threshold ψ reads: the nodes of string depth ≥ ψ, minus the
+//!   single-suffix leaves whose parent is shallower than ψ. Every driver
+//!   builds this forest;
+//! * the **full** builder ([`build_forest_for_rank`], [`build_distributed`],
+//!   [`build_sequential`]) keeps every node at depth ≥ `w`: the GST minus
+//!   its top `< w` levels. It is the reference the in-scope forest is
+//!   tested against.
 
-use crate::bucket::enumerate_bucket_suffixes;
-use crate::build::{build_subtree_with, BuildScratch};
+use crate::bucket::{scatter, TAG_BASES};
+use crate::build::BuildScratch;
 use crate::partition::{assign_buckets, count_buckets, BucketPartition};
 use crate::tree::Subtree;
 use pace_seq::SequenceStore;
@@ -19,7 +29,12 @@ pub struct LocalForest {
     pub rank: usize,
     /// Bucket window size the forest was built with.
     pub w: usize,
-    /// One subtree per owned non-empty bucket, in bucket-key order.
+    /// The ψ the forest was gated at: it holds every node a pair
+    /// generator at this ψ or above reads. The full builders record `w`.
+    pub psi: u32,
+    /// The subtrees of the owned buckets, in bucket-key order: one per
+    /// non-empty bucket for a full forest, one per bucket with a
+    /// surviving ψ-group for an in-scope forest.
     pub subtrees: Vec<Subtree>,
 }
 
@@ -58,7 +73,7 @@ impl LocalForest {
     }
 }
 
-/// Build the forest for one rank of an existing partition.
+/// Build the full forest for one rank of an existing partition.
 ///
 /// This is the code each rank runs after the bucket redistribution; it
 /// only touches the suffixes of buckets the rank owns.
@@ -67,48 +82,81 @@ pub fn build_forest_for_rank(
     partition: &BucketPartition,
     rank: usize,
 ) -> LocalForest {
-    let (wanted, slots) = partition.wanted_table(rank);
-    let per_bucket = enumerate_bucket_suffixes(store, partition.w, &wanted, slots);
+    let w = partition.w;
     let buckets = partition.buckets_of(rank);
-    debug_assert_eq!(buckets.len(), per_bucket.len());
-    // One scratch for the whole rank: the counting-sort subdivision
-    // allocates nothing after the largest bucket has sized it.
+    let scattered = scatter(store, w, &partition.counts, &buckets, w);
+    // One scratch for the whole rank: the subdivision allocates only the
+    // finished subtrees after the largest bucket has sized it.
     let mut scratch = BuildScratch::new();
     let subtrees = buckets
-        .into_iter()
-        .zip(per_bucket)
-        .map(|(bucket, sufs)| build_subtree_with(store, bucket, sufs, partition.w, &mut scratch))
+        .iter()
+        .zip(&scattered.ranges)
+        .map(|(&b, r)| {
+            let suffixes = scattered.entries[r.clone()].iter().map(|e| e.suf);
+            scratch.build_full(store, b, suffixes, w)
+        })
         .collect();
     LocalForest {
         rank,
-        w: partition.w,
+        w,
+        psi: w as u32,
         subtrees,
     }
 }
 
-/// Build the subtrees of an explicit set of buckets, in the given order.
-///
-/// This is the building block of memory-budgeted (out-of-core)
-/// construction: the caller splits a rank's buckets into batches sized
-/// by the suffix-count load model and builds one batch at a time,
-/// spilling each to disk before the next. Each call rescans the store
-/// once — the classic time-for-space trade of out-of-core suffix-tree
-/// construction (one extra O(N) pass per batch, bounded subtree memory).
-pub fn build_bucket_batch(store: &SequenceStore, w: usize, buckets: &[u32]) -> Vec<Subtree> {
-    let mut wanted = vec![None; crate::bucket::num_buckets(w)];
-    for (slot, &b) in buckets.iter().enumerate() {
-        assert!(
-            wanted[b as usize].is_none(),
-            "bucket {b} listed twice in batch"
-        );
-        wanted[b as usize] = Some(slot as u32);
+/// Build the in-scope forest of one rank for pair generation at `psi`:
+/// [`build_in_scope_batch`] over every bucket the rank owns.
+pub fn build_in_scope_forest(
+    store: &SequenceStore,
+    partition: &BucketPartition,
+    rank: usize,
+    psi: u32,
+) -> LocalForest {
+    LocalForest {
+        rank,
+        w: partition.w,
+        psi,
+        subtrees: build_in_scope_batch(store, partition, &partition.buckets_of(rank), psi),
     }
-    let per_bucket = enumerate_bucket_suffixes(store, w, &wanted, buckets.len());
+}
+
+/// Build the in-scope subtrees of an explicit list of buckets, in the
+/// given order.
+///
+/// Lemma 1 puts every promising pair at a node of string depth ≥ ψ, so
+/// only the suffixes at least ψ long that share their ψ-prefix with
+/// another suffix can reach one. Since ψ ≥ w, such suffixes share a
+/// bucket too, and the gate is local to each bucket: one pass scatters
+/// the suffixes at least ψ long, tagged with their first `min(ψ, 32)`
+/// bases; each bucket's slice is sorted by tag, tags that occur once are
+/// dropped, and each remaining group is subdivided from the tag's depth
+/// as one DFS range. A bucket with no surviving group yields no subtree.
+/// This is ERA's vertical partitioning by variable-length prefix, cut at
+/// ψ instead of at a memory size.
+///
+/// Batching by bucket is the building block of memory-budgeted
+/// (out-of-core) construction: the caller splits a rank's buckets into
+/// batches sized by the suffix-count load model and builds one batch at
+/// a time, spilling each to disk before the next. Each call rescans the
+/// store once — the classic time-for-space trade of out-of-core
+/// suffix-tree construction.
+pub fn build_in_scope_batch(
+    store: &SequenceStore,
+    partition: &BucketPartition,
+    buckets: &[u32],
+    psi: u32,
+) -> Vec<Subtree> {
+    let psi = psi as usize;
+    let mut scattered = scatter(store, partition.w, &partition.counts, buckets, psi);
     let mut scratch = BuildScratch::new();
+    let tag_len = psi.min(TAG_BASES);
     buckets
         .iter()
-        .zip(per_bucket)
-        .map(|(&bucket, sufs)| build_subtree_with(store, bucket, sufs, w, &mut scratch))
+        .zip(&scattered.ranges)
+        .filter_map(|(&b, r)| {
+            let entries = &mut scattered.entries[r.clone()];
+            scratch.build_in_scope(store, b, entries, tag_len, psi)
+        })
         .collect()
 }
 
@@ -137,6 +185,9 @@ pub fn build_sequential(store: &SequenceStore, w: usize) -> LocalForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Node;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::collections::BTreeMap;
 
     fn store(ests: &[&[u8]]) -> SequenceStore {
@@ -197,19 +248,37 @@ mod tests {
     }
 
     #[test]
-    fn bucket_batches_union_to_full_forest() {
+    fn in_scope_batches_union_to_the_rank_forest() {
         let s = store(&[b"ACGTACGAGGTTCCAA", b"CCATGGTACGTATTGG", b"GATTACAGATTACA"]);
-        let full = build_sequential(&s, 2);
-        let counts = count_buckets(&s, 2);
-        let part = assign_buckets(&counts, 1);
+        let part = assign_buckets(&count_buckets(&s, 2), 1);
         let buckets = part.buckets_of(0);
         assert!(buckets.len() > 3, "test wants several batches");
-        for batch_size in [1, 3, buckets.len()] {
-            let mut got = Vec::new();
-            for chunk in buckets.chunks(batch_size) {
-                got.extend(build_bucket_batch(&s, 2, chunk));
+        for psi in [2, 3, 5] {
+            let whole = build_in_scope_forest(&s, &part, 0, psi);
+            assert_eq!(whole.psi, psi);
+            whole.validate(&s).unwrap();
+            for batch_size in [1, 3, buckets.len()] {
+                let mut got = Vec::new();
+                for chunk in buckets.chunks(batch_size) {
+                    got.extend(build_in_scope_batch(&s, &part, chunk, psi));
+                }
+                assert_eq!(got, whole.subtrees, "psi {psi} batch_size {batch_size}");
             }
-            assert_eq!(got, full.subtrees, "batch_size {batch_size}");
+        }
+    }
+
+    #[test]
+    fn subtrees_are_allocated_at_their_final_size() {
+        let s = store(&[b"ACGTACGAGGTTCCAA", b"CCATGGTACGTATTGG", b"GATTACAGATTACA"]);
+        let part = assign_buckets(&count_buckets(&s, 2), 1);
+        for (f, scope) in [
+            (build_forest_for_rank(&s, &part, 0), 2),
+            (build_in_scope_forest(&s, &part, 0, 4), 4),
+        ] {
+            assert_eq!(f.psi, scope, "full builders record w as their scope");
+            for t in &f.subtrees {
+                assert_eq!(t.memory_bytes(), t.len() * 16 + t.num_suffixes() * 8);
+            }
         }
     }
 
@@ -223,5 +292,98 @@ mod tests {
         // must be at least w deep and no deeper than the longest string.
         assert!(f.max_depth() >= 2);
         assert!(f.max_depth() <= 8);
+    }
+
+    /// The part of a full subtree an in-scope build at `psi` keeps: its
+    /// nodes of depth ≥ ψ in DFS order, minus the single-suffix leaves
+    /// whose parent is shallower than ψ (a bucket's root has no parent
+    /// inside the subtree, so it counts as shallower).
+    fn in_scope_part(t: &Subtree, psi: u32) -> Option<Subtree> {
+        let mut parent_depth = vec![0u32; t.len()];
+        for v in 0..t.len() as u32 {
+            for c in t.children(v) {
+                parent_depth[c as usize] = t.depth(v);
+            }
+        }
+        let kept: Vec<u32> = (0..t.len() as u32)
+            .filter(|&v| {
+                let lone = t.is_leaf(v) && t.leaf_suffixes(v).len() == 1;
+                t.depth(v) >= psi && !(lone && parent_depth[v as usize] < psi)
+            })
+            .collect();
+        let mut new_idx = vec![u32::MAX; t.len()];
+        for (i, &v) in kept.iter().enumerate() {
+            new_idx[v as usize] = i as u32;
+        }
+        let (mut nodes, mut sufs) = (Vec::new(), Vec::new());
+        for &v in &kept {
+            let (suf_start, suf_end) = if t.is_leaf(v) {
+                let start = sufs.len() as u32;
+                sufs.extend_from_slice(t.leaf_suffixes(v));
+                (start, sufs.len() as u32)
+            } else {
+                (0, 0)
+            };
+            nodes.push(Node {
+                rightmost: new_idx[t.rightmost(v) as usize],
+                depth: t.depth(v),
+                suf_start,
+                suf_end,
+            });
+        }
+        (!nodes.is_empty()).then(|| Subtree::from_parts(t.bucket, nodes, sufs))
+    }
+
+    /// Check the in-scope forest at (w, ψ) against the full forest's
+    /// in-scope part, and that it validates.
+    fn check_in_scope(ests: &[Vec<u8>], w: usize, psi: u32) -> Result<(), TestCaseError> {
+        let s = SequenceStore::from_ests(ests).unwrap();
+        let full = build_sequential(&s, w);
+        let part = assign_buckets(&count_buckets(&s, w), 1);
+        let scoped = build_in_scope_forest(&s, &part, 0, psi);
+        let expect: Vec<Subtree> = full
+            .subtrees
+            .iter()
+            .filter_map(|t| in_scope_part(t, psi))
+            .collect();
+        prop_assert_eq!(&scoped.subtrees, &expect, "w {} psi {}", w, psi);
+        prop_assert!(scoped.validate(&s).is_ok(), "{:?}", scoped.validate(&s));
+        Ok(())
+    }
+
+    fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(proptest::sample::select(vec![b'A', b'C', b'G', b'T']), len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-scope forest is exactly the full forest's in-scope part:
+        /// same DFS order, same depths, same leaf suffix order.
+        #[test]
+        fn in_scope_forest_is_the_full_forests_in_scope_part(
+            ests in proptest::collection::vec(dna(1..40), 1..8),
+            w in 1usize..4,
+            psi_extra in 0u32..=8,
+        ) {
+            check_in_scope(&ests, w, w as u32 + psi_extra)?;
+        }
+
+        /// ψ above the 32-base tag: reads cut from one template share
+        /// long prefixes, and the recursion, not the tag, gates the
+        /// depths between 32 and ψ.
+        #[test]
+        fn in_scope_forest_holds_for_psi_above_the_tag(
+            template in dna(90..140),
+            cuts in proptest::collection::vec((0usize..60, 30usize..80), 2..6),
+            w in 1usize..4,
+            psi in 33u32..45,
+        ) {
+            let ests: Vec<Vec<u8>> = cuts
+                .iter()
+                .map(|&(at, len)| template[at..(at + len).min(template.len())].to_vec())
+                .collect();
+            check_in_scope(&ests, w, psi)?;
+        }
     }
 }

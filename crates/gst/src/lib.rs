@@ -19,9 +19,13 @@
 //!    node is a leaf iff it is its own rightmost leaf. Space stays linear
 //!    in the input.
 //!
-//! The union of all bucket subtrees is exactly the GST minus its top
-//! `< w` levels, which are never needed: pair generation only looks at
-//! nodes of string-depth `≥ ψ ≥ w`.
+//! Pair generation only looks at nodes of string depth `≥ ψ ≥ w`
+//! (Lemma 1), so the drivers build only that part
+//! ([`build_in_scope_forest`]): each bucket's suffixes are grouped by
+//! their ψ-prefix, groups of one are dropped, and each remaining group
+//! becomes one DFS range of the bucket's subtree. The full builders
+//! ([`build_forest_for_rank`], [`build_sequential`]) keep the GST minus
+//! its top `< w` levels and serve as the reference.
 //!
 //! ```
 //! use pace_seq::SequenceStore;
@@ -35,6 +39,13 @@
 //!     store.str_ids().map(|s| store.len_of(s) - 1).sum::<usize>()
 //! );
 //! forest.validate(&store).unwrap();
+//!
+//! // The in-scope forest for ψ = 4 holds no node shallower than 4.
+//! let partition = pace_gst::assign_buckets(&pace_gst::count_buckets(&store, 2), 1);
+//! let scoped = pace_gst::build_in_scope_forest(&store, &partition, 0, 4);
+//! assert!(scoped.num_nodes() < forest.num_nodes());
+//! assert!(scoped.subtrees.iter().all(|t| t.node_depths().all(|(_, d)| d >= 4)));
+//! scoped.validate(&store).unwrap();
 //! ```
 
 pub mod bucket;
@@ -43,10 +54,11 @@ pub mod forest;
 pub mod partition;
 pub mod tree;
 
-pub use bucket::{bucket_key, enumerate_bucket_suffixes, num_buckets, SuffixRef};
+pub use bucket::{bucket_key, num_buckets, scatter, Scattered, SuffixRef, Tagged};
 pub use build::{build_subtree, build_subtree_comparison_sort, build_subtree_with, BuildScratch};
 pub use forest::{
-    build_bucket_batch, build_distributed, build_forest_for_rank, build_sequential, LocalForest,
+    build_distributed, build_forest_for_rank, build_in_scope_batch, build_in_scope_forest,
+    build_sequential, LocalForest,
 };
 pub use partition::{assign_buckets, count_buckets, count_buckets_stride, BucketPartition};
 pub use tree::{Node, NodeIdx, Subtree};

@@ -46,22 +46,6 @@ impl BucketPartition {
             .collect()
     }
 
-    /// Build the `wanted` lookup used by
-    /// [`crate::bucket::enumerate_bucket_suffixes`] for `rank`: maps each
-    /// owned non-empty bucket to a dense slot index. Returns the table and
-    /// the slot count.
-    pub fn wanted_table(&self, rank: usize) -> (Vec<Option<u32>>, usize) {
-        let mut table = vec![None; self.owner.len()];
-        let mut slots = 0u32;
-        for (b, &o) in self.owner.iter().enumerate() {
-            if o as usize == rank && self.counts[b] > 0 {
-                table[b] = Some(slots);
-                slots += 1;
-            }
-        }
-        (table, slots as usize)
-    }
-
     /// Ratio of maximum to average rank load (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
         let load = self.load_per_rank();
@@ -196,31 +180,6 @@ mod tests {
         let part = assign_buckets(&counts, 1);
         assert_eq!(part.load_per_rank(), vec![counts.iter().sum::<u64>()]);
         assert!((part.imbalance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wanted_table_is_dense_and_disjoint() {
-        let s = store(&[b"ACGTACGAGGTT", b"CCATGGTACGTA"]);
-        let counts = count_buckets(&s, 2);
-        let part = assign_buckets(&counts, 2);
-        let (t0, n0) = part.wanted_table(0);
-        let (t1, n1) = part.wanted_table(1);
-        assert_eq!(n0 + n1, counts.iter().filter(|&&c| c > 0).count());
-        for b in 0..counts.len() {
-            assert!(
-                !(t0[b].is_some() && t1[b].is_some()),
-                "bucket {b} owned twice"
-            );
-            if counts[b] > 0 {
-                assert!(t0[b].is_some() || t1[b].is_some(), "bucket {b} unowned");
-            } else {
-                assert!(t0[b].is_none() && t1[b].is_none());
-            }
-        }
-        // Slots are 0..n without gaps.
-        let mut slots0: Vec<u32> = t0.iter().flatten().copied().collect();
-        slots0.sort_unstable();
-        assert_eq!(slots0, (0..n0 as u32).collect::<Vec<_>>());
     }
 
     #[test]

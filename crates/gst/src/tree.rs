@@ -42,7 +42,13 @@ pub struct Node {
 }
 
 /// One bucket's subtree of the generalized suffix tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The node array is a sequence of consecutive DFS ranges, each a tree
+/// in the representation above whose top node's rightmost leaf ends the
+/// range. A full subtree is one range rooted at index 0. An in-scope
+/// subtree has one range per surviving ψ-prefix group, in path-label
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subtree {
     /// The bucket key this subtree was built from (diagnostics only).
     pub bucket: u32,
@@ -95,7 +101,8 @@ impl Subtree {
         self.suffixes.len()
     }
 
-    /// The root node (index 0). Panics on an empty subtree.
+    /// The top of the first DFS range (index 0) — the root of a full
+    /// subtree. Panics on an empty subtree.
     #[inline]
     pub fn root(&self) -> NodeIdx {
         assert!(!self.is_empty(), "empty subtree has no root");
@@ -201,13 +208,18 @@ impl Subtree {
             return Ok(());
         }
         let n = self.nodes.len() as u32;
-        // Root spans everything: its rightmost leaf is the last node.
-        if self.nodes[0].rightmost != n - 1 {
-            return Err(format!(
-                "root rightmost {} != last node {}",
-                self.nodes[0].rightmost,
-                n - 1
-            ));
+        // The DFS ranges tile the array: each top's rightmost leaf ends
+        // its range, and the next range starts right after it. A full
+        // subtree is the one-range case.
+        let mut top = 0u32;
+        while top < n {
+            let end = self.nodes[top as usize].rightmost;
+            if end < top || end >= n {
+                return Err(format!(
+                    "range top {top}: rightmost {end} outside {top}..{n}"
+                ));
+            }
+            top = end + 1;
         }
         let mut covered = 0usize;
         for v in 0..n {
@@ -328,4 +340,45 @@ impl Iterator for Children<'_> {
     }
 }
 
-// Tests for this module live in `build.rs`, which can construct real trees.
+// Tests for the navigation methods live in `build.rs`, which can
+// construct real trees.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn leaf(idx: u32, depth: u32, suf: u32) -> Node {
+        Node {
+            rightmost: idx,
+            depth,
+            suf_start: suf,
+            suf_end: suf + 1,
+        }
+    }
+
+    #[test]
+    fn validate_accepts_consecutive_ranges_and_rejects_a_torn_one() {
+        // "ACGT" and "ACGA": one range under the "ACG" node, then a lone
+        // "CGT" leaf as a range of its own.
+        let store = SequenceStore::from_ests(&[b"ACGT", b"ACGA"]).unwrap();
+        let suffixes = vec![
+            SuffixRef::new(2, 0),
+            SuffixRef::new(0, 0),
+            SuffixRef::new(0, 1),
+        ];
+        let internal = Node {
+            rightmost: 2,
+            depth: 3,
+            suf_start: 0,
+            suf_end: 0,
+        };
+        let ranges = vec![internal, leaf(1, 4, 0), leaf(2, 4, 1), leaf(3, 3, 2)];
+        let t = Subtree::from_parts(0, ranges.clone(), suffixes.clone());
+        t.validate(&store).unwrap();
+        // The first range's top claims a rightmost past the array.
+        let mut torn = ranges;
+        torn[0].rightmost = 7;
+        let t = Subtree::from_parts(0, torn, suffixes);
+        assert!(t.validate(&store).unwrap_err().contains("outside"));
+    }
+}

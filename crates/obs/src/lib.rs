@@ -32,7 +32,7 @@
 //! | `pairs.generated` … `pairs.unconsumed` | counter | pair life cycle |
 //! | `merges` | counter | accepted union-find merges |
 //! | `comm.messages` / `comm.barriers` / `comm.reductions` | counter | mpisim traffic |
-//! | `gst.buckets` / `gst.nodes` / `gst.subtrees` | counter | GST build size |
+//! | `gst.buckets` / `gst.nodes` / `gst.subtrees` | counter | GST build size (in-scope nodes and subtrees) |
 //! | `gst.max_depth` | gauge | deepest GST node (string depth) |
 //! | `master.busy_frac` | gauge | fraction of wall time the master worked |
 //! | `pairs.mcs_len` | histogram | generated pairs by maximal-common-substring length |

@@ -41,9 +41,11 @@ pub const COMM_REDUCTIONS: &str = "comm.reductions";
 
 /// Counter: distinct GST buckets built.
 pub const GST_BUCKETS: &str = "gst.buckets";
-/// Counter: total GST nodes across all subtrees.
+/// Counter: total GST nodes across all subtrees. The drivers build the
+/// in-scope forest, so these are the nodes pair generation can read.
 pub const GST_NODES: &str = "gst.nodes";
-/// Counter: subtrees (one per non-empty bucket).
+/// Counter: subtrees, one per bucket with a ψ-prefix that occurs twice
+/// (at most `gst.buckets`).
 pub const GST_SUBTREES: &str = "gst.subtrees";
 /// Gauge: deepest node (string depth) in any subtree.
 pub const GST_MAX_DEPTH: &str = "gst.max_depth";

@@ -75,7 +75,10 @@ impl PairGenConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GenStats {
     /// Forest nodes of depth ≥ ψ processed. Single-suffix leaves, which
-    /// emit nothing, are counted up front.
+    /// emit nothing, are counted up front. An in-scope forest leaves out
+    /// the single-suffix leaves whose parent is shallower than ψ, so over
+    /// the same input it counts fewer nodes than the full forest — by
+    /// exactly those leaves; every other counter is the same.
     pub nodes_processed: u64,
     /// Raw pairs produced by the Cartesian products, before any filtering.
     pub raw_pairs: u64,
@@ -116,13 +119,21 @@ pub struct PairGenerator<'s> {
 
 impl<'s> PairGenerator<'s> {
     /// Create a generator for `forest`. Requires `psi ≥ w` (a maximal
-    /// common substring shorter than the bucket window can have no node).
+    /// common substring shorter than the bucket window can have no node)
+    /// and `psi ≥ forest.psi` (a forest gated at ψ lacks the shallower
+    /// nodes, so a smaller ψ would silently drop pairs).
     pub fn new(store: &'s SequenceStore, forest: &'s LocalForest, config: PairGenConfig) -> Self {
         assert!(
             config.psi as usize >= forest.w,
             "psi ({}) must be at least the bucket window w ({})",
             config.psi,
             forest.w
+        );
+        assert!(
+            config.psi >= forest.psi,
+            "psi ({}) is below the psi ({}) the forest was built for",
+            config.psi,
+            forest.psi
         );
         let Plan {
             schedule,
@@ -750,6 +761,15 @@ mod tests {
         let s = store(&[b"ACGTACGTACGT"]);
         let forest = build_sequential(&s, 4);
         let _ = PairGenerator::new(&s, &forest, PairGenConfig::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "psi (6) is below the psi (8) the forest was built for")]
+    fn psi_below_forest_scope_rejected() {
+        let s = store(&[b"ACGTACGTACGT", b"TTACGTACGTAA"]);
+        let partition = pace_gst::assign_buckets(&pace_gst::count_buckets(&s, 4), 1);
+        let forest = pace_gst::build_in_scope_forest(&s, &partition, 0, 8);
+        let _ = PairGenerator::new(&s, &forest, PairGenConfig::new(6));
     }
 
     #[test]

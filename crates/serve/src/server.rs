@@ -713,6 +713,24 @@ mod tests {
         ] {
             assert_eq!(snap.phases[phase].count, 3, "{phase}");
         }
+        // Each fold publishes the shape of the in-scope forest it built
+        // over the whole collection, like a batch run's build phase.
+        let cfg = small_cluster_cfg();
+        let (mut nodes, mut subtrees, mut max_depth) = (0, 0, 0);
+        for folded in [3, 6, 9] {
+            let reads: Vec<&[u8]> = (0..folded).map(|i| &template[i * 30..][..120]).collect();
+            let store = pace_seq::SequenceStore::from_ests(&reads).unwrap();
+            let counts = pace_gst::count_buckets(&store, cfg.window_w);
+            let partition = pace_gst::assign_buckets(&counts, 1);
+            let forest = pace_gst::build_in_scope_forest(&store, &partition, 0, cfg.psi);
+            nodes += forest.num_nodes() as u64;
+            subtrees += forest.subtrees.len() as u64;
+            max_depth = max_depth.max(forest.max_depth());
+        }
+        assert!(nodes > 0);
+        assert_eq!(snap.counters[metric::GST_NODES], nodes);
+        assert_eq!(snap.counters[metric::GST_SUBTREES], subtrees);
+        assert_eq!(snap.gauges[metric::GST_MAX_DEPTH], max_depth as f64);
         handle.stop().expect("clean stop");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -18,12 +18,10 @@ use crate::snapshot::{Snapshot, SnapshotWriter};
 use pace_gst::{BucketPartition, Subtree};
 use std::path::{Path, PathBuf};
 
-/// Node-array bytes per suffix occurrence. The builder preallocates
-/// `Subtree::nodes` at **2× the suffix count** (a bucket subtree has at
-/// most one leaf plus one internal node per suffix), and
-/// `Subtree::memory_bytes` reports *capacity*, so a batch pays for the
-/// full preallocation whether or not the DFS array fills it: 2 nodes ×
-/// 16 bytes each.
+/// Node-array bytes per suffix occurrence: a bucket subtree has at most
+/// one leaf plus one internal node per suffix, 2 nodes × 16 bytes each.
+/// Subtrees are allocated at their final size, and an in-scope subtree
+/// is smaller than the full one, so this bounds what a batch holds.
 pub const NODE_PREALLOC_BYTES_PER_SUFFIX: u64 = 32;
 
 /// Suffix-arena bytes per occurrence: one 8-byte `SuffixRef` slot.
@@ -292,18 +290,24 @@ mod tests {
 
     /// The load model must never *under*-estimate: for every planned
     /// batch, the estimate has to cover the actual built footprint —
-    /// subtree node/arena capacity (which includes the 2× node
-    /// preallocation) plus the lset arena pair generation will allocate
-    /// (12 bytes per suffix occurrence). Otherwise a "within budget"
-    /// batch could blow the budget once built.
+    /// subtree node/arena capacity plus the lset arena pair generation
+    /// will allocate (12 bytes per suffix occurrence). Otherwise a
+    /// "within budget" batch could blow the budget once built. The full
+    /// forest's subtrees bound the in-scope batches at every ψ.
     #[test]
     fn plan_never_underestimates_built_batches() {
         let s = store();
         let part = partition(&s);
+        let full = pace_gst::build_forest_for_rank(&s, &part, 0);
         for budget in [1, 4 * DEFAULT_BYTES_PER_SUFFIX, 1024, 0] {
             let plan = plan_batches(&part, 0, budget, DEFAULT_BYTES_PER_SUFFIX);
             for (batch, &est) in plan.batches.iter().zip(&plan.est_bytes) {
-                let trees = pace_gst::build_bucket_batch(&s, part.w, batch);
+                let trees: Vec<_> = full
+                    .subtrees
+                    .iter()
+                    .filter(|t| batch.contains(&t.bucket))
+                    .collect();
+                assert_eq!(trees.len(), batch.len());
                 let built: u64 = trees.iter().map(|t| t.memory_bytes() as u64).sum();
                 let lset: u64 = trees.iter().map(|t| t.num_suffixes() as u64 * 12).sum();
                 assert!(

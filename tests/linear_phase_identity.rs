@@ -8,14 +8,34 @@
 //! produced. The fingerprints below were captured from the pre-rewrite
 //! implementation on pinned simulator seeds; any divergence means the
 //! rewrite changed observable behaviour, not just its running time.
+//!
+//! The forest pins describe the full GST ([`build_sequential`]). The
+//! drivers build the in-scope forest instead, which must emit the same
+//! pair stream: its twins below hash to the same pins.
 
 use pace::cluster::{cluster_parallel, cluster_sequential, ClusterConfig};
-use pace::gst::build_sequential;
+use pace::gst::{
+    assign_buckets, build_in_scope_forest, build_sequential, count_buckets, LocalForest,
+};
 use pace::pairgen::{GenStats, PairGenConfig, PairGenerator, PairOrder};
 use pace::{SequenceStore, SimConfig};
 
 /// Pinned seeds; chosen to overlap the CI fault-matrix seeds.
 const SEEDS: [u64; 3] = [11, 47, 3000];
+
+/// Pair-stream pins at w 8, ψ 20, captured from the sort_by_key
+/// implementation at the parent of the linear-phase rewrite.
+const PAIR_STREAM_PINNED: [u64; 3] = [0xf900f38f9e2f22f8, 0xa718d934efee4a1b, 0xbfb8720fd2773176];
+
+/// Pair-stream-and-stats pins, captured at the parent of the dense-slot
+/// generator rewrite. Per seed: a repeat-heavy library (w 8, ψ 20), a
+/// short window (w 4, ψ 8), and tree order (w 8, ψ 20,
+/// `PairOrder::Arbitrary`).
+const STREAM_AND_STATS_PINNED: [[u64; 3]; 3] = [
+    [0x82cfb79c247b985d, 0x6adf8047572f9f4e, 0x9b43ec0783e43bec],
+    [0xa99ac05d9e2a7756, 0x1fd4159fde47a7f9, 0xa57672756442764c],
+    [0xbbf2bb7cf2f5a616, 0x308ce9e2ee42dd47, 0x8aa5ffae6b429ca8],
+];
 
 fn dataset(n: usize, seed: u64) -> SequenceStore {
     let ds = pace::simulate::generate(&SimConfig {
@@ -49,8 +69,17 @@ impl Fnv {
 /// subtree construction (leaf/arena layout) and the node schedule
 /// (emission order).
 fn hash_pair_stream(h: &mut Fnv, store: &SequenceStore, w: usize, cfg: PairGenConfig) -> GenStats {
-    let forest = build_sequential(store, w);
-    let mut g = PairGenerator::new(store, &forest, cfg);
+    hash_forest_pairs(h, store, &build_sequential(store, w), cfg)
+}
+
+/// [`hash_pair_stream`] over a given forest.
+fn hash_forest_pairs(
+    h: &mut Fnv,
+    store: &SequenceStore,
+    forest: &LocalForest,
+    cfg: PairGenConfig,
+) -> GenStats {
+    let mut g = PairGenerator::new(store, forest, cfg);
     loop {
         let batch = g.next_batch(512);
         if batch.is_empty() {
@@ -79,6 +108,11 @@ fn pair_stream_fingerprint(store: &SequenceStore, psi: u32) -> u64 {
 fn pair_stream_and_stats_fingerprint(store: &SequenceStore, w: usize, cfg: PairGenConfig) -> u64 {
     let mut h = Fnv::new();
     let st = hash_pair_stream(&mut h, store, w, cfg);
+    push_stats(&mut h, st);
+    h.finish()
+}
+
+fn push_stats(h: &mut Fnv, st: GenStats) {
     for counter in [
         st.nodes_processed,
         st.raw_pairs,
@@ -88,6 +122,65 @@ fn pair_stream_and_stats_fingerprint(store: &SequenceStore, w: usize, cfg: PairG
     ] {
         h.push(counter);
     }
+}
+
+/// The single-rank in-scope forest the drivers build.
+fn in_scope_forest(store: &SequenceStore, w: usize, psi: u32) -> LocalForest {
+    let partition = assign_buckets(&count_buckets(store, w), 1);
+    build_in_scope_forest(store, &partition, 0, psi)
+}
+
+/// Single-suffix leaves of depth ≥ ψ in the full forest whose parent is
+/// shallower than ψ (a bucket's root counts as having such a parent):
+/// the nodes the in-scope forest leaves out that a generator would count.
+fn lone_leaves_under_shallow_parents(full: &LocalForest, psi: u32) -> u64 {
+    let mut n = 0;
+    for t in &full.subtrees {
+        let mut parent_depth = vec![0u32; t.len()];
+        for v in 0..t.len() as u32 {
+            for c in t.children(v) {
+                parent_depth[c as usize] = t.depth(v);
+            }
+            let lone = t.is_leaf(v) && t.leaf_suffixes(v).len() == 1;
+            if lone && t.depth(v) >= psi && parent_depth[v as usize] < psi {
+                n += 1;
+            }
+        }
+    }
+    n
+}
+
+/// The in-scope twin of [`pair_stream_and_stats_fingerprint`]: the
+/// in-scope pair stream, then its counters, which must equal the full
+/// forest's except `nodes_processed`, short by exactly the lone leaves
+/// the gate dropped. Those are added back before hashing.
+fn in_scope_stream_and_stats_fingerprint(
+    store: &SequenceStore,
+    w: usize,
+    cfg: PairGenConfig,
+) -> u64 {
+    let full = build_sequential(store, w);
+    let full_stats = hash_forest_pairs(&mut Fnv::new(), store, &full, cfg);
+    let mut h = Fnv::new();
+    let st = hash_forest_pairs(&mut h, store, &in_scope_forest(store, w, cfg.psi), cfg);
+    let dropped = lone_leaves_under_shallow_parents(&full, cfg.psi);
+    assert!(dropped > 0, "the gate should drop lone leaves here");
+    assert_eq!(
+        GenStats {
+            nodes_processed: full_stats.nodes_processed,
+            ..st
+        },
+        full_stats,
+        "in-scope counters other than nodes_processed diverged"
+    );
+    assert_eq!(full_stats.nodes_processed - st.nodes_processed, dropped);
+    push_stats(
+        &mut h,
+        GenStats {
+            nodes_processed: st.nodes_processed + dropped,
+            ..st
+        },
+    );
     h.finish()
 }
 
@@ -151,9 +244,7 @@ fn cfg() -> ClusterConfig {
 
 #[test]
 fn pair_stream_matches_pre_rewrite_fingerprints() {
-    // Captured from the sort_by_key implementation at the parent commit.
-    const PINNED: [u64; 3] = [0xf900f38f9e2f22f8, 0xa718d934efee4a1b, 0xbfb8720fd2773176];
-    for (seed, expect) in SEEDS.into_iter().zip(PINNED) {
+    for (seed, expect) in SEEDS.into_iter().zip(PAIR_STREAM_PINNED) {
         let store = dataset(160, seed);
         let got = pair_stream_fingerprint(&store, 20);
         assert_eq!(
@@ -165,14 +256,6 @@ fn pair_stream_matches_pre_rewrite_fingerprints() {
 
 #[test]
 fn pair_stream_and_stats_match_pinned_fingerprints() {
-    // Captured at the parent of the dense-slot generator rewrite. Per
-    // seed: a repeat-heavy library (w 8, ψ 20), a short window (w 4,
-    // ψ 8), and tree order (w 8, ψ 20, `PairOrder::Arbitrary`).
-    const PINNED: [[u64; 3]; 3] = [
-        [0x82cfb79c247b985d, 0x6adf8047572f9f4e, 0x9b43ec0783e43bec],
-        [0xa99ac05d9e2a7756, 0x1fd4159fde47a7f9, 0xa57672756442764c],
-        [0xbbf2bb7cf2f5a616, 0x308ce9e2ee42dd47, 0x8aa5ffae6b429ca8],
-    ];
     let arbitrary = PairGenConfig {
         order: PairOrder::Arbitrary,
         ..PairGenConfig::new(20)
@@ -190,8 +273,48 @@ fn pair_stream_and_stats_match_pinned_fingerprints() {
         ]
     });
     assert_eq!(
-        got, PINNED,
+        got, STREAM_AND_STATS_PINNED,
         "pair stream or GenStats diverged (rows: seeds {SEEDS:?}; columns: repeat-heavy, w 4 psi 8, arbitrary order)"
+    );
+}
+
+#[test]
+fn in_scope_pair_stream_matches_pre_rewrite_fingerprints() {
+    for (seed, expect) in SEEDS.into_iter().zip(PAIR_STREAM_PINNED) {
+        let store = dataset(160, seed);
+        let forest = in_scope_forest(&store, 8, 20);
+        forest.validate(&store).unwrap();
+        let mut h = Fnv::new();
+        hash_forest_pairs(&mut h, &store, &forest, PairGenConfig::new(20));
+        let got = h.finish();
+        assert_eq!(
+            got, expect,
+            "in-scope pair stream diverged from the full forest's (seed {seed}): got {got:#018x}"
+        );
+    }
+}
+
+#[test]
+fn in_scope_pair_stream_and_stats_match_pinned_fingerprints() {
+    let arbitrary = PairGenConfig {
+        order: PairOrder::Arbitrary,
+        ..PairGenConfig::new(20)
+    };
+    let got = SEEDS.map(|seed| {
+        let store = dataset(160, seed);
+        [
+            in_scope_stream_and_stats_fingerprint(
+                &repeat_heavy_dataset(seed),
+                8,
+                PairGenConfig::new(20),
+            ),
+            in_scope_stream_and_stats_fingerprint(&store, 4, PairGenConfig::new(8)),
+            in_scope_stream_and_stats_fingerprint(&store, 8, arbitrary),
+        ]
+    });
+    assert_eq!(
+        got, STREAM_AND_STATS_PINNED,
+        "in-scope pair stream or GenStats diverged (rows: seeds {SEEDS:?}; columns: repeat-heavy, w 4 psi 8, arbitrary order)"
     );
 }
 
