@@ -8,7 +8,8 @@
 //! the daemon's partition is exactly what a one-shot batch run over the
 //! same data produces (the serve-identity anchor), and appends a
 //! trajectory entry to `BENCH_serve.json` with client-observed latency
-//! quantiles and ingest throughput.
+//! quantiles, ingest throughput and its provenance (`git_sha`, `nproc`,
+//! `rustc`).
 //!
 //! Knobs (environment):
 //! - `PACE_LOADGEN_CLIENTS`  concurrent query clients (default 1000)
@@ -199,7 +200,7 @@ fn main() {
 
     // --- Trajectory artifact. -----------------------------------------
     let out = std::env::var("PACE_BENCH_TRAJECTORY").unwrap_or_else(|_| "BENCH_serve.json".into());
-    let entry = Json::obj([
+    let fields = [
         ("bench", Json::Str("serve_loadgen".into())),
         ("clients", Json::Num(clients as f64)),
         ("queries", Json::Num(total_queries as f64)),
@@ -215,7 +216,8 @@ fn main() {
         ("num_ests", Json::Num(stats.num_ests as f64)),
         ("num_clusters", Json::Num(stats.num_clusters as f64)),
         ("identity_ok", Json::Bool(true)),
-    ]);
+    ];
+    let entry = Json::obj(fields.into_iter().chain(pace_bench::provenance()));
     let mut history = std::fs::read_to_string(&out)
         .ok()
         .and_then(|s| pace_obs::json::parse(&s).ok())

@@ -11,7 +11,9 @@
 //!   plus the last rep's full registry report sections.
 //! - `$PACE_BENCH_TRAJECTORY` (default `BENCH_smoke.json`) — a JSON
 //!   array the run appends one trajectory entry to, so successive CI
-//!   runs accumulate a timing history artifact.
+//!   runs accumulate a timing history artifact. Each entry carries its
+//!   provenance (`git_sha`, `nproc`, `rustc`; see
+//!   [`pace_bench::provenance`]).
 //!
 //! Knobs: `PACE_SMOKE_N` (ESTs, default 800), `PACE_SMOKE_REPS`
 //! (default 3). The seed and rank count are fixed — the workload must
@@ -346,8 +348,9 @@ fn check_trace_off(obs: &Obs, snap: &pace_obs::RegistrySnapshot) {
     println!("tracing off: no tracer attached, no trace.* metrics — zero trace-path work");
 }
 
-/// Append one entry to the trajectory file (a JSON array). A missing or
-/// malformed file starts a fresh array; failures never abort the bench.
+/// Append one entry, stamped with its provenance, to the trajectory file
+/// (a JSON array). A missing or malformed file starts a fresh array;
+/// failures never abort the bench.
 fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usize, reps: usize) {
     let path =
         std::env::var("PACE_BENCH_TRAJECTORY").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
@@ -365,7 +368,7 @@ fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usi
             .map(|(k, &v)| (k.clone(), Json::Num(v as f64)))
             .collect(),
     );
-    entries.push(Json::obj([
+    let entry = [
         ("schema_version", Json::Num(pace_obs::SCHEMA_VERSION as f64)),
         ("bench", Json::Str("smoke".into())),
         ("num_ests", Json::Num(n as f64)),
@@ -373,7 +376,8 @@ fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usi
         ("reps", Json::Num(reps as f64)),
         ("phase_min", phase_min.clone()),
         ("counters", counters),
-    ]));
+    ];
+    entries.push(Json::obj(entry.into_iter().chain(pace_bench::provenance())));
     match std::fs::write(&path, Json::Arr(entries).to_line()) {
         Ok(()) => eprintln!("[metrics] appended trajectory entry to {path}"),
         Err(e) => eprintln!("[metrics] could not write {path}: {e}"),

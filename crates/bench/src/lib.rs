@@ -115,6 +115,31 @@ pub fn maybe_write_metrics(tag: &str, obs: &Obs, meta: Vec<(String, Json)>) {
     }
 }
 
+/// Provenance for one trajectory entry, so entries compare across
+/// commits and hosts: `git_sha` (the commit checked out in the working
+/// directory, `"unknown"` where it has no `.git`), `nproc` (logical CPUs)
+/// and `rustc` (the compiler's version line, `"unknown"` if it cannot be
+/// run).
+pub fn provenance() -> [(&'static str, Json); 3] {
+    let line = |cmd: &str, args: &[&str]| -> Option<String> {
+        let out = std::process::Command::new(cmd).args(args).output().ok()?;
+        let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
+        (out.status.success() && !text.is_empty()).then_some(text)
+    };
+    let sha = std::path::Path::new(".git")
+        .exists()
+        .then(|| line("git", &["rev-parse", "HEAD"]))
+        .flatten();
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let rustc = line("rustc", &["--version"]);
+    let unknown = || "unknown".to_string();
+    [
+        ("git_sha", Json::Str(sha.unwrap_or_else(unknown))),
+        ("nproc", Json::Num(nproc as f64)),
+        ("rustc", Json::Str(rustc.unwrap_or_else(unknown))),
+    ]
+}
+
 /// Pretty horizontal rule for table output.
 pub fn rule(width: usize) -> String {
     "-".repeat(width)
@@ -152,6 +177,20 @@ pub fn banner(title: &str, paper_note: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn provenance_names_commit_cpus_and_compiler() {
+        let stamp = provenance();
+        let keys: Vec<&str> = stamp.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["git_sha", "nproc", "rustc"]);
+        for (key, value) in &stamp {
+            match value {
+                Json::Str(text) => assert!(!text.is_empty(), "{key} is empty"),
+                Json::Num(n) => assert!(*n >= 0.0, "{key} = {n}"),
+                other => panic!("{key} = {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn scaled_sizes_are_sane() {

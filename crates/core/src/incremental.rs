@@ -5,11 +5,21 @@
 //! sequenced, instead of the current method of clustering all the ESTs
 //! from scratch?" This module implements the natural PaCE-shaped answer:
 //!
-//! * the suffix-tree forest is rebuilt over the full data (its cost is
-//!   linear and it is *not* the bottleneck — alignment is), in
-//!   memory-budgeted bucket batches ([`pace_store::plan_batches`]) so a
-//!   fold's peak subtree footprint is bounded no matter how large the
-//!   accumulated collection grows;
+//! * a fold builds only the ψ-groups its batch touches. By Lemma 1 a
+//!   pair with a new EST is emitted only at a node whose ψ-prefix group
+//!   holds a suffix of that EST, so the fold hands
+//!   [`build_in_scope_batch`] a new-string floor (the first new EST's
+//!   forward strand): one pass over the new strings marks the buckets
+//!   they fall in, and only the groups holding a new suffix are built,
+//!   scheduled and walked. This is ERA's vertical partitioning by prefix,
+//!   applied only to the partitions a batch changes. The bucket counts,
+//!   the partition and the plan of memory-budgeted bucket batches
+//!   ([`pace_store::plan_batches`]) still cover the whole collection, so
+//!   a fold's build batches and the pair order within them are a full
+//!   rebuild's with the untouched groups left out, and its peak subtree
+//!   footprint is bounded no matter how large the collection grows. A
+//!   fold onto an empty clusterer has no old strings, so it builds the
+//!   whole in-scope forest like a batch run;
 //! * each build batch's pairs are drained through a [`ClusterCore`] —
 //!   the batch drivers' skip→align→union loop — **seeded with the
 //!   existing partition**, so every pair already co-clustered is skipped
@@ -17,7 +27,9 @@
 //! * the core's structural filter skips pairs between two *old* ESTs
 //!   outright — their promising pairs were already enumerated and judged
 //!   in earlier rounds, and re-aligning them cannot change the partition
-//!   (alignment acceptance is deterministic);
+//!   (alignment acceptance is deterministic). Old–old pairs still arise
+//!   in the groups a batch touches; the untouched groups, which hold
+//!   nothing else, are never generated;
 //! * only old–new and new–new pairs reach the aligner;
 //! * every accepted merge is recorded into a rolling [`MergeTrace`], so
 //!   the accumulated state can be checkpointed and cross-checked by
@@ -34,6 +46,15 @@
 //! alignment work — the property `tests/serve_identity.rs` pins down
 //! against the serving daemon, interleavings and restarts included.
 //!
+//! The pairs the `keep` rule lets through are the same, in the same order,
+//! as over a rebuild of the whole collection: a pair with a new side is
+//! emitted at a node whose range survives, a node's products depend only
+//! on its own subtree, and both pair orders keep the surviving nodes'
+//! relative order. So the partition, the merge trace, `pairs_processed`,
+//! `pairs_accepted` and `merges` are a full rebuild's; `pairs_generated`
+//! and `pairs_skipped` are lower by the old–old pairs of the untouched
+//! groups.
+//!
 //! Pair-flow conservation holds per fold and cumulatively:
 //! `generated == processed + skipped + unconsumed` with `unconsumed = 0`
 //! (the fold consumes its own generator); structurally skipped old–old
@@ -48,7 +69,7 @@ use pace_dsu::DisjointSets;
 use pace_gst::{assign_buckets, build_in_scope_batch, count_buckets, LocalForest};
 use pace_obs::{metric, Obs};
 use pace_pairgen::PairGenerator;
-use pace_seq::{PackedText, SeqError, SequenceStore};
+use pace_seq::{EstId, PackedText, SeqError, SequenceStore, Strand};
 use pace_store::{plan_batches, DEFAULT_BYTES_PER_SUFFIX};
 
 /// What one [`IncrementalClusterer::fold_batch`] call did.
@@ -217,10 +238,14 @@ impl IncrementalClusterer {
     }
 
     /// Fold one ingest batch into the live clustering: validate, grow
-    /// the store and union–find, rebuild the forest in memory-budgeted
-    /// bucket batches, and drain each batch's old–new and new–new pairs
-    /// through a core seeded with the grown partition, recording
-    /// accepted merges into the trace.
+    /// the store and union–find, build the in-scope forest's ψ-groups
+    /// that hold a new suffix in memory-budgeted bucket batches, and
+    /// drain each batch's old–new and new–new pairs through a core seeded
+    /// with the grown partition, recording accepted merges into the
+    /// trace. The new-string floor passed to [`build_in_scope_batch`] is
+    /// the first new EST's forward strand, so both strands of every new
+    /// EST count as new; onto an empty clusterer it is 0 and the whole
+    /// in-scope forest is built.
     ///
     /// A bad batch (length mismatch, empty or non-DNA sequence) leaves
     /// the clusterer untouched.
@@ -269,8 +294,9 @@ impl IncrementalClusterer {
         let trace = std::mem::take(&mut self.trace);
         let mut core = ClusterCore::resume(grown, trace, before, &self.cfg);
 
-        // Rebuild the forest over everything (linear work) in batches
-        // sized to the memory budget, draining each batch's pairs.
+        // Plan build batches over every bucket, sized to the memory
+        // budget; each batch builds only its groups holding a new suffix
+        // and drains their pairs.
         let span = self.obs.span(metric::PHASE_PARTITIONING);
         let counts = count_buckets(&store, self.cfg.window_w);
         let partition = assign_buckets(&counts, 1);
@@ -282,13 +308,16 @@ impl IncrementalClusterer {
             .packed_alignment
             .then(|| PackedText::from_store(&store));
         let mut ctx = AlignContext::new(&store, packed.as_ref());
+        let fresh = EstId(first_new as u32).str_id(Strand::Forward).0;
         for bucket_batch in &plan.batches {
             let span = self.obs.span(metric::PHASE_GST_CONSTRUCTION);
+            let subtrees =
+                build_in_scope_batch(&store, &partition, bucket_batch, self.cfg.psi, fresh);
             let forest = LocalForest {
                 rank: 0,
                 w: self.cfg.window_w,
                 psi: self.cfg.psi,
-                subtrees: build_in_scope_batch(&store, &partition, bucket_batch, self.cfg.psi),
+                subtrees,
             };
             span.finish();
             record_forest_shape(&self.obs, &forest);
@@ -317,6 +346,7 @@ impl IncrementalClusterer {
 mod tests {
     use super::*;
     use pace_cluster::{cluster_sequential, cluster_sequential_traced};
+    use pace_pairgen::{CandidatePair, PairOrder};
     use pace_simulate::{generate, SimConfig};
 
     fn cfg() -> ClusterConfig {
@@ -514,6 +544,118 @@ mod tests {
             )
         };
         assert_eq!(counters(&inc.stats), counters(&seq.stats));
+    }
+
+    /// Per build batch, the pairs `keep` lets through from the whole
+    /// in-scope forest and from the forest built with the fold's floor.
+    type KeptStreams = Vec<(Vec<CandidatePair>, Vec<CandidatePair>)>;
+
+    /// The fold without a new-string floor, from public calls: every
+    /// build batch builds its whole in-scope forest and drains it with
+    /// the fold's `keep`. Returns the core after the fold and the kept
+    /// streams of both forests.
+    fn reference_fold(
+        before: &IncrementalClusterer,
+        batch: &[Vec<u8>],
+    ) -> (ClusterCore, KeptStreams) {
+        let cfg = before.config();
+        let first_new = before.len();
+        let ests: Vec<&[u8]> = before
+            .ests()
+            .iter()
+            .chain(batch)
+            .map(Vec::as_slice)
+            .collect();
+        let store = SequenceStore::from_ests(&ests).unwrap();
+        let mut old = before.clusters_dsu().clone();
+        let mut grown = DisjointSets::new(ests.len());
+        for i in 0..first_new {
+            grown.union(i, old.find(i));
+        }
+        let mut core = ClusterCore::resume(grown, before.trace().clone(), before.stats, cfg);
+        let partition = assign_buckets(&count_buckets(&store, cfg.window_w), 1);
+        let plan = plan_batches(
+            &partition,
+            0,
+            before.memory_budget(),
+            DEFAULT_BYTES_PER_SUFFIX,
+        );
+        let mut ctx = AlignContext::new(&store, None);
+        let keep = |i: usize, j: usize| i >= first_new || j >= first_new;
+        let kept = |forest: &LocalForest| -> Vec<CandidatePair> {
+            let mut generator = PairGenerator::new(&store, forest, cfg.pair_gen());
+            let pairs = generator.generate_all();
+            pairs
+                .into_iter()
+                .filter(|p| {
+                    let (i, j) = p.est_indices();
+                    keep(i, j)
+                })
+                .collect()
+        };
+        let forest = |buckets: &[u32], fresh: u32| LocalForest {
+            rank: 0,
+            w: cfg.window_w,
+            psi: cfg.psi,
+            subtrees: build_in_scope_batch(&store, &partition, buckets, cfg.psi, fresh),
+        };
+        let mut streams = Vec::new();
+        for buckets in &plan.batches {
+            let whole = forest(buckets, 0);
+            let gated = forest(buckets, 2 * first_new as u32);
+            streams.push((kept(&whole), kept(&gated)));
+            let generator = PairGenerator::new(&store, &whole, cfg.pair_gen());
+            core.drain(generator, keep, &mut ctx, cfg, &Obs::noop());
+        }
+        (core, streams)
+    }
+
+    /// A fold with the new-string floor keeps the same pairs in the same
+    /// order as a fold over the whole collection's forest, so the merge
+    /// trace and the processed, accepted and merge counters agree; it only
+    /// generates (and skips) fewer old–old pairs.
+    #[test]
+    fn fresh_floor_keeps_the_whole_forests_kept_stream() {
+        let n = 48;
+        let mut saved = 0;
+        let mut psi_above_tag = cfg();
+        psi_above_tag.psi = 36;
+        for (seed, base) in [(71, cfg()), (72, cfg()), (73, psi_above_tag)] {
+            let ds = dataset(n, seed);
+            for first_new in [1, n / 2, n - 1] {
+                for budget in [0, 16 * 1024] {
+                    for order in [PairOrder::DecreasingMcs, PairOrder::Arbitrary] {
+                        let mut c = base.clone();
+                        c.order = order;
+                        let mut inc = IncrementalClusterer::with_budget(c, budget);
+                        let case =
+                            format!("seed {seed} first_new {first_new} budget {budget} {order:?}");
+                        for batch in [&ds.ests[..first_new], &ds.ests[first_new..]] {
+                            let before = inc.clone();
+                            inc.add_batch(batch).unwrap();
+                            let (reference, streams) = reference_fold(&before, batch);
+                            for (whole, gated) in &streams {
+                                assert_eq!(gated, whole, "{case}: kept stream differs");
+                            }
+                            let (got, want) = (&inc.stats, &reference.stats);
+                            assert_eq!(inc.trace(), &reference.trace, "{case}");
+                            assert_eq!(got.pairs_processed, want.pairs_processed, "{case}");
+                            assert_eq!(got.pairs_accepted, want.pairs_accepted, "{case}");
+                            assert_eq!(got.merges, want.merges, "{case}");
+                            let fewer = want.pairs_generated - got.pairs_generated;
+                            assert_eq!(want.pairs_skipped - got.pairs_skipped, fewer, "{case}");
+                            assert_eq!(
+                                got.pairs_generated,
+                                got.pairs_processed + got.pairs_skipped + got.pairs_unconsumed,
+                                "{case}: conservation"
+                            );
+                            saved += fewer;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saved > 0, "the floor never dropped an old–old pair");
     }
 
     #[test]

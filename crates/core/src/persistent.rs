@@ -494,7 +494,7 @@ impl<'a> Runner<'a> {
                 rank: 0,
                 w: self.cfg.window_w,
                 psi: self.cfg.psi,
-                subtrees: build_in_scope_batch(store, partition, &plan.batches[k], self.cfg.psi),
+                subtrees: build_in_scope_batch(store, partition, &plan.batches[k], self.cfg.psi, 0),
             };
             span.finish();
             record_forest_shape(self.obs, &forest);

@@ -64,38 +64,86 @@ pub fn bucket_key(seq: &[u8], w: usize) -> Option<u32> {
 /// Enumerate every in-scope suffix of every string in `store`, calling
 /// `f(bucket, suffix)` for each: the counting pass.
 pub fn for_each_suffix(store: &SequenceStore, w: usize, mut f: impl FnMut(u32, SuffixRef)) {
-    for_each_tagged_suffix(store, w, |tag, suf| f(tag as u32, suf));
+    let all = 0..store.num_strings() as u32;
+    for_each_tagged_suffix(store, all, w, |tag, suf| f(tag as u32, suf));
 }
 
 /// Most bases a [`Tagged::tag`] holds: 32 two-bit codes fill a `u64`.
 pub(crate) const TAG_BASES: usize = 32;
 
-/// Enumerate every suffix at least `gate` bases long of every string in
-/// `store`, calling `f(tag, suffix)` with the 2-bit codes of its first
-/// `min(gate, TAG_BASES)` bases, most significant first. This is the
-/// single scan the counting pass and the scatter share.
-fn for_each_tagged_suffix(store: &SequenceStore, gate: usize, mut f: impl FnMut(u64, SuffixRef)) {
-    let code = |b: u8| -> u64 {
-        Base::from_ascii(b)
-            .expect("store contains only ACGT")
-            .code() as u64
-    };
+/// [`CODE`]'s entry for a byte [`Base::from_ascii`] rejects. Its bit lies
+/// above the two code bits, so ORing a string's codes flags it.
+const NOT_DNA: u8 = 4;
+
+/// The 2-bit code of every byte [`Base::from_ascii`] accepts (`A/a` → 0,
+/// `C/c` → 1, `G/g` → 2, `T/t` → 3), [`NOT_DNA`] for every other byte.
+static CODE: [u8; 256] = {
+    let mut table = [NOT_DNA; 256];
+    let mut code = 0;
+    while code < 4 {
+        let upper = b"ACGT"[code];
+        table[upper as usize] = code as u8;
+        table[upper.to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
+/// Enumerate every suffix at least `gate` bases long of the strings
+/// `sids` of `store`, calling `f(tag, suffix)` with the 2-bit codes of its
+/// first `min(gate, TAG_BASES)` bases, most significant first. This is
+/// the single scan the counting pass, the scatter and a fold's bucket
+/// marking share.
+///
+/// Bases are decoded through [`CODE`]; a string holding a byte outside
+/// `ACGT` is rejected once, after its scan, by the `NOT_DNA` bit its
+/// codes OR to.
+fn for_each_tagged_suffix(
+    store: &SequenceStore,
+    sids: Range<u32>,
+    gate: usize,
+    mut f: impl FnMut(u64, SuffixRef),
+) {
     let tag_len = gate.min(TAG_BASES);
     let mask = u64::MAX >> (64 - 2 * tag_len);
-    for sid in store.str_ids() {
-        let seq = store.seq(sid);
+    for sid in sids {
+        let seq = store.seq(StrId(sid));
         if seq.len() < gate {
             continue;
         }
-        // Rolling tag: shift out the leading base, shift in the next.
+        let mut seen = 0u8;
+        let mut code = |b: u8| {
+            let c = CODE[b as usize];
+            seen |= c;
+            u64::from(c & 3)
+        };
+        // Rolling tag: shift out the leading base, shift in the next. The
+        // suffix at `off` gains the base at `off + tag_len - 1`.
         let mut tag = seq[..tag_len].iter().fold(0, |t, &b| (t << 2) | code(b));
-        for off in 0..=seq.len() - gate {
-            if off > 0 {
-                tag = ((tag << 2) | code(seq[off + tag_len - 1])) & mask;
-            }
-            f(tag, SuffixRef::new(sid.0, off as u32));
+        f(tag, SuffixRef::new(sid, 0));
+        for (off, &b) in (1..).zip(&seq[tag_len..seq.len() - gate + tag_len]) {
+            tag = ((tag << 2) | code(b)) & mask;
+            f(tag, SuffixRef::new(sid, off));
         }
+        assert!(seen & NOT_DNA == 0, "store contains only ACGT");
     }
+}
+
+/// Which of the `4^w` buckets hold a suffix at least `gate` bases long
+/// of a string with id `≥ fresh`: the buckets a fold's new strings touch.
+pub(crate) fn touched_buckets(
+    store: &SequenceStore,
+    w: usize,
+    fresh: u32,
+    gate: usize,
+) -> Vec<bool> {
+    let mut touched = vec![false; num_buckets(w)];
+    let bucket_shift = 2 * (gate.min(TAG_BASES) - w);
+    let new = fresh..store.num_strings() as u32;
+    for_each_tagged_suffix(store, new, gate, |tag, _| {
+        touched[(tag >> bucket_shift) as usize] = true;
+    });
+    touched
 }
 
 /// One scattered suffix: the 2-bit codes of its first bases, most
@@ -159,7 +207,8 @@ pub fn scatter(
     let mut entries = vec![Tagged::default(); total];
     let overflow = "bucket counts do not match the store";
     let bucket_shift = 2 * (gate.min(TAG_BASES) - w);
-    for_each_tagged_suffix(store, gate, |tag, suf| {
+    let all = 0..store.num_strings() as u32;
+    for_each_tagged_suffix(store, all, gate, |tag, suf| {
         let slot = slot_of[(tag >> bucket_shift) as usize];
         if slot != u32::MAX {
             let range = &mut ranges[slot as usize];
@@ -216,6 +265,30 @@ mod tests {
             let direct = bucket_key(suf.bytes(&s), w).unwrap();
             assert_eq!(bucket, direct, "rolling key diverged at {suf:?}");
         });
+    }
+
+    #[test]
+    fn code_table_accepts_the_bytes_base_accepts() {
+        for b in 0..=u8::MAX {
+            let want = Base::from_ascii(b).map_or(NOT_DNA, Base::code);
+            assert_eq!(CODE[b as usize], want, "byte {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn touched_buckets_are_the_buckets_of_new_long_suffixes() {
+        let s = store(&[b"ACGTGGTACCA", b"TTACGGA", b"GATTACAGG"]);
+        let (w, gate) = (2, 4);
+        for fresh in 0..=s.num_strings() as u32 {
+            let mut want = vec![false; num_buckets(w)];
+            for sid in fresh..s.num_strings() as u32 {
+                let seq = s.seq(StrId(sid));
+                for off in 0..(seq.len() + 1).saturating_sub(gate) {
+                    want[bucket_key(&seq[off..], w).unwrap() as usize] = true;
+                }
+            }
+            assert_eq!(touched_buckets(&s, w, fresh, gate), want, "fresh {fresh}");
+        }
     }
 
     #[test]

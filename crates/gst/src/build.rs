@@ -25,7 +25,9 @@
 //! The same recursion builds the full subtree of a bucket and the
 //! in-scope part of it ([`crate::forest::build_in_scope_batch`]): given a
 //! floor ψ, it emits no node shallower than ψ and no single-suffix leaf
-//! whose parent is shallower than ψ.
+//! whose parent is shallower than ψ. Given a new-string floor `fresh` as
+//! well, it emits only the DFS ranges that hold a suffix of a string with
+//! id `≥ fresh`.
 
 use crate::bucket::{SuffixRef, Tagged};
 use crate::tree::{Node, Subtree};
@@ -68,7 +70,15 @@ impl BuildScratch {
         self.group.clear();
         self.group.extend(suffixes);
         if !self.group.is_empty() {
-            build_group(store, &mut self.tree, &mut self.group, w, 0, &mut self.sort);
+            build_group(
+                store,
+                &mut self.tree,
+                &mut self.group,
+                w,
+                0,
+                0,
+                &mut self.sort,
+            );
         }
         self.take(bucket)
     }
@@ -76,13 +86,14 @@ impl BuildScratch {
     /// The in-scope part of one bucket's subtree: `entries` are the
     /// bucket's suffixes at least ψ long, tagged with their first
     /// `tag_len = min(ψ, 32)` bases. Returns `None` when no ψ-prefix of
-    /// the bucket occurs twice.
+    /// the bucket occurs twice, or none that does holds a new suffix.
     ///
     /// A stable sort by tag groups the suffixes by their `tag_len`-prefix,
     /// in the order the full tree would list them, and keeps each group in
     /// scatter order. A tag that occurs once is a lone leaf under a parent
-    /// shallower than ψ and is dropped; every other group becomes one DFS
-    /// range built from depth `tag_len`.
+    /// shallower than ψ and is dropped; so is, when `fresh > 0`, a group
+    /// with no suffix of a string with id `≥ fresh`. Every other group
+    /// becomes one DFS range built from depth `tag_len`.
     pub(crate) fn build_in_scope(
         &mut self,
         store: &SequenceStore,
@@ -90,10 +101,11 @@ impl BuildScratch {
         entries: &mut [Tagged],
         tag_len: usize,
         psi: usize,
+        fresh: u32,
     ) -> Option<Subtree> {
         entries.sort_by_key(|e| e.tag);
         for run in entries.chunk_by(|a, b| a.tag == b.tag) {
-            if run.len() < 2 {
+            if run.len() < 2 || !holds_fresh(fresh, run.iter().map(|e| e.suf)) {
                 continue;
             }
             self.group.clear();
@@ -104,6 +116,7 @@ impl BuildScratch {
                 &mut self.group,
                 tag_len,
                 psi,
+                fresh,
                 &mut self.sort,
             );
         }
@@ -169,6 +182,14 @@ fn char_at(store: &SequenceStore, suf: SuffixRef, d: usize) -> Option<u8> {
         .copied()
 }
 
+/// Whether a group may emit a pair under the new-string floor `fresh`:
+/// with `fresh > 0`, only a group holding a suffix of a string with id
+/// `≥ fresh` can. `fresh = 0` keeps every group without a scan.
+#[inline]
+fn holds_fresh(fresh: u32, mut group: impl Iterator<Item = SuffixRef>) -> bool {
+    fresh == 0 || group.any(|suf| suf.sid >= fresh)
+}
+
 /// Length of the longest common prefix of `a` and `b`, 8 bytes at a time.
 #[inline]
 fn lce(a: &[u8], b: &[u8]) -> usize {
@@ -196,13 +217,17 @@ fn lce(a: &[u8], b: &[u8]) -> usize {
 /// `psi` hands each child group of two or more suffixes on as a DFS range of
 /// its own and drops its single-suffix children, which are lone leaves
 /// that can never emit a pair. Every suffix of the group must then be at
-/// least `psi` long. `psi = 0` builds the full subtree.
+/// least `psi` long. `psi = 0` builds the full subtree. Such a branch also
+/// drops the child groups that fail [`holds_fresh`], so every range it
+/// hands on holds a suffix of a string with id `≥ fresh`; the caller checks
+/// the group itself.
 fn build_group(
     store: &SequenceStore,
     tree: &mut Subtree,
     group: &mut [SuffixRef],
     mut d: usize,
     psi: usize,
+    fresh: u32,
     sort: &mut SortScratch,
 ) {
     debug_assert!(!group.is_empty());
@@ -293,13 +318,15 @@ fn build_group(
     for (class, &len) in counts.iter().enumerate() {
         let sub = &mut group[start..start + len];
         start += len;
-        if len == 0 || (!emit && len == 1) {
-            continue; // no child, or a lone leaf under a parent shallower than ψ
+        if len == 0 || (!emit && (len == 1 || !holds_fresh(fresh, sub.iter().copied()))) {
+            // No child, a lone leaf under a parent shallower than ψ, or a
+            // range with no new suffix.
+            continue;
         }
         if class == 0 {
             push_leaf(tree, store, sub, d); // the end-of-string child
         } else {
-            build_group(store, tree, sub, d + 1, psi, sort);
+            build_group(store, tree, sub, d + 1, psi, fresh, sort);
         }
     }
     debug_assert_eq!(start, group.len());

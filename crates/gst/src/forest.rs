@@ -9,13 +9,14 @@
 //!   [`build_in_scope_batch`]) keeps only what pair generation at a
 //!   threshold ψ reads: the nodes of string depth ≥ ψ, minus the
 //!   single-suffix leaves whose parent is shallower than ψ. Every driver
-//!   builds this forest;
+//!   builds this forest. A daemon fold builds only the part of it that
+//!   can emit a pair with a new string (a new-string floor, `fresh`);
 //! * the **full** builder ([`build_forest_for_rank`], [`build_distributed`],
 //!   [`build_sequential`]) keeps every node at depth ≥ `w`: the GST minus
 //!   its top `< w` levels. It is the reference the in-scope forest is
 //!   tested against.
 
-use crate::bucket::{scatter, TAG_BASES};
+use crate::bucket::{scatter, touched_buckets, TAG_BASES};
 use crate::build::BuildScratch;
 use crate::partition::{assign_buckets, count_buckets, BucketPartition};
 use crate::tree::Subtree;
@@ -105,18 +106,20 @@ pub fn build_forest_for_rank(
 }
 
 /// Build the in-scope forest of one rank for pair generation at `psi`:
-/// [`build_in_scope_batch`] over every bucket the rank owns.
+/// [`build_in_scope_batch`] over every bucket the rank owns, with no
+/// new-string floor.
 pub fn build_in_scope_forest(
     store: &SequenceStore,
     partition: &BucketPartition,
     rank: usize,
     psi: u32,
 ) -> LocalForest {
+    let buckets = partition.buckets_of(rank);
     LocalForest {
         rank,
         w: partition.w,
         psi,
-        subtrees: build_in_scope_batch(store, partition, &partition.buckets_of(rank), psi),
+        subtrees: build_in_scope_batch(store, partition, &buckets, psi, 0),
     }
 }
 
@@ -134,6 +137,19 @@ pub fn build_in_scope_forest(
 /// This is ERA's vertical partitioning by variable-length prefix, cut at
 /// ψ instead of at a memory size.
 ///
+/// `fresh` is a new-string floor: strings with id `≥ fresh` are new, and
+/// only the DFS ranges holding a suffix of one are built. By Lemma 1 a
+/// pair with a new side is emitted only at a node whose subtree holds that
+/// new suffix, so such a pair's node survives; a node's products depend on
+/// its subtree alone, so the surviving nodes emit exactly what they would
+/// in the whole forest. An incremental fold passes its first new forward
+/// strand and builds only the ψ-groups its batch touches: one rolling pass
+/// over the new strings marks the buckets they fall in, the scatter lists
+/// only those, and a group is kept only if it holds a new suffix (checked
+/// at each tag run and, for ψ > 32, wherever the subdivision hands a child
+/// group on as a range of its own). `fresh = 0` builds every range and
+/// does no marking and no per-group scan.
+///
 /// Batching by bucket is the building block of memory-budgeted
 /// (out-of-core) construction: the caller splits a rank's buckets into
 /// batches sized by the suffix-count load model and builds one batch at
@@ -145,8 +161,21 @@ pub fn build_in_scope_batch(
     partition: &BucketPartition,
     buckets: &[u32],
     psi: u32,
+    fresh: u32,
 ) -> Vec<Subtree> {
     let psi = psi as usize;
+    let touched: Vec<u32>;
+    let buckets = if fresh == 0 {
+        buckets
+    } else {
+        let marked = touched_buckets(store, partition.w, fresh, psi);
+        touched = buckets
+            .iter()
+            .copied()
+            .filter(|&b| marked[b as usize])
+            .collect();
+        &touched
+    };
     let mut scattered = scatter(store, partition.w, &partition.counts, buckets, psi);
     let mut scratch = BuildScratch::new();
     let tag_len = psi.min(TAG_BASES);
@@ -155,7 +184,7 @@ pub fn build_in_scope_batch(
         .zip(&scattered.ranges)
         .filter_map(|(&b, r)| {
             let entries = &mut scattered.entries[r.clone()];
-            scratch.build_in_scope(store, b, entries, tag_len, psi)
+            scratch.build_in_scope(store, b, entries, tag_len, psi, fresh)
         })
         .collect()
 }
@@ -260,7 +289,7 @@ mod tests {
             for batch_size in [1, 3, buckets.len()] {
                 let mut got = Vec::new();
                 for chunk in buckets.chunks(batch_size) {
-                    got.extend(build_in_scope_batch(&s, &part, chunk, psi));
+                    got.extend(build_in_scope_batch(&s, &part, chunk, psi, 0));
                 }
                 assert_eq!(got, whole.subtrees, "psi {psi} batch_size {batch_size}");
             }
@@ -351,6 +380,60 @@ mod tests {
         Ok(())
     }
 
+    /// An in-scope subtree minus its DFS ranges that hold no suffix of a
+    /// string with id `≥ fresh`, or `None` when none is left.
+    fn ranges_holding_new(t: &Subtree, fresh: u32) -> Option<Subtree> {
+        let (mut nodes, mut sufs) = (Vec::new(), Vec::new());
+        let mut top = 0u32;
+        while (top as usize) < t.len() {
+            let end = t.rightmost(top);
+            let holds_new =
+                (top..=end).any(|v| t.leaf_suffixes(v).iter().any(|suf| suf.sid >= fresh));
+            if holds_new {
+                let shift = top - nodes.len() as u32;
+                for v in top..=end {
+                    let (suf_start, suf_end) = if t.is_leaf(v) {
+                        let start = sufs.len() as u32;
+                        sufs.extend_from_slice(t.leaf_suffixes(v));
+                        (start, sufs.len() as u32)
+                    } else {
+                        (0, 0)
+                    };
+                    nodes.push(Node {
+                        rightmost: t.rightmost(v) - shift,
+                        depth: t.depth(v),
+                        suf_start,
+                        suf_end,
+                    });
+                }
+            }
+            top = end + 1;
+        }
+        (!nodes.is_empty()).then(|| Subtree::from_parts(t.bucket, nodes, sufs))
+    }
+
+    /// At every split point `k`, the build with new-string floor `2k`
+    /// equals the unfloored forest minus its ranges with no new suffix.
+    fn check_fresh(ests: &[Vec<u8>], w: usize, psi: u32) -> Result<(), TestCaseError> {
+        let s = SequenceStore::from_ests(ests).unwrap();
+        let part = assign_buckets(&count_buckets(&s, w), 1);
+        let buckets = part.buckets_of(0);
+        let whole = build_in_scope_batch(&s, &part, &buckets, psi, 0);
+        for k in 0..=ests.len() as u32 {
+            let fresh = 2 * k;
+            let gated = build_in_scope_batch(&s, &part, &buckets, psi, fresh);
+            let expect: Vec<Subtree> = whole
+                .iter()
+                .filter_map(|t| ranges_holding_new(t, fresh))
+                .collect();
+            prop_assert_eq!(&gated, &expect, "w {} psi {} fresh {}", w, psi, fresh);
+            for t in &gated {
+                prop_assert!(t.validate(&s).is_ok(), "{:?}", t.validate(&s));
+            }
+        }
+        Ok(())
+    }
+
     fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(proptest::sample::select(vec![b'A', b'C', b'G', b'T']), len)
     }
@@ -384,6 +467,41 @@ mod tests {
                 .map(|&(at, len)| template[at..(at + len).min(template.len())].to_vec())
                 .collect();
             check_in_scope(&ests, w, psi)?;
+        }
+
+        /// A new-string floor drops exactly the DFS ranges with no new
+        /// suffix: same DFS order, depths and leaf suffix order for the
+        /// rest, and no subtree left empty.
+        #[test]
+        fn fresh_floor_keeps_exactly_the_ranges_holding_a_new_suffix(
+            ests in proptest::collection::vec(dna(1..40), 1..8),
+            w in 1usize..4,
+            psi_extra in 0u32..=8,
+        ) {
+            check_fresh(&ests, w, w as u32 + psi_extra)?;
+        }
+
+        /// The floor above the 32-base tag, where the subdivision, not the
+        /// tag run, hands the ψ-groups on. Each read cut from the template
+        /// carries one substitution, so suffixes sharing their first 32
+        /// bases part between 32 and ψ where one of them meets it.
+        #[test]
+        fn fresh_floor_holds_for_psi_above_the_tag(
+            template in dna(90..140),
+            cuts in proptest::collection::vec((0usize..60, 30usize..80, 0usize..80, 0usize..4), 2..8),
+            w in 1usize..4,
+            psi in 33u32..45,
+        ) {
+            let ests: Vec<Vec<u8>> = cuts
+                .iter()
+                .map(|&(at, len, snp, base)| {
+                    let mut read = template[at..(at + len).min(template.len())].to_vec();
+                    let snp = snp % read.len();
+                    read[snp] = b"ACGT"[base];
+                    read
+                })
+                .collect();
+            check_fresh(&ests, w, psi)?;
         }
     }
 }

@@ -23,7 +23,10 @@
 //! (Lemma 1), so the drivers build only that part
 //! ([`build_in_scope_forest`]): each bucket's suffixes are grouped by
 //! their ψ-prefix, groups of one are dropped, and each remaining group
-//! becomes one DFS range of the bucket's subtree. The full builders
+//! becomes one DFS range of the bucket's subtree. Given a new-string
+//! floor ([`build_in_scope_batch`]'s `fresh`), only the groups holding a
+//! suffix of a string with id `≥ fresh` are built: an incremental fold
+//! builds just the ψ-groups its batch touches. The full builders
 //! ([`build_forest_for_rank`], [`build_sequential`]) keep the GST minus
 //! its top `< w` levels and serve as the reference.
 //!
@@ -46,6 +49,15 @@
 //! assert!(scoped.num_nodes() < forest.num_nodes());
 //! assert!(scoped.subtrees.iter().all(|t| t.node_depths().all(|(_, d)| d >= 4)));
 //! scoped.validate(&store).unwrap();
+//!
+//! // With the second EST's strands (ids 2 and 3) new, only the ψ-groups
+//! // holding one of their suffixes are built.
+//! let buckets = partition.buckets_of(0);
+//! let touched = pace_gst::build_in_scope_batch(&store, &partition, &buckets, 4, 2);
+//! assert!(touched.iter().map(|t| t.len()).sum::<usize>() <= scoped.num_nodes());
+//! assert!(touched
+//!     .iter()
+//!     .all(|t| t.suffixes().iter().any(|s| s.sid >= 2)));
 //! ```
 
 pub mod bucket;

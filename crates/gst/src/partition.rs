@@ -92,10 +92,22 @@ pub fn count_buckets_stride(
 }
 
 /// Assign buckets to `num_ranks` processors with the LPT greedy rule.
+/// One rank owns every bucket, so it gets the all-zero owner table
+/// without the sort.
 pub fn assign_buckets(counts: &[u64], num_ranks: usize) -> BucketPartition {
     assert!(num_ranks > 0 && num_ranks <= u16::MAX as usize);
     let w = (counts.len().trailing_zeros() / 2) as usize;
     assert_eq!(num_buckets(w), counts.len(), "counts length is not 4^w");
+    let mut owner = vec![0u16; counts.len()];
+    if num_ranks == 1 {
+        // One rank owns every bucket: there is no load to balance.
+        return BucketPartition {
+            w,
+            num_ranks,
+            owner,
+            counts: counts.to_vec(),
+        };
+    }
 
     // Sort non-empty buckets by size descending (stable by key for
     // determinism across runs).
@@ -104,7 +116,6 @@ pub fn assign_buckets(counts: &[u64], num_ranks: usize) -> BucketPartition {
         .collect();
     order.sort_by_key(|&b| (std::cmp::Reverse(counts[b as usize]), b));
 
-    let mut owner = vec![0u16; counts.len()];
     // Binary-heap-free min-load tracking: ranks are few, scan is fine and
     // deterministic.
     let mut load = vec![0u64; num_ranks];
@@ -180,6 +191,11 @@ mod tests {
         let part = assign_buckets(&counts, 1);
         assert_eq!(part.load_per_rank(), vec![counts.iter().sum::<u64>()]);
         assert!((part.imbalance() - 1.0).abs() < 1e-12);
+        assert!(part.owner.iter().all(|&o| o == 0));
+        let nonempty: Vec<u32> = (0..counts.len() as u32)
+            .filter(|&b| counts[b as usize] > 0)
+            .collect();
+        assert_eq!(part.buckets_of(0), nonempty);
     }
 
     #[test]

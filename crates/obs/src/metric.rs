@@ -42,7 +42,8 @@ pub const COMM_REDUCTIONS: &str = "comm.reductions";
 /// Counter: distinct GST buckets built.
 pub const GST_BUCKETS: &str = "gst.buckets";
 /// Counter: total GST nodes across all subtrees. The drivers build the
-/// in-scope forest, so these are the nodes pair generation can read.
+/// in-scope forest, so these are the nodes pair generation can read; a
+/// daemon fold adds only the ψ-groups its batch touches.
 pub const GST_NODES: &str = "gst.nodes";
 /// Counter: subtrees, one per bucket with a ψ-prefix that occurs twice
 /// (at most `gst.buckets`).

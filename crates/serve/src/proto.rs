@@ -106,11 +106,14 @@ pub struct ServeStats {
     pub ingest_batches: u64,
     /// Accepted merges in the rolling trace.
     pub trace_len: u64,
-    /// Promising pairs generated across all folds.
+    /// Promising pairs generated across all folds. A fold generates
+    /// pairs only in the ψ-groups its batch touches, so old–old pairs
+    /// elsewhere are never counted.
     pub pairs_generated: u64,
     /// Pairs aligned across all folds.
     pub pairs_processed: u64,
-    /// Pairs skipped (already clustered, or old–old).
+    /// Pairs skipped (already clustered, or old–old within a group the
+    /// batch touched).
     pub pairs_skipped: u64,
     /// Queries answered since this process started.
     pub queries_served: u64,

@@ -713,21 +713,44 @@ mod tests {
         ] {
             assert_eq!(snap.phases[phase].count, 3, "{phase}");
         }
-        // Each fold publishes the shape of the in-scope forest it built
-        // over the whole collection, like a batch run's build phase.
+        // Each fold publishes the shape of the in-scope forest it built,
+        // like a batch run's build phase: the ψ-groups holding a suffix
+        // of its own three reads (strings from 2·3·fold on). After the
+        // first fold that is less than the whole collection's forest.
         let cfg = small_cluster_cfg();
-        let (mut nodes, mut subtrees, mut max_depth) = (0, 0, 0);
-        for folded in [3, 6, 9] {
+        let (mut nodes, mut subtrees, mut max_depth, mut whole_nodes) = (0, 0, 0, 0);
+        for fold in 0..3 {
+            let folded = 3 * (fold + 1);
             let reads: Vec<&[u8]> = (0..folded).map(|i| &template[i * 30..][..120]).collect();
             let store = pace_seq::SequenceStore::from_ests(&reads).unwrap();
             let counts = pace_gst::count_buckets(&store, cfg.window_w);
             let partition = pace_gst::assign_buckets(&counts, 1);
-            let forest = pace_gst::build_in_scope_forest(&store, &partition, 0, cfg.psi);
+            let buckets = partition.buckets_of(0);
+            let fresh = 2 * 3 * fold as u32;
+            let built =
+                pace_gst::build_in_scope_batch(&store, &partition, &buckets, cfg.psi, fresh);
+            let forest = pace_gst::LocalForest {
+                rank: 0,
+                w: cfg.window_w,
+                psi: cfg.psi,
+                subtrees: built,
+            };
+            let whole = pace_gst::build_in_scope_forest(&store, &partition, 0, cfg.psi);
+            if fold > 0 {
+                assert!(
+                    forest.num_nodes() < whole.num_nodes(),
+                    "fold {fold} built {} of the whole forest's {} nodes",
+                    forest.num_nodes(),
+                    whole.num_nodes()
+                );
+            }
             nodes += forest.num_nodes() as u64;
             subtrees += forest.subtrees.len() as u64;
             max_depth = max_depth.max(forest.max_depth());
+            whole_nodes += whole.num_nodes() as u64;
         }
         assert!(nodes > 0);
+        assert!(snap.counters[metric::GST_NODES] < whole_nodes);
         assert_eq!(snap.counters[metric::GST_NODES], nodes);
         assert_eq!(snap.counters[metric::GST_SUBTREES], subtrees);
         assert_eq!(snap.gauges[metric::GST_MAX_DEPTH], max_depth as f64);
