@@ -62,6 +62,11 @@ impl<'s> AlignContext<'s> {
         }
     }
 
+    /// The store this context aligns against.
+    pub fn store(&self) -> &'s SequenceStore {
+        self.store
+    }
+
     /// Pairs served by this context (every [`align`](Self::align) call).
     pub fn pairs_handled(&self) -> u64 {
         self.pairs_handled

@@ -7,6 +7,11 @@
 //! the parallel driver is compared against, and the engine used when
 //! `p = 1`.
 //!
+//! The build-then-drain step over a list of buckets,
+//! [`cluster_bucket_batch`], is written once here: this driver runs it
+//! over every bucket, the persistent driver and the incremental fold run
+//! it once per memory-budgeted bucket batch.
+//!
 //! All phase timing goes through `pace-obs` spans, so the registry holds
 //! the run's only record of where its time went.
 
@@ -16,9 +21,10 @@ use crate::config::ClusterConfig;
 use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::MergeTrace;
 use pace_dsu::DisjointSets;
+use pace_gst::{BucketPartition, LocalForest};
 use pace_obs::{metric, Obs};
 use pace_pairgen::PairGenerator;
-use pace_seq::{PackedText, SequenceStore};
+use pace_seq::{EstId, PackedText, SequenceStore, Strand};
 
 /// Cluster `store`'s ESTs sequentially.
 pub fn cluster_sequential(store: &SequenceStore, cfg: &ClusterConfig) -> ClusterResult {
@@ -47,31 +53,66 @@ pub fn cluster_sequential_obs(
     let total_span = obs.span(metric::PHASE_TOTAL);
     let mut core = ClusterCore::new(DisjointSets::new(store.num_ests()), cfg);
 
-    // Phase 1+2: bucket partitioning and GST construction (single rank).
+    // Phase 1: bucket partitioning (single rank).
     let span = obs.span(metric::PHASE_PARTITIONING);
     let counts = pace_gst::count_buckets(store, cfg.window_w);
     let partition = pace_gst::assign_buckets(&counts, 1);
     span.finish();
+    let buckets = partition.buckets_of(0);
+    obs.registry()
+        .add(metric::GST_BUCKETS, buckets.len() as u64);
 
-    let span = obs.span(metric::PHASE_GST_CONSTRUCTION);
-    let forest = pace_gst::build_in_scope_forest(store, &partition, 0, cfg.psi);
-    span.finish();
-    record_gst_stats(obs, &partition, &forest);
-
-    // Phase 3: node collection + sort (generator setup).
-    let span = obs.span(metric::PHASE_NODE_SORTING);
-    let generator = PairGenerator::new(store, &forest, cfg.pair_gen());
-    span.finish();
-
-    // Phase 4: the clustering loop. One context serves the whole run, so
-    // DP scratch is allocated once, never per pair. Nothing is buffered,
-    // so conservation is exact: generated == processed + skipped.
+    // Phases 2–4 over every bucket at once. One context serves the whole
+    // run, so DP scratch is allocated once, never per pair. Nothing is
+    // buffered, so conservation is exact: generated == processed + skipped.
     let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
     let mut ctx = AlignContext::new(store, packed.as_ref());
-    core.drain(generator, |_, _| true, &mut ctx, cfg, obs);
+    cluster_bucket_batch(&mut core, &partition, &buckets, 0, &mut ctx, cfg, obs);
     total_span.finish();
     record_cluster_counters(obs, &core.stats);
     core.into_result()
+}
+
+/// Cluster one batch of buckets of a one-rank `partition` of `ctx`'s
+/// store: build their in-scope subtrees (a `gst_construction` span), add
+/// the forest's shape to the registry, set up the pair generator (a
+/// `node_sorting` span) and [`ClusterCore::drain`] it through `ctx`.
+///
+/// ESTs with index `≥ first_new` are new. Only the ψ-groups holding a
+/// suffix of a new EST are built (the first new EST's forward strand is
+/// the builder's new-string floor), and a pair between two old ESTs is
+/// booked as skipped without a skip test or an alignment: it was judged
+/// when its ESTs were folded. `first_new = 0` builds and keeps
+/// everything.
+///
+/// The batch's subtrees are dropped on return, so a caller that walks a
+/// memory-budgeted plan batch by batch holds one batch at a time.
+pub fn cluster_bucket_batch(
+    core: &mut ClusterCore,
+    partition: &BucketPartition,
+    buckets: &[u32],
+    first_new: usize,
+    ctx: &mut AlignContext<'_>,
+    cfg: &ClusterConfig,
+    obs: &Obs,
+) {
+    let store = ctx.store();
+    let fresh = EstId(first_new as u32).str_id(Strand::Forward).0;
+    let span = obs.span(metric::PHASE_GST_CONSTRUCTION);
+    let forest = LocalForest {
+        rank: 0,
+        w: partition.w,
+        psi: cfg.psi,
+        subtrees: pace_gst::build_in_scope_batch(store, partition, buckets, cfg.psi, fresh),
+    };
+    span.finish();
+    record_forest_shape(obs, &forest);
+
+    let span = obs.span(metric::PHASE_NODE_SORTING);
+    let generator = PairGenerator::new(store, &forest, cfg.pair_gen());
+    span.finish();
+    let keep = |i: usize, j: usize| i >= first_new || j >= first_new;
+    core.drain(generator, keep, ctx, cfg, obs);
 }
 
 /// Record a built forest's shape and the partition's bucket count into

@@ -52,8 +52,8 @@ pub use driver_par::{
     cluster_parallel_traced, cluster_worker_transport,
 };
 pub use driver_seq::{
-    cluster_sequential, cluster_sequential_obs, cluster_sequential_traced, record_cluster_counters,
-    record_forest_shape, record_gst_stats, record_pair_counters,
+    cluster_bucket_batch, cluster_sequential, cluster_sequential_obs, cluster_sequential_traced,
+    record_cluster_counters, record_forest_shape, record_gst_stats, record_pair_counters,
 };
 pub use master::FaultNote;
 pub use messages::{Msg, ShardReport, WorkerSummary};

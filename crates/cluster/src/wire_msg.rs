@@ -325,6 +325,7 @@ impl Wire for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pace_mpisim::wire::drill;
 
     fn pair(i: u32) -> CandidatePair {
         CandidatePair {
@@ -439,28 +440,22 @@ mod tests {
         ]
     }
 
+    /// Every message kind, and the summaries two of them carry, through
+    /// the shared wire drill. None of these types is `PartialEq` (they
+    /// carry f64 scores), so the drill's re-encoding check is the round
+    /// trip.
     #[test]
-    fn all_message_kinds_roundtrip() {
+    fn every_message_kind_passes_the_wire_drill() {
         for msg in sample_msgs() {
-            let bytes = msg.to_bytes();
-            let back = Msg::from_bytes(&bytes).expect("decode");
-            // Msg is not PartialEq (it carries f64 scores); compare the
-            // re-encoding, which is canonical.
-            assert_eq!(bytes, back.to_bytes(), "roundtrip changed {}", msg.kind());
-        }
-    }
-
-    #[test]
-    fn truncation_is_rejected_at_every_length() {
-        for msg in sample_msgs() {
-            let bytes = msg.to_bytes();
-            for cut in 0..bytes.len() {
-                assert!(
-                    Msg::from_bytes(&bytes[..cut]).is_err(),
-                    "{} decoded from a {cut}-byte prefix of {} bytes",
-                    msg.kind(),
-                    bytes.len()
-                );
+            drill(&msg);
+            match &msg {
+                Msg::Summary(summary) => {
+                    drill(summary);
+                }
+                Msg::ShardDone { report, .. } => {
+                    drill(report);
+                }
+                _ => {}
             }
         }
     }

@@ -8,22 +8,22 @@
 //! * a fold builds only the ψ-groups its batch touches. By Lemma 1 a
 //!   pair with a new EST is emitted only at a node whose ψ-prefix group
 //!   holds a suffix of that EST, so the fold hands
-//!   [`build_in_scope_batch`] a new-string floor (the first new EST's
-//!   forward strand): one pass over the new strings marks the buckets
-//!   they fall in, and only the groups holding a new suffix are built,
-//!   scheduled and walked. This is ERA's vertical partitioning by prefix,
-//!   applied only to the partitions a batch changes. The bucket counts,
-//!   the partition and the plan of memory-budgeted bucket batches
-//!   ([`pace_store::plan_batches`]) still cover the whole collection, so
-//!   a fold's build batches and the pair order within them are a full
-//!   rebuild's with the untouched groups left out, and its peak subtree
-//!   footprint is bounded no matter how large the collection grows. A
-//!   fold onto an empty clusterer has no old strings, so it builds the
-//!   whole in-scope forest like a batch run;
-//! * each build batch's pairs are drained through a [`ClusterCore`] —
-//!   the batch drivers' skip→align→union loop — **seeded with the
-//!   existing partition**, so every pair already co-clustered is skipped
-//!   by the standard rule;
+//!   [`pace_gst::build_in_scope_batch`] a new-string floor (the first
+//!   new EST's forward strand): one pass over the new strings marks the
+//!   buckets they fall in, and only the groups holding a new suffix are
+//!   built, scheduled and walked. This is ERA's vertical partitioning by
+//!   prefix, applied only to the partitions a batch changes. The bucket
+//!   counts, the partition and the plan of memory-budgeted bucket
+//!   batches ([`pace_store::plan_batches`]) still cover the whole
+//!   collection, so a fold's build batches and the pair order within
+//!   them are a full rebuild's with the untouched groups left out, and
+//!   its peak subtree footprint is bounded no matter how large the
+//!   collection grows. A fold onto an empty clusterer has no old strings,
+//!   so it builds the whole in-scope forest like a batch run;
+//! * each build batch is built and its pairs drained through a
+//!   [`ClusterCore`] by [`cluster_bucket_batch`] — the batch drivers'
+//!   per-batch step — **seeded with the existing partition**, so every
+//!   pair already co-clustered is skipped by the standard rule;
 //! * the core's structural filter skips pairs between two *old* ESTs
 //!   outright — their promising pairs were already enumerated and judged
 //!   in earlier rounds, and re-aligning them cannot change the partition
@@ -62,14 +62,13 @@
 //! rule's skips.
 
 use pace_cluster::{
-    record_forest_shape, record_pair_counters, AlignContext, ClusterConfig, ClusterCore,
+    cluster_bucket_batch, record_pair_counters, AlignContext, ClusterConfig, ClusterCore,
     ClusterStats, MergeTrace,
 };
 use pace_dsu::DisjointSets;
-use pace_gst::{assign_buckets, build_in_scope_batch, count_buckets, LocalForest};
+use pace_gst::{assign_buckets, count_buckets};
 use pace_obs::{metric, Obs};
-use pace_pairgen::PairGenerator;
-use pace_seq::{EstId, PackedText, SeqError, SequenceStore, Strand};
+use pace_seq::{PackedText, SeqError, SequenceStore};
 use pace_store::{plan_batches, DEFAULT_BYTES_PER_SUFFIX};
 
 /// What one [`IncrementalClusterer::fold_batch`] call did.
@@ -242,10 +241,10 @@ impl IncrementalClusterer {
     /// that hold a new suffix in memory-budgeted bucket batches, and
     /// drain each batch's old–new and new–new pairs through a core seeded
     /// with the grown partition, recording accepted merges into the
-    /// trace. The new-string floor passed to [`build_in_scope_batch`] is
-    /// the first new EST's forward strand, so both strands of every new
-    /// EST count as new; onto an empty clusterer it is 0 and the whole
-    /// in-scope forest is built.
+    /// trace. The new-string floor passed to
+    /// [`pace_gst::build_in_scope_batch`] is the first new EST's forward
+    /// strand, so both strands of every new EST count as new; onto an
+    /// empty clusterer it is 0 and the whole in-scope forest is built.
     ///
     /// A bad batch (length mismatch, empty or non-DNA sequence) leaves
     /// the clusterer untouched.
@@ -308,26 +307,12 @@ impl IncrementalClusterer {
             .packed_alignment
             .then(|| PackedText::from_store(&store));
         let mut ctx = AlignContext::new(&store, packed.as_ref());
-        let fresh = EstId(first_new as u32).str_id(Strand::Forward).0;
-        for bucket_batch in &plan.batches {
-            let span = self.obs.span(metric::PHASE_GST_CONSTRUCTION);
-            let subtrees =
-                build_in_scope_batch(&store, &partition, bucket_batch, self.cfg.psi, fresh);
-            let forest = LocalForest {
-                rank: 0,
-                w: self.cfg.window_w,
-                psi: self.cfg.psi,
-                subtrees,
-            };
-            span.finish();
-            record_forest_shape(&self.obs, &forest);
-            let span = self.obs.span(metric::PHASE_NODE_SORTING);
-            let generator = PairGenerator::new(&store, &forest, self.cfg.pair_gen());
-            span.finish();
+        for buckets in &plan.batches {
             // Old–old pairs were judged in a previous round; the core
             // books them as skipped so flow conservation stays exact.
-            let keep = |i: usize, j: usize| i >= first_new || j >= first_new;
-            core.drain(generator, keep, &mut ctx, &self.cfg, &self.obs);
+            cluster_bucket_batch(
+                &mut core, &partition, buckets, first_new, &mut ctx, &self.cfg, &self.obs,
+            );
         }
         record_pair_counters(&self.obs, &core.stats, &before);
         (self.clusters, self.trace, self.stats) = (core.sets, core.trace, core.stats);
@@ -346,7 +331,8 @@ impl IncrementalClusterer {
 mod tests {
     use super::*;
     use pace_cluster::{cluster_sequential, cluster_sequential_traced};
-    use pace_pairgen::{CandidatePair, PairOrder};
+    use pace_gst::{build_in_scope_batch, LocalForest};
+    use pace_pairgen::{CandidatePair, PairGenerator, PairOrder};
     use pace_simulate::{generate, SimConfig};
 
     fn cfg() -> ClusterConfig {

@@ -7,18 +7,23 @@
 //!
 //! * **Ingest** streams the FASTA into the sequence store and publishes
 //!   `ingest.snap` (store + ids).
-//! * **Partition** counts w-mer buckets and publishes `partition.snap`.
-//! * **Build** splits the owned buckets into batches whose estimated
-//!   footprint fits the budget ([`pace_store::plan_batches`]), builds
-//!   each batch with one extra O(N) scan, and spills it to the spill
-//!   directory — only one batch of subtrees is ever resident.
-//! * **Cluster** streams the batches back and drains each batch's pair
-//!   generator through one [`ClusterCore`] — the same skip→align→union
-//!   loop as the in-memory driver. The core's union–find, merge trace and
-//!   counters are checkpointed to `cluster.snap` every `checkpoint_every`
-//!   batches; the manifest records per-batch progress.
+//! * **Cluster** counts w-mer buckets, splits the buckets into batches
+//!   whose estimated footprint fits the budget
+//!   ([`pace_store::plan_batches`]) and runs
+//!   [`pace_cluster::cluster_bucket_batch`] on each: build the batch's
+//!   subtrees, drain its pairs through one [`ClusterCore`] — the same
+//!   skip→align→union loop as the in-memory driver — and drop them, so
+//!   only one batch of subtrees is ever resident. The core's union–find,
+//!   merge trace and counters are checkpointed to `cluster.snap` every
+//!   `checkpoint_every` batches; the manifest records per-batch progress.
 //!
-//! After every phase boundary and every clustered batch the manifest is
+//! A checkpoint holds only what a resume cannot recompute. The
+//! partition, the batch plan and the batches are pure functions of the
+//! store and the fingerprinted configuration, so every start, resumed or
+//! not, recomputes the partition and the plan, and a resume rebuilds only
+//! the batches after its heavy checkpoint.
+//!
+//! After ingest and after every clustered batch the manifest is
 //! rewritten atomically, so the checkpoint directory always describes a
 //! consistent state. Resume seeds the core from the last heavy
 //! checkpoint, replays the merge trace as a cross-check on the decoded
@@ -34,17 +39,16 @@
 
 use crate::pipeline::{Pace, PaceConfig, PaceError, PaceOutcome};
 use pace_cluster::{
-    record_cluster_counters, record_forest_shape, AlignContext, ClusterConfig, ClusterCore,
+    cluster_bucket_batch, record_cluster_counters, AlignContext, ClusterConfig, ClusterCore,
 };
 use pace_dsu::DisjointSets;
-use pace_gst::{assign_buckets, build_in_scope_batch, count_buckets, BucketPartition, LocalForest};
+use pace_gst::{assign_buckets, count_buckets, BucketPartition};
 use pace_obs::{metric, Obs};
-use pace_pairgen::PairGenerator;
 use pace_seq::{read_fasta_into_store, PackedText, SequenceStore};
 use pace_store::codec;
 use pace_store::{
     fingerprint, plan_batches, BatchPlan, Manifest, Phase, Snapshot, SnapshotError, SnapshotWriter,
-    SpillManager, DEFAULT_BYTES_PER_SUFFIX,
+    DEFAULT_BYTES_PER_SUFFIX, MANIFEST_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -57,13 +61,11 @@ impl From<SnapshotError> for PaceError {
 /// On-disk names inside the checkpoint directory.
 const MANIFEST_FILE: &str = "manifest.json";
 const INGEST_FILE: &str = "ingest.snap";
-const PARTITION_FILE: &str = "partition.snap";
 const CLUSTER_FILE: &str = "cluster.snap";
 
 /// Section names inside the snapshots.
 const SEC_STORE: &str = "seq_store";
 const SEC_IDS: &str = "est_ids";
-const SEC_PARTITION: &str = "bucket_partition";
 const SEC_DSU: &str = "dsu";
 const SEC_TRACE: &str = "merge_trace";
 const SEC_STATS: &str = "cluster_stats";
@@ -76,10 +78,6 @@ const SEC_STATS: &str = "cluster_stats";
 pub enum CrashPoint {
     /// After `ingest.snap` and its manifest are published.
     AfterIngest,
-    /// After `partition.snap` and its manifest are published.
-    AfterPartition,
-    /// After every batch is built and spilled.
-    AfterBuild,
     /// After the k-th clustered batch's manifest update (1-based). The
     /// heavy checkpoint may or may not cover the batch depending on
     /// `checkpoint_every` — that gap is the lost-pairs scenario.
@@ -90,20 +88,16 @@ impl std::fmt::Display for CrashPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CrashPoint::AfterIngest => write!(f, "after-ingest"),
-            CrashPoint::AfterPartition => write!(f, "after-partition"),
-            CrashPoint::AfterBuild => write!(f, "after-build"),
             CrashPoint::AfterClusterBatch(k) => write!(f, "after-cluster-batch-{k}"),
         }
     }
 }
 
-/// Configuration of the persistence layer (all paths and budgets).
+/// Configuration of the persistence layer (the directory and budgets).
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
     /// Directory for the manifest and phase snapshots.
     pub checkpoint_dir: PathBuf,
-    /// Directory for spilled subtree batches; default `checkpoint_dir/spill`.
-    pub spill_dir: Option<PathBuf>,
     /// Estimated peak subtree bytes allowed in memory; 0 = unlimited
     /// (a single batch — pure checkpointing, no out-of-core batching).
     pub memory_budget: u64,
@@ -122,18 +116,11 @@ impl PersistConfig {
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             checkpoint_dir: checkpoint_dir.into(),
-            spill_dir: None,
             memory_budget: 0,
             checkpoint_every: 1,
             resume: false,
             crash_after: None,
         }
-    }
-
-    fn spill_dir(&self) -> PathBuf {
-        self.spill_dir
-            .clone()
-            .unwrap_or_else(|| self.checkpoint_dir.join("spill"))
     }
 }
 
@@ -230,7 +217,6 @@ struct Runner<'a> {
     obs: &'a Obs,
     manifest_path: PathBuf,
     ingest_path: PathBuf,
-    partition_path: PathBuf,
     cluster_path: PathBuf,
     /// Checkpoint artifacts written / bytes written (the `ckpt.*` family).
     ckpt_writes: u64,
@@ -255,7 +241,6 @@ impl<'a> Runner<'a> {
             obs,
             manifest_path: dir.join(MANIFEST_FILE),
             ingest_path: dir.join(INGEST_FILE),
-            partition_path: dir.join(PARTITION_FILE),
             cluster_path: dir.join(CLUSTER_FILE),
             ckpt_writes: 0,
             ckpt_bytes: 0,
@@ -285,14 +270,53 @@ impl<'a> Runner<'a> {
         Ok(())
     }
 
+    /// Fresh start: drop any state a previous run left behind so a crash
+    /// partway through *this* run can't resurrect stale files. That
+    /// includes what the v1 layout kept and nothing reads any more:
+    /// `partition.snap` and the `batch-*.spill` files under `spill/`
+    /// (the directory itself goes only once empty).
+    fn clear_stale(&self) -> Result<(), PaceError> {
+        let v1_spill = self.persist.checkpoint_dir.join("spill");
+        let mut stale = vec![
+            self.manifest_path.clone(),
+            self.cluster_path.clone(),
+            self.persist.checkpoint_dir.join("partition.snap"),
+        ];
+        if let Ok(entries) = std::fs::read_dir(&v1_spill) {
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
+                if name.starts_with("batch-") && name.ends_with(".spill") {
+                    stale.push(entry.path());
+                }
+            }
+        }
+        for path in &stale {
+            match std::fs::remove_file(path) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(PaceError::Persist(format!("clearing stale state: {e}"))),
+            }
+        }
+        std::fs::remove_dir(&v1_spill).ok();
+        Ok(())
+    }
+
     fn run(&mut self, input: PersistInput<'_>) -> Result<PersistentOutcome, PaceError> {
         let fp = fingerprint(&canonical_description(self.config, self.persist, &input));
         let total_span = self.obs.span(metric::PHASE_TOTAL);
 
         let mut manifest = if self.persist.resume {
             let m = Manifest::load(&self.manifest_path).map_err(|e| {
+                let why = match e {
+                    SnapshotError::UnsupportedVersion(v) => format!(
+                        "manifest version {v} is not supported (this build reads version \
+                         {MANIFEST_VERSION}); rerun without --resume to start over"
+                    ),
+                    e => e.to_string(),
+                };
                 PaceError::Persist(format!(
-                    "--resume: no usable manifest in {}: {e}",
+                    "--resume: no usable manifest in {}: {why}",
                     self.persist.checkpoint_dir.display()
                 ))
             })?;
@@ -305,16 +329,7 @@ impl<'a> Runner<'a> {
             }
             Some(m)
         } else {
-            // Fresh start: drop any state a previous run left behind so a
-            // crash partway through *this* run can't resurrect stale files.
-            for stale in [&self.manifest_path, &self.cluster_path] {
-                match std::fs::remove_file(stale) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(PaceError::Persist(format!("clearing stale state: {e}"))),
-                }
-            }
-            SpillManager::new(self.persist.spill_dir())?.remove_all()?;
+            self.clear_stale()?;
             None
         };
 
@@ -329,10 +344,12 @@ impl<'a> Runner<'a> {
             )));
         }
 
-        // ---------------- Phase 2: partition ----------------
-        let partition = self.phase_partition(&store, &mut manifest)?;
-
-        // ---------------- Phase 3: build + spill ----------------
+        // ---------------- Phase 2: cluster ----------------
+        // The partition and the plan are recomputed on every start: both
+        // are pure functions of the store and the fingerprinted config.
+        let span = self.obs.span(metric::PHASE_PARTITIONING);
+        let partition = assign_buckets(&count_buckets(&store, self.cfg.window_w), 1);
+        span.finish();
         let plan = plan_batches(
             &partition,
             0,
@@ -347,20 +364,16 @@ impl<'a> Runner<'a> {
             )));
         }
         manifest.batches_total = plan.len() as u64;
-        let mut spill = SpillManager::new(self.persist.spill_dir())?;
-        self.phase_build(&store, &partition, &plan, &mut spill, &mut manifest)?;
-
-        // ---------------- Phase 4: cluster ----------------
-        let core = self.phase_cluster(&store, &plan, &mut spill, &mut manifest)?;
+        let core = self.phase_cluster(&store, &partition, &plan, &mut manifest)?;
 
         // ---------------- Done: publish metrics + outcome ----------------
         total_span.finish();
         record_cluster_counters(self.obs, &core.stats);
         let reg = self.obs.registry();
-        let io = spill.stats();
-        reg.add(metric::IO_SPILL_BYTES, io.spill_bytes);
-        reg.add(metric::IO_SPILL_FILES, io.spill_files);
-        reg.add(metric::IO_READ_BACK_BYTES, io.read_back_bytes);
+        reg.add(
+            metric::GST_BUCKETS,
+            plan.batches.iter().map(Vec::len).sum::<usize>() as u64,
+        );
         reg.add(metric::IO_SPILL_BATCHES, plan.len() as u64);
         reg.add(metric::IO_OVERSIZED_BUCKETS, plan.oversized_buckets as u64);
         reg.set_gauge(metric::IO_PEAK_BATCH_BYTES, plan.peak_est_bytes() as f64);
@@ -438,85 +451,6 @@ impl<'a> Runner<'a> {
         Ok((store, ids))
     }
 
-    fn phase_partition(
-        &mut self,
-        store: &SequenceStore,
-        manifest: &mut Manifest,
-    ) -> Result<BucketPartition, PaceError> {
-        if self.persist.resume && manifest.phase >= Phase::Partition {
-            let snap = Snapshot::read_file(&self.partition_path)?;
-            let partition = codec::decode_bucket_partition(snap.section(SEC_PARTITION)?)?;
-            if partition.w != self.cfg.window_w {
-                return Err(PaceError::Persist(format!(
-                    "partition snapshot was built with w = {}, config says {}",
-                    partition.w, self.cfg.window_w
-                )));
-            }
-            self.phases_resumed += 1;
-            return Ok(partition);
-        }
-
-        let span = self.obs.span(metric::PHASE_PARTITIONING);
-        let counts = count_buckets(store, self.cfg.window_w);
-        let partition = assign_buckets(&counts, 1);
-        span.finish();
-
-        let mut w = SnapshotWriter::create(&self.partition_path)?;
-        w.add_section(SEC_PARTITION, &codec::encode_bucket_partition(&partition))?;
-        let bytes = w.finish()?;
-        self.wrote_snapshot(bytes);
-
-        manifest.phase = Phase::Partition;
-        self.save_manifest(manifest)?;
-        self.crash_if(CrashPoint::AfterPartition)?;
-        Ok(partition)
-    }
-
-    fn phase_build(
-        &mut self,
-        store: &SequenceStore,
-        partition: &BucketPartition,
-        plan: &BatchPlan,
-        spill: &mut SpillManager,
-        manifest: &mut Manifest,
-    ) -> Result<(), PaceError> {
-        if self.persist.resume && manifest.phase >= Phase::Build {
-            self.phases_resumed += 1;
-            return Ok(());
-        }
-
-        // `batches_built` gives batch-level restart granularity inside
-        // the phase: a resumed run re-builds only the missing tail.
-        let start = manifest.batches_built as usize;
-        for k in start..plan.len() {
-            let span = self.obs.span(metric::PHASE_GST_CONSTRUCTION);
-            let forest = LocalForest {
-                rank: 0,
-                w: self.cfg.window_w,
-                psi: self.cfg.psi,
-                subtrees: build_in_scope_batch(store, partition, &plan.batches[k], self.cfg.psi, 0),
-            };
-            span.finish();
-            record_forest_shape(self.obs, &forest);
-
-            let span = self.obs.span(metric::PHASE_SPILL_WRITE);
-            spill.spill_batch(k, &forest.subtrees)?;
-            span.finish();
-
-            manifest.batches_built = (k + 1) as u64;
-            self.save_manifest(manifest)?;
-        }
-        self.obs.registry().add(
-            metric::GST_BUCKETS,
-            plan.batches.iter().map(Vec::len).sum::<usize>() as u64,
-        );
-
-        manifest.phase = Phase::Build;
-        self.save_manifest(manifest)?;
-        self.crash_if(CrashPoint::AfterBuild)?;
-        Ok(())
-    }
-
     /// Write the heavy checkpoint: the core's union–find, merge trace
     /// and counters.
     fn write_heavy(&mut self, core: &ClusterCore) -> Result<(), PaceError> {
@@ -559,13 +493,13 @@ impl<'a> Runner<'a> {
         Ok(ClusterCore::resume(clusters, trace, stats, self.cfg))
     }
 
-    /// Drain every batch's pairs through one core, checkpointing as
+    /// Build and drain every batch through one core, checkpointing as
     /// configured.
     fn phase_cluster(
         &mut self,
         store: &SequenceStore,
+        partition: &BucketPartition,
         plan: &BatchPlan,
-        spill: &mut SpillManager,
         manifest: &mut Manifest,
     ) -> Result<ClusterCore, PaceError> {
         let total = plan.len() as u64;
@@ -582,7 +516,8 @@ impl<'a> Runner<'a> {
         let mut start = 0;
         if self.persist.resume {
             // Without a heavy checkpoint the run crashed before the first
-            // one: cluster from scratch (the phase inputs are all on disk).
+            // one: cluster from scratch (the store is on disk, the rest is
+            // recomputed).
             if let Some(c) = manifest.heavy_ckpt {
                 core = self.read_heavy(n)?;
                 start = c;
@@ -613,21 +548,10 @@ impl<'a> Runner<'a> {
             .then(|| PackedText::from_store(store));
         let mut ctx = AlignContext::new(store, packed.as_ref());
         for k in start..total {
-            let span = self.obs.span(metric::PHASE_SPILL_READ);
-            // The spilled batch was gated at the config's ψ; the run
-            // fingerprint covers ψ, so a resume cannot change it.
-            let forest = LocalForest {
-                rank: 0,
-                w: self.cfg.window_w,
-                psi: self.cfg.psi,
-                subtrees: spill.read_batch(k as usize)?,
-            };
-            span.finish();
-
-            let span = self.obs.span(metric::PHASE_NODE_SORTING);
-            let generator = PairGenerator::new(store, &forest, self.cfg.pair_gen());
-            span.finish();
-            core.drain(generator, |_, _| true, &mut ctx, self.cfg, self.obs);
+            let buckets = &plan.batches[k as usize];
+            cluster_bucket_batch(
+                &mut core, partition, buckets, 0, &mut ctx, self.cfg, self.obs,
+            );
 
             // Heavy checkpoint first, then the manifest that refers to
             // it — the manifest on disk never points past real state.
@@ -658,6 +582,7 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IncrementalClusterer;
     use pace_cluster::{cluster_sequential_traced, ClusterStats};
     use pace_simulate::{generate, SimConfig};
 
@@ -693,6 +618,27 @@ mod tests {
         m.counts.fp + m.counts.fn_ == 0
     }
 
+    fn counters(s: &ClusterStats) -> [u64; 6] {
+        [
+            s.pairs_generated,
+            s.pairs_processed,
+            s.pairs_skipped,
+            s.pairs_accepted,
+            s.pairs_prefiltered,
+            s.merges,
+        ]
+    }
+
+    /// A finished run leaves only what a resume cannot recompute.
+    fn assert_only_checkpoint_files(dir: &Path) {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [CLUSTER_FILE, INGEST_FILE, MANIFEST_FILE]);
+    }
+
     #[test]
     fn persistent_matches_in_memory_unbudgeted() {
         let ds = dataset(90, 71);
@@ -710,16 +656,6 @@ mod tests {
         assert!(same_partition(outcome.outcome.labels(), &reference.labels));
         // Same core, same bookkeeping: merge for merge, pair for pair.
         assert_eq!(outcome.outcome.trace, reference_trace);
-        let counters = |s: &ClusterStats| {
-            (
-                s.pairs_generated,
-                s.pairs_processed,
-                s.pairs_skipped,
-                s.pairs_accepted,
-                s.pairs_prefiltered,
-                s.merges,
-            )
-        };
         assert_eq!(
             counters(&outcome.outcome.result.stats),
             counters(&reference.stats)
@@ -733,11 +669,14 @@ mod tests {
         assert_eq!(s.faults.lost_pairs, 0);
         let m = Manifest::load(dir.join(MANIFEST_FILE)).unwrap();
         assert_eq!(m.phase, Phase::Done);
+        assert_only_checkpoint_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A budgeted run walks the same plan, batch by batch, as one fold of
+    /// the whole input under the same budget: same merges, same pairs.
     #[test]
-    fn tiny_budget_spills_and_matches_in_memory() {
+    fn tiny_budget_matches_a_budgeted_fold() {
         let ds = dataset(90, 72);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
         let pace = Pace::new(test_config());
@@ -752,14 +691,18 @@ mod tests {
             .unwrap();
         assert!(same_partition(outcome.outcome.labels(), reference.labels()));
 
+        let mut fold = IncrementalClusterer::with_budget(test_config().cluster, 16 * 1024);
+        fold.add_batch(&ds.ests).unwrap();
+        assert_eq!(&outcome.outcome.trace, fold.trace());
+        assert_eq!(
+            counters(&outcome.outcome.result.stats),
+            counters(&fold.stats)
+        );
+
         let snap = obs.registry().snapshot();
         assert!(snap.counters[metric::IO_SPILL_BATCHES] > 1, "no batching");
-        assert!(snap.counters[metric::IO_SPILL_BYTES] > 0);
-        assert_eq!(
-            snap.counters[metric::IO_SPILL_BYTES],
-            snap.counters[metric::IO_READ_BACK_BYTES]
-        );
         assert!(snap.counters[metric::CKPT_WRITES] > 0);
+        assert_only_checkpoint_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -829,6 +772,46 @@ mod tests {
             .cluster_store_persistent(&store, &persist, &Obs::noop())
             .unwrap_err();
         assert!(matches!(err, PaceError::Persist(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory in the v1 layout (manifest v1, `partition.snap`,
+    /// spilled batches) is refused on resume with a message that names
+    /// the manifest, and a fresh run into it leaves only this layout.
+    #[test]
+    fn v1_directory_is_refused_on_resume_and_cleared_on_a_fresh_start() {
+        let ds = dataset(60, 75);
+        let store = SequenceStore::from_ests(&ds.ests).unwrap();
+        let pace = Pace::new(test_config());
+        let dir = tmpdir("v1");
+        let mut persist = PersistConfig::new(&dir);
+        persist.memory_budget = 16 * 1024;
+        pace.cluster_store_persistent(&store, &persist, &Obs::noop())
+            .unwrap();
+        let mut manifest = Manifest::load(dir.join(MANIFEST_FILE)).unwrap();
+        manifest.version = 1;
+        manifest.store(dir.join(MANIFEST_FILE)).unwrap();
+        std::fs::write(dir.join("partition.snap"), b"old partition").unwrap();
+        std::fs::create_dir(dir.join("spill")).unwrap();
+        for k in 0..3 {
+            let name = format!("batch-{k:05}.spill");
+            std::fs::write(dir.join("spill").join(name), b"old batch").unwrap();
+        }
+
+        persist.resume = true;
+        let err = pace
+            .cluster_store_persistent(&store, &persist, &Obs::noop())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("manifest version 1 is not supported") && err.contains("without --resume"),
+            "{err}"
+        );
+
+        persist.resume = false;
+        pace.cluster_store_persistent(&store, &persist, &Obs::noop())
+            .unwrap();
+        assert_only_checkpoint_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -75,7 +75,7 @@ pub enum PaceError {
     BadInput(SeqError),
     /// Configuration failed validation.
     BadConfig(String),
-    /// A persistence operation (snapshot, spill, manifest) failed —
+    /// A persistence operation (snapshot, manifest) failed —
     /// I/O trouble, corruption, or an invalid resume request.
     Persist(String),
     /// A deterministic test-only crash point fired (see

@@ -8,12 +8,10 @@ use pace_quality::QualityMetrics;
 
 /// Phases in pipeline order. The summary prints recorded phases in this
 /// order, any phase not listed after them, and `total` last.
-const PIPELINE_ORDER: [&str; 10] = [
+const PIPELINE_ORDER: [&str; 8] = [
     metric::PHASE_INGEST,
     metric::PHASE_PARTITIONING,
     metric::PHASE_GST_CONSTRUCTION,
-    metric::PHASE_SPILL_WRITE,
-    metric::PHASE_SPILL_READ,
     metric::PHASE_NODE_SORTING,
     metric::PHASE_PAIR_GENERATION,
     metric::PHASE_ALIGNMENT,

@@ -153,9 +153,9 @@ pub fn build_in_scope_forest(
 /// Batching by bucket is the building block of memory-budgeted
 /// (out-of-core) construction: the caller splits a rank's buckets into
 /// batches sized by the suffix-count load model and builds one batch at
-/// a time, spilling each to disk before the next. Each call rescans the
-/// store once — the classic time-for-space trade of out-of-core
-/// suffix-tree construction.
+/// a time, draining its pairs before building the next. Each call
+/// rescans the store once — the classic time-for-space trade of
+/// out-of-core suffix-tree construction.
 pub fn build_in_scope_batch(
     store: &SequenceStore,
     partition: &BucketPartition,

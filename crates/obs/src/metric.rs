@@ -112,19 +112,14 @@ pub const FAULTS_INJECTED_CRASHES: &str = "faults.injected.crashes";
 /// Counter: stall sleeps the fault layer performed (injected).
 pub const FAULTS_INJECTED_STALLS: &str = "faults.injected.stalls";
 
-/// Counter: bytes written to out-of-core spill files.
-pub const IO_SPILL_BYTES: &str = "io.spill_bytes";
-/// Counter: spill files written.
-pub const IO_SPILL_FILES: &str = "io.spill_files";
-/// Counter: bytes read back from spill files during pair generation.
-pub const IO_READ_BACK_BYTES: &str = "io.read_back_bytes";
-/// Counter: memory-budgeted bucket batches planned for this run.
+/// Counter: memory-budgeted bucket batches planned for this run; an
+/// uninterrupted run builds and drains each exactly once.
 pub const IO_SPILL_BATCHES: &str = "io.spill_batches";
 /// Counter: buckets whose individual footprint estimate exceeded the
 /// memory budget and were given a batch of their own.
 pub const IO_OVERSIZED_BUCKETS: &str = "io.oversized_buckets";
 /// Gauge: largest estimated in-memory batch footprint (bytes) under the
-/// spill planner's load model — the effective peak the budget bought.
+/// batch planner's load model — the effective peak the budget bought.
 pub const IO_PEAK_BATCH_BYTES: &str = "io.peak_batch_bytes";
 
 /// Counter: checkpoint artifacts (manifests + snapshots) written.
@@ -159,10 +154,6 @@ pub const PHASE_ALIGNMENT: &str = "alignment";
 pub const PHASE_ALIGN_BATCH: &str = "align_batch";
 /// Phase: streaming FASTA ingest into the sequence store.
 pub const PHASE_INGEST: &str = "ingest";
-/// Phase: writing spilled bucket batches to disk.
-pub const PHASE_SPILL_WRITE: &str = "spill_write";
-/// Phase: streaming spilled batches back for pair generation.
-pub const PHASE_SPILL_READ: &str = "spill_read";
 /// Phase: writing checkpoint snapshots and manifests.
 pub const PHASE_CHECKPOINT: &str = "checkpoint";
 /// Phase: end-to-end wall clock.

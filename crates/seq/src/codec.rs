@@ -238,38 +238,6 @@ impl PackedText {
     pub fn packed_bytes(&self) -> usize {
         self.words.len() + self.offsets.len() * std::mem::size_of::<u32>()
     }
-
-    /// Borrow the raw representation `(words, offsets)` for serialization.
-    pub fn as_raw_parts(&self) -> (&[u8], &[u32]) {
-        (&self.words, &self.offsets)
-    }
-
-    /// Rebuild a packed text from a previously serialized representation.
-    /// Checks the structural invariants (leading zero offset, monotone
-    /// offsets, word storage sized for the final offset); 2-bit content
-    /// is trusted, as every code decodes to a valid base by construction.
-    pub fn from_raw_parts(words: Vec<u8>, offsets: Vec<u32>) -> Result<Self, String> {
-        if offsets.is_empty() || offsets[0] != 0 {
-            return Err("packed offsets must start with 0".into());
-        }
-        for pair in offsets.windows(2) {
-            if pair[0] > pair[1] {
-                return Err(format!(
-                    "packed offsets not monotone: {} then {}",
-                    pair[0], pair[1]
-                ));
-            }
-        }
-        let total = *offsets.last().unwrap() as usize;
-        if words.len() != total.div_ceil(4) {
-            return Err(format!(
-                "packed storage holds {} bytes, need {} for {total} bases",
-                words.len(),
-                total.div_ceil(4)
-            ));
-        }
-        Ok(PackedText { words, offsets })
-    }
 }
 
 #[cfg(test)]

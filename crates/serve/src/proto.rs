@@ -296,13 +296,10 @@ impl Wire for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
-        assert_eq!(&T::from_bytes(&v.to_bytes()).expect("decode"), v);
-    }
+    use pace_wire::drill;
 
     #[test]
-    fn requests_roundtrip() {
+    fn every_request_kind_passes_the_wire_drill() {
         for req in [
             Request::Ping,
             Request::Ingest {
@@ -317,12 +314,12 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
         ] {
-            roundtrip(&req);
+            assert_eq!(drill(&req), req);
         }
     }
 
     #[test]
-    fn responses_roundtrip() {
+    fn every_response_kind_passes_the_wire_drill() {
         for resp in [
             Response::Ok,
             Response::Err {
@@ -365,7 +362,7 @@ mod tests {
                 uptime_us: 9,
             }),
         ] {
-            roundtrip(&resp);
+            assert_eq!(drill(&resp), resp);
         }
     }
 

@@ -16,9 +16,7 @@ use crate::error::SnapshotError;
 use pace_cluster::stats::{ClusterStats, FaultStats};
 use pace_cluster::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
-use pace_gst::tree::Node;
-use pace_gst::{BucketPartition, Subtree, SuffixRef};
-use pace_seq::{PackedText, SequenceStore};
+use pace_seq::SequenceStore;
 
 // ---------------------------------------------------------------------
 // Little-endian buffer primitives.
@@ -187,194 +185,6 @@ pub fn decode_sequence_store(bytes: &[u8]) -> Result<SequenceStore, SnapshotErro
     d.finish()?;
     SequenceStore::from_raw_parts(text, offsets)
         .map_err(|e| corrupt("sequence store", e.to_string()))
-}
-
-// ---------------------------------------------------------------------
-// PackedText
-// ---------------------------------------------------------------------
-
-/// Encode a [`PackedText`] (2-bit words + offset table).
-pub fn encode_packed_text(packed: &PackedText) -> Vec<u8> {
-    let (words, offsets) = packed.as_raw_parts();
-    let mut out = Vec::with_capacity(words.len() + offsets.len() * 4 + 16);
-    put_bytes(&mut out, words);
-    put_u32s(&mut out, offsets);
-    out
-}
-
-/// Decode a [`PackedText`].
-pub fn decode_packed_text(bytes: &[u8]) -> Result<PackedText, SnapshotError> {
-    let mut d = Dec::new(bytes, "packed text");
-    let words = d.byte_vec()?;
-    let offsets = d.u32_vec()?;
-    d.finish()?;
-    PackedText::from_raw_parts(words, offsets).map_err(|e| corrupt("packed text", e))
-}
-
-// ---------------------------------------------------------------------
-// BucketPartition
-// ---------------------------------------------------------------------
-
-/// Encode a [`BucketPartition`] (owner + count tables).
-pub fn encode_bucket_partition(part: &BucketPartition) -> Vec<u8> {
-    let mut out = Vec::with_capacity(part.owner.len() * 10 + 32);
-    put_u32(&mut out, part.w as u32);
-    put_u32(&mut out, part.num_ranks as u32);
-    put_u64(&mut out, part.owner.len() as u64);
-    for &o in &part.owner {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    put_u64(&mut out, part.counts.len() as u64);
-    for &c in &part.counts {
-        put_u64(&mut out, c);
-    }
-    out
-}
-
-/// Decode a [`BucketPartition`], checking table sizes and owner ranges.
-pub fn decode_bucket_partition(bytes: &[u8]) -> Result<BucketPartition, SnapshotError> {
-    const CTX: &str = "bucket partition";
-    let mut d = Dec::new(bytes, CTX);
-    let w = d.u32()? as usize;
-    let num_ranks = d.u32()? as usize;
-    let n_owner = d.count(2)?;
-    let mut owner = Vec::with_capacity(n_owner);
-    for _ in 0..n_owner {
-        owner.push(u16::from_le_bytes(d.take(2)?.try_into().unwrap()));
-    }
-    let n_counts = d.count(8)?;
-    let mut counts = Vec::with_capacity(n_counts);
-    for _ in 0..n_counts {
-        counts.push(d.u64()?);
-    }
-    d.finish()?;
-
-    if !(1..=12).contains(&w) {
-        return Err(corrupt(CTX, format!("window w = {w} out of 1..=12")));
-    }
-    let expect = 1usize << (2 * w);
-    if owner.len() != expect || counts.len() != expect {
-        return Err(corrupt(
-            CTX,
-            format!(
-                "tables hold {} owners / {} counts, expected 4^{w} = {expect}",
-                owner.len(),
-                counts.len()
-            ),
-        ));
-    }
-    if num_ranks == 0 || num_ranks > u16::MAX as usize {
-        return Err(corrupt(
-            CTX,
-            format!("num_ranks = {num_ranks} out of range"),
-        ));
-    }
-    if let Some((b, &o)) = owner
-        .iter()
-        .enumerate()
-        .find(|&(_, &o)| o as usize >= num_ranks)
-    {
-        return Err(corrupt(
-            CTX,
-            format!("bucket {b} owned by rank {o}, only {num_ranks} ranks"),
-        ));
-    }
-    Ok(BucketPartition {
-        w,
-        num_ranks,
-        owner,
-        counts,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Subtrees
-// ---------------------------------------------------------------------
-
-fn put_subtree(out: &mut Vec<u8>, tree: &Subtree) {
-    put_u32(out, tree.bucket);
-    put_u64(out, tree.nodes().len() as u64);
-    for n in tree.nodes() {
-        put_u32(out, n.rightmost);
-        put_u32(out, n.depth);
-        put_u32(out, n.suf_start);
-        put_u32(out, n.suf_end);
-    }
-    put_u64(out, tree.suffixes().len() as u64);
-    for s in tree.suffixes() {
-        put_u32(out, s.sid);
-        put_u32(out, s.off);
-    }
-}
-
-fn take_subtree(d: &mut Dec<'_>) -> Result<Subtree, SnapshotError> {
-    let bucket = d.u32()?;
-    let n_nodes = d.count(16)?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        nodes.push(Node {
-            rightmost: d.u32()?,
-            depth: d.u32()?,
-            suf_start: d.u32()?,
-            suf_end: d.u32()?,
-        });
-    }
-    let n_sufs = d.count(8)?;
-    let mut suffixes = Vec::with_capacity(n_sufs);
-    for _ in 0..n_sufs {
-        suffixes.push(SuffixRef::new(d.u32()?, d.u32()?));
-    }
-    // Leaf ranges must stay inside the arena; everything subtler is the
-    // builder's concern (Subtree::validate exists for tests).
-    for (i, n) in nodes.iter().enumerate() {
-        if n.rightmost as usize >= nodes.len() {
-            return Err(corrupt(
-                "subtree",
-                format!(
-                    "node {i}: rightmost {} out of {} nodes",
-                    n.rightmost, n_nodes
-                ),
-            ));
-        }
-        if n.rightmost as usize == i
-            && (n.suf_start > n.suf_end || n.suf_end as usize > suffixes.len())
-        {
-            return Err(corrupt(
-                "subtree",
-                format!(
-                    "leaf {i}: suffix range {}..{} outside arena of {n_sufs}",
-                    n.suf_start, n.suf_end
-                ),
-            ));
-        }
-    }
-    Ok(Subtree::from_parts(bucket, nodes, suffixes))
-}
-
-/// Encode a batch of subtrees as one section payload.
-pub fn encode_subtrees(trees: &[Subtree]) -> Vec<u8> {
-    let cap: usize = trees
-        .iter()
-        .map(|t| 20 + t.nodes().len() * 16 + t.suffixes().len() * 8)
-        .sum();
-    let mut out = Vec::with_capacity(cap + 8);
-    put_u64(&mut out, trees.len() as u64);
-    for t in trees {
-        put_subtree(&mut out, t);
-    }
-    out
-}
-
-/// Decode a batch of subtrees.
-pub fn decode_subtrees(bytes: &[u8]) -> Result<Vec<Subtree>, SnapshotError> {
-    let mut d = Dec::new(bytes, "subtrees");
-    let n = d.count(20)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(take_subtree(&mut d)?);
-    }
-    d.finish()?;
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -564,6 +374,5 @@ mod tests {
         put_u64(&mut bytes, 1 << 60);
         assert!(decode_sequence_store(&bytes).is_err());
         assert!(decode_merge_trace(&bytes).is_err());
-        assert!(decode_subtrees(&bytes).is_err());
     }
 }

@@ -2,12 +2,14 @@
 //! run has progressed and which snapshots are valid.
 //!
 //! The manifest is rewritten atomically (write-to-temp + fsync +
-//! rename) after every phase boundary and after every clustered batch,
-//! so at any instant the file on disk describes a consistent,
-//! resumable state. Heavy state (the sequence store, the partition,
-//! the union–find + merge trace) lives in separate snapshot files the
-//! manifest refers to by progress coordinates; the manifest itself
-//! carries only light cumulative counters.
+//! rename) after ingest and after every clustered batch, so at any
+//! instant the file on disk describes a consistent, resumable state.
+//! Heavy state (the sequence store, the union–find + merge trace)
+//! lives in separate snapshot files the manifest refers to by progress
+//! coordinates; the manifest itself carries only light cumulative
+//! counters. Everything else a run derives — the bucket partition, the
+//! batch plan and the batches — is a pure function of the store and the
+//! fingerprinted configuration, so a resume recomputes it.
 //!
 //! Resume correctness hinges on one asymmetry the counters expose:
 //! clustering progress (`batches_clustered`, `pairs_generated`) is
@@ -24,7 +26,9 @@ use pace_obs::json::{parse, Json};
 use std::path::Path;
 
 /// Manifest schema version (independent of the binary snapshot version).
-pub const MANIFEST_VERSION: u32 = 1;
+/// Version 1 also recorded a partition snapshot and spilled batches; a
+/// v1 directory is refused rather than half-resumed.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// The pipeline phases, in execution order. The manifest records the
 /// last phase that *completed* (all of its snapshots published).
@@ -32,10 +36,6 @@ pub const MANIFEST_VERSION: u32 = 1;
 pub enum Phase {
     /// FASTA ingested; `ingest.snap` holds the sequence store + ids.
     Ingest,
-    /// Buckets counted and assigned; `partition.snap` holds the table.
-    Partition,
-    /// All bucket batches built and spilled to the spill directory.
-    Build,
     /// All batches clustered; final heavy checkpoint is current.
     Cluster,
     /// Run finished; outputs were produced.
@@ -47,8 +47,6 @@ impl Phase {
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Ingest => "ingest",
-            Phase::Partition => "partition",
-            Phase::Build => "build",
             Phase::Cluster => "cluster",
             Phase::Done => "done",
         }
@@ -59,8 +57,6 @@ impl Phase {
     pub fn parse(s: &str) -> Option<Phase> {
         Some(match s {
             "ingest" => Phase::Ingest,
-            "partition" => Phase::Partition,
-            "build" => Phase::Build,
             "cluster" => Phase::Cluster,
             "done" => Phase::Done,
             _ => return None,
@@ -85,8 +81,6 @@ pub struct Manifest {
     pub total_bases: u64,
     /// Total batches in the build plan (0 until the plan exists).
     pub batches_total: u64,
-    /// Batches built and spilled so far.
-    pub batches_built: u64,
     /// Batches fully clustered so far.
     pub batches_clustered: u64,
     /// Cumulative promising pairs generated through `batches_clustered`
@@ -107,7 +101,6 @@ impl Manifest {
             num_ests: 0,
             total_bases: 0,
             batches_total: 0,
-            batches_built: 0,
             batches_clustered: 0,
             pairs_generated: 0,
             heavy_ckpt: None,
@@ -123,7 +116,6 @@ impl Manifest {
             ("num_ests", Json::Num(self.num_ests as f64)),
             ("total_bases", Json::Num(self.total_bases as f64)),
             ("batches_total", Json::Num(self.batches_total as f64)),
-            ("batches_built", Json::Num(self.batches_built as f64)),
             (
                 "batches_clustered",
                 Json::Num(self.batches_clustered as f64),
@@ -146,7 +138,7 @@ impl Manifest {
             .get("version")
             .and_then(Json::as_u64)
             .ok_or_else(|| bad("version"))? as u32;
-        if version > MANIFEST_VERSION {
+        if version != MANIFEST_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let phase = doc
@@ -170,7 +162,6 @@ impl Manifest {
             num_ests: num("num_ests")?,
             total_bases: num("total_bases")?,
             batches_total: num("batches_total")?,
-            batches_built: num("batches_built")?,
             batches_clustered: num("batches_clustered")?,
             pairs_generated: num("pairs_generated")?,
             heavy_ckpt,
@@ -209,11 +200,10 @@ mod tests {
         Manifest {
             version: MANIFEST_VERSION,
             fingerprint: fingerprint("w=6 psi=40 n=100"),
-            phase: Phase::Build,
+            phase: Phase::Ingest,
             num_ests: 100,
             total_bases: 40_000,
             batches_total: 7,
-            batches_built: 3,
             batches_clustered: 0,
             pairs_generated: 0,
             heavy_ckpt: None,
@@ -272,19 +262,29 @@ mod tests {
         ));
     }
 
+    /// A v1 directory also holds a partition snapshot and spilled
+    /// batches this version neither reads nor writes: refuse it whole.
+    #[test]
+    fn v1_manifest_is_refused() {
+        let mut doc = sample().to_json();
+        if let Json::Obj(entries) = &mut doc {
+            for (k, v) in entries.iter_mut() {
+                if k == "version" {
+                    *v = Json::Num(1.0);
+                }
+            }
+        }
+        assert!(matches!(
+            Manifest::from_json(&doc).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
+        ));
+    }
+
     #[test]
     fn phase_ordering_matches_pipeline_order() {
-        assert!(Phase::Ingest < Phase::Partition);
-        assert!(Phase::Partition < Phase::Build);
-        assert!(Phase::Build < Phase::Cluster);
+        assert!(Phase::Ingest < Phase::Cluster);
         assert!(Phase::Cluster < Phase::Done);
-        for p in [
-            Phase::Ingest,
-            Phase::Partition,
-            Phase::Build,
-            Phase::Cluster,
-            Phase::Done,
-        ] {
+        for p in [Phase::Ingest, Phase::Cluster, Phase::Done] {
             assert_eq!(Phase::parse(p.as_str()), Some(p));
         }
     }

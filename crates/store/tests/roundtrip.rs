@@ -16,13 +16,11 @@
 use pace_cluster::stats::{ClusterStats, FaultStats};
 use pace_cluster::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
-use pace_gst::{assign_buckets, build_sequential, count_buckets};
-use pace_seq::{PackedText, SequenceStore};
+use pace_seq::SequenceStore;
 use pace_store::codec::{
-    decode_bucket_partition, decode_cluster_stats, decode_dsu, decode_merge_trace,
-    decode_packed_text, decode_sequence_store, decode_string_list, decode_subtrees,
-    encode_bucket_partition, encode_cluster_stats, encode_dsu, encode_merge_trace,
-    encode_packed_text, encode_sequence_store, encode_string_list, encode_subtrees,
+    decode_cluster_stats, decode_dsu, decode_merge_trace, decode_sequence_store,
+    decode_string_list, encode_cluster_stats, encode_dsu, encode_merge_trace,
+    encode_sequence_store, encode_string_list,
 };
 use pace_store::{Snapshot, SnapshotError, SnapshotWriter};
 use proptest::prelude::*;
@@ -140,40 +138,11 @@ proptest! {
     }
 
     #[test]
-    fn packed_text_roundtrips(ests in ests()) {
-        let packed = PackedText::from_store(&store_of(&ests));
-        prop_assert_eq!(
-            decode_packed_text(&encode_packed_text(&packed)).unwrap(),
-            packed
-        );
-    }
-
-    #[test]
     fn string_list_roundtrips(ids in id_list()) {
         prop_assert_eq!(
             decode_string_list(&encode_string_list(&ids)).unwrap(),
             ids
         );
-    }
-
-    #[test]
-    fn bucket_partition_roundtrips(
-        ests in ests(),
-        w in 1usize..4,
-        ranks in 1usize..5,
-    ) {
-        let counts = count_buckets(&store_of(&ests), w);
-        let part = assign_buckets(&counts, ranks);
-        prop_assert_eq!(
-            decode_bucket_partition(&encode_bucket_partition(&part)).unwrap(),
-            part
-        );
-    }
-
-    #[test]
-    fn subtrees_roundtrip(ests in ests(), w in 1usize..3) {
-        let trees = build_sequential(&store_of(&ests), w).subtrees;
-        prop_assert_eq!(decode_subtrees(&encode_subtrees(&trees)).unwrap(), trees);
     }
 
     #[test]
@@ -203,11 +172,26 @@ proptest! {
 // Corruption: typed errors, never panics.
 // ---------------------------------------------------------------------
 
+/// The merge trace of the union–find [`snapshot_image`] writes: EST 0
+/// absorbs every other EST in turn.
+fn chain_trace(n: usize) -> MergeTrace {
+    MergeTrace::from_records(
+        (1..n)
+            .map(|i| MergeRecord {
+                est_a: 0,
+                est_b: i,
+                mcs_len: 20 + i as u32,
+                score_ratio: 0.5,
+            })
+            .collect(),
+    )
+}
+
 /// Write a real multi-section snapshot (through the production writer)
 /// and hand back its on-disk image.
 fn snapshot_image(tag: &str, ests: &[Vec<u8>]) -> Vec<u8> {
     let store = store_of(ests);
-    let trees = build_sequential(&store, 2).subtrees;
+    let trace = chain_trace(store.num_ests());
     let mut d = DisjointSets::new(store.num_ests());
     for i in 1..store.num_ests() {
         d.union(0, i);
@@ -218,7 +202,8 @@ fn snapshot_image(tag: &str, ests: &[Vec<u8>]) -> Vec<u8> {
     let mut w = SnapshotWriter::create(&path).unwrap();
     w.add_section("seq_store", &encode_sequence_store(&store))
         .unwrap();
-    w.add_section("subtrees", &encode_subtrees(&trees)).unwrap();
+    w.add_section("merge_trace", &encode_merge_trace(&trace))
+        .unwrap();
     w.add_section("dsu", &encode_dsu(&d)).unwrap();
     w.finish().unwrap();
     let image = std::fs::read(&path).unwrap();
@@ -228,12 +213,12 @@ fn snapshot_image(tag: &str, ests: &[Vec<u8>]) -> Vec<u8> {
 
 /// Fully consume a snapshot image the way the resume path does: parse,
 /// look up every expected section, run its codec.
-fn consume(image: Vec<u8>) -> Result<(SequenceStore, usize, DisjointSets), SnapshotError> {
+fn consume(image: Vec<u8>) -> Result<(SequenceStore, MergeTrace, DisjointSets), SnapshotError> {
     let snap = Snapshot::parse(image)?;
     let store = decode_sequence_store(snap.section("seq_store")?)?;
-    let trees = decode_subtrees(snap.section("subtrees")?)?;
+    let trace = decode_merge_trace(snap.section("merge_trace")?)?;
     let d = decode_dsu(snap.section("dsu")?)?;
-    Ok((store, trees.len(), d))
+    Ok((store, trace, d))
 }
 
 #[test]
@@ -283,9 +268,9 @@ proptest! {
         let mut bad = image.clone();
         let pos = (pos % image.len() as u64) as usize;
         bad[pos] ^= 1 << bit;
-        if let Ok((store, ntrees, d)) = consume(bad) {
+        if let Ok((store, trace, d)) = consume(bad) {
             prop_assert_eq!(store, reference.0);
-            prop_assert_eq!(ntrees, reference.1);
+            prop_assert_eq!(trace, reference.1);
             prop_assert_eq!(d.as_raw_parts(), reference.2.as_raw_parts());
         }
     }
@@ -298,10 +283,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u32>().prop_map(|v| (v & 0xff) as u8), 0..256),
     ) {
         let _ = decode_sequence_store(&bytes);
-        let _ = decode_packed_text(&bytes);
         let _ = decode_string_list(&bytes);
-        let _ = decode_bucket_partition(&bytes);
-        let _ = decode_subtrees(&bytes);
         let _ = decode_dsu(&bytes);
         let _ = decode_cluster_stats(&bytes);
         let _ = decode_merge_trace(&bytes);

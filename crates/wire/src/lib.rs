@@ -238,6 +238,45 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// The decoder drill every [`Wire`] type's tests run on sample values
+/// (at least one per enum variant). It asserts that
+///
+/// * the full encoding decodes, and re-encodes to the same bytes;
+/// * every strict prefix of the encoding fails [`Wire::from_bytes`];
+/// * every single-byte flip (each bit, and all eight) returns an error
+///   or a value without panicking.
+///
+/// Returns the decoded value. A type with `PartialEq` must also check it
+/// against the sample (`assert_eq!(drill(&v), v)`): equal re-encodings
+/// cannot catch a field that the encoder and decoder both leave out.
+///
+/// Panics, naming the failing case, when one of them does not hold.
+pub fn drill<T: Wire>(sample: &T) -> T {
+    let bytes = sample.to_bytes();
+    let back = T::from_bytes(&bytes).unwrap_or_else(|e| panic!("full encoding: {e}"));
+    assert_eq!(
+        back.to_bytes(),
+        bytes,
+        "the round trip changed the encoding"
+    );
+    for cut in 0..bytes.len() {
+        assert!(
+            T::from_bytes(&bytes[..cut]).is_err(),
+            "a {cut}-byte prefix of a {}-byte encoding decoded",
+            bytes.len()
+        );
+    }
+    let mut flipped = bytes.clone();
+    for i in 0..bytes.len() {
+        for mask in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+            flipped[i] = bytes[i] ^ mask;
+            let _ = T::from_bytes(&flipped);
+        }
+        flipped[i] = bytes[i];
+    }
+    back
+}
+
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected) — inlined so framing needs no deps.
 // ---------------------------------------------------------------------
@@ -344,25 +383,21 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
-        let bytes = v.to_bytes();
-        let back = T::from_bytes(&bytes).expect("decode");
-        assert_eq!(&back, v);
-    }
-
     #[test]
-    fn primitives_roundtrip() {
-        roundtrip(&0u8);
-        roundtrip(&255u8);
-        roundtrip(&0xDEAD_BEEFu32);
-        roundtrip(&u64::MAX);
-        roundtrip(&12345usize);
-        roundtrip(&true);
-        roundtrip(&false);
-        roundtrip(&-0.0f64);
-        roundtrip(&f64::NAN.to_bits().to_le_bytes().to_vec());
-        roundtrip(&vec![1u32, 2, 3]);
-        roundtrip(&Vec::<u64>::new());
+    fn primitives_pass_the_drill() {
+        assert_eq!(drill(&0u8), 0u8);
+        assert_eq!(drill(&255u8), 255u8);
+        assert_eq!(drill(&0xDEAD_BEEFu32), 0xDEAD_BEEFu32);
+        assert_eq!(drill(&u64::MAX), u64::MAX);
+        assert_eq!(drill(&12345usize), 12345usize);
+        assert!(drill(&true));
+        assert!(!drill(&false));
+        assert_eq!(drill(&-0.0f64).to_bits(), (-0.0f64).to_bits());
+        let nan = f64::NAN.to_bits().to_le_bytes().to_vec();
+        assert_eq!(drill(&nan), nan);
+        assert_eq!(drill(&vec![1u32, 2, 3]), vec![1u32, 2, 3]);
+        assert_eq!(drill(&Vec::<u64>::new()), Vec::<u64>::new());
+        assert_eq!(drill(&"est_über".to_string()), "est_über");
     }
 
     #[test]

@@ -36,9 +36,11 @@
 #
 # Usage: scripts/bench_gate.sh [smoke.json] [baseline.json] [ooc-report.json] [uds-report.json] [sharded.json] [serve.json]
 #   The optional third argument (default bench_out/out_of_core.json) is an
-#   out-of-core run's metrics report; when present its io.* counters
-#   (io.spill_bytes etc.) are echoed into the gate log so the uploaded CI
-#   artifact records the spill traffic alongside the timings.
+#   out-of-core run's metrics report; when present its io.* and ckpt.*
+#   counters (the batch planner's io.spill_batches, io.oversized_buckets
+#   and io.peak_batch_bytes, and the checkpoint traffic) are echoed into
+#   the gate log so the uploaded CI artifact records them alongside the
+#   timings.
 #   The optional fourth argument (default bench_out/smoke_uds.json) is the
 #   socket-transport smoke rep written under PACE_TRANSPORT=uds; when
 #   present its comm.messages / comm.bytes counters are echoed into the
@@ -200,8 +202,8 @@ if os.path.exists(serve_path):
             f"ingest {e.get('ingest_ests_per_sec', 0):.0f} ESTs/s while serving"
         )
 
-# Echo the out-of-core run's I/O counters (reported, never gated) so the
-# CI artifact keeps spill traffic next to the timings.
+# Echo the out-of-core run's batching and checkpoint counters (reported,
+# never gated) so the CI artifact keeps them next to the timings.
 if os.path.exists(ooc_path):
     counters = json.load(open(ooc_path)).get("counters", {})
     io_keys = sorted(k for k in counters if k.startswith(("io.", "ckpt.")))

@@ -4,10 +4,10 @@
 # Exercises the persistent driver end to end on a small deterministic
 # workload and asserts its two core guarantees:
 #
-#   1. A run under a tiny `--memory-budget` (bucket batches spilled to
-#      disk and streamed back) produces the *identical* partition to the
+#   1. A run under a tiny `--memory-budget` (bucket batches built and
+#      clustered one at a time) produces the *identical* partition to the
 #      unconstrained in-memory run — compared canonically, since batch
-#      order may relabel clusters.
+#      order may relabel clusters — and builds each planned batch once.
 #   2. A run killed mid-clustering (deterministic `--crash-after` hook)
 #      and restarted with `--resume` converges to that same partition,
 #      with the crash-destroyed work booked in `faults.lost_pairs`.
@@ -45,7 +45,7 @@ same_partition() {
     [[ "$verdict" == *" FP 0 "* && "$verdict" == *" FN 0 "* ]]
 }
 
-echo "== drill 1: 64K memory budget, spill + stream back"
+echo "== drill 1: 64K memory budget, one batch built and clustered at a time"
 "$PACE" cluster --in "$OUT/reads.fasta" --out "$OUT/ooc.tsv" \
     --checkpoint-dir "$OUT/ckpt" --memory-budget 64K --checkpoint-every 3 \
     --metrics-out bench_out/out_of_core.json --quiet
@@ -70,11 +70,13 @@ same_partition "$OUT/resumed.tsv" "$OUT/mem.tsv" || {
 }
 
 echo "== asserting io.*/ckpt.* counters"
-python3 - bench_out/out_of_core.json "$OUT/resumed.json" <<'PY'
+python3 - bench_out/out_of_core.json "$OUT/resumed.json" "$OUT/ckpt" <<'PY'
 import json
+import os
 import sys
 
-budget = json.load(open(sys.argv[1]))["counters"]
+budget_doc = json.load(open(sys.argv[1]))
+budget = budget_doc["counters"]
 resumed = json.load(open(sys.argv[2]))["counters"]
 
 def need(counters, key, cond, desc):
@@ -84,9 +86,16 @@ def need(counters, key, cond, desc):
     print(f"  {key} = {v:.0f}")
 
 need(budget, "io.spill_batches", lambda v: v > 1, "budget must force batching")
-need(budget, "io.spill_bytes", lambda v: v > 0, "batches must spill")
-need(budget, "io.read_back_bytes", lambda v: v > 0, "spills must stream back")
+built = budget_doc["timers"]["gst_construction"]["count"]
+if built != budget["io.spill_batches"]:
+    raise SystemExit(f"out_of_core_smoke: FAIL gst_construction ran {built:.0f} times "
+                     f"for {budget['io.spill_batches']:.0f} planned batches")
+print(f"  gst_construction samples = {built:.0f}")
 need(budget, "ckpt.writes", lambda v: v > 0, "checkpoints must be written")
+files = sorted(os.listdir(sys.argv[3]))
+if files != ["cluster.snap", "ingest.snap", "manifest.json"]:
+    raise SystemExit(f"out_of_core_smoke: FAIL checkpoint dir holds {files}")
+print(f"  checkpoint dir = {' '.join(files)}")
 need(resumed, "ckpt.phases_resumed", lambda v: v > 0, "resume must restore phases")
 need(resumed, "faults.lost_pairs", lambda v: v > 0,
      "the crash gap must be booked as lost pairs")

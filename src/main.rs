@@ -80,8 +80,7 @@ USAGE:
                 [--fault-profile drop|delay|reorder|crash|mixed|stall] [--fault-seed N]
                 [--slave-timeout SECS] [--max-retries N]
                 [--checkpoint-dir DIR] [--resume] [--memory-budget BYTES[K|M|G]]
-                [--spill-dir DIR] [--checkpoint-every N]
-                [--crash-after ingest|partition|build|cluster-batch:K]
+                [--checkpoint-every N] [--crash-after ingest|cluster-batch:K]
                 [--metrics-out FILE] [--events-out FILE] [--trace-out FILE]
                 [-v|--verbose] [--quiet]
   pace assess   --pred FILE --truth FILE
@@ -120,7 +119,6 @@ const CLUSTER_FLAGS: &[&str] = &[
     "checkpoint-dir",
     "resume",
     "memory-budget",
-    "spill-dir",
     "checkpoint-every",
     "crash-after",
     "metrics-out",
@@ -324,15 +322,11 @@ fn parse_byte_size(s: &str) -> Result<u64, String> {
 fn parse_crash_point(s: &str) -> Result<pace::CrashPoint, String> {
     match s {
         "ingest" => Ok(pace::CrashPoint::AfterIngest),
-        "partition" => Ok(pace::CrashPoint::AfterPartition),
-        "build" => Ok(pace::CrashPoint::AfterBuild),
         _ => s
             .strip_prefix("cluster-batch:")
             .and_then(|k| k.parse().ok())
             .map(pace::CrashPoint::AfterClusterBatch)
-            .ok_or_else(|| {
-                format!("--crash-after: {s:?} is not ingest|partition|build|cluster-batch:K")
-            }),
+            .ok_or_else(|| format!("--crash-after: {s:?} is not ingest|cluster-batch:K")),
     }
 }
 
@@ -423,13 +417,7 @@ fn finish_cluster_output(
 
 /// Flags that switch the cluster subcommand onto the persistent
 /// (out-of-core / checkpointed) driver.
-const PERSIST_FLAGS: &[&str] = &[
-    "memory-budget",
-    "spill-dir",
-    "resume",
-    "checkpoint-every",
-    "crash-after",
-];
+const PERSIST_FLAGS: &[&str] = &["memory-budget", "resume", "checkpoint-every", "crash-after"];
 
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, CLUSTER_FLAGS)?;
@@ -518,7 +506,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         || PERSIST_FLAGS.iter().any(|f| flags.contains_key(*f));
     if uds && persistent {
         return Err("--transport uds does not compose with the persistent \
-                    (checkpoint/spill/resume) driver yet"
+                    (checkpoint/resume) driver yet"
             .into());
     }
     if uds && config.num_processors < 2 {
@@ -538,7 +526,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         if let Some(budget) = flags.get("memory-budget") {
             persist.memory_budget = parse_byte_size(budget)?;
         }
-        persist.spill_dir = flags.get("spill-dir").map(std::path::PathBuf::from);
         persist.checkpoint_every = get(&flags, "checkpoint-every", 1u64)?;
         if persist.checkpoint_every == 0 {
             return Err("--checkpoint-every must be ≥ 1".into());
@@ -813,4 +800,41 @@ fn cmd_splice(args: &[String]) -> Result<(), String> {
     }
     eprintln!("{} candidate splice events", events.len());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The `--flag` names the USAGE block of `pace <command>` lists: its
+    /// first line and the continuation lines up to the next command.
+    fn usage_flags(command: &str) -> BTreeSet<&'static str> {
+        let head = format!("  pace {command} ");
+        USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with(&head))
+            .enumerate()
+            .take_while(|&(i, l)| i == 0 || !l.trim_start().starts_with("pace "))
+            .flat_map(|(_, l)| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_each_subcommands_flags() {
+        for (command, table) in [
+            ("simulate", SIMULATE_FLAGS),
+            ("cluster", CLUSTER_FLAGS),
+            ("assess", ASSESS_FLAGS),
+            ("splice", SPLICE_FLAGS),
+            ("stats", STATS_FLAGS),
+            ("serve", SERVE_FLAGS),
+            ("ingest", INGEST_FLAGS),
+            ("query", QUERY_FLAGS),
+        ] {
+            let table: BTreeSet<&str> = table.iter().copied().collect();
+            assert_eq!(usage_flags(command), table, "pace {command}");
+        }
+    }
 }
