@@ -22,7 +22,7 @@
 use pace_bench::{banner, dataset, paper_cfg};
 use pace_cluster::{cluster_parallel_obs, AlignContext};
 use pace_obs::{metric, Json, Obs};
-use pace_seq::{SequenceStore, SketchParams, SketchSet};
+use pace_seq::SequenceStore;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -39,10 +39,6 @@ const GATE_PHASES: [&str; 5] = [
     metric::PHASE_TOTAL,
 ];
 
-/// The recommended opt-in sketch-prefilter threshold (see
-/// EXPERIMENTS.md and the pace-quality recall harness).
-const SKETCH_THRESHOLD: f64 = 0.03;
-
 /// Deterministic micro-bench for pair generation: one `generate_all`
 /// over the smoke workload's in-scope forest, the one the drivers walk.
 /// Generator setup is left out — that is the `node_sorting` phase.
@@ -57,12 +53,11 @@ fn micro_pairgen(
     t0.elapsed().as_secs_f64()
 }
 
-/// Deterministic micro-benches for the two opt-in kernels, run over the
-/// smoke workload's own candidate pairs: the Myers bit-parallel
-/// alignment path (edit-convertible scoring) and the MinHash sketch
-/// prefilter (sketch build + one Jaccard estimate per pair). Both are
-/// timed per rep and folded into `phase_min` like the driver phases.
-fn micro_kernels(store: &SequenceStore, pairs: &[pace_pairgen::CandidatePair]) -> (f64, f64) {
+/// Deterministic micro-bench for the opt-in kernel, run over the smoke
+/// workload's own candidate pairs: the Myers bit-parallel alignment path
+/// (edit-convertible scoring), timed per rep and folded into `phase_min`
+/// like the driver phases.
+fn micro_kernels(store: &SequenceStore, pairs: &[pace_pairgen::CandidatePair]) -> f64 {
     let mut cfg = paper_cfg();
     cfg.scoring = pace_align::Scoring::edit_linear();
     cfg.myers_alignment = true;
@@ -72,43 +67,7 @@ fn micro_kernels(store: &SequenceStore, pairs: &[pace_pairgen::CandidatePair]) -
     for p in pairs {
         std::hint::black_box(ctx.align(p, &cfg));
     }
-    let myers_s = t0.elapsed().as_secs_f64();
-
-    let params = SketchParams {
-        k: cfg.sketch_k,
-        s: cfg.sketch_size,
-    };
-    let t0 = Instant::now();
-    let set = SketchSet::from_store(store, params);
-    let mut passed = 0u64;
-    for p in pairs {
-        if set
-            .jaccard(p.s1, p.s2)
-            .is_none_or(|j| j >= SKETCH_THRESHOLD)
-        {
-            passed += 1;
-        }
-    }
-    std::hint::black_box(passed);
-    let sketch_s = t0.elapsed().as_secs_f64();
-    (myers_s, sketch_s)
-}
-
-/// Recall of the sketch-gated partition against the lossless one on the
-/// smoke workload (sequential driver, fixed seed): the report-only
-/// quality number `scripts/bench_gate.sh` echoes into the gate log.
-/// Returns (recall, pairs vetoed by the gate).
-fn sketch_recall(ests: &[Vec<u8>]) -> (f64, u64) {
-    let lossless = pace_cluster::driver_seq::cluster_ests(ests, &paper_cfg());
-    let mut gated_cfg = paper_cfg();
-    gated_cfg.prefilter_min_sketch_jaccard = SKETCH_THRESHOLD;
-    let gated = pace_cluster::driver_seq::cluster_ests(ests, &gated_cfg);
-    let m = pace_quality::assess(&gated.labels, &lossless.labels);
-    let vetoed = gated
-        .stats
-        .pairs_prefiltered
-        .saturating_sub(lossless.stats.pairs_prefiltered);
-    (m.recall(), vetoed)
+    t0.elapsed().as_secs_f64()
 }
 
 fn env_usize(name: &str, default: usize, min: usize) -> usize {
@@ -162,22 +121,22 @@ fn main() {
         let snap = obs.registry().snapshot();
         let crit = |name: &str| snap.phases.get(name).map_or(0.0, |a| a.max);
         let pairgen_s = micro_pairgen(&store, &forest, pair_gen);
-        let (myers_s, sketch_s) = micro_kernels(&store, &micro_pairs);
+        let myers_s = micro_kernels(&store, &micro_pairs);
         println!(
             "rep {rep}: partitioning {:.4}s, gst {:.4}s, node_sorting {:.4}s, \
              alignment {:.4}s, total {:.4}s, pairgen_kernel {pairgen_s:.4}s, \
-             myers_kernel {myers_s:.4}s, sketch_prefilter {sketch_s:.4}s",
+             myers_kernel {myers_s:.4}s",
             crit(metric::PHASE_PARTITIONING),
             crit(metric::PHASE_GST_CONSTRUCTION),
             crit(metric::PHASE_NODE_SORTING),
             crit(metric::PHASE_ALIGNMENT),
             crit(metric::PHASE_TOTAL),
         );
-        for (phase, t) in GATE_PHASES.iter().map(|&p| (p, crit(p))).chain([
-            ("pairgen_kernel", pairgen_s),
-            ("myers_kernel", myers_s),
-            ("sketch_prefilter", sketch_s),
-        ]) {
+        for (phase, t) in GATE_PHASES
+            .iter()
+            .map(|&p| (p, crit(p)))
+            .chain([("pairgen_kernel", pairgen_s), ("myers_kernel", myers_s)])
+        {
             phase_min
                 .entry(phase.to_string())
                 .and_modify(|m| *m = m.min(t))
@@ -194,11 +153,6 @@ fn main() {
     let snap = obs.registry().snapshot();
     check_workspace_reuse(&snap, &r);
     check_trace_off(&obs, &snap);
-    let (recall, vetoed) = sketch_recall(&ds.ests);
-    println!(
-        "sketch prefilter: recall {recall:.4} vs lossless partition at threshold \
-         {SKETCH_THRESHOLD} ({vetoed} pairs vetoed)"
-    );
 
     // Gate document: the standard report plus the cross-rep phase minima.
     let meta = vec![
@@ -211,14 +165,6 @@ fn main() {
     let min_obj = Json::from_map(&phase_min);
     if let Json::Obj(entries) = &mut doc {
         entries.push(("phase_min".to_string(), min_obj.clone()));
-        entries.push((
-            "sketch_prefilter".to_string(),
-            Json::obj([
-                ("threshold", Json::Num(SKETCH_THRESHOLD)),
-                ("recall", Json::Num(recall)),
-                ("pairs_vetoed", Json::Num(vetoed as f64)),
-            ]),
-        ));
     }
     if let Ok(dir) = std::env::var("PACE_METRICS_DIR") {
         let path = std::path::Path::new(&dir).join("smoke.json");

@@ -2,16 +2,17 @@
 //!
 //! The hot path is [`AlignContext`]: one per rank, owning the DP
 //! workspace (so a slave allocates its band and row buffers once, not
-//! once per pair), the optional 2-bit packed view of the store, and the
-//! cheap pre-alignment filters. [`align_pair`] remains as the
-//! single-shot convenience used by tests and tools.
+//! once per pair) and the optional 2-bit packed view of the store. Its
+//! one veto before any DP is the lossless anchor-geometry bound.
+//! [`align_pair`] remains as the single-shot convenience used by tests
+//! and tools.
 
 use crate::config::ClusterConfig;
 use pace_align::{
     align_anchored_myers_with, align_anchored_with, decide_outcome, AlignWorkspace, Anchor, SeqView,
 };
 use pace_pairgen::CandidatePair;
-use pace_seq::{PackedText, SequenceStore, SketchParams, SketchSet};
+use pace_seq::{PackedText, SequenceStore};
 
 /// Result of aligning one promising pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,12 +39,6 @@ pub struct AlignContext<'s> {
     /// packed codes instead of ASCII bytes (identical scores).
     packed: Option<&'s PackedText>,
     ws: AlignWorkspace,
-    /// MinHash bottom-sketches for the sketch prefilter, built lazily on
-    /// the first gated pair and reused for the context's lifetime (the
-    /// string count is remembered so an incrementally grown store gets a
-    /// fresh set).
-    sketches: Option<SketchSet>,
-    sketched_strings: usize,
     pairs_handled: u64,
     pairs_prefiltered: u64,
 }
@@ -55,8 +50,6 @@ impl<'s> AlignContext<'s> {
             store,
             packed,
             ws: AlignWorkspace::new(),
-            sketches: None,
-            sketched_strings: 0,
             pairs_handled: 0,
             pairs_prefiltered: 0,
         }
@@ -72,7 +65,7 @@ impl<'s> AlignContext<'s> {
         self.pairs_handled
     }
 
-    /// Pairs rejected by the prefilters without any DP.
+    /// Pairs rejected by the geometry bound without any DP.
     pub fn pairs_prefiltered(&self) -> u64 {
         self.pairs_prefiltered
     }
@@ -83,54 +76,16 @@ impl<'s> AlignContext<'s> {
         self.ws.uses()
     }
 
-    /// Current heap footprint of the reused DP scratch.
-    pub fn workspace_bytes(&self) -> usize {
-        self.ws.capacity_bytes()
-    }
-
-    /// Build (or rebuild, after the store grew) the per-string MinHash
-    /// sketches backing [`should_align`](Self::should_align).
-    fn ensure_sketches(&mut self, cfg: &ClusterConfig) {
-        let n = self.store.num_strings();
-        if self.sketches.is_none() || self.sketched_strings != n {
-            let params = SketchParams {
-                k: cfg.sketch_k,
-                s: cfg.sketch_size,
-            };
-            self.sketches = Some(SketchSet::from_store(self.store, params));
-            self.sketched_strings = n;
-        }
-    }
-
-    /// The sketch prefilter: `true` unless the Mash-style Jaccard
-    /// estimate between the pair's strings falls below
-    /// `prefilter_min_sketch_jaccard`. With the threshold at `0.0`
-    /// (default) the gate is open and no sketches are ever built. A
-    /// string too short to sketch yields no estimate, which passes — the
-    /// DP, not absence of evidence, should decide such pairs.
-    pub fn should_align(&mut self, pair: &CandidatePair, cfg: &ClusterConfig) -> bool {
-        if cfg.prefilter_min_sketch_jaccard <= 0.0 {
-            return true;
-        }
-        self.ensure_sketches(cfg);
-        let sketches = self.sketches.as_ref().expect("just built");
-        match sketches.jaccard(pair.s1, pair.s2) {
-            Some(j) => j >= cfg.prefilter_min_sketch_jaccard,
-            None => true,
-        }
-    }
-
     /// Align `pair` by extending its maximal-common-substring anchor in
     /// both directions with banded DP (Figure 5a) and applying the
     /// accept criterion against the four patterns of Figure 5b.
     ///
-    /// Before any DP runs, two cheap filters get a veto:
-    /// 1. the *lossless* geometry bound ([`Anchor::max_overlap_reach`]):
-    ///    if even a maximally gapped extension cannot reach
-    ///    `overlap.min_overlap_len`, the pair is rejected outright;
-    /// 2. the optional *lossy* MinHash sketch threshold
-    ///    (`prefilter_min_sketch_jaccard > 0`, see
-    ///    [`should_align`](Self::should_align)).
+    /// Before any DP runs, the *lossless* geometry bound
+    /// ([`Anchor::max_overlap_reach`]) gets a veto: if even a maximally
+    /// gapped extension cannot reach `overlap.min_overlap_len`, the pair
+    /// is rejected outright. The bound is an upper bound on the
+    /// achievable overlap (property-tested in `pace-align`), so the veto
+    /// never changes a decision.
     ///
     /// Prefiltered pairs still produce a (rejected) [`PairOutcome`], so
     /// flow conservation over processed pairs is unchanged.
@@ -141,18 +96,14 @@ impl<'s> AlignContext<'s> {
             b_pos: pair.off2 as usize,
             len: pair.mcs_len as usize,
         };
-        if cfg.prefilter_overlap {
-            let a_len = self.store.len_of(pair.s1);
-            let b_len = self.store.len_of(pair.s2);
-            if anchor.max_overlap_reach(a_len, b_len, cfg.band_radius) < cfg.overlap.min_overlap_len
-            {
-                self.pairs_prefiltered += 1;
-                return rejected(pair);
-            }
-        }
-        if !self.should_align(pair, cfg) {
+        let (a_len, b_len) = (self.store.len_of(pair.s1), self.store.len_of(pair.s2));
+        if anchor.max_overlap_reach(a_len, b_len, cfg.band_radius) < cfg.overlap.min_overlap_len {
             self.pairs_prefiltered += 1;
-            return rejected(pair);
+            return PairOutcome {
+                pair: *pair,
+                accepted: false,
+                score_ratio: 0.0,
+            };
         }
         match self.packed {
             Some(text) => extend_and_decide(
@@ -172,15 +123,6 @@ impl<'s> AlignContext<'s> {
                 &mut self.ws,
             ),
         }
-    }
-}
-
-/// A rejected outcome that never reached the DP kernels.
-fn rejected(pair: &CandidatePair) -> PairOutcome {
-    PairOutcome {
-        pair: *pair,
-        accepted: false,
-        score_ratio: 0.0,
     }
 }
 
@@ -353,13 +295,16 @@ mod tests {
         assert_eq!(ctx.pairs_prefiltered(), 1);
         assert_eq!(ctx.workspace_uses(), 0, "prefiltered pair must skip DP");
 
-        // The filter must be lossless: disabling it and running the full
-        // DP reaches the same *decision* (the ratio may differ — a
+        // The veto must be lossless: the full DP on the same anchor
+        // reaches the same *decision* (the ratio may differ — a
         // prefiltered pair reports 0.0 without computing one).
-        cfg.prefilter_overlap = false;
-        let mut unfiltered = AlignContext::new(&store, None);
-        assert!(!unfiltered.align(&pair, &cfg).accepted);
-        assert_eq!(unfiltered.pairs_prefiltered(), 0);
+        let anchor = Anchor {
+            a_pos: 60,
+            b_pos: 0,
+            len: 12,
+        };
+        let aln = pace_align::align_anchored(&a, &b, anchor, &cfg.scoring, cfg.band_radius);
+        assert!(!decide_outcome(&aln, &cfg.scoring, &cfg.overlap).accepted);
     }
 
     #[test]
@@ -389,76 +334,5 @@ mod tests {
             assert_eq!(myers_ctx.align(p, &myers_cfg), want);
             assert_eq!(myers_packed_ctx.align(p, &myers_cfg), want);
         }
-    }
-
-    #[test]
-    fn sketch_prefilter_vetoes_unrelated_pairs() {
-        // A planted 12-mer anchor between otherwise-unrelated reads: the
-        // sketch Jaccard estimate is near zero, so a modest threshold
-        // vetoes the pair before any DP.
-        let mut a = lcg_dna(71, 40);
-        a.extend_from_slice(b"GGGGCCCCGGGG");
-        a.extend(lcg_dna(72, 40));
-        let mut b = lcg_dna(73, 40);
-        b.extend_from_slice(b"GGGGCCCCGGGG");
-        b.extend(lcg_dna(74, 40));
-        let store = SequenceStore::from_ests(&[&a, &b]).unwrap();
-        let pair = CandidatePair {
-            s1: EstId(0).str_id(Strand::Forward),
-            s2: EstId(1).str_id(Strand::Forward),
-            off1: 40,
-            off2: 40,
-            mcs_len: 12,
-        };
-        let mut cfg = ClusterConfig::small();
-        cfg.prefilter_overlap = false;
-        assert_eq!(
-            ClusterConfig::default().prefilter_min_sketch_jaccard,
-            0.0,
-            "sketch filter must be opt-in"
-        );
-
-        // Off by default: the pair goes through the full DP and no
-        // sketches are ever built.
-        let mut open = AlignContext::new(&store, None);
-        open.align(&pair, &cfg);
-        assert_eq!(open.pairs_prefiltered(), 0);
-        assert!(open.sketches.is_none(), "open gate must not build sketches");
-
-        // With a threshold, the unrelated pair is vetoed without DP.
-        cfg.prefilter_min_sketch_jaccard = 0.2;
-        let mut gated = AlignContext::new(&store, None);
-        let o = gated.align(&pair, &cfg);
-        assert!(!o.accepted);
-        assert_eq!(gated.pairs_prefiltered(), 1);
-        assert_eq!(gated.workspace_uses(), 0, "vetoed pair must skip DP");
-        assert!(gated.sketches.is_some(), "gate must have built sketches");
-    }
-
-    #[test]
-    fn sketch_prefilter_passes_genuine_overlaps() {
-        // A clean 50-base overlap sails through the same threshold that
-        // vetoes unrelated pairs, and the accept decision is unchanged.
-        let template = lcg_dna(5150, 120);
-        let (store, pairs) = pair_of(&[&template[..80], &template[30..]], 12, 4);
-        assert!(!pairs.is_empty());
-        let mut cfg = ClusterConfig::small();
-        cfg.overlap.min_overlap_len = 30;
-        let open: Vec<_> = {
-            let mut ctx = AlignContext::new(&store, None);
-            pairs.iter().map(|p| ctx.align(p, &cfg)).collect()
-        };
-        assert!(open.iter().any(|o| o.accepted));
-
-        cfg.prefilter_min_sketch_jaccard = 0.2;
-        let mut gated = AlignContext::new(&store, None);
-        for (p, want) in pairs.iter().zip(&open) {
-            assert_eq!(gated.align(p, &cfg), *want);
-        }
-        assert_eq!(
-            gated.pairs_prefiltered(),
-            0,
-            "genuine overlaps must pass the sketch gate"
-        );
     }
 }

@@ -33,12 +33,6 @@ pub struct ClusterConfig {
     /// (`true` in PaCE; `false` reproduces the traditional behaviour for
     /// ablation).
     pub skip_clustered_pairs: bool,
-    /// Reject a pair without running any DP when its anchor geometry
-    /// proves the overlap cannot reach `overlap.min_overlap_len` even
-    /// with every band-radius gap spent (lossless — the bound is an
-    /// upper bound on the achievable overlap, property-tested in
-    /// `pace-align`).
-    pub prefilter_overlap: bool,
     /// Align directly over the 2-bit packed representation instead of
     /// the ASCII store. Scores are bit-identical (equality-only scoring;
     /// property-tested); the packed text costs one extra pass at startup
@@ -50,17 +44,6 @@ pub struct ClusterConfig {
     /// ([`Scoring::edit_unit_cost`]) and `band_radius ≤ 31`; `validate`
     /// rejects configurations outside that envelope.
     pub myers_alignment: bool,
-    /// `k`-mer length of the MinHash bottom-sketches backing the sketch
-    /// prefilter (1..=31).
-    pub sketch_k: usize,
-    /// Bottom-sketch size `s`: hashes kept per string.
-    pub sketch_size: usize,
-    /// Minimum Mash-style sketch Jaccard estimate for a pair to be
-    /// aligned at all. `0.0` disables the filter (the default); positive
-    /// values skip the DP for pairs whose estimated k-mer similarity
-    /// falls below the threshold (lossy — recall measured by the
-    /// `pace-quality` harness). Pairs too short to sketch always pass.
-    pub prefilter_min_sketch_jaccard: f64,
     /// Seconds the master waits for a slave's report before re-sending
     /// the outstanding `Work` batch. Generous by default — on the
     /// fault-free path no deadline ever fires.
@@ -93,12 +76,8 @@ impl Default for ClusterConfig {
             band_radius: 8,
             order: PairOrder::DecreasingMcs,
             skip_clustered_pairs: true,
-            prefilter_overlap: true,
             packed_alignment: false,
             myers_alignment: false,
-            sketch_k: 11,
-            sketch_size: 32,
-            prefilter_min_sketch_jaccard: 0.0,
             slave_timeout: 5.0,
             max_retries: 5,
             shards: 0,
@@ -159,15 +138,8 @@ impl ClusterConfig {
                 "skip_clustered_pairs={}",
                 u8::from(self.skip_clustered_pairs)
             ),
-            format!("prefilter_overlap={}", u8::from(self.prefilter_overlap)),
             format!("packed_alignment={}", u8::from(self.packed_alignment)),
             format!("myers_alignment={}", u8::from(self.myers_alignment)),
-            format!("sketch_k={}", self.sketch_k),
-            format!("sketch_size={}", self.sketch_size),
-            format!(
-                "prefilter_min_sketch_jaccard={}",
-                f(self.prefilter_min_sketch_jaccard)
-            ),
             format!("slave_timeout={}", f(self.slave_timeout)),
             format!("max_retries={}", self.max_retries),
             format!("shards={}", self.shards),
@@ -227,12 +199,8 @@ impl ClusterConfig {
                     }
                 }
                 "skip_clustered_pairs" => cfg.skip_clustered_pairs = flag(v)?,
-                "prefilter_overlap" => cfg.prefilter_overlap = flag(v)?,
                 "packed_alignment" => cfg.packed_alignment = flag(v)?,
                 "myers_alignment" => cfg.myers_alignment = flag(v)?,
-                "sketch_k" => cfg.sketch_k = int(v)?,
-                "sketch_size" => cfg.sketch_size = int(v)?,
-                "prefilter_min_sketch_jaccard" => cfg.prefilter_min_sketch_jaccard = float(v)?,
                 "slave_timeout" => cfg.slave_timeout = float(v)?,
                 "max_retries" => cfg.max_retries = int(v)?,
                 "shards" => cfg.shards = int(v)?,
@@ -293,17 +261,6 @@ impl ClusterConfig {
                     self.band_radius
                 ));
             }
-        }
-        pace_seq::SketchParams {
-            k: self.sketch_k,
-            s: self.sketch_size,
-        }
-        .validate()?;
-        if !(0.0..=1.0).contains(&self.prefilter_min_sketch_jaccard) {
-            return Err(format!(
-                "prefilter_min_sketch_jaccard {} not a fraction",
-                self.prefilter_min_sketch_jaccard
-            ));
         }
         if self.slave_timeout <= 0.0 || !self.slave_timeout.is_finite() {
             return Err(format!(
@@ -465,9 +422,6 @@ mod tests {
         odd.overlap.min_score_ratio = 0.1 + 0.2; // not representable cleanly
         odd.myers_alignment = true;
         odd.scoring = pace_align::Scoring::edit_linear();
-        odd.sketch_k = 9;
-        odd.sketch_size = 48;
-        odd.prefilter_min_sketch_jaccard = 0.1 + 0.03;
         for cfg in [ClusterConfig::default(), ClusterConfig::small(), odd] {
             let s = cfg.to_kv_string();
             assert!(!s.contains(' '), "argv token must not contain spaces: {s}");
@@ -484,6 +438,15 @@ mod tests {
         assert!(ClusterConfig::from_kv_string("order=sideways").is_err());
         assert!(ClusterConfig::from_kv_string("packed_alignment=yes").is_err());
         assert!(ClusterConfig::from_kv_string("slave_timeout=zz").is_err());
+        // Keys no field reads (older builds wrote them) are errors.
+        for gone in [
+            "sketch_k=11",
+            "sketch_size=32",
+            "prefilter_min_sketch_jaccard=0000000000000000",
+            "prefilter_overlap=1",
+        ] {
+            assert!(ClusterConfig::from_kv_string(gone).is_err(), "{gone}");
+        }
         // Empty string is the default config.
         assert_eq!(
             ClusterConfig::from_kv_string("").unwrap(),
@@ -513,28 +476,6 @@ mod tests {
         // …until the radius leaves the single-word band.
         c.band_radius = 32;
         assert!(c.validate().unwrap_err().contains("band_radius"));
-    }
-
-    #[test]
-    fn sketch_settings_are_validated() {
-        for (k, s) in [(0usize, 32usize), (32, 32), (11, 0)] {
-            let c = ClusterConfig {
-                sketch_k: k,
-                sketch_size: s,
-                ..ClusterConfig::default()
-            };
-            assert!(c.validate().is_err(), "sketch k={k} s={s} accepted");
-        }
-        let c = ClusterConfig {
-            prefilter_min_sketch_jaccard: 1.5,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-        assert_eq!(
-            ClusterConfig::default().prefilter_min_sketch_jaccard,
-            0.0,
-            "sketch prefilter must be opt-in"
-        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct WorkerSummary {
     pub gst_construction: f64,
     /// Pairs still buffered in `PAIRBUF` at shutdown.
     pub unconsumed: u64,
-    /// Pairs rejected by the cheap pre-alignment filters.
+    /// Pairs rejected by the lossless geometry bound without any DP.
     pub prefiltered: u64,
     /// Pairs served through the reused alignment workspace.
     pub ws_reuses: u64,

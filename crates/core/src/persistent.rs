@@ -66,9 +66,6 @@ const CLUSTER_FILE: &str = "cluster.snap";
 /// Section names inside the snapshots.
 const SEC_STORE: &str = "seq_store";
 const SEC_IDS: &str = "est_ids";
-const SEC_DSU: &str = "dsu";
-const SEC_TRACE: &str = "merge_trace";
-const SEC_STATS: &str = "cluster_stats";
 
 /// Deterministic crash points for testing checkpoint/resume: the driver
 /// returns [`PaceError::InjectedCrash`] immediately *after* the named
@@ -368,6 +365,8 @@ impl<'a> Runner<'a> {
 
         // ---------------- Done: publish metrics + outcome ----------------
         total_span.finish();
+        manifest.phase = Phase::Done;
+        self.save_manifest(&manifest)?;
         record_cluster_counters(self.obs, &core.stats);
         let reg = self.obs.registry();
         reg.add(
@@ -381,9 +380,6 @@ impl<'a> Runner<'a> {
         reg.add(metric::CKPT_BYTES, self.ckpt_bytes);
         reg.add(metric::CKPT_PHASES_RESUMED, self.phases_resumed);
         reg.add(metric::CKPT_REPLAYED_MERGES, self.replayed_merges);
-
-        manifest.phase = Phase::Done;
-        self.save_manifest(&manifest)?;
 
         let (result, trace) = core.into_result();
         Ok(PersistentOutcome {
@@ -456,41 +452,21 @@ impl<'a> Runner<'a> {
     fn write_heavy(&mut self, core: &ClusterCore) -> Result<(), PaceError> {
         let span = self.obs.span(metric::PHASE_CHECKPOINT);
         let mut w = SnapshotWriter::create(&self.cluster_path)?;
-        w.add_section(SEC_DSU, &codec::encode_dsu(&core.sets))?;
-        w.add_section(SEC_TRACE, &codec::encode_merge_trace(&core.trace))?;
-        w.add_section(SEC_STATS, &codec::encode_cluster_stats(&core.stats))?;
+        codec::write_cluster_state(&mut w, &core.sets, &core.trace, &core.stats)?;
         let bytes = w.finish()?;
         self.wrote_snapshot(bytes);
         span.finish();
         Ok(())
     }
 
-    /// Seed a core from the heavy checkpoint and cross-check it:
-    /// replaying the merge trace from scratch must reproduce the decoded
-    /// union–find's partition, or the snapshot pair is internally
-    /// inconsistent.
+    /// Seed a core from the heavy checkpoint, cross-checked by
+    /// [`codec::read_cluster_state`]: replaying the merge trace from
+    /// scratch must reproduce the decoded union–find's partition.
     fn read_heavy(&mut self, num_ests: usize) -> Result<ClusterCore, PaceError> {
         let snap = Snapshot::read_file(&self.cluster_path)?;
-        let mut clusters = codec::decode_dsu(snap.section(SEC_DSU)?)?;
-        let trace = codec::decode_merge_trace(snap.section(SEC_TRACE)?)?;
-        let stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
-        if clusters.as_raw_parts().0.len() != num_ests {
-            return Err(PaceError::Persist(format!(
-                "cluster checkpoint covers {} ESTs, run has {num_ests}",
-                clusters.as_raw_parts().0.len()
-            )));
-        }
-        let replayed = trace.replay(num_ests);
-        let agree = pace_quality::assess(&replayed, &clusters.labels());
-        if agree.counts.fp + agree.counts.fn_ != 0 {
-            return Err(PaceError::Persist(
-                "cluster checkpoint is inconsistent: replaying its merge trace \
-                 yields a different partition than its union–find"
-                    .into(),
-            ));
-        }
+        let (sets, trace, stats) = codec::read_cluster_state(&snap, num_ests)?;
         self.replayed_merges += trace.len() as u64;
-        Ok(ClusterCore::resume(clusters, trace, stats, self.cfg))
+        Ok(ClusterCore::resume(sets, trace, stats, self.cfg))
     }
 
     /// Build and drain every batch through one core, checkpointing as
@@ -700,8 +676,11 @@ mod tests {
         );
 
         let snap = obs.registry().snapshot();
-        assert!(snap.counters[metric::IO_SPILL_BATCHES] > 1, "no batching");
-        assert!(snap.counters[metric::CKPT_WRITES] > 0);
+        let batches = snap.counters[metric::IO_SPILL_BATCHES];
+        assert!(batches > 1, "no batching");
+        // An ingest snapshot, a heavy checkpoint and a manifest per batch,
+        // and the ingest, cluster and done manifests.
+        assert_eq!(snap.counters[metric::CKPT_WRITES], 2 * batches + 4);
         assert_only_checkpoint_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -812,6 +791,36 @@ mod tests {
         pace.cluster_store_persistent(&store, &persist, &Obs::noop())
             .unwrap();
         assert_only_checkpoint_files(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A heavy checkpoint with valid CRCs whose merge trace disagrees
+    /// with its union–find is refused on resume, not clustered on.
+    #[test]
+    fn resume_refuses_a_trace_that_disagrees_with_the_union_find() {
+        let ds = dataset(60, 76);
+        let store = SequenceStore::from_ests(&ds.ests).unwrap();
+        let pace = Pace::new(test_config());
+        let dir = tmpdir("disagree");
+        let mut persist = PersistConfig::new(&dir);
+        let done = pace
+            .cluster_store_persistent(&store, &persist, &Obs::noop())
+            .unwrap();
+        let (trace, stats) = (&done.outcome.trace, &done.outcome.result.stats);
+        assert!(!trace.is_empty(), "need a merge to contradict");
+        let mut w = SnapshotWriter::create(dir.join(CLUSTER_FILE)).unwrap();
+        let singletons = DisjointSets::new(store.num_ests());
+        codec::write_cluster_state(&mut w, &singletons, trace, stats).unwrap();
+        w.finish().unwrap();
+
+        persist.resume = true;
+        let err = pace
+            .cluster_store_persistent(&store, &persist, &Obs::noop())
+            .unwrap_err();
+        assert!(
+            matches!(&err, PaceError::Persist(m) if m.contains("does not reproduce")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

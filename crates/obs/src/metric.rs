@@ -18,8 +18,8 @@ pub const PAIRS_SKIPPED: &str = "pairs.skipped";
 pub const PAIRS_UNCONSUMED: &str = "pairs.unconsumed";
 /// Counter: accepted alignments that actually merged two clusters.
 pub const MERGES: &str = "merges";
-/// Counter: pairs rejected by the cheap pre-alignment filters (anchor
-/// geometry bound or sketch similarity) before any DP cell was filled.
+/// Counter: pairs rejected by the lossless anchor-geometry bound before
+/// any DP cell was filled.
 pub const PAIRS_PREFILTERED: &str = "pairs.prefiltered";
 
 /// Counter: pairs served by a reused per-rank alignment workspace — the

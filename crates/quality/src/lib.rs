@@ -137,14 +137,6 @@ impl QualityMetrics {
         }
     }
 
-    /// Recall of the reference labeling's pairs: `TP / (TP + FN)`,
-    /// i.e. `1 − UN`. Used to quantify how much of a lossless
-    /// partition a lossy-filtered run preserves (pass the lossless
-    /// labels as `truth`).
-    pub fn recall(&self) -> f64 {
-        1.0 - self.un
-    }
-
     /// Render as the paper's percentage table row (OQ, OV, UN, CC).
     pub fn as_percentages(&self) -> (f64, f64, f64, f64) {
         (

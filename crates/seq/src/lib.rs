@@ -31,7 +31,6 @@ pub mod error;
 pub mod fasta;
 pub mod ids;
 pub mod revcomp;
-pub mod sketch;
 pub mod stats;
 pub mod store;
 
@@ -45,6 +44,5 @@ pub use fasta::{
 };
 pub use ids::{EstId, StrId, Strand};
 pub use revcomp::{complement_base, reverse_complement, reverse_complement_in_place};
-pub use sketch::{jaccard_estimate, sketch_of, SketchParams, SketchSet};
 pub use stats::{base_composition, gc_content, length_stats, LengthStats};
 pub use store::{SequenceStore, SequenceStoreBuilder};

@@ -2,8 +2,8 @@
 //!
 //! The daemon persists its entire fold state — sequences, ids,
 //! union–find, rolling merge trace, counters — into one snapshot file
-//! (`serve.snap`, the versioned per-section-CRC container from
-//! `pace-store`) plus a small JSON manifest (`serve.manifest.json`).
+//! (`serve.<generation>.snap`, the versioned per-section-CRC container
+//! from `pace-store`) plus a small JSON manifest (`serve.manifest.json`).
 //! The write order is snapshot first, manifest last (both atomic
 //! tmp+fsync+rename), so the manifest never names state that is not
 //! durably on disk: a `kill -9` between the two leaves the *previous*
@@ -15,26 +15,21 @@
 //! against its own flags (refusing to resume under a different
 //! clustering configuration), decodes the snapshot, and cross-checks it
 //! by **replaying the merge trace** onto fresh singletons — the replayed
-//! partition must exactly match the decoded union–find's. Only then does
-//! serving resume.
+//! partition must exactly match the decoded union–find's
+//! ([`codec::read_cluster_state`], the persistent driver's check too).
+//! Only then does serving resume.
 
 use pace_cluster::ClusterConfig;
 use pace_core::IncrementalClusterer;
 use pace_obs::json::{self, Json};
 use pace_store::{atomic_write, codec, fingerprint, Snapshot, SnapshotError, SnapshotWriter};
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Manifest file name inside the checkpoint directory.
 pub const SERVE_MANIFEST_FILE: &str = "serve.manifest.json";
-/// Snapshot file name pattern: `serve.<generation>.snap`.
-pub const SERVE_SNAP_FILE: &str = "serve.snap";
 
 const SEC_STORE_ESTS: &str = "ests";
 const SEC_IDS: &str = "est_ids";
-const SEC_DSU: &str = "dsu";
-const SEC_TRACE: &str = "merge_trace";
-const SEC_STATS: &str = "cluster_stats";
 
 const MANIFEST_VERSION: u64 = 1;
 
@@ -101,47 +96,6 @@ fn config_fp(cfg: &ClusterConfig) -> String {
     fingerprint(&cfg.to_kv_string())
 }
 
-/// Encode the EST sequences as one section: `u64 count`, then per EST a
-/// `u64 len` + raw bytes.
-fn encode_ests(ests: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(ests.len() as u64).to_le_bytes());
-    for est in ests {
-        out.extend_from_slice(&(est.len() as u64).to_le_bytes());
-        out.extend_from_slice(est);
-    }
-    out
-}
-
-fn decode_ests(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    let corrupt = |msg: &str| SnapshotError::Corrupt(format!("ests section: {msg}"));
-    let mut pos = 0usize;
-    let take_u64 = |pos: &mut usize| -> Result<u64, SnapshotError> {
-        let end = pos.checked_add(8).ok_or_else(|| corrupt("overflow"))?;
-        if end > bytes.len() {
-            return Err(corrupt("truncated length"));
-        }
-        let v = u64::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-        *pos = end;
-        Ok(v)
-    };
-    let count = take_u64(&mut pos)? as usize;
-    let mut ests = Vec::with_capacity(count.min(bytes.len() / 8 + 1));
-    for _ in 0..count {
-        let len = take_u64(&mut pos)? as usize;
-        let end = pos.checked_add(len).ok_or_else(|| corrupt("overflow"))?;
-        if end > bytes.len() {
-            return Err(corrupt("truncated sequence"));
-        }
-        ests.push(bytes[pos..end].to_vec());
-        pos = end;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(ests)
-}
-
 /// Persist the daemon's fold state. Returns the generation written.
 ///
 /// Write order is snapshot → manifest → delete previous generation, so
@@ -157,11 +111,14 @@ pub fn save_state(
     let generation = previous.as_ref().map_or(0, |m| m.generation + 1);
 
     let mut w = SnapshotWriter::create(snap_path(dir, generation))?;
-    w.add_section(SEC_STORE_ESTS, &encode_ests(clusterer.ests()))?;
+    w.add_section(SEC_STORE_ESTS, &codec::encode_byte_list(clusterer.ests()))?;
     w.add_section(SEC_IDS, &codec::encode_string_list(clusterer.ids()))?;
-    w.add_section(SEC_DSU, &codec::encode_dsu(clusterer.clusters_dsu()))?;
-    w.add_section(SEC_TRACE, &codec::encode_merge_trace(clusterer.trace()))?;
-    w.add_section(SEC_STATS, &codec::encode_cluster_stats(&clusterer.stats))?;
+    codec::write_cluster_state(
+        &mut w,
+        clusterer.clusters_dsu(),
+        clusterer.trace(),
+        &clusterer.stats,
+    )?;
     w.finish()?;
 
     let manifest = ServeManifest {
@@ -224,12 +181,9 @@ pub fn load_state(
     }
 
     let snap = Snapshot::read_file(snap_path(dir, manifest.generation))?;
-    let ests = decode_ests(snap.section(SEC_STORE_ESTS)?)?;
+    let ests = codec::decode_byte_list(snap.section(SEC_STORE_ESTS)?)?;
     let ids = codec::decode_string_list(snap.section(SEC_IDS)?)?;
-    let dsu = codec::decode_dsu(snap.section(SEC_DSU)?)?;
-    let trace = codec::decode_merge_trace(snap.section(SEC_TRACE)?)?;
-    let stats = codec::decode_cluster_stats(snap.section(SEC_STATS)?)?;
-
+    let (dsu, trace, stats) = codec::read_cluster_state(&snap, ests.len())?;
     if trace.len() as u64 != manifest.trace_len {
         return Err(SnapshotError::Corrupt(format!(
             "manifest says {} merge records, snapshot holds {}",
@@ -237,35 +191,11 @@ pub fn load_state(
             trace.len()
         )));
     }
-    // Replay cross-check: the trace must reproduce the partition.
-    let replayed = trace.replay(ests.len());
-    let mut dsu_check = dsu.clone();
-    if canonical(&replayed) != canonical(&dsu_check.labels()) {
-        return Err(SnapshotError::Corrupt(
-            "merge-trace replay does not reproduce the checkpointed partition".into(),
-        ));
-    }
 
     let clusterer =
         IncrementalClusterer::from_parts(cfg.clone(), memory_budget, ests, ids, dsu, trace, stats)
             .map_err(SnapshotError::Corrupt)?;
     Ok(Some((clusterer, manifest.ingest_batches)))
-}
-
-/// First-occurrence canonical form of a labelling, for partition equality.
-fn canonical(labels: &[usize]) -> Vec<usize> {
-    let mut map = HashMap::new();
-    let mut next = 0usize;
-    labels
-        .iter()
-        .map(|&l| {
-            *map.entry(l).or_insert_with(|| {
-                let v = next;
-                next += 1;
-                v
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -322,6 +252,71 @@ mod tests {
         assert_eq!(back.labels(), inc.labels());
         assert_eq!(back.trace(), inc.trace());
         assert_eq!(back.stats, inc.stats);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The literal bytes of the `ests` section: a u64 count, then per EST
+    /// a u64 length and its bases. Checkpoints must restore across builds.
+    #[test]
+    fn ests_section_layout_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("pace-serve-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ests = vec![b"ACGTA".to_vec(), b"TTG".to_vec()];
+        let mut inc = IncrementalClusterer::new(cfg());
+        inc.fold_batch(&["a".to_string(), "b".to_string()], &ests)
+            .unwrap();
+        let generation = save_state(&dir, &inc, 1).unwrap();
+        let snap = Snapshot::read_file(snap_path(&dir, generation)).unwrap();
+        let pin: &[u8] = b"\x02\0\0\0\0\0\0\0\
+                           \x05\0\0\0\0\0\0\0ACGTA\
+                           \x03\0\0\0\0\0\0\0TTG";
+        assert_eq!(snap.section("ests").unwrap(), pin);
+        let (back, _) = load_state(&dir, &cfg(), 0).unwrap().unwrap();
+        assert_eq!(back.ests(), ests);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot with valid CRCs whose clustering state does not
+    /// restore the folded ESTs is refused, not served.
+    #[test]
+    fn state_that_does_not_restore_is_refused() {
+        use pace_cluster::trace::{MergeRecord, MergeTrace};
+        use pace_dsu::DisjointSets;
+        let dir = std::env::temp_dir().join(format!("pace-serve-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let inc = folded(2);
+        let n = inc.len();
+        assert!(!inc.trace().is_empty(), "need a merge to contradict");
+        let stray = MergeTrace::from_records(vec![MergeRecord {
+            est_a: 0,
+            est_b: n,
+            mcs_len: 20,
+            score_ratio: 1.0,
+        }]);
+        let singletons = |n| codec::encode_dsu(&DisjointSets::new(n));
+        for (section, bytes, why) in [
+            ("dsu", singletons(n), "does not reproduce"),
+            ("dsu", singletons(n + 1), "covers"),
+            (
+                "merge_trace",
+                codec::encode_merge_trace(&stray),
+                "out of range",
+            ),
+        ] {
+            let path = snap_path(&dir, save_state(&dir, &inc, 2).unwrap());
+            let snap = Snapshot::read_file(&path).unwrap();
+            let mut w = SnapshotWriter::create(&path).unwrap();
+            for name in snap.section_names() {
+                let keep = snap.section(name).unwrap();
+                w.add_section(name, if name == section { &bytes } else { keep })
+                    .unwrap();
+            }
+            w.finish().unwrap();
+            let Err(err) = load_state(&dir, &cfg(), 0) else {
+                panic!("{section}: a state that does not restore was accepted");
+            };
+            assert!(err.to_string().contains(why), "{section}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

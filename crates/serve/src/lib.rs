@@ -19,7 +19,7 @@ mod client;
 mod server;
 mod view;
 
-pub use checkpoint::{load_state, save_state, ServeManifest, SERVE_MANIFEST_FILE, SERVE_SNAP_FILE};
+pub use checkpoint::{load_state, save_state, ServeManifest, SERVE_MANIFEST_FILE};
 pub use client::Client;
 pub use proto::{Request, Response, ServeStats, PROTO_VERSION};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

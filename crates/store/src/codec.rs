@@ -10,122 +10,71 @@
 //! Content integrity (bit flips) is the snapshot layer's CRC job; the
 //! decoders here re-validate only the *structural* invariants whose
 //! violation would make the reassembled value unsafe to use (see the
-//! `from_raw_parts` constructors in the owning crates).
+//! `from_raw_parts` constructors in the owning crates). One pair works
+//! on whole snapshots: [`write_cluster_state`] and [`read_cluster_state`]
+//! hold the clustering state every checkpoint kind persists, and the
+//! check that it restores.
 
 use crate::error::SnapshotError;
+use crate::snapshot::{Snapshot, SnapshotWriter};
 use pace_cluster::stats::{ClusterStats, FaultStats};
 use pace_cluster::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
 use pace_seq::SequenceStore;
+use pace_wire::{Wire, WireError, WireReader};
 
 // ---------------------------------------------------------------------
-// Little-endian buffer primitives.
+// Buffer primitives: the `pace-wire` cursor and encodings, with the
+// store's u64 counts and lengths where the wire format has u32 ones.
 // ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u64(out, v.len() as u64);
+    (v.len() as u64).encode(out);
     out.extend_from_slice(v);
 }
 
 fn put_u32s(out: &mut Vec<u8>, v: &[u32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_u32(out, x);
+    (v.len() as u64).encode(out);
+    for x in v {
+        x.encode(out);
     }
 }
 
-/// Sequential little-endian reader with typed exhaustion errors.
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Which codec is reading (names the `Truncated` context).
+/// A u64 element count, bounded so a corrupt count cannot trigger an
+/// enormous allocation: `count * elem_size` must fit in the bytes left.
+fn count(r: &mut WireReader<'_>, elem_size: usize) -> Result<usize, WireError> {
+    let n = r.u64()?;
+    match usize::try_from(n) {
+        Ok(n) if n <= r.remaining() / elem_size.max(1) => Ok(n),
+        _ => Err(WireError(format!(
+            "count {n} exceeds the {} bytes left",
+            r.remaining()
+        ))),
+    }
+}
+
+fn byte_vec(r: &mut WireReader<'_>) -> Result<Vec<u8>, WireError> {
+    let n = count(r, 1)?;
+    Ok(r.bytes(n)?.to_vec())
+}
+
+fn u32_vec(r: &mut WireReader<'_>) -> Result<Vec<u32>, WireError> {
+    let n = count(r, 4)?;
+    (0..n).map(|_| r.u32()).collect()
+}
+
+/// Decode one section with `body`, which must consume every byte. A
+/// short read is [`SnapshotError::Truncated`] naming `context`;
+/// trailing bytes are [`SnapshotError::Corrupt`].
+fn decode_section<T>(
+    bytes: &[u8],
     context: &'static str,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8], context: &'static str) -> Self {
-        Dec {
-            bytes,
-            pos: 0,
-            context,
-        }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(SnapshotError::Truncated {
-                context: self.context,
-            })?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A declared element count, sanity-bounded so a corrupt length
-    /// cannot trigger an enormous allocation: `count * elem_size` must
-    /// fit in what's left of the buffer.
-    fn count(&mut self, elem_size: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if elem_size > 0 && n > remaining / elem_size as u64 {
-            return Err(SnapshotError::Truncated {
-                context: self.context,
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn byte_vec(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos != self.bytes.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: {} trailing bytes after decode",
-                self.context,
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+    body: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<T, SnapshotError> {
+    let mut r = WireReader::new(bytes);
+    let value = body(&mut r).map_err(|_| SnapshotError::Truncated { context })?;
+    r.finish().map_err(|e| corrupt(context, e.0))?;
+    Ok(value)
 }
 
 fn corrupt(context: &str, msg: String) -> SnapshotError {
@@ -133,34 +82,45 @@ fn corrupt(context: &str, msg: String) -> SnapshotError {
 }
 
 // ---------------------------------------------------------------------
-// String lists (FASTA ids)
+// Byte and string lists (EST sequences, FASTA ids)
 // ---------------------------------------------------------------------
 
-/// Encode a list of strings (the per-EST FASTA identifiers).
-pub fn encode_string_list(items: &[String]) -> Vec<u8> {
-    let cap: usize = items.iter().map(|s| s.len() + 8).sum();
+/// Encode a list of byte strings (the daemon's EST sequences): a u64
+/// count, then per item a u64 length and its bytes.
+pub fn encode_byte_list<T: AsRef<[u8]>>(items: &[T]) -> Vec<u8> {
+    let cap: usize = items.iter().map(|s| s.as_ref().len() + 8).sum();
     let mut out = Vec::with_capacity(cap + 8);
-    put_u64(&mut out, items.len() as u64);
+    (items.len() as u64).encode(&mut out);
     for s in items {
-        put_bytes(&mut out, s.as_bytes());
+        put_bytes(&mut out, s.as_ref());
     }
     out
 }
 
+/// Decode an [`encode_byte_list`] section.
+pub fn decode_byte_list(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
+    decode_section(bytes, "byte list", |r| {
+        let n = count(r, 8)?;
+        (0..n).map(|_| byte_vec(r)).collect()
+    })
+}
+
+/// Encode a list of strings (the per-EST FASTA identifiers), in the
+/// [`encode_byte_list`] layout.
+pub fn encode_string_list(items: &[String]) -> Vec<u8> {
+    encode_byte_list(items)
+}
+
 /// Decode a list of strings; non-UTF-8 content is [`SnapshotError::Corrupt`].
 pub fn decode_string_list(bytes: &[u8]) -> Result<Vec<String>, SnapshotError> {
-    const CTX: &str = "string list";
-    let mut d = Dec::new(bytes, CTX);
-    let n = d.count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let raw = d.byte_vec()?;
-        out.push(
-            String::from_utf8(raw).map_err(|_| corrupt(CTX, format!("item {i} is not UTF-8")))?,
-        );
-    }
-    d.finish()?;
-    Ok(out)
+    decode_byte_list(bytes)?
+        .into_iter()
+        .enumerate()
+        .map(|(i, raw)| {
+            String::from_utf8(raw)
+                .map_err(|_| corrupt("string list", format!("item {i} is not UTF-8")))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -179,10 +139,8 @@ pub fn encode_sequence_store(store: &SequenceStore) -> Vec<u8> {
 /// Decode a [`SequenceStore`], re-validating its structural invariants
 /// and that the text is pure uppercase DNA.
 pub fn decode_sequence_store(bytes: &[u8]) -> Result<SequenceStore, SnapshotError> {
-    let mut d = Dec::new(bytes, "sequence store");
-    let text = d.byte_vec()?;
-    let offsets = d.u32_vec()?;
-    d.finish()?;
+    let (text, offsets) =
+        decode_section(bytes, "sequence store", |r| Ok((byte_vec(r)?, u32_vec(r)?)))?;
     SequenceStore::from_raw_parts(text, offsets)
         .map_err(|e| corrupt("sequence store", e.to_string()))
 }
@@ -198,19 +156,16 @@ pub fn encode_dsu(dsu: &DisjointSets) -> Vec<u8> {
     put_u32s(&mut out, parent);
     put_bytes(&mut out, rank);
     put_u32s(&mut out, size);
-    put_u64(&mut out, num_sets as u64);
+    num_sets.encode(&mut out);
     out
 }
 
 /// Decode the union–find state, re-validating pointer sanity (range,
 /// acyclicity, root count) via [`DisjointSets::from_raw_parts`].
 pub fn decode_dsu(bytes: &[u8]) -> Result<DisjointSets, SnapshotError> {
-    let mut d = Dec::new(bytes, "union-find");
-    let parent = d.u32_vec()?;
-    let rank = d.byte_vec()?;
-    let size = d.u32_vec()?;
-    let num_sets = d.u64()? as usize;
-    d.finish()?;
+    let (parent, rank, size, num_sets) = decode_section(bytes, "union-find", |r| {
+        Ok((u32_vec(r)?, byte_vec(r)?, u32_vec(r)?, usize::decode(r)?))
+    })?;
     DisjointSets::from_raw_parts(parent, rank, size, num_sets).map_err(|e| corrupt("union-find", e))
 }
 
@@ -231,9 +186,9 @@ pub fn encode_cluster_stats(stats: &ClusterStats) -> Vec<u8> {
         stats.pairs_unconsumed,
         stats.messages,
     ] {
-        put_u64(&mut out, v);
+        v.encode(&mut out);
     }
-    put_f64(&mut out, stats.master_busy_frac);
+    stats.master_busy_frac.encode(&mut out);
     for v in [
         stats.faults.retries,
         stats.faults.duplicate_reports,
@@ -242,35 +197,34 @@ pub fn encode_cluster_stats(stats: &ClusterStats) -> Vec<u8> {
         stats.faults.abandoned_pairs,
         stats.faults.lost_pairs,
     ] {
-        put_u64(&mut out, v);
+        v.encode(&mut out);
     }
     out
 }
 
 /// Decode a [`ClusterStats`] block.
 pub fn decode_cluster_stats(bytes: &[u8]) -> Result<ClusterStats, SnapshotError> {
-    let mut d = Dec::new(bytes, "cluster stats");
-    let stats = ClusterStats {
-        pairs_generated: d.u64()?,
-        pairs_processed: d.u64()?,
-        pairs_accepted: d.u64()?,
-        merges: d.u64()?,
-        pairs_skipped: d.u64()?,
-        pairs_prefiltered: d.u64()?,
-        pairs_unconsumed: d.u64()?,
-        messages: d.u64()?,
-        master_busy_frac: d.f64()?,
-        faults: FaultStats {
-            retries: d.u64()?,
-            duplicate_reports: d.u64()?,
-            dead_slaves: d.u64()?,
-            reassigned_pairs: d.u64()?,
-            abandoned_pairs: d.u64()?,
-            lost_pairs: d.u64()?,
-        },
-    };
-    d.finish()?;
-    Ok(stats)
+    decode_section(bytes, "cluster stats", |r| {
+        Ok(ClusterStats {
+            pairs_generated: r.u64()?,
+            pairs_processed: r.u64()?,
+            pairs_accepted: r.u64()?,
+            merges: r.u64()?,
+            pairs_skipped: r.u64()?,
+            pairs_prefiltered: r.u64()?,
+            pairs_unconsumed: r.u64()?,
+            messages: r.u64()?,
+            master_busy_frac: f64::decode(r)?,
+            faults: FaultStats {
+                retries: r.u64()?,
+                duplicate_reports: r.u64()?,
+                dead_slaves: r.u64()?,
+                reassigned_pairs: r.u64()?,
+                abandoned_pairs: r.u64()?,
+                lost_pairs: r.u64()?,
+            },
+        })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -280,31 +234,86 @@ pub fn decode_cluster_stats(bytes: &[u8]) -> Result<ClusterStats, SnapshotError>
 /// Encode the merge audit log.
 pub fn encode_merge_trace(trace: &MergeTrace) -> Vec<u8> {
     let mut out = Vec::with_capacity(trace.len() * 28 + 8);
-    put_u64(&mut out, trace.len() as u64);
+    trace.len().encode(&mut out);
     for r in trace.records() {
-        put_u64(&mut out, r.est_a as u64);
-        put_u64(&mut out, r.est_b as u64);
-        put_u32(&mut out, r.mcs_len);
-        put_f64(&mut out, r.score_ratio);
+        r.est_a.encode(&mut out);
+        r.est_b.encode(&mut out);
+        r.mcs_len.encode(&mut out);
+        r.score_ratio.encode(&mut out);
     }
     out
 }
 
 /// Decode the merge audit log.
 pub fn decode_merge_trace(bytes: &[u8]) -> Result<MergeTrace, SnapshotError> {
-    let mut d = Dec::new(bytes, "merge trace");
-    let n = d.count(28)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        records.push(MergeRecord {
-            est_a: d.u64()? as usize,
-            est_b: d.u64()? as usize,
-            mcs_len: d.u32()?,
-            score_ratio: d.f64()?,
-        });
-    }
-    d.finish()?;
+    let records = decode_section(bytes, "merge trace", |r| {
+        let n = count(r, 28)?;
+        (0..n)
+            .map(|_| {
+                Ok(MergeRecord {
+                    est_a: usize::decode(r)?,
+                    est_b: usize::decode(r)?,
+                    mcs_len: r.u32()?,
+                    score_ratio: f64::decode(r)?,
+                })
+            })
+            .collect()
+    })?;
     Ok(MergeTrace::from_records(records))
+}
+
+// ---------------------------------------------------------------------
+// Clustering state: the sections every checkpoint of a clustering holds
+// ---------------------------------------------------------------------
+
+const SEC_DSU: &str = "dsu";
+const SEC_TRACE: &str = "merge_trace";
+const SEC_STATS: &str = "cluster_stats";
+
+/// Write a clustering state (union–find, merge trace, counters) as the
+/// sections `dsu`, `merge_trace` and `cluster_stats`.
+pub fn write_cluster_state(
+    w: &mut SnapshotWriter,
+    sets: &DisjointSets,
+    trace: &MergeTrace,
+    stats: &ClusterStats,
+) -> Result<(), SnapshotError> {
+    w.add_section(SEC_DSU, &encode_dsu(sets))?;
+    w.add_section(SEC_TRACE, &encode_merge_trace(trace))?;
+    w.add_section(SEC_STATS, &encode_cluster_stats(stats))
+}
+
+/// Read the state [`write_cluster_state`] wrote, and check that it
+/// restores a clustering of `num_ests` ESTs: the union–find covers
+/// exactly them, and replaying the merge trace onto fresh singletons
+/// reproduces the union–find's partition. A state that fails either
+/// check is [`SnapshotError::Corrupt`], even with valid CRCs.
+pub fn read_cluster_state(
+    snap: &Snapshot,
+    num_ests: usize,
+) -> Result<(DisjointSets, MergeTrace, ClusterStats), SnapshotError> {
+    let sets = decode_dsu(snap.section(SEC_DSU)?)?;
+    let trace = decode_merge_trace(snap.section(SEC_TRACE)?)?;
+    let stats = decode_cluster_stats(snap.section(SEC_STATS)?)?;
+    if sets.len() != num_ests {
+        return Err(SnapshotError::Corrupt(format!(
+            "union–find covers {} ESTs, the run has {num_ests}",
+            sets.len()
+        )));
+    }
+    let mut replayed = DisjointSets::new(num_ests);
+    for r in trace.records() {
+        if r.est_a.max(r.est_b) >= num_ests {
+            return Err(corrupt("merge trace", format!("{r:?} is out of range")));
+        }
+        replayed.union(r.est_a, r.est_b);
+    }
+    if replayed.clusters() != sets.clone().clusters() {
+        return Err(SnapshotError::Corrupt(
+            "replaying the merge trace does not reproduce the union–find's partition".into(),
+        ));
+    }
+    Ok((sets, trace, stats))
 }
 
 #[cfg(test)]
@@ -323,8 +332,7 @@ mod tests {
 
     #[test]
     fn string_list_rejects_bad_utf8() {
-        let mut bytes = Vec::new();
-        put_u64(&mut bytes, 1);
+        let mut bytes = 1u64.to_bytes();
         put_bytes(&mut bytes, &[0xff, 0xfe]);
         assert!(matches!(
             decode_string_list(&bytes).unwrap_err(),
@@ -370,8 +378,7 @@ mod tests {
     fn huge_declared_count_is_rejected_without_allocation() {
         // A corrupt length prefix claiming 2^60 elements must error out
         // instead of attempting the reservation.
-        let mut bytes = Vec::new();
-        put_u64(&mut bytes, 1 << 60);
+        let bytes = (1u64 << 60).to_bytes();
         assert!(decode_sequence_store(&bytes).is_err());
         assert!(decode_merge_trace(&bytes).is_err());
     }

@@ -10,7 +10,8 @@
 //!   verifying reader, published atomically via
 //!   write-to-temp + fsync + rename. [`codec`] provides the typed
 //!   encodings of the state a resume cannot recompute (sequence store,
-//!   EST ids, union–find, merge trace, run stats) on top of it.
+//!   EST ids, union–find, merge trace, run stats) on top of it, all
+//!   decoded through the `pace_wire::WireReader` cursor.
 //! * [`plan`] — memory-budgeted batch planning over the bucket
 //!   partition's suffix counts. The drivers build and drain one batch
 //!   at a time, so GST construction runs under `--memory-budget` on

@@ -30,7 +30,7 @@
 //! old files stay readable within a version.
 
 use crate::error::SnapshotError;
-use pace_wire::crc32;
+use pace_wire::{crc32, WireError, WireReader};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -173,9 +173,9 @@ impl Snapshot {
 
     /// Parse an in-memory snapshot image (tests and corruption drills).
     pub fn parse(data: Vec<u8>) -> Result<Self, SnapshotError> {
-        let header = data
-            .get(..16)
-            .ok_or(SnapshotError::Truncated { context: "header" })?;
+        let short = |context| move |_: WireError| SnapshotError::Truncated { context };
+        let mut r = WireReader::new(&data);
+        let header = r.bytes(16).map_err(short("header"))?;
         if &header[..8] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -184,33 +184,20 @@ impl Snapshot {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let count = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        let mut sections = Vec::with_capacity(count as usize);
-        let mut pos = 16usize;
+        // No reservation from `count`: the header is outside every CRC.
+        let mut sections = Vec::new();
         for _ in 0..count {
-            let name_len = u16::from_le_bytes(
-                read_exact(&data, &mut pos, 2, "section name length")?
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            let name_bytes = read_exact(&data, &mut pos, name_len, "section name")?;
-            let name = std::str::from_utf8(name_bytes)
+            let name_len = r.bytes(2).map_err(short("section name length"))?;
+            let name_len = u16::from_le_bytes([name_len[0], name_len[1]]) as usize;
+            let name = std::str::from_utf8(r.bytes(name_len).map_err(short("section name"))?)
                 .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".into()))?
                 .to_string();
-            let payload_len = u64::from_le_bytes(
-                read_exact(&data, &mut pos, 8, "section length")?
-                    .try_into()
-                    .unwrap(),
-            );
+            let payload_len = r.u64().map_err(short("section length"))?;
             let payload_len = usize::try_from(payload_len)
                 .map_err(|_| SnapshotError::Corrupt(format!("section {name:?} length overflow")))?;
-            let start = pos;
-            let payload = read_exact(&data, &mut pos, payload_len, "section payload")?;
-            let stored = u32::from_le_bytes(
-                read_exact(&data, &mut pos, 4, "section checksum")?
-                    .try_into()
-                    .unwrap(),
-            );
-            if crc32(payload) != stored {
+            let start = data.len() - r.remaining();
+            let payload = r.bytes(payload_len).map_err(short("section payload"))?;
+            if crc32(payload) != r.u32().map_err(short("section checksum"))? {
                 return Err(SnapshotError::ChecksumMismatch { section: name });
             }
             sections.push((name, start..start + payload_len));
@@ -231,26 +218,6 @@ impl Snapshot {
             .map(|(_, r)| &self.data[r.clone()])
             .ok_or_else(|| SnapshotError::MissingSection(name.to_string()))
     }
-
-    /// Whether a section exists.
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|(n, _)| n == name)
-    }
-}
-
-fn read_exact<'d>(
-    data: &'d [u8],
-    pos: &mut usize,
-    len: usize,
-    context: &'static str,
-) -> Result<&'d [u8], SnapshotError> {
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= data.len())
-        .ok_or(SnapshotError::Truncated { context })?;
-    let out = &data[*pos..end];
-    *pos = end;
-    Ok(out)
 }
 
 #[cfg(test)]

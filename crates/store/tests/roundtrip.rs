@@ -169,6 +169,91 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Layout pins: the literal bytes of each section. A checkpoint written
+// by one build must restore in the next, so a codec rewrite leaves every
+// pin here unedited. Integers are little-endian; counts and lengths u64.
+// ---------------------------------------------------------------------
+
+#[test]
+fn string_list_layout_is_pinned() {
+    let ids = vec!["ab".to_string(), String::new()];
+    let pin: &[u8] = b"\x02\0\0\0\0\0\0\0\
+                       \x02\0\0\0\0\0\0\0ab\
+                       \0\0\0\0\0\0\0\0";
+    assert_eq!(encode_string_list(&ids), pin);
+    assert_eq!(decode_string_list(pin).unwrap(), ids);
+}
+
+#[test]
+fn sequence_store_layout_is_pinned() {
+    // Text: each EST then its reverse complement; then the offset table.
+    let store = store_of(&[b"ACG".to_vec(), b"T".to_vec()]);
+    let pin: &[u8] = b"\x08\0\0\0\0\0\0\0ACGCGTTA\
+                       \x05\0\0\0\0\0\0\0\0\0\0\0\x03\0\0\0\x06\0\0\0\x07\0\0\0\x08\0\0\0";
+    assert_eq!(encode_sequence_store(&store), pin);
+    assert_eq!(decode_sequence_store(pin).unwrap(), store);
+}
+
+#[test]
+fn dsu_layout_is_pinned() {
+    let mut d = DisjointSets::new(3);
+    d.union(0, 2);
+    // parent (u32s), rank (bytes), size (u32s), then the set count.
+    let pin: &[u8] = b"\x03\0\0\0\0\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\
+                       \x03\0\0\0\0\0\0\0\x01\0\0\
+                       \x03\0\0\0\0\0\0\0\x02\0\0\0\x01\0\0\0\x01\0\0\0\
+                       \x02\0\0\0\0\0\0\0";
+    assert_eq!(encode_dsu(&d), pin);
+    assert_eq!(decode_dsu(pin).unwrap().as_raw_parts(), d.as_raw_parts());
+}
+
+#[test]
+fn cluster_stats_layout_is_pinned() {
+    let stats = ClusterStats {
+        pairs_generated: 1,
+        pairs_processed: 2,
+        pairs_accepted: 3,
+        merges: 4,
+        pairs_skipped: 5,
+        pairs_prefiltered: 6,
+        pairs_unconsumed: 7,
+        messages: 8,
+        master_busy_frac: 0.5,
+        faults: FaultStats {
+            retries: 9,
+            duplicate_reports: 10,
+            dead_slaves: 11,
+            reassigned_pairs: 12,
+            abandoned_pairs: 13,
+            lost_pairs: 14,
+        },
+    };
+    // Eight counters, the busy fraction's f64 bits, six fault counters.
+    let pin: &[u8] = b"\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\
+                       \x05\0\0\0\0\0\0\0\x06\0\0\0\0\0\0\0\x07\0\0\0\0\0\0\0\x08\0\0\0\0\0\0\0\
+                       \0\0\0\0\0\0\xe0\x3f\
+                       \x09\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\x0b\0\0\0\0\0\0\0\
+                       \x0c\0\0\0\0\0\0\0\x0d\0\0\0\0\0\0\0\x0e\0\0\0\0\0\0\0";
+    assert_eq!(encode_cluster_stats(&stats), pin);
+    assert_eq!(decode_cluster_stats(pin).unwrap(), stats);
+}
+
+#[test]
+fn merge_trace_layout_is_pinned() {
+    let trace = MergeTrace::from_records(vec![MergeRecord {
+        est_a: 1,
+        est_b: 2,
+        mcs_len: 20,
+        score_ratio: 0.5,
+    }]);
+    // Count, then per record: u64 est_a, u64 est_b, u32 mcs_len, f64.
+    let pin: &[u8] = b"\x01\0\0\0\0\0\0\0\
+                       \x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x14\0\0\0\0\0\0\0\0\0\xe0\x3f";
+    assert_eq!(encode_merge_trace(&trace), pin);
+    assert_eq!(decode_merge_trace(pin).unwrap(), trace);
+}
+
+// ---------------------------------------------------------------------
 // Corruption: typed errors, never panics.
 // ---------------------------------------------------------------------
 

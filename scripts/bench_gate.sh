@@ -4,12 +4,11 @@
 # Compares the smoke bench's cross-rep phase minima (bench_out/smoke.json,
 # written by `target/release/smoke` with PACE_METRICS_DIR set) against the
 # committed reference in bench/baseline.json. Fails when a *gated* phase —
-# alignment, gst_construction, node_sorting, pairgen_kernel,
-# myers_kernel or sketch_prefilter, the phases and kernels this code path
-# owns — regresses by more than the tolerance (default 25%). The other
-# phases and the total
-# are reported for context but never fail the gate: on shared CI runners
-# their noise swamps any signal.
+# alignment, gst_construction, node_sorting, pairgen_kernel or
+# myers_kernel, the phases and kernels this code path owns — regresses
+# by more than the tolerance (default 25%). The other phases and the
+# total are reported for context but never fail the gate: on shared CI
+# runners their noise swamps any signal.
 #
 # The gate statistic is a min-over-reps, which is robust to transient load
 # spikes but still machine-relative: the committed baseline is only
@@ -97,7 +96,6 @@ GATED = (
     "node_sorting",
     "pairgen_kernel",
     "myers_kernel",
-    "sketch_prefilter",
 )
 
 failures = []
@@ -146,18 +144,6 @@ if ab and "p99" in ab:
         f"bench_gate: align_batch p50 {ab['p50'] * 1e3:.3f} ms, "
         f"p90 {ab['p90'] * 1e3:.3f} ms, p99 {ab['p99'] * 1e3:.3f} ms "
         f"over {ab['count']:.0f} batches (report-only)"
-    )
-
-# Echo the sketch-prefilter recall measured by the smoke bench (reported,
-# never gated here — the hard ≥ 0.99 assertion lives in the pace-quality
-# recall harness): how much of the lossless partition the lossy MinHash
-# gate preserved on the smoke workload.
-sp = smoke.get("sketch_prefilter")
-if sp and "recall" in sp:
-    print(
-        f"bench_gate: sketch prefilter recall {sp['recall']:.4f} at threshold "
-        f"{sp.get('threshold', 0):.2f}, {sp.get('pairs_vetoed', 0):.0f} pairs "
-        "vetoed (report-only)"
     )
 
 # Echo the socket-transport rep's communication volume (reported, never
