@@ -10,10 +10,11 @@
 //! patterns of Figure 5b ([`overlap`]); only those, with score above a
 //! threshold, count as evidence to merge clusters.
 //!
-//! Full-matrix [`nw`] (global, Needleman–Wunsch) and [`sw`] (local,
-//! Smith–Waterman) implementations are also provided: the traditional
-//! baseline clusterer uses them, and the banded/anchored kernels are
-//! property-tested against them.
+//! A full-matrix global aligner, [`nw`] (Needleman–Wunsch with Gotoh
+//! affine gaps), is also provided: the splice scan uses its traceback,
+//! and the banded kernel is property-tested against its score. The
+//! traditional baseline clusterer aligns with [`align_anchored`] like
+//! the engine does.
 //!
 //! ```
 //! use pace_align::{align_anchored, decide_outcome, Anchor, OverlapParams, Scoring};
@@ -38,7 +39,6 @@ pub mod nw;
 pub mod overlap;
 pub mod scoring;
 pub mod semiglobal;
-pub mod sw;
 pub mod view;
 pub mod workspace;
 
@@ -55,6 +55,5 @@ pub use nw::{global_align, global_score, global_score_with, AlignOp, Alignment};
 pub use overlap::{classify_overlap, AcceptDecision, OverlapKind, OverlapParams};
 pub use scoring::Scoring;
 pub use semiglobal::{semiglobal_align, semiglobal_align_with, SemiglobalAlignment};
-pub use sw::{local_score, local_score_with};
 pub use view::{Rev, SeqView};
 pub use workspace::AlignWorkspace;

@@ -22,7 +22,7 @@ pub struct AlignWorkspace {
     pub(crate) band_x: Vec<i32>,
     pub(crate) band_y: Vec<i32>,
     /// Rolling Gotoh rows (previous / current) for the full-matrix
-    /// score kernels (`nw`, `sw`).
+    /// score kernel (`nw`).
     pub(crate) m_prev: Vec<i32>,
     pub(crate) x_prev: Vec<i32>,
     pub(crate) y_prev: Vec<i32>,

@@ -19,58 +19,21 @@
 //! The sequential, persistent and incremental drivers are `drain` loops
 //! over a core. The parallel master ([`crate::master`]) uses `skip` and
 //! `accept` only: its slaves align, and it stays a pure state machine
-//! with no `Obs` and no clock. The core is generic over [`ClusterSets`],
-//! so the sharded sub-masters run it over a shard-local view.
+//! with no `Obs` and no clock.
 
 use crate::align_task::{AlignContext, PairOutcome};
 use crate::config::ClusterConfig;
 use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::{MergeRecord, MergeTrace};
-use pace_dsu::{DisjointSets, ShardDsu};
+use pace_dsu::DisjointSets;
 use pace_obs::{metric, Event, Obs, Timer};
 use pace_pairgen::{CandidatePair, PairGenerator};
 
-/// The cluster-structure operations the core needs. The flat
-/// [`DisjointSets`] is the single-master implementation; the sharded
-/// driver plugs in a shard-local view whose `same` is a conservative
-/// under-approximation of global connectivity (never claiming two ESTs
-/// connected when they might not be), which keeps pair skipping sound.
-pub trait ClusterSets {
-    /// Merge the clusters of `a` and `b`. Returns `true` when a merge is
-    /// recorded (i.e. the caller should log it in the merge trace).
-    fn union(&mut self, a: usize, b: usize) -> bool;
-    /// Whether `a` and `b` are provably in the same cluster. `false` is
-    /// always a safe answer; `true` must be certain.
-    fn same(&mut self, a: usize, b: usize) -> bool;
-}
-
-impl ClusterSets for DisjointSets {
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        DisjointSets::union(self, a, b)
-    }
-    fn same(&mut self, a: usize, b: usize) -> bool {
-        DisjointSets::same(self, a, b)
-    }
-}
-
-/// The sharded master's view: in-range unions are local, straddling
-/// ones are logged as cross edges (`union` still returns `true` the
-/// first time so the merge lands in the shard's trace), and `same` is
-/// `false` for anything out of range — the safe under-approximation.
-impl ClusterSets for ShardDsu {
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        ShardDsu::union(self, a, b)
-    }
-    fn same(&mut self, a: usize, b: usize) -> bool {
-        ShardDsu::same(self, a, b)
-    }
-}
-
 /// `CLUSTERS`, the merge trace and the pair counters of one master.
 #[derive(Debug)]
-pub struct ClusterCore<S: ClusterSets = DisjointSets> {
+pub struct ClusterCore {
     /// The cluster structure.
-    pub sets: S,
+    pub sets: DisjointSets,
     /// Every effective merge, in the order performed.
     pub trace: MergeTrace,
     /// Pair counters.
@@ -79,15 +42,20 @@ pub struct ClusterCore<S: ClusterSets = DisjointSets> {
     skip_clustered: bool,
 }
 
-impl<S: ClusterSets> ClusterCore<S> {
+impl ClusterCore {
     /// A core over `sets` with an empty trace and zero counters.
-    pub fn new(sets: S, cfg: &ClusterConfig) -> Self {
+    pub fn new(sets: DisjointSets, cfg: &ClusterConfig) -> Self {
         Self::resume(sets, MergeTrace::new(), ClusterStats::default(), cfg)
     }
 
     /// A core continuing from saved state: a checkpoint, or the
     /// partition an earlier fold left behind.
-    pub fn resume(sets: S, trace: MergeTrace, stats: ClusterStats, cfg: &ClusterConfig) -> Self {
+    pub fn resume(
+        sets: DisjointSets,
+        trace: MergeTrace,
+        stats: ClusterStats,
+        cfg: &ClusterConfig,
+    ) -> Self {
         ClusterCore {
             sets,
             trace,
@@ -180,9 +148,7 @@ impl<S: ClusterSets> ClusterCore<S> {
         reg.record_phase(metric::PHASE_ALIGNMENT, 0, align.secs());
         reg.add(metric::ALIGN_WS_REUSES, handled);
     }
-}
 
-impl ClusterCore<DisjointSets> {
     /// The final partition and counters, plus the merge trace.
     pub fn into_result(mut self) -> (ClusterResult, MergeTrace) {
         let labels = self.sets.labels();

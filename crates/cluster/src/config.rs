@@ -1,7 +1,6 @@
 //! Clustering engine configuration.
 
 use pace_align::{OverlapParams, Scoring};
-use pace_obs::trace::flow_id;
 use pace_pairgen::{PairGenConfig, PairOrder};
 
 /// All knobs of the clustering pipeline, with the paper's experimental
@@ -19,8 +18,6 @@ pub struct ClusterConfig {
     pub batchsize: usize,
     /// Capacity of the master's `WORKBUF` queue.
     pub workbuf_cap: usize,
-    /// Capacity of each slave's `PAIRBUF` of pre-generated pairs.
-    pub pairbuf_cap: usize,
     /// Alignment scoring scheme.
     pub scoring: Scoring,
     /// Accept thresholds for merge evidence.
@@ -51,16 +48,6 @@ pub struct ClusterConfig {
     /// Resends of one outstanding batch before the master declares the
     /// slave dead and reassigns its pairs to the survivors.
     pub max_retries: u32,
-    /// Number of clustering-master shards. `0` (the default) runs the
-    /// classic single master; `K ≥ 1` runs K sub-masters (ranks
-    /// `1..=K`, each owning an EST id-range) under a reconciler at rank
-    /// 0, leaving ranks `K+1..p` as slaves. [`Topology`] holds both
-    /// layouts and the world size each needs.
-    pub shards: usize,
-    /// Reports a sub-master handles between cross-edge flushes to the
-    /// reconciler (the epoch barrier length). Only meaningful when
-    /// `shards > 0`.
-    pub shard_epoch: usize,
 }
 
 impl Default for ClusterConfig {
@@ -70,7 +57,6 @@ impl Default for ClusterConfig {
             psi: 20,
             batchsize: 60,
             workbuf_cap: 1 << 14,
-            pairbuf_cap: 1 << 12,
             scoring: Scoring::default_est(),
             overlap: OverlapParams::default(),
             band_radius: 8,
@@ -80,8 +66,6 @@ impl Default for ClusterConfig {
             myers_alignment: false,
             slave_timeout: 5.0,
             max_retries: 5,
-            shards: 0,
-            shard_epoch: 32,
         }
     }
 }
@@ -125,7 +109,6 @@ impl ClusterConfig {
             format!("psi={}", self.psi),
             format!("batchsize={}", self.batchsize),
             format!("workbuf_cap={}", self.workbuf_cap),
-            format!("pairbuf_cap={}", self.pairbuf_cap),
             format!("match_score={}", self.scoring.match_score),
             format!("mismatch={}", self.scoring.mismatch),
             format!("gap_open={}", self.scoring.gap_open),
@@ -142,8 +125,6 @@ impl ClusterConfig {
             format!("myers_alignment={}", u8::from(self.myers_alignment)),
             format!("slave_timeout={}", f(self.slave_timeout)),
             format!("max_retries={}", self.max_retries),
-            format!("shards={}", self.shards),
-            format!("shard_epoch={}", self.shard_epoch),
         ]
         .join(",")
     }
@@ -183,7 +164,6 @@ impl ClusterConfig {
                 "psi" => cfg.psi = int(v)?,
                 "batchsize" => cfg.batchsize = int(v)?,
                 "workbuf_cap" => cfg.workbuf_cap = int(v)?,
-                "pairbuf_cap" => cfg.pairbuf_cap = int(v)?,
                 "match_score" => cfg.scoring.match_score = int(v)?,
                 "mismatch" => cfg.scoring.mismatch = int(v)?,
                 "gap_open" => cfg.scoring.gap_open = int(v)?,
@@ -203,8 +183,6 @@ impl ClusterConfig {
                 "myers_alignment" => cfg.myers_alignment = flag(v)?,
                 "slave_timeout" => cfg.slave_timeout = float(v)?,
                 "max_retries" => cfg.max_retries = int(v)?,
-                "shards" => cfg.shards = int(v)?,
-                "shard_epoch" => cfg.shard_epoch = int(v)?,
                 _ => return Err(format!("unknown config key {k:?}")),
             }
         }
@@ -230,9 +208,6 @@ impl ClusterConfig {
                 "workbuf_cap {} smaller than batchsize {}",
                 self.workbuf_cap, self.batchsize
             ));
-        }
-        if self.pairbuf_cap == 0 {
-            return Err("pairbuf_cap must be positive".into());
         }
         self.scoring.validate()?;
         if !(0.0..=1.0).contains(&self.overlap.min_score_ratio) {
@@ -268,98 +243,7 @@ impl ClusterConfig {
                 self.slave_timeout
             ));
         }
-        if self.shard_epoch == 0 {
-            return Err("shard_epoch must be positive".into());
-        }
         Ok(())
-    }
-}
-
-/// The role a rank plays in a clustering world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Rank 0 of a sharded world: folds cross-shard merges and replays
-    /// shard traces.
-    Reconciler,
-    /// The master of protocol session `.0`: the single master at rank 0,
-    /// or sub-master `.0` at rank `1 + .0`.
-    Master(usize),
-    /// Slave with local index `.0` (0-based).
-    Slave(usize),
-}
-
-/// Rank layout of a clustering world. `shards == 0` is the paper's
-/// layout: the master at rank 0, slaves at ranks `1..p`. `shards = K`
-/// puts the reconciler at rank 0 and sub-master `s` at rank `1 + s`,
-/// with the slaves after them. Either way every slave speaks
-/// [`Topology::sessions`] master–slave sessions, and the slaves start
-/// at rank `shards + 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Topology {
-    world: usize,
-    /// Sub-master count K (`0` = the single master).
-    shards: usize,
-}
-
-impl Topology {
-    /// Validate `world` against `shards`: every master rank (and the
-    /// reconciler of a sharded world) plus at least one slave, so
-    /// `world ≥ shards + 2`.
-    pub fn new(world: usize, shards: usize) -> Result<Self, String> {
-        // `shards` can come straight from the command line.
-        let need = shards.saturating_add(2);
-        if world < need {
-            return Err(if shards == 0 {
-                format!("world size {world} too small for a master and a slave (need >= 2)")
-            } else {
-                format!("world size {world} too small for {shards} shards (need >= {need})")
-            });
-        }
-        Ok(Topology { world, shards })
-    }
-
-    /// Number of protocol sessions, one per master.
-    pub fn sessions(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    /// Number of slave ranks.
-    pub fn num_slaves(&self) -> usize {
-        self.world - self.shards - 1
-    }
-
-    /// The role of `rank`.
-    pub fn role_of(&self, rank: usize) -> Role {
-        debug_assert!(rank < self.world);
-        if rank > self.shards {
-            Role::Slave(rank - self.shards - 1)
-        } else if self.shards == 0 {
-            Role::Master(0)
-        } else if rank == 0 {
-            Role::Reconciler
-        } else {
-            Role::Master(rank - 1)
-        }
-    }
-
-    /// The rank hosting the master of `session`.
-    pub fn master_rank(&self, session: usize) -> usize {
-        debug_assert!(session < self.sessions());
-        session + usize::from(self.shards > 0)
-    }
-
-    /// The rank hosting slave `idx`.
-    pub fn slave_rank(&self, idx: usize) -> usize {
-        debug_assert!(idx < self.num_slaves());
-        self.shards + 1 + idx
-    }
-
-    /// The trace flow id of batch `seq` between `slave` and the master
-    /// of `session`. One namespace for every session, so concurrent
-    /// per-session sequence spaces never collide; with one session it
-    /// is `flow_id(slave, seq)`.
-    pub fn flow_id(&self, session: usize, slave: usize, seq: u64) -> u64 {
-        flow_id(session * self.num_slaves() + slave, seq)
     }
 }
 
@@ -444,6 +328,9 @@ mod tests {
             "sketch_size=32",
             "prefilter_min_sketch_jaccard=0000000000000000",
             "prefilter_overlap=1",
+            "shards=2",
+            "shard_epoch=4",
+            "pairbuf_cap=4096",
         ] {
             assert!(ClusterConfig::from_kv_string(gone).is_err(), "{gone}");
         }
@@ -476,62 +363,6 @@ mod tests {
         // …until the radius leaves the single-word band.
         c.band_radius = 32;
         assert!(c.validate().unwrap_err().contains("band_radius"));
-    }
-
-    #[test]
-    fn kv_carries_shard_settings() {
-        let cfg = ClusterConfig {
-            shards: 4,
-            shard_epoch: 7,
-            ..ClusterConfig::small()
-        };
-        let back = ClusterConfig::from_kv_string(&cfg.to_kv_string()).unwrap();
-        assert_eq!(back.shards, 4);
-        assert_eq!(back.shard_epoch, 7);
-    }
-
-    #[test]
-    fn validation_rejects_zero_shard_epoch() {
-        let c = ClusterConfig {
-            shard_epoch: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn shard_topology_assigns_roles() {
-        let t = Topology::new(7, 2).unwrap();
-        assert_eq!(t.num_slaves(), 4);
-        assert_eq!(t.role_of(0), Role::Reconciler);
-        assert_eq!(t.role_of(1), Role::Master(0));
-        assert_eq!(t.role_of(2), Role::Master(1));
-        assert_eq!(t.role_of(3), Role::Slave(0));
-        assert_eq!(t.role_of(6), Role::Slave(3));
-        assert_eq!(t.master_rank(1), 2);
-        assert_eq!(t.slave_rank(3), 6);
-    }
-
-    #[test]
-    fn shard_topology_rejects_small_worlds() {
-        assert!(Topology::new(3, 2).is_err());
-        assert!(Topology::new(1, 4).is_err());
-        assert!(Topology::new(3, 1).is_ok());
-        // A shard count from the command line must not overflow the rule.
-        assert!(Topology::new(4, usize::MAX).is_err());
-    }
-
-    #[test]
-    fn single_master_topology_is_one_session_from_rank_0() {
-        let t = Topology::new(4, 0).unwrap();
-        assert_eq!((t.sessions(), t.num_slaves()), (1, 3));
-        assert_eq!(t.role_of(0), Role::Master(0));
-        assert_eq!(t.role_of(1), Role::Slave(0));
-        assert_eq!(t.master_rank(0), 0);
-        assert_eq!(t.slave_rank(2), 3);
-        assert_eq!(t.flow_id(0, 2, 5), flow_id(2, 5));
-        assert!(Topology::new(1, 0).is_err());
-        assert!(Topology::new(2, 0).is_ok());
     }
 
     #[test]

@@ -1,43 +1,39 @@
 //! Parallel driver: the master–slave protocol over `p` ranks.
 //!
-//! [`Topology`] fixes the rank layout from `cfg.shards`. With `shards ==
-//! 0`, the paper's layout, rank 0 is the master and ranks `1..p` are
-//! slaves; with `shards = K`, rank 0 is the reconciler of
-//! [`driver_sharded`](crate::driver_sharded), ranks `1..=K` are
-//! sub-masters and the rest are slaves. Every master runs the one
-//! protocol loop here and every slave the one loop of
+//! The rank layout is the paper's: the master at rank 0 and slave `i`
+//! at rank `i + 1`, so a world needs `p ≥ 2`. The master runs the
+//! protocol loop here and every slave the loop of
 //! [`slave`](crate::slave). The phases mirror the paper's system: (1)
 //! each slave counts its share of the suffixes per bucket and the counts
 //! are combined with the parallel-summation collective; (2) buckets are
 //! assigned deterministically and each slave builds the subtrees it
-//! owns; (3) the clustering protocol runs until the masters issue
+//! owns; (3) the clustering protocol runs until the master issues
 //! shutdowns. Phase times are per-rank registry samples; each phase's
 //! max over ranks is its critical-path time, as in Table 3.
 //!
 //! Instrumentation mirrors the sequential driver: every rank records its
 //! phases into the shared `pace-obs` registry (over the socket transport
 //! rank 0 records them from each worker's summary), communication
-//! counters are absorbed from `pace-mpisim`, masters emit periodic
-//! heartbeats (the busy fraction is the paper's "< 2%" claim) and the
-//! single master a `merge` event for every union it performs.
+//! counters are absorbed from `pace-mpisim`, the master emits periodic
+//! heartbeats (the busy fraction is the paper's "< 2%" claim) and a
+//! `merge` event for every union it performs.
 //!
 //! The same protocol runs over any [`pace_mpisim::Transport`]:
 //! [`cluster_master_transport`] runs rank 0 and
 //! [`cluster_worker_transport`] any other rank over a caller-supplied
 //! `Rank<Msg>` (the multi-process socket path).
 
-use crate::cluster_core::{emit_merges, ClusterSets};
-use crate::config::{ClusterConfig, Role, Topology};
+use crate::cluster_core::emit_merges;
+use crate::config::ClusterConfig;
 use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters, record_gst_stats};
-use crate::driver_sharded::{fold_sharded, reconciler_rank, submaster_rank, ReconcilerOut};
 use crate::master::{FaultNote, Master};
 use crate::messages::{Msg, WorkerSummary};
 use crate::slave::run_slave_obs;
-use crate::stats::{ClusterResult, ClusterStats};
+use crate::stats::ClusterResult;
 use crate::trace::MergeTrace;
 use pace_gst::{assign_buckets, build_in_scope_forest, count_buckets_stride, num_buckets};
 use pace_mpisim::{run_world_obs, FaultPlan, FaultSnapshot, Rank, WorldStats};
-use pace_obs::trace::{T_DISPATCH, T_HANDLE_REPORT};
+use pace_obs::trace::{flow_id, T_DISPATCH, T_HANDLE_REPORT};
 use pace_obs::{metric, Event, Obs, Timer, TraceKind};
 use pace_seq::{PackedText, SequenceStore};
 use std::time::{Duration, Instant};
@@ -45,16 +41,16 @@ use std::time::{Duration, Instant};
 /// Emit a master heartbeat every this many handled reports.
 const HEARTBEAT_EVERY: u64 = 32;
 
-/// Copies of each unacknowledged control message — a master's
-/// `Shutdown`, a worker's final `Summary`, a sub-master's `ShardDone` —
-/// sent when a fault plan is active. Bounded redundancy (three distinct
-/// transport sequence numbers) is what guarantees delivery past the
-/// bounded per-channel drop rules of seeded plans
-/// (`MAX_SEEDED_DROPS_PER_CHANNEL` in `pace-mpisim`).
-pub(crate) const REDUNDANCY: usize = 3;
+/// Copies of each unacknowledged control message — the master's
+/// `Shutdown` or a worker's final `Summary` — sent when a fault plan is
+/// active. Bounded redundancy (three distinct transport sequence
+/// numbers) is what guarantees delivery past the bounded per-channel
+/// drop rules of seeded plans (`MAX_SEEDED_DROPS_PER_CHANNEL` in
+/// `pace-mpisim`).
+const REDUNDANCY: usize = 3;
 
 /// Copies to send of one unacknowledged control message.
-pub(crate) fn copies(under_faults: bool) -> usize {
+fn copies(under_faults: bool) -> usize {
     if under_faults {
         REDUNDANCY
     } else {
@@ -62,35 +58,18 @@ pub(crate) fn copies(under_faults: bool) -> usize {
     }
 }
 
-/// What rank 0 hands to the fold.
+/// What the master at rank 0 hands to the fold.
 struct Root {
-    books: Books,
+    result: ClusterResult,
+    trace: MergeTrace,
+    /// Which slaves the master declared dead: summary collection must
+    /// not wait on those.
+    dead: Vec<bool>,
     comm: WorldStats,
     injected: FaultSnapshot,
     /// Worker summaries that arrived during the protocol, by sender rank
     /// (socket backend only; empty on threads).
     early_summaries: Vec<(usize, WorkerSummary)>,
-}
-
-/// Rank 0's books, by layout.
-enum Books {
-    /// The single master's clustering, plus which slaves it declared
-    /// dead — summary collection must not wait on those.
-    Master {
-        result: ClusterResult,
-        trace: MergeTrace,
-        dead: Vec<bool>,
-    },
-    /// The reconciler's collected shard state.
-    Reconciler(ReconcilerOut),
-}
-
-/// Per-rank output of the thread-backed world: rank 0's books, or a
-/// worker's summary (`None` for a sub-master, whose output travels to
-/// rank 0 as messages).
-enum RankOutput {
-    Root(Root),
-    Worker(Option<WorkerSummary>),
 }
 
 /// Record a worker's phase seconds, as its summary carries them, into
@@ -110,9 +89,8 @@ fn record_worker_phases(obs: &Obs, rank: usize, s: &WorkerSummary) {
     }
 }
 
-/// Cluster with `p` ranks in the layout `cfg.shards` selects: one
-/// master and `p − 1` slaves, or a reconciler, K sub-masters and
-/// `p − K − 1` slaves. `p ≤ 1` falls back to the sequential driver.
+/// Cluster with `p` ranks: one master and `p − 1` slaves. `p ≤ 1` falls
+/// back to the sequential driver.
 pub fn cluster_parallel(store: &SequenceStore, cfg: &ClusterConfig, p: usize) -> ClusterResult {
     cluster_parallel_obs(store, cfg, p, &Obs::noop()).0
 }
@@ -141,10 +119,9 @@ pub fn cluster_parallel_obs(
 
 /// [`cluster_parallel_obs`] under a deterministic [`FaultPlan`]:
 /// messages between ranks may be dropped, delayed, or silenced by an
-/// injected crash, and the masters' timeout/retry/reassignment machinery
-/// recovers. A crashed sub-master is written off by the reconciler's
-/// progress deadline and its pairs land in `faults.lost_pairs` — loud
-/// failure, never silent divergence. With an empty plan this *is*
+/// injected crash, and the master's timeout/retry/reassignment machinery
+/// recovers; pairs a crash takes with it land in `faults.lost_pairs` —
+/// loud failure, never silent divergence. With an empty plan this *is*
 /// `cluster_parallel_obs`.
 pub fn cluster_parallel_faults(
     store: &SequenceStore,
@@ -157,41 +134,32 @@ pub fn cluster_parallel_faults(
     if p <= 1 {
         return cluster_sequential_obs(store, cfg, obs);
     }
-    let topo = Topology::new(p, cfg.shards).expect("invalid rank layout");
     let total_span = obs.span(metric::PHASE_TOTAL);
 
     // Pack once, share read-only across every slave's alignment context.
     let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
 
+    // Rank 0 yields the master's books, every other rank its summary.
+    let (num_ests, packed) = (store.num_ests(), packed.as_ref());
     let under_faults = !plan.is_empty();
     let outputs = run_world_obs(p, plan, obs, |rank| {
         if rank.rank() == 0 {
-            RankOutput::Root(run_root(&rank, store, cfg, topo, under_faults, obs))
+            let books = run_master(&rank, num_ests, cfg, under_faults, obs);
+            (Some(books), None)
         } else {
-            let packed = packed.as_ref();
-            RankOutput::Worker(run_worker(
-                &rank,
-                store,
-                packed,
-                cfg,
-                topo,
-                under_faults,
-                obs,
-            ))
+            let summary = slave_rank(&rank, store, packed, cfg, obs);
+            (None, Some(summary))
         }
     });
-
+    total_span.finish();
     let mut root = None;
     let mut summaries = Vec::new();
-    for out in outputs {
-        match out {
-            RankOutput::Root(r) => root = Some(r),
-            RankOutput::Worker(s) => summaries.extend(s),
-        }
+    for (books, summary) in outputs {
+        root = root.or(books);
+        summaries.extend(summary);
     }
-    total_span.finish();
-    let root = root.expect("rank 0 always yields its books");
-    fold(store.num_ests(), topo, root, &summaries, obs)
+    let root = root.expect("rank 0 yields the master's books");
+    fold(root, &summaries, obs)
 }
 
 /// Run rank 0 of the protocol over a caller-supplied transport-backed
@@ -202,7 +170,7 @@ pub fn cluster_parallel_faults(
 /// After the protocol completes, worker summaries are collected as
 /// [`Msg::Summary`] messages within a bounded window (crashed workers
 /// never send one); the fold tolerates missing summaries by crediting
-/// the absent generator with exactly the pairs the masters received from
+/// the absent generator with exactly the pairs the master received from
 /// it, keeping flow conservation exact.
 pub fn cluster_master_transport(
     store: &SequenceStore,
@@ -213,43 +181,37 @@ pub fn cluster_master_transport(
 ) -> (ClusterResult, MergeTrace) {
     cfg.validate().expect("invalid cluster config");
     assert_eq!(rank.rank(), 0, "rank 0 runs in the launcher's process");
-    let topo = Topology::new(rank.size(), cfg.shards).expect("invalid rank layout");
+    assert!(rank.size() >= 2, "a world needs a master and a slave");
     let total_span = obs.span(metric::PHASE_TOTAL);
 
-    let mut root = run_root(rank, store, cfg, topo, under_faults, obs);
-    let summaries = collect_summaries(rank, cfg, topo, &mut root, obs);
+    let mut root = run_master(rank, store.num_ests(), cfg, under_faults, obs);
+    let summaries = collect_summaries(rank, cfg, &mut root, obs);
     total_span.finish();
-    fold(store.num_ests(), topo, root, &summaries, obs)
+    fold(root, &summaries, obs)
 }
 
 /// Collect the slaves' final summaries: the ones that arrived during the
 /// protocol plus whatever comes within a bounded window. Crashed workers
-/// never send one, and the single master's dead slaves are not waited
-/// for; the window bounds the wait if a slave dies between its
-/// `Shutdown` and its summary.
+/// never send one, and the master's dead slaves are not waited for; the
+/// window bounds the wait if a slave dies between its `Shutdown` and its
+/// summary.
 fn collect_summaries(
     rank: &Rank<Msg>,
     cfg: &ClusterConfig,
-    topo: Topology,
     root: &mut Root,
     obs: &Obs,
 ) -> Vec<WorkerSummary> {
-    let expected = match &root.books {
-        Books::Master { dead, .. } => dead.iter().filter(|d| !**d).count(),
-        Books::Reconciler(_) => topo.num_slaves(),
-    };
-    let mut slots: Vec<Option<WorkerSummary>> = vec![None; topo.num_slaves()];
+    let expected = root.dead.iter().filter(|d| !**d).count();
+    let mut slots: Vec<Option<WorkerSummary>> = vec![None; root.dead.len()];
     let mut received = 0usize;
     let mut arrived = std::mem::take(&mut root.early_summaries);
     let window = (cfg.slave_timeout * (f64::from(cfg.max_retries) + 1.0)).clamp(1.0, 10.0);
     let deadline = Instant::now() + Duration::from_secs_f64(window);
     loop {
         for (from, s) in arrived.drain(..) {
-            if let Role::Slave(idx) = topo.role_of(from) {
-                if slots[idx].is_none() {
-                    slots[idx] = Some(s);
-                    received += 1;
-                }
+            if let Some(slot @ None) = from.checked_sub(1).and_then(|idx| slots.get_mut(idx)) {
+                *slot = Some(s);
+                received += 1;
             }
         }
         let now = Instant::now();
@@ -259,8 +221,8 @@ fn collect_summaries(
         let poll = (deadline - now).min(Duration::from_millis(50));
         match rank.recv_timeout(poll) {
             Ok(Some((from, Msg::Summary(s)))) => arrived.push((from, s)),
-            // Stray copies from resend redundancy (duplicate reports,
-            // ShardDones): ignore.
+            // Stray copies from resend redundancy (duplicate reports):
+            // ignore.
             Ok(Some(_)) | Ok(None) => {}
             Err(_) => break,
         }
@@ -268,19 +230,18 @@ fn collect_summaries(
     let mut out = Vec::with_capacity(received);
     for (idx, summary) in slots.into_iter().enumerate() {
         if let Some(summary) = summary {
-            record_worker_phases(obs, topo.slave_rank(idx), &summary);
+            record_worker_phases(obs, idx + 1, &summary);
             out.push(summary);
         }
     }
     out
 }
 
-/// Run one worker rank (a sub-master or a slave, by position) over a
-/// caller-supplied transport-backed [`Rank`]. A slave ends by sending its
-/// [`Msg::Summary`] to rank 0 (skipped when an injected crash severed
-/// the connection — the fold tolerates the gap). Returns whether this
-/// rank crashed, which the worker process turns into its
-/// [`pace_mpisim::INJECTED_CRASH_EXIT`] status.
+/// Run one slave rank over a caller-supplied transport-backed [`Rank`].
+/// The slave ends by sending its [`Msg::Summary`] to rank 0 (skipped
+/// when an injected crash severed the connection — the fold tolerates
+/// the gap). Returns whether this rank crashed, which the worker process
+/// turns into its [`pace_mpisim::INJECTED_CRASH_EXIT`] status.
 pub fn cluster_worker_transport(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -290,11 +251,9 @@ pub fn cluster_worker_transport(
 ) -> bool {
     cfg.validate().expect("invalid cluster config");
     assert!(rank.rank() >= 1, "rank 0 runs in the launcher's process");
-    let topo = Topology::new(rank.size(), cfg.shards).expect("invalid rank layout");
-    let is_slave = matches!(topo.role_of(rank.rank()), Role::Slave(_));
-    let packed = (is_slave && cfg.packed_alignment).then(|| PackedText::from_store(store));
-    let out = run_worker(rank, store, packed.as_ref(), cfg, topo, under_faults, obs);
-    if let (Some(mut summary), false) = (out, rank.crashed()) {
+    let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
+    let mut summary = slave_rank(rank, store, packed.as_ref(), cfg, obs);
+    if !rank.crashed() {
         let injected = rank.fault_stats();
         summary.injected_drops = injected.dropped;
         summary.injected_delays = injected.delayed;
@@ -307,138 +266,45 @@ pub fn cluster_worker_transport(
     rank.crashed()
 }
 
-/// Rank 0: the single master, or the reconciler of a sharded world.
-/// Either holds no input share, so it joins the partitioning collective
-/// with a zero contribution first.
-fn run_root(
+/// The paper's master at rank 0. It holds no input share, so it joins
+/// the partitioning collective with a zero contribution and waits at the
+/// barrier while the slaves build their forests. Then it runs the
+/// protocol loop: fold each report into `CLUSTERS` and dispatch its
+/// successor, sweep deadlines, surface recovery actions as fault events
+/// and progress as heartbeats, and stream a `merge` event for every
+/// union as it happens, until it has shut its slaves down. Worker
+/// summaries that arrive during the loop (socket backend: a slave can
+/// finish while the others are still being shut down) are kept for the
+/// fold.
+fn run_master(
     rank: &Rank<Msg>,
-    store: &SequenceStore,
+    num_ests: usize,
     cfg: &ClusterConfig,
-    topo: Topology,
     under_faults: bool,
     obs: &Obs,
 ) -> Root {
-    join_partitioning(rank, cfg, obs);
-    let (books, early_summaries) = match topo.role_of(0) {
-        Role::Master(_) => single_master(rank, store.num_ests(), cfg, topo, under_faults, obs),
-        Role::Reconciler => {
-            let (recon, early) =
-                reconciler_rank(rank, store.num_ests(), cfg, topo, under_faults, obs);
-            (Books::Reconciler(recon), early)
-        }
-        Role::Slave(_) => unreachable!("rank 0 is never a slave"),
-    };
-    Root {
-        books,
-        comm: rank.stats(),
-        injected: rank.fault_stats(),
-        early_summaries,
-    }
-}
-
-/// Ranks `1..p`: a sub-master, whose output travels to rank 0 as
-/// messages, or a slave, which returns its summary.
-fn run_worker(
-    rank: &Rank<Msg>,
-    store: &SequenceStore,
-    packed: Option<&PackedText>,
-    cfg: &ClusterConfig,
-    topo: Topology,
-    under_faults: bool,
-    obs: &Obs,
-) -> Option<WorkerSummary> {
-    match topo.role_of(rank.rank()) {
-        Role::Master(shard) => {
-            join_partitioning(rank, cfg, obs);
-            submaster_rank(rank, store.num_ests(), cfg, topo, shard, under_faults, obs);
-            None
-        }
-        Role::Slave(idx) => Some(slave_rank(rank, store, packed, cfg, topo, idx, obs)),
-        Role::Reconciler => unreachable!("the reconciler is rank 0"),
-    }
-}
-
-/// A rank with no input share (a master or the reconciler) joins the
-/// partitioning collective with a zero contribution, then waits at the
-/// barrier while the slaves build their forests.
-fn join_partitioning(rank: &Rank<Msg>, cfg: &ClusterConfig, obs: &Obs) {
-    let span = obs.span_on(metric::PHASE_PARTITIONING, rank.rank());
+    let me = rank.rank();
+    let span = obs.span_on(metric::PHASE_PARTITIONING, me);
     let zeros = vec![0u64; num_buckets(cfg.window_w)];
     let _global_counts = rank.allreduce_sum(&zeros);
     span.finish();
     rank.barrier();
-}
 
-/// The paper's master at rank 0: the protocol loop over the flat
-/// `CLUSTERS`, streaming a `merge` event for every union as it happens.
-fn single_master(
-    rank: &Rank<Msg>,
-    num_ests: usize,
-    cfg: &ClusterConfig,
-    topo: Topology,
-    under_faults: bool,
-    obs: &Obs,
-) -> (Books, Vec<(usize, WorkerSummary)>) {
-    let mut master = Master::new(num_ests, topo.num_slaves(), cfg.clone());
-    let mut merges_emitted = 0;
-    let (busy_frac, early) = run_master(rank, topo, &mut master, cfg, under_faults, obs, |m, _| {
-        emit_merges(obs, &m.core.trace.records()[merges_emitted..]);
-        merges_emitted = m.core.trace.len();
-    });
-    let dead = (0..topo.num_slaves()).map(|s| master.is_dead(s)).collect();
-    let (mut result, trace) = master.core.into_result();
-    result.stats.master_busy_frac = busy_frac;
-    (
-        Books::Master {
-            result,
-            trace,
-            dead,
-        },
-        early,
-    )
-}
-
-/// The protocol loop every master runs — the single master at rank 0
-/// and each sub-master alike: fold each report and dispatch its
-/// successor, sweep deadlines, surface recovery actions as fault events
-/// and progress as heartbeats, until the master has shut its slaves
-/// down. `after_report` is the one step that differs between them; it
-/// runs after every handled report with the count so far. Returns the
-/// loop's busy fraction and any worker summaries that arrived during it
-/// (socket backend: a slave can finish while the others are still being
-/// shut down).
-pub(crate) fn run_master<S: ClusterSets>(
-    rank: &Rank<Msg>,
-    topo: Topology,
-    master: &mut Master<S>,
-    cfg: &ClusterConfig,
-    under_faults: bool,
-    obs: &Obs,
-    mut after_report: impl FnMut(&mut Master<S>, u64),
-) -> (f64, Vec<(usize, WorkerSummary)>) {
-    let me = rank.rank();
-    let Role::Master(session) = topo.role_of(me) else {
-        unreachable!("rank {me} is not a master")
-    };
-    // Fault-event details name the shard of a sharded world.
-    let who = if topo.role_of(0) == Role::Reconciler {
-        format!("shard {session}: ")
-    } else {
-        String::new()
-    };
+    let num_slaves = rank.size() - 1;
+    let mut master = Master::new(num_ests, num_slaves, cfg.clone());
     master.begin(obs.now());
     // Wake at a quarter of the slave timeout so overdue batches are
     // noticed promptly without busy-spinning.
     let poll = Duration::from_secs_f64((cfg.slave_timeout / 4.0).clamp(0.001, 0.05));
     let send_replies = |replies: Vec<(usize, Msg)>| {
         for (slave, reply) in replies {
-            // A dispatched batch opens a causal flow keyed on (session,
-            // slave, seq); the slave's report closes it. Resends re-open
-            // the same id, so the arrow tracks the delivery that worked.
+            // A dispatched batch opens a causal flow keyed on (slave,
+            // seq); the slave's report closes it. Resends re-open the
+            // same id, so the arrow tracks the delivery that worked.
             if let Msg::Work { seq, pairs, .. } = &reply {
                 obs.trace_with(|tracer| {
                     let t = obs.now_us();
-                    let id = topo.flow_id(session, slave, *seq);
+                    let id = flow_id(slave, *seq);
                     tracer.flow(TraceKind::FlowStart, me, t, id);
                     tracer.instant(me, T_DISPATCH, t, id, pairs.len() as u64);
                 });
@@ -449,7 +315,7 @@ pub(crate) fn run_master<S: ClusterSets>(
                 Msg::Shutdown => copies(under_faults),
                 _ => 1,
             };
-            let to = topo.slave_rank(slave);
+            let to = slave + 1;
             for _ in 1..n {
                 rank.send(to, reply.clone());
             }
@@ -461,6 +327,7 @@ pub(crate) fn run_master<S: ClusterSets>(
     let mut reports = 0u64;
     let mut hb_last_t = loop_t0;
     let mut hb_last_processed = 0u64;
+    let mut merges_emitted = 0;
     let mut early_summaries = Vec::new();
     while !master.is_done() {
         let mut got_report = false;
@@ -474,9 +341,7 @@ pub(crate) fn run_master<S: ClusterSets>(
                         pairs,
                         exhausted,
                     } => {
-                        let Role::Slave(slave) = topo.role_of(from) else {
-                            unreachable!("report from non-slave rank {from}")
-                        };
+                        let slave = from - 1;
                         got_report = true;
                         let t0_us = obs.trace_enabled().then(|| obs.now_us());
                         send_replies(master.handle_report(
@@ -490,7 +355,7 @@ pub(crate) fn run_master<S: ClusterSets>(
                         if let Some(t0) = t0_us {
                             obs.trace_with(|tracer| {
                                 let end = obs.now_us();
-                                let id = topo.flow_id(session, slave, seq);
+                                let id = flow_id(slave, seq);
                                 // The span covers both folding the report
                                 // in and dispatching its successor, so the
                                 // flow end and the next flow start land
@@ -533,23 +398,21 @@ pub(crate) fn run_master<S: ClusterSets>(
                     FaultNote::Resend { slave, seq, retry } => (
                         "resend",
                         Some(seq),
-                        format!("{who}slave {slave} seq {seq} retry {retry}"),
+                        format!("slave {slave} seq {seq} retry {retry}"),
                     ),
                     FaultNote::DeadSlave { slave, reassigned } => (
                         "dead_slave",
                         None,
-                        format!("{who}slave {slave}, {reassigned} pairs reassigned"),
+                        format!("slave {slave}, {reassigned} pairs reassigned"),
                     ),
                     FaultNote::DuplicateReport { slave, seq } => (
                         "duplicate_report",
                         Some(seq),
-                        format!("{who}slave {slave} seq {seq}"),
+                        format!("slave {slave} seq {seq}"),
                     ),
-                    FaultNote::Abandoned { pairs } => (
-                        "abandoned",
-                        None,
-                        format!("{who}{pairs} pairs, no live slaves"),
-                    ),
+                    FaultNote::Abandoned { pairs } => {
+                        ("abandoned", None, format!("{pairs} pairs, no live slaves"))
+                    }
                 };
                 obs.trace_with(|tracer| {
                     tracer.instant(me, tracer.intern(kind), obs.now_us(), seq.unwrap_or(0), 0);
@@ -565,7 +428,8 @@ pub(crate) fn run_master<S: ClusterSets>(
         }
         if got_report {
             reports += 1;
-            after_report(master, reports);
+            emit_merges(obs, &master.core.trace.records()[merges_emitted..]);
+            merges_emitted = master.core.trace.len();
         }
         if obs.events_enabled() && got_report && reports.is_multiple_of(HEARTBEAT_EVERY) {
             let now = obs.now();
@@ -584,7 +448,17 @@ pub(crate) fn run_master<S: ClusterSets>(
         }
     }
     let loop_total = (obs.now() - loop_t0).max(f64::EPSILON);
-    (busy.secs() / loop_total, early_summaries)
+    let dead = (0..num_slaves).map(|s| master.is_dead(s)).collect();
+    let (mut result, trace) = master.core.into_result();
+    result.stats.master_busy_frac = busy.secs() / loop_total;
+    Root {
+        result,
+        trace,
+        dead,
+        comm: rank.stats(),
+        injected: rank.fault_stats(),
+        early_summaries,
+    }
 }
 
 /// A slave rank: count its share of the suffixes, combine the counts,
@@ -595,11 +469,9 @@ fn slave_rank(
     store: &SequenceStore,
     packed: Option<&PackedText>,
     cfg: &ClusterConfig,
-    topo: Topology,
-    slave_id: usize,
     obs: &Obs,
 ) -> WorkerSummary {
-    let num_slaves = topo.num_slaves();
+    let (slave_id, num_slaves) = (rank.rank() - 1, rank.size() - 1);
 
     // Phase 1: partitioning — count my share, combine, assign.
     let span = obs.span_on(metric::PHASE_PARTITIONING, rank.rank());
@@ -616,7 +488,7 @@ fn slave_rank(
     rank.barrier();
 
     // Phases 3–4: the slave protocol.
-    let summary = run_slave_obs(rank, topo, store, packed, &forest, cfg, obs);
+    let summary = run_slave_obs(rank, store, packed, &forest, cfg, obs);
     WorkerSummary {
         partitioning,
         gst_construction,
@@ -624,47 +496,20 @@ fn slave_rank(
     }
 }
 
-/// Fold rank 0's books and the arrived worker summaries into one result.
-fn fold(
-    num_ests: usize,
-    topo: Topology,
-    root: Root,
-    summaries: &[WorkerSummary],
-    obs: &Obs,
-) -> (ClusterResult, MergeTrace) {
+/// Fold the master's books and the arrived worker summaries into one
+/// result: credit the summaries to the pair counters with exact
+/// pair-flow conservation, then publish rank 0's communication counters,
+/// the injector counters (rank 0's plus every summary's) and the run's
+/// pair and fault counters.
+fn fold(root: Root, summaries: &[WorkerSummary], obs: &Obs) -> (ClusterResult, MergeTrace) {
     let Root {
-        books,
+        mut result,
+        trace,
         comm,
-        injected,
+        mut injected,
         ..
     } = root;
-    match books {
-        Books::Master {
-            mut result, trace, ..
-        } => {
-            // Master-side `pairs_generated` counts pairs *received* in
-            // reports; the tail replaces it with the generator totals,
-            // the shortfall becoming `faults.lost_pairs`.
-            fold_summaries(&mut result.stats, summaries, comm, injected, obs);
-            (result, trace)
-        }
-        Books::Reconciler(recon) => {
-            fold_sharded(num_ests, topo, recon, summaries, comm, injected, obs)
-        }
-    }
-}
-
-/// The fold tail both layouts share: credit the arrived worker summaries
-/// to `stats` with exact pair-flow conservation, then publish rank 0's
-/// communication counters, the injector counters (`injected` plus every
-/// summary's) and the run's pair and fault counters.
-pub(crate) fn fold_summaries(
-    stats: &mut ClusterStats,
-    summaries: &[WorkerSummary],
-    comm: WorldStats,
-    mut injected: FaultSnapshot,
-    obs: &Obs,
-) {
+    let stats = &mut result.stats;
     let (mut generated, mut unconsumed, mut prefiltered, mut ws_reuses) = (0u64, 0u64, 0u64, 0u64);
     for s in summaries {
         generated += s.gen_emitted;
@@ -677,10 +522,10 @@ pub(crate) fn fold_summaries(
         injected.delayed += s.injected_delays;
         injected.stalls += s.injected_stalls;
     }
-    // Pairs the generators emitted that were neither resolved by a
+    // Pairs the generators emitted that were neither resolved by the
     // master (processed or skipped) nor still buffered on a slave were
-    // lost to injected faults: dropped in flight, held by a slave that
-    // died, or owned by a written-off shard. Folding them into
+    // lost to injected faults: dropped in flight, or held by a slave
+    // that died. Folding them into
     // `pairs_unconsumed` keeps `generated == processed + skipped +
     // unconsumed` exact under every schedule. Fault-free runs — and
     // drop/delay-only plans, whose every report is eventually delivered
@@ -688,9 +533,9 @@ pub(crate) fn fold_summaries(
     // non-tautological form of conservation.
     //
     // On the socket backend a crashed worker's summary never arrives,
-    // so `generated` can undercount what the masters actually received;
+    // so `generated` can undercount what the master actually received;
     // the max() restores conservation by crediting the missing generator
-    // with exactly the pairs the masters saw from it.
+    // with exactly the pairs the master saw from it.
     let resolved = stats.pairs_processed + stats.pairs_skipped + unconsumed;
     let generated = generated.max(resolved);
     stats.faults.lost_pairs = generated - resolved;
@@ -708,11 +553,12 @@ pub(crate) fn fold_summaries(
     reg.add(metric::FAULTS_INJECTED_DELAYS, injected.delayed);
     reg.add(metric::FAULTS_INJECTED_CRASHES, injected.crashes);
     reg.add(metric::FAULTS_INJECTED_STALLS, injected.stalls);
-    // Every result a master folded in came off a slave's long-lived
+    // Every result the master folded in came off a slave's long-lived
     // workspace, so this equals `pairs.processed` by construction.
     reg.add(metric::ALIGN_WS_REUSES, ws_reuses);
     record_cluster_counters(obs, stats);
     obs.flush();
+    (result, trace)
 }
 
 #[cfg(test)]

@@ -20,12 +20,9 @@
 //! Two drivers expose the engine: [`driver_seq`] runs master logic inline
 //! with one in-process generator (the reference implementation), and
 //! [`driver_par`] runs the full message protocol over `p` ranks of the
-//! thread-backed MPI substitute, in the rank layout `cfg.shards` selects
-//! ([`Topology`]): the paper's single master at rank 0, or `K`
-//! id-range sub-masters under a reconciler ([`driver_sharded`]). Either
-//! way every master runs one protocol loop and every slave one slave
-//! loop; a single-master slave is the one-session case of the loop that
-//! serves `K` sub-masters. The same protocol also runs over any
+//! thread-backed MPI substitute, in the paper's layout: the master at
+//! rank 0 and slaves at ranks `1..p`, each slave speaking one protocol
+//! session with one `PAIRBUF`. The same protocol also runs over any
 //! [`pace_mpisim::Transport`]: [`cluster_master_transport`] and
 //! [`cluster_worker_transport`] drive one rank each over a
 //! caller-supplied `Rank<Msg>` (the multi-process socket path), with
@@ -36,7 +33,6 @@ pub mod cluster_core;
 pub mod config;
 pub mod driver_par;
 pub mod driver_seq;
-pub mod driver_sharded;
 pub mod master;
 pub mod messages;
 pub mod slave;
@@ -45,8 +41,8 @@ pub mod trace;
 pub mod wire_msg;
 
 pub use align_task::{align_pair, AlignContext, PairOutcome};
-pub use cluster_core::{ClusterCore, ClusterSets};
-pub use config::{ClusterConfig, Role, Topology};
+pub use cluster_core::ClusterCore;
+pub use config::ClusterConfig;
 pub use driver_par::{
     cluster_master_transport, cluster_parallel, cluster_parallel_faults, cluster_parallel_obs,
     cluster_parallel_traced, cluster_worker_transport,
@@ -56,6 +52,6 @@ pub use driver_seq::{
     record_cluster_counters, record_forest_shape, record_gst_stats, record_pair_counters,
 };
 pub use master::FaultNote;
-pub use messages::{Msg, ShardReport, WorkerSummary};
+pub use messages::{Msg, WorkerSummary};
 pub use stats::{ClusterResult, ClusterStats, FaultStats};
 pub use trace::{MergeRecord, MergeTrace};

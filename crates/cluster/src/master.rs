@@ -30,7 +30,7 @@
 //! state (or, as an earlier version did, tripping an assertion).
 
 use crate::align_task::PairOutcome;
-use crate::cluster_core::{ClusterCore, ClusterSets};
+use crate::cluster_core::ClusterCore;
 use crate::config::ClusterConfig;
 use crate::messages::Msg;
 use pace_dsu::DisjointSets;
@@ -83,15 +83,11 @@ struct SlaveLink {
 }
 
 /// Master state: `CLUSTERS` + `WORKBUF` + flow control + recovery.
-///
-/// Generic over the cluster structure so the same protocol machine runs
-/// both as the flat single master (`Master<DisjointSets>`, the default)
-/// and as a sharded sub-master over an id-range view.
-pub struct Master<S: ClusterSets = DisjointSets> {
+pub struct Master {
     /// `CLUSTERS`, the merge trace and the counters. `pairs_generated`
     /// counts the pairs *received* in reports — under message loss this
     /// is less than what the generators emitted; the driver reconciles.
-    pub core: ClusterCore<S>,
+    pub core: ClusterCore,
     workbuf: VecDeque<CandidatePair>,
     cfg: ClusterConfig,
     num_slaves: usize,
@@ -111,18 +107,9 @@ impl Master {
     /// sequence number 0. Deadlines stay unarmed (infinite) until
     /// [`Master::begin`].
     pub fn new(num_ests: usize, num_slaves: usize, cfg: ClusterConfig) -> Self {
-        Master::with_sets(DisjointSets::new(num_ests), num_slaves, cfg)
-    }
-}
-
-impl<S: ClusterSets> Master<S> {
-    /// A master over an arbitrary cluster structure (used by the sharded
-    /// driver with a [`ShardDsu`](pace_dsu::ShardDsu) id-range view).
-    /// Same protocol state as [`Master::new`].
-    pub fn with_sets(sets: S, num_slaves: usize, cfg: ClusterConfig) -> Self {
         assert!(num_slaves > 0, "need at least one slave");
         Master {
-            core: ClusterCore::new(sets, &cfg),
+            core: ClusterCore::new(DisjointSets::new(num_ests), &cfg),
             workbuf: VecDeque::new(),
             cfg,
             num_slaves,

@@ -1,7 +1,6 @@
 //! The master–slave message protocol.
 
 use crate::align_task::PairOutcome;
-use crate::trace::MergeRecord;
 use pace_pairgen::CandidatePair;
 
 /// A worker's end-of-run accounting, shipped to the master as a
@@ -48,61 +47,6 @@ pub struct WorkerSummary {
     pub injected_delays: u64,
     /// See `injected_drops`.
     pub injected_stalls: u64,
-    /// Pairs this worker's generator emitted, indexed by owning session
-    /// (one entry, equal to `gen_emitted`, on single-master runs).
-    /// Summed across workers this is each shard's `generated` side of
-    /// the per-shard flow conservation law.
-    pub gen_by_owner: Vec<u64>,
-    /// Pairs still buffered for each session at shutdown (the
-    /// per-session split of `unconsumed`; one entry on single-master
-    /// runs).
-    pub unconsumed_by_owner: Vec<u64>,
-}
-
-/// A sub-master's end-of-run accounting, shipped to the reconciler in a
-/// [`Msg::ShardDone`] together with the shard's merge records. The
-/// records are authoritative: the reconciler rebuilds the global
-/// partition by replaying them, so a lost incremental
-/// [`Msg::CrossMerge`] can never change the result.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ShardReport {
-    /// Every merge this shard performed (local and cross-shard), in
-    /// order. Replayed by the reconciler to build the final partition.
-    pub records: Vec<MergeRecord>,
-    /// Pairs received in reports (this shard's `pairs_generated`).
-    pub pairs_received: u64,
-    /// Pairs aligned (result outcomes folded).
-    pub pairs_processed: u64,
-    /// Accepted alignments.
-    pub pairs_accepted: u64,
-    /// Pairs skipped as already-clustered (plus abandoned ones).
-    pub pairs_skipped: u64,
-    /// Merges counted by this shard (local unions + distinct cross edges).
-    pub merges: u64,
-    /// Distinct cross-shard edges logged.
-    pub cross_edges: u64,
-    /// Epoch barriers at which cross edges were flushed.
-    pub epochs: u64,
-    /// Fault counters, mirrored from this shard's `FaultStats`.
-    pub retries: u64,
-    /// See `retries`.
-    pub duplicate_reports: u64,
-    /// See `retries`.
-    pub dead_slaves: u64,
-    /// See `retries`.
-    pub reassigned_pairs: u64,
-    /// See `retries`.
-    pub abandoned_pairs: u64,
-    /// Messages this sub-master's own sends dropped under an injected
-    /// fault plan (its rank is a sender too — without these the global
-    /// `faults.injected.*` ledger undercounts).
-    pub injected_drops: u64,
-    /// See `injected_drops`.
-    pub injected_delays: u64,
-    /// See `injected_drops`.
-    pub injected_stalls: u64,
-    /// Fraction of wall time this sub-master spent handling reports.
-    pub busy_frac: f64,
 }
 
 /// Messages flowing in either direction (the mpisim channel is typed with
@@ -144,28 +88,6 @@ pub enum Msg {
     /// Slave → master, after `Shutdown`: final accounting for the fold
     /// (multi-process runs only; thread worlds join instead).
     Summary(WorkerSummary),
-    /// Sub-master → reconciler: cross-shard merge edges flushed at an
-    /// epoch barrier. Incremental and advisory — the reconciler folds
-    /// them into its running global DSU for observability, but the
-    /// final partition comes from [`Msg::ShardDone`] records, so a
-    /// dropped `CrossMerge` is harmless.
-    CrossMerge {
-        /// Originating shard index.
-        shard: u32,
-        /// This shard's epoch counter at the flush.
-        epoch: u64,
-        /// Normalized `(min, max)` EST-id edges, deduplicated per shard.
-        edges: Vec<(u32, u32)>,
-    },
-    /// Sub-master → reconciler: this shard finished; its merge records
-    /// and accounting (sent with redundancy under faults, deduplicated
-    /// by shard index at the reconciler).
-    ShardDone {
-        /// Originating shard index.
-        shard: u32,
-        /// The shard's authoritative record of what happened.
-        report: ShardReport,
-    },
 }
 
 impl Msg {
@@ -176,8 +98,6 @@ impl Msg {
             Msg::Work { .. } => "Work",
             Msg::Shutdown => "Shutdown",
             Msg::Summary(_) => "Summary",
-            Msg::CrossMerge { .. } => "CrossMerge",
-            Msg::ShardDone { .. } => "ShardDone",
         }
     }
 }
@@ -208,22 +128,6 @@ mod tests {
             "Work"
         );
         assert_eq!(Msg::Shutdown.kind(), "Shutdown");
-        assert_eq!(
-            Msg::CrossMerge {
-                shard: 0,
-                epoch: 0,
-                edges: vec![]
-            }
-            .kind(),
-            "CrossMerge"
-        );
-        assert_eq!(
-            Msg::ShardDone {
-                shard: 0,
-                report: ShardReport::default()
-            }
-            .kind(),
-            "ShardDone"
-        );
+        assert_eq!(Msg::Summary(WorkerSummary::default()).kind(), "Summary");
     }
 }

@@ -7,8 +7,7 @@
 //! little-endian, `u32` length prefixes, floats as IEEE-754 bits.
 
 use crate::align_task::PairOutcome;
-use crate::messages::{Msg, ShardReport, WorkerSummary};
-use crate::trace::MergeRecord;
+use crate::messages::{Msg, WorkerSummary};
 use pace_mpisim::wire::{Wire, WireError, WireReader};
 use pace_pairgen::CandidatePair;
 use pace_seq::StrId;
@@ -17,17 +16,11 @@ use pace_seq::StrId;
 const PAIR_BYTES: usize = 20;
 /// Bytes of one encoded [`PairOutcome`]: pair + bool + f64 bits.
 const OUTCOME_BYTES: usize = PAIR_BYTES + 1 + 8;
-/// Bytes of one encoded [`MergeRecord`]: two `u64` ids + `u32` + f64 bits.
-const RECORD_BYTES: usize = 8 + 8 + 4 + 8;
-/// Bytes of one encoded cross edge: two `u32` ids.
-const EDGE_BYTES: usize = 8;
 
 const TAG_REPORT: u8 = 0;
 const TAG_WORK: u8 = 1;
 const TAG_SHUTDOWN: u8 = 2;
 const TAG_SUMMARY: u8 = 3;
-const TAG_CROSS_MERGE: u8 = 4;
-const TAG_SHARD_DONE: u8 = 5;
 
 fn encode_pair(p: &CandidatePair, out: &mut Vec<u8>) {
     p.s1.0.encode(out);
@@ -45,23 +38,6 @@ fn decode_pair(r: &mut WireReader<'_>) -> Result<CandidatePair, WireError> {
         off2: r.u32()?,
         mcs_len: r.u32()?,
     })
-}
-
-fn encode_u64s(v: &[u64], out: &mut Vec<u8>) {
-    let n = u32::try_from(v.len()).expect("u64 vector too long for wire format");
-    n.encode(out);
-    for x in v {
-        x.encode(out);
-    }
-}
-
-fn decode_u64s(r: &mut WireReader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = r.len_prefix(8)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.u64()?);
-    }
-    Ok(v)
 }
 
 fn encode_pairs(pairs: &[CandidatePair], out: &mut Vec<u8>) {
@@ -112,93 +88,6 @@ fn decode_outcomes(r: &mut WireReader<'_>) -> Result<Vec<PairOutcome>, WireError
     Ok(out)
 }
 
-fn encode_records(records: &[MergeRecord], out: &mut Vec<u8>) {
-    let n = u32::try_from(records.len()).expect("merge trace too long for wire format");
-    n.encode(out);
-    for rec in records {
-        rec.est_a.encode(out);
-        rec.est_b.encode(out);
-        rec.mcs_len.encode(out);
-        rec.score_ratio.encode(out);
-    }
-}
-
-fn decode_records(r: &mut WireReader<'_>) -> Result<Vec<MergeRecord>, WireError> {
-    let n = r.len_prefix(RECORD_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(MergeRecord {
-            est_a: usize::decode(r)?,
-            est_b: usize::decode(r)?,
-            mcs_len: u32::decode(r)?,
-            score_ratio: f64::decode(r)?,
-        });
-    }
-    Ok(out)
-}
-
-fn encode_edges(edges: &[(u32, u32)], out: &mut Vec<u8>) {
-    let n = u32::try_from(edges.len()).expect("cross-edge batch too long for wire format");
-    n.encode(out);
-    for &(a, b) in edges {
-        a.encode(out);
-        b.encode(out);
-    }
-}
-
-fn decode_edges(r: &mut WireReader<'_>) -> Result<Vec<(u32, u32)>, WireError> {
-    let n = r.len_prefix(EDGE_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.u32()?, r.u32()?));
-    }
-    Ok(out)
-}
-
-impl Wire for ShardReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_records(&self.records, out);
-        self.pairs_received.encode(out);
-        self.pairs_processed.encode(out);
-        self.pairs_accepted.encode(out);
-        self.pairs_skipped.encode(out);
-        self.merges.encode(out);
-        self.cross_edges.encode(out);
-        self.epochs.encode(out);
-        self.retries.encode(out);
-        self.duplicate_reports.encode(out);
-        self.dead_slaves.encode(out);
-        self.reassigned_pairs.encode(out);
-        self.abandoned_pairs.encode(out);
-        self.injected_drops.encode(out);
-        self.injected_delays.encode(out);
-        self.injected_stalls.encode(out);
-        self.busy_frac.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ShardReport {
-            records: decode_records(r)?,
-            pairs_received: u64::decode(r)?,
-            pairs_processed: u64::decode(r)?,
-            pairs_accepted: u64::decode(r)?,
-            pairs_skipped: u64::decode(r)?,
-            merges: u64::decode(r)?,
-            cross_edges: u64::decode(r)?,
-            epochs: u64::decode(r)?,
-            retries: u64::decode(r)?,
-            duplicate_reports: u64::decode(r)?,
-            dead_slaves: u64::decode(r)?,
-            reassigned_pairs: u64::decode(r)?,
-            abandoned_pairs: u64::decode(r)?,
-            injected_drops: u64::decode(r)?,
-            injected_delays: u64::decode(r)?,
-            injected_stalls: u64::decode(r)?,
-            busy_frac: f64::decode(r)?,
-        })
-    }
-}
-
 impl Wire for WorkerSummary {
     fn encode(&self, out: &mut Vec<u8>) {
         self.gen_nodes_processed.encode(out);
@@ -216,8 +105,6 @@ impl Wire for WorkerSummary {
         self.injected_drops.encode(out);
         self.injected_delays.encode(out);
         self.injected_stalls.encode(out);
-        encode_u64s(&self.gen_by_owner, out);
-        encode_u64s(&self.unconsumed_by_owner, out);
         self.pair_generation.encode(out);
     }
 
@@ -238,8 +125,6 @@ impl Wire for WorkerSummary {
             injected_drops: u64::decode(r)?,
             injected_delays: u64::decode(r)?,
             injected_stalls: u64::decode(r)?,
-            gen_by_owner: decode_u64s(r)?,
-            unconsumed_by_owner: decode_u64s(r)?,
             pair_generation: f64::decode(r)?,
         })
     }
@@ -275,21 +160,6 @@ impl Wire for Msg {
                 TAG_SUMMARY.encode(out);
                 s.encode(out);
             }
-            Msg::CrossMerge {
-                shard,
-                epoch,
-                edges,
-            } => {
-                TAG_CROSS_MERGE.encode(out);
-                shard.encode(out);
-                epoch.encode(out);
-                encode_edges(edges, out);
-            }
-            Msg::ShardDone { shard, report } => {
-                TAG_SHARD_DONE.encode(out);
-                shard.encode(out);
-                report.encode(out);
-            }
         }
     }
 
@@ -308,15 +178,6 @@ impl Wire for Msg {
             }),
             TAG_SHUTDOWN => Ok(Msg::Shutdown),
             TAG_SUMMARY => Ok(Msg::Summary(WorkerSummary::decode(r)?)),
-            TAG_CROSS_MERGE => Ok(Msg::CrossMerge {
-                shard: u32::decode(r)?,
-                epoch: u64::decode(r)?,
-                edges: decode_edges(r)?,
-            }),
-            TAG_SHARD_DONE => Ok(Msg::ShardDone {
-                shard: u32::decode(r)?,
-                report: ShardReport::decode(r)?,
-            }),
             t => Err(WireError(format!("unknown Msg tag {t:#04x}"))),
         }
     }
@@ -384,78 +245,21 @@ mod tests {
                 injected_drops: 9,
                 injected_delays: 10,
                 injected_stalls: 11,
-                gen_by_owner: vec![12, 0, 13],
-                unconsumed_by_owner: vec![1, 0, 2],
                 pair_generation: 0.75,
             }),
-            Msg::CrossMerge {
-                shard: 2,
-                epoch: 7,
-                edges: vec![(3, 41), (5, 38)],
-            },
-            Msg::CrossMerge {
-                shard: 0,
-                epoch: 0,
-                edges: vec![],
-            },
-            Msg::ShardDone {
-                shard: 1,
-                report: ShardReport {
-                    records: vec![
-                        MergeRecord {
-                            est_a: 4,
-                            est_b: 17,
-                            mcs_len: 23,
-                            score_ratio: 0.97,
-                        },
-                        MergeRecord {
-                            est_a: 9,
-                            est_b: 40,
-                            mcs_len: 31,
-                            score_ratio: 1.0,
-                        },
-                    ],
-                    pairs_received: 12,
-                    pairs_processed: 11,
-                    pairs_accepted: 5,
-                    pairs_skipped: 1,
-                    merges: 2,
-                    cross_edges: 1,
-                    epochs: 3,
-                    retries: 1,
-                    duplicate_reports: 2,
-                    dead_slaves: 0,
-                    reassigned_pairs: 0,
-                    abandoned_pairs: 0,
-                    injected_drops: 3,
-                    injected_delays: 1,
-                    injected_stalls: 0,
-                    busy_frac: 0.5,
-                },
-            },
-            Msg::ShardDone {
-                shard: 0,
-                report: ShardReport::default(),
-            },
         ]
     }
 
-    /// Every message kind, and the summaries two of them carry, through
-    /// the shared wire drill. None of these types is `PartialEq` (they
-    /// carry f64 scores), so the drill's re-encoding check is the round
-    /// trip.
+    /// Every message kind, and the summary one of them carries, through
+    /// the shared wire drill. `Msg` is not `PartialEq` (it carries f64
+    /// scores), so the drill's re-encoding check is its round trip; the
+    /// summary is also compared with its sample.
     #[test]
     fn every_message_kind_passes_the_wire_drill() {
         for msg in sample_msgs() {
             drill(&msg);
-            match &msg {
-                Msg::Summary(summary) => {
-                    drill(summary);
-                }
-                Msg::ShardDone { report, .. } => {
-                    drill(report);
-                }
-                _ => {}
+            if let Msg::Summary(summary) = &msg {
+                assert_eq!(&drill(summary), summary);
             }
         }
     }

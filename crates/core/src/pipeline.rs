@@ -1,6 +1,6 @@
 //! The one-call clustering pipeline.
 
-use pace_cluster::{cluster_parallel_faults, ClusterConfig, ClusterResult, MergeTrace, Topology};
+use pace_cluster::{cluster_parallel_faults, ClusterConfig, ClusterResult, MergeTrace};
 use pace_mpisim::FaultPlan;
 use pace_obs::Obs;
 use pace_quality::QualityMetrics;
@@ -13,8 +13,8 @@ pub struct PaceConfig {
     /// Clustering engine configuration (window, ψ, batchsize, scoring…).
     pub cluster: ClusterConfig,
     /// Ranks to run: 1 = sequential; `p ≥ 2` = the parallel driver on
-    /// the thread-backed message-passing runtime, in the rank layout
-    /// `cluster.shards` selects (one master + `p − 1` slaves by default).
+    /// the thread-backed message-passing runtime, with the master at
+    /// rank 0 and `p − 1` slaves.
     pub num_processors: usize,
     /// Deterministic fault-injection plan for the message-passing
     /// runtime (drops, delays, crashes, stalls). The default empty plan
@@ -51,18 +51,12 @@ impl PaceConfig {
         }
     }
 
-    /// Check the engine settings and the world: at least one rank, and
-    /// a sharded world large enough for its layout ([`Topology::new`]
-    /// holds the rule). A single-master run with one rank is the
-    /// sequential driver.
+    /// Check the engine settings and the world: at least one rank. A
+    /// run with one rank is the sequential driver.
     pub fn validate(&self) -> Result<(), PaceError> {
         self.cluster.validate().map_err(PaceError::BadConfig)?;
         if self.num_processors == 0 {
             return Err(PaceError::BadConfig("num_processors must be ≥ 1".into()));
-        }
-        if self.cluster.shards > 0 {
-            Topology::new(self.num_processors, self.cluster.shards)
-                .map_err(PaceError::BadConfig)?;
         }
         Ok(())
     }

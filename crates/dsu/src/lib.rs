@@ -3,9 +3,8 @@
 //! The paper maintains `CLUSTERS` with Tarjan's union–find structure
 //! \[Tarjan 1975\]: `find` locates the cluster of an EST and `union` merges
 //! two clusters, with amortized cost given by the inverse Ackermann
-//! function — effectively constant. [`DisjointSets`] is the single-owner
-//! implementation used by the master processor; [`ShardDsu`] is the
-//! id-range view a sharded sub-master owns.
+//! function — effectively constant. [`DisjointSets`] is that structure,
+//! owned by the master processor.
 
 //! ```
 //! use pace_dsu::DisjointSets;
@@ -18,7 +17,5 @@
 //! ```
 
 mod dsu;
-mod shard;
 
 pub use dsu::DisjointSets;
-pub use shard::{CrossEdges, ShardDsu, ShardSpec};

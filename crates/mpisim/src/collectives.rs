@@ -6,13 +6,12 @@
 //! final phase, before any rank can enter the next collective.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 pub(crate) struct CollectiveState {
     barrier: Barrier,
     sum_buf: Mutex<Vec<u64>>,
-    max_buf: AtomicU64,
     /// Ranks whose closure has not yet returned. Lets a blocked `recv`
     /// detect that no peer can ever send again (the channel alone cannot
     /// disconnect, because every rank holds a sender to its own inbox
@@ -25,7 +24,6 @@ impl CollectiveState {
         CollectiveState {
             barrier: Barrier::new(size),
             sum_buf: Mutex::new(Vec::new()),
-            max_buf: AtomicU64::new(0),
             alive: AtomicUsize::new(size),
         }
     }
@@ -72,17 +70,6 @@ impl CollectiveState {
         }
         result
     }
-
-    pub(crate) fn allreduce_max(&self, _rank: usize, local: u64) -> u64 {
-        self.barrier.wait();
-        self.max_buf.fetch_max(local, Ordering::SeqCst);
-        self.barrier.wait();
-        let result = self.max_buf.load(Ordering::SeqCst);
-        if self.barrier.wait().is_leader() {
-            self.max_buf.store(0, Ordering::SeqCst);
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -107,12 +94,11 @@ mod tests {
         let out = run_world(3, |rank: crate::Rank<()>| {
             let a = rank.allreduce_sum(&[1]);
             let b = rank.allreduce_sum(&[10]);
-            let c = rank.allreduce_max(rank.rank() as u64);
-            let d = rank.allreduce_max(1);
-            (a[0], b[0], c, d)
+            let c = rank.allreduce_sum(&[rank.rank() as u64]);
+            (a[0], b[0], c[0])
         });
         for r in out {
-            assert_eq!(r, (3, 30, 2, 1));
+            assert_eq!(r, (3, 30, 3));
         }
     }
 
@@ -126,9 +112,9 @@ mod tests {
     fn single_rank_world_collectives() {
         let out = run_world(1, |rank: crate::Rank<()>| {
             rank.barrier();
-            (rank.allreduce_sum(&[5, 6]), rank.allreduce_max(9))
+            rank.allreduce_sum(&[5, 6])
         });
-        assert_eq!(out[0], (vec![5, 6], 9));
+        assert_eq!(out[0], vec![5, 6]);
     }
 
     #[test]

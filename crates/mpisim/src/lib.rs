@@ -40,7 +40,6 @@
 
 mod collectives;
 mod fault;
-mod group;
 mod rank;
 mod stats;
 mod transport;

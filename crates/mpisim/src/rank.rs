@@ -275,12 +275,6 @@ impl<M: Send + 'static> Rank<M> {
         self.transport.allreduce_sum(local)
     }
 
-    /// Maximum across ranks of a single value (`MPI_Allreduce` / `MPI_MAX`).
-    pub fn allreduce_max(&self, local: u64) -> u64 {
-        self.maybe_stall();
-        self.transport.allreduce_max(local)
-    }
-
     /// Snapshot of the communication statistics this rank's transport
     /// can see (world-wide for the in-process backend; for the socket
     /// backend the hub sees all routed traffic).

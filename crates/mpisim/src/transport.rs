@@ -13,7 +13,7 @@
 //!
 //! The trait is deliberately the *narrow* slice of MPI the paper's
 //! software uses (buffered sends, blocking/bounded receives, barrier,
-//! two allreduces) so a backend stays small enough to verify.
+//! one allreduce) so a backend stays small enough to verify.
 
 use crate::collectives::CollectiveState;
 use crate::rank::RecvError;
@@ -53,8 +53,6 @@ pub trait Transport<M: Send>: Send {
     fn barrier(&self);
     /// Element-wise sum across ranks; all ranks receive the result.
     fn allreduce_sum(&self, local: &[u64]) -> Vec<u64>;
-    /// Maximum across ranks.
-    fn allreduce_max(&self, local: u64) -> u64;
     /// Snapshot of this transport's communication counters. For the
     /// in-process backend these are world-global; for the socket
     /// backend each process counts the traffic it can see (the hub,
@@ -177,13 +175,6 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
             self.stats.record_reduction();
         }
         self.collectives.allreduce_sum(self.rank, local)
-    }
-
-    fn allreduce_max(&self, local: u64) -> u64 {
-        if self.rank == 0 {
-            self.stats.record_reduction();
-        }
-        self.collectives.allreduce_max(self.rank, local)
     }
 
     fn stats(&self) -> WorldStats {

@@ -100,9 +100,6 @@ struct CollSt {
     sum_buf: Vec<u64>,
     sum_n: usize,
     sum_slot: Option<Vec<u64>>,
-    max_val: u64,
-    max_n: usize,
-    max_slot: Option<u64>,
 }
 
 impl HubColl {
@@ -116,9 +113,6 @@ impl HubColl {
                 sum_buf: Vec::new(),
                 sum_n: 0,
                 sum_slot: None,
-                max_val: 0,
-                max_n: 0,
-                max_slot: None,
             }),
             cv: Condvar::new(),
         }
@@ -150,17 +144,6 @@ impl HubColl {
                 w.write(&frame, stats);
             }
             st.sum_slot = Some(result);
-            self.cv.notify_all();
-        }
-        if st.max_n > 0 && st.max_n >= quorum {
-            let result = st.max_val;
-            st.max_n = 0;
-            st.max_val = 0;
-            let frame = encode_ctl(&Ctl::MaxResult { val: result });
-            for w in writers {
-                w.write(&frame, stats);
-            }
-            st.max_slot = Some(result);
             self.cv.notify_all();
         }
     }
@@ -382,10 +365,6 @@ fn hub_reader<M: Wire + Send>(
                         coll.accumulate_sum(&mut st, &vals);
                         st.sum_n += 1;
                     }
-                    Ctl::Max { val } => {
-                        st.max_val = st.max_val.max(val);
-                        st.max_n += 1;
-                    }
                     other => {
                         debug_assert!(false, "unexpected ctl from worker {rank}: {other:?}");
                     }
@@ -499,26 +478,6 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsHub<M> {
         }
     }
 
-    fn allreduce_max(&self, local: u64) -> u64 {
-        self.stats.record_reduction();
-        let mut st = self.coll.st.lock().unwrap();
-        st.max_val = st.max_val.max(local);
-        st.max_n += 1;
-        self.coll
-            .maybe_complete(&mut st, &self.writers, &self.stats);
-        loop {
-            if let Some(result) = st.max_slot.take() {
-                return result;
-            }
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
-        }
-    }
-
     fn stats(&self) -> WorldStats {
         self.stats.snapshot()
     }
@@ -548,7 +507,6 @@ struct EpColl {
 struct EpSlots {
     barrier_releases: u32,
     sum: Option<Vec<u64>>,
-    max: Option<u64>,
     hub_dead: bool,
 }
 
@@ -698,7 +656,6 @@ fn endpoint_reader<M: Wire + Send>(
                 match ctl {
                     Ctl::BarrierRelease => st.barrier_releases += 1,
                     Ctl::SumResult { vals } => st.sum = Some(vals),
-                    Ctl::MaxResult { val } => st.max = Some(val),
                     other => {
                         debug_assert!(false, "unexpected ctl from hub: {other:?}");
                     }
@@ -820,25 +777,6 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
         }
     }
 
-    fn allreduce_max(&self, local: u64) -> u64 {
-        self.write(&encode_ctl(&Ctl::Max { val: local }));
-        let mut st = self.coll.st.lock().unwrap();
-        loop {
-            if let Some(result) = st.max.take() {
-                return result;
-            }
-            if st.hub_dead {
-                return local;
-            }
-            st = self
-                .coll
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap()
-                .0;
-        }
-    }
-
     fn stats(&self) -> WorldStats {
         self.stats.snapshot()
     }
@@ -919,8 +857,6 @@ mod tests {
         let out = run_uds_world("basic", 3, FaultPlan::none(), |rank| {
             let sums = rank.allreduce_sum(&[rank.rank() as u64, 1]);
             assert_eq!(sums, vec![3, 3]);
-            let max = rank.allreduce_max(10 + rank.rank() as u64);
-            assert_eq!(max, 12);
             rank.barrier();
             if rank.rank() == 0 {
                 rank.send(1, 100);

@@ -22,7 +22,7 @@ pub use pace_wire::{
 };
 
 /// Wire protocol version exchanged in the rendezvous handshake.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Transport control messages
@@ -46,10 +46,6 @@ pub enum Ctl {
     Sum { vals: Vec<u64> },
     /// Hub → worker: the element-wise total.
     SumResult { vals: Vec<u64> },
-    /// Worker → hub: allreduce-max contribution.
-    Max { val: u64 },
-    /// Hub → worker: the maximum.
-    MaxResult { val: u64 },
 }
 
 const CTL_HELLO: u8 = 0;
@@ -58,8 +54,6 @@ const CTL_BARRIER: u8 = 2;
 const CTL_BARRIER_RELEASE: u8 = 3;
 const CTL_SUM: u8 = 4;
 const CTL_SUM_RESULT: u8 = 5;
-const CTL_MAX: u8 = 6;
-const CTL_MAX_RESULT: u8 = 7;
 
 impl Wire for Ctl {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -84,14 +78,6 @@ impl Wire for Ctl {
                 out.push(CTL_SUM_RESULT);
                 vals.encode(out);
             }
-            Ctl::Max { val } => {
-                out.push(CTL_MAX);
-                val.encode(out);
-            }
-            Ctl::MaxResult { val } => {
-                out.push(CTL_MAX_RESULT);
-                val.encode(out);
-            }
         }
     }
 
@@ -113,8 +99,6 @@ impl Wire for Ctl {
             CTL_SUM_RESULT => Ctl::SumResult {
                 vals: Vec::decode(r)?,
             },
-            CTL_MAX => Ctl::Max { val: r.u64()? },
-            CTL_MAX_RESULT => Ctl::MaxResult { val: r.u64()? },
             tag => return Err(WireError(format!("unknown Ctl tag {tag:#04x}"))),
         })
     }
@@ -141,8 +125,6 @@ mod tests {
                 vals: vec![1, 2, u64::MAX],
             },
             Ctl::SumResult { vals: vec![] },
-            Ctl::Max { val: 42 },
-            Ctl::MaxResult { val: 0 },
         ] {
             assert_eq!(drill(&ctl), ctl);
         }

@@ -157,10 +157,9 @@ mod tests {
 
     #[test]
     fn two_level_scatter_gather() {
-        // The sharded clustering topology in miniature: rank 0 is the
-        // root, ranks 1..=k are mid-tier coordinators, the rest are
-        // leaves that report to *every* coordinator (like slaves
-        // multiplexing K sessions). Each coordinator folds its leaves'
+        // A two-tier topology: rank 0 is the root, ranks 1..=k are
+        // mid-tier coordinators, the rest are leaves that report to
+        // *every* coordinator. Each coordinator folds its leaves'
         // values and forwards one total to the root; the root's grand
         // total must see every leaf contribution exactly once per
         // coordinator, proving point-to-point delivery holds across

@@ -54,29 +54,6 @@ pub const GST_MAX_DEPTH: &str = "gst.max_depth";
 /// Gauge: fraction of wall time the master spent busy.
 pub const MASTER_BUSY_FRAC: &str = "master.busy_frac";
 
-/// Gauge: sub-master shard count of a sharded run (absent or 0 on
-/// single-master runs).
-pub const SHARD_COUNT: &str = "shard.count";
-/// Counter: distinct cross-shard merge edges the reconciler folded.
-pub const SHARD_CROSS_EDGES: &str = "shard.cross_edges";
-/// Counter: `CrossMerge` epoch flushes the reconciler received.
-pub const SHARD_EPOCHS: &str = "shard.epochs";
-/// Counter: sub-master shards that failed to deliver a final report
-/// (crashed or timed out); their pairs surface in `faults.lost_pairs`.
-pub const SHARD_FAILED: &str = "shard.failed";
-/// Gauge: seconds the reconciler spent folding cross edges and
-/// replaying shard merge traces into the global partition.
-pub const SHARD_RECONCILE_SECS: &str = "shard.reconcile_secs";
-
-/// Per-shard gauge family: `shard.<k>.<field>` where `<field>` is one
-/// of `generated`, `received`, `processed`, `skipped`, `unconsumed`,
-/// `merges`, `cross_edges`. The identity harness reads these to check
-/// per-shard flow conservation
-/// (`generated == processed + skipped + unconsumed`).
-pub fn shard_gauge_name(shard: usize, field: &str) -> String {
-    format!("shard.{shard}.{field}")
-}
-
 /// Gauge: critical-path seconds from the trace analyzer (the longest
 /// chain of causally ordered spans). Present only on traced runs.
 pub const TRACE_CRITICAL_PATH_SECS: &str = "trace.critical_path_secs";

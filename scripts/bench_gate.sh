@@ -33,7 +33,7 @@
 #     workflow step after applying a `bench-gate-override` PR label),
 #     which turns a failure into a warning.
 #
-# Usage: scripts/bench_gate.sh [smoke.json] [baseline.json] [ooc-report.json] [uds-report.json] [sharded.json] [serve.json]
+# Usage: scripts/bench_gate.sh [smoke.json] [baseline.json] [ooc-report.json] [uds-report.json] [serve.json]
 #   The optional third argument (default bench_out/out_of_core.json) is an
 #   out-of-core run's metrics report; when present its io.* and ckpt.*
 #   counters (the batch planner's io.spill_batches, io.oversized_buckets
@@ -45,12 +45,7 @@
 #   present its comm.messages / comm.bytes counters are echoed into the
 #   gate log (report-only, no gate — wire volume has no machine-relative
 #   baseline yet).
-#   The optional fifth argument (default bench_out/sharded.json) is the
-#   sharded-master scaling bench's report; when present its single vs
-#   K-sharded pairs/sec rates and the throughput ratio are echoed into
-#   the gate log (report-only — oversubscribed wall-clock on a shared
-#   runner has no machine-relative baseline).
-#   The optional sixth argument (default BENCH_serve.json) is the serve
+#   The optional fifth argument (default BENCH_serve.json) is the serve
 #   load-test trajectory written by the loadgen binary; when present the
 #   latest entry's serve.query.p99 and ingest throughput are echoed into
 #   the gate log (report-only — daemon latency on a shared runner has no
@@ -63,8 +58,7 @@ SMOKE=${1:-bench_out/smoke.json}
 BASELINE=${2:-bench/baseline.json}
 OOC=${3:-bench_out/out_of_core.json}
 UDS=${4:-bench_out/smoke_uds.json}
-SHARDED=${5:-bench_out/sharded.json}
-SERVE=${6:-BENCH_serve.json}
+SERVE=${5:-BENCH_serve.json}
 TOLERANCE=${BENCH_GATE_TOLERANCE:-0.25}
 
 if [[ ! -f "$SMOKE" ]]; then
@@ -76,12 +70,12 @@ if [[ ! -f "$BASELINE" ]]; then
     exit 2
 fi
 
-python3 - "$SMOKE" "$BASELINE" "$TOLERANCE" "${BENCH_GATE_SKIP:-0}" "$OOC" "$UDS" "$SHARDED" "$SERVE" <<'PY'
+python3 - "$SMOKE" "$BASELINE" "$TOLERANCE" "${BENCH_GATE_SKIP:-0}" "$OOC" "$UDS" "$SERVE" <<'PY'
 import json
 import os
 import sys
 
-smoke_path, baseline_path, tolerance, skip, ooc_path, uds_path, sharded_path, serve_path = sys.argv[1:9]
+smoke_path, baseline_path, tolerance, skip, ooc_path, uds_path, serve_path = sys.argv[1:8]
 tolerance = float(tolerance)
 skip = skip not in ("", "0", "false")
 
@@ -156,21 +150,6 @@ if os.path.exists(uds_path):
         print(f"bench_gate: uds transport counters from {uds_path} (report-only)")
         for key in comm_keys:
             print(f"  {key:<24} {counters[key]:>14.0f}")
-
-# Echo the sharded-master scaling bench (reported, never gated): single
-# vs K-sharded master-tier throughput at equal world size, so the
-# scaling win (or its erosion) is visible in the gate log.
-if os.path.exists(sharded_path):
-    doc = json.load(open(sharded_path))
-    single = doc.get("single", {}).get("pairs_per_sec")
-    shd = doc.get("sharded", {}).get("pairs_per_sec")
-    if single is not None and shd is not None:
-        print(
-            f"bench_gate: sharded masters from {sharded_path} (report-only): "
-            f"p {doc.get('p', 0):.0f}, K {doc.get('shards', 0):.0f} — "
-            f"single {single:.0f} pairs/s, sharded {shd:.0f} pairs/s, "
-            f"speedup {doc.get('sharded_speedup', 0):.2f}x"
-        )
 
 # Echo the serve load test's latest trajectory entry (reported, never
 # gated): client-observed query p99 under ~1k concurrent connections and

@@ -75,7 +75,7 @@ pace — space and time efficient parallel EST clustering (ICPP 2002)
 USAGE:
   pace simulate --ests N [--genes N] [--seed N] --out FILE [--truth FILE]
   pace cluster  --in FASTA --out FILE [--procs N] [--transport channel|uds]
-                [--shards K] [--shard-epoch N] [--psi N] [--window N]
+                [--psi N] [--window N]
                 [--batchsize N] [--min-overlap N] [--min-ratio F] [--truth FILE]
                 [--fault-profile drop|delay|reorder|crash|mixed|stall] [--fault-seed N]
                 [--slave-timeout SECS] [--max-retries N]
@@ -104,8 +104,6 @@ const CLUSTER_FLAGS: &[&str] = &[
     "out",
     "procs",
     "transport",
-    "shards",
-    "shard-epoch",
     "psi",
     "window",
     "batchsize",
@@ -443,10 +441,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         get(&flags, "min-ratio", config.cluster.overlap.min_score_ratio)?;
     config.cluster.slave_timeout = get(&flags, "slave-timeout", config.cluster.slave_timeout)?;
     config.cluster.max_retries = get(&flags, "max-retries", config.cluster.max_retries)?;
-    // Sharded masters: K sub-masters under a reconciler. The pipeline
-    // rejects a world too small for them.
-    config.cluster.shards = get(&flags, "shards", config.cluster.shards)?;
-    config.cluster.shard_epoch = get(&flags, "shard-epoch", config.cluster.shard_epoch)?;
 
     // Fault injection (testing/demo): a seeded deterministic plan for
     // the thread-backed message runtime. Only meaningful with --procs ≥ 2.

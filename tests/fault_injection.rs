@@ -421,153 +421,6 @@ fn crash_seed_3() {
     check_crash(MATRIX_SEEDS[3]);
 }
 
-// ---- sharded topology under faults -------------------------------------
-//
-// Same contract, different protocol surface: with `--shards K` the world
-// is reconciler + K sub-masters + slaves, and faults can now hit the
-// sub-master tier — dropped CrossMerge flushes, delayed dispatches, or a
-// crashed sub-master taking its whole shard down. Drop/delay must still
-// be invisible (redundant end-phase copies + resends); a sub-master
-// crash must fail *loudly*: the run terminates, the shard is written
-// off, and every pair it lost is accounted in `faults.lost_pairs` —
-// never silently missing from the books.
-
-/// Slaves shared by the sharded fault runs (p = 1 + K + SHARDED_SLAVES).
-const SHARDED_SLAVES: usize = 3;
-
-fn sharded_cfg(k: usize) -> PaceConfig {
-    let mut c = cfg(1 + k + SHARDED_SLAVES);
-    c.cluster.shards = k;
-    c.cluster.shard_epoch = 4;
-    c
-}
-
-fn check_sharded_recoverable(profile: FaultProfile, k: usize, seed: u64) {
-    let p = 1 + k + SHARDED_SLAVES;
-    let store = dataset(72, 1000 + seed);
-    let clean = run(&store, sharded_cfg(k));
-    assert_nothing_lost(&clean, "sharded fault-free baseline");
-
-    let mut faulted_cfg = sharded_cfg(k);
-    faulted_cfg.faults = FaultPlan::seeded(profile, seed, p);
-    faulted_cfg.cluster.slave_timeout = 0.05;
-    faulted_cfg.cluster.max_retries = 200;
-    let what = format!("sharded {profile} k {k} seed {seed}");
-    let faulted = run_watched(
-        &store,
-        faulted_cfg,
-        &format!("sharded_{profile}_k{k}_seed_{seed}"),
-    );
-
-    assert_same_partition(&faulted, &clean, &what);
-    assert_nothing_lost(&faulted, &what);
-    assert_eq!(faulted.stats.faults.dead_slaves, 0, "{what}: false death");
-    let injected_key = match profile {
-        FaultProfile::Drop => metric::FAULTS_INJECTED_DROPS,
-        FaultProfile::Delay => metric::FAULTS_INJECTED_DELAYS,
-        _ => unreachable!("recoverable profiles only"),
-    };
-    assert!(
-        faulted.counters.get(injected_key).copied().unwrap_or(0) > 0,
-        "{what}: seeded plan injected nothing"
-    );
-}
-
-/// Crash the *first sub-master* (rank 1) mid-run. Its shard's pending
-/// work is gone for good, so there is no partition identity to assert —
-/// the contract is loud, accounted failure: the run terminates inside
-/// the watchdog window, the reconciler writes the silent shard off, and
-/// flow conservation still balances with the loss booked in
-/// `faults.lost_pairs`.
-fn check_sharded_crash(k: usize, seed: u64) {
-    let store = crash_dataset(96, 2000 + seed);
-
-    let mut faulted_cfg = sharded_cfg(k);
-    faulted_cfg.faults = FaultPlan::none().crash(1, 5 + seed % 7);
-    faulted_cfg.cluster.slave_timeout = 0.25;
-    faulted_cfg.cluster.max_retries = 3;
-    let what = format!("sharded crash k {k} seed {seed}");
-    let faulted = run_watched(
-        &store,
-        faulted_cfg,
-        &format!("sharded_crash_k{k}_seed_{seed}"),
-    );
-
-    assert!(
-        faulted
-            .counters
-            .get(metric::FAULTS_INJECTED_CRASHES)
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "{what}: no crash injected"
-    );
-    assert!(
-        faulted.stats.faults.lost_pairs > 0,
-        "{what}: sub-master crash lost nothing — fault not exercised or silently absorbed"
-    );
-    // Even with a dead sub-master the books balance: whatever its shard
-    // lost is folded into unconsumed, not dropped from the ledger.
-    assert_eq!(
-        faulted.stats.pairs_generated,
-        faulted.stats.pairs_processed
-            + faulted.stats.pairs_skipped
-            + faulted.stats.pairs_unconsumed,
-        "{what}: pair-flow conservation violated"
-    );
-}
-
-#[test]
-fn sharded_drop_k1_seed_0() {
-    check_sharded_recoverable(FaultProfile::Drop, 1, MATRIX_SEEDS[0]);
-}
-#[test]
-fn sharded_drop_k1_seed_1() {
-    check_sharded_recoverable(FaultProfile::Drop, 1, MATRIX_SEEDS[1]);
-}
-#[test]
-fn sharded_drop_k4_seed_0() {
-    check_sharded_recoverable(FaultProfile::Drop, 4, MATRIX_SEEDS[0]);
-}
-#[test]
-fn sharded_drop_k4_seed_1() {
-    check_sharded_recoverable(FaultProfile::Drop, 4, MATRIX_SEEDS[1]);
-}
-
-#[test]
-fn sharded_delay_k1_seed_0() {
-    check_sharded_recoverable(FaultProfile::Delay, 1, MATRIX_SEEDS[0]);
-}
-#[test]
-fn sharded_delay_k1_seed_1() {
-    check_sharded_recoverable(FaultProfile::Delay, 1, MATRIX_SEEDS[1]);
-}
-#[test]
-fn sharded_delay_k4_seed_0() {
-    check_sharded_recoverable(FaultProfile::Delay, 4, MATRIX_SEEDS[0]);
-}
-#[test]
-fn sharded_delay_k4_seed_1() {
-    check_sharded_recoverable(FaultProfile::Delay, 4, MATRIX_SEEDS[1]);
-}
-
-#[test]
-fn sharded_crash_k1_seed_0() {
-    check_sharded_crash(1, MATRIX_SEEDS[0]);
-}
-#[test]
-fn sharded_crash_k1_seed_1() {
-    check_sharded_crash(1, MATRIX_SEEDS[1]);
-}
-#[test]
-fn sharded_crash_k4_seed_0() {
-    check_sharded_crash(4, MATRIX_SEEDS[0]);
-}
-#[test]
-fn sharded_crash_k4_seed_1() {
-    check_sharded_crash(4, MATRIX_SEEDS[1]);
-}
-
 /// A seeded plan is a pure function of its inputs — the whole harness
 /// relies on schedules being replayable.
 #[test]

@@ -108,20 +108,16 @@ fn assert_structure(r: &TracedRun, what: &str) {
     );
 }
 
-/// A lossless schedule closes every flow. `shards == 0` traces the
-/// single master over 3 slaves; `shards = K` traces K sub-masters over
-/// the same 3 slaves, whose per-session flows share one id namespace.
-fn check_lossless(profile: FaultProfile, seed: u64, shards: usize) {
-    let p = 4 + shards;
+/// A lossless schedule closes every flow: the master over 3 slaves.
+fn check_lossless(profile: FaultProfile, seed: u64) {
+    let p = 4;
     let store = dataset(72, 1000 + seed);
     let mut config = cfg(p);
     config.faults = FaultPlan::seeded(profile, seed, p);
     config.cluster.slave_timeout = 0.05;
     config.cluster.max_retries = 200;
-    config.cluster.shards = shards;
-    config.cluster.shard_epoch = 4;
     let r = run_traced(&store, config);
-    let what = format!("{profile} seed {seed} shards {shards}");
+    let what = format!("{profile} seed {seed}");
 
     assert_structure(&r, &what);
     // The protocol books say nothing was lost...
@@ -154,18 +150,14 @@ fn check_lossless(profile: FaultProfile, seed: u64, shards: usize) {
 #[test]
 fn drop_seed_trace_closes_every_flow() {
     for seed in SEEDS {
-        for shards in [0, 2] {
-            check_lossless(FaultProfile::Drop, seed, shards);
-        }
+        check_lossless(FaultProfile::Drop, seed);
     }
 }
 
 #[test]
 fn delay_seed_trace_closes_every_flow() {
     for seed in SEEDS {
-        for shards in [0, 2] {
-            check_lossless(FaultProfile::Delay, seed, shards);
-        }
+        check_lossless(FaultProfile::Delay, seed);
     }
 }
 
