@@ -38,7 +38,6 @@ pub mod myers;
 pub mod nw;
 pub mod overlap;
 pub mod scoring;
-pub mod semiglobal;
 pub mod view;
 pub mod workspace;
 
@@ -54,6 +53,5 @@ pub use myers::{
 pub use nw::{global_align, global_score, global_score_with, AlignOp, Alignment};
 pub use overlap::{classify_overlap, AcceptDecision, OverlapKind, OverlapParams};
 pub use scoring::Scoring;
-pub use semiglobal::{semiglobal_align, semiglobal_align_with, SemiglobalAlignment};
 pub use view::{Rev, SeqView};
 pub use workspace::AlignWorkspace;

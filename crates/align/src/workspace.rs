@@ -4,7 +4,7 @@
 //! the throughput-limiting phase; rebuilding the DP row vectors on every
 //! call is pure overhead there. An [`AlignWorkspace`] owns every scratch
 //! buffer the kernels in this crate need — the banded M/X/Y band rows,
-//! the six rolling Gotoh rows, and the semiglobal score/origin rows — so
+//! the six rolling Gotoh rows and the Myers match masks — so
 //! a slave allocates **once per rank** and every subsequent pair reuses
 //! the same capacity (`clear` + `resize` never shrink a `Vec`).
 
@@ -29,9 +29,6 @@ pub struct AlignWorkspace {
     pub(crate) m_cur: Vec<i32>,
     pub(crate) x_cur: Vec<i32>,
     pub(crate) y_cur: Vec<i32>,
-    /// Semiglobal rolling row: scores and alignment-start origins.
-    pub(crate) semi_score: Vec<i32>,
-    pub(crate) semi_origin: Vec<(u32, u32)>,
     /// Reversed anchor prefixes for the anchored kernel's left extension,
     /// so the DP scans contiguous forward slices.
     pub(crate) rev_a: Vec<u8>,
@@ -66,10 +63,8 @@ impl AlignWorkspace {
             + self.y_prev.capacity()
             + self.m_cur.capacity()
             + self.x_cur.capacity()
-            + self.y_cur.capacity()
-            + self.semi_score.capacity();
+            + self.y_cur.capacity();
         i32s * std::mem::size_of::<i32>()
-            + self.semi_origin.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.rev_a.capacity()
             + self.rev_b.capacity()
             + self.myers_peq.capacity() * std::mem::size_of::<u64>()
@@ -135,16 +130,6 @@ impl AlignWorkspace {
             self.myers_slots.fill(u16::MAX);
         }
     }
-
-    /// Reset the semiglobal rows for `lb + 1` columns.
-    #[inline]
-    pub(crate) fn reset_semi(&mut self, len: usize) {
-        self.uses += 1;
-        self.semi_score.clear();
-        self.semi_score.resize(len, 0);
-        self.semi_origin.clear();
-        self.semi_origin.extend((0..len as u32).map(|j| (0u32, j)));
-    }
 }
 
 #[cfg(test)]
@@ -174,22 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_semi_rebuilds_origins() {
-        let mut ws = AlignWorkspace::new();
-        ws.reset_semi(5);
-        assert_eq!(ws.semi_origin, vec![(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]);
-        ws.semi_origin[2] = (9, 9);
-        ws.reset_semi(3);
-        assert_eq!(ws.semi_origin, vec![(0, 0), (0, 1), (0, 2)]);
-    }
-
-    #[test]
     fn capacity_accounting_grows() {
         let mut ws = AlignWorkspace::new();
         assert_eq!(ws.capacity_bytes(), 0);
         ws.reset_band(100, 0);
         ws.reset_rows(50, 0);
-        ws.reset_semi(50);
         assert!(ws.capacity_bytes() >= (300 + 300) * 4);
     }
 }

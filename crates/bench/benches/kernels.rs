@@ -163,9 +163,6 @@ fn bench_alignment(c: &mut Criterion) {
     c.bench_function("alignment/full_width_dp", |bch| {
         bch.iter(|| black_box(align_anchored(a, b, anchor, &scoring, a.len().max(b.len()))))
     });
-    c.bench_function("alignment/semiglobal_unanchored", |bch| {
-        bch.iter(|| black_box(pace_align::semiglobal_align(a, b, &scoring)))
-    });
 }
 
 fn bench_workspace_reuse(c: &mut Criterion) {

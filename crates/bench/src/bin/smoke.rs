@@ -8,12 +8,14 @@
 //!
 //! Outputs:
 //! - `$PACE_METRICS_DIR/smoke.json` — gate document: `phase_min` object
-//!   plus the last rep's full registry report sections.
-//! - `$PACE_BENCH_TRAJECTORY` (default `BENCH_smoke.json`) — a JSON
-//!   array the run appends one trajectory entry to, so successive CI
-//!   runs accumulate a timing history artifact. Each entry carries its
-//!   provenance (`git_sha`, `nproc`, `rustc`; see
-//!   [`pace_bench::provenance`]).
+//!   plus the last rep's full registry report sections. `phase_min`
+//!   also holds `pair_generation`, which is report-only: the gate does
+//!   not judge it.
+//! - `$PACE_BENCH_TRAJECTORY`, only when set — a JSON array the run
+//!   appends one trajectory entry to, so successive CI runs accumulate a
+//!   timing history artifact. Each entry carries its provenance
+//!   (`git_sha`, `nproc`, `rustc`; see [`pace_bench::provenance`]).
+//!   Unset, the run writes no trajectory.
 //!
 //! Knobs: `PACE_SMOKE_N` (ESTs, default 800), `PACE_SMOKE_REPS`
 //! (default 3). The seed and rank count are fixed — the workload must
@@ -38,6 +40,9 @@ const GATE_PHASES: [&str; 5] = [
     metric::PHASE_ALIGNMENT,
     metric::PHASE_TOTAL,
 ];
+/// Phases whose minima are recorded beside the gate's, for the report
+/// only.
+const REPORT_PHASES: [&str; 1] = [metric::PHASE_PAIR_GENERATION];
 
 /// Deterministic micro-bench for pair generation: one `generate_all`
 /// over the smoke workload's in-scope forest, the one the drivers walk.
@@ -124,16 +129,18 @@ fn main() {
         let myers_s = micro_kernels(&store, &micro_pairs);
         println!(
             "rep {rep}: partitioning {:.4}s, gst {:.4}s, node_sorting {:.4}s, \
-             alignment {:.4}s, total {:.4}s, pairgen_kernel {pairgen_s:.4}s, \
-             myers_kernel {myers_s:.4}s",
+             pair_generation {:.4}s, alignment {:.4}s, total {:.4}s, \
+             pairgen_kernel {pairgen_s:.4}s, myers_kernel {myers_s:.4}s",
             crit(metric::PHASE_PARTITIONING),
             crit(metric::PHASE_GST_CONSTRUCTION),
             crit(metric::PHASE_NODE_SORTING),
+            crit(metric::PHASE_PAIR_GENERATION),
             crit(metric::PHASE_ALIGNMENT),
             crit(metric::PHASE_TOTAL),
         );
         for (phase, t) in GATE_PHASES
             .iter()
+            .chain(&REPORT_PHASES)
             .map(|&p| (p, crit(p)))
             .chain([("pairgen_kernel", pairgen_s), ("myers_kernel", myers_s)])
         {
@@ -175,7 +182,9 @@ fn main() {
             Err(e) => eprintln!("[metrics] could not write {}: {e}", path.display()),
         }
     }
-    append_trajectory(&min_obj, &snap, n, reps);
+    if let Ok(path) = std::env::var("PACE_BENCH_TRAJECTORY") {
+        append_trajectory(&path, &min_obj, &snap, n, reps);
+    }
 
     // Optional socket-transport rep: same workload, one master process
     // plus real worker processes over the Unix-socket backend. Records
@@ -295,12 +304,16 @@ fn check_trace_off(obs: &Obs, snap: &pace_obs::RegistrySnapshot) {
 }
 
 /// Append one entry, stamped with its provenance, to the trajectory file
-/// (a JSON array). A missing or malformed file starts a fresh array;
-/// failures never abort the bench.
-fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usize, reps: usize) {
-    let path =
-        std::env::var("PACE_BENCH_TRAJECTORY").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
-    let mut entries = std::fs::read_to_string(&path)
+/// at `path` (a JSON array). A missing or malformed file starts a fresh
+/// array; failures never abort the bench.
+fn append_trajectory(
+    path: &str,
+    phase_min: &Json,
+    snap: &pace_obs::RegistrySnapshot,
+    n: usize,
+    reps: usize,
+) {
+    let mut entries = std::fs::read_to_string(path)
         .ok()
         .and_then(|text| pace_obs::json::parse(&text).ok())
         .and_then(|v| match v {
@@ -324,7 +337,7 @@ fn append_trajectory(phase_min: &Json, snap: &pace_obs::RegistrySnapshot, n: usi
         ("counters", counters),
     ];
     entries.push(Json::obj(entry.into_iter().chain(pace_bench::provenance())));
-    match std::fs::write(&path, Json::Arr(entries).to_line()) {
+    match std::fs::write(path, Json::Arr(entries).to_line()) {
         Ok(()) => eprintln!("[metrics] appended trajectory entry to {path}"),
         Err(e) => eprintln!("[metrics] could not write {path}: {e}"),
     }

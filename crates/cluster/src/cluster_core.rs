@@ -13,8 +13,8 @@
 //!   union on acceptance, trace an effective merge);
 //! * [`ClusterCore::drain`] — run one pair generator to exhaustion
 //!   through a structural pair filter, the skip test, the caller's
-//!   [`AlignContext`] and `accept`, then report to the `Obs` registry
-//!   once.
+//!   [`AlignContext`] and `accept`, then report to `Obs` (its registry
+//!   and, if attached, its trace) once.
 //!
 //! The sequential, persistent and incremental drivers are `drain` loops
 //! over a core. The parallel master ([`crate::master`]) uses `skip` and
@@ -26,7 +26,8 @@ use crate::config::ClusterConfig;
 use crate::stats::{ClusterResult, ClusterStats};
 use crate::trace::{MergeRecord, MergeTrace};
 use pace_dsu::DisjointSets;
-use pace_obs::{metric, Event, Obs, Timer};
+use pace_obs::trace::T_MERGE;
+use pace_obs::{metric, Obs, Timer};
 use pace_pairgen::{CandidatePair, PairGenerator};
 
 /// `CLUSTERS`, the merge trace and the pair counters of one master.
@@ -99,11 +100,11 @@ impl ClusterCore {
     /// counted in `pairs_generated` and either skipped or processed, so
     /// the drain conserves pairs exactly.
     ///
-    /// Reports to `obs` once, at the end: the drain's merge events, the
-    /// generator's MCS-length histogram, one `pair_generation` and one
-    /// `alignment` phase sample, and the pairs served by `ctx` as
-    /// workspace reuses. The pair counters are left to the caller, who
-    /// knows what a run is.
+    /// Reports to `obs` once, at the end: the drain's `merge` trace
+    /// instants, the generator's MCS-length histogram, one
+    /// `pair_generation` and one `alignment` phase sample, and the pairs
+    /// served by `ctx` as workspace reuses. The pair counters are left to
+    /// the caller, who knows what a run is.
     pub fn drain(
         &mut self,
         mut generator: PairGenerator<'_>,
@@ -161,19 +162,14 @@ impl ClusterCore {
     }
 }
 
-/// Emit one `merge` event per record (free when no sink is attached).
+/// Record one `merge` trace instant per record, in merge order, on the
+/// master's rank 0 (`id` = `est_a`, `arg` = `est_b`). Free when no
+/// tracer is attached.
 pub(crate) fn emit_merges(obs: &Obs, records: &[MergeRecord]) {
-    if !obs.events_enabled() {
-        return;
-    }
-    let t = obs.now();
-    for r in records {
-        obs.emit(Event::Merge {
-            t,
-            est_a: r.est_a,
-            est_b: r.est_b,
-            mcs_len: r.mcs_len,
-            score_ratio: r.score_ratio,
-        });
-    }
+    obs.trace_with(|tracer| {
+        let t = obs.now_us();
+        for r in records {
+            tracer.instant(0, T_MERGE, t, r.est_a as u64, r.est_b as u64);
+        }
+    });
 }

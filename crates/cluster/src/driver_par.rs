@@ -14,9 +14,10 @@
 //! Instrumentation mirrors the sequential driver: every rank records its
 //! phases into the shared `pace-obs` registry (over the socket transport
 //! rank 0 records them from each worker's summary), communication
-//! counters are absorbed from `pace-mpisim`, the master emits periodic
-//! heartbeats (the busy fraction is the paper's "< 2%" claim) and a
-//! `merge` event for every union it performs.
+//! counters are absorbed from `pace-mpisim`, the master's busy fraction
+//! (the paper's "< 2%" claim) lands in `master.busy_frac`, and with a
+//! tracer attached the master records a `merge` instant for every union
+//! it performs and one instant per recovery action.
 //!
 //! The same protocol runs over any [`pace_mpisim::Transport`]:
 //! [`cluster_master_transport`] runs rank 0 and
@@ -33,13 +34,12 @@ use crate::stats::ClusterResult;
 use crate::trace::MergeTrace;
 use pace_gst::{assign_buckets, build_in_scope_forest, count_buckets_stride, num_buckets};
 use pace_mpisim::{run_world_obs, FaultPlan, FaultSnapshot, Rank, WorldStats};
-use pace_obs::trace::{flow_id, T_DISPATCH, T_HANDLE_REPORT};
-use pace_obs::{metric, Event, Obs, Timer, TraceKind};
+use pace_obs::trace::{
+    flow_id, T_ABANDONED, T_DEAD_SLAVE, T_DISPATCH, T_DUPLICATE_REPORT, T_HANDLE_REPORT, T_RESEND,
+};
+use pace_obs::{metric, Obs, Timer, TraceKind};
 use pace_seq::{PackedText, SequenceStore};
 use std::time::{Duration, Instant};
-
-/// Emit a master heartbeat every this many handled reports.
-const HEARTBEAT_EVERY: u64 = 32;
 
 /// Copies of each unacknowledged control message — the master's
 /// `Shutdown` or a worker's final `Summary` — sent when a fault plan is
@@ -107,7 +107,8 @@ pub fn cluster_parallel_traced(
 
 /// Fully instrumented parallel run. All ranks share `obs`: phase spans
 /// land in its per-rank series, communication and pair counters in its
-/// registry, heartbeats and merges in its event sink.
+/// registry, and flows, faults and merges in its trace if one is
+/// attached.
 pub fn cluster_parallel_obs(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -262,7 +263,6 @@ pub fn cluster_worker_transport(
             rank.send(0, Msg::Summary(summary.clone()));
         }
     }
-    obs.flush();
     rank.crashed()
 }
 
@@ -270,12 +270,11 @@ pub fn cluster_worker_transport(
 /// the partitioning collective with a zero contribution and waits at the
 /// barrier while the slaves build their forests. Then it runs the
 /// protocol loop: fold each report into `CLUSTERS` and dispatch its
-/// successor, sweep deadlines, surface recovery actions as fault events
-/// and progress as heartbeats, and stream a `merge` event for every
-/// union as it happens, until it has shut its slaves down. Worker
-/// summaries that arrive during the loop (socket backend: a slave can
-/// finish while the others are still being shut down) are kept for the
-/// fold.
+/// successor, sweep deadlines, and record each recovery action and each
+/// union as a trace instant as it happens, until it has shut its slaves
+/// down. Worker summaries that arrive during the loop (socket backend: a
+/// slave can finish while the others are still being shut down) are
+/// kept for the fold.
 fn run_master(
     rank: &Rank<Msg>,
     num_ests: usize,
@@ -324,9 +323,6 @@ fn run_master(
     };
     let loop_t0 = obs.now();
     let mut busy = Timer::new();
-    let mut reports = 0u64;
-    let mut hb_last_t = loop_t0;
-    let mut hb_last_processed = 0u64;
     let mut merges_emitted = 0;
     let mut early_summaries = Vec::new();
     while !master.is_done() {
@@ -389,62 +385,24 @@ fn run_master(
             busy.stop();
         }
 
-        if obs.events_enabled() || obs.trace_enabled() {
-            for note in master.drain_fault_notes() {
-                // Structural attribution: the slave the note is about and,
-                // where the note concerns a specific batch, its protocol
-                // sequence number.
-                let (kind, seq, detail) = match note {
-                    FaultNote::Resend { slave, seq, retry } => (
-                        "resend",
-                        Some(seq),
-                        format!("slave {slave} seq {seq} retry {retry}"),
-                    ),
-                    FaultNote::DeadSlave { slave, reassigned } => (
-                        "dead_slave",
-                        None,
-                        format!("slave {slave}, {reassigned} pairs reassigned"),
-                    ),
-                    FaultNote::DuplicateReport { slave, seq } => (
-                        "duplicate_report",
-                        Some(seq),
-                        format!("slave {slave} seq {seq}"),
-                    ),
-                    FaultNote::Abandoned { pairs } => {
-                        ("abandoned", None, format!("{pairs} pairs, no live slaves"))
-                    }
-                };
-                obs.trace_with(|tracer| {
-                    tracer.instant(me, tracer.intern(kind), obs.now_us(), seq.unwrap_or(0), 0);
-                });
-                obs.emit_with(|| Event::Fault {
-                    t: obs.now(),
-                    rank: me,
-                    kind: kind.to_string(),
-                    seq,
-                    detail: detail.clone(),
-                });
-            }
+        for note in master.drain_fault_notes() {
+            // Structural attribution: the batch's sequence number (or the
+            // pairs the action moved) as `id`, the slave as `arg`.
+            let (name, id, arg) = match note {
+                FaultNote::Resend { slave, seq } => (T_RESEND, seq, slave as u64),
+                FaultNote::DeadSlave { slave, reassigned } => {
+                    (T_DEAD_SLAVE, reassigned as u64, slave as u64)
+                }
+                FaultNote::DuplicateReport { slave, seq } => {
+                    (T_DUPLICATE_REPORT, seq, slave as u64)
+                }
+                FaultNote::Abandoned { pairs } => (T_ABANDONED, 0, pairs),
+            };
+            obs.trace_with(|tracer| tracer.instant(me, name, obs.now_us(), id, arg));
         }
         if got_report {
-            reports += 1;
             emit_merges(obs, &master.core.trace.records()[merges_emitted..]);
             merges_emitted = master.core.trace.len();
-        }
-        if obs.events_enabled() && got_report && reports.is_multiple_of(HEARTBEAT_EVERY) {
-            let now = obs.now();
-            let elapsed = (now - loop_t0).max(f64::EPSILON);
-            let processed = master.core.stats.pairs_processed;
-            let dt = (now - hb_last_t).max(f64::EPSILON);
-            obs.emit(Event::Heartbeat {
-                rank: me,
-                t: now,
-                busy_frac: busy.secs() / elapsed,
-                pairs_per_sec: (processed - hb_last_processed) as f64 / dt,
-                processed,
-            });
-            hb_last_t = now;
-            hb_last_processed = processed;
         }
     }
     let loop_total = (obs.now() - loop_t0).max(f64::EPSILON);
@@ -557,7 +515,6 @@ fn fold(root: Root, summaries: &[WorkerSummary], obs: &Obs) -> (ClusterResult, M
     // workspace, so this equals `pairs.processed` by construction.
     reg.add(metric::ALIGN_WS_REUSES, ws_reuses);
     record_cluster_counters(obs, stats);
-    obs.flush();
     (result, trace)
 }
 
@@ -771,38 +728,30 @@ mod tests {
     }
 
     #[test]
-    fn events_stream_heartbeats_and_merges() {
+    fn trace_merge_instants_mirror_merge_trace() {
         let ds = dataset(100, 29);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let sink = pace_obs::VecSink::shared();
-        let obs = Obs::with_sink(Box::new(sink.clone()));
+        let obs = Obs::with_tracer();
         let (r, trace) = cluster_parallel_obs(&store, &small_cfg(), 3, &obs);
-        let events = sink.snapshot();
-        let merges: Vec<_> = events
+        let doc = pace_obs::TraceDoc::from_tracer(obs.tracer().unwrap());
+        let merges: Vec<_> = doc
+            .instants
             .iter()
-            .filter_map(|e| match e {
-                Event::Merge { est_a, est_b, .. } => Some((*est_a, *est_b)),
-                _ => None,
-            })
+            .filter(|i| i.name == pace_obs::trace::T_MERGE)
+            .map(|i| (i.id as usize, i.arg as usize))
             .collect();
+        assert!(r.stats.merges > 0);
         assert_eq!(merges.len() as u64, r.stats.merges);
         let traced: Vec<_> = trace.records().iter().map(|m| (m.est_a, m.est_b)).collect();
-        assert_eq!(merges, traced, "merge events must mirror the trace order");
-        // Phase spans from every rank are present and well-formed.
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, Event::PhaseStart { .. }))
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| matches!(e, Event::PhaseEnd { .. }))
-            .count();
-        assert_eq!(starts, ends);
-        assert!(starts >= 4, "expected at least one span per rank");
-        for e in &events {
-            if let Event::Heartbeat { busy_frac, .. } = e {
-                assert!((0.0..=1.0).contains(busy_frac));
-            }
+        assert_eq!(merges, traced, "merge instants must mirror the trace order");
+        // Every rank closed at least one phase span.
+        for rank in 0..3 {
+            assert!(
+                doc.spans
+                    .iter()
+                    .any(|s| s.rank == rank && s.name == metric::PHASE_PARTITIONING),
+                "rank {rank} recorded no partitioning span"
+            );
         }
     }
 }

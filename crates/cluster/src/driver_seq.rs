@@ -42,8 +42,8 @@ pub fn cluster_sequential_traced(
 }
 
 /// Fully instrumented sequential run: phase timings, counters and the
-/// MCS-length histogram land in `obs`'s registry, and accepted merges
-/// are emitted as events when a real sink is attached.
+/// MCS-length histogram land in `obs`'s registry, and each merge is a
+/// `merge` trace instant when a tracer is attached.
 pub fn cluster_sequential_obs(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -183,7 +183,6 @@ pub fn cluster_ests<S: AsRef<[u8]>>(ests: &[S], cfg: &ClusterConfig) -> ClusterR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pace_obs::Event;
     use pace_simulate::{generate, SimConfig};
 
     fn small_cfg() -> ClusterConfig {
@@ -410,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_events_match_trace() {
+    fn merge_instants_match_merge_trace() {
         let sim = SimConfig {
             num_genes: 4,
             num_ests: 40,
@@ -422,17 +421,16 @@ mod tests {
         };
         let ds = generate(&sim);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let sink = pace_obs::VecSink::shared();
-        let obs = Obs::with_sink(Box::new(sink.clone()));
+        let obs = Obs::with_tracer();
         let (result, trace) = cluster_sequential_obs(&store, &small_cfg(), &obs);
-        let merges: Vec<_> = sink
-            .snapshot()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Merge { est_a, est_b, .. } => Some((est_a, est_b)),
-                _ => None,
-            })
+        let doc = pace_obs::TraceDoc::from_tracer(obs.tracer().unwrap());
+        let merges: Vec<_> = doc
+            .instants
+            .iter()
+            .filter(|i| i.name == pace_obs::trace::T_MERGE)
+            .map(|i| (i.id as usize, i.arg as usize))
             .collect();
+        assert!(result.stats.merges > 0);
         assert_eq!(merges.len() as u64, result.stats.merges);
         let traced: Vec<_> = trace.records().iter().map(|r| (r.est_a, r.est_b)).collect();
         assert_eq!(merges, traced);

@@ -46,8 +46,8 @@ const ALPHA_CAP: f64 = 4.0;
 /// [`ClusterStats::faults`](crate::stats::FaultStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNote {
-    /// An outstanding batch was re-sent (`retry` counts from 1).
-    Resend { slave: usize, seq: u64, retry: u32 },
+    /// An outstanding batch was re-sent.
+    Resend { slave: usize, seq: u64 },
     /// A slave exhausted its retry budget; `reassigned` of its pairs
     /// went back on the work buffer.
     DeadSlave { slave: usize, reassigned: usize },
@@ -254,7 +254,6 @@ impl Master {
             if link.retries < self.cfg.max_retries {
                 link.retries += 1;
                 link.deadline = now + self.cfg.slave_timeout;
-                let retry = link.retries;
                 let msg = match &link.pending {
                     Some((work, request)) => Msg::Work {
                         seq,
@@ -271,11 +270,7 @@ impl Master {
                     },
                 };
                 self.core.stats.faults.retries += 1;
-                self.notes.push(FaultNote::Resend {
-                    slave: s,
-                    seq,
-                    retry,
-                });
+                self.notes.push(FaultNote::Resend { slave: s, seq });
                 out.push((s, msg));
             } else {
                 self.declare_dead(s);

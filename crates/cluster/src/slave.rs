@@ -39,16 +39,14 @@ const IDLE_GEN_CHUNK: usize = 16;
 /// requests while the slave waits.
 const PAIRBUF_CAP: usize = 1 << 12;
 
-/// Run the slave protocol to completion with no instrumentation. The
-/// master must sit at rank `master`, which is always 0.
+/// Run the slave protocol to completion with no instrumentation, against
+/// the master at rank 0.
 pub fn run_slave(
     rank: &Rank<Msg>,
-    master: usize,
     store: &SequenceStore,
     forest: &LocalForest,
     cfg: &ClusterConfig,
 ) -> WorkerSummary {
-    assert_eq!(master, 0, "the master sits at rank 0");
     run_slave_obs(rank, store, None, forest, cfg, &Obs::noop())
 }
 

@@ -91,57 +91,6 @@ impl MergeTrace {
         }
         hist.into_iter().collect()
     }
-
-    /// Render as a TSV (`est_a  est_b  mcs_len  score_ratio` per line).
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::from("est_a\test_b\tmcs_len\tscore_ratio\n");
-        for r in &self.records {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{:.4}\n",
-                r.est_a, r.est_b, r.mcs_len, r.score_ratio
-            ));
-        }
-        out
-    }
-
-    /// Render as JSONL: one merge object per line, same field names as
-    /// the TSV columns. Machine-friendly counterpart of [`Self::to_tsv`],
-    /// and the same shape `--events-out` uses for its `merge` events.
-    pub fn to_jsonl(&self) -> String {
-        use pace_obs::Json;
-        let mut out = String::new();
-        for r in &self.records {
-            let line = Json::obj([
-                ("est_a", Json::Num(r.est_a as f64)),
-                ("est_b", Json::Num(r.est_b as f64)),
-                ("mcs_len", Json::Num(r.mcs_len as f64)),
-                ("score_ratio", Json::Num(r.score_ratio)),
-            ]);
-            out.push_str(&line.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse a trace previously rendered by [`Self::to_jsonl`]. Returns
-    /// `None` on any malformed line or missing field.
-    pub fn from_jsonl(text: &str) -> Option<Self> {
-        let mut records = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let doc = pace_obs::json::parse(line).ok()?;
-            records.push(MergeRecord {
-                est_a: doc.get("est_a")?.as_u64()? as usize,
-                est_b: doc.get("est_b")?.as_u64()? as usize,
-                mcs_len: doc.get("mcs_len")?.as_u64()? as u32,
-                score_ratio: doc.get("score_ratio")?.as_f64()?,
-            });
-        }
-        Some(MergeTrace { records })
-    }
 }
 
 #[cfg(test)]
@@ -187,30 +136,6 @@ mod tests {
         }
         assert_eq!(trace.mcs_histogram(10), vec![(20, 3), (40, 1)]);
         assert_eq!(trace.mcs_histogram(5), vec![(20, 2), (25, 1), (40, 1)]);
-    }
-
-    #[test]
-    fn tsv_rendering() {
-        let mut trace = MergeTrace::new();
-        trace.record(&outcome(7, 9, 33, 0.875));
-        let tsv = trace.to_tsv();
-        assert!(tsv.starts_with("est_a\t"));
-        assert!(tsv.contains("7\t9\t33\t0.8750"));
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let mut trace = MergeTrace::new();
-        trace.record(&outcome(0, 1, 30, 0.95));
-        trace.record(&outcome(7, 9, 33, 0.875));
-        trace.record(&outcome(1, 9, 21, 1.0));
-        let text = trace.to_jsonl();
-        assert_eq!(text.lines().count(), 3);
-        let back = MergeTrace::from_jsonl(&text).unwrap();
-        assert_eq!(back, trace);
-        // Malformed input is rejected, not silently truncated.
-        assert!(MergeTrace::from_jsonl("{\"est_a\": 1}\n").is_none());
-        assert!(MergeTrace::from_jsonl("not json\n").is_none());
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn with_slave<R: Send>(
         if rank.rank() == 0 {
             Some(script(&rank))
         } else {
-            run_slave(&rank, 0, store, &forest, cfg);
+            run_slave(&rank, store, &forest, cfg);
             None
         }
     })

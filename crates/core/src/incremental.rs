@@ -36,7 +36,7 @@
 //!   replay exactly like a batch run's;
 //! * a fold reports like a batch run: it records `partitioning`,
 //!   `gst_construction` and `node_sorting` spans, the drains publish
-//!   merge events, the MCS histogram, `pair_generation` and `alignment`
+//!   `merge` trace instants, the MCS histogram, `pair_generation` and `alignment`
 //!   phase samples and workspace reuses to the clusterer's [`Obs`]
 //!   handle, and the fold adds its share of the `pairs.*` and `merges`
 //!   counters.

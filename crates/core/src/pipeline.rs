@@ -141,8 +141,9 @@ impl Pace {
 
     /// Cluster a pre-built sequence store with instrumentation: phase
     /// timings, counters and histograms accumulate in `obs`'s registry
-    /// (ready for a `pace_obs::report` document), and structured events
-    /// stream to its sink. The merge trace is kept on the outcome.
+    /// (ready for a `pace_obs::report` document), and spans, faults and
+    /// merges go to its trace if one is attached. The merge trace is
+    /// kept on the outcome.
     pub fn cluster_store_obs(
         &self,
         store: &SequenceStore,

@@ -436,8 +436,8 @@ pub(crate) enum InjectedKind {
 
 /// Attribution for one injected send-side fault: which channel and which
 /// per-channel transport sequence number it hit. This is what lets
-/// sinks and traces distinguish drops/delays per channel instead of
-/// aggregating anonymously.
+/// traces distinguish drops/delays per channel instead of aggregating
+/// anonymously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Injected {
     pub(crate) kind: InjectedKind,

@@ -3,7 +3,7 @@
 use crate::fault::{FaultCounters, FaultPlan, Injected, InjectedKind, RankFaults, SendFate};
 use crate::transport::Transport;
 use pace_obs::trace::{T_FAULT_CRASH, T_FAULT_DELAY, T_FAULT_DROP, T_RECV_WAIT, T_SEND, T_STALL};
-use pace_obs::{Event, Obs};
+use pace_obs::Obs;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,7 +79,7 @@ impl<M: Send + 'static> Rank<M> {
     }
 
     /// Run one scheduled stall, if this rank has any left; records it as
-    /// a trace span and a fault event when observability is live.
+    /// a trace span when a tracer is attached.
     fn maybe_stall(&self) {
         if let Some(f) = &self.faults {
             let t0_us = self.obs.trace_enabled().then(|| self.obs.now_us());
@@ -95,42 +95,27 @@ impl<M: Send + 'static> Rank<M> {
                         millis,
                     );
                 });
-                self.obs.emit_with(|| Event::Fault {
-                    t: self.obs.now(),
-                    rank: self.rank(),
-                    kind: "injected.stall".into(),
-                    seq: None,
-                    detail: format!("millis={millis}"),
-                });
             }
         }
     }
 
-    /// Record one injected send-side fault as a trace instant and a
-    /// structured fault event, attributed to this rank's channel and
-    /// transport sequence number.
+    /// Record one injected send-side fault as a trace instant,
+    /// attributed to this rank's channel (`arg` = destination rank) and
+    /// transport sequence number (`id`).
     fn note_injected(&self, injected: Injected) {
-        let (trace_name, event_kind) = match injected.kind {
-            InjectedKind::Drop => (T_FAULT_DROP, "injected.drop"),
-            InjectedKind::Delay => (T_FAULT_DELAY, "injected.delay"),
-            InjectedKind::Crash => (T_FAULT_CRASH, "injected.crash"),
-            InjectedKind::CrashDrop => (T_FAULT_DROP, "injected.crash_drop"),
+        let name = match injected.kind {
+            InjectedKind::Drop | InjectedKind::CrashDrop => T_FAULT_DROP,
+            InjectedKind::Delay => T_FAULT_DELAY,
+            InjectedKind::Crash => T_FAULT_CRASH,
         };
         self.obs.trace_with(|tracer| {
             tracer.instant(
                 self.rank(),
-                trace_name,
+                name,
                 self.obs.now_us(),
                 injected.seq,
                 injected.to as u64,
             );
-        });
-        self.obs.emit_with(|| Event::Fault {
-            t: self.obs.now(),
-            rank: self.rank(),
-            kind: event_kind.into(),
-            seq: Some(injected.seq),
-            detail: format!("to={}", injected.to),
         });
     }
 

@@ -38,7 +38,7 @@ where
 
 /// [`run_world_with_faults`] with a shared observability handle: every
 /// rank's send/recv/stall activity is recorded through `obs` (trace
-/// spans and fault events when a tracer/sink is attached; nothing extra
+/// spans and fault instants when a tracer is attached; nothing extra
 /// when `obs` is a noop).
 pub fn run_world_obs<M, R, F>(p: usize, plan: &FaultPlan, obs: &pace_obs::Obs, f: F) -> Vec<R>
 where

@@ -1,9 +1,9 @@
 //! A minimal JSON value type with a writer and parser.
 //!
 //! The workspace has no serde (no network access to crates.io), and the
-//! observability layer needs both directions: the run report and event
-//! sinks *write* JSON, and tests plus `MergeTrace::from_jsonl` *read*
-//! it back. This module covers RFC 8259 JSON with two deliberate
+//! observability layer needs both directions: the run report and the
+//! trace export *write* JSON, and `pace-trace` plus the tests *read* it
+//! back. This module covers RFC 8259 JSON with two deliberate
 //! simplifications: numbers are `f64` (exact for integers up to 2^53 —
 //! far beyond any counter here), and `\uXXXX` escapes outside the BMP
 //! must be paired surrogates.

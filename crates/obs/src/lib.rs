@@ -13,9 +13,9 @@
 //! - [`Registry`] — thread-safe named counters, gauges, log-bucketed
 //!   histograms, and per-phase duration aggregates (count, sum, min,
 //!   mean, max and quantiles).
-//! - [`EventSink`] — pluggable structured-event stream:
-//!   [`NullSink`] (zero-overhead default), [`VecSink`] (test capture),
-//!   [`JsonlSink`] (line-delimited JSON file).
+//! - [`Tracer`] — the optional causal trace: per-rank spans, instants
+//!   (injected faults, recovery actions, merges) and dispatch→report
+//!   flow edges, exported as Chrome/Perfetto JSON ([`trace`]).
 //! - [`report`] — a schema-versioned JSON run report assembled from a
 //!   registry snapshot, shared by the CLI (`--metrics-out`) and the
 //!   bench binaries.
@@ -43,7 +43,6 @@ pub mod metric;
 pub mod quantile;
 pub mod registry;
 pub mod report;
-pub mod sink;
 pub mod span;
 pub mod trace;
 
@@ -51,7 +50,6 @@ pub use json::Json;
 pub use quantile::LogQuantile;
 pub use registry::{Counter, Histogram, PhaseAgg, Registry, RegistrySnapshot};
 pub use report::SCHEMA_VERSION;
-pub use sink::{Event, EventSink, JsonlSink, NullSink, VecSink};
 pub use span::{Span, Timer};
 pub use trace::{TraceDoc, TraceEvent, TraceKind, Tracer, TRACE_SCHEMA_VERSION};
 
@@ -60,56 +58,39 @@ use std::time::Instant;
 
 struct Inner {
     registry: Registry,
-    sink: Box<dyn EventSink>,
-    /// `true` unless the sink is a `NullSink`; lets hot paths skip
-    /// building `Event` values entirely.
-    events_enabled: bool,
     /// Present only when `--trace-out` (or a test) asked for a trace;
     /// hot paths gate on [`Obs::trace_enabled`] / [`Obs::trace_with`]
     /// so tracing off costs one branch and zero allocations.
-    tracer: Option<Arc<Tracer>>,
+    tracer: Option<Tracer>,
     epoch: Instant,
 }
 
 /// Cheaply clonable handle to one run's observability state: a metric
-/// registry plus an event sink. `Obs` is `Send + Sync`; every rank of
-/// the parallel driver shares one handle.
+/// registry plus an optional trace recorder. `Obs` is `Send + Sync`;
+/// every rank of the parallel driver shares one handle.
 #[derive(Clone)]
 pub struct Obs {
     inner: Arc<Inner>,
 }
 
 impl Obs {
-    /// An `Obs` that aggregates metrics but drops events ([`NullSink`]).
-    /// This is the default for library callers; the registry still
-    /// fills so reports can always be produced.
+    /// An `Obs` that aggregates metrics and records no trace. This is
+    /// the default for library callers; the registry still fills so
+    /// reports can always be produced.
     pub fn noop() -> Self {
-        Obs::with_sink(Box::new(NullSink))
+        Obs::build(None)
     }
 
-    /// An `Obs` emitting events into the given sink.
-    pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
-        Obs::build(sink, None)
-    }
-
-    /// An `Obs` with a trace recorder attached (and a `NullSink` for
-    /// events). Spans then also record [`trace::TraceEvent`]s.
+    /// An `Obs` with a trace recorder attached. Spans then also record
+    /// [`trace::TraceEvent`]s.
     pub fn with_tracer() -> Self {
-        Obs::build(Box::new(NullSink), Some(Arc::new(Tracer::new())))
+        Obs::build(Some(Tracer::new()))
     }
 
-    /// An `Obs` with both an event sink and a trace recorder.
-    pub fn with_sink_and_tracer(sink: Box<dyn EventSink>) -> Self {
-        Obs::build(sink, Some(Arc::new(Tracer::new())))
-    }
-
-    fn build(sink: Box<dyn EventSink>, tracer: Option<Arc<Tracer>>) -> Self {
-        let events_enabled = !sink.is_null();
+    fn build(tracer: Option<Tracer>) -> Self {
         Obs {
             inner: Arc::new(Inner {
                 registry: Registry::new(),
-                sink,
-                events_enabled,
                 tracer,
                 epoch: Instant::now(),
             }),
@@ -135,7 +116,7 @@ impl Obs {
 
     /// The trace recorder, if one is attached.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.inner.tracer.as_deref()
+        self.inner.tracer.as_ref()
     }
 
     /// Whether a trace recorder is attached. Hot paths gate on this (or
@@ -145,37 +126,11 @@ impl Obs {
     }
 
     /// Record trace events lazily: the closure runs only when a tracer
-    /// is attached — the tracing analogue of [`Obs::emit_with`].
+    /// is attached.
     pub fn trace_with(&self, record: impl FnOnce(&Tracer)) {
         if let Some(tracer) = &self.inner.tracer {
             record(tracer);
         }
-    }
-
-    /// Whether events are observable (i.e. the sink is not `NullSink`).
-    /// Hot paths should gate event construction on this, or use
-    /// [`Obs::emit_with`].
-    pub fn events_enabled(&self) -> bool {
-        self.inner.events_enabled
-    }
-
-    /// Emit one event to the sink.
-    pub fn emit(&self, event: Event) {
-        if self.inner.events_enabled {
-            self.inner.sink.emit(&event);
-        }
-    }
-
-    /// Emit lazily: the event is only built if a real sink is attached.
-    pub fn emit_with(&self, make: impl FnOnce() -> Event) {
-        if self.inner.events_enabled {
-            self.inner.sink.emit(&make());
-        }
-    }
-
-    /// Flush the sink (e.g. the JSONL writer's buffer).
-    pub fn flush(&self) {
-        self.inner.sink.flush();
     }
 
     /// Open an RAII span for `phase` on rank 0.
@@ -183,10 +138,10 @@ impl Obs {
         self.span_on(phase, 0)
     }
 
-    /// Open an RAII span for `phase` on the given rank. Emits
-    /// `PhaseStart` now and, at [`Span::finish`] (or drop),
-    /// records the duration into the registry's phase aggregate and emits
-    /// `PhaseEnd`.
+    /// Open an RAII span for `phase` on the given rank. At
+    /// [`Span::finish`] (or drop) it records the duration into the
+    /// registry's phase aggregate and, with a tracer attached, one trace
+    /// span.
     pub fn span_on<'a>(&'a self, phase: &'a str, rank: usize) -> Span<'a> {
         Span::begin(self, phase, rank)
     }
@@ -200,7 +155,7 @@ impl Obs {
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
-            .field("events_enabled", &self.inner.events_enabled)
+            .field("trace_enabled", &self.trace_enabled())
             .finish()
     }
 }
@@ -230,21 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_disables_events() {
-        let obs = Obs::noop();
-        assert!(!obs.events_enabled());
-        let mut built = false;
-        obs.emit_with(|| {
-            built = true;
-            Event::Message {
-                t: 0.0,
-                text: "never".into(),
-            }
-        });
-        assert!(!built, "NullSink must not build events");
-    }
-
-    #[test]
     fn no_tracer_never_invokes_trace_closures() {
         let obs = Obs::noop();
         assert!(!obs.trace_enabled());
@@ -267,27 +207,5 @@ mod tests {
         assert_eq!(snap[0].rank, 2);
         assert_eq!(snap[0].name, "alignment");
         assert!(matches!(snap[0].kind, TraceKind::Span));
-    }
-
-    #[test]
-    fn vec_sink_captures_span_events() {
-        let sink = VecSink::shared();
-        let obs = Obs::with_sink(Box::new(sink.clone()));
-        let span = obs.span_on("alignment", 3);
-        let secs = span.finish();
-        assert!(secs >= 0.0);
-        let events = sink.snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            &events[0],
-            Event::PhaseStart { phase, rank: 3, .. } if phase == "alignment"
-        ));
-        assert!(matches!(
-            &events[1],
-            Event::PhaseEnd { phase, rank: 3, secs, .. }
-                if phase == "alignment" && *secs >= 0.0
-        ));
-        let agg = &obs.registry().snapshot().phases["alignment"];
-        assert_eq!(agg.count, 1);
     }
 }

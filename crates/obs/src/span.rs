@@ -1,16 +1,15 @@
 //! RAII phase spans and accumulating timers.
 //!
-//! [`Span`] times one phase on one rank: it emits a `PhaseStart` event
-//! when opened and, on [`Span::finish`] (or drop), records the elapsed
-//! seconds into the registry's phase aggregate and emits `PhaseEnd`.
-//! `finish()` also *returns* the seconds, for call sites that ship them
-//! elsewhere (a worker's summary to the master).
+//! [`Span`] times one phase on one rank: on [`Span::finish`] (or drop)
+//! it records the elapsed seconds into the registry's phase aggregate
+//! and, with a tracer attached, one trace span. `finish()` also
+//! *returns* the seconds, for call sites that ship them elsewhere (a
+//! worker's summary to the master).
 //!
 //! [`Timer`] is a stopwatch for inner loops that run many short bursts
 //! of the same phase (e.g. per-batch alignment in a slave): start/stop
 //! accumulates, and the total is recorded once at the end.
 
-use crate::sink::Event;
 use crate::Obs;
 use std::time::{Duration, Instant};
 
@@ -26,11 +25,6 @@ pub struct Span<'a> {
 
 impl<'a> Span<'a> {
     pub(crate) fn begin(obs: &'a Obs, phase: &'a str, rank: usize) -> Self {
-        obs.emit_with(|| Event::PhaseStart {
-            phase: phase.to_string(),
-            rank,
-            t: obs.now(),
-        });
         Span {
             obs,
             phase,
@@ -56,12 +50,6 @@ impl<'a> Span<'a> {
         self.obs
             .registry()
             .record_phase(self.phase, self.rank, secs);
-        self.obs.emit_with(|| Event::PhaseEnd {
-            phase: self.phase.to_string(),
-            rank: self.rank,
-            t: self.obs.now(),
-            secs,
-        });
         self.obs.trace_with(|tracer| {
             let dur_us = (secs * 1e6) as u64;
             let end_us = self.obs.now_us();
@@ -139,7 +127,7 @@ impl Timer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Obs, VecSink};
+    use crate::Obs;
 
     #[test]
     fn span_records_on_drop() {
@@ -161,19 +149,6 @@ mod tests {
         let agg = &obs.registry().snapshot().phases["node_sorting"];
         assert_eq!(agg.count, 1);
         assert!((agg.max - secs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn span_event_order_and_timestamps() {
-        let sink = VecSink::shared();
-        let obs = Obs::with_sink(Box::new(sink.clone()));
-        obs.span("partitioning").finish();
-        let ev = sink.snapshot();
-        let (t0, t1) = match (&ev[0], &ev[1]) {
-            (Event::PhaseStart { t: a, .. }, Event::PhaseEnd { t: b, .. }) => (*a, *b),
-            other => panic!("unexpected events: {other:?}"),
-        };
-        assert!(t0 <= t1);
     }
 
     #[test]

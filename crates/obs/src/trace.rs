@@ -14,8 +14,7 @@
 //! Recording is allocation-light by construction: [`TraceEvent`] is
 //! `Copy` (names are interned `&'static str`s), each rank appends to
 //! its own mutex-striped [`TraceBuffer`] lane, and with no tracer
-//! attached the [`crate::Obs::trace_with`] closure is never invoked —
-//! the same zero-cost discipline as `emit_with` with a `NullSink`.
+//! attached the [`crate::Obs::trace_with`] closure is never invoked.
 //!
 //! # Trace schema (versioned)
 //!
@@ -26,9 +25,10 @@
 //! (instant), `s`/`t`/`f` (flow start/step/end, `cat` = `"flow"`,
 //! bound to the enclosing slice). Span/instant `args` carry the
 //! event's `id`/`arg` attributes (sequence numbers, batch sizes, fault
-//! millis). [`TRACE_SCHEMA_VERSION`] follows the same rule as the run
-//! report's schema version (DESIGN.md §9): bump on breaking shape
-//! changes, and consumers must check it before reading further.
+//! millis, merged EST indices). [`TRACE_SCHEMA_VERSION`] follows the
+//! same rule as the run report's schema version (DESIGN.md §9): bump on
+//! breaking shape changes, and consumers must check it before reading
+//! further.
 
 use crate::json::Json;
 use crate::quantile::LogQuantile;
@@ -56,10 +56,24 @@ pub const T_STALL: &str = "stall";
 pub const T_FAULT_DROP: &str = "fault.drop";
 /// Instant: an injected message delay (`arg` = destination rank).
 pub const T_FAULT_DELAY: &str = "fault.delay";
-/// Instant: an injected rank crash (`arg` = sends completed).
+/// Instant: an injected rank crash (`arg` = destination rank).
 pub const T_FAULT_CRASH: &str = "fault.crash";
-/// Instant: a master recovery action (resend/dead slave/…); the
-/// specific action is the event's `arg`-free name, see `driver_par`.
+/// Instant: the master re-sent an overdue batch (`id` = its sequence
+/// number, `arg` = slave index).
+pub const T_RESEND: &str = "resend";
+/// Instant: the master declared a slave dead (`id` = pairs reassigned,
+/// `arg` = slave index).
+pub const T_DEAD_SLAVE: &str = "dead_slave";
+/// Instant: the master ignored a duplicate or stale report (`id` = its
+/// sequence number, `arg` = slave index).
+pub const T_DUPLICATE_REPORT: &str = "duplicate_report";
+/// Instant: the master discarded queued pairs with no live slave left
+/// (`arg` = pairs).
+pub const T_ABANDONED: &str = "abandoned";
+/// Instant: an effective union (`id` = `est_a`, `arg` = `est_b`), in
+/// the merge trace's order.
+pub const T_MERGE: &str = "merge";
+/// Name of every flow point.
 pub const T_FLOW_NAME: &str = "batch";
 
 /// Span names that represent *waiting*, not work — excluded from
@@ -404,13 +418,23 @@ pub struct FlowRec {
     pub ends: Vec<(u32, u64)>,
 }
 
+/// One instant as the analyzer sees it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct InstantRec {
+    pub rank: u32,
+    pub name: String,
+    pub t_us: u64,
+    pub id: u64,
+    pub arg: u64,
+}
+
 /// A parsed trace, decoupled from how it was produced (in-process
 /// [`Tracer`] or a Chrome JSON file round-trip).
 #[derive(Clone, Debug, Default)]
 pub struct TraceDoc {
     pub spans: Vec<SpanRec>,
-    /// `(rank, name, t_us, arg)` instants.
-    pub instants: Vec<(u32, String, u64, u64)>,
+    /// Instants in time order (per source document).
+    pub instants: Vec<InstantRec>,
     pub flows: BTreeMap<u64, FlowRec>,
     pub schema_version: u64,
 }
@@ -431,10 +455,13 @@ impl TraceDoc {
                     t0_us: e.t_us,
                     dur_us: e.dur_us,
                 }),
-                TraceKind::Instant => {
-                    doc.instants
-                        .push((e.rank, e.name.to_string(), e.t_us, e.arg))
-                }
+                TraceKind::Instant => doc.instants.push(InstantRec {
+                    rank: e.rank,
+                    name: e.name.to_string(),
+                    t_us: e.t_us,
+                    id: e.id,
+                    arg: e.arg,
+                }),
                 TraceKind::FlowStart => doc
                     .flows
                     .entry(e.id)
@@ -508,12 +535,19 @@ impl TraceDoc {
                     dur_us: need("dur")? as u64,
                 }),
                 "i" => {
-                    let arg = e
-                        .get("args")
-                        .and_then(|a| a.get("arg"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0);
-                    out.instants.push((rank, name, ts, arg));
+                    let attr = |k: &str| {
+                        e.get("args")
+                            .and_then(|a| a.get(k))
+                            .and_then(Json::as_u64)
+                            .unwrap_or(0)
+                    };
+                    out.instants.push(InstantRec {
+                        rank,
+                        name,
+                        t_us: ts,
+                        id: attr("id"),
+                        arg: attr("arg"),
+                    });
                 }
                 "s" | "t" | "f" => {
                     let id = need("id")? as u64;
@@ -619,10 +653,10 @@ pub struct Analysis {
     pub flows_orphan_ends: usize,
     /// Per-span-name duration quantiles (log-bucket estimates).
     pub quantiles: BTreeMap<String, SpanQuantiles>,
-    /// Ranks that coordinated work (owned at least one `handle_report`
-    /// span): the single master's rank 0, or — under sharded masters —
-    /// every sub-master rank. Computed from the trace, not assumed from
-    /// the protocol's conventional layout.
+    /// Ranks that coordinated work: those owning at least one
+    /// `handle_report` span, which is the master's rank 0 in every trace
+    /// the drivers write. Computed from the trace, not assumed from the
+    /// protocol's rank layout.
     pub coordinators: BTreeSet<u32>,
 }
 
@@ -739,9 +773,9 @@ pub fn analyze(doc: &TraceDoc) -> Analysis {
         t_min = t_min.min(s.t0_us);
         t_max = t_max.max(s.end_us());
     }
-    for &(_, _, t, _) in &doc.instants {
-        t_min = t_min.min(t);
-        t_max = t_max.max(t);
+    for i in &doc.instants {
+        t_min = t_min.min(i.t_us);
+        t_max = t_max.max(i.t_us);
     }
     for f in doc.flows.values() {
         for &(_, t) in f.starts.iter().chain(&f.steps).chain(&f.ends) {
@@ -755,8 +789,7 @@ pub fn analyze(doc: &TraceDoc) -> Analysis {
     let wall_us = t_max - t_min;
     analysis.wall_secs = wall_us as f64 / 1e6;
 
-    // Coordinator ranks own `handle_report` spans: rank 0 for the single
-    // master, ranks 1..=K for sharded sub-masters. The straggler ranking
+    // Coordinator ranks own `handle_report` spans. The straggler ranking
     // excludes them — a coordinator idles by design (the paper's "< 2%
     // busy" claim), the opposite of straggling.
     analysis.coordinators = doc
@@ -771,7 +804,7 @@ pub fn analyze(doc: &TraceDoc) -> Analysis {
         .spans
         .iter()
         .map(|s| s.rank)
-        .chain(doc.instants.iter().map(|i| i.0))
+        .chain(doc.instants.iter().map(|i| i.rank))
         .collect();
     for &rank in &ranks {
         let busy_iv: Vec<(u64, u64)> = work_spans
@@ -1084,6 +1117,9 @@ mod tests {
         let direct = TraceDoc::from_tracer(&tr);
         assert_eq!(direct.spans.len(), doc.spans.len());
         assert_eq!(direct.flows.len(), doc.flows.len());
+        // Instants keep both attributes through the file.
+        assert_eq!(doc.instants.len(), 1);
+        assert_eq!(direct.instants, doc.instants);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 # myers_kernel, the phases and kernels this code path owns — regresses
 # by more than the tolerance (default 25%). The other phases and the
 # total are reported for context but never fail the gate: on shared CI
-# runners their noise swamps any signal.
+# runners their noise swamps any signal. pair_generation is in the smoke
+# report but not in the baseline, so it prints as "not in baseline".
 #
 # The gate statistic is a min-over-reps, which is robust to transient load
 # spikes but still machine-relative: the committed baseline is only
@@ -26,9 +27,11 @@
 #   * refreshing bench/baseline.json in the same PR:
 #       cargo build --release -p pace-bench --bin smoke
 #       PACE_SMOKE_REPS=5 PACE_METRICS_DIR=bench_out ./target/release/smoke
-#     then copy bench_out/smoke.json's "phase_min" values into
-#     bench/baseline.json (keep its "note"/"meta" fields current; see
-#     EXPERIMENTS.md), or
+#     then copy bench_out/smoke.json's "phase_min" values for the gated
+#     phases, partitioning and total into bench/baseline.json (keep its
+#     "note"/"meta" fields current; see EXPERIMENTS.md). The recipe sets
+#     no PACE_BENCH_TRAJECTORY, so it adds nothing to the committed
+#     BENCH_smoke.json trajectory, or
 #   * setting BENCH_GATE_SKIP=1 on the CI job (e.g. export it in the
 #     workflow step after applying a `bench-gate-override` PR label),
 #     which turns a failure into a warning.

@@ -15,6 +15,8 @@
 #      exactly the rank that received the injected stalls.
 #   4. The run report carries the trace-derived figures (p99 align_batch
 #      latency is echoed for the CI log; report-only, never gated).
+#   5. The trace holds one `merge` instant per effective union: their
+#      count equals the run report's `merges` counter.
 #
 # Usage: scripts/trace_smoke.sh [pace-binary] [pace-trace-binary] [outdir]
 set -euo pipefail
@@ -106,8 +108,19 @@ elif a["stragglers"][0]["rank"] != stalled[0]:
 else:
     print(f"trace_smoke: straggler ranking correctly blames stalled rank {stalled[0]}")
 
+# --- merges: one `merge` instant per effective union -----------------
+metrics = json.load(open(metrics_path))
+merge_instants = sum(1 for e in events if e.get("ph") == "i" and e.get("name") == "merge")
+merges = metrics.get("counters", {}).get("merges")
+if merges is None:
+    failures.append("merges counter missing from the metrics report")
+elif merge_instants != merges:
+    failures.append(f"{merge_instants} merge instants in the trace, but the report counts {merges:.0f} merges")
+else:
+    print(f"trace_smoke: {merge_instants} merge instants match the report's merges counter")
+
 # --- report-only latency echo ----------------------------------------
-timers = json.load(open(metrics_path)).get("timers", {})
+timers = metrics.get("timers", {})
 ab = timers.get("align_batch")
 if ab and "p99" in ab:
     print(

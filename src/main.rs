@@ -16,11 +16,10 @@
 //!
 //! Observability (cluster subcommand):
 //! `--metrics-out FILE` writes the schema-versioned JSON run report,
-//! `--events-out FILE` streams JSONL events (phase spans, master
-//! heartbeats, accepted merges), `--trace-out FILE` records causal
-//! per-message spans and writes a Perfetto/Chrome-tracing timeline
-//! (analyze it with the `pace-trace` binary), `-v` prints the report
-//! to stderr, `--quiet` silences everything but errors.
+//! `--trace-out FILE` records causal per-message spans plus fault,
+//! recovery and `merge` instants and writes a Perfetto/Chrome-tracing
+//! timeline (analyze it with the `pace-trace` binary), `-v` prints the
+//! report to stderr, `--quiet` silences everything but errors.
 
 use pace::core::{detect_splice_events, SpliceScanConfig};
 use pace::{Pace, PaceConfig, SimConfig};
@@ -81,7 +80,7 @@ USAGE:
                 [--slave-timeout SECS] [--max-retries N]
                 [--checkpoint-dir DIR] [--resume] [--memory-budget BYTES[K|M|G]]
                 [--checkpoint-every N] [--crash-after ingest|cluster-batch:K]
-                [--metrics-out FILE] [--events-out FILE] [--trace-out FILE]
+                [--metrics-out FILE] [--trace-out FILE]
                 [-v|--verbose] [--quiet]
   pace assess   --pred FILE --truth FILE
   pace splice   --in FASTA --clusters FILE [--min-event N]
@@ -120,7 +119,6 @@ const CLUSTER_FLAGS: &[&str] = &[
     "checkpoint-every",
     "crash-after",
     "metrics-out",
-    "events-out",
     "trace-out",
     "verbose",
     "quiet",
@@ -465,19 +463,10 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         return Err("--fault-seed requires --fault-profile".into());
     }
 
-    let tracing = flags.contains_key("trace-out");
-    let obs = match flags.get("events-out") {
-        Some(path) => {
-            let sink = pace::obs::JsonlSink::create(std::path::Path::new(path))
-                .map_err(|e| format!("opening {path}: {e}"))?;
-            if tracing {
-                pace::obs::Obs::with_sink_and_tracer(Box::new(sink))
-            } else {
-                pace::obs::Obs::with_sink(Box::new(sink))
-            }
-        }
-        None if tracing => pace::obs::Obs::with_tracer(),
-        None => pace::obs::Obs::noop(),
+    let obs = if flags.contains_key("trace-out") {
+        pace::obs::Obs::with_tracer()
+    } else {
+        pace::obs::Obs::noop()
     };
 
     // Transport selection: "channel" (default) runs every rank as a
@@ -538,7 +527,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         let result = Pace::new(config)
             .cluster_fasta_persistent(std::path::Path::new(input), &persist, &obs)
             .map_err(|e| e.to_string())?;
-        obs.flush();
         return finish_cluster_output(&flags, out, &result.ids, &result.outcome, &obs);
     }
 
@@ -567,7 +555,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             .cluster_store_obs(&store, &obs)
             .map_err(|e| e.to_string())?
     };
-    obs.flush();
 
     let ids: Vec<String> = records.into_iter().map(|r| r.id).collect();
     finish_cluster_output(&flags, out, &ids, &outcome, &obs)

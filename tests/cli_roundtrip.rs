@@ -190,8 +190,10 @@ fn cluster_rejects_bad_flags_and_too_small_worlds() {
     assert!(out.status.success());
 
     let ckpt_arg = ckpt.to_str().unwrap();
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--bogus-flag", "7"], "--bogus-flag"),
+        // The trace is the run's only event record.
+        (&["--events-out", "x"], "unknown flag --events-out"),
         (&["--psi", "20", "--psi", "22"], "--psi"),
         (&["--procs", "1", "--shards", "2"], "shards"),
         (

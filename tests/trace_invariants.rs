@@ -15,11 +15,19 @@
 //!   dead — the trace's unclosed arrows are exactly the in-flight
 //!   batches a crash orphaned.
 //!
+//! The trace also holds one instant per injected fault and per master
+//! recovery action, so its counts must equal the `faults.*` books: one
+//! `resend` instant per retry, one `duplicate_report` per ignored
+//! report, one `dead_slave` per slave declared dead.
+//!
 //! The remaining structural invariants (utilization ∈ [0, 1], critical
 //! path ≤ wall clock) are asserted on every run, faulted or not.
 
-use pace::obs::trace::{analyze, Analysis};
-use pace::obs::{Event, Obs, TraceDoc, VecSink};
+use pace::obs::trace::{
+    analyze, Analysis, T_ABANDONED, T_DEAD_SLAVE, T_DUPLICATE_REPORT, T_FAULT_DELAY, T_FAULT_DROP,
+    T_RESEND,
+};
+use pace::obs::{Obs, TraceDoc};
 use pace::{FaultPlan, FaultProfile, Pace, PaceConfig, SequenceStore, SimConfig};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -56,23 +64,34 @@ fn cfg(p: usize) -> PaceConfig {
 struct TracedRun {
     stats: pace::cluster::ClusterStats,
     analysis: Analysis,
-    events: Vec<Event>,
+    doc: TraceDoc,
 }
 
-/// Run the pipeline with both a tracer and an event sink attached, on a
-/// watchdog thread (a deadlocked faulted protocol must fail, not hang).
+impl TracedRun {
+    /// The instants named `name`, as `(id, arg)`.
+    fn instants(&self, name: &str) -> Vec<(u64, u64)> {
+        self.doc
+            .instants
+            .iter()
+            .filter(|i| i.name == name)
+            .map(|i| (i.id, i.arg))
+            .collect()
+    }
+}
+
+/// Run the pipeline with a tracer attached, on a watchdog thread (a
+/// deadlocked faulted protocol must fail, not hang).
 fn run_traced(store: &SequenceStore, config: PaceConfig) -> TracedRun {
     let (tx, rx) = mpsc::channel();
     let store = store.clone();
     let handle = std::thread::spawn(move || {
-        let sink = VecSink::shared();
-        let obs = Obs::with_sink_and_tracer(Box::new(sink.clone()));
+        let obs = Obs::with_tracer();
         let outcome = Pace::new(config).cluster_store_obs(&store, &obs).unwrap();
         let doc = TraceDoc::from_tracer(obs.tracer().expect("tracer attached"));
         let _ = tx.send(TracedRun {
             stats: outcome.result.stats,
             analysis: analyze(&doc),
-            events: sink.snapshot(),
+            doc,
         });
     });
     let out = rx
@@ -82,8 +101,10 @@ fn run_traced(store: &SequenceStore, config: PaceConfig) -> TracedRun {
     out
 }
 
-/// The always-true structural invariants, independent of fault profile.
-fn assert_structure(r: &TracedRun, what: &str) {
+/// The always-true structural invariants, independent of fault profile:
+/// the flow accounting, and one recovery instant per booked recovery
+/// action, naming a slave of the `p`-rank world.
+fn assert_structure(r: &TracedRun, p: usize, what: &str) {
     let a = &r.analysis;
     assert!(a.flows_total > 0, "{what}: no flows recorded");
     assert_eq!(
@@ -106,6 +127,21 @@ fn assert_structure(r: &TracedRun, what: &str) {
         a.critical_path_secs,
         a.wall_secs
     );
+    let faults = &r.stats.faults;
+    for (name, booked) in [
+        (T_RESEND, faults.retries),
+        (T_DUPLICATE_REPORT, faults.duplicate_reports),
+        (T_DEAD_SLAVE, faults.dead_slaves),
+    ] {
+        let instants = r.instants(name);
+        assert_eq!(instants.len() as u64, booked, "{what}: {name} instants");
+        assert!(
+            instants.iter().all(|&(_, slave)| slave < p as u64 - 1),
+            "{what}: {name} instant names no slave: {instants:?}"
+        );
+    }
+    let abandoned: u64 = r.instants(T_ABANDONED).iter().map(|&(_, n)| n).sum();
+    assert_eq!(abandoned, faults.abandoned_pairs, "{what}: abandoned pairs");
 }
 
 /// A lossless schedule closes every flow: the master over 3 slaves.
@@ -119,7 +155,7 @@ fn check_lossless(profile: FaultProfile, seed: u64) {
     let r = run_traced(&store, config);
     let what = format!("{profile} seed {seed}");
 
-    assert_structure(&r, &what);
+    assert_structure(&r, p, &what);
     // The protocol books say nothing was lost...
     assert_eq!(r.stats.faults.lost_pairs, 0, "{what}: pairs lost");
     // ...so the trace must close every dispatch→report arrow.
@@ -127,24 +163,18 @@ fn check_lossless(profile: FaultProfile, seed: u64) {
         r.analysis.flows_unresolved, 0,
         "{what}: trace left flows unresolved on a lossless schedule"
     );
-    // Injected faults are attributed: each fault event names its rank,
-    // and sender-side verdicts carry the transport sequence number.
-    let injected: Vec<&Event> = r
-        .events
-        .iter()
-        .filter(|e| matches!(e, Event::Fault { kind, .. } if kind.starts_with("injected.")))
-        .collect();
-    assert!(!injected.is_empty(), "{what}: seeded plan injected nothing");
-    for e in &injected {
-        if let Event::Fault { kind, seq, .. } = e {
-            if kind == "injected.drop" || kind == "injected.delay" {
-                assert!(
-                    seq.is_some(),
-                    "{what}: {kind} event lacks its transport sequence number"
-                );
-            }
-        }
-    }
+    // Injected faults are attributed: each instant names the channel's
+    // destination rank (its `id` is the transport sequence number).
+    let name = match profile {
+        FaultProfile::Drop => T_FAULT_DROP,
+        _ => T_FAULT_DELAY,
+    };
+    let injected = r.instants(name);
+    assert!(!injected.is_empty(), "{what}: no {name} instant");
+    assert!(
+        injected.iter().all(|&(_, to)| to < p as u64),
+        "{what}: {name} instant names no rank: {injected:?}"
+    );
 }
 
 #[test]
@@ -173,7 +203,7 @@ fn crash_seed_unresolved_flows_are_attributed_to_dead_slaves() {
         let r = run_traced(&store, config);
         let what = format!("crash seed {seed}");
 
-        assert_structure(&r, &what);
+        assert_structure(&r, p, &what);
         // The books stay balanced even with a dead rank.
         assert_eq!(
             r.stats.pairs_generated,
