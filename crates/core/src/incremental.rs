@@ -282,16 +282,12 @@ impl IncrementalClusterer {
         }
         let store = SequenceStore::from_ests(&self.ests)?;
 
-        // Grow the union–find, preserving the existing partition.
-        let mut grown = DisjointSets::new(self.ests.len());
-        for i in 0..first_new {
-            // Union with the old representative keeps components intact.
-            let root = self.clusters.find(i);
-            grown.union(i, root);
-        }
+        // Grow the union–find in place: the new ESTs join as singletons.
+        let mut sets = std::mem::replace(&mut self.clusters, DisjointSets::new(0));
+        sets.grow(self.ests.len());
         let before = self.stats;
         let trace = std::mem::take(&mut self.trace);
-        let mut core = ClusterCore::resume(grown, trace, before, &self.cfg);
+        let mut core = ClusterCore::resume(sets, trace, before, &self.cfg);
 
         // Plan build batches over every bucket, sized to the memory
         // budget; each batch builds only its groups holding a new suffix

@@ -15,27 +15,26 @@
 //!   skip→align→union loop as the in-memory driver — and drop them, so
 //!   only one batch of subtrees is ever resident. The core's union–find,
 //!   merge trace and counters are checkpointed to `cluster.snap` every
-//!   `checkpoint_every` batches; the manifest records per-batch progress.
+//!   `checkpoint_every` batches and after the last one.
 //!
 //! A checkpoint holds only what a resume cannot recompute. The
 //! partition, the batch plan and the batches are pure functions of the
 //! store and the fingerprinted configuration, so every start, resumed or
 //! not, recomputes the partition and the plan, and a resume rebuilds only
-//! the batches after its heavy checkpoint.
+//! the batches after its cluster checkpoint.
 //!
-//! After ingest and after every clustered batch the manifest is
-//! rewritten atomically, so the checkpoint directory always describes a
-//! consistent state. Resume seeds the core from the last heavy
-//! checkpoint, replays the merge trace as a cross-check on the decoded
-//! union–find, and re-processes any batches clustered after it. Because
-//! the pair sequence and union order are deterministic, the restored
-//! union–find is bit-identical to the uninterrupted run's state at that
-//! batch — so the final partition is too. Pairs generated after the
-//! last heavy checkpoint but before the crash were work the crash
-//! destroyed; the resuming driver books them into `faults.lost_pairs`
-//! (and `pairs.unconsumed`) instead of silently re-counting, keeping the
-//! conservation invariant `generated == processed + skipped + unconsumed`
-//! exact across the crash-and-resume cycle.
+//! Each snapshot is its own progress record: a `progress` section holds
+//! the run's fingerprint and what the snapshot covers (the EST count in
+//! `ingest.snap`, the batches clustered in `cluster.snap`). A snapshot is
+//! published atomically, so the directory always describes a consistent
+//! state, and no second record can disagree with it. Resume seeds the
+//! core from `cluster.snap` (fresh singletons if the run crashed before
+//! the first one), replays the merge trace as a cross-check on the
+//! decoded union–find, and re-runs the batches after the count it
+//! covers. The pair sequence and union order are deterministic, so the
+//! restored core is the uninterrupted run's core at that batch: the
+//! resumed run's partition, merge trace and every counter equal the
+//! uninterrupted run's, and nothing is booked as lost.
 
 use crate::pipeline::{Pace, PaceConfig, PaceError, PaceOutcome};
 use pace_cluster::{
@@ -47,8 +46,8 @@ use pace_obs::{metric, Obs};
 use pace_seq::{read_fasta_into_store, PackedText, SequenceStore};
 use pace_store::codec;
 use pace_store::{
-    fingerprint, plan_batches, BatchPlan, Manifest, Phase, Snapshot, SnapshotError, SnapshotWriter,
-    DEFAULT_BYTES_PER_SUFFIX, MANIFEST_VERSION,
+    fingerprint, plan_batches, BatchPlan, Snapshot, SnapshotError, SnapshotWriter,
+    DEFAULT_BYTES_PER_SUFFIX,
 };
 use std::path::{Path, PathBuf};
 
@@ -59,9 +58,11 @@ impl From<SnapshotError> for PaceError {
 }
 
 /// On-disk names inside the checkpoint directory.
-const MANIFEST_FILE: &str = "manifest.json";
 const INGEST_FILE: &str = "ingest.snap";
 const CLUSTER_FILE: &str = "cluster.snap";
+/// The JSON progress record of the older layout, whose snapshots carry
+/// no `progress` section: a resume refuses a directory holding one.
+const OLDER_LAYOUT_FILE: &str = "manifest.json";
 
 /// Section names inside the snapshots.
 const SEC_STORE: &str = "seq_store";
@@ -69,15 +70,15 @@ const SEC_IDS: &str = "est_ids";
 
 /// Deterministic crash points for testing checkpoint/resume: the driver
 /// returns [`PaceError::InjectedCrash`] immediately *after* the named
-/// progress record is durably on disk, leaving exactly the state a real
-/// `kill -9` at that instant would.
+/// point, leaving exactly the state a real `kill -9` at that instant
+/// would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// After `ingest.snap` and its manifest are published.
+    /// After `ingest.snap` is published.
     AfterIngest,
-    /// After the k-th clustered batch's manifest update (1-based). The
-    /// heavy checkpoint may or may not cover the batch depending on
-    /// `checkpoint_every` — that gap is the lost-pairs scenario.
+    /// After the k-th batch (1-based) is drained and, if one was due,
+    /// its `cluster.snap` published. A resume re-runs the batches after
+    /// the last snapshot.
     AfterClusterBatch(u64),
 }
 
@@ -93,13 +94,13 @@ impl std::fmt::Display for CrashPoint {
 /// Configuration of the persistence layer (the directory and budgets).
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
-    /// Directory for the manifest and phase snapshots.
+    /// Directory for the phase snapshots.
     pub checkpoint_dir: PathBuf,
     /// Estimated peak subtree bytes allowed in memory; 0 = unlimited
     /// (a single batch — pure checkpointing, no out-of-core batching).
     pub memory_budget: u64,
-    /// Write the heavy (union–find + trace) checkpoint every K clustered
-    /// batches. The manifest is still updated after *every* batch.
+    /// Write `cluster.snap` every K clustered batches (and after the
+    /// last one).
     pub checkpoint_every: u64,
     /// Resume from the checkpoint directory instead of starting fresh.
     pub resume: bool,
@@ -109,7 +110,7 @@ pub struct PersistConfig {
 
 impl PersistConfig {
     /// Persistence into `checkpoint_dir` with defaults: unlimited
-    /// budget, heavy checkpoint every batch, fresh start.
+    /// budget, a cluster checkpoint every batch, fresh start.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             checkpoint_dir: checkpoint_dir.into(),
@@ -166,11 +167,13 @@ impl Pace {
 }
 
 /// Canonical description whose CRC fingerprints the run. Everything that
-/// changes the *result or the on-disk layout* is included (clustering
-/// knobs, the input, the budget that shapes the batch plan); things that
-/// only change *when* durability happens (`checkpoint_every`,
-/// `crash_after`, `resume` itself) are deliberately excluded so a
-/// crashed run can be resumed with different durability settings.
+/// changes the *result or the on-disk layout* is included (the input, the
+/// budget that shapes the batch plan, and the clustering knobs as
+/// [`ClusterConfig::to_kv_string`] spells them, the same text the
+/// daemon's checkpoint hashes); things that only change *when*
+/// durability happens (`checkpoint_every`, `crash_after`, `resume`
+/// itself) are deliberately excluded so a crashed run can be resumed
+/// with different durability settings.
 fn canonical_description(
     config: &PaceConfig,
     persist: &PersistConfig,
@@ -181,8 +184,10 @@ fn canonical_description(
         PersistInput::Store(s) => format!("store:{}:{}", s.num_ests(), s.total_input_chars()),
     };
     format!(
-        "v1 input={input_tag} cluster={:?} budget={} bytes_per_suffix={}",
-        config.cluster, persist.memory_budget, DEFAULT_BYTES_PER_SUFFIX
+        "input={input_tag} budget={} bytes_per_suffix={} cluster={}",
+        persist.memory_budget,
+        DEFAULT_BYTES_PER_SUFFIX,
+        config.cluster.to_kv_string()
     )
 }
 
@@ -202,20 +207,22 @@ pub fn run_persistent(
     if persist.checkpoint_every == 0 {
         return Err(PaceError::BadConfig("checkpoint_every must be ≥ 1".into()));
     }
-    let mut runner = Runner::new(config, persist, obs)?;
+    let fp = fingerprint(&canonical_description(config, persist, &input));
+    let mut runner = Runner::new(config, persist, obs, fp)?;
     runner.run(input)
 }
 
 /// Mutable state threaded through the phases.
 struct Runner<'a> {
     cfg: &'a ClusterConfig,
-    config: &'a PaceConfig,
     persist: &'a PersistConfig,
     obs: &'a Obs,
-    manifest_path: PathBuf,
+    /// The run's fingerprint, written into and checked against every
+    /// snapshot's `progress` section.
+    fp: u32,
     ingest_path: PathBuf,
     cluster_path: PathBuf,
-    /// Checkpoint artifacts written / bytes written (the `ckpt.*` family).
+    /// Snapshots written / bytes written (the `ckpt.*` family).
     ckpt_writes: u64,
     ckpt_bytes: u64,
     phases_resumed: u64,
@@ -227,16 +234,16 @@ impl<'a> Runner<'a> {
         config: &'a PaceConfig,
         persist: &'a PersistConfig,
         obs: &'a Obs,
+        fp: u32,
     ) -> Result<Self, PaceError> {
         std::fs::create_dir_all(&persist.checkpoint_dir)
             .map_err(|e| PaceError::Persist(format!("creating checkpoint dir: {e}")))?;
         let dir = &persist.checkpoint_dir;
         Ok(Runner {
             cfg: &config.cluster,
-            config,
             persist,
             obs,
-            manifest_path: dir.join(MANIFEST_FILE),
+            fp,
             ingest_path: dir.join(INGEST_FILE),
             cluster_path: dir.join(CLUSTER_FILE),
             ckpt_writes: 0,
@@ -244,19 +251,6 @@ impl<'a> Runner<'a> {
             phases_resumed: 0,
             replayed_merges: 0,
         })
-    }
-
-    /// Atomically publish the manifest, counting it as checkpoint I/O.
-    fn save_manifest(&mut self, manifest: &Manifest) -> Result<(), PaceError> {
-        manifest.store(&self.manifest_path)?;
-        self.ckpt_writes += 1;
-        self.ckpt_bytes += manifest.to_json().to_string().len() as u64 + 1;
-        Ok(())
-    }
-
-    fn wrote_snapshot(&mut self, bytes: u64) {
-        self.ckpt_writes += 1;
-        self.ckpt_bytes += bytes;
     }
 
     /// Fire a test crash point (state on disk is already durable).
@@ -267,17 +261,34 @@ impl<'a> Runner<'a> {
         Ok(())
     }
 
+    /// Refuse to resume a directory the older layout wrote: its progress
+    /// lives in a JSON manifest this build neither reads nor writes.
+    fn refuse_older_layout(&self) -> Result<(), PaceError> {
+        let older = self.persist.checkpoint_dir.join(OLDER_LAYOUT_FILE);
+        if older.exists() {
+            let e = SnapshotError::OlderLayout(older.display().to_string());
+            return Err(PaceError::Persist(format!(
+                "--resume: {e}; rerun without --resume to start over"
+            )));
+        }
+        Ok(())
+    }
+
     /// Fresh start: drop any state a previous run left behind so a crash
-    /// partway through *this* run can't resurrect stale files. That
-    /// includes what the v1 layout kept and nothing reads any more:
-    /// `partition.snap` and the `batch-*.spill` files under `spill/`
-    /// (the directory itself goes only once empty).
+    /// partway through *this* run can't resurrect stale files — a crash
+    /// during ingest must not leave the previous run's `ingest.snap` for
+    /// a resume to read. That includes what older layouts kept and
+    /// nothing reads any more: `manifest.json`, `partition.snap` and the
+    /// `batch-*.spill` files under `spill/` (the directory itself goes
+    /// only once empty).
     fn clear_stale(&self) -> Result<(), PaceError> {
-        let v1_spill = self.persist.checkpoint_dir.join("spill");
+        let dir = &self.persist.checkpoint_dir;
+        let v1_spill = dir.join("spill");
         let mut stale = vec![
-            self.manifest_path.clone(),
+            self.ingest_path.clone(),
             self.cluster_path.clone(),
-            self.persist.checkpoint_dir.join("partition.snap"),
+            dir.join(OLDER_LAYOUT_FILE),
+            dir.join("partition.snap"),
         ];
         if let Ok(entries) = std::fs::read_dir(&v1_spill) {
             for entry in entries.flatten() {
@@ -300,46 +311,15 @@ impl<'a> Runner<'a> {
     }
 
     fn run(&mut self, input: PersistInput<'_>) -> Result<PersistentOutcome, PaceError> {
-        let fp = fingerprint(&canonical_description(self.config, self.persist, &input));
         let total_span = self.obs.span(metric::PHASE_TOTAL);
-
-        let mut manifest = if self.persist.resume {
-            let m = Manifest::load(&self.manifest_path).map_err(|e| {
-                let why = match e {
-                    SnapshotError::UnsupportedVersion(v) => format!(
-                        "manifest version {v} is not supported (this build reads version \
-                         {MANIFEST_VERSION}); rerun without --resume to start over"
-                    ),
-                    e => e.to_string(),
-                };
-                PaceError::Persist(format!(
-                    "--resume: no usable manifest in {}: {why}",
-                    self.persist.checkpoint_dir.display()
-                ))
-            })?;
-            if m.fingerprint != fp {
-                return Err(PaceError::Persist(format!(
-                    "--resume: checkpoint fingerprint {} does not match this run's {fp} \
-                     (different input or parameters); refusing to mix state",
-                    m.fingerprint
-                )));
-            }
-            Some(m)
+        if self.persist.resume {
+            self.refuse_older_layout()?;
         } else {
             self.clear_stale()?;
-            None
-        };
+        }
 
         // ---------------- Phase 1: ingest ----------------
-        let (store, ids) = self.phase_ingest(input, &fp, &mut manifest)?;
-        let mut manifest = manifest.expect("ingest always leaves a manifest");
-        if manifest.num_ests != store.num_ests() as u64 {
-            return Err(PaceError::Persist(format!(
-                "manifest says {} ESTs but ingest snapshot holds {}",
-                manifest.num_ests,
-                store.num_ests()
-            )));
-        }
+        let (store, ids) = self.phase_ingest(input)?;
 
         // ---------------- Phase 2: cluster ----------------
         // The partition and the plan are recomputed on every start: both
@@ -353,20 +333,10 @@ impl<'a> Runner<'a> {
             self.persist.memory_budget,
             DEFAULT_BYTES_PER_SUFFIX,
         );
-        if manifest.batches_total != 0 && manifest.batches_total != plan.len() as u64 {
-            return Err(PaceError::Persist(format!(
-                "checkpoint was built with {} batches, this run plans {}",
-                manifest.batches_total,
-                plan.len()
-            )));
-        }
-        manifest.batches_total = plan.len() as u64;
-        let core = self.phase_cluster(&store, &partition, &plan, &mut manifest)?;
+        let core = self.phase_cluster(&store, &partition, &plan)?;
 
         // ---------------- Done: publish metrics + outcome ----------------
         total_span.finish();
-        manifest.phase = Phase::Done;
-        self.save_manifest(&manifest)?;
         record_cluster_counters(self.obs, &core.stats);
         let reg = self.obs.registry();
         reg.add(
@@ -395,20 +365,30 @@ impl<'a> Runner<'a> {
         })
     }
 
+    /// Publish a snapshot, counting it as checkpoint I/O.
+    fn publish(&mut self, w: SnapshotWriter) -> Result<(), PaceError> {
+        self.ckpt_bytes += w.finish()?;
+        self.ckpt_writes += 1;
+        Ok(())
+    }
+
     fn phase_ingest(
         &mut self,
         input: PersistInput<'_>,
-        fp: &str,
-        manifest: &mut Option<Manifest>,
     ) -> Result<(SequenceStore, Vec<String>), PaceError> {
-        if manifest.is_some() {
-            // A manifest only ever exists after ingest completed.
-            let snap = Snapshot::read_file(&self.ingest_path)?;
+        if self.persist.resume {
+            let snap = Snapshot::read_file(&self.ingest_path).map_err(|e| {
+                PaceError::Persist(format!(
+                    "--resume: no usable {}: {e}",
+                    self.ingest_path.display()
+                ))
+            })?;
             let store = codec::decode_sequence_store(snap.section(SEC_STORE)?)?;
             let ids = codec::decode_string_list(snap.section(SEC_IDS)?)?;
-            if ids.len() != store.num_ests() {
+            let ingested = codec::read_progress(&snap, self.fp)?;
+            if ids.len() != store.num_ests() || ingested != store.num_ests() as u64 {
                 return Err(PaceError::Persist(format!(
-                    "ingest snapshot holds {} ids for {} ESTs",
+                    "{INGEST_FILE} holds {} ids and records {ingested} ESTs for {} ESTs",
                     ids.len(),
                     store.num_ests()
                 )));
@@ -434,39 +414,35 @@ impl<'a> Runner<'a> {
         let mut w = SnapshotWriter::create(&self.ingest_path)?;
         w.add_section(SEC_STORE, &codec::encode_sequence_store(&store))?;
         w.add_section(SEC_IDS, &codec::encode_string_list(&ids))?;
-        let bytes = w.finish()?;
-        self.wrote_snapshot(bytes);
-
-        let mut m = Manifest::new(fp.to_string());
-        m.phase = Phase::Ingest;
-        m.num_ests = store.num_ests() as u64;
-        m.total_bases = store.total_input_chars() as u64;
-        self.save_manifest(&m)?;
-        *manifest = Some(m);
+        codec::write_progress(&mut w, self.fp, store.num_ests() as u64)?;
+        self.publish(w)?;
         self.crash_if(CrashPoint::AfterIngest)?;
         Ok((store, ids))
     }
 
-    /// Write the heavy checkpoint: the core's union–find, merge trace
-    /// and counters.
-    fn write_heavy(&mut self, core: &ClusterCore) -> Result<(), PaceError> {
+    /// Checkpoint the core's union–find, merge trace and counters, with
+    /// the number of batches they cover.
+    fn write_cluster(&mut self, core: &ClusterCore, batches: u64) -> Result<(), PaceError> {
         let span = self.obs.span(metric::PHASE_CHECKPOINT);
         let mut w = SnapshotWriter::create(&self.cluster_path)?;
         codec::write_cluster_state(&mut w, &core.sets, &core.trace, &core.stats)?;
-        let bytes = w.finish()?;
-        self.wrote_snapshot(bytes);
+        codec::write_progress(&mut w, self.fp, batches)?;
+        self.publish(w)?;
         span.finish();
         Ok(())
     }
 
-    /// Seed a core from the heavy checkpoint, cross-checked by
-    /// [`codec::read_cluster_state`]: replaying the merge trace from
-    /// scratch must reproduce the decoded union–find's partition.
-    fn read_heavy(&mut self, num_ests: usize) -> Result<ClusterCore, PaceError> {
+    /// Seed a core from `cluster.snap`, cross-checked by
+    /// [`codec::read_cluster_state`] (replaying the merge trace from
+    /// scratch must reproduce the decoded union–find's partition), and
+    /// return it with the number of batches it covers.
+    fn read_cluster(&mut self, num_ests: usize) -> Result<(ClusterCore, u64), PaceError> {
         let snap = Snapshot::read_file(&self.cluster_path)?;
         let (sets, trace, stats) = codec::read_cluster_state(&snap, num_ests)?;
+        let batches = codec::read_progress(&snap, self.fp)?;
         self.replayed_merges += trace.len() as u64;
-        Ok(ClusterCore::resume(sets, trace, stats, self.cfg))
+        self.phases_resumed += 1;
+        Ok((ClusterCore::resume(sets, trace, stats, self.cfg), batches))
     }
 
     /// Build and drain every batch through one core, checkpointing as
@@ -476,47 +452,17 @@ impl<'a> Runner<'a> {
         store: &SequenceStore,
         partition: &BucketPartition,
         plan: &BatchPlan,
-        manifest: &mut Manifest,
     ) -> Result<ClusterCore, PaceError> {
         let total = plan.len() as u64;
         let n = store.num_ests();
-
-        // Clustering already finished in a previous run: the final heavy
-        // checkpoint *is* the result.
-        if self.persist.resume && manifest.phase >= Phase::Cluster {
-            self.phases_resumed += 1;
-            return self.read_heavy(n);
-        }
-
-        let mut core = ClusterCore::new(DisjointSets::new(n), self.cfg);
-        let mut start = 0;
-        if self.persist.resume {
-            // Without a heavy checkpoint the run crashed before the first
-            // one: cluster from scratch (the store is on disk, the rest is
-            // recomputed).
-            if let Some(c) = manifest.heavy_ckpt {
-                core = self.read_heavy(n)?;
-                start = c;
-            }
-            // Reconcile the crash gap: pairs generated after the heavy
-            // checkpoint (per the light manifest counter) had their
-            // outcomes destroyed. Book them as lost + unconsumed — never
-            // silently re-count them — then re-process those batches.
-            let stats = &mut core.stats;
-            let lost = manifest
-                .pairs_generated
-                .saturating_sub(stats.pairs_generated);
-            if lost > 0 {
-                stats.pairs_generated += lost;
-                stats.pairs_unconsumed += lost;
-                stats.faults.lost_pairs += lost;
-            }
-            // Roll the light counters back to the restart point so the
-            // per-batch updates below stay monotonically consistent.
-            manifest.batches_clustered = start;
-            manifest.pairs_generated = stats.pairs_generated;
-            self.phases_resumed += 1;
-        }
+        // Without `cluster.snap` a resumed run crashed before its first
+        // cluster checkpoint: cluster from scratch (the store is on disk,
+        // the rest is recomputed).
+        let (mut core, start) = if self.persist.resume && self.cluster_path.exists() {
+            self.read_cluster(n)?
+        } else {
+            (ClusterCore::new(DisjointSets::new(n), self.cfg), 0)
+        };
 
         let packed = self
             .cfg
@@ -528,29 +474,16 @@ impl<'a> Runner<'a> {
             cluster_bucket_batch(
                 &mut core, partition, buckets, 0, &mut ctx, self.cfg, self.obs,
             );
-
-            // Heavy checkpoint first, then the manifest that refers to
-            // it — the manifest on disk never points past real state.
             let done = k + 1;
             if done % self.persist.checkpoint_every == 0 || done == total {
-                self.write_heavy(&core)?;
-                manifest.heavy_ckpt = Some(done);
+                self.write_cluster(&core, done)?;
             }
-            manifest.batches_clustered = done;
-            manifest.pairs_generated = core.stats.pairs_generated;
-            self.save_manifest(manifest)?;
             self.crash_if(CrashPoint::AfterClusterBatch(done))?;
         }
-
-        // Empty plans (tiny inputs) still need the final heavy state on
-        // disk for the Cluster phase to be restorable.
-        if manifest.heavy_ckpt != Some(total) {
-            self.write_heavy(&core)?;
-            manifest.heavy_ckpt = Some(total);
+        // An empty plan (tiny inputs) still leaves its final state on disk.
+        if total == 0 {
+            self.write_cluster(&core, 0)?;
         }
-
-        manifest.phase = Phase::Cluster;
-        self.save_manifest(manifest)?;
         Ok(core)
     }
 }
@@ -612,7 +545,7 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
-        assert_eq!(names, [CLUSTER_FILE, INGEST_FILE, MANIFEST_FILE]);
+        assert_eq!(names, [CLUSTER_FILE, INGEST_FILE]);
     }
 
     #[test]
@@ -643,8 +576,6 @@ mod tests {
             s.pairs_processed + s.pairs_skipped + s.pairs_unconsumed
         );
         assert_eq!(s.faults.lost_pairs, 0);
-        let m = Manifest::load(dir.join(MANIFEST_FILE)).unwrap();
-        assert_eq!(m.phase, Phase::Done);
         assert_only_checkpoint_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -678,9 +609,8 @@ mod tests {
         let snap = obs.registry().snapshot();
         let batches = snap.counters[metric::IO_SPILL_BATCHES];
         assert!(batches > 1, "no batching");
-        // An ingest snapshot, a heavy checkpoint and a manifest per batch,
-        // and the ingest, cluster and done manifests.
-        assert_eq!(snap.counters[metric::CKPT_WRITES], 2 * batches + 4);
+        // The ingest snapshot and one cluster snapshot per batch.
+        assert_eq!(snap.counters[metric::CKPT_WRITES], batches + 1);
         assert_only_checkpoint_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -690,14 +620,15 @@ mod tests {
         let ds = dataset(90, 73);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
         let pace = Pace::new(test_config());
-        let reference = pace.cluster_store(&store).unwrap();
 
         let dir = tmpdir("crash");
         let mut persist = PersistConfig::new(&dir);
         persist.memory_budget = 16 * 1024;
-        // Heavy checkpoints far apart, so a mid-cluster crash strands
-        // generated pairs between the last heavy checkpoint and the
-        // per-batch manifest — the lost-pairs scenario.
+        let uninterrupted = pace
+            .cluster_store_persistent(&store, &persist, &Obs::noop())
+            .unwrap();
+        // Cluster checkpoints far apart, so a mid-cluster crash leaves
+        // drained batches that no snapshot covers.
         persist.checkpoint_every = 1000;
         persist.crash_after = Some(CrashPoint::AfterClusterBatch(2));
         let err = pace
@@ -712,11 +643,13 @@ mod tests {
             .cluster_store_persistent(&store, &persist, &obs)
             .unwrap();
         assert!(outcome.resumed);
-        assert!(same_partition(outcome.outcome.labels(), reference.labels()));
-
+        // The resume re-runs the uncovered batches on the state before
+        // them: the same labels, merges and counters, nothing lost.
+        assert_eq!(outcome.outcome.labels(), uninterrupted.outcome.labels());
+        assert_eq!(outcome.outcome.trace, uninterrupted.outcome.trace);
         let s = &outcome.outcome.result.stats;
-        assert!(s.faults.lost_pairs > 0, "crash gap must be booked as lost");
-        assert_eq!(s.pairs_unconsumed, s.faults.lost_pairs);
+        assert_eq!(s, &uninterrupted.outcome.result.stats);
+        assert_eq!(s.faults.lost_pairs, 0);
         assert_eq!(
             s.pairs_generated,
             s.pairs_processed + s.pairs_skipped + s.pairs_unconsumed
@@ -754,22 +687,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A directory in the v1 layout (manifest v1, `partition.snap`,
-    /// spilled batches) is refused on resume with a message that names
-    /// the manifest, and a fresh run into it leaves only this layout.
+    /// A directory in an older layout — a JSON `manifest.json` beside
+    /// snapshots without a `progress` section, plus the v1 leftovers
+    /// `partition.snap` and spilled batches — is refused on resume with a
+    /// message that names the manifest, and a fresh run into it leaves
+    /// only this layout.
     #[test]
-    fn v1_directory_is_refused_on_resume_and_cleared_on_a_fresh_start() {
+    fn older_layout_is_refused_on_resume_and_cleared_on_a_fresh_start() {
         let ds = dataset(60, 75);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
         let pace = Pace::new(test_config());
-        let dir = tmpdir("v1");
+        let dir = tmpdir("older");
         let mut persist = PersistConfig::new(&dir);
         persist.memory_budget = 16 * 1024;
         pace.cluster_store_persistent(&store, &persist, &Obs::noop())
             .unwrap();
-        let mut manifest = Manifest::load(dir.join(MANIFEST_FILE)).unwrap();
-        manifest.version = 1;
-        manifest.store(dir.join(MANIFEST_FILE)).unwrap();
+        let manifest = r#"{"version":2,"fingerprint":"0badf00d","phase":"done","num_ests":60}"#;
+        std::fs::write(dir.join(OLDER_LAYOUT_FILE), manifest).unwrap();
         std::fs::write(dir.join("partition.snap"), b"old partition").unwrap();
         std::fs::create_dir(dir.join("spill")).unwrap();
         for k in 0..3 {
@@ -780,10 +714,10 @@ mod tests {
         persist.resume = true;
         let err = pace
             .cluster_store_persistent(&store, &persist, &Obs::noop())
-            .unwrap_err()
-            .to_string();
+            .unwrap_err();
         assert!(
-            err.contains("manifest version 1 is not supported") && err.contains("without --resume"),
+            matches!(&err, PaceError::Persist(m) if m.contains("manifest.json")
+                && m.contains("older build") && m.contains("without --resume")),
             "{err}"
         );
 
@@ -791,6 +725,44 @@ mod tests {
         pace.cluster_store_persistent(&store, &persist, &Obs::noop())
             .unwrap();
         assert_only_checkpoint_files(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh start clears the previous run's snapshots before it
+    /// ingests, so a run that fails during ingest leaves nothing for a
+    /// resume to read: the resume is refused instead of clustering the
+    /// previous run's store.
+    #[test]
+    fn a_fresh_start_that_fails_during_ingest_leaves_nothing_to_resume() {
+        let ds = dataset(40, 77);
+        let dir = tmpdir("stale");
+        std::fs::create_dir_all(&dir).unwrap();
+        let fasta = dir.join("reads.fa");
+        let text: String = ds
+            .ests
+            .iter()
+            .enumerate()
+            .map(|(i, est)| format!(">est_{i}\n{}\n", std::str::from_utf8(est).unwrap()))
+            .collect();
+        std::fs::write(&fasta, text).unwrap();
+        let mut persist = PersistConfig::new(dir.join("ckpt"));
+        let pace = Pace::new(test_config());
+        pace.cluster_fasta_persistent(&fasta, &persist, &Obs::noop())
+            .unwrap();
+
+        std::fs::remove_file(&fasta).unwrap();
+        let err = pace
+            .cluster_fasta_persistent(&fasta, &persist, &Obs::noop())
+            .unwrap_err();
+        assert!(matches!(err, PaceError::BadInput(_)), "{err}");
+        persist.resume = true;
+        let err = pace
+            .cluster_fasta_persistent(&fasta, &persist, &Obs::noop())
+            .unwrap_err();
+        assert!(
+            matches!(&err, PaceError::Persist(m) if m.contains(INGEST_FILE)),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

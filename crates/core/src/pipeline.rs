@@ -69,8 +69,8 @@ pub enum PaceError {
     BadInput(SeqError),
     /// Configuration failed validation.
     BadConfig(String),
-    /// A persistence operation (snapshot, manifest) failed —
-    /// I/O trouble, corruption, or an invalid resume request.
+    /// A persistence operation (a checkpoint snapshot) failed — I/O
+    /// trouble, corruption, or an invalid resume request.
     Persist(String),
     /// A deterministic test-only crash point fired (see
     /// [`CrashPoint`](crate::persistent::CrashPoint)); on-disk state is

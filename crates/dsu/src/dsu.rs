@@ -29,6 +29,18 @@ impl DisjointSets {
         }
     }
 
+    /// Grow to `len` elements by appending singletons; the existing
+    /// sets, and their roots, stay as they are.
+    pub fn grow(&mut self, len: usize) {
+        let old = self.len();
+        assert!(len >= old, "cannot shrink {old} elements to {len}");
+        assert!(len <= u32::MAX as usize, "element count exceeds u32 range");
+        self.parent.extend(old as u32..len as u32);
+        self.rank.resize(len, 0);
+        self.size.resize(len, 1);
+        self.num_sets += len - old;
+    }
+
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -262,6 +274,18 @@ mod tests {
         assert_eq!(d.num_sets(), 1);
         assert_eq!(d.set_size(n - 1), n);
         assert_eq!(d.find(0), d.find(n - 1));
+    }
+
+    #[test]
+    fn grow_appends_singletons_and_keeps_sets() {
+        let mut d = DisjointSets::new(3);
+        d.union(0, 2);
+        d.grow(5);
+        assert_eq!(d.num_sets(), 4);
+        assert_eq!(d.clusters(), vec![vec![0, 2], vec![1], vec![3], vec![4]]);
+        let mut empty = DisjointSets::new(0);
+        empty.grow(2);
+        assert!(empty.union(0, 1));
     }
 
     #[test]

@@ -99,9 +99,9 @@ pub const IO_OVERSIZED_BUCKETS: &str = "io.oversized_buckets";
 /// batch planner's load model — the effective peak the budget bought.
 pub const IO_PEAK_BATCH_BYTES: &str = "io.peak_batch_bytes";
 
-/// Counter: checkpoint artifacts (manifests + snapshots) written.
+/// Counter: checkpoint snapshots written.
 pub const CKPT_WRITES: &str = "ckpt.writes";
-/// Counter: bytes written to checkpoint artifacts.
+/// Counter: bytes written to checkpoint snapshots.
 pub const CKPT_BYTES: &str = "ckpt.bytes";
 /// Counter: phases restored from checkpoints instead of recomputed
 /// (nonzero only on `--resume` runs).
@@ -131,7 +131,7 @@ pub const PHASE_ALIGNMENT: &str = "alignment";
 pub const PHASE_ALIGN_BATCH: &str = "align_batch";
 /// Phase: streaming FASTA ingest into the sequence store.
 pub const PHASE_INGEST: &str = "ingest";
-/// Phase: writing checkpoint snapshots and manifests.
+/// Phase: writing the clustering checkpoint snapshot.
 pub const PHASE_CHECKPOINT: &str = "checkpoint";
 /// Phase: end-to-end wall clock.
 pub const PHASE_TOTAL: &str = "total";

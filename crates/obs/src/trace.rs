@@ -658,6 +658,10 @@ pub struct Analysis {
     /// the drivers write. Computed from the trace, not assumed from the
     /// protocol's rank layout.
     pub coordinators: BTreeSet<u32>,
+    /// How many instants of each name the trace holds, over all ranks
+    /// (`merge` counts the run's effective unions, `resend` its
+    /// retries, and so on).
+    pub instants: BTreeMap<String, u64>,
 }
 
 impl Analysis {
@@ -776,6 +780,7 @@ pub fn analyze(doc: &TraceDoc) -> Analysis {
     for i in &doc.instants {
         t_min = t_min.min(i.t_us);
         t_max = t_max.max(i.t_us);
+        *analysis.instants.entry(i.name.clone()).or_default() += 1;
     }
     for f in doc.flows.values() {
         for &(_, t) in f.starts.iter().chain(&f.steps).chain(&f.ends) {
@@ -1049,6 +1054,12 @@ pub fn analysis_to_json(a: &Analysis) -> Json {
             })
             .collect(),
     );
+    let instants = Json::Obj(
+        a.instants
+            .iter()
+            .map(|(name, &n)| (name.clone(), Json::Num(n as f64)))
+            .collect(),
+    );
     let violations = a.check_invariants();
     Json::obj([
         ("schema_version", Json::Num(TRACE_SCHEMA_VERSION as f64)),
@@ -1061,6 +1072,7 @@ pub fn analysis_to_json(a: &Analysis) -> Json {
         ("stragglers", stragglers),
         ("critical_path", critical_path),
         ("quantiles", quantiles),
+        ("instants", instants),
         ("invariants_ok", Json::Bool(violations.is_empty())),
         (
             "violations",
@@ -1148,6 +1160,26 @@ mod tests {
         let r1 = a.ranks.iter().find(|r| r.rank == 1).unwrap();
         assert!(r1.stall_secs > 0.0);
         assert!(a.wall_secs > 0.0);
+    }
+
+    #[test]
+    fn analysis_counts_instants_by_name_over_all_ranks() {
+        let tr = sample_tracer();
+        for (t, a, b) in [(120, 0, 1), (130, 2, 3), (140, 0, 2)] {
+            tr.instant(0, T_MERGE, t, a, b);
+        }
+        tr.instant(0, T_RESEND, 150, 7, 1);
+        tr.instant(2, T_RESEND, 160, 8, 2);
+        let a = analyze(&TraceDoc::from_tracer(&tr));
+        let want: BTreeMap<String, u64> = [(T_DISPATCH, 1), (T_MERGE, 3), (T_RESEND, 2)]
+            .into_iter()
+            .map(|(name, n)| (name.to_string(), n))
+            .collect();
+        assert_eq!(a.instants, want);
+        let json = analysis_to_json(&a);
+        let counts = json.get("instants").unwrap();
+        assert_eq!(counts.get(T_MERGE).and_then(Json::as_u64), Some(3));
+        assert_eq!(counts.get(T_RESEND).and_then(Json::as_u64), Some(2));
     }
 
     #[test]

@@ -1,116 +1,50 @@
 //! Daemon checkpoint/restart.
 //!
 //! The daemon persists its entire fold state — sequences, ids,
-//! union–find, rolling merge trace, counters — into one snapshot file
-//! (`serve.<generation>.snap`, the versioned per-section-CRC container
-//! from `pace-store`) plus a small JSON manifest (`serve.manifest.json`).
-//! The write order is snapshot first, manifest last (both atomic
-//! tmp+fsync+rename), so the manifest never names state that is not
-//! durably on disk: a `kill -9` between the two leaves the *previous*
-//! manifest pointing at the previous snapshot, which is still present
-//! because snapshots are written to a fresh generation file before the
-//! old one is removed.
+//! union–find, rolling merge trace, counters — into one snapshot file,
+//! `serve.snap` (the versioned per-section-CRC container from
+//! `pace-store`), whose `progress` section records the clustering
+//! config's fingerprint and the cumulative ingest batches folded. Each
+//! checkpoint replaces the file in place: the writer publishes it by
+//! tmp + fsync + rename + directory fsync, so a `kill -9` at any instant
+//! leaves either the complete previous state or the complete new one.
 //!
-//! On restart the daemon verifies the manifest's config fingerprint
-//! against its own flags (refusing to resume under a different
-//! clustering configuration), decodes the snapshot, and cross-checks it
-//! by **replaying the merge trace** onto fresh singletons — the replayed
+//! On restart the daemon decodes the snapshot, cross-checks it by
+//! **replaying the merge trace** onto fresh singletons — the replayed
 //! partition must exactly match the decoded union–find's
-//! ([`codec::read_cluster_state`], the persistent driver's check too).
-//! Only then does serving resume.
+//! ([`codec::read_cluster_state`], the persistent driver's check too) —
+//! and refuses a fingerprint other than its own flags' (resuming under
+//! a different clustering configuration would mix partitions). Only
+//! then does serving resume.
 
 use pace_cluster::ClusterConfig;
 use pace_core::IncrementalClusterer;
-use pace_obs::json::{self, Json};
-use pace_store::{atomic_write, codec, fingerprint, Snapshot, SnapshotError, SnapshotWriter};
+use pace_store::{codec, fingerprint, Snapshot, SnapshotError, SnapshotWriter};
 use std::path::Path;
 
-/// Manifest file name inside the checkpoint directory.
-pub const SERVE_MANIFEST_FILE: &str = "serve.manifest.json";
+/// The daemon's checkpoint inside its checkpoint directory.
+pub(crate) const SNAPSHOT_FILE: &str = "serve.snap";
+
+/// The JSON pointer of the older, generation-numbered layout; a
+/// directory holding one is refused rather than started empty.
+const OLDER_LAYOUT_FILE: &str = "serve.manifest.json";
 
 const SEC_STORE_ESTS: &str = "ests";
 const SEC_IDS: &str = "est_ids";
 
-const MANIFEST_VERSION: u64 = 1;
-
-/// What `serve.manifest.json` records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeManifest {
-    /// Manifest format version.
-    pub version: u64,
-    /// CRC fingerprint of the clustering config's canonical kv string.
-    pub config_fingerprint: String,
-    /// Snapshot generation this manifest points at (`serve.<gen>.snap`).
-    pub generation: u64,
-    /// ESTs in the snapshot.
-    pub num_ests: u64,
-    /// Cumulative ingest batches folded.
-    pub ingest_batches: u64,
-    /// Merge-trace length in the snapshot (restore cross-check).
-    pub trace_len: u64,
-}
-
-impl ServeManifest {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", Json::Num(self.version as f64)),
-            (
-                "config_fingerprint",
-                Json::Str(self.config_fingerprint.clone()),
-            ),
-            ("generation", Json::Num(self.generation as f64)),
-            ("num_ests", Json::Num(self.num_ests as f64)),
-            ("ingest_batches", Json::Num(self.ingest_batches as f64)),
-            ("trace_len", Json::Num(self.trace_len as f64)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<Self, SnapshotError> {
-        let field = |name: &str| -> Result<u64, SnapshotError> {
-            j.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("manifest field {name} missing")))
-        };
-        Ok(ServeManifest {
-            version: field("version")?,
-            config_fingerprint: j
-                .get("config_fingerprint")
-                .and_then(Json::as_str)
-                .ok_or_else(|| {
-                    SnapshotError::Corrupt("manifest field config_fingerprint missing".into())
-                })?
-                .to_string(),
-            generation: field("generation")?,
-            num_ests: field("num_ests")?,
-            ingest_batches: field("ingest_batches")?,
-            trace_len: field("trace_len")?,
-        })
-    }
-}
-
-fn snap_path(dir: &Path, generation: u64) -> std::path::PathBuf {
-    dir.join(format!("serve.{generation}.snap"))
-}
-
-fn config_fp(cfg: &ClusterConfig) -> String {
+fn config_fp(cfg: &ClusterConfig) -> u32 {
     fingerprint(&cfg.to_kv_string())
 }
 
-/// Persist the daemon's fold state. Returns the generation written.
-///
-/// Write order is snapshot → manifest → delete previous generation, so
-/// a crash at any instant leaves a manifest that names a complete,
-/// CRC-verifiable snapshot.
+/// Persist the daemon's fold state to `serve.snap`, replacing the
+/// previous checkpoint atomically. Returns the snapshot's size in bytes.
 pub fn save_state(
     dir: &Path,
     clusterer: &IncrementalClusterer,
     ingest_batches: u64,
 ) -> Result<u64, SnapshotError> {
-    std::fs::create_dir_all(dir).map_err(SnapshotError::from)?;
-    let previous = read_manifest(dir).ok();
-    let generation = previous.as_ref().map_or(0, |m| m.generation + 1);
-
-    let mut w = SnapshotWriter::create(snap_path(dir, generation))?;
+    std::fs::create_dir_all(dir)?;
+    let mut w = SnapshotWriter::create(dir.join(SNAPSHOT_FILE))?;
     w.add_section(SEC_STORE_ESTS, &codec::encode_byte_list(clusterer.ests()))?;
     w.add_section(SEC_IDS, &codec::encode_string_list(clusterer.ids()))?;
     codec::write_cluster_state(
@@ -119,83 +53,40 @@ pub fn save_state(
         clusterer.trace(),
         &clusterer.stats,
     )?;
-    w.finish()?;
-
-    let manifest = ServeManifest {
-        version: MANIFEST_VERSION,
-        config_fingerprint: config_fp(clusterer.config()),
-        generation,
-        num_ests: clusterer.len() as u64,
-        ingest_batches,
-        trace_len: clusterer.trace().len() as u64,
-    };
-    atomic_write(
-        &dir.join(SERVE_MANIFEST_FILE),
-        manifest.to_json().to_line().as_bytes(),
-    )?;
-
-    // The manifest now points at the new generation; the old snapshot is
-    // garbage and may be removed (best-effort).
-    if let Some(prev) = previous {
-        let _ = std::fs::remove_file(snap_path(dir, prev.generation));
-    }
-    Ok(generation)
+    codec::write_progress(&mut w, config_fp(clusterer.config()), ingest_batches)?;
+    w.finish()
 }
 
-fn read_manifest(dir: &Path) -> Result<ServeManifest, SnapshotError> {
-    let raw = std::fs::read_to_string(dir.join(SERVE_MANIFEST_FILE))?;
-    let j =
-        json::parse(&raw).map_err(|e| SnapshotError::Corrupt(format!("serve manifest: {e}")))?;
-    ServeManifest::from_json(&j)
-}
-
-/// Restore the daemon's fold state from `dir`, or `Ok(None)` if no
-/// checkpoint exists there yet.
+/// Restore the daemon's fold state and its cumulative ingest batches
+/// from `dir`, or `Ok(None)` if no checkpoint exists there yet.
 ///
-/// Fails (rather than silently re-clustering) if the checkpoint was
-/// written under a different clustering configuration, if any section
-/// CRC is bad, or if replaying the merge trace does not reproduce the
-/// decoded union–find's partition.
+/// Fails (rather than silently re-clustering or starting empty) if the
+/// directory holds the older layout's `serve.manifest.json`, if any
+/// section CRC is bad, if replaying the merge trace does not reproduce
+/// the decoded union–find's partition, or if the checkpoint was written
+/// under a different clustering configuration.
 pub fn load_state(
     dir: &Path,
     cfg: &ClusterConfig,
     memory_budget: u64,
 ) -> Result<Option<(IncrementalClusterer, u64)>, SnapshotError> {
-    if !dir.join(SERVE_MANIFEST_FILE).exists() {
+    let older = dir.join(OLDER_LAYOUT_FILE);
+    if older.exists() {
+        return Err(SnapshotError::OlderLayout(older.display().to_string()));
+    }
+    let path = dir.join(SNAPSHOT_FILE);
+    if !path.exists() {
         return Ok(None);
     }
-    let manifest = read_manifest(dir)?;
-    if manifest.version != MANIFEST_VERSION {
-        return Err(SnapshotError::Corrupt(format!(
-            "serve manifest version {} (this binary writes {MANIFEST_VERSION})",
-            manifest.version
-        )));
-    }
-    let expect_fp = config_fp(cfg);
-    if manifest.config_fingerprint != expect_fp {
-        return Err(SnapshotError::Corrupt(format!(
-            "checkpoint was written under config fingerprint {} but the daemon \
-             was started with {expect_fp}; refusing to mix partitions",
-            manifest.config_fingerprint
-        )));
-    }
-
-    let snap = Snapshot::read_file(snap_path(dir, manifest.generation))?;
+    let snap = Snapshot::read_file(path)?;
     let ests = codec::decode_byte_list(snap.section(SEC_STORE_ESTS)?)?;
     let ids = codec::decode_string_list(snap.section(SEC_IDS)?)?;
     let (dsu, trace, stats) = codec::read_cluster_state(&snap, ests.len())?;
-    if trace.len() as u64 != manifest.trace_len {
-        return Err(SnapshotError::Corrupt(format!(
-            "manifest says {} merge records, snapshot holds {}",
-            manifest.trace_len,
-            trace.len()
-        )));
-    }
-
+    let ingest_batches = codec::read_progress(&snap, config_fp(cfg))?;
     let clusterer =
         IncrementalClusterer::from_parts(cfg.clone(), memory_budget, ests, ids, dsu, trace, stats)
             .map_err(SnapshotError::Corrupt)?;
-    Ok(Some((clusterer, manifest.ingest_batches)))
+    Ok(Some((clusterer, ingest_batches)))
 }
 
 #[cfg(test)]
@@ -265,8 +156,8 @@ mod tests {
         let mut inc = IncrementalClusterer::new(cfg());
         inc.fold_batch(&["a".to_string(), "b".to_string()], &ests)
             .unwrap();
-        let generation = save_state(&dir, &inc, 1).unwrap();
-        let snap = Snapshot::read_file(snap_path(&dir, generation)).unwrap();
+        save_state(&dir, &inc, 1).unwrap();
+        let snap = Snapshot::read_file(dir.join(SNAPSHOT_FILE)).unwrap();
         let pin: &[u8] = b"\x02\0\0\0\0\0\0\0\
                            \x05\0\0\0\0\0\0\0ACGTA\
                            \x03\0\0\0\0\0\0\0TTG";
@@ -303,7 +194,8 @@ mod tests {
                 "out of range",
             ),
         ] {
-            let path = snap_path(&dir, save_state(&dir, &inc, 2).unwrap());
+            save_state(&dir, &inc, 2).unwrap();
+            let path = dir.join(SNAPSHOT_FILE);
             let snap = Snapshot::read_file(&path).unwrap();
             let mut w = SnapshotWriter::create(&path).unwrap();
             for name in snap.section_names() {
@@ -339,15 +231,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Each checkpoint replaces `serve.snap` in place: the directory
+    /// holds that one file, and it restores the latest state.
     #[test]
-    fn generations_advance_and_old_snapshots_are_pruned() {
-        let dir = std::env::temp_dir().join(format!("pace-serve-gen-{}", std::process::id()));
+    fn a_second_save_replaces_the_one_snapshot() {
+        let dir = std::env::temp_dir().join(format!("pace-serve-twice-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let inc = folded(2);
-        assert_eq!(save_state(&dir, &inc, 2).unwrap(), 0);
-        assert_eq!(save_state(&dir, &inc, 2).unwrap(), 1);
-        assert!(!snap_path(&dir, 0).exists());
-        assert!(snap_path(&dir, 1).exists());
+        save_state(&dir, &folded(2), 2).unwrap();
+        let inc = folded(3);
+        save_state(&dir, &inc, 3).unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [SNAPSHOT_FILE]);
+        let (back, batches) = load_state(&dir, &cfg(), 0).unwrap().unwrap();
+        assert_eq!(batches, 3);
+        assert_eq!(back.trace(), inc.trace());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -356,8 +256,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pace-serve-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let inc = folded(2);
-        let generation = save_state(&dir, &inc, 2).unwrap();
-        let path = snap_path(&dir, generation);
+        save_state(&dir, &inc, 2).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;

@@ -4,9 +4,9 @@
 //! that accepts FASTA ingest batches, folds each into the live index
 //! incrementally ([`pace_core::IncrementalClusterer`]), answers
 //! membership/cluster/representative/stats queries from many concurrent
-//! clients against snapshot-consistent read views, and persists through
-//! the rolling checkpoint machinery so a `kill -9` + restart resumes
-//! transparently.
+//! clients against snapshot-consistent read views, and persists its
+//! fold state to one atomically replaced snapshot so a `kill -9` +
+//! restart resumes transparently.
 //!
 //! The wire format reuses the shared `pace-wire` codec: every message is
 //! one `[len][crc32][payload]` frame; see [`proto`] for the message
@@ -19,7 +19,7 @@ mod client;
 mod server;
 mod view;
 
-pub use checkpoint::{load_state, save_state, ServeManifest, SERVE_MANIFEST_FILE};
+pub use checkpoint::{load_state, save_state};
 pub use client::Client;
 pub use proto::{Request, Response, ServeStats, PROTO_VERSION};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

@@ -102,7 +102,7 @@ pub struct ServeStats {
     /// Current cluster count.
     pub num_clusters: u64,
     /// Ingest batches folded since the daemon first started (survives
-    /// restarts via the checkpoint manifest).
+    /// restarts via the checkpoint's `progress` section).
     pub ingest_batches: u64,
     /// Accepted merges in the rolling trace.
     pub trace_len: u64,

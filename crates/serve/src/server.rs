@@ -32,7 +32,7 @@ use pace_wire::{read_frame, write_frame, Wire};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -84,11 +84,12 @@ impl ServerConfig {
 /// Final serving statistics, returned by [`ServerHandle::stop`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
-    /// Connections accepted.
+    /// Connections accepted (the registry's `serve.connections`).
     pub connections: u64,
-    /// Queries answered.
+    /// Queries answered (`serve.queries`).
     pub queries: u64,
-    /// Ingest batches folded this process lifetime.
+    /// Ingest batches folded this process lifetime
+    /// (`serve.ingest.batches`).
     pub ingests: u64,
     /// ESTs in the index at shutdown.
     pub num_ests: u64,
@@ -109,7 +110,8 @@ pub struct ServerStats {
 /// The writer-side state, serialized by one mutex.
 struct CoreState {
     clusterer: IncrementalClusterer,
-    /// Cumulative ingest batches (survives restarts via the manifest).
+    /// Cumulative ingest batches (survives restarts via the checkpoint's
+    /// `progress` section).
     ingest_batches: u64,
     folds_since_checkpoint: u64,
 }
@@ -120,9 +122,6 @@ struct Shared {
     core: Mutex<CoreState>,
     view: Mutex<Arc<ReadView>>,
     shutdown: AtomicBool,
-    connections: AtomicU64,
-    queries: AtomicU64,
-    ingests: AtomicU64,
     query_lat: Mutex<LogQuantile>,
     ingest_lat: Mutex<LogQuantile>,
     /// Set when the core lock is found poisoned: a fold panicked while
@@ -136,6 +135,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// The current value of one of the registry's `serve.*` counters.
+    fn count(&self, name: &str) -> u64 {
+        self.obs.registry().counter(name).get()
+    }
+
     fn current_view(&self) -> Arc<ReadView> {
         lock_recover(&self.view).clone()
     }
@@ -231,9 +235,6 @@ impl Server {
             core: Mutex::new(core),
             view: Mutex::new(Arc::new(initial_view)),
             shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            ingests: AtomicU64::new(0),
             query_lat: Mutex::new(LogQuantile::new()),
             ingest_lat: Mutex::new(LogQuantile::new()),
             core_tainted: AtomicBool::new(false),
@@ -331,9 +332,9 @@ fn finalize(shared: &Shared) -> ServerStats {
     reg.set_gauge(metric::SERVE_INGEST_P99_US, ip99);
 
     ServerStats {
-        connections: shared.connections.load(Ordering::Relaxed),
-        queries: shared.queries.load(Ordering::Relaxed),
-        ingests: shared.ingests.load(Ordering::Relaxed),
+        connections: shared.count(metric::SERVE_CONNECTIONS),
+        queries: shared.count(metric::SERVE_QUERIES),
+        ingests: shared.count(metric::SERVE_INGEST_BATCHES),
         num_ests: core.clusterer.len() as u64,
         num_clusters: core.clusterer.num_clusters() as u64,
         query_p50_us: qp50,
@@ -356,7 +357,6 @@ fn accept_loop(listener: UnixListener, shared: Arc<Shared>) -> io::Result<()> {
         }
         match listener.accept() {
             Ok((stream, _addr)) => {
-                shared.connections.fetch_add(1, Ordering::Relaxed);
                 shared.obs.registry().add(metric::SERVE_CONNECTIONS, 1);
                 let conn_shared = shared.clone();
                 // Detached handler; small stack — thousands may coexist.
@@ -484,7 +484,7 @@ fn dispatch(req: Request, shared: &Shared) -> Response {
                 pairs_generated: view.pairs_generated,
                 pairs_processed: view.pairs_processed,
                 pairs_skipped: view.pairs_skipped,
-                queries_served: shared.queries.load(Ordering::Relaxed),
+                queries_served: shared.count(metric::SERVE_QUERIES),
                 uptime_us: shared.started.elapsed().as_micros() as u64,
             });
             note_query(shared, t0.elapsed().as_secs_f64() * 1e6);
@@ -498,7 +498,6 @@ fn dispatch(req: Request, shared: &Shared) -> Response {
 }
 
 fn note_query(shared: &Shared, micros: f64) {
-    shared.queries.fetch_add(1, Ordering::Relaxed);
     shared.obs.registry().add(metric::SERVE_QUERIES, 1);
     lock_recover(&shared.query_lat).observe(micros);
 }
@@ -548,7 +547,6 @@ fn do_ingest(shared: &Shared, ids: Vec<String>, seqs: Vec<Vec<u8>>) -> Response 
     drop(core);
     shared.publish_view(view);
 
-    shared.ingests.fetch_add(1, Ordering::Relaxed);
     let reg = shared.obs.registry();
     reg.add(metric::SERVE_INGEST_BATCHES, 1);
     reg.add(metric::SERVE_INGEST_ESTS, summary.new_ests as u64);
@@ -621,8 +619,8 @@ mod tests {
             )
             .expect("first ingest");
         let (_, label, _) = client.member("e0").expect("member before poison");
-        let manifest_before = std::fs::read(ckpt.join(crate::checkpoint::SERVE_MANIFEST_FILE))
-            .expect("checkpoint written");
+        let snapshot_before =
+            std::fs::read(ckpt.join(crate::checkpoint::SNAPSHOT_FILE)).expect("checkpoint written");
 
         // Simulate a fold dying halfway: panic while holding the core
         // lock, exactly what a bug inside fold_batch would do.
@@ -656,12 +654,29 @@ mod tests {
         // stop() neither panics nor overwrites the good checkpoint.
         let stats = handle.stop().expect("clean stop");
         assert!(stats.queries >= 2);
-        let manifest_after = std::fs::read(ckpt.join(crate::checkpoint::SERVE_MANIFEST_FILE))
+        let snapshot_after = std::fs::read(ckpt.join(crate::checkpoint::SNAPSHOT_FILE))
             .expect("checkpoint still present");
         assert_eq!(
-            manifest_before, manifest_after,
+            snapshot_before, snapshot_after,
             "tainted shutdown must not rewrite the checkpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint directory in the older layout fails the start
+    /// instead of serving an empty index beside the old state.
+    #[test]
+    fn start_refuses_an_older_checkpoint_layout() {
+        let dir = scratch("older");
+        let ckpt = dir.join("ckpt");
+        std::fs::create_dir_all(&ckpt).unwrap();
+        std::fs::write(ckpt.join("serve.manifest.json"), r#"{"generation":0}"#).unwrap();
+        let mut sc = ServerConfig::new(dir.join("paced.sock"), small_cluster_cfg());
+        sc.checkpoint_dir = Some(ckpt);
+        let Err(err) = Server::start(sc, Obs::noop()) else {
+            panic!("a daemon started beside an older checkpoint layout");
+        };
+        assert!(err.to_string().contains("serve.manifest.json"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

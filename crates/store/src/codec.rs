@@ -10,10 +10,12 @@
 //! Content integrity (bit flips) is the snapshot layer's CRC job; the
 //! decoders here re-validate only the *structural* invariants whose
 //! violation would make the reassembled value unsafe to use (see the
-//! `from_raw_parts` constructors in the owning crates). One pair works
+//! `from_raw_parts` constructors in the owning crates). Two pairs work
 //! on whole snapshots: [`write_cluster_state`] and [`read_cluster_state`]
-//! hold the clustering state every checkpoint kind persists, and the
-//! check that it restores.
+//! hold the clustering state every clustering checkpoint persists, and
+//! the check that it restores; [`write_progress`] and [`read_progress`]
+//! hold the `progress` section every checkpoint carries, which makes a
+//! snapshot its own record of how far its run got.
 
 use crate::error::SnapshotError;
 use crate::snapshot::{Snapshot, SnapshotWriter};
@@ -314,6 +316,44 @@ pub fn read_cluster_state(
         ));
     }
     Ok((sets, trace, stats))
+}
+
+// ---------------------------------------------------------------------
+// Progress: whose run a checkpoint belongs to, and how far it got
+// ---------------------------------------------------------------------
+
+const SEC_PROGRESS: &str = "progress";
+
+/// Write the `progress` section: the run's configuration
+/// [`fingerprint`](crate::fingerprint) (u32) and one count (u64) of what
+/// the snapshot covers, in its owner's unit (ESTs ingested, batches
+/// clustered, ingest batches folded). The snapshot is published
+/// atomically, so the count always describes the state beside it.
+pub fn write_progress(
+    w: &mut SnapshotWriter,
+    fingerprint: u32,
+    count: u64,
+) -> Result<(), SnapshotError> {
+    let mut out = Vec::with_capacity(12);
+    fingerprint.encode(&mut out);
+    count.encode(&mut out);
+    w.add_section(SEC_PROGRESS, &out)
+}
+
+/// Read the `progress` section [`write_progress`] wrote and return its
+/// count. A snapshot written under another fingerprint is
+/// [`SnapshotError::ForeignRun`].
+pub fn read_progress(snap: &Snapshot, fingerprint: u32) -> Result<u64, SnapshotError> {
+    let (found, count) = decode_section(snap.section(SEC_PROGRESS)?, "progress", |r| {
+        Ok((r.u32()?, r.u64()?))
+    })?;
+    if found != fingerprint {
+        return Err(SnapshotError::ForeignRun {
+            found,
+            expected: fingerprint,
+        });
+    }
+    Ok(count)
 }
 
 #[cfg(test)]

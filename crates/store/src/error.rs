@@ -31,6 +31,17 @@ pub enum SnapshotError {
     /// A section decoded structurally but its content is inconsistent
     /// (bad offsets, length mismatches, out-of-range ids …).
     Corrupt(String),
+    /// The checkpoint directory holds this file of an older layout,
+    /// whose progress lived in a JSON manifest beside the snapshots.
+    OlderLayout(String),
+    /// The snapshot belongs to a run under another configuration
+    /// fingerprint (different input or parameters).
+    ForeignRun {
+        /// The fingerprint the snapshot's `progress` section holds.
+        found: u32,
+        /// The fingerprint of the run reading it.
+        expected: u32,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -51,6 +62,16 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot is missing required section {name:?}")
             }
             SnapshotError::Corrupt(msg) => write!(f, "snapshot content corrupt: {msg}"),
+            SnapshotError::OlderLayout(path) => write!(
+                f,
+                "{path} belongs to the checkpoint layout of an older build, which this \
+                 build does not read"
+            ),
+            SnapshotError::ForeignRun { found, expected } => write!(
+                f,
+                "checkpoint fingerprint {found:08x} does not match this run's {expected:08x} \
+                 (different input or parameters); refusing to mix state"
+            ),
         }
     }
 }

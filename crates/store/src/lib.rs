@@ -2,7 +2,7 @@
 //!
 //! The paper's clustering promises space linear in the input, but the
 //! constant in front of N still has to fit in RAM. This crate bounds
-//! that constant and adds whole-run durability, in three layers:
+//! that constant and adds whole-run durability, in two layers:
 //!
 //! * [`snapshot`] — a versioned, checksummed binary container (magic +
 //!   schema version + named sections + per-section CRC-32, the
@@ -11,17 +11,16 @@
 //!   write-to-temp + fsync + rename. [`codec`] provides the typed
 //!   encodings of the state a resume cannot recompute (sequence store,
 //!   EST ids, union–find, merge trace, run stats) on top of it, all
-//!   decoded through the `pace_wire::WireReader` cursor.
+//!   decoded through the `pace_wire::WireReader` cursor. Every
+//!   checkpoint also carries a `progress` section: the run's
+//!   configuration [`fingerprint`] and one count of what it covers. The
+//!   file the writer publishes atomically is thus its own record of how
+//!   far the run got, and a resume reads progress from it alone.
 //! * [`plan`] — memory-budgeted batch planning over the bucket
 //!   partition's suffix counts. The drivers build and drain one batch
 //!   at a time, so GST construction runs under `--memory-budget` on
 //!   inputs whose trees exceed RAM. The plan is a pure function of the
 //!   partition, so it is recomputed, never persisted.
-//! * [`manifest`] — the small JSON progress record enabling
-//!   checkpoint/resume: which phase completed, how many batches were
-//!   clustered, and where the last heavy union–find checkpoint sits.
-//!   The driver in `pace-core` rewrites it atomically after ingest and
-//!   after every clustered batch.
 //!
 //! Corruption anywhere in the stack (truncation, bit flips, stale
 //! schema, structural inconsistencies) surfaces as a typed
@@ -29,11 +28,9 @@
 
 pub mod codec;
 pub mod error;
-pub mod manifest;
 pub mod plan;
 pub mod snapshot;
 
 pub use error::SnapshotError;
-pub use manifest::{fingerprint, Manifest, Phase, MANIFEST_VERSION};
 pub use plan::{plan_batches, BatchPlan, DEFAULT_BYTES_PER_SUFFIX};
-pub use snapshot::{atomic_write, Snapshot, SnapshotWriter, MAGIC, SCHEMA_VERSION};
+pub use snapshot::{fingerprint, Snapshot, SnapshotWriter, MAGIC, SCHEMA_VERSION};

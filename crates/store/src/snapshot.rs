@@ -63,19 +63,13 @@ fn fsync_parent(path: &Path) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Write `bytes` to `path` via the write-to-temp + fsync + rename
-/// protocol. Used for small whole-file artifacts (the manifest); large
-/// section streams go through [`SnapshotWriter`], which follows the
-/// same protocol.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let tmp = tmp_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)
+/// Fingerprint a run's configuration: the CRC-32 of a caller-assembled
+/// canonical description. Each checkpoint carries it in its `progress`
+/// section ([`crate::codec::write_progress`]), so a resume under other
+/// input or parameters is refused instead of mixing state. It guards
+/// against an accidental resume with different flags, not adversaries.
+pub fn fingerprint(canonical: &str) -> u32 {
+    crc32(canonical.as_bytes())
 }
 
 /// Streaming snapshot writer.

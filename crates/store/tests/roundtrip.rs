@@ -20,7 +20,7 @@ use pace_seq::SequenceStore;
 use pace_store::codec::{
     decode_cluster_stats, decode_dsu, decode_merge_trace, decode_sequence_store,
     decode_string_list, encode_cluster_stats, encode_dsu, encode_merge_trace,
-    encode_sequence_store, encode_string_list,
+    encode_sequence_store, encode_string_list, read_progress, write_progress,
 };
 use pace_store::{Snapshot, SnapshotError, SnapshotWriter};
 use proptest::prelude::*;
@@ -251,6 +251,30 @@ fn merge_trace_layout_is_pinned() {
                        \x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x14\0\0\0\0\0\0\0\0\0\xe0\x3f";
     assert_eq!(encode_merge_trace(&trace), pin);
     assert_eq!(decode_merge_trace(pin).unwrap(), trace);
+}
+
+/// The `progress` section: the u32 fingerprint, then the u64 count. A
+/// reader under another fingerprint is refused.
+#[test]
+fn progress_layout_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("pace-store-progress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("progress.snap");
+    let mut w = SnapshotWriter::create(&path).unwrap();
+    write_progress(&mut w, 0x0102_0304, 5).unwrap();
+    w.finish().unwrap();
+    let snap = Snapshot::read_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let pin: &[u8] = b"\x04\x03\x02\x01\x05\0\0\0\0\0\0\0";
+    assert_eq!(snap.section("progress").unwrap(), pin);
+    assert_eq!(read_progress(&snap, 0x0102_0304), Ok(5));
+    assert_eq!(
+        read_progress(&snap, 7),
+        Err(SnapshotError::ForeignRun {
+            found: 0x0102_0304,
+            expected: 7
+        })
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,8 @@
 #      order may relabel clusters — and builds each planned batch once.
 #   2. A run killed mid-clustering (deterministic `--crash-after` hook)
 #      and restarted with `--resume` converges to that same partition,
-#      with the crash-destroyed work booked in `faults.lost_pairs`.
+#      and its `pairs.*` and `merges` counters equal drill 1's (same
+#      input, same budget, so the same plan), with no pairs lost.
 #
 # The budget run's metrics report is left at bench_out/out_of_core.json
 # so scripts/bench_gate.sh and the CI artifact pick up the io.*/ckpt.*
@@ -54,7 +55,7 @@ same_partition "$OUT/ooc.tsv" "$OUT/mem.tsv" || {
     exit 1
 }
 
-echo "== drill 2: kill after batch 2 (heavy checkpoint interval 100), resume"
+echo "== drill 2: kill after batch 2 (cluster checkpoint every 100 batches), resume"
 if "$PACE" cluster --in "$OUT/reads.fasta" --out "$OUT/crash.tsv" \
     --checkpoint-dir "$OUT/ckpt2" --memory-budget 64K --checkpoint-every 100 \
     --crash-after cluster-batch:2 --quiet; then
@@ -93,12 +94,20 @@ if built != budget["io.spill_batches"]:
 print(f"  gst_construction samples = {built:.0f}")
 need(budget, "ckpt.writes", lambda v: v > 0, "checkpoints must be written")
 files = sorted(os.listdir(sys.argv[3]))
-if files != ["cluster.snap", "ingest.snap", "manifest.json"]:
+if files != ["cluster.snap", "ingest.snap"]:
     raise SystemExit(f"out_of_core_smoke: FAIL checkpoint dir holds {files}")
 print(f"  checkpoint dir = {' '.join(files)}")
 need(resumed, "ckpt.phases_resumed", lambda v: v > 0, "resume must restore phases")
-need(resumed, "faults.lost_pairs", lambda v: v > 0,
-     "the crash gap must be booked as lost pairs")
+need(resumed, "faults.lost_pairs", lambda v: v == 0,
+     "a resume re-runs the uncovered batches and loses nothing")
+# Same input and budget, so the same plan: the resumed run's counters
+# equal the uninterrupted drill 1's.
+keys = sorted(k for k in budget if k.startswith("pairs.")) + ["merges"]
+for key in keys:
+    if resumed.get(key) != budget[key]:
+        raise SystemExit(f"out_of_core_smoke: FAIL resumed {key} = {resumed.get(key)}, "
+                         f"uninterrupted {budget[key]}")
+print(f"  resumed {', '.join(keys)} equal the uninterrupted run's")
 PY
 
 echo "out_of_core_smoke: OK"

@@ -15,8 +15,9 @@
 #      exactly the rank that received the injected stalls.
 #   4. The run report carries the trace-derived figures (p99 align_batch
 #      latency is echoed for the CI log; report-only, never gated).
-#   5. The trace holds one `merge` instant per effective union: their
-#      count equals the run report's `merges` counter.
+#   5. The trace holds one `merge` instant per effective union: the
+#      analyzer's `instants.merge` count equals the run report's
+#      `merges` counter.
 #
 # Usage: scripts/trace_smoke.sh [pace-binary] [pace-trace-binary] [outdir]
 set -euo pipefail
@@ -110,7 +111,7 @@ else:
 
 # --- merges: one `merge` instant per effective union -----------------
 metrics = json.load(open(metrics_path))
-merge_instants = sum(1 for e in events if e.get("ph") == "i" and e.get("name") == "merge")
+merge_instants = a["instants"].get("merge", 0)
 merges = metrics.get("counters", {}).get("merges")
 if merges is None:
     failures.append("merges counter missing from the metrics report")

@@ -11,9 +11,10 @@
 //! The report covers the run's critical path (the longest causal chain
 //! of work spans, stitched across ranks by the dispatch→report flow
 //! arrows), a per-rank utilization/idle/stall breakdown, a straggler
-//! ranking, and per-span-name duration quantiles. The input is the
-//! Chrome-tracing/Perfetto JSON the engine exports — the same file
-//! loads in `ui.perfetto.dev`.
+//! ranking, per-span-name duration quantiles, and the count of each
+//! instant name over all ranks (`merge`, `resend`, `fault.*`, …). The
+//! input is the Chrome-tracing/Perfetto JSON the engine exports — the
+//! same file loads in `ui.perfetto.dev`.
 //!
 //! Multiple files merge into one timeline before analysis. This is how
 //! a `--transport uds` run is stitched back together: the master
@@ -179,6 +180,13 @@ fn print_report(a: &Analysis, top: usize) {
                 "  {:<16} {:>7} {:>10.6} {:>10.6} {:>10.6} {:>10.6}",
                 name, q.count, q.p50, q.p90, q.p99, q.max
             );
+        }
+    }
+
+    if !a.instants.is_empty() {
+        println!("\ninstants (all ranks):");
+        for (name, n) in &a.instants {
+            println!("  {name:<16} {n:>7}");
         }
     }
 

@@ -1,12 +1,12 @@
 //! End-to-end checkpoint/resume integration drills.
 //!
 //! These tests exercise the persistence layer the way an operator would:
-//! kill the pipeline at every phase boundary (deterministic
-//! [`CrashPoint`] hooks), restart with `resume`, and require the final
-//! partition to be canonically identical to an uninterrupted in-memory
-//! run — with the crash-destroyed work booked in `faults.lost_pairs`,
-//! never silently re-counted, so pair-flow conservation survives the
-//! crash.
+//! kill the pipeline after ingest and after every clustered batch
+//! (deterministic [`CrashPoint`] hooks), restart with `resume`, and
+//! require the resumed run to reproduce the uninterrupted run exactly —
+//! its labels, merge trace and every pair counter, with nothing booked
+//! as lost — because each checkpoint is one atomically published
+//! snapshot that records how far the run got.
 //!
 //! They also pin the out-of-core contract (a tiny memory budget changes
 //! *how many* bucket batches are built one after another, not *what*
@@ -61,8 +61,11 @@ fn assert_conservation(s: &pace::cluster::stats::ClusterStats) {
     );
 }
 
-/// Kill the run after every phase boundary, resume, and require the
-/// resumed run to reproduce the uninterrupted partition exactly.
+/// Kill the run after ingest and after every batch of a budgeted plan,
+/// with a cluster checkpoint every batch and every third batch, resume,
+/// and require the resumed run to equal the uninterrupted run under the
+/// same budget: labels, merge trace, `merges` and every `pairs.*`
+/// counter, with no pairs lost.
 #[test]
 fn crash_at_every_phase_boundary_then_resume() {
     let ds = dataset(80, 1311);
@@ -70,56 +73,61 @@ fn crash_at_every_phase_boundary_then_resume() {
     let pace = Pace::new(test_config());
     let reference = pace.cluster_store(&store).unwrap();
 
-    let crash_points = [
-        CrashPoint::AfterIngest,
-        CrashPoint::AfterClusterBatch(1),
-        CrashPoint::AfterClusterBatch(3),
-    ];
-    for (i, &point) in crash_points.iter().enumerate() {
-        let dir = tmpdir(&format!("boundary-{i}"));
-        // A tiny budget forces many cluster batches so the mid-cluster
-        // crash points actually fire; a heavy checkpoint every 2 batches
-        // exercises both the replay-from-checkpoint and the lost-pair
-        // reconciliation paths.
-        let mut persist = PersistConfig::new(&dir);
-        persist.memory_budget = 16 * 1024;
-        persist.checkpoint_every = 2;
-        persist.crash_after = Some(point);
+    let dir = tmpdir("boundary");
+    let mut persist = PersistConfig::new(&dir);
+    // A budget that plans a handful of batches keeps the run count
+    // (two per crash point, per checkpoint interval) small.
+    persist.memory_budget = 256 * 1024;
+    let obs = Obs::noop();
+    let whole = pace
+        .cluster_store_persistent(&store, &persist, &obs)
+        .unwrap();
+    assert!(same_partition(whole.outcome.labels(), reference.labels()));
+    assert!(whole.outcome.result.stats.merges > 0);
+    let batches = obs.registry().snapshot().counters["io.spill_batches"];
+    assert!(
+        batches >= 5,
+        "a 256K budget must plan ≥ 5 batches, got {batches}"
+    );
 
-        let err = pace
-            .cluster_store_persistent(&store, &persist, &Obs::noop())
-            .expect_err("injected crash must abort the run");
-        assert!(
-            matches!(err, PaceError::InjectedCrash(_)),
-            "crash at {point} surfaced as {err:?}"
-        );
-
-        persist.crash_after = None;
-        persist.resume = true;
-        let resumed = pace
-            .cluster_store_persistent(&store, &persist, &Obs::noop())
-            .unwrap_or_else(|e| panic!("resume after {point} failed: {e}"));
-        assert!(
-            resumed.resumed,
-            "resume after {point} did not restore state"
-        );
-        assert!(
-            same_partition(resumed.outcome.labels(), reference.labels()),
-            "partition after crash at {point} + resume differs from reference"
-        );
-        let stats = &resumed.outcome.result.stats;
-        assert_conservation(stats);
-        if matches!(point, CrashPoint::AfterClusterBatch(_)) {
-            // Pairs destroyed by the mid-cluster crash are booked, not
-            // silently re-counted.
+    let crash_points = std::iter::once(CrashPoint::AfterIngest)
+        .chain((1..=batches).map(CrashPoint::AfterClusterBatch));
+    for every in [1, 3] {
+        for point in crash_points.clone() {
+            let what = format!("crash {point}, checkpoint every {every}");
+            persist.checkpoint_every = every;
+            persist.crash_after = Some(point);
+            persist.resume = false;
+            let err = pace
+                .cluster_store_persistent(&store, &persist, &Obs::noop())
+                .expect_err("injected crash must abort the run");
             assert!(
-                stats.faults.lost_pairs > 0,
-                "mid-cluster crash at {point} lost no pairs?"
+                matches!(err, PaceError::InjectedCrash(_)),
+                "{what}: surfaced as {err:?}"
             );
-            assert_eq!(stats.faults.lost_pairs, stats.pairs_unconsumed);
+
+            persist.crash_after = None;
+            persist.resume = true;
+            let resumed = pace
+                .cluster_store_persistent(&store, &persist, &Obs::noop())
+                .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+            assert!(resumed.resumed, "{what}: resume did not restore state");
+            assert_eq!(
+                resumed.outcome.labels(),
+                whole.outcome.labels(),
+                "{what}: labels"
+            );
+            assert_eq!(
+                resumed.outcome.trace, whole.outcome.trace,
+                "{what}: merge trace"
+            );
+            let stats = &resumed.outcome.result.stats;
+            assert_eq!(stats, &whole.outcome.result.stats, "{what}: counters");
+            assert_eq!(stats.faults.lost_pairs, 0, "{what}: lost pairs");
+            assert_conservation(stats);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Memory budgets change how many bucket batches are built and drained
