@@ -11,22 +11,21 @@
 //! shutdowns. Phase times are per-rank registry samples; each phase's
 //! max over ranks is its critical-path time, as in Table 3.
 //!
-//! Instrumentation mirrors the sequential driver: every rank records its
-//! phases into the shared `pace-obs` registry (over the socket transport
-//! rank 0 records them from each worker's summary), communication
-//! counters are absorbed from `pace-mpisim`, the master's busy fraction
-//! (the paper's "< 2%" claim) lands in `master.busy_frac`, and with a
-//! tracer attached the master records a `merge` instant for every union
-//! it performs and one instant per recovery action.
-//!
-//! The same protocol runs over any [`pace_mpisim::Transport`]:
-//! [`cluster_master_transport`] runs rank 0 and
-//! [`cluster_worker_transport`] any other rank over a caller-supplied
-//! `Rank<Msg>` (the multi-process socket path).
+//! There is one parallel path. [`cluster_master_transport`] runs rank 0
+//! and [`cluster_worker_transport`] any other rank over a `Rank<Msg>`;
+//! the launcher hands them socket-backed ranks in separate processes
+//! (`--transport uds`), and [`cluster_parallel_faults`] runs the same
+//! two entries on threads of one channel world. Either way a worker
+//! records into a registry of its own and ends by sending rank 0 its
+//! [`WorkerSummary`]; rank 0 records every summary that arrives, absorbs
+//! its communication counters from `pace-mpisim`, puts the master's
+//! busy fraction (the paper's "< 2%" claim) in `master.busy_frac`, and
+//! with a tracer attached records a `merge` instant for every union it
+//! performs and one instant per recovery action.
 
 use crate::cluster_core::emit_merges;
 use crate::config::ClusterConfig;
-use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters, record_gst_stats};
+use crate::driver_seq::{cluster_sequential_obs, record_cluster_counters};
 use crate::master::{FaultNote, Master};
 use crate::messages::{Msg, WorkerSummary};
 use crate::slave::run_slave_obs;
@@ -65,28 +64,10 @@ struct Root {
     /// Which slaves the master declared dead: summary collection must
     /// not wait on those.
     dead: Vec<bool>,
-    comm: WorldStats,
     injected: FaultSnapshot,
     /// Worker summaries that arrived during the protocol, by sender rank
-    /// (socket backend only; empty on threads).
+    /// (a slave can finish while the others are still being shut down).
     early_summaries: Vec<(usize, WorkerSummary)>,
-}
-
-/// Record a worker's phase seconds, as its summary carries them, into
-/// `obs` on the worker's rank. Only a rank 0 in another process does
-/// this: over the channel backend the slaves already wrote the shared
-/// registry themselves.
-fn record_worker_phases(obs: &Obs, rank: usize, s: &WorkerSummary) {
-    let reg = obs.registry();
-    for (phase, secs) in [
-        (metric::PHASE_PARTITIONING, s.partitioning),
-        (metric::PHASE_GST_CONSTRUCTION, s.gst_construction),
-        (metric::PHASE_NODE_SORTING, s.node_sorting),
-        (metric::PHASE_PAIR_GENERATION, s.pair_generation),
-        (metric::PHASE_ALIGNMENT, s.alignment),
-    ] {
-        reg.record_phase(phase, rank, secs);
-    }
 }
 
 /// Cluster with `p` ranks: one master and `p − 1` slaves. `p ≤ 1` falls
@@ -95,19 +76,9 @@ pub fn cluster_parallel(store: &SequenceStore, cfg: &ClusterConfig, p: usize) ->
     cluster_parallel_obs(store, cfg, p, &Obs::noop()).0
 }
 
-/// Like [`cluster_parallel`], additionally returning the run's
-/// [`MergeTrace`] — replaying it reproduces the returned labels.
-pub fn cluster_parallel_traced(
-    store: &SequenceStore,
-    cfg: &ClusterConfig,
-    p: usize,
-) -> (ClusterResult, MergeTrace) {
-    cluster_parallel_obs(store, cfg, p, &Obs::noop())
-}
-
-/// Fully instrumented parallel run. All ranks share `obs`: phase spans
-/// land in its per-rank series, communication and pair counters in its
-/// registry, and flows, faults and merges in its trace if one is
+/// Fully instrumented parallel run, also returning the run's
+/// [`MergeTrace`] (replaying it reproduces the returned labels). Rank 0
+/// records into `obs`'s registry, every rank into its tracer if one is
 /// attached.
 pub fn cluster_parallel_obs(
     store: &SequenceStore,
@@ -124,6 +95,13 @@ pub fn cluster_parallel_obs(
 /// recovers; pairs a crash takes with it land in `faults.lost_pairs` —
 /// loud failure, never silent divergence. With an empty plan this *is*
 /// `cluster_parallel_obs`.
+///
+/// Each rank is a thread running the same entry a process would:
+/// [`cluster_master_transport`] on rank 0, [`cluster_worker_transport`]
+/// on the others, each worker with a registry of its own on `obs`'s
+/// tracer and clock. A worker the plan crashed counts into
+/// `faults.injected.crashes`, as the launcher counts a crashed worker
+/// process.
 pub fn cluster_parallel_faults(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -131,48 +109,33 @@ pub fn cluster_parallel_faults(
     plan: &FaultPlan,
     obs: &Obs,
 ) -> (ClusterResult, MergeTrace) {
-    cfg.validate().expect("invalid cluster config");
     if p <= 1 {
         return cluster_sequential_obs(store, cfg, obs);
     }
-    let total_span = obs.span(metric::PHASE_TOTAL);
-
-    // Pack once, share read-only across every slave's alignment context.
-    let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
-
-    // Rank 0 yields the master's books, every other rank its summary.
-    let (num_ests, packed) = (store.num_ests(), packed.as_ref());
     let under_faults = !plan.is_empty();
-    let outputs = run_world_obs(p, plan, obs, |rank| {
+    let mut outputs = run_world_obs(p, plan, obs, |rank| {
         if rank.rank() == 0 {
-            let books = run_master(&rank, num_ests, cfg, under_faults, obs);
-            (Some(books), None)
-        } else {
-            let summary = slave_rank(&rank, store, packed, cfg, obs);
-            (None, Some(summary))
+            let books = cluster_master_transport(store, cfg, &rank, under_faults, obs);
+            return Some(books);
         }
+        let own = obs.with_own_registry();
+        if cluster_worker_transport(store, cfg, &rank, under_faults, &own) {
+            obs.registry().add(metric::FAULTS_INJECTED_CRASHES, 1);
+        }
+        None
     });
-    total_span.finish();
-    let mut root = None;
-    let mut summaries = Vec::new();
-    for (books, summary) in outputs {
-        root = root.or(books);
-        summaries.extend(summary);
-    }
-    let root = root.expect("rank 0 yields the master's books");
-    fold(root, &summaries, obs)
+    outputs.swap_remove(0).expect("rank 0 runs the master")
 }
 
-/// Run rank 0 of the protocol over a caller-supplied transport-backed
-/// [`Rank`] — the multi-process entry point. The caller (the launcher)
-/// builds the world: a [`pace_mpisim::UdsHub`] wrapped by `rank`, with
-/// one [`cluster_worker_transport`] process per remaining rank.
+/// Run rank 0 of the protocol over a transport-backed [`Rank`]: the
+/// master's loop, then the collection of worker summaries, then the
+/// fold into one result.
 ///
-/// After the protocol completes, worker summaries are collected as
-/// [`Msg::Summary`] messages within a bounded window (crashed workers
-/// never send one); the fold tolerates missing summaries by crediting
-/// the absent generator with exactly the pairs the master received from
-/// it, keeping flow conservation exact.
+/// Worker summaries arrive as [`Msg::Summary`] messages and are
+/// collected within a bounded window (crashed workers never send one);
+/// the fold tolerates missing summaries by crediting the absent
+/// generator with exactly the pairs the master received from it,
+/// keeping flow conservation exact.
 pub fn cluster_master_transport(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -181,27 +144,26 @@ pub fn cluster_master_transport(
     obs: &Obs,
 ) -> (ClusterResult, MergeTrace) {
     cfg.validate().expect("invalid cluster config");
-    assert_eq!(rank.rank(), 0, "rank 0 runs in the launcher's process");
+    assert_eq!(rank.rank(), 0, "rank 0 runs the master");
     assert!(rank.size() >= 2, "a world needs a master and a slave");
     let total_span = obs.span(metric::PHASE_TOTAL);
 
     let mut root = run_master(rank, store.num_ests(), cfg, under_faults, obs);
-    let summaries = collect_summaries(rank, cfg, &mut root, obs);
+    let summaries = collect_summaries(rank, cfg, &mut root);
     total_span.finish();
-    fold(root, &summaries, obs)
+    fold(root, rank.stats(), &summaries, obs)
 }
 
-/// Collect the slaves' final summaries: the ones that arrived during the
-/// protocol plus whatever comes within a bounded window. Crashed workers
-/// never send one, and the master's dead slaves are not waited for; the
-/// window bounds the wait if a slave dies between its `Shutdown` and its
-/// summary.
+/// Collect the slaves' final summaries, by sender rank: the ones that
+/// arrived during the protocol plus whatever comes within a bounded
+/// window. Crashed workers never send one, and the master's dead slaves
+/// are not waited for; the window bounds the wait if a slave dies
+/// between its `Shutdown` and its summary.
 fn collect_summaries(
     rank: &Rank<Msg>,
     cfg: &ClusterConfig,
     root: &mut Root,
-    obs: &Obs,
-) -> Vec<WorkerSummary> {
+) -> Vec<(usize, WorkerSummary)> {
     let expected = root.dead.iter().filter(|d| !**d).count();
     let mut slots: Vec<Option<WorkerSummary>> = vec![None; root.dead.len()];
     let mut received = 0usize;
@@ -228,21 +190,18 @@ fn collect_summaries(
             Err(_) => break,
         }
     }
-    let mut out = Vec::with_capacity(received);
-    for (idx, summary) in slots.into_iter().enumerate() {
-        if let Some(summary) = summary {
-            record_worker_phases(obs, idx + 1, &summary);
-            out.push(summary);
-        }
-    }
-    out
+    slots
+        .into_iter()
+        .enumerate()
+        .filter_map(|(idx, summary)| Some((idx + 1, summary?)))
+        .collect()
 }
 
-/// Run one slave rank over a caller-supplied transport-backed [`Rank`].
-/// The slave ends by sending its [`Msg::Summary`] to rank 0 (skipped
-/// when an injected crash severed the connection — the fold tolerates
-/// the gap). Returns whether this rank crashed, which the worker process
-/// turns into its [`pace_mpisim::INJECTED_CRASH_EXIT`] status.
+/// Run one slave rank over a transport-backed [`Rank`]. The slave ends
+/// by sending its [`Msg::Summary`] to rank 0 (skipped when an injected
+/// crash severed the connection — the fold tolerates the gap). Returns
+/// whether this rank crashed, which a worker process turns into its
+/// [`pace_mpisim::INJECTED_CRASH_EXIT`] status.
 pub fn cluster_worker_transport(
     store: &SequenceStore,
     cfg: &ClusterConfig,
@@ -251,7 +210,7 @@ pub fn cluster_worker_transport(
     obs: &Obs,
 ) -> bool {
     cfg.validate().expect("invalid cluster config");
-    assert!(rank.rank() >= 1, "rank 0 runs in the launcher's process");
+    assert!(rank.rank() >= 1, "rank 0 runs the master");
     let packed = cfg.packed_alignment.then(|| PackedText::from_store(store));
     let mut summary = slave_rank(rank, store, packed.as_ref(), cfg, obs);
     if !rank.crashed() {
@@ -267,14 +226,15 @@ pub fn cluster_worker_transport(
 }
 
 /// The paper's master at rank 0. It holds no input share, so it joins
-/// the partitioning collective with a zero contribution and waits at the
+/// the partitioning collective with a zero contribution (and records the
+/// combined counts' non-empty buckets as `gst.buckets`) and waits at the
 /// barrier while the slaves build their forests. Then it runs the
 /// protocol loop: fold each report into `CLUSTERS` and dispatch its
 /// successor, sweep deadlines, and record each recovery action and each
 /// union as a trace instant as it happens, until it has shut its slaves
-/// down. Worker summaries that arrive during the loop (socket backend: a
-/// slave can finish while the others are still being shut down) are
-/// kept for the fold.
+/// down. Worker summaries that arrive during the loop (a slave can
+/// finish while the others are still being shut down) are kept for the
+/// fold.
 fn run_master(
     rank: &Rank<Msg>,
     num_ests: usize,
@@ -285,10 +245,11 @@ fn run_master(
     let me = rank.rank();
     let span = obs.span_on(metric::PHASE_PARTITIONING, me);
     let zeros = vec![0u64; num_buckets(cfg.window_w)];
-    let _global_counts = rank.allreduce_sum(&zeros);
+    let global_counts = rank.allreduce_sum(&zeros);
     span.finish();
+    let nonempty = global_counts.iter().filter(|&&c| c > 0).count();
+    obs.registry().add(metric::GST_BUCKETS, nonempty as u64);
     rank.barrier();
-
     let num_slaves = rank.size() - 1;
     let mut master = Master::new(num_ests, num_slaves, cfg.clone());
     master.begin(obs.now());
@@ -413,7 +374,6 @@ fn run_master(
         result,
         trace,
         dead,
-        comm: rank.stats(),
         injected: rank.fault_stats(),
         early_summaries,
     }
@@ -442,7 +402,8 @@ fn slave_rank(
     let span = obs.span_on(metric::PHASE_GST_CONSTRUCTION, rank.rank());
     let forest = build_in_scope_forest(store, &partition, slave_id, cfg.psi);
     let gst_construction = span.finish();
-    record_gst_stats(obs, &partition, &forest);
+    let (gst_nodes, gst_subtrees) = (forest.num_nodes() as u64, forest.subtrees.len() as u64);
+    let gst_max_depth = forest.max_depth();
     rank.barrier();
 
     // Phases 3–4: the slave protocol.
@@ -450,32 +411,59 @@ fn slave_rank(
     WorkerSummary {
         partitioning,
         gst_construction,
+        gst_nodes,
+        gst_subtrees,
+        gst_max_depth,
         ..summary
     }
 }
 
 /// Fold the master's books and the arrived worker summaries into one
-/// result: credit the summaries to the pair counters with exact
-/// pair-flow conservation, then publish rank 0's communication counters,
-/// the injector counters (rank 0's plus every summary's) and the run's
-/// pair and fault counters.
-fn fold(root: Root, summaries: &[WorkerSummary], obs: &Obs) -> (ClusterResult, MergeTrace) {
+/// result. Each summary is recorded on its worker's rank: its phase
+/// seconds, its `align_batch` series, its MCS-length histogram and its
+/// forest's shape. The summaries' pair counters are credited with exact
+/// pair-flow conservation; then rank 0's communication counters, the
+/// injector counters (rank 0's plus every summary's) and the run's pair
+/// and fault counters are published.
+fn fold(
+    root: Root,
+    comm: WorldStats,
+    summaries: &[(usize, WorkerSummary)],
+    obs: &Obs,
+) -> (ClusterResult, MergeTrace) {
     let Root {
         mut result,
         trace,
-        comm,
         mut injected,
         ..
     } = root;
+    let reg = obs.registry();
     let stats = &mut result.stats;
     let (mut generated, mut unconsumed, mut prefiltered, mut ws_reuses) = (0u64, 0u64, 0u64, 0u64);
-    for s in summaries {
+    for (rank, s) in summaries {
+        let alignment = s.align_batches.iter().sum();
+        for (phase, secs) in [
+            (metric::PHASE_PARTITIONING, s.partitioning),
+            (metric::PHASE_GST_CONSTRUCTION, s.gst_construction),
+            (metric::PHASE_NODE_SORTING, s.node_sorting),
+            (metric::PHASE_PAIR_GENERATION, s.pair_generation),
+            (metric::PHASE_ALIGNMENT, alignment),
+        ] {
+            reg.record_phase(phase, *rank, secs);
+        }
+        for &secs in &s.align_batches {
+            reg.record_phase(metric::PHASE_ALIGN_BATCH, *rank, secs);
+        }
+        for &(len, n) in &s.mcs_len {
+            reg.observe_n(metric::PAIRS_MCS_LEN, u64::from(len), n);
+        }
+        reg.add(metric::GST_NODES, s.gst_nodes);
+        reg.add(metric::GST_SUBTREES, s.gst_subtrees);
+        reg.set_gauge_max(metric::GST_MAX_DEPTH, f64::from(s.gst_max_depth));
         generated += s.gen_emitted;
         unconsumed += s.unconsumed;
         prefiltered += s.prefiltered;
         ws_reuses += s.ws_reuses;
-        // Per-process injector counters (zero on the thread backend,
-        // whose counters are world-shared).
         injected.dropped += s.injected_drops;
         injected.delayed += s.injected_delays;
         injected.stalls += s.injected_stalls;
@@ -490,10 +478,10 @@ fn fold(root: Root, summaries: &[WorkerSummary], obs: &Obs) -> (ClusterResult, M
     // via resend — have `lost == 0`, which the tests assert as the
     // non-tautological form of conservation.
     //
-    // On the socket backend a crashed worker's summary never arrives,
-    // so `generated` can undercount what the master actually received;
-    // the max() restores conservation by crediting the missing generator
-    // with exactly the pairs the master saw from it.
+    // A crashed worker's summary never arrives, so `generated` can
+    // undercount what the master actually received; the max() restores
+    // conservation by crediting the missing generator with exactly the
+    // pairs the master saw from it.
     let resolved = stats.pairs_processed + stats.pairs_skipped + unconsumed;
     let generated = generated.max(resolved);
     stats.faults.lost_pairs = generated - resolved;
@@ -502,7 +490,6 @@ fn fold(root: Root, summaries: &[WorkerSummary], obs: &Obs) -> (ClusterResult, M
     stats.pairs_prefiltered = prefiltered;
     stats.messages = comm.messages;
 
-    let reg = obs.registry();
     reg.add(metric::COMM_MESSAGES, comm.messages);
     reg.add(metric::COMM_BYTES, comm.bytes);
     reg.add(metric::COMM_BARRIERS, comm.barriers);
@@ -635,7 +622,7 @@ mod tests {
     fn trace_replay_matches_parallel_labels() {
         let ds = dataset(80, 27);
         let store = SequenceStore::from_ests(&ds.ests).unwrap();
-        let (r, trace) = cluster_parallel_traced(&store, &small_cfg(), 3);
+        let (r, trace) = cluster_parallel_obs(&store, &small_cfg(), 3, &Obs::noop());
         assert_eq!(trace.len() as u64, r.stats.merges);
         let replayed = trace.replay(80);
         let agreement = pace_quality::assess(&replayed, &r.labels);

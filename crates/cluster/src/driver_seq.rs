@@ -115,22 +115,6 @@ pub fn cluster_bucket_batch(
     core.drain(generator, keep, ctx, cfg, obs);
 }
 
-/// Record a built forest's shape and the partition's bucket count into
-/// the registry.
-pub fn record_gst_stats(
-    obs: &Obs,
-    partition: &pace_gst::BucketPartition,
-    forest: &pace_gst::LocalForest,
-) {
-    let nonempty = partition.counts.iter().filter(|&&c| c > 0).count() as u64;
-    // Buckets are a global property; every rank sees the same partition,
-    // so only rank 0's forest-owner records them (sequential: rank 0).
-    if forest.rank == 0 {
-        obs.registry().add(metric::GST_BUCKETS, nonempty);
-    }
-    record_forest_shape(obs, forest);
-}
-
 /// Add a built forest (or one build batch of it) to the registry's
 /// `gst.subtrees`, `gst.nodes` and `gst.max_depth`.
 pub fn record_forest_shape(obs: &Obs, forest: &pace_gst::LocalForest) {

@@ -19,14 +19,13 @@
 //!
 //! Two drivers expose the engine: [`driver_seq`] runs master logic inline
 //! with one in-process generator (the reference implementation), and
-//! [`driver_par`] runs the full message protocol over `p` ranks of the
-//! thread-backed MPI substitute, in the paper's layout: the master at
-//! rank 0 and slaves at ranks `1..p`, each slave speaking one protocol
-//! session with one `PAIRBUF`. The same protocol also runs over any
-//! [`pace_mpisim::Transport`]: [`cluster_master_transport`] and
-//! [`cluster_worker_transport`] drive one rank each over a
-//! caller-supplied `Rank<Msg>` (the multi-process socket path), with
-//! [`wire_msg`] providing the `Msg` wire codec.
+//! [`driver_par`] runs the full message protocol over `p` ranks, in the
+//! paper's layout: the master at rank 0 and slaves at ranks `1..p`, each
+//! slave speaking one protocol session with one `PAIRBUF`.
+//! [`cluster_master_transport`] and [`cluster_worker_transport`] drive
+//! one rank each over a `Rank<Msg>` on any [`pace_mpisim::Transport`]:
+//! threads of the in-process channel world, or processes over Unix
+//! sockets, with [`wire_msg`] providing the `Msg` wire codec.
 
 pub mod align_task;
 pub mod cluster_core;
@@ -45,11 +44,11 @@ pub use cluster_core::ClusterCore;
 pub use config::ClusterConfig;
 pub use driver_par::{
     cluster_master_transport, cluster_parallel, cluster_parallel_faults, cluster_parallel_obs,
-    cluster_parallel_traced, cluster_worker_transport,
+    cluster_worker_transport,
 };
 pub use driver_seq::{
     cluster_bucket_batch, cluster_sequential, cluster_sequential_obs, cluster_sequential_traced,
-    record_cluster_counters, record_forest_shape, record_gst_stats, record_pair_counters,
+    record_cluster_counters, record_forest_shape, record_pair_counters,
 };
 pub use master::FaultNote;
 pub use messages::{Msg, WorkerSummary};

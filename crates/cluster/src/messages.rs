@@ -3,49 +3,46 @@
 use crate::align_task::PairOutcome;
 use pace_pairgen::CandidatePair;
 
-/// A worker's end-of-run accounting, shipped to the master as a
-/// [`Msg::Summary`] in multi-process runs. The channel backend returns
-/// the same numbers through the thread join instead, so this message
-/// only appears on the socket transport. Its phase seconds are what a
-/// master in another process records into its registry on the
-/// worker's behalf.
+/// A worker's end-of-run accounting, sent to the master as a
+/// [`Msg::Summary`] after its `Shutdown`. Worker threads and worker
+/// processes alike record into a registry of their own, so this message
+/// is the only way what a worker measured reaches the run's registry:
+/// the master records it on the worker's behalf.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerSummary {
-    /// Generator: forest nodes of depth ≥ ψ processed. Workers build the
-    /// in-scope forest, which has no single-suffix leaf under a parent
-    /// shallower than ψ (see `GenStats::nodes_processed`).
-    pub gen_nodes_processed: u64,
-    /// Generator: raw pairs before filtering.
-    pub gen_raw_pairs: u64,
-    /// Generator: same-EST pairs discarded.
-    pub gen_discarded_self: u64,
-    /// Generator: mirror-image pairs discarded.
-    pub gen_discarded_mirror: u64,
-    /// Generator: promising pairs emitted.
+    /// Promising pairs the worker's generator emitted.
     pub gen_emitted: u64,
-    /// Seconds in generator setup (node collection + sort).
-    pub node_sorting: f64,
-    /// Seconds inside the generator's `next_batch` calls.
-    pub pair_generation: f64,
-    /// Seconds inside the alignment kernel.
-    pub alignment: f64,
-    /// Seconds in the partitioning phase.
-    pub partitioning: f64,
-    /// Seconds building this worker's subtrees.
-    pub gst_construction: f64,
     /// Pairs still buffered in `PAIRBUF` at shutdown.
     pub unconsumed: u64,
     /// Pairs rejected by the lossless geometry bound without any DP.
     pub prefiltered: u64,
     /// Pairs served through the reused alignment workspace.
     pub ws_reuses: u64,
-    /// Fault-injector counters observed by this worker's process
-    /// (meaningful on the socket transport, where counters are
-    /// per-process rather than world-shared).
+    /// Seconds in the partitioning phase.
+    pub partitioning: f64,
+    /// Seconds building this worker's subtrees.
+    pub gst_construction: f64,
+    /// Seconds in generator setup (node collection + sort).
+    pub node_sorting: f64,
+    /// Seconds inside the generator's `next_batch` calls.
+    pub pair_generation: f64,
+    /// Seconds of each non-empty alignment batch, in order: the worker's
+    /// `align_batch` series. Their sum is its `alignment` total.
+    pub align_batches: Vec<f64>,
+    /// Emitted pairs by maximal-common-substring length, as
+    /// `(length, pairs)` in ascending length.
+    pub mcs_len: Vec<(u32, u64)>,
+    /// Nodes of the worker's in-scope forest.
+    pub gst_nodes: u64,
+    /// Subtrees of that forest.
+    pub gst_subtrees: u64,
+    /// String depth of that forest's deepest node.
+    pub gst_max_depth: u32,
+    /// Messages this worker's rank dropped under the fault plan.
     pub injected_drops: u64,
-    /// See `injected_drops`.
+    /// Messages this worker's rank delayed under the fault plan.
     pub injected_delays: u64,
-    /// See `injected_drops`.
+    /// Stalls this worker's rank slept under the fault plan.
     pub injected_stalls: u64,
 }
 
@@ -85,8 +82,7 @@ pub enum Msg {
     },
     /// Master → slave: everything is done, terminate.
     Shutdown,
-    /// Slave → master, after `Shutdown`: final accounting for the fold
-    /// (multi-process runs only; thread worlds join instead).
+    /// Slave → master, after `Shutdown`: the worker's final accounting.
     Summary(WorkerSummary),
 }
 

@@ -51,13 +51,13 @@ pub fn run_slave(
 }
 
 /// Run the slave protocol to completion, instrumented. `packed` is the
-/// shared 2-bit view the alignment kernel reads when
-/// `cfg.packed_alignment` built one. The rank's `node_sorting`,
-/// `pair_generation` and `alignment` totals land in `obs`'s registry and
-/// the generator's MCS-length distribution in the
-/// [`metric::PAIRS_MCS_LEN`] histogram. The returned summary carries the
-/// same totals, for a master in another process; its `partitioning` and
-/// `gst_construction` are left to the caller, who ran those phases.
+/// 2-bit view the alignment kernel reads when `cfg.packed_alignment`
+/// built one. Each alignment batch is an `align_batch` span in `obs`;
+/// the returned summary carries the rank's `node_sorting`,
+/// `pair_generation` and per-batch alignment seconds, the generator's
+/// MCS-length distribution and the pair counters, for the master to
+/// record. Its partitioning and forest fields are left to the caller,
+/// who ran those phases.
 pub fn run_slave_obs(
     rank: &Rank<Msg>,
     store: &SequenceStore,
@@ -72,7 +72,7 @@ pub fn run_slave_obs(
     let mut sort_timer = Timer::new();
     let mut generator = sort_timer.time(|| PairGenerator::new(store, forest, cfg.pair_gen()));
     let mut pairgen = Timer::new();
-    let mut alignment = 0.0;
+    let mut batches = Vec::new();
 
     // One alignment context for the whole rank: DP scratch is allocated
     // once here and only grows to the largest pair this slave ever sees.
@@ -90,14 +90,14 @@ pub fn run_slave_obs(
     let portion3 = pairgen.time(|| generator.next_batch(cfg.batchsize));
     let mut last_report = Msg::Report {
         seq: 0,
-        results: align_batch(&mut ctx, &portion1, cfg, &mut alignment, obs, me),
+        results: align_batch(&mut ctx, &portion1, cfg, &mut batches, obs, me),
         pairs: portion3,
         exhausted: generator.is_exhausted(),
     };
     send_report(rank, slave_idx, obs, &last_report);
     let mut last_seq = 0;
     // Alignment outcomes owed to the master, sent with the next report.
-    let mut pending = align_batch(&mut ctx, &portion2, cfg, &mut alignment, obs, me);
+    let mut pending = align_batch(&mut ctx, &portion2, cfg, &mut batches, obs, me);
     let mut pairbuf: VecDeque<CandidatePair> = VecDeque::new();
 
     // Every exit, the abnormal world-teardown ones included, breaks out
@@ -157,7 +157,7 @@ pub fn run_slave_obs(
                 last_seq = seq;
                 // Align the received batch now, while the master's reply
                 // travels.
-                pending = align_batch(&mut ctx, &pairs, cfg, &mut alignment, obs, me);
+                pending = align_batch(&mut ctx, &pairs, cfg, &mut batches, obs, me);
             }
             Msg::Report { .. } | Msg::Summary(_) => {
                 unreachable!("slaves never receive {}", msg.kind())
@@ -165,27 +165,19 @@ pub fn run_slave_obs(
         }
     }
 
-    let reg = obs.registry();
-    for (&len, &n) in generator.emitted_by_mcs_len() {
-        reg.observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
-    }
-    let (node_sorting, pair_generation) = (sort_timer.secs(), pairgen.secs());
-    reg.record_phase(metric::PHASE_NODE_SORTING, me, node_sorting);
-    reg.record_phase(metric::PHASE_PAIR_GENERATION, me, pair_generation);
-    reg.record_phase(metric::PHASE_ALIGNMENT, me, alignment);
-    let gen = generator.stats();
     WorkerSummary {
-        gen_nodes_processed: gen.nodes_processed,
-        gen_raw_pairs: gen.raw_pairs,
-        gen_discarded_self: gen.discarded_self,
-        gen_discarded_mirror: gen.discarded_mirror,
-        gen_emitted: gen.emitted,
-        node_sorting,
-        pair_generation,
-        alignment,
+        gen_emitted: generator.stats().emitted,
         unconsumed: pairbuf.len() as u64,
         prefiltered: ctx.pairs_prefiltered(),
         ws_reuses: ctx.pairs_handled(),
+        node_sorting: sort_timer.secs(),
+        pair_generation: pairgen.secs(),
+        align_batches: batches,
+        mcs_len: generator
+            .emitted_by_mcs_len()
+            .iter()
+            .map(|(&len, &n)| (len, n))
+            .collect(),
         ..WorkerSummary::default()
     }
 }
@@ -225,13 +217,13 @@ fn send_report(rank: &Rank<Msg>, slave_idx: usize, obs: &Obs, report: &Msg) {
 
 /// Align one work batch through the rank's shared context. Each
 /// non-empty batch is its own [`metric::PHASE_ALIGN_BATCH`] span (the
-/// per-batch series behind batch-size tuning); the elapsed time also
-/// accumulates into the rank's `alignment` total.
+/// per-batch series behind batch-size tuning), and its seconds join the
+/// rank's `batches`.
 fn align_batch(
     ctx: &mut AlignContext,
     batch: &[CandidatePair],
     cfg: &ClusterConfig,
-    alignment: &mut f64,
+    batches: &mut Vec<f64>,
     obs: &Obs,
     rank_id: usize,
 ) -> Vec<PairOutcome> {
@@ -240,6 +232,6 @@ fn align_batch(
     }
     let span = obs.span_on(metric::PHASE_ALIGN_BATCH, rank_id);
     let out = batch.iter().map(|p| ctx.align(p, cfg)).collect();
-    *alignment += span.finish();
+    batches.push(span.finish());
     out
 }

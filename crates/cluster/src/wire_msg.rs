@@ -88,44 +88,65 @@ fn decode_outcomes(r: &mut WireReader<'_>) -> Result<Vec<PairOutcome>, WireError
     Ok(out)
 }
 
+/// Bytes of one encoded MCS-histogram entry: `u32` length + `u64` count.
+const MCS_ENTRY_BYTES: usize = 4 + 8;
+
+fn encode_mcs_len(hist: &[(u32, u64)], out: &mut Vec<u8>) {
+    let n = u32::try_from(hist.len()).expect("MCS histogram too long for wire format");
+    n.encode(out);
+    for (len, pairs) in hist {
+        len.encode(out);
+        pairs.encode(out);
+    }
+}
+
+fn decode_mcs_len(r: &mut WireReader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+    let n = r.len_prefix(MCS_ENTRY_BYTES)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push((r.u32()?, r.u64()?));
+    }
+    Ok(out)
+}
+
 impl Wire for WorkerSummary {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.gen_nodes_processed.encode(out);
-        self.gen_raw_pairs.encode(out);
-        self.gen_discarded_self.encode(out);
-        self.gen_discarded_mirror.encode(out);
         self.gen_emitted.encode(out);
-        self.node_sorting.encode(out);
-        self.alignment.encode(out);
-        self.partitioning.encode(out);
-        self.gst_construction.encode(out);
         self.unconsumed.encode(out);
         self.prefiltered.encode(out);
         self.ws_reuses.encode(out);
+        self.partitioning.encode(out);
+        self.gst_construction.encode(out);
+        self.node_sorting.encode(out);
+        self.pair_generation.encode(out);
+        self.align_batches.encode(out);
+        encode_mcs_len(&self.mcs_len, out);
+        self.gst_nodes.encode(out);
+        self.gst_subtrees.encode(out);
+        self.gst_max_depth.encode(out);
         self.injected_drops.encode(out);
         self.injected_delays.encode(out);
         self.injected_stalls.encode(out);
-        self.pair_generation.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(WorkerSummary {
-            gen_nodes_processed: u64::decode(r)?,
-            gen_raw_pairs: u64::decode(r)?,
-            gen_discarded_self: u64::decode(r)?,
-            gen_discarded_mirror: u64::decode(r)?,
             gen_emitted: u64::decode(r)?,
-            node_sorting: f64::decode(r)?,
-            alignment: f64::decode(r)?,
-            partitioning: f64::decode(r)?,
-            gst_construction: f64::decode(r)?,
             unconsumed: u64::decode(r)?,
             prefiltered: u64::decode(r)?,
             ws_reuses: u64::decode(r)?,
+            partitioning: f64::decode(r)?,
+            gst_construction: f64::decode(r)?,
+            node_sorting: f64::decode(r)?,
+            pair_generation: f64::decode(r)?,
+            align_batches: Vec::decode(r)?,
+            mcs_len: decode_mcs_len(r)?,
+            gst_nodes: u64::decode(r)?,
+            gst_subtrees: u64::decode(r)?,
+            gst_max_depth: u32::decode(r)?,
             injected_drops: u64::decode(r)?,
             injected_delays: u64::decode(r)?,
             injected_stalls: u64::decode(r)?,
-            pair_generation: f64::decode(r)?,
         })
     }
 }
@@ -230,22 +251,22 @@ mod tests {
             },
             Msg::Shutdown,
             Msg::Summary(WorkerSummary {
-                gen_nodes_processed: 1,
-                gen_raw_pairs: 2,
-                gen_discarded_self: 3,
-                gen_discarded_mirror: 4,
                 gen_emitted: 5,
-                node_sorting: 0.25,
-                alignment: 1.5,
-                partitioning: 0.125,
-                gst_construction: 2.0,
                 unconsumed: 6,
                 prefiltered: 7,
                 ws_reuses: 8,
+                partitioning: 0.125,
+                gst_construction: 2.0,
+                node_sorting: 0.25,
+                pair_generation: 0.75,
+                align_batches: vec![0.5, 1.0],
+                mcs_len: vec![(20, 3), (41, 1)],
+                gst_nodes: 12,
+                gst_subtrees: 4,
+                gst_max_depth: 97,
                 injected_drops: 9,
                 injected_delays: 10,
                 injected_stalls: 11,
-                pair_generation: 0.75,
             }),
         ]
     }

@@ -35,8 +35,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What happens to one targeted message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,12 +310,7 @@ impl FaultPlan {
 
     /// Compile this plan into the runtime state rank `rank` carries, or
     /// `None` when the plan is empty (the zero-cost path).
-    pub(crate) fn compile_for<M>(
-        &self,
-        rank: usize,
-        world_size: usize,
-        counters: &Arc<FaultCounters>,
-    ) -> Option<RankFaults<M>> {
+    pub(crate) fn compile_for<M>(&self, rank: usize, world_size: usize) -> Option<RankFaults<M>> {
         if self.is_empty() {
             return None;
         }
@@ -337,7 +330,7 @@ impl FaultPlan {
             crashed: false,
             stall_millis: stall.map_or(0, |s| s.millis),
             stall_left: stall.map_or(0, |s| s.times),
-            counters: Arc::clone(counters),
+            counts: FaultSnapshot::default(),
         })
     }
 }
@@ -367,29 +360,8 @@ impl SplitMix64 {
     }
 }
 
-/// World-shared injection counters (atomics; every rank's fault state
-/// holds a handle).
-#[derive(Debug, Default)]
-pub(crate) struct FaultCounters {
-    pub(crate) dropped: AtomicU64,
-    pub(crate) delayed: AtomicU64,
-    pub(crate) crashes: AtomicU64,
-    pub(crate) stalls: AtomicU64,
-}
-
-impl FaultCounters {
-    pub(crate) fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of a world's injected-fault counters. All zero
-/// when the world ran without a plan.
+/// One rank's injected-fault counters: what its own sends, crash and
+/// stalls suffered. All zero when the world ran without a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSnapshot {
     /// Messages discarded by drop rules or post-crash sends.
@@ -418,7 +390,8 @@ pub(crate) struct RankFaults<M> {
     crashed: bool,
     stall_millis: u64,
     stall_left: u32,
-    counters: Arc<FaultCounters>,
+    /// What this rank has injected so far.
+    counts: FaultSnapshot,
 }
 
 /// What kind of injected fault hit a send.
@@ -461,10 +434,15 @@ impl<M> RankFaults<M> {
         self.crashed
     }
 
+    /// What this rank has injected so far.
+    pub(crate) fn counts(&self) -> FaultSnapshot {
+        self.counts
+    }
+
     /// Decide the fate of a message this rank is sending to `to`.
     pub(crate) fn on_send(&mut self, to: usize, msg: M) -> SendFate<M> {
         if self.crashed {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            self.counts.dropped += 1;
             let seq = self.send_seq[to];
             return SendFate::Swallowed(
                 Vec::new(),
@@ -478,8 +456,8 @@ impl<M> RankFaults<M> {
         if let Some(limit) = self.crash_after {
             if self.sends_done >= limit {
                 self.crashed = true;
-                self.counters.crashes.fetch_add(1, Ordering::Relaxed);
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                self.counts.crashes += 1;
+                self.counts.dropped += 1;
                 // Held messages die with the rank.
                 for q in &mut self.delayed {
                     q.clear();
@@ -500,11 +478,11 @@ impl<M> RankFaults<M> {
         self.send_seq[to] = seq + 1;
         let fate = match self.rules.get(&(to, seq)) {
             Some(FaultAction::Drop) => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                self.counts.dropped += 1;
                 Err(InjectedKind::Drop)
             }
             Some(&FaultAction::Delay(by)) => {
-                self.counters.delayed.fetch_add(1, Ordering::Relaxed);
+                self.counts.delayed += 1;
                 self.delayed[to].push((seq + u64::from(by), msg));
                 Err(InjectedKind::Delay)
             }
@@ -557,7 +535,7 @@ impl<M> RankFaults<M> {
     pub(crate) fn maybe_stall(&mut self) -> Option<u64> {
         if self.stall_left > 0 {
             self.stall_left -= 1;
-            self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+            self.counts.stalls += 1;
             std::thread::sleep(std::time::Duration::from_millis(self.stall_millis));
             Some(self.stall_millis)
         } else {
@@ -575,8 +553,7 @@ mod tests {
     fn empty_plan_compiles_to_nothing() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
-        let counters = Arc::new(FaultCounters::default());
-        assert!(plan.compile_for::<u8>(0, 4, &counters).is_none());
+        assert!(plan.compile_for::<u8>(0, 4).is_none());
     }
 
     #[test]
@@ -781,10 +758,15 @@ mod tests {
             rank.barrier();
             rank.fault_stats()
         });
-        let snap = out[0];
-        assert_eq!(snap.dropped, 2, "one rule drop + one crash drop");
-        assert_eq!(snap.delayed, 1);
-        assert_eq!(snap.crashes, 1);
+        // Each rank counts only its own injections: rank 0 its rule
+        // drop and delay, rank 1 its crash and the send it swallowed.
+        assert_eq!((out[0].dropped, out[0].delayed, out[0].crashes), (1, 1, 0));
+        let dropped: u64 = out.iter().map(|s| s.dropped).sum();
+        let delayed: u64 = out.iter().map(|s| s.delayed).sum();
+        let crashes: u64 = out.iter().map(|s| s.crashes).sum();
+        assert_eq!(dropped, 2, "one rule drop + one crash drop");
+        assert_eq!(delayed, 1);
+        assert_eq!(crashes, 1);
     }
 
     // -- collectives under injected timing faults (delay/stall) --------

@@ -1,11 +1,10 @@
 //! The per-rank communicator handle.
 
-use crate::fault::{FaultCounters, FaultPlan, Injected, InjectedKind, RankFaults, SendFate};
+use crate::fault::{FaultPlan, FaultSnapshot, Injected, InjectedKind, RankFaults, SendFate};
 use crate::transport::Transport;
 use pace_obs::trace::{T_FAULT_CRASH, T_FAULT_DELAY, T_FAULT_DROP, T_RECV_WAIT, T_SEND, T_STALL};
 use pace_obs::Obs;
 use std::cell::RefCell;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Error returned by [`Rank::recv`] when no message can ever arrive
@@ -32,11 +31,11 @@ impl std::error::Error for RecvError {}
 /// the backend.
 pub struct Rank<M: Send + 'static> {
     transport: Box<dyn Transport<M> + Send>,
-    /// Injection state when the world runs under a non-empty
-    /// [`FaultPlan`]; `None` on the default path. A rank handle lives
-    /// on exactly one thread, so a `RefCell` suffices.
+    /// Injection state, with this rank's own fault counters, when the
+    /// world runs under a non-empty [`FaultPlan`]; `None` on the default
+    /// path. A rank handle lives on exactly one thread, so a `RefCell`
+    /// suffices.
     faults: Option<RefCell<RankFaults<M>>>,
-    fault_counters: Arc<FaultCounters>,
     /// Shared observability handle. [`crate::run_world`] and
     /// [`crate::run_world_with_faults`] pass a noop; only
     /// [`crate::run_world_obs`] threads a live one through, so the
@@ -45,31 +44,18 @@ pub struct Rank<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> Rank<M> {
-    /// Internal constructor used by the in-process world, which shares
-    /// one fault-counter block across all ranks.
-    pub(crate) fn from_parts(
-        transport: Box<dyn Transport<M> + Send>,
-        faults: Option<RankFaults<M>>,
-        fault_counters: Arc<FaultCounters>,
-        obs: Obs,
-    ) -> Self {
+    /// Wrap a transport backend in a full rank handle, compiling `plan`
+    /// for the backend's rank. Every rank is built this way, thread or
+    /// process: each compiles the same plan independently (the plan is
+    /// pure data), so injection decisions line up across processes
+    /// exactly as they do across threads.
+    pub fn over(transport: Box<dyn Transport<M> + Send>, plan: &FaultPlan, obs: Obs) -> Self {
+        let faults = plan.compile_for(transport.rank(), transport.size());
         Rank {
             transport,
             faults: faults.map(RefCell::new),
-            fault_counters,
             obs,
         }
-    }
-
-    /// Wrap a transport backend in a full rank handle, compiling `plan`
-    /// for the backend's rank. This is how a worker *process* builds its
-    /// rank: each process compiles the same plan independently (the plan
-    /// is pure data), so injection decisions line up across processes
-    /// exactly as they do across threads.
-    pub fn over(transport: Box<dyn Transport<M> + Send>, plan: &FaultPlan, obs: Obs) -> Self {
-        let counters = Arc::new(FaultCounters::default());
-        let faults = plan.compile_for(transport.rank(), transport.size(), &counters);
-        Rank::from_parts(transport, faults, counters, obs)
     }
 
     /// Whether an injected crash has killed this rank. A crashed rank's
@@ -178,31 +164,8 @@ impl<M: Send + 'static> Rank<M> {
     /// Errors once no message can ever arrive — every other rank has
     /// terminated — the deadlock-free analogue of a hung `MPI_Recv`.
     pub fn recv(&self) -> Result<(usize, M), RecvError> {
-        if self.crashed() {
-            return Err(RecvError);
-        }
-        self.maybe_stall();
-        let t0_us = self.obs.trace_enabled().then(|| self.obs.now_us());
-        let out = self.transport.recv();
-        if let Some(t0) = t0_us {
-            self.trace_recv_wait(t0);
-        }
-        out
-    }
-
-    /// Record a completed blocking wait as a `recv_wait` span (an *idle*
-    /// span: the analyzer excludes it from busy time).
-    fn trace_recv_wait(&self, t0_us: u64) {
-        self.obs.trace_with(|tracer| {
-            tracer.span(
-                self.rank(),
-                T_RECV_WAIT,
-                t0_us,
-                self.obs.now_us().saturating_sub(t0_us),
-                0,
-                0,
-            );
-        });
+        let got = self.wait(None)?;
+        Ok(got.expect("a receive without a deadline never times out"))
     }
 
     /// Non-blocking receive: `Ok(Some(..))` when a message was waiting,
@@ -214,7 +177,7 @@ impl<M: Send + 'static> Rank<M> {
         if self.crashed() {
             return Err(RecvError);
         }
-        self.transport.try_recv()
+        self.transport.recv(Some(Instant::now()))
     }
 
     /// Bounded-wait receive: `Ok(Some(..))` when a message arrived within
@@ -229,18 +192,31 @@ impl<M: Send + 'static> Rank<M> {
     /// runs, so one call never waits longer than `timeout` plus the
     /// stall itself — an episode of `max_retries` polls is bounded by
     /// `max_retries * timeout` regardless of injected timing faults.
-    /// (The deadline used to be computed after the stall, silently
-    /// extending every retry episode under stall plans.)
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, M)>, RecvError> {
+        self.wait(Some(Instant::now() + timeout))
+    }
+
+    /// The blocking receives: run one scheduled stall, then wait on the
+    /// transport until `deadline`, recording the wait as a `recv_wait`
+    /// span (an *idle* span: the analyzer excludes it from busy time).
+    fn wait(&self, deadline: Option<Instant>) -> Result<Option<(usize, M)>, RecvError> {
         if self.crashed() {
             return Err(RecvError);
         }
-        let deadline = Instant::now() + timeout;
         self.maybe_stall();
         let t0_us = self.obs.trace_enabled().then(|| self.obs.now_us());
-        let out = self.transport.recv_deadline(deadline);
+        let out = self.transport.recv(deadline);
         if let Some(t0) = t0_us {
-            self.trace_recv_wait(t0);
+            self.obs.trace_with(|tracer| {
+                tracer.span(
+                    self.rank(),
+                    T_RECV_WAIT,
+                    t0,
+                    self.obs.now_us().saturating_sub(t0),
+                    0,
+                    0,
+                );
+            });
         }
         out
     }
@@ -267,12 +243,14 @@ impl<M: Send + 'static> Rank<M> {
         self.transport.stats()
     }
 
-    /// Snapshot of the injected-fault counters (all zero when the world
-    /// runs without a [`FaultPlan`]). In-process worlds share one
-    /// counter block across ranks; each worker process counts only its
-    /// own injections and ships them home in its end-of-run summary.
-    pub fn fault_stats(&self) -> crate::fault::FaultSnapshot {
-        self.fault_counters.snapshot()
+    /// This rank's own injected-fault counters (all zero when the world
+    /// runs without a [`FaultPlan`]). A world's totals are the sum over
+    /// its ranks; a worker ships its counts home in its end-of-run
+    /// summary.
+    pub fn fault_stats(&self) -> FaultSnapshot {
+        self.faults
+            .as_ref()
+            .map_or_else(FaultSnapshot::default, |f| f.borrow().counts())
     }
 }
 

@@ -18,9 +18,13 @@
 use crate::collectives::CollectiveState;
 use crate::rank::RecvError;
 use crate::stats::{CommStats, WorldStats};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long one wait on an inbox lasts before a receive re-checks
+/// whether any peer can still send and whether its deadline has passed.
+const POLL: Duration = Duration::from_millis(1);
 
 /// Raw message delivery and collectives for one rank.
 ///
@@ -30,10 +34,10 @@ use std::time::{Duration, Instant};
 /// - `send` never blocks and never fails: sending to a finished or dead
 ///   peer silently discards, like a buffered `MPI_Send` at shutdown;
 /// - messages between a fixed `(sender, receiver)` pair arrive in order;
-/// - `recv` errors only when no message can ever arrive again;
-/// - `recv_deadline` returns `Ok(None)` on timeout, measured against
-///   the deadline captured by the *caller* — a backend must not extend
-///   the episode on its own;
+/// - `recv` errors only when no message can ever arrive again, and
+///   returns `Ok(None)` once `deadline` passes, measured against the
+///   deadline captured by the *caller* — a backend must not extend the
+///   episode on its own;
 /// - collectives must be entered by every live rank (standard MPI
 ///   contract).
 pub trait Transport<M: Send>: Send {
@@ -43,12 +47,12 @@ pub trait Transport<M: Send>: Send {
     fn size(&self) -> usize;
     /// Deliver `msg` to `to`. Infallible; discards when the peer is gone.
     fn send(&self, to: usize, msg: M);
-    /// Block until a message arrives or no message can ever arrive.
-    fn recv(&self) -> Result<(usize, M), RecvError>;
-    /// Non-blocking receive.
-    fn try_recv(&self) -> Result<Option<(usize, M)>, RecvError>;
-    /// Bounded-wait receive against an absolute deadline.
-    fn recv_deadline(&self, deadline: Instant) -> Result<Option<(usize, M)>, RecvError>;
+    /// Receive against an absolute deadline (`None`: wait until a
+    /// message arrives or none can). A deadline already past makes this
+    /// a non-blocking poll. Every backend runs the crate's one polling
+    /// loop over its inbox and supplies only its "no peer can send
+    /// again" test.
+    fn recv(&self, deadline: Option<Instant>) -> Result<Option<(usize, M)>, RecvError>;
     /// Synchronize all ranks.
     fn barrier(&self);
     /// Element-wise sum across ranks; all ranks receive the result.
@@ -64,6 +68,36 @@ pub trait Transport<M: Send>: Send {
     /// severs its connection so peers observe a real transport-level
     /// death (EOF) in addition to silence.
     fn on_crash(&self) {}
+}
+
+/// The one receive loop every backend runs over its inbox: wait in
+/// [`POLL`] slices until a message arrives, `deadline` passes
+/// (`Ok(None)`), or `peers_gone` — the backend's "no peer can send
+/// again" test — holds and one last drain finds nothing (`Err`). A
+/// peer's final send happens before the backend counts it gone, so
+/// that drain cannot miss a message.
+pub(crate) fn poll_inbox<M>(
+    inbox: &Receiver<(usize, M)>,
+    deadline: Option<Instant>,
+    peers_gone: impl Fn() -> bool,
+) -> Result<Option<(usize, M)>, RecvError> {
+    loop {
+        let wait = deadline.map_or(POLL, |d| {
+            d.saturating_duration_since(Instant::now()).min(POLL)
+        });
+        match inbox.recv_timeout(wait) {
+            Ok(envelope) => return Ok(Some(envelope)),
+            Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
+            Err(RecvTimeoutError::Timeout) if peers_gone() => {
+                return inbox.try_recv().map(Some).map_err(|_| RecvError);
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    return Ok(None);
+                }
+            }
+        }
+    }
 }
 
 /// The in-process backend: one thread per rank, unbounded channels,
@@ -115,52 +149,9 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
         let _ = self.senders[to].send((self.rank, msg));
     }
 
-    fn recv(&self) -> Result<(usize, M), RecvError> {
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(envelope) => return Ok(envelope),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.collectives.alive() <= 1 {
-                        // Only this rank is left. A peer's final send
-                        // happens-before its `rank_done`, so one last
-                        // drain cannot miss anything.
-                        return match self.inbox.try_recv() {
-                            Ok(envelope) => Ok(envelope),
-                            Err(_) => Err(RecvError),
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<(usize, M)>, RecvError> {
-        match self.inbox.try_recv() {
-            Ok(envelope) => Ok(Some(envelope)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError),
-        }
-    }
-
-    fn recv_deadline(&self, deadline: Instant) -> Result<Option<(usize, M)>, RecvError> {
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(envelope) => return Ok(Some(envelope)),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.collectives.alive() <= 1 {
-                        return match self.inbox.try_recv() {
-                            Ok(envelope) => Ok(Some(envelope)),
-                            Err(_) => Err(RecvError),
-                        };
-                    }
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
+    fn recv(&self, deadline: Option<Instant>) -> Result<Option<(usize, M)>, RecvError> {
+        // Only this rank is left once every other closure has returned.
+        poll_inbox(&self.inbox, deadline, || self.collectives.alive() <= 1)
     }
 
     fn barrier(&self) {

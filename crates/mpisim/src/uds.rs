@@ -25,9 +25,9 @@
 
 use crate::rank::RecvError;
 use crate::stats::{CommStats, WorldStats};
-use crate::transport::Transport;
+use crate::transport::{poll_inbox, Transport};
 use crate::wire::{read_frame, write_frame, Ctl, Wire, WireReader, WIRE_VERSION};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -396,49 +396,10 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsHub<M> {
         }
     }
 
-    fn recv(&self) -> Result<(usize, M), RecvError> {
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(envelope) => return Ok(envelope),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.alive_workers.load(Ordering::SeqCst) == 0 {
-                        return match self.inbox.try_recv() {
-                            Ok(envelope) => Ok(envelope),
-                            Err(_) => Err(RecvError),
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<(usize, M)>, RecvError> {
-        match self.inbox.try_recv() {
-            Ok(envelope) => Ok(Some(envelope)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError),
-        }
-    }
-
-    fn recv_deadline(&self, deadline: Instant) -> Result<Option<(usize, M)>, RecvError> {
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(envelope) => return Ok(Some(envelope)),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.alive_workers.load(Ordering::SeqCst) == 0 {
-                        return match self.inbox.try_recv() {
-                            Ok(envelope) => Ok(Some(envelope)),
-                            Err(_) => Err(RecvError),
-                        };
-                    }
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
+    fn recv(&self, deadline: Option<Instant>) -> Result<Option<(usize, M)>, RecvError> {
+        poll_inbox(&self.inbox, deadline, || {
+            self.alive_workers.load(Ordering::SeqCst) == 0
+        })
     }
 
     fn barrier(&self) {
@@ -688,56 +649,11 @@ impl<M: Wire + Send + 'static> Transport<M> for UdsEndpoint<M> {
         }
     }
 
-    fn recv(&self) -> Result<(usize, M), RecvError> {
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(envelope) => return Ok(envelope),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
-                Err(RecvTimeoutError::Timeout) => {
-                    if !self.hub_alive.load(Ordering::Acquire) {
-                        // Hub gone: the world is over for this worker.
-                        return match self.inbox.try_recv() {
-                            Ok(envelope) => Ok(envelope),
-                            Err(_) => Err(RecvError),
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<(usize, M)>, RecvError> {
-        match self.inbox.try_recv() {
-            Ok(envelope) => Ok(Some(envelope)),
-            Err(TryRecvError::Empty) => {
-                if self.hub_alive.load(Ordering::Acquire) {
-                    Ok(None)
-                } else {
-                    Err(RecvError)
-                }
-            }
-            Err(TryRecvError::Disconnected) => Err(RecvError),
-        }
-    }
-
-    fn recv_deadline(&self, deadline: Instant) -> Result<Option<(usize, M)>, RecvError> {
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(1)) {
-                Ok(envelope) => return Ok(Some(envelope)),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
-                Err(RecvTimeoutError::Timeout) => {
-                    if !self.hub_alive.load(Ordering::Acquire) {
-                        return match self.inbox.try_recv() {
-                            Ok(envelope) => Ok(Some(envelope)),
-                            Err(_) => Err(RecvError),
-                        };
-                    }
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
+    fn recv(&self, deadline: Option<Instant>) -> Result<Option<(usize, M)>, RecvError> {
+        // Hub gone: the world is over for this worker.
+        poll_inbox(&self.inbox, deadline, || {
+            !self.hub_alive.load(Ordering::Acquire)
+        })
     }
 
     fn barrier(&self) {

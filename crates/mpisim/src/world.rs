@@ -1,7 +1,7 @@
 //! World construction: spawn one thread per rank and run a closure on each.
 
 use crate::collectives::CollectiveState;
-use crate::fault::{FaultCounters, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::rank::Rank;
 use crate::stats::CommStats;
 use crate::transport::ChannelTransport;
@@ -49,7 +49,6 @@ where
     assert!(p > 0, "world size must be at least 1");
     let stats = Arc::new(CommStats::new());
     let collectives = Arc::new(CollectiveState::new(p));
-    let fault_counters = Arc::new(FaultCounters::default());
 
     let mut senders = Vec::with_capacity(p);
     let mut inboxes = Vec::with_capacity(p);
@@ -71,12 +70,7 @@ where
                 Arc::clone(&collectives),
                 Arc::clone(&stats),
             );
-            Rank::from_parts(
-                Box::new(transport),
-                plan.compile_for(id, p, &fault_counters),
-                Arc::clone(&fault_counters),
-                obs.clone(),
-            )
+            Rank::over(Box::new(transport), plan, obs.clone())
         })
         .collect();
     // Drop the original senders so that once every rank finishes, all

@@ -170,6 +170,7 @@ impl std::error::Error for ParseError {}
 /// content is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -183,6 +184,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -335,13 +337,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // slicing at char boundaries is safe).
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a char boundary of
+                    // the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -430,6 +435,26 @@ mod tests {
         let arr = v.get("k").unwrap().as_arr().unwrap();
         assert_eq!(arr[1].as_f64(), Some(25.0));
         assert_eq!(arr[2].as_str(), Some("é😀"));
+    }
+
+    /// Parsing is linear in the input: a document of over 1 MB of
+    /// string-heavy events (the shape of a trace file) parses in well
+    /// under a second even in a debug build.
+    #[test]
+    fn megabyte_document_parses_in_linear_time() {
+        let event = Json::obj([
+            ("name", Json::Str("handle_report é".into())),
+            ("ph", Json::Str("X".into())),
+            ("ts", Json::Num(12345.0)),
+            ("args", Json::obj([("note", Json::Str("x\"y".repeat(20)))])),
+        ]);
+        let doc = Json::Arr(vec![event; 12_000]);
+        let text = doc.to_line();
+        assert!(text.len() > 1 << 20, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), doc);
+        let took = t0.elapsed();
+        assert!(took.as_secs_f64() < 3.0, "1 MB took {took:?}");
     }
 
     #[test]

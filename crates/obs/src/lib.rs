@@ -60,14 +60,15 @@ struct Inner {
     registry: Registry,
     /// Present only when `--trace-out` (or a test) asked for a trace;
     /// hot paths gate on [`Obs::trace_enabled`] / [`Obs::trace_with`]
-    /// so tracing off costs one branch and zero allocations.
-    tracer: Option<Tracer>,
+    /// so tracing off costs one branch and zero allocations. Shared by
+    /// every handle [`Obs::with_own_registry`] derives.
+    tracer: Option<Arc<Tracer>>,
     epoch: Instant,
 }
 
 /// Cheaply clonable handle to one run's observability state: a metric
 /// registry plus an optional trace recorder. `Obs` is `Send + Sync`;
-/// every rank of the parallel driver shares one handle.
+/// the ranks of the parallel driver share its tracer and clock.
 #[derive(Clone)]
 pub struct Obs {
     inner: Arc<Inner>,
@@ -91,8 +92,23 @@ impl Obs {
         Obs {
             inner: Arc::new(Inner {
                 registry: Registry::new(),
-                tracer,
+                tracer: tracer.map(Arc::new),
                 epoch: Instant::now(),
+            }),
+        }
+    }
+
+    /// A handle on this one's tracer and clock with a registry of its
+    /// own. A worker rank records into one: its metrics stay its own,
+    /// as in a worker process, and reach the run's registry only through
+    /// the summary it sends rank 0, while its trace events land on the
+    /// run's one timeline.
+    pub fn with_own_registry(&self) -> Self {
+        Obs {
+            inner: Arc::new(Inner {
+                registry: Registry::new(),
+                tracer: self.inner.tracer.clone(),
+                epoch: self.inner.epoch,
             }),
         }
     }
@@ -116,7 +132,7 @@ impl Obs {
 
     /// The trace recorder, if one is attached.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.inner.tracer.as_ref()
+        self.inner.tracer.as_deref()
     }
 
     /// Whether a trace recorder is attached. Hot paths gate on this (or
@@ -128,7 +144,7 @@ impl Obs {
     /// Record trace events lazily: the closure runs only when a tracer
     /// is attached.
     pub fn trace_with(&self, record: impl FnOnce(&Tracer)) {
-        if let Some(tracer) = &self.inner.tracer {
+        if let Some(tracer) = self.tracer() {
             record(tracer);
         }
     }
@@ -194,6 +210,19 @@ mod tests {
         // Spans record phases but produce no trace events.
         obs.span_on("alignment", 1).finish();
         assert!(obs.tracer().is_none());
+    }
+
+    #[test]
+    fn own_registry_shares_the_tracer_and_clock() {
+        let obs = Obs::with_tracer();
+        let worker = obs.with_own_registry();
+        worker.span_on("alignment", 1).finish();
+        worker.counter("mine").inc();
+        assert!(obs.registry().snapshot().phases.is_empty());
+        assert!(!obs.registry().snapshot().counters.contains_key("mine"));
+        assert_eq!(obs.tracer().unwrap().recorded(), 1);
+        let (before, after) = (obs.now_us(), worker.now_us());
+        assert!(after >= before && after - before < 1_000_000, "one clock");
     }
 
     #[test]

@@ -1207,26 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_ranking_excludes_sharded_submasters() {
-        // Sharded layout: reconciler at 0 (no handle_report), sub-masters
-        // at 1 and 2, slaves at 3 and 4. Coordinator status must come
-        // from the spans, not the rank-0 convention.
-        let tr = Tracer::new();
-        tr.span(1, T_HANDLE_REPORT, 100, 50, 1, 1);
-        tr.span(2, T_HANDLE_REPORT, 120, 40, 2, 1);
-        tr.span(3, "align_batch", 100, 400, 0, 8);
-        tr.span(4, "align_batch", 100, 900, 0, 8);
-        let a = analyze(&TraceDoc::from_tracer(&tr));
-        assert_eq!(
-            a.coordinators,
-            [1u32, 2].into_iter().collect::<BTreeSet<u32>>()
-        );
-        let ranking = a.straggler_ranking();
-        assert!(ranking.iter().all(|r| r.rank != 1 && r.rank != 2));
-        assert_eq!(ranking[0].rank, 4, "slowest slave must rank first");
-    }
-
-    #[test]
     fn interning_is_stable() {
         let tr = Tracer::new();
         let a = tr.intern("custom_phase");

@@ -18,6 +18,11 @@
 #   5. The trace holds one `merge` instant per effective union: the
 #      analyzer's `instants.merge` count equals the run report's
 #      `merges` counter.
+#   6. The same traced run over the socket transport (`--transport uds`,
+#      one process per rank): `pace-trace --check` over the merged
+#      per-process files, and a run report that holds what the workers
+#      ship home in their summaries (`timers.align_batch`,
+#      `counters["gst.nodes"]`, `histograms["pairs.mcs_len"]`).
 #
 # Usage: scripts/trace_smoke.sh [pace-binary] [pace-trace-binary] [outdir]
 set -euo pipefail
@@ -140,4 +145,33 @@ if failures:
         print(f"trace_smoke: FAIL {f}")
     sys.exit(1)
 print("trace_smoke: OK")
+PY
+
+echo "trace_smoke: the same traced run over the socket transport"
+mkdir -p "$OUT/uds"
+"$PACE" cluster --in "$OUT/reads.fasta" --out "$OUT/uds/clusters.tsv" \
+    --procs 4 --psi 16 --batchsize 8 --min-overlap 40 --transport uds \
+    --fault-profile stall --fault-seed 5 \
+    --trace-out "$OUT/uds/trace.json" --metrics-out "$OUT/uds/metrics.json" --quiet
+"$PACE_TRACE" "$OUT/uds/trace.json" "$OUT"/uds/trace.json.rank*.json --check \
+    | tee "$OUT/uds/report.txt"
+
+python3 - "$OUT/uds/metrics.json" <<'PY'
+import json
+import sys
+
+metrics = json.load(open(sys.argv[1]))
+missing = [
+    f'{section}["{key}"]'
+    for section, key in [
+        ("timers", "align_batch"),
+        ("counters", "gst.nodes"),
+        ("histograms", "pairs.mcs_len"),
+    ]
+    if key not in metrics.get(section, {})
+]
+if missing:
+    print(f"trace_smoke: FAIL the uds run report lacks {', '.join(missing)}")
+    sys.exit(1)
+print("trace_smoke: uds OK")
 PY

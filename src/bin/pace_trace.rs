@@ -136,11 +136,7 @@ fn print_report(a: &Analysis, top: usize) {
     println!("  rank   busy(s)   idle(s)  stall(s)   util  max-gap(s)  spans  role");
     for r in &a.ranks {
         let role = if a.coordinators.contains(&r.rank) {
-            if a.coordinators.len() > 1 {
-                "sub-master"
-            } else {
-                "master"
-            }
+            "master"
         } else {
             ""
         };

@@ -530,13 +530,14 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         return finish_cluster_output(&flags, out, &result.ids, &result.outcome, &obs);
     }
 
-    let records = read_fasta_file(input)?;
-    let ests: Vec<Vec<u8>> = records.iter().map(|r| r.sequence.clone()).collect();
+    // Stream the records straight into the store, normalizing ambiguity
+    // codes like the other batch commands (see `read_fasta_file`).
+    let (store, ids, _replaced) =
+        pace::seq::read_fasta_into_store(input).map_err(|e| format!("{input}: {e}"))?;
     if !quiet {
-        eprintln!("clustering {} ESTs ...", ests.len());
+        eprintln!("clustering {} ESTs ...", store.num_ests());
     }
 
-    let store = pace::SequenceStore::from_ests(&ests).map_err(|e| format!("invalid input: {e}"))?;
     let outcome = if uds {
         let exe = std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?;
         let mut opts = pace::UdsLaunchOpts::new(exe);
@@ -556,7 +557,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?
     };
 
-    let ids: Vec<String> = records.into_iter().map(|r| r.id).collect();
     finish_cluster_output(&flags, out, &ids, &outcome, &obs)
 }
 

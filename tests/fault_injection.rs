@@ -340,10 +340,10 @@ fn lossless_seed_3() {
     check_lossless(MATRIX_SEEDS[3]);
 }
 
-/// Both transports report the same phases: a socket-run master records
-/// each worker's summary phases into its own registry, as the channel
-/// run's slaves record theirs into the shared one. Runs both backends
-/// regardless of `PACE_TRANSPORT`.
+/// Both transports report the same metrics: in either world a worker
+/// records into a registry of its own and ships its accounting home in
+/// its summary, which the master records. Runs both backends regardless
+/// of `PACE_TRANSPORT`.
 #[test]
 fn channel_and_uds_report_the_same_phases() {
     let store = dataset(72, 4000);
@@ -354,9 +354,9 @@ fn channel_and_uds_report_the_same_phases() {
     let uds = Obs::noop();
     let opts = pace::UdsLaunchOpts::new(env!("CARGO_BIN_EXE_pace"));
     pace::cluster_store_uds(&store, &cfg(4), &opts, &uds).expect("uds run");
-    for (transport, obs) in [("channel", &channel), ("uds", &uds)] {
-        let phases = obs.registry().snapshot().phases;
-        let count = |phase: &str| phases.get(phase).map_or(0, |agg| agg.count);
+    let (channel, uds) = (channel.registry().snapshot(), uds.registry().snapshot());
+    for (transport, snap) in [("channel", &channel), ("uds", &uds)] {
+        let count = |phase: &str| snap.phases.get(phase).map_or(0, |agg| agg.count);
         assert_eq!(count(metric::PHASE_PARTITIONING), 4, "{transport}");
         assert_eq!(count(metric::PHASE_TOTAL), 1, "{transport}");
         for phase in [
@@ -367,7 +367,39 @@ fn channel_and_uds_report_the_same_phases() {
         ] {
             assert_eq!(count(phase), 3, "{transport}: {phase}");
         }
+        assert!(count(metric::PHASE_ALIGN_BATCH) > 0, "{transport}");
+        let mcs = snap.histograms.get(metric::PAIRS_MCS_LEN);
+        assert_eq!(
+            mcs.map_or(0, |h| h.count()),
+            snap.counters[metric::PAIRS_GENERATED],
+            "{transport}: the MCS histogram must count every generated pair"
+        );
     }
+    // Counter, gauge, histogram and phase names, kind by kind.
+    let names = |snap: &pace::obs::RegistrySnapshot| -> Vec<String> {
+        (snap.counters.keys())
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .chain(snap.phases.keys())
+            .cloned()
+            .collect()
+    };
+    assert_eq!(names(&channel), names(&uds), "metric names differ");
+    for counter in [
+        metric::GST_NODES,
+        metric::GST_SUBTREES,
+        metric::GST_BUCKETS,
+        metric::PAIRS_GENERATED,
+    ] {
+        assert_eq!(
+            channel.counters[counter], uds.counters[counter],
+            "{counter}"
+        );
+    }
+    assert_eq!(
+        channel.gauges[metric::GST_MAX_DEPTH],
+        uds.gauges[metric::GST_MAX_DEPTH]
+    );
 }
 
 #[test]
