@@ -4,7 +4,8 @@
 //! driver `PACE_SMOKE_REPS` times and records, next to the standard
 //! per-run metrics report, the per-phase *minimum* critical-path time
 //! across reps — the noise-robust statistic `scripts/bench_gate.sh`
-//! compares against the committed `bench/baseline.json`.
+//! compares between the merge base's smoke binary and the candidate's,
+//! run alternately on one machine.
 //!
 //! Outputs:
 //! - `$PACE_METRICS_DIR/smoke.json` — gate document: `phase_min` object
@@ -98,7 +99,7 @@ fn main() {
     }
     banner(
         "Smoke bench: fixed-seed clustering workload",
-        "CI regression sentinel; compare against bench/baseline.json",
+        "CI regression sentinel; scripts/bench_gate.sh pairs it with the merge base's run",
     );
     let n = env_usize("PACE_SMOKE_N", 800, 60);
     let reps = env_usize("PACE_SMOKE_REPS", 3, 1);
@@ -200,7 +201,7 @@ fn main() {
 /// One clustering rep over the Unix-socket multi-process backend,
 /// writing `$PACE_METRICS_DIR/smoke_uds.json`. Timing is deliberately
 /// not folded into `phase_min`: process spawn + serialization costs
-/// belong in their own report, not in the channel baseline's gate.
+/// belong in their own report, not in the channel runs' gate.
 fn run_uds_rep(store: &SequenceStore, n: usize) {
     let exe = std::env::current_exe().expect("locating smoke binary");
     let mut config = pace_core::PaceConfig::paper();

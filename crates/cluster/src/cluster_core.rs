@@ -101,7 +101,8 @@ impl ClusterCore {
     /// the drain conserves pairs exactly.
     ///
     /// Reports to `obs` once, at the end: the drain's `merge` trace
-    /// instants, the generator's MCS-length histogram, one
+    /// instants, the generator's MCS-length histogram and its peak
+    /// buffer (raising the `pairgen.peak_buffered` gauge), one
     /// `pair_generation` and one `alignment` phase sample, and the pairs
     /// served by `ctx` as workspace reuses. The pair counters are left to
     /// the caller, who knows what a run is.
@@ -145,6 +146,10 @@ impl ClusterCore {
         for (&len, &n) in generator.emitted_by_mcs_len() {
             reg.observe_n(metric::PAIRS_MCS_LEN, len as u64, n);
         }
+        reg.set_gauge_max(
+            metric::PAIRGEN_PEAK_BUFFERED,
+            generator.peak_buffered() as f64,
+        );
         reg.record_phase(metric::PHASE_PAIR_GENERATION, 0, pairgen.secs());
         reg.record_phase(metric::PHASE_ALIGNMENT, 0, align.secs());
         reg.add(metric::ALIGN_WS_REUSES, handled);

@@ -420,11 +420,11 @@ fn slave_rank(
 
 /// Fold the master's books and the arrived worker summaries into one
 /// result. Each summary is recorded on its worker's rank: its phase
-/// seconds, its `align_batch` series, its MCS-length histogram and its
-/// forest's shape. The summaries' pair counters are credited with exact
-/// pair-flow conservation; then rank 0's communication counters, the
-/// injector counters (rank 0's plus every summary's) and the run's pair
-/// and fault counters are published.
+/// seconds, its `align_batch` series, its MCS-length histogram, its
+/// generator's peak buffer and its forest's shape. The summaries' pair
+/// counters are credited with exact pair-flow conservation; then rank
+/// 0's communication counters, the injector counters (rank 0's plus
+/// every summary's) and the run's pair and fault counters are published.
 fn fold(
     root: Root,
     comm: WorldStats,
@@ -457,6 +457,7 @@ fn fold(
         for &(len, n) in &s.mcs_len {
             reg.observe_n(metric::PAIRS_MCS_LEN, u64::from(len), n);
         }
+        reg.set_gauge_max(metric::PAIRGEN_PEAK_BUFFERED, s.peak_buffered as f64);
         reg.add(metric::GST_NODES, s.gst_nodes);
         reg.add(metric::GST_SUBTREES, s.gst_subtrees);
         reg.set_gauge_max(metric::GST_MAX_DEPTH, f64::from(s.gst_max_depth));

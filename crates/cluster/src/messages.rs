@@ -12,7 +12,8 @@ use pace_pairgen::CandidatePair;
 pub struct WorkerSummary {
     /// Promising pairs the worker's generator emitted.
     pub gen_emitted: u64,
-    /// Pairs still buffered in `PAIRBUF` at shutdown.
+    /// Pairs still buffered at shutdown, in `PAIRBUF` or inside the
+    /// generator.
     pub unconsumed: u64,
     /// Pairs rejected by the lossless geometry bound without any DP.
     pub prefiltered: u64,
@@ -32,6 +33,8 @@ pub struct WorkerSummary {
     /// Emitted pairs by maximal-common-substring length, as
     /// `(length, pairs)` in ascending length.
     pub mcs_len: Vec<(u32, u64)>,
+    /// Most pairs the worker's generator held buffered at once.
+    pub peak_buffered: u64,
     /// Nodes of the worker's in-scope forest.
     pub gst_nodes: u64,
     /// Subtrees of that forest.

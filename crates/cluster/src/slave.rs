@@ -31,8 +31,11 @@ use pace_pairgen::{CandidatePair, PairGenerator};
 use pace_seq::{PackedText, SequenceStore};
 use std::collections::VecDeque;
 
-/// How many pairs to generate per idle poll while waiting for the master
-/// (small, so the slave stays responsive).
+/// How many pairs to take per idle poll while waiting for the master.
+/// The generator fills its buffer a whole band of its schedule at a
+/// time, so a poll that finds the buffer short runs to the end of a
+/// band: a band, not this chunk, bounds the slave's longest step and
+/// the pairs buffered inside the generator.
 const IDLE_GEN_CHUNK: usize = 16;
 
 /// Capacity of `PAIRBUF`, the pairs generated ahead of the master's
@@ -55,9 +58,9 @@ pub fn run_slave(
 /// built one. Each alignment batch is an `align_batch` span in `obs`;
 /// the returned summary carries the rank's `node_sorting`,
 /// `pair_generation` and per-batch alignment seconds, the generator's
-/// MCS-length distribution and the pair counters, for the master to
-/// record. Its partitioning and forest fields are left to the caller,
-/// who ran those phases.
+/// MCS-length distribution and peak buffer, and the pair counters, for
+/// the master to record. Its partitioning and forest fields are left to
+/// the caller, who ran those phases.
 pub fn run_slave_obs(
     rank: &Rank<Msg>,
     store: &SequenceStore,
@@ -88,6 +91,9 @@ pub fn run_slave_obs(
     let portion1 = pairgen.time(|| generator.next_batch(cfg.batchsize));
     let portion2 = pairgen.time(|| generator.next_batch(cfg.batchsize));
     let portion3 = pairgen.time(|| generator.next_batch(cfg.batchsize));
+    // Pairs taken out of the generator; the rest of what it emitted is
+    // still buffered inside it.
+    let mut taken = (portion1.len() + portion2.len() + portion3.len()) as u64;
     let mut last_report = Msg::Report {
         seq: 0,
         results: align_batch(&mut ctx, &portion1, cfg, &mut batches, obs, me),
@@ -114,6 +120,7 @@ pub fn run_slave_obs(
                     if !generator.is_exhausted() && pairbuf.len() < PAIRBUF_CAP {
                         let room = PAIRBUF_CAP - pairbuf.len();
                         let chunk = pairgen.time(|| generator.next_batch(IDLE_GEN_CHUNK.min(room)));
+                        taken += chunk.len() as u64;
                         pairbuf.extend(chunk);
                     } else {
                         // Nothing useful to do: block.
@@ -144,6 +151,7 @@ pub fn run_slave_obs(
                 while pairbuf.len() < request && !generator.is_exhausted() {
                     let want = (request - pairbuf.len()).max(IDLE_GEN_CHUNK);
                     let batch = pairgen.time(|| generator.next_batch(want));
+                    taken += batch.len() as u64;
                     pairbuf.extend(batch);
                 }
                 let take = request.min(pairbuf.len());
@@ -165,9 +173,10 @@ pub fn run_slave_obs(
         }
     }
 
+    let gen_emitted = generator.stats().emitted;
     WorkerSummary {
-        gen_emitted: generator.stats().emitted,
-        unconsumed: pairbuf.len() as u64,
+        gen_emitted,
+        unconsumed: pairbuf.len() as u64 + (gen_emitted - taken),
         prefiltered: ctx.pairs_prefiltered(),
         ws_reuses: ctx.pairs_handled(),
         node_sorting: sort_timer.secs(),
@@ -178,6 +187,7 @@ pub fn run_slave_obs(
             .iter()
             .map(|(&len, &n)| (len, n))
             .collect(),
+        peak_buffered: generator.peak_buffered() as u64,
         ..WorkerSummary::default()
     }
 }

@@ -121,6 +121,7 @@ impl Wire for WorkerSummary {
         self.pair_generation.encode(out);
         self.align_batches.encode(out);
         encode_mcs_len(&self.mcs_len, out);
+        self.peak_buffered.encode(out);
         self.gst_nodes.encode(out);
         self.gst_subtrees.encode(out);
         self.gst_max_depth.encode(out);
@@ -141,6 +142,7 @@ impl Wire for WorkerSummary {
             pair_generation: f64::decode(r)?,
             align_batches: Vec::decode(r)?,
             mcs_len: decode_mcs_len(r)?,
+            peak_buffered: u64::decode(r)?,
             gst_nodes: u64::decode(r)?,
             gst_subtrees: u64::decode(r)?,
             gst_max_depth: u32::decode(r)?,
@@ -261,6 +263,7 @@ mod tests {
                 pair_generation: 0.75,
                 align_batches: vec![0.5, 1.0],
                 mcs_len: vec![(20, 3), (41, 1)],
+                peak_buffered: 13,
                 gst_nodes: 12,
                 gst_subtrees: 4,
                 gst_max_depth: 97,

@@ -120,9 +120,22 @@ impl DisjointSets {
         self.size[root] as usize
     }
 
-    /// A label per element, where labels are the (stable) root indices.
+    /// A label per element: the smallest member of its set. The labels
+    /// depend only on the partition, not on the order of the unions
+    /// that built it.
     pub fn labels(&mut self) -> Vec<usize> {
-        (0..self.len()).map(|i| self.find(i)).collect()
+        let mut smallest = vec![usize::MAX; self.len()];
+        (0..self.len())
+            .map(|i| {
+                let root = self.find(i);
+                // Elements come in ascending order, so a set's first
+                // element is its smallest.
+                if smallest[root] == usize::MAX {
+                    smallest[root] = i;
+                }
+                smallest[root]
+            })
+            .collect()
     }
 
     /// Materialize the sets as sorted vectors of element indices, ordered by
@@ -260,6 +273,20 @@ mod tests {
                 assert_eq!(labels[a] == labels[b], d.same(a, b));
             }
         }
+    }
+
+    #[test]
+    fn labels_are_smallest_members_whatever_the_union_order() {
+        let mut a = DisjointSets::new(6);
+        a.union(4, 1);
+        a.union(2, 5);
+        a.union(5, 0);
+        let mut b = DisjointSets::new(6);
+        b.union(0, 2);
+        b.union(5, 2);
+        b.union(1, 4);
+        assert_eq!(a.labels(), vec![0, 1, 0, 3, 1, 0]);
+        assert_eq!(b.labels(), a.labels());
     }
 
     #[test]

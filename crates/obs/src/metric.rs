@@ -112,6 +112,11 @@ pub const CKPT_REPLAYED_MERGES: &str = "ckpt.replayed_merges";
 
 /// Histogram: generated pairs by maximal-common-substring length.
 pub const PAIRS_MCS_LEN: &str = "pairs.mcs_len";
+/// Gauge: most promising pairs one pair generator held buffered at
+/// once — one band of its schedule's emissions (a band is sized to make
+/// about 2^16) plus what a request left over — maximized over the run's
+/// generators.
+pub const PAIRGEN_PEAK_BUFFERED: &str = "pairgen.peak_buffered";
 
 /// Phase: bucket counting, global summation and bucket assignment.
 pub const PHASE_PARTITIONING: &str = "partitioning";

@@ -26,16 +26,37 @@
 //!   walk starts only at the first child whose string signature meets
 //!   an earlier sibling's; disjoint signatures prove there is nothing to
 //!   strip.
+//! * **Bands in memory order.** The depth order visits the forest out of
+//!   memory order, so it is processed in bands of consecutive schedule
+//!   entries. A band is sorted into tree order and processed whole, and
+//!   its pairs are then stable-sorted by decreasing MCS length, which
+//!   restores the depth order's stream exactly. Each band is sized from
+//!   the last one's pairs per node to make about 2^16 pairs, within
+//!   2^18 nodes, so the buffer holds about one band's pairs plus what a
+//!   request left over, not a share of the run's pair list.
 
 use crate::lset::{class_of, Arena, LsetIter, Lsets, NIL, NUM_CLASSES};
 use crate::pair::CandidatePair;
 use pace_gst::{LocalForest, Node, NodeIdx, Subtree};
 use pace_seq::{SequenceStore, StrId, Strand};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
-/// How many schedule entries ahead [`PairGenerator::next_batch_into`]
-/// touches the forest.
-const LOOKAHEAD: usize = 16;
+/// Most scheduled nodes in one band of the decreasing-MCS schedule. A
+/// band is the unit of work: a [`PairGenerator::next_batch_into`] call
+/// that finds its buffer short runs to the end of a band, so a band
+/// bounds both the pairs buffered at once and how far a call runs past
+/// its request.
+const BAND_NODES: usize = 1 << 18;
+
+/// The pairs a band aims at (about 1.3 MB buffered): the next band gets
+/// as many nodes as make this many pairs at the last band's pairs per
+/// node, at most four times the last band's nodes and [`BAND_NODES`].
+const BAND_PAIRS: usize = 1 << 16;
+
+/// Nodes in the first band, before any density is known: the deepest
+/// nodes, where a library's longest overlaps pair up.
+const FIRST_BAND_NODES: usize = 1 << 12;
 
 /// In which order promising pairs are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,11 +117,19 @@ pub struct PairGenerator<'s> {
     store: &'s SequenceStore,
     forest: &'s LocalForest,
     psi: u32,
-    /// `(subtree index, node index)` in processing order: the internal
-    /// nodes and multi-suffix leaves of depth ≥ ψ.
+    /// `(subtree index, node index)` of the internal nodes and
+    /// multi-suffix leaves of depth ≥ ψ, in the order's schedule; each
+    /// band is sorted into tree order when it is processed.
     schedule: Vec<(u32, NodeIdx)>,
-    /// Next schedule position to process.
+    /// Schedule entries in the next band, processed together.
+    band: usize,
+    /// Most schedule entries in a band: [`BAND_NODES`] in the
+    /// decreasing-MCS order, 1 in tree order, which is its own stream.
+    max_band: usize,
+    /// Next schedule position to process (always a band boundary).
     pos: usize,
+    /// Most pairs ever buffered at once.
+    peak_buffered: usize,
     /// Node `v` of subtree `t` owns `slot[base[t] + v]`.
     base: Vec<usize>,
     /// Per forest node, the `held` entry with its lsets, `NIL`, or
@@ -141,12 +170,19 @@ impl<'s> PairGenerator<'s> {
             base,
             slot,
         } = plan(forest, config.psi, config.order);
+        let max_band = match config.order {
+            PairOrder::DecreasingMcs => BAND_NODES,
+            PairOrder::Arbitrary => 1,
+        };
         PairGenerator {
             store,
             forest,
             psi: config.psi,
             schedule,
+            band: FIRST_BAND_NODES.min(max_band),
+            max_band,
             pos: 0,
+            peak_buffered: 0,
             base,
             slot,
             held: Vec::new(),
@@ -186,9 +222,15 @@ impl<'s> PairGenerator<'s> {
         &self.out.by_len
     }
 
+    /// The most pairs buffered at once so far: one band's emissions
+    /// plus what an earlier request left over.
+    pub fn peak_buffered(&self) -> usize {
+        self.peak_buffered
+    }
+
     /// Approximate heap footprint of the generator's own state: the lset
     /// arena, the marker array, the schedule, the slots with their slab
-    /// and free list, and the pair buffer.
+    /// and free list, and the pair buffer (about one band's pairs).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.arena.memory_bytes()
@@ -201,9 +243,10 @@ impl<'s> PairGenerator<'s> {
             + self.out.buffer.capacity() * size_of::<CandidatePair>()
     }
 
-    /// Produce up to `max` promising pairs, advancing the traversal only
-    /// as far as needed. Returns fewer than `max` only when the forest is
-    /// exhausted; an empty vector means no pairs remain.
+    /// Produce up to `max` promising pairs, advancing the traversal a
+    /// band at a time, only as far as needed. Returns fewer than `max`
+    /// only when the forest is exhausted; an empty vector means no pairs
+    /// remain.
     pub fn next_batch(&mut self, max: usize) -> Vec<CandidatePair> {
         let mut out = Vec::new();
         self.next_batch_into(max, &mut out);
@@ -216,18 +259,35 @@ impl<'s> PairGenerator<'s> {
     pub fn next_batch_into(&mut self, max: usize, out: &mut Vec<CandidatePair>) {
         out.clear();
         while self.out.buffer.len() < max && self.pos < self.schedule.len() {
-            // Touch a node a few steps ahead so its cache miss overlaps
-            // this node's work: the depth order visits the forest out of
-            // memory order.
-            if let Some(&(t, v)) = self.schedule.get(self.pos + LOOKAHEAD) {
-                std::hint::black_box(self.forest.subtrees[t as usize].depth(v));
-            }
-            let (t, v) = self.schedule[self.pos];
-            self.pos += 1;
-            self.process_node(t as usize, v);
+            self.process_band();
         }
         let take = max.min(self.out.buffer.len());
         out.extend(self.out.buffer.drain(..take));
+    }
+
+    /// Process the next band whole in tree order (ascending subtree,
+    /// descending node index), then stable-sort its pairs by decreasing
+    /// MCS length, and size the band after it. Tree order keeps children
+    /// ahead of parents: a child is at least as deep as its parent, so it
+    /// lies in its parent's band or an earlier one, and inside a band its
+    /// larger DFS index puts it first. A node's pairs all have its depth,
+    /// and same-depth nodes keep their schedule order inside a band, so
+    /// the sort puts the band's pairs in the depth order's sequence.
+    fn process_band(&mut self) {
+        let first = self.out.buffer.len();
+        let end = (self.pos + self.band).min(self.schedule.len());
+        // In place, so a band costs no scratch memory.
+        self.schedule[self.pos..end]
+            .sort_unstable_by_key(|&(t, v)| (u64::from(t) << 32) | u64::from(!v));
+        for i in self.pos..end {
+            let (t, v) = self.schedule[i];
+            self.process_node(t as usize, v);
+        }
+        let (nodes, made) = (end - self.pos, self.out.buffer.len() - first);
+        self.out.buffer.make_contiguous()[first..].sort_by_key(|p| Reverse(p.mcs_len));
+        self.band = (BAND_PAIRS * nodes / made.max(1)).clamp(1, self.max_band.min(4 * nodes));
+        self.pos = end;
+        self.peak_buffered = self.peak_buffered.max(self.out.buffer.len());
     }
 
     /// Drain every remaining pair (convenience for tests and the baseline).
@@ -894,6 +954,29 @@ mod tests {
                 let fast = super::plan(&forest, psi, order).schedule;
                 let reference = comparator_schedule(&forest, psi, order);
                 prop_assert_eq!(&fast, &reference, "order {:?} psi {}", order, psi);
+            }
+        }
+
+        /// Bands of at most 1, 2, 7 and [`BAND_NODES`] nodes, each sized
+        /// from the last one's pairs, emit the same pair stream: with
+        /// one node per band it is the depth order's, node by node.
+        #[test]
+        fn bands_of_any_size_emit_the_depth_order_stream(
+            ests in dna_ests(),
+            w in 1usize..4,
+            psi_extra in 0u32..6,
+        ) {
+            let s = SequenceStore::from_ests(&ests).unwrap();
+            let forest = build_sequential(&s, w);
+            let psi = w as u32 + psi_extra;
+            let stream = |max_band: usize| {
+                let mut g = PairGenerator::new(&s, &forest, PairGenConfig::new(psi));
+                (g.band, g.max_band) = (g.band.min(max_band), max_band);
+                g.generate_all()
+            };
+            let reference = stream(1);
+            for max_band in [2, 7, BAND_NODES] {
+                prop_assert_eq!(&stream(max_band), &reference, "bands of {} psi {}", max_band, psi);
             }
         }
 

@@ -155,6 +155,59 @@ fn sequential_summary_matches_the_metrics_report() {
     }
 }
 
+/// Cluster labels name each cluster by its smallest EST index, so the
+/// label file depends only on the partition: the sequential driver, the
+/// parallel one over threads (whose merge order varies from run to run)
+/// and the one over worker processes write the same bytes.
+#[test]
+fn every_driver_writes_the_same_label_file() {
+    let reads = tmp("labels_reads.fa");
+    let out = pace_bin()
+        .args(["simulate", "--ests", "600", "--seed", "3"])
+        .arg("--out")
+        .arg(&reads)
+        .output()
+        .expect("spawn pace simulate");
+    assert!(out.status.success());
+
+    let runs: [&[&str]; 5] = [
+        &["--procs", "1"],
+        &["--procs", "4"],
+        &["--procs", "4"],
+        &["--procs", "4"],
+        &["--procs", "4", "--transport", "uds"],
+    ];
+    let mut files = Vec::new();
+    for (i, extra) in runs.into_iter().enumerate() {
+        let clusters = tmp(&format!("labels_{i}.tsv"));
+        let out = pace_bin()
+            .arg("cluster")
+            .arg("--in")
+            .arg(&reads)
+            .arg("--out")
+            .arg(&clusters)
+            .arg("--quiet")
+            .args(extra)
+            .output()
+            .expect("spawn pace cluster");
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        files.push((extra, std::fs::read(&clusters).unwrap()));
+        let _ = std::fs::remove_file(clusters);
+    }
+    let (_, sequential) = &files[0];
+    for (extra, bytes) in &files[1..] {
+        assert!(
+            bytes == sequential,
+            "{extra:?} wrote a different label file"
+        );
+    }
+    let _ = std::fs::remove_file(reads);
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let out = pace_bin().arg("frobnicate").output().unwrap();

@@ -318,6 +318,38 @@ fn in_scope_pair_stream_and_stats_match_pinned_fingerprints() {
     );
 }
 
+/// At 2,000 ESTs the decreasing-MCS schedule runs through seven bands,
+/// three of them the full 2^18 nodes; the 160-EST pins, at about 85,000
+/// scheduled nodes, end in their third band. The stream and its
+/// counters are pinned at the generator that walked the schedule node
+/// by node.
+#[test]
+fn banded_in_scope_pair_stream_matches_the_node_by_node_pin() {
+    let store = dataset(2000, 1);
+    let mut h = Fnv::new();
+    let stats = hash_forest_pairs(
+        &mut h,
+        &store,
+        &in_scope_forest(&store, 8, 20),
+        PairGenConfig::new(20),
+    );
+    let got = h.finish();
+    assert_eq!(
+        got, 0x8bab1af1c649ac9b,
+        "banded pair stream diverged: got {got:#018x}"
+    );
+    assert_eq!(
+        stats,
+        GenStats {
+            nodes_processed: 2_339_649,
+            raw_pairs: 232_025,
+            discarded_self: 1,
+            discarded_mirror: 116_012,
+            emitted: 116_012,
+        }
+    );
+}
+
 #[test]
 fn forest_matches_pre_rewrite_fingerprints() {
     const PINNED: [u64; 3] = [0x298024df8256734b, 0x6e36eeb1b1d2cbdb, 0xdc2cff80282e2c0d];

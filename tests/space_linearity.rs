@@ -83,7 +83,7 @@ fn baseline_memory_grows_superlinearly_per_est() {
 fn generator_high_water_mark_is_insensitive_to_batch_size() {
     // Producing pairs 8 at a time or 4096 at a time must not change the
     // generator's memory profile materially (the buffer holds at most
-    // one node's emissions beyond the requested batch).
+    // one band's emissions beyond the requested batch).
     let ests = dataset(200, 605);
     let store = SequenceStore::from_ests(&ests).unwrap();
     let forest = pace::gst::build_sequential(&store, 8);
