@@ -101,8 +101,9 @@ impl ClusterCore {
     /// the drain conserves pairs exactly.
     ///
     /// Reports to `obs` once, at the end: the drain's `merge` trace
-    /// instants, the generator's MCS-length histogram and its peak
-    /// buffer (raising the `pairgen.peak_buffered` gauge), one
+    /// instants, the generator's MCS-length histogram, its peak buffer
+    /// and its footprint (raising the `pairgen.peak_buffered` and
+    /// `pairgen.memory_bytes` gauges), one
     /// `pair_generation` and one `alignment` phase sample, and the pairs
     /// served by `ctx` as workspace reuses. The pair counters are left to
     /// the caller, who knows what a run is.
@@ -149,6 +150,10 @@ impl ClusterCore {
         reg.set_gauge_max(
             metric::PAIRGEN_PEAK_BUFFERED,
             generator.peak_buffered() as f64,
+        );
+        reg.set_gauge_max(
+            metric::PAIRGEN_MEMORY_BYTES,
+            generator.memory_bytes() as f64,
         );
         reg.record_phase(metric::PHASE_PAIR_GENERATION, 0, pairgen.secs());
         reg.record_phase(metric::PHASE_ALIGNMENT, 0, align.secs());

@@ -403,7 +403,8 @@ fn slave_rank(
     let forest = build_in_scope_forest(store, &partition, slave_id, cfg.psi);
     let gst_construction = span.finish();
     let (gst_nodes, gst_subtrees) = (forest.num_nodes() as u64, forest.subtrees.len() as u64);
-    let gst_max_depth = forest.max_depth();
+    let gst_max_depth = forest.max_depth(store);
+    let gst_memory_bytes = forest.memory_bytes() as u64;
     rank.barrier();
 
     // Phases 3–4: the slave protocol.
@@ -414,6 +415,7 @@ fn slave_rank(
         gst_nodes,
         gst_subtrees,
         gst_max_depth,
+        gst_memory_bytes,
         ..summary
     }
 }
@@ -421,7 +423,8 @@ fn slave_rank(
 /// Fold the master's books and the arrived worker summaries into one
 /// result. Each summary is recorded on its worker's rank: its phase
 /// seconds, its `align_batch` series, its MCS-length histogram, its
-/// generator's peak buffer and its forest's shape. The summaries' pair
+/// generator's peak buffer and footprint, and its forest's shape and
+/// footprint. The summaries' pair
 /// counters are credited with exact pair-flow conservation; then rank
 /// 0's communication counters, the injector counters (rank 0's plus
 /// every summary's) and the run's pair and fault counters are published.
@@ -458,9 +461,11 @@ fn fold(
             reg.observe_n(metric::PAIRS_MCS_LEN, u64::from(len), n);
         }
         reg.set_gauge_max(metric::PAIRGEN_PEAK_BUFFERED, s.peak_buffered as f64);
+        reg.set_gauge_max(metric::PAIRGEN_MEMORY_BYTES, s.pairgen_memory_bytes as f64);
         reg.add(metric::GST_NODES, s.gst_nodes);
         reg.add(metric::GST_SUBTREES, s.gst_subtrees);
         reg.set_gauge_max(metric::GST_MAX_DEPTH, f64::from(s.gst_max_depth));
+        reg.set_gauge_max(metric::GST_MEMORY_BYTES, s.gst_memory_bytes as f64);
         generated += s.gen_emitted;
         unconsumed += s.unconsumed;
         prefiltered += s.prefiltered;

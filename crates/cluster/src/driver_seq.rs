@@ -106,7 +106,7 @@ pub fn cluster_bucket_batch(
         subtrees: pace_gst::build_in_scope_batch(store, partition, buckets, cfg.psi, fresh),
     };
     span.finish();
-    record_forest_shape(obs, &forest);
+    record_forest_shape(obs, store, &forest);
 
     let span = obs.span(metric::PHASE_NODE_SORTING);
     let generator = PairGenerator::new(store, &forest, cfg.pair_gen());
@@ -116,12 +116,13 @@ pub fn cluster_bucket_batch(
 }
 
 /// Add a built forest (or one build batch of it) to the registry's
-/// `gst.subtrees`, `gst.nodes` and `gst.max_depth`.
-pub fn record_forest_shape(obs: &Obs, forest: &pace_gst::LocalForest) {
+/// `gst.subtrees`, `gst.nodes`, `gst.max_depth` and `gst.memory_bytes`.
+pub fn record_forest_shape(obs: &Obs, store: &SequenceStore, forest: &pace_gst::LocalForest) {
     let reg = obs.registry();
     reg.add(metric::GST_SUBTREES, forest.subtrees.len() as u64);
     reg.add(metric::GST_NODES, forest.num_nodes() as u64);
-    reg.set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth() as f64);
+    reg.set_gauge_max(metric::GST_MAX_DEPTH, forest.max_depth(store) as f64);
+    reg.set_gauge_max(metric::GST_MEMORY_BYTES, forest.memory_bytes() as f64);
 }
 
 /// Fold the final [`ClusterStats`] into the registry, so every driver

@@ -35,12 +35,16 @@ pub struct WorkerSummary {
     pub mcs_len: Vec<(u32, u64)>,
     /// Most pairs the worker's generator held buffered at once.
     pub peak_buffered: u64,
+    /// Heap bytes of the worker's generator when it stopped.
+    pub pairgen_memory_bytes: u64,
     /// Nodes of the worker's in-scope forest.
     pub gst_nodes: u64,
     /// Subtrees of that forest.
     pub gst_subtrees: u64,
     /// String depth of that forest's deepest node.
     pub gst_max_depth: u32,
+    /// Heap bytes of that forest.
+    pub gst_memory_bytes: u64,
     /// Messages this worker's rank dropped under the fault plan.
     pub injected_drops: u64,
     /// Messages this worker's rank delayed under the fault plan.

@@ -188,6 +188,7 @@ pub fn run_slave_obs(
             .map(|(&len, &n)| (len, n))
             .collect(),
         peak_buffered: generator.peak_buffered() as u64,
+        pairgen_memory_bytes: generator.memory_bytes() as u64,
         ..WorkerSummary::default()
     }
 }

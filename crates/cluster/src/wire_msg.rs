@@ -122,9 +122,11 @@ impl Wire for WorkerSummary {
         self.align_batches.encode(out);
         encode_mcs_len(&self.mcs_len, out);
         self.peak_buffered.encode(out);
+        self.pairgen_memory_bytes.encode(out);
         self.gst_nodes.encode(out);
         self.gst_subtrees.encode(out);
         self.gst_max_depth.encode(out);
+        self.gst_memory_bytes.encode(out);
         self.injected_drops.encode(out);
         self.injected_delays.encode(out);
         self.injected_stalls.encode(out);
@@ -143,9 +145,11 @@ impl Wire for WorkerSummary {
             align_batches: Vec::decode(r)?,
             mcs_len: decode_mcs_len(r)?,
             peak_buffered: u64::decode(r)?,
+            pairgen_memory_bytes: u64::decode(r)?,
             gst_nodes: u64::decode(r)?,
             gst_subtrees: u64::decode(r)?,
             gst_max_depth: u32::decode(r)?,
+            gst_memory_bytes: u64::decode(r)?,
             injected_drops: u64::decode(r)?,
             injected_delays: u64::decode(r)?,
             injected_stalls: u64::decode(r)?,
@@ -264,9 +268,11 @@ mod tests {
                 align_batches: vec![0.5, 1.0],
                 mcs_len: vec![(20, 3), (41, 1)],
                 peak_buffered: 13,
+                pairgen_memory_bytes: 4096,
                 gst_nodes: 12,
                 gst_subtrees: 4,
                 gst_max_depth: 97,
+                gst_memory_bytes: 160,
                 injected_drops: 9,
                 injected_delays: 10,
                 injected_stalls: 11,

@@ -234,7 +234,7 @@ fn build_group(
 
     // Singleton group: a leaf at the suffix's full length.
     if group.len() == 1 {
-        push_leaf(tree, store, group, d);
+        push_leaf(tree, group);
         return;
     }
     if group.len() == 2 {
@@ -275,7 +275,7 @@ fn build_group(
     );
     if ends == group.len() {
         // Every suffix ends here: one leaf of identical suffixes.
-        push_leaf(tree, store, group, d);
+        push_leaf(tree, group);
         return;
     }
     debug_assert!(
@@ -290,12 +290,7 @@ fn build_group(
     let emit = d >= psi;
     let node_idx = tree.nodes.len();
     if emit {
-        tree.nodes.push(Node {
-            rightmost: 0, // patched below
-            depth: d as u32,
-            suf_start: 0,
-            suf_end: 0,
-        });
+        tree.nodes.push(Node::internal(0, d as u32)); // rightmost patched below
     }
 
     // Stable 5-way counting sort of the group: ends first, then A, C, G,
@@ -324,7 +319,7 @@ fn build_group(
             continue;
         }
         if class == 0 {
-            push_leaf(tree, store, sub, d); // the end-of-string child
+            push_leaf(tree, sub); // the end-of-string child
         } else {
             build_group(store, tree, sub, d + 1, psi, fresh, sort);
         }
@@ -333,7 +328,7 @@ fn build_group(
 
     if emit {
         let last = (tree.nodes.len() - 1) as u32;
-        tree.nodes[node_idx].rightmost = last;
+        tree.nodes[node_idx].set_rightmost(last);
     }
 }
 
@@ -353,24 +348,19 @@ fn build_pair(
     let d = d + k;
     if ca == cb {
         // The scan was maximal, so both suffixes end here.
-        push_leaf(tree, store, group, d);
+        push_leaf(tree, group);
         return;
     }
     if d < psi {
         return; // two lone leaves under a parent shallower than ψ
     }
     let idx = tree.nodes.len() as u32;
-    tree.nodes.push(Node {
-        rightmost: idx + 2,
-        depth: d as u32,
-        suf_start: 0,
-        suf_end: 0,
-    });
+    tree.nodes.push(Node::internal(idx + 2, d as u32));
     if ca > cb {
         group.swap(0, 1);
     }
-    push_leaf(tree, store, &group[..1], d);
-    push_leaf(tree, store, &group[1..], d);
+    push_leaf(tree, &group[..1]);
+    push_leaf(tree, &group[1..]);
 }
 
 /// 2-bit class of a stored base. Non-ACGT bytes cannot occur in a store
@@ -426,7 +416,7 @@ fn build_group_comparison(
     mut d: usize,
 ) {
     if group.len() == 1 {
-        push_leaf(tree, store, group, d);
+        push_leaf(tree, group);
         return;
     }
     loop {
@@ -441,19 +431,14 @@ fn build_group_comparison(
         let branching = usize::from(ends > 0) + counts.iter().filter(|&&c| c > 0).count();
         if branching == 1 {
             if ends > 0 {
-                push_leaf(tree, store, group, d);
+                push_leaf(tree, group);
                 return;
             }
             d += 1;
             continue;
         }
         let node_idx = tree.nodes.len();
-        tree.nodes.push(Node {
-            rightmost: 0,
-            depth: d as u32,
-            suf_start: 0,
-            suf_end: 0,
-        });
+        tree.nodes.push(Node::internal(0, d as u32));
         group.sort_by_key(|&suf| match char_at(store, suf, d) {
             None => 0u8,
             Some(c) => code_of(c) as u8 + 1,
@@ -461,7 +446,7 @@ fn build_group_comparison(
         let mut start = 0usize;
         if ends > 0 {
             let (end_group, _) = group.split_at_mut(ends);
-            push_leaf(tree, store, end_group, d);
+            push_leaf(tree, end_group);
             start = ends;
         }
         for &len in counts.iter() {
@@ -472,29 +457,19 @@ fn build_group_comparison(
             start += len;
         }
         let last = (tree.nodes.len() - 1) as u32;
-        tree.nodes[node_idx].rightmost = last;
+        tree.nodes[node_idx].set_rightmost(last);
         return;
     }
 }
 
-/// Append a leaf holding `group` (identical suffixes) with string-depth
-/// equal to their common (full) length.
-fn push_leaf(tree: &mut Subtree, store: &SequenceStore, group: &[SuffixRef], d: usize) {
-    let depth = if group.len() == 1 {
-        // Singleton: the leaf's label is the entire suffix.
-        store.len_of(StrId(group[0].sid)) as u32 - group[0].off
-    } else {
-        d as u32
-    };
-    let suf_start = tree.suffixes.len() as u32;
+/// Append a leaf holding `group`, identical suffixes that end at the
+/// leaf. Its depth is their length, so the node keeps only its arena run.
+fn push_leaf(tree: &mut Subtree, group: &[SuffixRef]) {
+    let start = tree.suffixes.len() as u32;
     tree.suffixes.extend_from_slice(group);
     let idx = tree.nodes.len() as u32;
-    tree.nodes.push(Node {
-        rightmost: idx,
-        depth,
-        suf_start,
-        suf_end: tree.suffixes.len() as u32,
-    });
+    tree.nodes
+        .push(Node::leaf(idx, start..tree.suffixes.len() as u32));
 }
 
 #[cfg(test)]
@@ -631,11 +606,10 @@ mod tests {
             let mut stack = vec![t.root()];
             while let Some(v) = stack.pop() {
                 for c in t.children(v) {
+                    let (dc, dv) = (t.depth(&s, c), t.depth(&s, v));
                     assert!(
-                        t.depth(c) > t.depth(v) || (t.depth(c) == t.depth(v) && t.is_leaf(c)),
-                        "child {c} depth {} vs parent {v} depth {}",
-                        t.depth(c),
-                        t.depth(v)
+                        dc > dv || (dc == dv && t.is_leaf(c)),
+                        "child {c} depth {dc} vs parent {v} depth {dv}"
                     );
                     stack.push(c);
                 }
@@ -667,7 +641,7 @@ mod tests {
         for t in build_all(&s, 2) {
             for v in 0..t.len() as u32 {
                 let label = t.path_label(&s, v).to_vec();
-                assert_eq!(label.len(), t.depth(v) as usize);
+                assert_eq!(label.len(), t.depth(&s, v) as usize);
                 // Every suffix below v starts with v's label.
                 let mut stack = vec![v];
                 while let Some(u) = stack.pop() {

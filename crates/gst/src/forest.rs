@@ -31,7 +31,8 @@ pub struct LocalForest {
     /// Bucket window size the forest was built with.
     pub w: usize,
     /// The ψ the forest was gated at: it holds every node a pair
-    /// generator at this ψ or above reads. The full builders record `w`.
+    /// generator at this ψ or above reads, and no node shallower than
+    /// it. The full builders record `w`.
     pub psi: u32,
     /// The subtrees of the owned buckets, in bucket-key order: one per
     /// non-empty bucket for a full forest, one per bucket with a
@@ -56,10 +57,10 @@ impl LocalForest {
     }
 
     /// Deepest node (string depth, in bases) across the forest.
-    pub fn max_depth(&self) -> u32 {
+    pub fn max_depth(&self, store: &SequenceStore) -> u32 {
         self.subtrees
             .iter()
-            .flat_map(|t| t.node_depths().map(|(_, d)| d))
+            .flat_map(|t| t.node_depths(store).map(|(_, d)| d))
             .max()
             .unwrap_or(0)
     }
@@ -214,6 +215,7 @@ pub fn build_sequential(store: &SequenceStore, w: usize) -> LocalForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::SuffixRef;
     use crate::tree::Node;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -306,7 +308,7 @@ mod tests {
         ] {
             assert_eq!(f.psi, scope, "full builders record w as their scope");
             for t in &f.subtrees {
-                assert_eq!(t.memory_bytes(), t.len() * 16 + t.num_suffixes() * 8);
+                assert_eq!(t.memory_bytes(), t.len() * 8 + t.num_suffixes() * 8);
             }
         }
     }
@@ -319,25 +321,44 @@ mod tests {
         assert!(f.num_nodes() > 0);
         // The whole string is a repeated suffix path; the deepest node
         // must be at least w deep and no deeper than the longest string.
-        assert!(f.max_depth() >= 2);
-        assert!(f.max_depth() <= 8);
+        assert!(f.max_depth(&s) >= 2);
+        assert!(f.max_depth(&s) <= 8);
+    }
+
+    /// Append node `v` of `t` to `nodes` with rightmost pointer
+    /// `rightmost`, copying a leaf's suffixes to the end of `sufs`.
+    fn push_node(
+        store: &SequenceStore,
+        t: &Subtree,
+        v: u32,
+        rightmost: u32,
+        nodes: &mut Vec<Node>,
+        sufs: &mut Vec<SuffixRef>,
+    ) {
+        if t.is_leaf(v) {
+            let start = sufs.len() as u32;
+            sufs.extend_from_slice(t.leaf_suffixes(v));
+            nodes.push(Node::leaf(rightmost, start..sufs.len() as u32));
+        } else {
+            nodes.push(Node::internal(rightmost, t.depth(store, v)));
+        }
     }
 
     /// The part of a full subtree an in-scope build at `psi` keeps: its
     /// nodes of depth ≥ ψ in DFS order, minus the single-suffix leaves
     /// whose parent is shallower than ψ (a bucket's root has no parent
     /// inside the subtree, so it counts as shallower).
-    fn in_scope_part(t: &Subtree, psi: u32) -> Option<Subtree> {
+    fn in_scope_part(store: &SequenceStore, t: &Subtree, psi: u32) -> Option<Subtree> {
         let mut parent_depth = vec![0u32; t.len()];
         for v in 0..t.len() as u32 {
             for c in t.children(v) {
-                parent_depth[c as usize] = t.depth(v);
+                parent_depth[c as usize] = t.depth(store, v);
             }
         }
         let kept: Vec<u32> = (0..t.len() as u32)
             .filter(|&v| {
                 let lone = t.is_leaf(v) && t.leaf_suffixes(v).len() == 1;
-                t.depth(v) >= psi && !(lone && parent_depth[v as usize] < psi)
+                t.depth(store, v) >= psi && !(lone && parent_depth[v as usize] < psi)
             })
             .collect();
         let mut new_idx = vec![u32::MAX; t.len()];
@@ -346,19 +367,8 @@ mod tests {
         }
         let (mut nodes, mut sufs) = (Vec::new(), Vec::new());
         for &v in &kept {
-            let (suf_start, suf_end) = if t.is_leaf(v) {
-                let start = sufs.len() as u32;
-                sufs.extend_from_slice(t.leaf_suffixes(v));
-                (start, sufs.len() as u32)
-            } else {
-                (0, 0)
-            };
-            nodes.push(Node {
-                rightmost: new_idx[t.rightmost(v) as usize],
-                depth: t.depth(v),
-                suf_start,
-                suf_end,
-            });
+            let rightmost = new_idx[t.rightmost(v) as usize];
+            push_node(store, t, v, rightmost, &mut nodes, &mut sufs);
         }
         (!nodes.is_empty()).then(|| Subtree::from_parts(t.bucket, nodes, sufs))
     }
@@ -373,7 +383,7 @@ mod tests {
         let expect: Vec<Subtree> = full
             .subtrees
             .iter()
-            .filter_map(|t| in_scope_part(t, psi))
+            .filter_map(|t| in_scope_part(&s, t, psi))
             .collect();
         prop_assert_eq!(&scoped.subtrees, &expect, "w {} psi {}", w, psi);
         prop_assert!(scoped.validate(&s).is_ok(), "{:?}", scoped.validate(&s));
@@ -382,7 +392,7 @@ mod tests {
 
     /// An in-scope subtree minus its DFS ranges that hold no suffix of a
     /// string with id `≥ fresh`, or `None` when none is left.
-    fn ranges_holding_new(t: &Subtree, fresh: u32) -> Option<Subtree> {
+    fn ranges_holding_new(store: &SequenceStore, t: &Subtree, fresh: u32) -> Option<Subtree> {
         let (mut nodes, mut sufs) = (Vec::new(), Vec::new());
         let mut top = 0u32;
         while (top as usize) < t.len() {
@@ -392,19 +402,8 @@ mod tests {
             if holds_new {
                 let shift = top - nodes.len() as u32;
                 for v in top..=end {
-                    let (suf_start, suf_end) = if t.is_leaf(v) {
-                        let start = sufs.len() as u32;
-                        sufs.extend_from_slice(t.leaf_suffixes(v));
-                        (start, sufs.len() as u32)
-                    } else {
-                        (0, 0)
-                    };
-                    nodes.push(Node {
-                        rightmost: t.rightmost(v) - shift,
-                        depth: t.depth(v),
-                        suf_start,
-                        suf_end,
-                    });
+                    let rightmost = t.rightmost(v) - shift;
+                    push_node(store, t, v, rightmost, &mut nodes, &mut sufs);
                 }
             }
             top = end + 1;
@@ -424,7 +423,7 @@ mod tests {
             let gated = build_in_scope_batch(&s, &part, &buckets, psi, fresh);
             let expect: Vec<Subtree> = whole
                 .iter()
-                .filter_map(|t| ranges_holding_new(t, fresh))
+                .filter_map(|t| ranges_holding_new(&s, t, fresh))
                 .collect();
             prop_assert_eq!(&gated, &expect, "w {} psi {} fresh {}", w, psi, fresh);
             for t in &gated {

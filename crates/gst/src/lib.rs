@@ -47,7 +47,7 @@
 //! let partition = pace_gst::assign_buckets(&pace_gst::count_buckets(&store, 2), 1);
 //! let scoped = pace_gst::build_in_scope_forest(&store, &partition, 0, 4);
 //! assert!(scoped.num_nodes() < forest.num_nodes());
-//! assert!(scoped.subtrees.iter().all(|t| t.node_depths().all(|(_, d)| d >= 4)));
+//! assert!(scoped.subtrees.iter().all(|t| t.node_depths(&store).all(|(_, d)| d >= 4)));
 //! scoped.validate(&store).unwrap();
 //!
 //! // With the second EST's strands (ids 2 and 3) new, only the ψ-groups

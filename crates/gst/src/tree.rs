@@ -11,34 +11,60 @@
 //! pointers, the node has no next sibling. A leaf is one whose rightmost
 //! leaf pointer points to itself."
 //!
-//! On top of that pointer each node stores its string-depth (needed for
-//! the decreasing-depth processing order and as the maximal-common-
-//! substring length) and, for leaves, the range of its suffix occurrences
-//! in a per-subtree arena. All identical suffixes share one leaf, exactly
-//! as in a generalized suffix tree with a shared terminator.
+//! Beside that pointer each node keeps one more 32-bit word, so a node
+//! takes 8 bytes. An internal node's word is its string depth (the
+//! decreasing-depth processing order and the maximal-common-substring
+//! length need it). A leaf's word is the end of its run of suffix
+//! occurrences in a per-subtree arena. Leaves own consecutive runs in DFS
+//! order, so a run starts where the previous leaf's ends. All identical
+//! suffixes share one leaf, exactly as in a generalized suffix tree with
+//! a shared terminator, so a leaf's depth is the length of any of its
+//! suffixes. [`Subtree`]'s accessors rebuild both.
 
 use crate::bucket::SuffixRef;
 use pace_seq::{SequenceStore, StrId};
+use std::ops::Range;
 
 /// Index of a node within its subtree's array.
 pub type NodeIdx = u32;
 
-/// One GST node: 16 bytes, DFS-ordered storage.
-///
-/// Public so the persistence layer can serialize subtrees field-by-field;
-/// everything else should go through [`Subtree`]'s navigation methods.
+/// One GST node: 8 bytes, DFS-ordered storage. Read it through
+/// [`Subtree`], whose accessors know what the second word means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// Index of the rightmost leaf in this node's subtree (self for leaves).
-    pub rightmost: u32,
-    /// String-depth: length of the path label from the (conceptual) GST
-    /// root down to this node.
-    pub depth: u32,
-    /// For leaves: start of this leaf's suffix occurrences in the arena.
-    /// For internal nodes: unused (set to the subtree's arena start).
-    pub suf_start: u32,
-    /// For leaves: end (exclusive) of the suffix occurrences.
-    pub suf_end: u32,
+    rightmost: u32,
+    /// An internal node's string depth; a leaf's arena end (exclusive).
+    word: u32,
+}
+
+impl Node {
+    /// An internal node of string depth `depth`.
+    #[inline]
+    pub(crate) fn internal(rightmost: NodeIdx, depth: u32) -> Node {
+        Node {
+            rightmost,
+            word: depth,
+        }
+    }
+
+    /// Leaf `idx`, owning `run` of its subtree's arena. `run` must start
+    /// where the previous leaf's run ends (at 0 for the first leaf).
+    #[inline]
+    pub(crate) fn leaf(idx: NodeIdx, run: Range<u32>) -> Node {
+        debug_assert!(run.start < run.end, "a leaf holds at least one suffix");
+        Node {
+            rightmost: idx,
+            word: run.end,
+        }
+    }
+
+    /// Set the rightmost pointer of an internal node once its subtree is
+    /// built.
+    #[inline]
+    pub(crate) fn set_rightmost(&mut self, rightmost: NodeIdx) {
+        self.rightmost = rightmost;
+    }
 }
 
 /// One bucket's subtree of the generalized suffix tree.
@@ -58,12 +84,9 @@ pub struct Subtree {
 }
 
 impl Subtree {
-    /// Reassemble a subtree from its raw arrays (the persistence layer's
-    /// decode path). No structural validation happens here — callers that
-    /// read untrusted bytes should follow up with [`Self::validate`];
-    /// the snapshot layer's checksums make post-decode corruption
-    /// unreachable in practice.
-    pub fn from_parts(bucket: u32, nodes: Vec<Node>, suffixes: Vec<SuffixRef>) -> Self {
+    /// Assemble a subtree from its raw arrays. No structural validation
+    /// happens here; [`Self::validate`] checks the result.
+    pub(crate) fn from_parts(bucket: u32, nodes: Vec<Node>, suffixes: Vec<SuffixRef>) -> Self {
         Subtree {
             bucket,
             nodes,
@@ -71,13 +94,7 @@ impl Subtree {
         }
     }
 
-    /// The DFS-ordered node array (for serialization).
-    #[inline]
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// The suffix-occurrence arena (for serialization).
+    /// The suffix-occurrence arena: each leaf's run, in DFS order.
     #[inline]
     pub fn suffixes(&self) -> &[SuffixRef] {
         &self.suffixes
@@ -109,10 +126,24 @@ impl Subtree {
         0
     }
 
-    /// String-depth of node `v`.
+    /// String-depth of node `v`: an internal node's is stored, and a
+    /// leaf's is the length of its suffixes, read from `store`.
     #[inline]
-    pub fn depth(&self, v: NodeIdx) -> u32 {
-        self.nodes[v as usize].depth
+    pub fn depth(&self, store: &SequenceStore, v: NodeIdx) -> u32 {
+        let n = self.nodes[v as usize];
+        if n.rightmost == v {
+            let suf = self.last_suffix(n);
+            store.len_of(StrId(suf.sid)) as u32 - suf.off
+        } else {
+            n.word
+        }
+    }
+
+    /// The last suffix of `leaf`'s run. Every suffix at a leaf is the
+    /// same string, so this one stands for all of them.
+    #[inline]
+    fn last_suffix(&self, leaf: Node) -> SuffixRef {
+        self.suffixes[leaf.word as usize - 1]
     }
 
     /// Whether `v` is a leaf (its rightmost pointer is itself).
@@ -127,14 +158,34 @@ impl Subtree {
         self.nodes[v as usize].rightmost
     }
 
-    /// The suffix occurrences at leaf `v` (empty slice for internal nodes).
-    pub fn leaf_suffixes(&self, v: NodeIdx) -> &[SuffixRef] {
-        let n = &self.nodes[v as usize];
-        if n.rightmost == v {
-            &self.suffixes[n.suf_start as usize..n.suf_end as usize]
-        } else {
-            &[]
+    /// The run of the arena ([`Self::suffixes`]) that leaf `v` owns, or
+    /// `0..0` for an internal node. The run starts at the previous leaf's
+    /// end: the node before `v`, unless `v` is a first child, whose
+    /// parent (and the ancestors it is the first child of) come between.
+    #[inline]
+    pub fn leaf_range(&self, v: NodeIdx) -> Range<usize> {
+        let n = self.nodes[v as usize];
+        if n.rightmost != v {
+            return 0..0;
         }
+        let mut u = v as usize;
+        let start = loop {
+            if u == 0 {
+                break 0;
+            }
+            u -= 1;
+            let prev = self.nodes[u];
+            if prev.rightmost == u as u32 {
+                break prev.word as usize;
+            }
+        };
+        start..n.word as usize
+    }
+
+    /// The suffix occurrences at leaf `v` (empty slice for internal nodes).
+    #[inline]
+    pub fn leaf_suffixes(&self, v: NodeIdx) -> &[SuffixRef] {
+        &self.suffixes[self.leaf_range(v)]
     }
 
     /// First child of `v`: the next array entry (paper's rule).
@@ -179,20 +230,19 @@ impl Subtree {
     }
 
     /// The path label of `v`: the first `depth(v)` characters of any
-    /// suffix stored below it.
+    /// suffix stored below it (here, the last suffix of its rightmost
+    /// leaf).
     pub fn path_label<'s>(&self, store: &'s SequenceStore, v: NodeIdx) -> &'s [u8] {
-        let leaf = self.first_leaf(v);
-        let suf = self.leaf_suffixes(leaf)[0];
-        let full = store.suffix(StrId(suf.sid), suf.off as usize);
-        &full[..self.depth(v) as usize]
+        let suf = self.last_suffix(self.nodes[self.rightmost(v) as usize]);
+        &suf.bytes(store)[..self.depth(store, v) as usize]
     }
 
     /// All node indices in DFS order paired with their depth.
-    pub fn node_depths(&self) -> impl Iterator<Item = (NodeIdx, u32)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (i as NodeIdx, n.depth))
+    pub fn node_depths<'a>(
+        &'a self,
+        store: &'a SequenceStore,
+    ) -> impl Iterator<Item = (NodeIdx, u32)> + 'a {
+        (0..self.len() as NodeIdx).map(move |v| (v, self.depth(store, v)))
     }
 
     /// Approximate heap footprint in bytes.
@@ -221,6 +271,7 @@ impl Subtree {
             }
             top = end + 1;
         }
+        // The leaves' runs tile the arena in DFS order, none empty.
         let mut covered = 0usize;
         for v in 0..n {
             let node = &self.nodes[v as usize];
@@ -230,29 +281,35 @@ impl Subtree {
                     node.rightmost
                 ));
             }
-            if !self.nodes[node.rightmost as usize].is_leaf_raw(node.rightmost) {
+            if !self.is_leaf(node.rightmost) {
                 return Err(format!(
                     "node {v}: rightmost {} is not a leaf",
                     node.rightmost
                 ));
             }
             if self.is_leaf(v) {
+                let end = node.word as usize;
+                if end <= covered || end > self.suffixes.len() {
+                    return Err(format!(
+                        "leaf {v}: run {covered}..{end} is empty or outside the arena of {}",
+                        self.suffixes.len()
+                    ));
+                }
+                covered = end;
+            }
+        }
+        if covered != self.suffixes.len() {
+            return Err(format!(
+                "leaves cover {covered} suffixes, arena has {}",
+                self.suffixes.len()
+            ));
+        }
+        for v in 0..n {
+            let depth = self.depth(store, v);
+            if self.is_leaf(v) {
+                // All suffixes at a leaf must be identical strings, so
+                // they share the leaf's depth.
                 let sufs = self.leaf_suffixes(v);
-                if sufs.is_empty() {
-                    return Err(format!("leaf {v} holds no suffixes"));
-                }
-                covered += sufs.len();
-                for suf in sufs {
-                    let bytes = suf.bytes(store);
-                    if bytes.len() != node.depth as usize {
-                        return Err(format!(
-                            "leaf {v}: suffix {suf:?} length {} != depth {}",
-                            bytes.len(),
-                            node.depth
-                        ));
-                    }
-                }
-                // All suffixes at a leaf must be identical strings.
                 let first = sufs[0].bytes(store);
                 for suf in &sufs[1..] {
                     if suf.bytes(store) != first {
@@ -262,26 +319,24 @@ impl Subtree {
             } else {
                 // Internal: at least two children, children sorted by
                 // branching character, each child strictly inside.
+                let rightmost = self.rightmost(v);
                 let mut count = 0;
                 let mut prev_char: Option<Option<u8>> = None;
                 for c in self.children(v) {
                     count += 1;
-                    if c <= v || c > node.rightmost {
+                    if c <= v || c > rightmost {
                         return Err(format!("node {v}: child {c} outside subtree"));
                     }
-                    if self.depth(c) < node.depth
-                        || (self.depth(c) == node.depth && !self.is_leaf(c))
-                    {
+                    let child_depth = self.depth(store, c);
+                    if child_depth < depth || (child_depth == depth && !self.is_leaf(c)) {
                         return Err(format!(
-                            "node {v} depth {}: child {c} depth {} violates ordering",
-                            node.depth,
-                            self.depth(c)
+                            "node {v} depth {depth}: child {c} depth {child_depth} violates ordering"
                         ));
                     }
                     // Branching character: the char of the child's label at
                     // position depth(v); None = end-of-string child.
                     let label = self.path_label(store, c);
-                    let ch = label.get(node.depth as usize).copied();
+                    let ch = label.get(depth as usize).copied();
                     if let Some(prev) = prev_char {
                         let ord_ok = match (prev, ch) {
                             (None, Some(_)) => true, // $ sorts first
@@ -297,7 +352,7 @@ impl Subtree {
                     prev_char = Some(ch);
                     // The child's label must extend the parent's label.
                     let plabel = self.path_label(store, v);
-                    if label[..node.depth as usize] != plabel[..] {
+                    if label[..depth as usize] != plabel[..] {
                         return Err(format!("node {v}: child {c} label does not extend parent"));
                     }
                 }
@@ -306,20 +361,7 @@ impl Subtree {
                 }
             }
         }
-        if covered != self.suffixes.len() {
-            return Err(format!(
-                "leaves cover {covered} suffixes, arena has {}",
-                self.suffixes.len()
-            ));
-        }
         Ok(())
-    }
-}
-
-impl Node {
-    #[inline]
-    fn is_leaf_raw(&self, own_idx: u32) -> bool {
-        self.rightmost == own_idx
     }
 }
 
@@ -347,13 +389,8 @@ impl Iterator for Children<'_> {
 mod tests {
     use super::*;
 
-    fn leaf(idx: u32, depth: u32, suf: u32) -> Node {
-        Node {
-            rightmost: idx,
-            depth,
-            suf_start: suf,
-            suf_end: suf + 1,
-        }
+    fn leaf(idx: u32, suf: u32) -> Node {
+        Node::leaf(idx, suf..suf + 1)
     }
 
     #[test]
@@ -366,19 +403,25 @@ mod tests {
             SuffixRef::new(0, 0),
             SuffixRef::new(0, 1),
         ];
-        let internal = Node {
-            rightmost: 2,
-            depth: 3,
-            suf_start: 0,
-            suf_end: 0,
-        };
-        let ranges = vec![internal, leaf(1, 4, 0), leaf(2, 4, 1), leaf(3, 3, 2)];
+        let ranges = vec![Node::internal(2, 3), leaf(1, 0), leaf(2, 1), leaf(3, 2)];
         let t = Subtree::from_parts(0, ranges.clone(), suffixes.clone());
         t.validate(&store).unwrap();
+        assert_eq!(
+            t.node_depths(&store).collect::<Vec<_>>(),
+            [(0, 3), (1, 4), (2, 4), (3, 3)]
+        );
+        assert_eq!(t.leaf_range(0), 0..0);
+        assert_eq!(t.leaf_range(1), 0..1);
+        assert_eq!(t.leaf_range(3), 2..3);
         // The first range's top claims a rightmost past the array.
-        let mut torn = ranges;
+        let mut torn = ranges.clone();
         torn[0].rightmost = 7;
-        let t = Subtree::from_parts(0, torn, suffixes);
+        let t = Subtree::from_parts(0, torn, suffixes.clone());
         assert!(t.validate(&store).unwrap_err().contains("outside"));
+        // A leaf whose run ends where the previous one's does holds nothing.
+        let mut empty = ranges;
+        empty[2].word = 1;
+        let t = Subtree::from_parts(0, empty, suffixes);
+        assert!(t.validate(&store).unwrap_err().contains("empty"));
     }
 }

@@ -22,7 +22,7 @@ pub use pace_wire::{
 };
 
 /// Wire protocol version exchanged in the rendezvous handshake.
-pub const WIRE_VERSION: u32 = 4;
+pub const WIRE_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Transport control messages

@@ -34,6 +34,7 @@
 //! | `comm.messages` / `comm.barriers` / `comm.reductions` | counter | mpisim traffic |
 //! | `gst.buckets` / `gst.nodes` / `gst.subtrees` | counter | GST build size (in-scope nodes and subtrees) |
 //! | `gst.max_depth` | gauge | deepest GST node (string depth) |
+//! | `gst.memory_bytes` / `pairgen.memory_bytes` | gauge | heap bytes of the largest forest (or build batch) and pair generator |
 //! | `master.busy_frac` | gauge | fraction of wall time the master worked |
 //! | `pairs.mcs_len` | histogram | generated pairs by maximal-common-substring length |
 //! | `partitioning`, `gst_construction`, `node_sorting`, `pair_generation`, `alignment`, `total` | phase | per-rank phase timings |

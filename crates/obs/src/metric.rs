@@ -50,6 +50,10 @@ pub const GST_NODES: &str = "gst.nodes";
 pub const GST_SUBTREES: &str = "gst.subtrees";
 /// Gauge: deepest node (string depth) in any subtree.
 pub const GST_MAX_DEPTH: &str = "gst.max_depth";
+/// Gauge: heap bytes of the largest forest, or build batch of one, that
+/// any rank built (`LocalForest::memory_bytes`: 8 bytes per node and 8
+/// per suffix occurrence).
+pub const GST_MEMORY_BYTES: &str = "gst.memory_bytes";
 
 /// Gauge: fraction of wall time the master spent busy.
 pub const MASTER_BUSY_FRAC: &str = "master.busy_frac";
@@ -117,6 +121,10 @@ pub const PAIRS_MCS_LEN: &str = "pairs.mcs_len";
 /// about 2^16) plus what a request left over — maximized over the run's
 /// generators.
 pub const PAIRGEN_PEAK_BUFFERED: &str = "pairgen.peak_buffered";
+/// Gauge: heap bytes of the largest pair generator, read when it is
+/// exhausted (`PairGenerator::memory_bytes`; its parts only grow, so
+/// that is its peak), maximized over the run's generators.
+pub const PAIRGEN_MEMORY_BYTES: &str = "pairgen.memory_bytes";
 
 /// Phase: bucket counting, global summation and bucket assignment.
 pub const PHASE_PARTITIONING: &str = "partitioning";

@@ -16,12 +16,13 @@
 //!   reads it straight from the DFS array. A multi-suffix leaf is
 //!   scheduled for its own products only, and its parent reads it in
 //!   place too.
-//! * **Dense slots.** An internal node's lsets wait for its parent in a
-//!   slab entry (reused through a free list) that the node's slot — one
-//!   `u32` per forest node, indexed by subtree base plus DFS index —
-//!   points to. Children are gathered into a fixed array of five (at
-//!   most one child per `$ACGT`), and class products with an empty side
-//!   are skipped.
+//! * **Slots for internal nodes only.** An internal node's lsets wait for
+//!   its parent in a slab entry (reused through a free list) that the
+//!   node's slot points to. Only in-scope internal nodes ever hold lsets,
+//!   so only they get a `u32` slot: a node's slot is its rank among them
+//!   in forest order, read from a bitmap with a count per 64-bit word.
+//!   Children are gathered into a fixed array of five (at most one child
+//!   per `$ACGT`), and class products with an empty side are skipped.
 //! * **Signature-gated dedup.** The cross-child duplicate-elimination
 //!   walk starts only at the first child whose string signature meets
 //!   an earlier sibling's; disjoint signatures prove there is nothing to
@@ -37,7 +38,7 @@
 
 use crate::lset::{class_of, Arena, LsetIter, Lsets, NIL, NUM_CLASSES};
 use crate::pair::CandidatePair;
-use pace_gst::{LocalForest, Node, NodeIdx, Subtree};
+use pace_gst::{LocalForest, NodeIdx, Subtree};
 use pace_seq::{SequenceStore, StrId, Strand};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -130,11 +131,14 @@ pub struct PairGenerator<'s> {
     pos: usize,
     /// Most pairs ever buffered at once.
     peak_buffered: usize,
-    /// Node `v` of subtree `t` owns `slot[base[t] + v]`.
-    base: Vec<usize>,
-    /// Per forest node, the `held` entry with its lsets, `NIL`, or
-    /// [`UNREAD`]. An internal node fills its slot when processed and its
-    /// parent empties it, so `held` tracks only the active frontier.
+    /// Node `v` of subtree `t` is at forest position `base[t] + v`.
+    base: Vec<u32>,
+    /// Which forest positions hold an in-scope internal node.
+    internal: RankBits,
+    /// Per in-scope internal node, by rank: the `held` entry with its
+    /// lsets, `NIL`, or [`UNREAD`]. A node fills its slot when processed
+    /// and its parent empties it, so `held` tracks only the active
+    /// frontier.
     slot: Vec<u32>,
     held: Vec<Lsets>,
     /// Vacated `held` entries, reused before the slab grows.
@@ -168,8 +172,9 @@ impl<'s> PairGenerator<'s> {
             schedule,
             lone_leaves,
             base,
+            internal,
             slot,
-        } = plan(forest, config.psi, config.order);
+        } = plan(store, forest, config.psi, config.order);
         let max_band = match config.order {
             PairOrder::DecreasingMcs => BAND_NODES,
             PairOrder::Arbitrary => 1,
@@ -184,6 +189,7 @@ impl<'s> PairGenerator<'s> {
             pos: 0,
             peak_buffered: 0,
             base,
+            internal,
             slot,
             held: Vec::new(),
             free: Vec::new(),
@@ -229,14 +235,17 @@ impl<'s> PairGenerator<'s> {
     }
 
     /// Approximate heap footprint of the generator's own state: the lset
-    /// arena, the marker array, the schedule, the slots with their slab
-    /// and free list, and the pair buffer (about one band's pairs).
+    /// arena, the marker array, the schedule, the slots (one per in-scope
+    /// internal node) with their rank index, slab and free list, and the
+    /// pair buffer (about one band's pairs). No part ever shrinks, so the
+    /// value at exhaustion is the generator's peak.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.arena.memory_bytes()
             + self.marker.capacity() * size_of::<u64>()
             + self.schedule.capacity() * size_of::<(u32, NodeIdx)>()
-            + self.base.capacity() * size_of::<usize>()
+            + self.base.capacity() * size_of::<u32>()
+            + self.internal.memory_bytes()
             + self.slot.capacity() * size_of::<u32>()
             + self.held.capacity() * size_of::<Lsets>()
             + self.free.capacity() * size_of::<u32>()
@@ -339,7 +348,7 @@ impl<'s> PairGenerator<'s> {
     fn process_leaf(&mut self, tree: &Subtree, v: NodeIdx) {
         let top = self.arena.len();
         let lsets = self.read_leaf(tree, v);
-        let depth = tree.depth(v);
+        let depth = tree.depth(self.store, v);
         let (arena, out) = (&self.arena, &mut self.out);
         // P_v = ⋃ l_ci × l_cj for ci < cj, plus l_λ × l_λ (unordered).
         for ci in 0..NUM_CLASSES {
@@ -363,7 +372,7 @@ impl<'s> PairGenerator<'s> {
     /// different characters (or both λ), then union the lsets upward.
     fn process_internal(&mut self, t: usize, v: NodeIdx) {
         let tree = &self.forest.subtrees[t];
-        let base = self.base[t];
+        let base = self.base[t] as usize;
         // At most one child per `$ACGT`.
         let mut kids = [Lsets::new(); 5];
         let mut n = 0;
@@ -371,7 +380,7 @@ impl<'s> PairGenerator<'s> {
             kids[n] = if tree.is_leaf(u) {
                 self.read_leaf(tree, u)
             } else {
-                self.take(base + u as usize)
+                self.take(self.internal.rank(base + u as usize))
             };
             n += 1;
         }
@@ -396,7 +405,7 @@ impl<'s> PairGenerator<'s> {
         }
 
         // Step 2: P_v = ⋃ l_ci(u_k) × l_cj(u_l), k < l, ci ≠ cj or both λ.
-        let depth = tree.depth(v);
+        let depth = tree.depth(self.store, v);
         let (arena, out) = (&self.arena, &mut self.out);
         for k in 0..n {
             for l in (k + 1)..n {
@@ -416,7 +425,7 @@ impl<'s> PairGenerator<'s> {
 
         // Step 3: l_c(v) = ⋃_k l_c(u_k) — O(|Σ|²) splices — for the
         // parent to take, if it is in scope.
-        let s = base + v as usize;
+        let s = self.internal.rank(base + v as usize);
         if self.slot[s] != UNREAD {
             let mut merged = kids[0];
             for &ls in &kids[1..] {
@@ -449,24 +458,18 @@ impl<'s> PairGenerator<'s> {
     }
 }
 
-/// Whether node `v` (at `node`) is a leaf holding a single suffix: it
-/// emits nothing, so its parent reads it in place instead of it being
-/// scheduled.
-#[inline]
-fn is_lone_leaf(node: &Node, v: NodeIdx) -> bool {
-    node.rightmost == v && node.suf_end - node.suf_start == 1
-}
-
 /// What the generator works out from its forest before the first node.
 struct Plan {
     /// `(subtree index, node index)` in processing order.
     schedule: Vec<(u32, NodeIdx)>,
     /// In-scope single-suffix leaves, left out of the schedule.
     lone_leaves: u64,
-    /// Each subtree's first slot.
-    base: Vec<usize>,
-    /// One slot per forest node: `NIL`, or [`UNREAD`] for an in-scope
-    /// internal node whose parent is out of scope.
+    /// Each subtree's first forest position.
+    base: Vec<u32>,
+    /// The forest positions of the in-scope internal nodes.
+    internal: RankBits,
+    /// One slot per in-scope internal node, by rank: `NIL`, or
+    /// [`UNREAD`] when its parent is out of scope.
     slot: Vec<u32>,
 }
 
@@ -474,8 +477,45 @@ struct Plan {
 /// will read its lsets, so it holds none.
 const UNREAD: u32 = NIL - 1;
 
+/// A bitmap over forest positions with the count of set bits before each
+/// 64-bit word, so a set position's rank among them costs two reads and
+/// a popcount: 12 bytes per 64 positions.
+struct RankBits {
+    words: Vec<u64>,
+    before: Vec<u32>,
+}
+
+impl RankBits {
+    /// Index a finished bitmap.
+    fn new(words: Vec<u64>) -> Self {
+        let mut ones = 0u32;
+        let before = words
+            .iter()
+            .map(|w| {
+                let b = ones;
+                ones += w.count_ones();
+                b
+            })
+            .collect();
+        RankBits { words, before }
+    }
+
+    /// The number of set positions before `g`.
+    #[inline]
+    fn rank(&self, g: usize) -> usize {
+        let (w, b) = (g / 64, g % 64);
+        self.before[w] as usize + (self.words[w] & ((1u64 << b) - 1)).count_ones() as usize
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.before.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
 /// Plan a generator over `forest`: build the node-processing schedule
-/// without a comparison sort, and mark the [`UNREAD`] slots.
+/// without a comparison sort, and give each in-scope internal node a
+/// slot, marking the [`UNREAD`] ones.
 ///
 /// String-depths are bounded by the longest stored string, so the
 /// decreasing-MCS order is a bucket sort over the depth range —
@@ -485,47 +525,61 @@ const UNREAD: u32 = NIL - 1;
 /// bucket entries arrive in ascending subtree order with descending node
 /// index (the tie-break that puts equal-depth terminator leaves before
 /// their parents, keeping children ahead of parents everywhere).
-fn plan(forest: &LocalForest, psi: u32, order: PairOrder) -> Plan {
+fn plan(store: &SequenceStore, forest: &LocalForest, psi: u32, order: PairOrder) -> Plan {
+    // A forest gated at ψ or above holds no node shallower than ψ.
+    let gated = forest.psi >= psi;
     let mut base = Vec::with_capacity(forest.subtrees.len());
-    let mut nodes = 0;
+    let mut nodes = 0usize;
     for tree in &forest.subtrees {
-        base.push(nodes);
+        base.push(u32::try_from(nodes).expect("a forest holds fewer than 2^32 nodes"));
         nodes += tree.len();
     }
-    let mut slot = vec![NIL; nodes];
-    // Pass 1: per-depth histogram of the scheduled nodes. In-scope nodes
-    // form whole DFS ranges (a child is at least as deep as its parent),
-    // so a node past the end of the last range is the top of a new one.
+    let mut internal = vec![0u64; nodes.div_ceil(64)];
+    let mut scheduled = vec![0u64; nodes.div_ceil(64)];
+    let mut slot = Vec::new();
+    // Pass 1: per-depth histogram of the scheduled nodes, which it marks
+    // for pass 2, and the slots. In-scope nodes form whole DFS ranges (a
+    // child is at least as deep as its parent), so an in-scope internal
+    // node past the end of the last range is the top of a new one.
     let mut by_depth: Vec<usize> = Vec::new();
     let mut lone_leaves = 0u64;
     for (tree, &b) in forest.subtrees.iter().zip(&base) {
         let mut range_end = None;
-        for (v, node) in tree.nodes().iter().enumerate() {
-            let v = v as NodeIdx;
-            if node.depth < psi {
+        for v in 0..tree.len() as NodeIdx {
+            // A single-suffix leaf emits nothing, so its parent reads it in
+            // place instead of it being scheduled. Its suffix count comes
+            // from its neighbour's arena boundary, and its depth is read
+            // only when the forest may hold nodes shallower than ψ.
+            if tree.is_leaf(v) && tree.leaf_range(v).len() == 1 {
+                lone_leaves += u64::from(gated || tree.depth(store, v) >= psi);
                 continue;
             }
-            if range_end.is_none_or(|end| v > end) {
-                range_end = Some(node.rightmost);
-                if node.rightmost != v {
-                    slot[b + v as usize] = UNREAD;
+            let d = tree.depth(store, v) as usize;
+            if d < psi as usize {
+                continue;
+            }
+            let g = b as usize + v as usize;
+            scheduled[g / 64] |= 1 << (g % 64);
+            if !tree.is_leaf(v) {
+                internal[g / 64] |= 1 << (g % 64);
+                let top = range_end.is_none_or(|end| v > end);
+                if top {
+                    range_end = Some(tree.rightmost(v));
                 }
+                slot.push(if top { UNREAD } else { NIL });
             }
-            if is_lone_leaf(node, v) {
-                lone_leaves += 1;
-                continue;
-            }
-            let d = node.depth as usize;
             if d >= by_depth.len() {
                 by_depth.resize(d + 1, 0);
             }
             by_depth[d] += 1;
         }
     }
+    slot.shrink_to_fit();
     let total: usize = by_depth.iter().sum();
     let mut schedule = vec![(0u32, 0 as NodeIdx); total];
-    // Pass 2: fill in reverse DFS order per subtree, which keeps children
-    // ahead of parents. `next[d]` is where the next depth-`d` node goes:
+    // Pass 2: fill the marked nodes in reverse DFS order per subtree,
+    // which keeps children ahead of parents, reading only a scheduled
+    // node's depth. `next[d]` is where the next depth-`d` node goes:
     // deeper buckets first for the paper's order, one shared cursor for
     // tree order.
     let mut next = vec![0usize; by_depth.len()];
@@ -537,14 +591,14 @@ fn plan(forest: &LocalForest, psi: u32, order: PairOrder) -> Plan {
         }
     }
     let mut cursor = 0usize;
-    for (t, tree) in forest.subtrees.iter().enumerate() {
-        for (v, node) in tree.nodes().iter().enumerate().rev() {
-            let v = v as NodeIdx;
-            if node.depth < psi || is_lone_leaf(node, v) {
+    for (t, (tree, &b)) in forest.subtrees.iter().zip(&base).enumerate() {
+        for v in (0..tree.len() as NodeIdx).rev() {
+            let g = b as usize + v as usize;
+            if scheduled[g / 64] >> (g % 64) & 1 == 0 {
                 continue;
             }
             let at = match order {
-                PairOrder::DecreasingMcs => &mut next[node.depth as usize],
+                PairOrder::DecreasingMcs => &mut next[tree.depth(store, v) as usize],
                 PairOrder::Arbitrary => &mut cursor,
             };
             schedule[*at] = (t as u32, v);
@@ -555,6 +609,7 @@ fn plan(forest: &LocalForest, psi: u32, order: PairOrder) -> Plan {
         schedule,
         lone_leaves,
         base,
+        internal: RankBits::new(internal),
         slot,
     }
 }
@@ -863,7 +918,7 @@ mod tests {
         let in_scope = forest
             .subtrees
             .iter()
-            .flat_map(|t| t.node_depths())
+            .flat_map(|t| t.node_depths(&s))
             .filter(|&(_, d)| d >= 6)
             .count() as u64;
         let mut g = PairGenerator::new(&s, &forest, PairGenConfig::new(6));
@@ -913,13 +968,14 @@ mod tests {
     /// nodes, with the same filter for scheduled nodes (single-suffix
     /// leaves are read in place).
     fn comparator_schedule(
+        store: &SequenceStore,
         forest: &pace_gst::LocalForest,
         psi: u32,
         order: PairOrder,
     ) -> Vec<(u32, pace_gst::NodeIdx)> {
         let mut schedule = Vec::new();
         for (t, tree) in forest.subtrees.iter().enumerate() {
-            for (v, depth) in tree.node_depths() {
+            for (v, depth) in tree.node_depths(store) {
                 if depth >= psi && tree.leaf_suffixes(v).len() != 1 {
                     schedule.push((t as u32, v));
                 }
@@ -927,7 +983,7 @@ mod tests {
         }
         match order {
             PairOrder::DecreasingMcs => schedule.sort_by_key(|&(t, v)| {
-                let depth = forest.subtrees[t as usize].depth(v);
+                let depth = forest.subtrees[t as usize].depth(store, v);
                 (std::cmp::Reverse(depth), t, std::cmp::Reverse(v))
             }),
             PairOrder::Arbitrary => schedule.sort_by_key(|&(t, v)| (t, std::cmp::Reverse(v))),
@@ -951,8 +1007,8 @@ mod tests {
             let forest = build_sequential(&s, w);
             let psi = w as u32 + psi_extra;
             for order in [PairOrder::DecreasingMcs, PairOrder::Arbitrary] {
-                let fast = super::plan(&forest, psi, order).schedule;
-                let reference = comparator_schedule(&forest, psi, order);
+                let fast = super::plan(&s, &forest, psi, order).schedule;
+                let reference = comparator_schedule(&s, &forest, psi, order);
                 prop_assert_eq!(&fast, &reference, "order {:?} psi {}", order, psi);
             }
         }
@@ -983,8 +1039,9 @@ mod tests {
         /// `DecreasingMcs` still processes every scheduled child before
         /// its parent (the invariant `process_internal` relies on when it
         /// takes the children's held lsets), and leaves out exactly the
-        /// in-scope single-suffix leaves, which it counts. The slots mark
-        /// exactly the in-scope internal nodes without an in-scope parent.
+        /// in-scope single-suffix leaves, which it counts. Exactly the
+        /// in-scope internal nodes get slots, and the slots mark those
+        /// without an in-scope parent.
         #[test]
         fn decreasing_mcs_yields_children_before_parents(
             ests in dna_ests(),
@@ -994,7 +1051,7 @@ mod tests {
             let s = SequenceStore::from_ests(&ests).unwrap();
             let forest = build_sequential(&s, w);
             let psi = w as u32 + psi_extra;
-            let plan = super::plan(&forest, psi, PairOrder::DecreasingMcs);
+            let plan = super::plan(&s, &forest, psi, PairOrder::DecreasingMcs);
             let mut position = std::collections::HashMap::new();
             for (i, &(t, v)) in plan.schedule.iter().enumerate() {
                 position.insert((t, v), i);
@@ -1003,21 +1060,27 @@ mod tests {
             for (t, tree) in forest.subtrees.iter().enumerate() {
                 let mut in_scope_parent = vec![false; tree.len()];
                 for v in 0..tree.len() as u32 {
-                    let in_scope = tree.depth(v) >= psi;
+                    let in_scope = tree.depth(&s, v) >= psi;
                     for c in tree.children(v) {
                         in_scope_parent[c as usize] = in_scope;
                     }
-                    let top = in_scope && !tree.is_leaf(v) && !in_scope_parent[v as usize];
-                    prop_assert_eq!(
-                        plan.slot[plan.base[t] + v as usize] == super::UNREAD,
-                        top,
-                        "node {} slot mark",
-                        v
-                    );
+                    // Exactly the in-scope internal nodes have slots.
+                    let g = plan.base[t] as usize + v as usize;
+                    let has_slot = plan.internal.words[g / 64] >> (g % 64) & 1 == 1;
+                    prop_assert_eq!(has_slot, in_scope && !tree.is_leaf(v), "node {} slot", v);
+                    if has_slot {
+                        let top = !in_scope_parent[v as usize];
+                        prop_assert_eq!(
+                            plan.slot[plan.internal.rank(g)] == super::UNREAD,
+                            top,
+                            "node {} slot mark",
+                            v
+                        );
+                    }
                 }
                 for v in 0..tree.len() as u32 {
                     let Some(&pv) = position.get(&(t as u32, v)) else {
-                        if tree.depth(v) >= psi {
+                        if tree.depth(&s, v) >= psi {
                             prop_assert!(
                                 tree.is_leaf(v) && tree.leaf_suffixes(v).len() == 1,
                                 "in-scope node {} is neither scheduled nor a single-suffix leaf",

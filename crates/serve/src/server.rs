@@ -734,6 +734,7 @@ mod tests {
         // first fold that is less than the whole collection's forest.
         let cfg = small_cluster_cfg();
         let (mut nodes, mut subtrees, mut max_depth, mut whole_nodes) = (0, 0, 0, 0);
+        let mut forest_bytes = 0;
         for fold in 0..3 {
             let folded = 3 * (fold + 1);
             let reads: Vec<&[u8]> = (0..folded).map(|i| &template[i * 30..][..120]).collect();
@@ -761,7 +762,8 @@ mod tests {
             }
             nodes += forest.num_nodes() as u64;
             subtrees += forest.subtrees.len() as u64;
-            max_depth = max_depth.max(forest.max_depth());
+            max_depth = max_depth.max(forest.max_depth(&store));
+            forest_bytes = forest_bytes.max(forest.memory_bytes());
             whole_nodes += whole.num_nodes() as u64;
         }
         assert!(nodes > 0);
@@ -769,6 +771,8 @@ mod tests {
         assert_eq!(snap.counters[metric::GST_NODES], nodes);
         assert_eq!(snap.counters[metric::GST_SUBTREES], subtrees);
         assert_eq!(snap.gauges[metric::GST_MAX_DEPTH], max_depth as f64);
+        assert_eq!(snap.gauges[metric::GST_MEMORY_BYTES], forest_bytes as f64);
+        assert!(snap.gauges[metric::PAIRGEN_MEMORY_BYTES] > 0.0);
         handle.stop().expect("clean stop");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -15,10 +15,11 @@
 use pace_gst::BucketPartition;
 
 /// Node-array bytes per suffix occurrence: a bucket subtree has at most
-/// one leaf plus one internal node per suffix, 2 nodes × 16 bytes each.
-/// Subtrees are allocated at their final size, and an in-scope subtree
-/// is smaller than the full one, so this bounds what a batch holds.
-pub const NODE_PREALLOC_BYTES_PER_SUFFIX: u64 = 32;
+/// one leaf plus one internal node per suffix, 2 nodes × 8 bytes each
+/// (a rightmost pointer plus a depth or an arena boundary). Subtrees are
+/// allocated at their final size, and an in-scope subtree is smaller
+/// than the full one, so this bounds what a batch holds.
+pub const NODE_PREALLOC_BYTES_PER_SUFFIX: u64 = 16;
 
 /// Suffix-arena bytes per occurrence: one 8-byte `SuffixRef` slot.
 pub const ARENA_BYTES_PER_SUFFIX: u64 = 8;

@@ -22,7 +22,9 @@
 #      one process per rank): `pace-trace --check` over the merged
 #      per-process files, and a run report that holds what the workers
 #      ship home in their summaries (`timers.align_batch`,
-#      `counters["gst.nodes"]`, `histograms["pairs.mcs_len"]`).
+#      `counters["gst.nodes"]`, `histograms["pairs.mcs_len"]`, and
+#      positive `gauges["gst.memory_bytes"]` and
+#      `gauges["pairgen.memory_bytes"]`).
 #
 # Usage: scripts/trace_smoke.sh [pace-binary] [pace-trace-binary] [outdir]
 set -euo pipefail
@@ -169,6 +171,11 @@ missing = [
         ("histograms", "pairs.mcs_len"),
     ]
     if key not in metrics.get(section, {})
+]
+missing += [
+    f'gauges["{key}"] > 0'
+    for key in ["gst.memory_bytes", "pairgen.memory_bytes"]
+    if not metrics.get("gauges", {}).get(key, 0) > 0
 ]
 if missing:
     print(f"trace_smoke: FAIL the uds run report lacks {', '.join(missing)}")

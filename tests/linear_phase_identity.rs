@@ -133,16 +133,16 @@ fn in_scope_forest(store: &SequenceStore, w: usize, psi: u32) -> LocalForest {
 /// Single-suffix leaves of depth ≥ ψ in the full forest whose parent is
 /// shallower than ψ (a bucket's root counts as having such a parent):
 /// the nodes the in-scope forest leaves out that a generator would count.
-fn lone_leaves_under_shallow_parents(full: &LocalForest, psi: u32) -> u64 {
+fn lone_leaves_under_shallow_parents(store: &SequenceStore, full: &LocalForest, psi: u32) -> u64 {
     let mut n = 0;
     for t in &full.subtrees {
         let mut parent_depth = vec![0u32; t.len()];
         for v in 0..t.len() as u32 {
             for c in t.children(v) {
-                parent_depth[c as usize] = t.depth(v);
+                parent_depth[c as usize] = t.depth(store, v);
             }
             let lone = t.is_leaf(v) && t.leaf_suffixes(v).len() == 1;
-            if lone && t.depth(v) >= psi && parent_depth[v as usize] < psi {
+            if lone && t.depth(store, v) >= psi && parent_depth[v as usize] < psi {
                 n += 1;
             }
         }
@@ -163,7 +163,7 @@ fn in_scope_stream_and_stats_fingerprint(
     let full_stats = hash_forest_pairs(&mut Fnv::new(), store, &full, cfg);
     let mut h = Fnv::new();
     let st = hash_forest_pairs(&mut h, store, &in_scope_forest(store, w, cfg.psi), cfg);
-    let dropped = lone_leaves_under_shallow_parents(&full, cfg.psi);
+    let dropped = lone_leaves_under_shallow_parents(store, &full, cfg.psi);
     assert!(dropped > 0, "the gate should drop lone leaves here");
     assert_eq!(
         GenStats {
@@ -196,17 +196,20 @@ fn repeat_heavy_dataset(seed: u64) -> SequenceStore {
     SequenceStore::from_ests(&ds.ests).unwrap()
 }
 
-/// Fingerprint of the DFS node arrays of every subtree, order included.
+/// Fingerprint of the DFS node arrays of every subtree, order included:
+/// per node its rightmost leaf, its depth and its run of the suffix arena
+/// (`0..0` for an internal node), as the accessors rebuild them.
 fn forest_fingerprint(store: &SequenceStore) -> u64 {
     let forest = build_sequential(store, 8);
     let mut h = Fnv::new();
     for t in &forest.subtrees {
         h.push(t.bucket as u64);
-        for n in t.nodes() {
-            h.push(n.rightmost as u64);
-            h.push(n.depth as u64);
-            h.push(n.suf_start as u64);
-            h.push(n.suf_end as u64);
+        for v in 0..t.len() as u32 {
+            let run = t.leaf_range(v);
+            h.push(t.rightmost(v) as u64);
+            h.push(t.depth(store, v) as u64);
+            h.push(run.start as u64);
+            h.push(run.end as u64);
         }
         for s in t.suffixes() {
             h.push(s.sid as u64);

@@ -4,8 +4,10 @@
 //! two input sizes; their per-base footprint must not grow with `n`
 //! (within allocator slack). The baseline's materialized pair list, by
 //! contrast, must grow superlinearly per EST — that contrast is Table 1's
-//! memory story.
+//! memory story. The constant is pinned too: the paper's 8-byte node, and
+//! generator slots for internal nodes only.
 
+use pace::gst::{assign_buckets, build_in_scope_forest, count_buckets};
 use pace::pairgen::{PairGenConfig, PairGenerator};
 use pace::{SequenceStore, SimConfig};
 
@@ -106,4 +108,39 @@ fn generator_high_water_mark_is_insensitive_to_batch_size() {
         (huge as f64) < 1.5 * tiny as f64 && (tiny as f64) < 1.5 * huge as f64,
         "batch size changed the memory profile: {tiny} vs {huge}"
     );
+}
+
+/// The paper's node holds a rightmost-leaf pointer and one more word (an
+/// internal node's depth, a leaf's arena boundary), so an in-scope forest
+/// takes 8 bytes per node and 8 per suffix occurrence. Only internal
+/// nodes ever hold lsets, so the generator sets up a slot for each of
+/// them and none for a leaf.
+#[test]
+fn nodes_take_eight_bytes_and_only_internal_nodes_get_slots() {
+    assert_eq!(std::mem::size_of::<pace::gst::Node>(), 8);
+    let store = SequenceStore::from_ests(&dataset(300, 606)).unwrap();
+    let partition = assign_buckets(&count_buckets(&store, 8), 1);
+    let forest = build_in_scope_forest(&store, &partition, 0, 20);
+    let (nodes, suffixes) = (forest.num_nodes(), forest.num_suffixes());
+    assert_eq!(forest.memory_bytes(), 8 * (nodes + suffixes));
+
+    let (mut internal, mut multi_suffix_leaves) = (0, 0);
+    for t in &forest.subtrees {
+        for v in 0..t.len() as u32 {
+            if !t.is_leaf(v) {
+                internal += 1;
+            } else if t.leaf_suffixes(v).len() > 1 {
+                multi_suffix_leaves += 1;
+            }
+        }
+    }
+    assert!(0 < internal && internal < nodes / 2);
+    let g = PairGenerator::new(&store, &forest, PairGenConfig::new(20));
+    let setup = 12 * suffixes // the lset arena: string id, offset, link
+        + 8 * store.num_strings() // the marker array
+        + 8 * (internal + multi_suffix_leaves) // the schedule
+        + 4 * forest.subtrees.len() // each subtree's first position
+        + 12 * nodes.div_ceil(64) // which positions are internal, ranked
+        + 4 * internal; // the slots
+    assert_eq!(g.memory_bytes(), setup);
 }
