@@ -246,8 +246,9 @@ impl IncrementalClusterer {
     /// strand, so both strands of every new EST count as new; onto an
     /// empty clusterer it is 0 and the whole in-scope forest is built.
     ///
-    /// A bad batch (length mismatch, empty or non-DNA sequence) leaves
-    /// the clusterer untouched.
+    /// A bad batch (length mismatch, an empty or non-DNA sequence, or one
+    /// the store could not address: see [`pace_seq::append_bound`])
+    /// leaves the clusterer untouched.
     pub fn fold_batch<S: AsRef<[u8]>>(
         &mut self,
         ids: &[String],
@@ -267,12 +268,15 @@ impl IncrementalClusterer {
             });
         }
         // Validate before mutating state, so a bad batch leaves the
-        // clusterer untouched.
+        // clusterer untouched: the store built below must be able to
+        // address every EST it holds.
+        let mut stored = 2 * self.ests.iter().map(Vec::len).sum::<usize>();
         for (index, est) in batch.iter().enumerate() {
             let est = est.as_ref();
             if est.is_empty() {
                 return Err(SeqError::EmptySequence { index });
             }
+            stored = pace_seq::append_bound(index, est.len(), stored)?;
             pace_seq::alphabet::validate_dna(est)?;
         }
         let first_new = self.ests.len();

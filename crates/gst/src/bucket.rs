@@ -6,28 +6,104 @@
 //! inspects tree nodes of string-depth `≥ ψ`, and the threshold `ψ` is
 //! always chosen `≥ w`, so such suffixes can never participate in a
 //! reported maximal common substring anyway.
+//!
+//! A suffix is one 8-byte [`SuffixRef`]: its string id, and one word that
+//! holds its offset (29 bits) above the class of the base to its left
+//! (3 bits: λ = 0 at offset 0, A/C/G/T = 1–4). The scatter's rolling tag
+//! shifts that base out as it reaches the suffix, so the class costs no
+//! text read, and pair generation seeds its lsets from the entry alone.
+//! The offset field bounds a string to [`MAX_EST_LEN`] bases, which the
+//! store enforces.
 
-use pace_seq::{Base, SequenceStore, StrId};
+use pace_seq::{Base, SequenceStore, StrId, MAX_EST_LEN};
 use std::ops::Range;
 
-/// A reference to one suffix: string id and start offset within it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Bits of [`SuffixRef`]'s second word that hold the left class.
+const CLASS_BITS: u32 = 3;
+
+// Every offset of a string the store accepts fits above the class bits.
+const _: () = assert!(MAX_EST_LEN < 1 << (32 - CLASS_BITS));
+
+/// A reference to one suffix: its string id, its start offset within the
+/// string, and the class of the base left of it. Ordered by
+/// `(sid, off)`: the offset sits above the class, which `(sid, off)`
+/// determines.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SuffixRef {
-    /// The string the suffix belongs to.
-    pub sid: u32,
-    /// Start offset of the suffix within the string.
-    pub off: u32,
+    sid: u32,
+    /// `off << CLASS_BITS | class`.
+    off_class: u32,
 }
 
 impl SuffixRef {
-    /// Construct from raw parts.
-    pub fn new(sid: u32, off: u32) -> Self {
-        SuffixRef { sid, off }
+    /// The suffix of string `sid` at `off`, whose left base has class
+    /// `class` (0 for λ when `off == 0`, else 1–4 for A/C/G/T).
+    #[inline]
+    pub(crate) fn new(sid: u32, off: u32, class: u8) -> Self {
+        debug_assert!(
+            off as usize <= MAX_EST_LEN,
+            "offset {off} past the packed field"
+        );
+        debug_assert!(
+            (class == 0) == (off == 0) && class < 5,
+            "class {class} at offset {off}"
+        );
+        SuffixRef {
+            sid,
+            off_class: off << CLASS_BITS | u32::from(class),
+        }
+    }
+
+    /// The suffix of string `sid` at `off`, with its class read from
+    /// `store`.
+    #[cfg(test)]
+    pub(crate) fn at(store: &SequenceStore, sid: u32, off: u32) -> Self {
+        let class = match off {
+            0 => 0,
+            _ => {
+                let left = store.seq(StrId(sid))[off as usize - 1];
+                Base::from_ascii(left)
+                    .expect("store contains only ACGT")
+                    .code()
+                    + 1
+            }
+        };
+        SuffixRef::new(sid, off, class)
+    }
+
+    /// The string the suffix belongs to.
+    #[inline]
+    pub fn sid(self) -> u32 {
+        self.sid
+    }
+
+    /// Start offset of the suffix within its string.
+    #[inline]
+    pub fn off(self) -> u32 {
+        self.off_class >> CLASS_BITS
+    }
+
+    /// The class of the base left of the suffix: 0 (λ) at offset 0, else
+    /// 1–4 for A, C, G, T. Pair generation files the suffix's string in
+    /// this lset.
+    #[inline]
+    pub fn class(self) -> u8 {
+        (self.off_class & ((1 << CLASS_BITS) - 1)) as u8
     }
 
     /// The bytes of this suffix in `store`.
     pub fn bytes<'s>(&self, store: &'s SequenceStore) -> &'s [u8] {
-        store.suffix(StrId(self.sid), self.off as usize)
+        store.suffix(StrId(self.sid), self.off() as usize)
+    }
+}
+
+impl std::fmt::Debug for SuffixRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuffixRef")
+            .field("sid", &self.sid())
+            .field("off", &self.off())
+            .field("class", &self.class())
+            .finish()
     }
 }
 
@@ -93,7 +169,8 @@ static CODE: [u8; 256] = {
 /// `sids` of `store`, calling `f(tag, suffix)` with the 2-bit codes of its
 /// first `min(gate, TAG_BASES)` bases, most significant first. This is
 /// the single scan the counting pass, the scatter and a fold's bucket
-/// marking share.
+/// marking share. Each suffix carries the class of the base to its left:
+/// the code the rolling tag shifts out to reach it.
 ///
 /// Bases are decoded through [`CODE`]; a string holding a byte outside
 /// `ACGT` is rejected once, after its scan, by the `NOT_DNA` bit its
@@ -117,13 +194,15 @@ fn for_each_tagged_suffix(
             seen |= c;
             u64::from(c & 3)
         };
-        // Rolling tag: shift out the leading base, shift in the next. The
-        // suffix at `off` gains the base at `off + tag_len - 1`.
+        // Rolling tag: shift out the leading base, which is the left base
+        // of the next suffix, and shift in the next. The suffix at `off`
+        // gains the base at `off + tag_len - 1`.
         let mut tag = seq[..tag_len].iter().fold(0, |t, &b| (t << 2) | code(b));
-        f(tag, SuffixRef::new(sid, 0));
+        f(tag, SuffixRef::new(sid, 0, 0));
         for (off, &b) in (1..).zip(&seq[tag_len..seq.len() - gate + tag_len]) {
+            let class = (tag >> (2 * tag_len - 2)) as u8 + 1;
             tag = ((tag << 2) | code(b)) & mask;
-            f(tag, SuffixRef::new(sid, off));
+            f(tag, SuffixRef::new(sid, off, class));
         }
         assert!(seen & NOT_DNA == 0, "store contains only ACGT");
     }
@@ -368,9 +447,35 @@ mod tests {
     }
 
     #[test]
-    fn suffix_ref_bytes_roundtrip() {
+    fn suffix_ref_packs_offset_and_left_class() {
         let s = store(&[b"GATTACA"]);
-        let suf = SuffixRef::new(0, 3);
+        let suf = SuffixRef::at(&s, 0, 3);
+        assert_eq!((suf.sid(), suf.off(), suf.class()), (0, 3, 4)); // left of "TACA" is T
         assert_eq!(suf.bytes(&s), b"TACA");
+        assert_eq!(SuffixRef::at(&s, 1, 0).class(), 0);
+        assert_eq!(std::mem::size_of::<SuffixRef>(), 8);
+        let far = SuffixRef::new(5, MAX_EST_LEN as u32, 3);
+        assert_eq!(
+            (far.sid(), far.off(), far.class()),
+            (5, MAX_EST_LEN as u32, 3)
+        );
+        // Ordered by (sid, off), whatever the classes.
+        assert!(SuffixRef::new(0, 1, 4) < SuffixRef::new(0, 2, 1));
+        assert!(SuffixRef::new(0, 9, 4) < SuffixRef::new(1, 0, 0));
+    }
+
+    #[test]
+    fn every_scattered_suffix_carries_its_left_class() {
+        let long: Vec<u8> = (0..70).map(|i| b"ACGT"[(i * 5 + i / 4) % 4]).collect();
+        let s = SequenceStore::from_ests(&[&b"GATTACAGGT"[..], b"CCA", &long]).unwrap();
+        for gate in [1, 2, 5, 33, 40] {
+            let mut seen = 0;
+            let all = 0..s.num_strings() as u32;
+            for_each_tagged_suffix(&s, all, gate, |_, suf| {
+                assert_eq!(suf, SuffixRef::at(&s, suf.sid(), suf.off()), "gate {gate}");
+                seen += 1;
+            });
+            assert!(seen > 0);
+        }
     }
 }

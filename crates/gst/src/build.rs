@@ -11,27 +11,34 @@
 //! alphabet (in the spirit of the cache-conscious suffix-structure work
 //! surveyed in PAPERS.md):
 //!
+//! * **2-bit words.** Each member of a group carries its next 32 bases as
+//!   a `u64` of 2-bit codes, plus its suffix length. A member's word is
+//!   refilled from the text only when its group's extension crosses the
+//!   32-base window, so a suffix's text is read once per 32 bases of
+//!   depth instead of on every branch. ERA (arXiv:1109.6884) fetches a
+//!   range of symbols per suffix per pass for the same reason.
+//! * **Multi-character skip.** A group sharing a k-character common
+//!   prefix advances its depth by k in one pass over its words instead of
+//!   recursing (and re-classifying) once per character: each member costs
+//!   one XOR against the first member's word and a count of leading
+//!   zeros, and the extension stops at the shortest suffix's end.
 //! * **Counting-sort subdivision.** Each branching node partitions its
 //!   group with a stable 5-way counting sort (end-of-string + A/C/G/T)
-//!   through a reusable scratch buffer. The counting pass keeps each
-//!   suffix's class, so the scatter pass does not read the text again.
-//! * **Multi-character skip.** A group sharing a k-character common
-//!   prefix advances its depth by k in one longest-common-extension scan
-//!   instead of recursing (and re-classifying) once per character. The
-//!   scan compares 8 bytes at a time.
+//!   through a reusable scratch buffer. A member's class is two bits of
+//!   its word; the counting pass keeps it for the scatter pass.
 //! * **Exact-size output.** A subtree is built in reused scratch and
 //!   copied out at its final size.
 //!
-//! The same recursion builds the full subtree of a bucket and the
-//! in-scope part of it ([`crate::forest::build_in_scope_batch`]): given a
-//! floor ψ, it emits no node shallower than ψ and no single-suffix leaf
-//! whose parent is shallower than ψ. Given a new-string floor `fresh` as
-//! well, it emits only the DFS ranges that hold a suffix of a string with
-//! id `≥ fresh`.
+//! One recursion (`subdivide`) builds the full subtree of a bucket and
+//! the in-scope part of it ([`crate::forest::build_in_scope_batch`]):
+//! given a floor ψ, it emits no node shallower than ψ and no single-suffix
+//! leaf whose parent is shallower than ψ. Given a new-string floor `fresh`
+//! as well, it emits only the DFS ranges that hold a suffix of a string
+//! with id `≥ fresh`.
 
 use crate::bucket::{SuffixRef, Tagged};
 use crate::tree::{Node, Subtree};
-use pace_seq::{SequenceStore, StrId};
+use pace_seq::SequenceStore;
 
 /// Reusable build scratch, grown once per thread/rank to the largest
 /// bucket it ever builds and shared across every build call, so the hot
@@ -39,7 +46,7 @@ use pace_seq::{SequenceStore, StrId};
 #[derive(Debug, Default)]
 pub struct BuildScratch {
     /// The group being subdivided.
-    group: Vec<SuffixRef>,
+    group: Vec<Member>,
     sort: SortScratch,
     /// The subtree under construction, copied out at its final size.
     tree: Subtree,
@@ -48,7 +55,7 @@ pub struct BuildScratch {
 /// The counting sort's scatter buffer and cached classes.
 #[derive(Debug, Default)]
 struct SortScratch {
-    buf: Vec<SuffixRef>,
+    buf: Vec<Member>,
     class: Vec<u8>,
 }
 
@@ -67,18 +74,16 @@ impl BuildScratch {
         suffixes: impl Iterator<Item = SuffixRef>,
         w: usize,
     ) -> Subtree {
+        let text = Text::of(store);
         self.group.clear();
-        self.group.extend(suffixes);
+        self.group.extend(suffixes.map(|suf| text.member(suf, w)));
         if !self.group.is_empty() {
-            build_group(
-                store,
-                &mut self.tree,
-                &mut self.group,
-                w,
-                0,
-                0,
-                &mut self.sort,
-            );
+            let scope = Scope {
+                text: text.bases,
+                psi: 0,
+                fresh: 0,
+            };
+            subdivide(scope, &mut self.tree, &mut self.group, w, w, &mut self.sort);
         }
         self.take(bucket)
     }
@@ -103,22 +108,22 @@ impl BuildScratch {
         psi: usize,
         fresh: u32,
     ) -> Option<Subtree> {
+        let text = Text::of(store);
+        let scope = Scope {
+            text: text.bases,
+            psi,
+            fresh,
+        };
         entries.sort_by_key(|e| e.tag);
         for run in entries.chunk_by(|a, b| a.tag == b.tag) {
             if run.len() < 2 || !holds_fresh(fresh, run.iter().map(|e| e.suf)) {
                 continue;
             }
             self.group.clear();
-            self.group.extend(run.iter().map(|e| e.suf));
-            build_group(
-                store,
-                &mut self.tree,
-                &mut self.group,
-                tag_len,
-                psi,
-                fresh,
-                &mut self.sort,
-            );
+            self.group
+                .extend(run.iter().map(|e| text.member(e.suf, tag_len)));
+            let (group, sort) = (&mut self.group, &mut self.sort);
+            subdivide(scope, &mut self.tree, group, tag_len, tag_len, sort);
         }
         (!self.tree.is_empty()).then(|| self.take(bucket))
     }
@@ -173,88 +178,205 @@ pub fn build_subtree_with(
     scratch.build_full(store, bucket, suffixes.iter().copied(), w)
 }
 
-/// The character of `suf` at string-depth `d`, or `None` past its end.
-#[inline]
-fn char_at(store: &SequenceStore, suf: SuffixRef, d: usize) -> Option<u8> {
-    store
-        .suffix(StrId(suf.sid), suf.off as usize)
-        .get(d)
-        .copied()
-}
-
 /// Whether a group may emit a pair under the new-string floor `fresh`:
 /// with `fresh > 0`, only a group holding a suffix of a string with id
 /// `≥ fresh` can. `fresh = 0` keeps every group without a scan.
 #[inline]
 fn holds_fresh(fresh: u32, mut group: impl Iterator<Item = SuffixRef>) -> bool {
-    fresh == 0 || group.any(|suf| suf.sid >= fresh)
+    fresh == 0 || group.any(|suf| suf.sid() >= fresh)
 }
 
-/// Length of the longest common prefix of `a` and `b`, 8 bytes at a time.
-#[inline]
-fn lce(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"));
-        let y = u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
-        if x != y {
-            // Little-endian: the lowest differing byte is the first.
-            return i + ((x ^ y).trailing_zeros() / 8) as usize;
+/// Bases a [`Member`]'s word holds: 32 two-bit codes fill a `u64`.
+const WORD_BASES: usize = 32;
+
+/// The store's raw text and offset table, from which group members are
+/// made and refilled.
+#[derive(Clone, Copy)]
+struct Text<'s> {
+    bases: &'s [u8],
+    offsets: &'s [u32],
+}
+
+impl<'s> Text<'s> {
+    fn of(store: &'s SequenceStore) -> Self {
+        let (bases, offsets) = store.as_raw_parts();
+        Text { bases, offsets }
+    }
+
+    /// `suf` as a group member, its word loaded at depth `window`.
+    #[inline]
+    fn member(self, suf: SuffixRef, window: usize) -> Member {
+        let sid = suf.sid() as usize;
+        let start = self.offsets[sid] + suf.off();
+        let mut m = Member {
+            word: 0,
+            suf,
+            start,
+            len: self.offsets[sid + 1] - start,
+        };
+        m.load(self.bases, window);
+        m
+    }
+}
+
+/// One suffix of a group being subdivided, with its next bases cached.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    /// The suffix's 32 bases from its group's window start as 2-bit
+    /// codes, the first most significant. Bases past the suffix's end are
+    /// arbitrary: `len` bounds every read.
+    word: u64,
+    suf: SuffixRef,
+    /// Where the suffix starts in the store's text.
+    start: u32,
+    /// The suffix's length.
+    len: u32,
+}
+
+impl Member {
+    /// Refill the word with the suffix's bases from depth `window`.
+    #[inline]
+    fn load(&mut self, text: &[u8], window: usize) {
+        self.word = pack_word(text, self.start as usize + window);
+    }
+
+    /// The branch class at depth `d` of a word loaded at depth `window`:
+    /// 0 where the suffix ends (the implicit terminator, which sorts
+    /// first), else 1–4 for A/C/G/T.
+    #[inline]
+    fn class_at(&self, d: usize, window: usize) -> u8 {
+        debug_assert!(
+            d - window < WORD_BASES,
+            "depth {d} past the word at {window}"
+        );
+        if self.len as usize == d {
+            0
+        } else {
+            (self.word << (2 * (d - window)) >> 62) as u8 + 1
         }
-        i += 8;
     }
-    while i < n && a[i] == b[i] {
-        i += 1;
+}
+
+/// The 2-bit codes of `text[at..at + 32]`, the first base most
+/// significant; bytes past the end of `text` read as `A`.
+#[inline]
+fn pack_word(text: &[u8], at: usize) -> u64 {
+    match text.get(at..at + WORD_BASES) {
+        Some(bases) => bases
+            .chunks_exact(8)
+            .fold(0, |w, c| (w << 16) | pack8(c.try_into().expect("8 bytes"))),
+        None => {
+            let mut padded = [b'A'; WORD_BASES];
+            let tail = text.get(at..).unwrap_or_default();
+            padded[..tail.len()].copy_from_slice(tail);
+            pack_word(&padded, 0)
+        }
     }
-    i
+}
+
+/// The 2-bit codes (`A/C/G/T` → 0–3) of eight stored bases in the low 16
+/// bits, the first base most significant. Bits 1–2 of an uppercase base
+/// read A 0, C 1, G 3, T 2, and its bit 2 turns G and T into 2 and 3.
+/// The store holds only uppercase `ACGT`.
+#[inline]
+fn pack8(bases: [u8; 8]) -> u64 {
+    let x = u64::from_be_bytes(bases);
+    let codes = ((x >> 1) & 0x0303_0303_0303_0303) ^ ((x >> 2) & 0x0101_0101_0101_0101);
+    // Byte i (the first base is byte 7) moves to bits 2i..2i+2: pairs of
+    // bytes, then pairs of pairs, then the two halves.
+    let t = (codes | codes >> 6) & 0x000F_000F_000F_000F;
+    let t = (t | t >> 12) & 0x0000_00FF_0000_00FF;
+    (t | t >> 24) & 0xFFFF
+}
+
+/// Refill every member's word at depth `d`; returns `d`, the new window.
+fn refill(text: &[u8], group: &mut [Member], d: usize) -> usize {
+    for m in group.iter_mut() {
+        m.load(text, d);
+    }
+    d
+}
+
+/// What every level of one group's recursion shares: the text the
+/// members' words are refilled from, the floor ψ and the new-string floor.
+#[derive(Clone, Copy)]
+struct Scope<'t> {
+    text: &'t [u8],
+    psi: usize,
+    fresh: u32,
 }
 
 /// Recursively build the subtree of a group of suffixes sharing a prefix
-/// of length `d`, appending nodes in DFS order.
+/// of length `d`, whose words were loaded at depth `window`, appending
+/// nodes in DFS order.
 ///
-/// Nodes shallower than `psi` are not emitted: a branch shallower than
-/// `psi` hands each child group of two or more suffixes on as a DFS range of
-/// its own and drops its single-suffix children, which are lone leaves
+/// Nodes shallower than `scope.psi` are not emitted: a branch shallower
+/// than ψ hands each child group of two or more suffixes on as a DFS range
+/// of its own and drops its single-suffix children, which are lone leaves
 /// that can never emit a pair. Every suffix of the group must then be at
-/// least `psi` long. `psi = 0` builds the full subtree. Such a branch also
-/// drops the child groups that fail [`holds_fresh`], so every range it
-/// hands on holds a suffix of a string with id `≥ fresh`; the caller checks
+/// least ψ long. ψ = 0 builds the full subtree. Such a branch also drops
+/// the child groups that fail [`holds_fresh`], so every range it hands on
+/// holds a suffix of a string with id `≥ scope.fresh`; the caller checks
 /// the group itself.
-fn build_group(
-    store: &SequenceStore,
+fn subdivide(
+    scope: Scope,
     tree: &mut Subtree,
-    group: &mut [SuffixRef],
+    group: &mut [Member],
     mut d: usize,
-    psi: usize,
-    fresh: u32,
+    mut window: usize,
     sort: &mut SortScratch,
 ) {
+    let Scope { text, psi, fresh } = scope;
     debug_assert!(!group.is_empty());
 
     // Singleton group: a leaf at the suffix's full length.
     if group.len() == 1 {
-        push_leaf(tree, group);
-        return;
-    }
-    if group.len() == 2 {
-        build_pair(store, tree, group, d, psi);
+        push_leaf(tree, group.iter().map(|m| m.suf));
         return;
     }
 
     // Multi-character skip: advance past the group's longest common
-    // extension in one scan. The old per-character loop re-classified the
-    // whole group once per shared character; here a group sharing a
-    // k-character prefix costs one length-k comparison per member.
-    let first = &group[0].bytes(store)[d..];
-    let mut k = first.len();
-    for suf in &group[1..] {
-        k = lce(&first[..k], &suf.bytes(store)[d..]);
-        if k == 0 {
+    // extension, one window at a time. It stops at the first difference
+    // or the shortest suffix's end, and moves on to the next window only
+    // when it reaches the end of this one first.
+    loop {
+        if d - window == WORD_BASES {
+            window = refill(text, group, d);
+        }
+        let shift = 2 * (d - window);
+        let first = group[0].word << shift;
+        let (mut k, mut shortest) = (WORD_BASES - (d - window), usize::MAX);
+        for m in group.iter() {
+            shortest = shortest.min(m.len as usize - d);
+            k = k.min(((m.word << shift) ^ first).leading_zeros() as usize / 2);
+        }
+        d += k.min(shortest);
+        if shortest <= k || d - window < WORD_BASES {
             break;
         }
     }
-    d += k;
+    if d - window == WORD_BASES {
+        window = refill(text, group, d);
+    }
+
+    // A group of two is one leaf when both suffixes end here (the skip
+    // was maximal), or branches into two leaves: no counting sort needed.
+    if let [a, b] = group {
+        let (ca, cb) = (a.class_at(d, window), b.class_at(d, window));
+        if ca == cb {
+            push_leaf(tree, [a.suf, b.suf]);
+            return;
+        }
+        if d < psi {
+            return; // two lone leaves under a parent shallower than ψ
+        }
+        let idx = tree.nodes.len() as u32;
+        tree.nodes.push(Node::internal(idx + 2, d as u32));
+        let (first, second) = if ca < cb { (a, b) } else { (b, a) };
+        push_leaf(tree, [first.suf]);
+        push_leaf(tree, [second.suf]);
+        return;
+    }
 
     // Classify the group by the character at depth d: end-of-string (the
     // implicit terminator) is class 0 and sorts first, then A, C, G, T.
@@ -263,8 +385,8 @@ fn build_group(
     // non-empty.
     let mut counts = [0usize; 5];
     sort.class.clear();
-    for &suf in group.iter() {
-        let class = char_at(store, suf, d).map_or(0, |c| code_of(c) as u8 + 1);
+    for m in group.iter() {
+        let class = m.class_at(d, window);
         counts[class as usize] += 1;
         sort.class.push(class);
     }
@@ -275,7 +397,7 @@ fn build_group(
     );
     if ends == group.len() {
         // Every suffix ends here: one leaf of identical suffixes.
-        push_leaf(tree, group);
+        push_leaf(tree, group.iter().map(|m| m.suf));
         return;
     }
     debug_assert!(
@@ -303,8 +425,8 @@ fn build_group(
     for c in 1..5 {
         pos[c] = pos[c - 1] + counts[c - 1];
     }
-    for (&suf, &class) in sort.buf.iter().zip(&sort.class) {
-        group[pos[class as usize]] = suf;
+    for (&m, &class) in sort.buf.iter().zip(&sort.class) {
+        group[pos[class as usize]] = m;
         pos[class as usize] += 1;
     }
     debug_assert_eq!(pos[4], group.len());
@@ -313,15 +435,15 @@ fn build_group(
     for (class, &len) in counts.iter().enumerate() {
         let sub = &mut group[start..start + len];
         start += len;
-        if len == 0 || (!emit && (len == 1 || !holds_fresh(fresh, sub.iter().copied()))) {
+        if len == 0 || (!emit && (len == 1 || !holds_fresh(fresh, sub.iter().map(|m| m.suf)))) {
             // No child, a lone leaf under a parent shallower than ψ, or a
             // range with no new suffix.
             continue;
         }
         if class == 0 {
-            push_leaf(tree, sub); // the end-of-string child
+            push_leaf(tree, sub.iter().map(|m| m.suf)); // the end-of-string child
         } else {
-            build_group(store, tree, sub, d + 1, psi, fresh, sort);
+            subdivide(scope, tree, sub, d + 1, window, sort);
         }
     }
     debug_assert_eq!(start, group.len());
@@ -332,64 +454,11 @@ fn build_group(
     }
 }
 
-/// [`build_group`] for a group of two: one scan finds the branch point,
-/// and no counting sort is needed.
-fn build_pair(
-    store: &SequenceStore,
-    tree: &mut Subtree,
-    group: &mut [SuffixRef],
-    d: usize,
-    psi: usize,
-) {
-    let (a, b) = (&group[0].bytes(store)[d..], &group[1].bytes(store)[d..]);
-    let k = lce(a, b);
-    let class = |s: &[u8]| s.get(k).map_or(0, |&c| code_of(c) + 1);
-    let (ca, cb) = (class(a), class(b));
-    let d = d + k;
-    if ca == cb {
-        // The scan was maximal, so both suffixes end here.
-        push_leaf(tree, group);
-        return;
-    }
-    if d < psi {
-        return; // two lone leaves under a parent shallower than ψ
-    }
-    let idx = tree.nodes.len() as u32;
-    tree.nodes.push(Node::internal(idx + 2, d as u32));
-    if ca > cb {
-        group.swap(0, 1);
-    }
-    push_leaf(tree, &group[..1]);
-    push_leaf(tree, &group[1..]);
-}
-
-/// 2-bit class of a stored base. Non-ACGT bytes cannot occur in a store
-/// that went through [`SequenceStore`] insertion validation; a corrupt or
-/// hand-assembled store trips the debug assertion in test builds and maps
-/// to class 0 in release builds instead of aborting the whole run (the
-/// typed rejection happens upstream, at store construction).
-#[inline]
-fn code_of(c: u8) -> usize {
-    match c {
-        b'A' => 0,
-        b'C' => 1,
-        b'G' => 2,
-        b'T' => 3,
-        other => {
-            debug_assert!(
-                false,
-                "non-DNA byte {other:#04x} reached the GST builder; \
-                 store insertion should have rejected it"
-            );
-            0
-        }
-    }
-}
-
 /// Reference subdivision using the pre-rewrite per-character recursion
-/// and comparison sort. Kept (not `cfg(test)`) so the equivalence
-/// property test and the `gst_subdivision` criterion group can hold the
-/// counting-sort builder to byte-identical output and measure the gap.
+/// and comparison sort over the bytes of the text. Kept (not
+/// `cfg(test)`) so the equivalence property test and the
+/// `gst_subdivision` criterion group can hold the word-based builder to
+/// byte-identical output and measure the gap.
 #[doc(hidden)]
 pub fn build_subtree_comparison_sort(
     store: &SequenceStore,
@@ -416,22 +485,24 @@ fn build_group_comparison(
     mut d: usize,
 ) {
     if group.len() == 1 {
-        push_leaf(tree, group);
+        push_leaf(tree, group.iter().copied());
         return;
     }
+    // The character at depth d: end-of-string is class 0, then A, C, G, T.
+    let class = |suf: SuffixRef, d: usize| {
+        suf.bytes(store).get(d).map_or(0, |&c| {
+            b"ACGT".iter().position(|&b| b == c).expect("ACGT") + 1
+        })
+    };
     loop {
-        let mut ends = 0usize;
-        let mut counts = [0usize; 4];
+        let mut counts = [0usize; 5];
         for &suf in group.iter() {
-            match char_at(store, suf, d) {
-                None => ends += 1,
-                Some(c) => counts[code_of(c)] += 1,
-            }
+            counts[class(suf, d)] += 1;
         }
-        let branching = usize::from(ends > 0) + counts.iter().filter(|&&c| c > 0).count();
-        if branching == 1 {
+        let ends = counts[0];
+        if counts.iter().filter(|&&c| c > 0).count() == 1 {
             if ends > 0 {
-                push_leaf(tree, group);
+                push_leaf(tree, group.iter().copied());
                 return;
             }
             d += 1;
@@ -439,17 +510,13 @@ fn build_group_comparison(
         }
         let node_idx = tree.nodes.len();
         tree.nodes.push(Node::internal(0, d as u32));
-        group.sort_by_key(|&suf| match char_at(store, suf, d) {
-            None => 0u8,
-            Some(c) => code_of(c) as u8 + 1,
-        });
+        group.sort_by_key(|&suf| class(suf, d));
         let mut start = 0usize;
         if ends > 0 {
-            let (end_group, _) = group.split_at_mut(ends);
-            push_leaf(tree, end_group);
+            push_leaf(tree, group[..ends].iter().copied());
             start = ends;
         }
-        for &len in counts.iter() {
+        for &len in &counts[1..] {
             if len == 0 {
                 continue;
             }
@@ -464,9 +531,9 @@ fn build_group_comparison(
 
 /// Append a leaf holding `group`, identical suffixes that end at the
 /// leaf. Its depth is their length, so the node keeps only its arena run.
-fn push_leaf(tree: &mut Subtree, group: &[SuffixRef]) {
+fn push_leaf(tree: &mut Subtree, group: impl IntoIterator<Item = SuffixRef>) {
     let start = tree.suffixes.len() as u32;
-    tree.suffixes.extend_from_slice(group);
+    tree.suffixes.extend(group);
     let idx = tree.nodes.len() as u32;
     tree.nodes
         .push(Node::leaf(idx, start..tree.suffixes.len() as u32));
@@ -479,6 +546,7 @@ mod tests {
     use crate::partition::count_buckets;
     use pace_seq::SequenceStore;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::collections::BTreeMap;
 
     fn store(ests: &[&[u8]]) -> SequenceStore {
@@ -666,6 +734,51 @@ mod tests {
         )
     }
 
+    #[test]
+    fn words_are_refilled_across_window_boundaries() {
+        // Shared runs of exactly 31, 32, 33 and 64 bases after the
+        // w-prefix, then a difference, and suffixes ending inside a word.
+        let template: Vec<u8> = (0..140).map(|i| b"ACGT"[(i * 7 + i / 5) % 4]).collect();
+        for run in [31, 32, 33, 63, 64, 65, 96] {
+            let mut twin = template[..run + 2].to_vec();
+            twin[run + 1] = if twin[run + 1] == b'A' { b'C' } else { b'A' };
+            let s = SequenceStore::from_ests(&[template.clone(), twin, template[..run].to_vec()])
+                .unwrap();
+            let mut scratch = BuildScratch::new();
+            for (b, sufs) in per_bucket(&s, 1) {
+                let reference = build_subtree_comparison_sort(&s, b, sufs.clone(), 1);
+                let fast = build_subtree_with(&s, b, &sufs, 1, &mut scratch);
+                fast.validate(&s).unwrap();
+                assert_eq!(fast, reference, "run {run} bucket {b}");
+            }
+        }
+    }
+
+    fn check_against_comparison_sort(ests: &[Vec<u8>], w: usize) -> Result<(), TestCaseError> {
+        let s = SequenceStore::from_ests(ests).unwrap();
+        let mut scratch = BuildScratch::new();
+        for (b, sufs) in per_bucket(&s, w) {
+            let reference = build_subtree_comparison_sort(&s, b, sufs.clone(), w);
+            let fast = build_subtree_with(&s, b, &sufs, w, &mut scratch);
+            prop_assert_eq!(&fast, &reference, "bucket {} diverged", b);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// [`counting_sort_matches_comparison_sort`] on reads cut from a
+        /// few templates, whose common extensions cross word boundaries.
+        #[test]
+        fn counting_sort_matches_comparison_sort_across_words(
+            ests in crate::strategies::template_ests(),
+            w in 1usize..9,
+        ) {
+            check_against_comparison_sort(&ests, w)?;
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -681,29 +794,26 @@ mod tests {
             prop_assert_eq!(leaf_census(&s, &trees), expected_census(&s, w));
         }
 
-        /// The counting-sort + multi-character-skip builder is
-        /// byte-identical to the comparison-sort reference: same DFS node
-        /// arrays, same depths, same suffix arena layout.
+        /// The word-based builder is byte-identical to the
+        /// comparison-sort reference: same DFS node arrays, same depths,
+        /// same suffix arena layout.
         #[test]
         fn counting_sort_matches_comparison_sort(ests in dna_ests(), w in 1usize..4) {
-            let s = SequenceStore::from_ests(&ests).unwrap();
-            let mut scratch = BuildScratch::new();
-            for (b, sufs) in per_bucket(&s, w) {
-                let reference = build_subtree_comparison_sort(&s, b, sufs.clone(), w);
-                let fast = build_subtree_with(&s, b, &sufs, w, &mut scratch);
-                prop_assert_eq!(&fast, &reference, "bucket {} diverged", b);
-            }
+            check_against_comparison_sort(&ests, w)?;
         }
 
-        /// The word-at-a-time scan agrees with a byte-by-byte one,
-        /// whatever the offsets of the two slices.
+        /// A packed word holds the 2-bit codes of the 32 bytes from any
+        /// offset, the first most significant, with `A` past the end.
         #[test]
-        fn lce_matches_bytewise_scan(
-            a in proptest::collection::vec(proptest::sample::select(vec![b'A', b'C']), 0..40),
-            b in proptest::collection::vec(proptest::sample::select(vec![b'A', b'C']), 0..40),
+        fn packed_words_hold_each_base_in_order(
+            text in proptest::collection::vec(proptest::sample::select(b"ACGT".to_vec()), 0..80),
+            at in 0usize..90,
         ) {
-            let slow = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
-            prop_assert_eq!(lce(&a, &b), slow);
+            let slow = (at..at + WORD_BASES).fold(0u64, |w, i| {
+                let code = text.get(i).map_or(0, |&c| b"ACGT".iter().position(|&b| b == c).unwrap());
+                (w << 2) | code as u64
+            });
+            prop_assert_eq!(pack_word(&text, at), slow);
         }
 
         /// Node count is linear: a compacted trie over m suffix

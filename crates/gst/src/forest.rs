@@ -20,7 +20,7 @@ use crate::bucket::{scatter, touched_buckets, TAG_BASES};
 use crate::build::BuildScratch;
 use crate::partition::{assign_buckets, count_buckets, BucketPartition};
 use crate::tree::Subtree;
-use pace_seq::SequenceStore;
+use pace_seq::{SequenceStore, StrId};
 use rayon::prelude::*;
 
 /// The subtrees owned by one rank.
@@ -56,11 +56,15 @@ impl LocalForest {
         self.subtrees.iter().map(|t| t.memory_bytes()).sum()
     }
 
-    /// Deepest node (string depth, in bases) across the forest.
+    /// Deepest node (string depth, in bases) across the forest. A leaf
+    /// is at least as deep as its parent, so the deepest node is a leaf,
+    /// whose depth is its suffixes' length: one pass over the suffix
+    /// arenas, reading no node.
     pub fn max_depth(&self, store: &SequenceStore) -> u32 {
         self.subtrees
             .iter()
-            .flat_map(|t| t.node_depths(store).map(|(_, d)| d))
+            .flat_map(|t| t.suffixes())
+            .map(|suf| store.len_of(StrId(suf.sid())) as u32 - suf.off())
             .max()
             .unwrap_or(0)
     }
@@ -325,6 +329,25 @@ mod tests {
         assert!(f.max_depth(&s) <= 8);
     }
 
+    #[test]
+    fn max_depth_is_the_deepest_nodes_depth() {
+        let s = store(&[b"ACGTACGAGGTTCCAA", b"CCATGGTACGTATTGG", b"GATTACAGATTACA"]);
+        let part = assign_buckets(&count_buckets(&s, 2), 1);
+        for f in [
+            build_forest_for_rank(&s, &part, 0),
+            build_in_scope_forest(&s, &part, 0, 3),
+            build_in_scope_forest(&s, &part, 0, 40),
+        ] {
+            let deepest = f
+                .subtrees
+                .iter()
+                .flat_map(|t| t.node_depths(&s).map(|(_, d)| d))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(f.max_depth(&s), deepest, "psi {}", f.psi);
+        }
+    }
+
     /// Append node `v` of `t` to `nodes` with rightmost pointer
     /// `rightmost`, copying a leaf's suffixes to the end of `sufs`.
     fn push_node(
@@ -398,7 +421,7 @@ mod tests {
         while (top as usize) < t.len() {
             let end = t.rightmost(top);
             let holds_new =
-                (top..=end).any(|v| t.leaf_suffixes(v).iter().any(|suf| suf.sid >= fresh));
+                (top..=end).any(|v| t.leaf_suffixes(v).iter().any(|suf| suf.sid() >= fresh));
             if holds_new {
                 let shift = top - nodes.len() as u32;
                 for v in top..=end {
@@ -466,6 +489,18 @@ mod tests {
                 .map(|&(at, len)| template[at..(at + len).min(template.len())].to_vec())
                 .collect();
             check_in_scope(&ests, w, psi)?;
+        }
+
+        /// The same on reads cut from a few templates, whose common
+        /// extensions cross the builder's 32-base words, at ψ on either
+        /// side of a word.
+        #[test]
+        fn in_scope_forest_holds_across_words(
+            ests in crate::strategies::template_ests(),
+            w in 1usize..9,
+            psi_extra in 0u32..=40,
+        ) {
+            check_in_scope(&ests, w, w as u32 + psi_extra)?;
         }
 
         /// A new-string floor drops exactly the DFS ranges with no new

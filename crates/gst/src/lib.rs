@@ -57,7 +57,7 @@
 //! assert!(touched.iter().map(|t| t.len()).sum::<usize>() <= scoped.num_nodes());
 //! assert!(touched
 //!     .iter()
-//!     .all(|t| t.suffixes().iter().any(|s| s.sid >= 2)));
+//!     .all(|t| t.suffixes().iter().any(|s| s.sid() >= 2)));
 //! ```
 
 pub mod bucket;
@@ -74,3 +74,36 @@ pub use forest::{
 };
 pub use partition::{assign_buckets, count_buckets, count_buckets_stride, BucketPartition};
 pub use tree::{Node, NodeIdx, Subtree};
+
+/// Input strategies the crate's property tests share.
+#[cfg(test)]
+pub(crate) mod strategies {
+    use proptest::prelude::*;
+
+    /// Mutated, overlapping copies of a few 60–300-base templates, so
+    /// that common extensions cross the 32-base word (at 31, 32, 33 and
+    /// 64 bases and beyond) and suffixes end inside a word.
+    pub(crate) fn template_ests() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let base = || proptest::sample::select(b"ACGT".to_vec());
+        let templates = proptest::collection::vec(proptest::collection::vec(base(), 60..300), 1..4);
+        let reads = proptest::collection::vec(
+            ((0usize..3, 0usize..300), 1usize..300, 0usize..300, base()),
+            2..7,
+        );
+        (templates, reads).prop_map(|(templates, reads)| {
+            reads
+                .into_iter()
+                .map(|((t, at), len, snp, b)| {
+                    let template = &templates[t % templates.len()];
+                    let at = at % template.len();
+                    let mut read = template[at..(at + len).min(template.len())].to_vec();
+                    // One substitution, which a read may also miss.
+                    if let Some(c) = read.get_mut(snp) {
+                        *c = b;
+                    }
+                    read
+                })
+                .collect()
+        })
+    }
+}

@@ -83,7 +83,7 @@ pub fn count_buckets_stride(
     assert!(rank < num_ranks, "rank {rank} out of {num_ranks}");
     let mut counts = vec![0u64; num_buckets(w)];
     for_each_suffix(store, w, |bucket, suf| {
-        let est = (suf.sid / 2) as usize;
+        let est = (suf.sid() / 2) as usize;
         if est % num_ranks == rank {
             counts[bucket as usize] += 1;
         }

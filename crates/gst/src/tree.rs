@@ -133,7 +133,7 @@ impl Subtree {
         let n = self.nodes[v as usize];
         if n.rightmost == v {
             let suf = self.last_suffix(n);
-            store.len_of(StrId(suf.sid)) as u32 - suf.off
+            store.len_of(StrId(suf.sid())) as u32 - suf.off()
         } else {
             n.word
         }
@@ -399,9 +399,9 @@ mod tests {
         // "CGT" leaf as a range of its own.
         let store = SequenceStore::from_ests(&[b"ACGT", b"ACGA"]).unwrap();
         let suffixes = vec![
-            SuffixRef::new(2, 0),
-            SuffixRef::new(0, 0),
-            SuffixRef::new(0, 1),
+            SuffixRef::at(&store, 2, 0),
+            SuffixRef::at(&store, 0, 0),
+            SuffixRef::at(&store, 0, 1),
         ];
         let ranges = vec![Node::internal(2, 3), leaf(1, 0), leaf(2, 1), leaf(3, 2)];
         let t = Subtree::from_parts(0, ranges.clone(), suffixes.clone());

@@ -15,7 +15,9 @@
 //!   nothing, so it is never scheduled and holds no lsets; its parent
 //!   reads it straight from the DFS array. A multi-suffix leaf is
 //!   scheduled for its own products only, and its parent reads it in
-//!   place too.
+//!   place too. Each suffix entry carries the class of the base left of
+//!   its suffix, which the GST's scatter stamped in, so a leaf's lsets
+//!   are seeded from the forest alone: the generator reads no text.
 //! * **Slots for internal nodes only.** An internal node's lsets wait for
 //!   its parent in a slab entry (reused through a free list) that the
 //!   node's slot points to. Only in-scope internal nodes ever hold lsets,
@@ -36,7 +38,7 @@
 //!   2^18 nodes, so the buffer holds about one band's pairs plus what a
 //!   request left over, not a share of the run's pair list.
 
-use crate::lset::{class_of, Arena, LsetIter, Lsets, NIL, NUM_CLASSES};
+use crate::lset::{Arena, LsetIter, Lsets, NIL, NUM_CLASSES};
 use crate::pair::CandidatePair;
 use pace_gst::{LocalForest, NodeIdx, Subtree};
 use pace_seq::{SequenceStore, StrId, Strand};
@@ -323,19 +325,20 @@ impl<'s> PairGenerator<'s> {
     }
 
     /// The lsets of leaf `v`, read in place from the DFS array: one entry
-    /// per string, classed by the left character of its suffix.
+    /// per string, classed by the left-base class its suffix entry
+    /// carries.
     fn read_leaf(&mut self, tree: &Subtree, v: NodeIdx) -> Lsets {
         self.mark_ctr += 1;
         let mark = self.mark_ctr;
         let mut lsets = Lsets::new();
-        for suf in tree.leaf_suffixes(v) {
-            if self.marker[suf.sid as usize] == mark {
+        for &suf in tree.leaf_suffixes(v) {
+            let sid = suf.sid();
+            if self.marker[sid as usize] == mark {
                 continue; // one lset occurrence per string (paper §3.2)
             }
-            self.marker[suf.sid as usize] = mark;
-            let class = class_of(self.store.left_char(StrId(suf.sid), suf.off as usize));
-            let e = self.arena.alloc(suf.sid, suf.off);
-            lsets.push(&mut self.arena, class, e);
+            self.marker[sid as usize] = mark;
+            let e = self.arena.alloc(sid, suf.off());
+            lsets.push(&mut self.arena, usize::from(suf.class()), e);
         }
         lsets
     }

@@ -18,28 +18,9 @@
 /// Sentinel "null" index in the arena.
 pub const NIL: u32 = u32::MAX;
 
-/// Number of left-extension classes: λ, A, C, G, T.
+/// Number of left-extension classes: λ, A, C, G, T (classes 0–4, as
+/// each suffix entry of the forest carries them).
 pub const NUM_CLASSES: usize = 5;
-
-/// Map a left character (`None` = λ) to its class index. λ is class 0.
-#[inline]
-pub fn class_of(left: Option<u8>) -> usize {
-    match left {
-        None => 0,
-        Some(b'A') => 1,
-        Some(b'C') => 2,
-        Some(b'G') => 3,
-        Some(b'T') => 4,
-        Some(other) => {
-            // The store validates content at insertion and deserialization,
-            // so a non-DNA byte here means an upstream invariant broke —
-            // flag it in debug builds, degrade to the λ class in release
-            // instead of aborting a long-running clustering job.
-            debug_assert!(false, "non-DNA byte {other:#04x} reached pair generation");
-            0
-        }
-    }
-}
 
 /// Arena of lset entries (structure-of-arrays for density).
 #[derive(Debug, Default)]
@@ -255,13 +236,6 @@ mod tests {
 
     fn collect(ls: &Lsets, arena: &Arena, c: usize) -> Vec<(u32, u32)> {
         ls.iter(arena, c).collect()
-    }
-
-    #[test]
-    fn class_mapping() {
-        assert_eq!(class_of(None), 0);
-        assert_eq!(class_of(Some(b'A')), 1);
-        assert_eq!(class_of(Some(b'T')), 4);
     }
 
     #[test]

@@ -55,6 +55,22 @@ pub enum SeqError {
         /// Human-readable description of the violated invariant.
         detail: String,
     },
+    /// An EST longer than [`crate::MAX_EST_LEN`]: the suffix tree could
+    /// not address its suffixes' offsets.
+    EstTooLong {
+        /// 0-based index of the EST in the input batch.
+        index: usize,
+        /// Its length in bases.
+        len: usize,
+    },
+    /// An EST that would take the store past [`crate::MAX_STORED_CHARS`]
+    /// bases over both strands, beyond what `u32` offsets address.
+    StoreTooLarge {
+        /// 0-based index of the EST in the input batch.
+        index: usize,
+        /// Bases the store would hold with it, both strands.
+        stored: usize,
+    },
     /// An ingest batch whose id list and sequence list disagree in length.
     BatchShape {
         /// Number of identifiers supplied.
@@ -100,6 +116,17 @@ impl std::fmt::Display for SeqError {
             SeqError::CorruptStore { detail } => {
                 write!(f, "corrupt sequence store: {detail}")
             }
+            SeqError::EstTooLong { index, len } => write!(
+                f,
+                "EST #{index} has {len} bases; at most {} are supported",
+                crate::MAX_EST_LEN
+            ),
+            SeqError::StoreTooLarge { index, stored } => write!(
+                f,
+                "EST #{index} would bring the store to {stored} bases over both strands; \
+                 at most {} are supported",
+                crate::MAX_STORED_CHARS
+            ),
             SeqError::BatchShape { ids, seqs } => {
                 write!(f, "batch has {ids} ids but {seqs} sequences")
             }

@@ -45,4 +45,4 @@ pub use fasta::{
 pub use ids::{EstId, StrId, Strand};
 pub use revcomp::{complement_base, reverse_complement, reverse_complement_in_place};
 pub use stats::{base_composition, gc_content, length_stats, LengthStats};
-pub use store::{SequenceStore, SequenceStoreBuilder};
+pub use store::{append_bound, SequenceStore, SequenceStoreBuilder, MAX_EST_LEN, MAX_STORED_CHARS};

@@ -12,6 +12,34 @@ use crate::error::SeqError;
 use crate::ids::{EstId, StrId, Strand};
 use crate::revcomp::reverse_complement_into;
 
+/// Longest EST the store accepts, in bases. The suffix tree packs a
+/// suffix's offset into 29 bits of its 8-byte entry, beside the 3-bit
+/// class of the base to its left.
+pub const MAX_EST_LEN: usize = (1 << 29) - 1;
+
+/// Most bases the store holds over both strands: its offsets are `u32`.
+pub const MAX_STORED_CHARS: usize = u32::MAX as usize;
+
+/// The store's length after appending an EST of `len` bases (both
+/// strands, `2 · len`) to a store of `stored` bases, or the typed error
+/// when the result could not be addressed: an EST longer than
+/// [`MAX_EST_LEN`], or a store past [`MAX_STORED_CHARS`]. `index` names
+/// the EST in the error. A pure length check, so a caller can vet a whole
+/// batch before it mutates anything.
+pub fn append_bound(index: usize, len: usize, stored: usize) -> Result<usize, SeqError> {
+    if len > MAX_EST_LEN {
+        return Err(SeqError::EstTooLong { index, len });
+    }
+    let grown = stored.saturating_add(2 * len);
+    if grown > MAX_STORED_CHARS {
+        return Err(SeqError::StoreTooLarge {
+            index,
+            stored: grown,
+        });
+    }
+    Ok(grown)
+}
+
 /// Immutable container of all ESTs and their reverse complements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequenceStore {
@@ -52,15 +80,16 @@ impl SequenceStoreBuilder {
         }
     }
 
-    /// Append one EST: validated (strict `{A,C,G,T}`, case-insensitive),
-    /// upper-cased, and stored with its reverse complement right after,
-    /// exactly as [`SequenceStore::from_ests`] would.
+    /// Append one EST: validated (strict `{A,C,G,T}`, case-insensitive,
+    /// within [`append_bound`]), upper-cased, and stored with its reverse
+    /// complement right after, exactly as [`SequenceStore::from_ests`]
+    /// would.
     pub fn push_est(&mut self, est: &[u8]) -> Result<(), SeqError> {
+        let index = self.num_ests();
         if est.is_empty() {
-            return Err(SeqError::EmptySequence {
-                index: self.num_ests(),
-            });
+            return Err(SeqError::EmptySequence { index });
         }
+        append_bound(index, est.len(), self.text.len())?;
         validate_dna(est)?;
 
         let start = self.text.len();
@@ -118,10 +147,10 @@ impl SequenceStore {
     /// Rebuild a store from a previously serialized raw representation.
     ///
     /// Both the structural invariants (odd offset count,
-    /// `offsets[0] == 0`, monotone non-decreasing, final offset equals
-    /// the text length, equal strand lengths, no empty strings) and the
-    /// content invariant (every byte is uppercase `{A,C,G,T}`) are
-    /// checked. Content validation matters because everything above the
+    /// `offsets[0] == 0`, monotone non-decreasing, equal strand lengths,
+    /// no empty strings, none longer than [`MAX_EST_LEN`], final offset
+    /// equals the text length) and the content invariant (every byte is
+    /// uppercase `{A,C,G,T}`) are checked. Content validation matters because everything above the
     /// store — in particular the suffix-tree builder's base classifier —
     /// relies on the store only ever holding DNA; a snapshot that smuggles
     /// in an `N` must surface here as a typed error, not as a panic deep
@@ -136,13 +165,6 @@ impl SequenceStore {
         }
         if offsets[0] != 0 {
             return Err(corrupt(format!("offsets[0] = {}, expected 0", offsets[0])));
-        }
-        if *offsets.last().unwrap() as usize != text.len() {
-            return Err(corrupt(format!(
-                "final offset {} != text length {}",
-                offsets.last().unwrap(),
-                text.len()
-            )));
         }
         for pair in offsets.windows(2) {
             if pair[0] >= pair[1] {
@@ -161,6 +183,14 @@ impl SequenceStore {
                     i / 2
                 )));
             }
+            append_bound(i / 2, fwd as usize, offsets[i] as usize)?;
+        }
+        if *offsets.last().unwrap() as usize != text.len() {
+            return Err(corrupt(format!(
+                "final offset {} != text length {}",
+                offsets.last().unwrap(),
+                text.len()
+            )));
         }
         if let Some(offset) = text
             .iter()
@@ -234,18 +264,6 @@ impl SequenceStore {
         &self.seq(sid)[offset..]
     }
 
-    /// The character immediately left of position `offset` in string `sid`,
-    /// or `None` when `offset == 0` (the paper's λ, "left-extensible by the
-    /// null character"). This drives the lset partition in pair generation.
-    #[inline]
-    pub fn left_char(&self, sid: StrId, offset: usize) -> Option<u8> {
-        if offset == 0 {
-            None
-        } else {
-            Some(self.seq(sid)[offset - 1])
-        }
-    }
-
     /// Iterate over all string ids `s_0 … s_{2n-1}`.
     pub fn str_ids(&self) -> impl Iterator<Item = StrId> {
         (0..self.num_strings() as u32).map(StrId)
@@ -301,14 +319,11 @@ mod tests {
     }
 
     #[test]
-    fn suffix_and_left_char() {
+    fn suffix_slices() {
         let s = store(&[b"ACGGT"]);
         assert_eq!(s.suffix(StrId(0), 0), b"ACGGT");
         assert_eq!(s.suffix(StrId(0), 3), b"GT");
         assert_eq!(s.suffix(StrId(0), 5), b"");
-        assert_eq!(s.left_char(StrId(0), 0), None);
-        assert_eq!(s.left_char(StrId(0), 1), Some(b'A'));
-        assert_eq!(s.left_char(StrId(0), 4), Some(b'G'));
     }
 
     #[test]
@@ -397,6 +412,40 @@ mod tests {
             SequenceStore::from_raw_parts(b"acgt".to_vec(), vec![0, 2, 4]).unwrap_err(),
             SeqError::InvalidBaseAt { byte: b'a', .. }
         ));
+    }
+
+    #[test]
+    fn lengths_past_what_the_offsets_address_are_refused() {
+        // Pure length checks: nothing of these sizes is allocated.
+        assert_eq!(append_bound(0, MAX_EST_LEN, 0), Ok(2 * MAX_EST_LEN));
+        assert_eq!(
+            append_bound(3, MAX_EST_LEN + 1, 0),
+            Err(SeqError::EstTooLong {
+                index: 3,
+                len: MAX_EST_LEN + 1
+            })
+        );
+        let room = MAX_STORED_CHARS - 10;
+        assert_eq!(append_bound(7, 5, room), Ok(MAX_STORED_CHARS));
+        assert_eq!(
+            append_bound(7, 6, room),
+            Err(SeqError::StoreTooLarge {
+                index: 7,
+                stored: MAX_STORED_CHARS + 2
+            })
+        );
+        assert!(append_bound(0, 1, usize::MAX).is_err(), "no overflow");
+        // A restored store is held to the per-string bound before its text
+        // is looked at, so a short text stands in for a 512 MiB string.
+        let long = MAX_EST_LEN as u32 + 1;
+        assert_eq!(
+            SequenceStore::from_raw_parts(b"AC".to_vec(), vec![0, 1, 2, 2 + long, 2 + 2 * long])
+                .unwrap_err(),
+            SeqError::EstTooLong {
+                index: 1,
+                len: MAX_EST_LEN + 1
+            }
+        );
     }
 
     fn dna_vecs() -> impl Strategy<Value = Vec<Vec<u8>>> {

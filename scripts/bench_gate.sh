@@ -33,7 +33,8 @@
 #   binaries. Each side runs 3 reps per round for 5 rounds; each run
 #   writes its smoke.json (and its stdout, as run.log) under
 #   bench_out/gate/{base,cand}/round<N>/. Both sides'
-#   pairgen.peak_buffered gauges are echoed (report-only).
+#   pairgen.peak_buffered, gst.memory_bytes and pairgen.memory_bytes
+#   gauges are echoed (report-only).
 #   The optional third argument (default bench_out/out_of_core.json) is an
 #   out-of-core run's metrics report; when present its io.* and ckpt.*
 #   counters (the batch planner's io.spill_batches, io.oversized_buckets
@@ -170,16 +171,23 @@ for phase in sorted(set(base) | set(cand)):
         )
     print(f"{phase:<18} {b:>9.4f}s {c:>9.4f}s {ratio:>6.2f}x  {flag}{verdict}")
 
-# Echo each side's largest generator buffer (reported, never gated).
-def peak(docs):
-    value = docs[-1].get("gauges", {}).get("pairgen.peak_buffered")
-    return "absent" if value is None else f"{value:.0f} pairs"
+# Echo each side's largest generator buffer and its forest and generator
+# footprints (reported, never gated), so a footprint change shows in the
+# gate log next to the timings.
+def gauge(docs, name, unit):
+    value = docs[-1].get("gauges", {}).get(name)
+    return "absent" if value is None else f"{value:.0f} {unit}"
 
 
-print(
-    f"bench_gate: pairgen.peak_buffered base {peak(base_docs)}, "
-    f"candidate {peak(cand_docs)} (report-only)"
-)
+for name, unit in (
+    ("pairgen.peak_buffered", "pairs"),
+    ("gst.memory_bytes", "B"),
+    ("pairgen.memory_bytes", "B"),
+):
+    print(
+        f"bench_gate: {name} base {gauge(base_docs, name, unit)}, "
+        f"candidate {gauge(cand_docs, name, unit)} (report-only)"
+    )
 
 # Echo the candidate's per-batch alignment latency quantiles (reported,
 # never gated): the registry's log-bucket estimates, so tail latency

@@ -212,8 +212,8 @@ fn forest_fingerprint(store: &SequenceStore) -> u64 {
             h.push(run.end as u64);
         }
         for s in t.suffixes() {
-            h.push(s.sid as u64);
-            h.push(s.off as u64);
+            h.push(s.sid() as u64);
+            h.push(s.off() as u64);
         }
     }
     h.finish()

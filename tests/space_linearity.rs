@@ -4,11 +4,16 @@
 //! two input sizes; their per-base footprint must not grow with `n`
 //! (within allocator slack). The baseline's materialized pair list, by
 //! contrast, must grow superlinearly per EST — that contrast is Table 1's
-//! memory story. The constant is pinned too: the paper's 8-byte node, and
+//! memory story. The constant is pinned too: the paper's 8-byte node, an
+//! 8-byte suffix entry that also carries its left-base class, and
 //! generator slots for internal nodes only.
 
-use pace::gst::{assign_buckets, build_in_scope_forest, count_buckets};
+use pace::gst::{
+    assign_buckets, build_forest_for_rank, build_in_scope_batch, build_in_scope_forest,
+    count_buckets,
+};
 use pace::pairgen::{PairGenConfig, PairGenerator};
+use pace::seq::StrId;
 use pace::{SequenceStore, SimConfig};
 
 fn dataset(n: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -143,4 +148,35 @@ fn nodes_take_eight_bytes_and_only_internal_nodes_get_slots() {
         + 12 * nodes.div_ceil(64) // which positions are internal, ranked
         + 4 * internal; // the slots
     assert_eq!(g.memory_bytes(), setup);
+}
+
+/// Each 8-byte suffix entry carries the class of the base left of its
+/// suffix (λ = 0 at offset 0, A/C/G/T = 1–4), on both strands, whichever
+/// builder made the forest: pair generation seeds its lsets from the
+/// entries alone.
+#[test]
+fn suffix_entries_carry_their_left_class() {
+    let store = SequenceStore::from_ests(&dataset(150, 608)).unwrap();
+    let partition = assign_buckets(&count_buckets(&store, 8), 1);
+    let buckets = partition.buckets_of(0);
+    // The last third of the ESTs are new to a fold.
+    let fresh = 2 * (2 * store.num_ests() as u32 / 3);
+    let full = build_forest_for_rank(&store, &partition, 0).subtrees;
+    let in_scope = build_in_scope_forest(&store, &partition, 0, 20).subtrees;
+    let fold = build_in_scope_batch(&store, &partition, &buckets, 20, fresh);
+    for (name, subtrees) in [("full", full), ("in-scope", in_scope), ("fold", fold)] {
+        let (mut by_class, mut by_strand) = ([0usize; 5], [0usize; 2]);
+        for suf in subtrees.iter().flat_map(|t| t.suffixes()) {
+            let (seq, off) = (store.seq(StrId(suf.sid())), suf.off() as usize);
+            let want = match off {
+                0 => 0,
+                _ => 1 + b"ACGT".iter().position(|&b| b == seq[off - 1]).unwrap(),
+            };
+            assert_eq!(usize::from(suf.class()), want, "{name}: {suf:?}");
+            by_class[want] += 1;
+            by_strand[suf.sid() as usize % 2] += 1;
+        }
+        assert!(!by_class.contains(&0), "{name}: {by_class:?} per class");
+        assert!(!by_strand.contains(&0), "{name}: {by_strand:?} per strand");
+    }
 }
